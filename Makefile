@@ -1,7 +1,7 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke clean figures
+.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det clean figures
 
-check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke
+check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det
 
 build:
 	dune build
@@ -140,6 +140,17 @@ elastic-smoke:
 	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
 	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
 	  --explore --dispatch-budget 200 -j 2 > /dev/null 2>&1
+
+# Simulated-results golden: the "det" lines of the benchmark smoke at
+# seed 3 (simulated results and per-layer counts, fixed by the seed)
+# must match the committed golden byte for byte, so a change that moves
+# virtual-time results is caught against the previous commit, not only
+# against a second run of itself.  Host timings are not compared.  A
+# change that means to move them regenerates the golden with the same
+# command and says so.
+perfbench-det:
+	bash perfbench/run.sh --smoke --seed 3 > _build/perfbench-smoke3.txt
+	grep '^det ' _build/perfbench-smoke3.txt | diff test/perfbench-smoke3.det -
 
 clean:
 	dune clean

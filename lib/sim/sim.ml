@@ -15,6 +15,13 @@ type status = Done | Suspended
 type fiber =
   | Thunk of (unit -> status)
   | Cont of (unit, status) Effect.Deep.continuation
+  | Poll of {
+      k : (unit, status) Effect.Deep.continuation;
+      period : float;
+      cond : unit -> bool;
+    }
+      (* suspended in [poll_while]: the scheduler re-checks [cond] at
+         each dispatch and resumes [k] only once it fails *)
 
 (* A fiber value for unoccupied slots, so the slot table can be a plain
    (non-option) array: reading it is a bug caught by slot_tid = -1. *)
@@ -24,6 +31,11 @@ type engine = {
   policy : [ `Perf | `Random ];
   rng : Random.State.t;
   clocks : float array;
+  (* Perf-mode batched cost not yet yielded, per tid.  A float array, not
+     a mutable float field of [ctx]: [ctx] is a mixed record, so every
+     store into such a field would allocate a fresh box — on every
+     [step], hence on every Pmem access. *)
+  pending : float array;
   (* Min-heap of ready fibers for the perf policy, keyed by
      (clock, insertion seq); the race policy picks uniformly from the
      same arrays.  Kept as three parallel unboxed arrays — one float
@@ -77,7 +89,6 @@ type engine = {
 type ctx = {
   ctid : int;
   engine : engine;
-  mutable pending_cost : float; (* perf-mode batched cost not yet yielded *)
   mutable since_yield : int;
 }
 
@@ -98,7 +109,9 @@ let dls : domain_state Domain.DLS.key =
 let state () = Domain.DLS.get dls
 let set_tracer t = (state ()).dtracer <- t
 
-type _ Effect.t += Yield : unit Effect.t
+type _ Effect.t +=
+  | Yield : unit Effect.t
+  | Poll_yield : float * (unit -> bool) -> unit Effect.t
 
 (* ---- ready-queue operations ----------------------------------------- *)
 
@@ -302,7 +315,7 @@ let tid () = (ctx_exn "Sim.tid").ctid
 
 let now () =
   let c = ctx_exn "Sim.now" in
-  c.engine.clocks.(c.ctid) +. c.pending_cost
+  c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
 
 let random_state () = (ctx_exn "Sim.random_state").engine.rng
 
@@ -342,7 +355,9 @@ let due_interrupt e tid =
 let advance cost =
   match (state ()).cur with
   | None -> ()
-  | Some c -> c.pending_cost <- c.pending_cost +. cost
+  | Some c ->
+      let p = c.engine.pending in
+      p.(c.ctid) <- p.(c.ctid) +. cost
 
 (* In perf mode, cheap cache-hit accesses are batched: the clock advances
    but a scheduling point is only offered every [yield_stride] accesses or
@@ -359,7 +374,8 @@ let expensive_threshold = 10.0
    recorded schedule, and the replayed run would silently be a different
    interleaving. *)
 let ctx_step_as c ~switch cost =
-  c.pending_cost <- c.pending_cost +. cost;
+  let p = c.engine.pending in
+  p.(c.ctid) <- p.(c.ctid) +. cost;
   c.since_yield <- c.since_yield + 1;
   let must_switch =
     match c.engine.policy with
@@ -378,6 +394,27 @@ let step_as ~switch cost =
 
 let step cost = step_as ~switch:cost cost
 
+(* [poll_while ~period cond] = [while cond () do step period done].  When
+   that step would always switch, the fiber suspends once as a [Poll]
+   fiber and the scheduler runs the idle re-checks itself (see the
+   dispatch loop in [run]): an idle tick then costs a [cond] call instead of an
+   effect-handler round trip.  Otherwise (a cheap period under [`Perf],
+   which batches) the plain loop is the only exact rendering. *)
+let poll_while ~period cond =
+  match (state ()).cur with
+  | Some c
+    when c.engine.policy = `Random || period >= expensive_threshold ->
+      if cond () then begin
+        let p = c.engine.pending in
+        p.(c.ctid) <- p.(c.ctid) +. period;
+        c.since_yield <- 0;
+        Effect.perform (Poll_yield (period, cond))
+      end
+  | _ ->
+      while cond () do
+        step period
+      done
+
 (* ---- hot-path handle --------------------------------------------------
    One DLS fetch amortized over the several engine consultations the
    memory model makes per simulated instruction (tid, clock, step).  The
@@ -393,7 +430,7 @@ let h_tid h = match h.cur with Some c -> c.ctid | None -> 0
 
 let h_now h =
   match h.cur with
-  | Some c -> c.engine.clocks.(c.ctid) +. c.pending_cost
+  | Some c -> c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
   | None -> 0.
 
 let h_step_as h ~switch cost =
@@ -415,6 +452,10 @@ let request_crash () =
   raise Crashed
 
 (* ---- the driver ------------------------------------------------------ *)
+
+(* [settle]'s verdicts, allocated once. *)
+let stop_step_limit = Some Step_limit
+let stop_crashed = Some Crashed
 
 let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
     ?(schedule = [||]) ?record ?divergence ?choose ?(interrupts = [||]) bodies =
@@ -444,6 +485,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
          order — or on any domain — and observe identical draws. *)
       rng = Random.State.make [| seed; 0x51ED; n |];
       clocks = Array.make (max n 1) 0.;
+      pending = Array.make (max n 1) 0.;
       ready_clock = Array.make cap 0.;
       ready_seq = Array.make cap 0;
       ready_slot = Array.make cap 0;
@@ -469,48 +511,64 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
     }
   in
   let contexts =
-    Array.init n (fun i ->
-        { ctid = i; engine = e; pending_cost = 0.; since_yield = 0 })
+    Array.init n (fun i -> { ctid = i; engine = e; since_yield = 0 })
+  in
+  (* [st.cur] of each fiber, allocated once: the loop sets it on every
+     dispatch. *)
+  let cur_of = Array.map Option.some contexts in
+  (* One scheduling step of fiber [i]: fold its batched cost into its
+     clock, count the step and apply the bounds.  Returns the exception
+     to discontinue the fiber with, if a bound fired, and [None] if it
+     may be requeued.
+
+     Boundary convention (see sim.mli): a bound of n fires at the n-th
+     scheduling step — steps 1..n-1 complete normally, the n-th [step]
+     call does not return.  Both bounds use the same comparison so the
+     explorer's crash-point enumeration is exact.  On [Step_limit] the
+     fiber unwinds where it is discontinued (its finalizers run); [exnc]
+     re-raises into the dispatch loop, which tears the remaining fibers
+     down before letting Step_limit escape. *)
+  let settle i =
+    e.clocks.(i) <- e.clocks.(i) +. e.pending.(i);
+    e.pending.(i) <- 0.;
+    e.steps <- e.steps + 1;
+    if e.aborting || (e.step_limit >= 1 && e.steps >= e.step_limit) then begin
+      e.aborting <- true;
+      stop_step_limit
+    end
+    else begin
+      if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing st e;
+      if e.crashing then stop_crashed else None
+    end
   in
   let handler i : (unit, status) Effect.Deep.handler =
+    (* The [Yield] response is allocated once per fiber, not per effect:
+       matching [Yield] refines [a = unit], so this one value fits. *)
+    let on_yield =
+      Some
+        (fun (k : (unit, status) Effect.Deep.continuation) ->
+          match settle i with
+          | None ->
+              enqueue e i (Cont k);
+              Suspended
+          | Some exn -> Effect.Deep.discontinue k exn)
+    in
     {
       retc = (fun () -> Done);
       exnc = (fun exn -> match exn with Crashed -> Done | exn -> raise exn);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, status) Effect.Deep.continuation -> status) option ->
           match eff with
-          | Yield ->
+          | Yield -> on_yield
+          | Poll_yield (period, cond) ->
               Some
                 (fun (k : (a, status) Effect.Deep.continuation) ->
-                  let c = contexts.(i) in
-                  e.clocks.(i) <- e.clocks.(i) +. c.pending_cost;
-                  c.pending_cost <- 0.;
-                  e.steps <- e.steps + 1;
-                  (* Boundary convention (see sim.mli): a bound of n
-                     fires at the n-th scheduling step — steps 1..n-1
-                     complete normally, the n-th [step] call does not
-                     return.  Both bounds use the same comparison so the
-                     explorer's crash-point enumeration is exact. *)
-                  if
-                    e.aborting
-                    || (e.step_limit >= 1 && e.steps >= e.step_limit)
-                  then begin
-                    (* Unwind this fiber here (its finalizers run);
-                       [exnc] re-raises into the driver loop, which
-                       tears the remaining fibers down before letting
-                       Step_limit escape. *)
-                    e.aborting <- true;
-                    Effect.Deep.discontinue k Step_limit
-                  end
-                  else begin
-                    if e.crash_at >= 1 && e.steps >= e.crash_at then
-                      mark_crashing st e;
-                    if e.crashing then Effect.Deep.discontinue k Crashed
-                    else begin
-                      enqueue e i (Cont k);
+                  match settle i with
+                  | None ->
+                      enqueue e i (Poll { k; period; cond });
                       Suspended
-                    end
-                  end)
+                  | Some exn -> Effect.Deep.discontinue k exn)
           | _ -> None);
     }
   in
@@ -527,14 +585,14 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       if e.crashing then begin
         (match fiber with
         | Thunk _ -> () (* never started: nothing volatile to unwind *)
-        | Cont k ->
-            st.cur <- Some contexts.(i);
+        | Cont k | Poll { k; _ } ->
+            st.cur <- cur_of.(i);
             ignore (Effect.Deep.discontinue k Crashed : status);
             st.cur <- None);
         loop ()
       end
       else begin
-        st.cur <- Some contexts.(i);
+        st.cur <- cur_of.(i);
         (match st.dtracer with
         | None -> ()
         | Some f ->
@@ -550,7 +608,22 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
         | Cont k -> (
             match due_interrupt e i with
             | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
-            | None -> ignore (Effect.Deep.continue k () : status)));
+            | None -> ignore (Effect.Deep.continue k () : status))
+        | Poll { k; period; cond } -> (
+            match due_interrupt e i with
+            | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
+            | None -> (
+                (* What resuming [k] would do — re-check [cond] and, while
+                   it holds, step [period] again — without resuming it. *)
+                match cond () with
+                | false -> ignore (Effect.Deep.continue k () : status)
+                | true -> (
+                    e.pending.(i) <- e.pending.(i) +. period;
+                    match settle i with
+                    | None -> enqueue e i fiber
+                    | Some exn -> ignore (Effect.Deep.discontinue k exn : status))
+                | exception exn ->
+                    ignore (Effect.Deep.discontinue k exn : status))));
         st.cur <- None;
         loop ()
       end
@@ -568,8 +641,8 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       release e slot;
       match fiber with
       | Thunk _ -> () (* never started: nothing to unwind *)
-      | Cont k ->
-          st.cur <- Some contexts.(i);
+      | Cont k | Poll { k; _ } ->
+          st.cur <- cur_of.(i);
           (try ignore (Effect.Deep.discontinue k Step_limit : status)
            with _ -> ());
           st.cur <- None

@@ -168,6 +168,29 @@ val step_as : switch:float -> float -> unit
     schedule would silently diverge.  [step cost = step_as ~switch:cost
     cost]. *)
 
+val poll_while : period:float -> (unit -> bool) -> unit
+(** [poll_while ~period cond] behaves exactly like
+    [while cond () do step period done] — same clocks, steps, dispatches,
+    [record] tape and tracer events, same delivery of interrupts, crashes
+    and the step limit — but costs far less host time per idle re-check.
+    When that [step] would always switch ([`Random], or [period] at or
+    above the perf policy's batching threshold), the fiber suspends once
+    and the scheduler itself re-evaluates [cond] at each later dispatch
+    of the fiber: while it holds, the scheduler charges [period] and
+    requeues the fiber without resuming it.  Otherwise (a cheap [period]
+    under [`Perf], which batches steps) it runs the plain loop.
+
+    Every idle re-check is still a dispatch: it is traced ([Sched]),
+    recorded, counted by {!dispatches} and by the step counters, and may
+    be where [crash_at], [step_limit] or an {!interrupt} lands — all
+    delivered inside the waiting fiber, at its [poll_while] call.
+
+    [cond] must be pure with respect to the engine: it may read shared
+    state and call {!now} or {!tid}, but must not {!step}, {!advance},
+    {!interrupt} or otherwise change what the simulation observes,
+    because the scheduler may run it outside the fiber's stack.  An
+    exception it raises is re-raised inside the waiting fiber. *)
+
 val advance : float -> unit
 (** Charge [cost] virtual nanoseconds without offering a switch point.
     Used for latency that is attributed to the current fiber but is not a

@@ -151,12 +151,14 @@ let moved_key t k =
 let in_handoff t k = t.inhand = k
 
 let release t = t.go <- true
+let idle t = t.done_ || not t.go
 
 (* Internal rpc: an [internal] request through a shard's mailbox, so the
    target shard's own crash protocol covers it (backlog on restart,
    detectable recovery if in flight).  While waiting, the destination
    keeps draining its own mailbox — no deadlock, and client requests
-   forwarded to the destination keep being served. *)
+   forwarded to the destination keep being served.  That drain has side
+   effects, so this wait stays a [Sim.step] loop, not [Sim.poll_while]. *)
 let rpc t (shard : Shard.t) op ~drain =
   t.rid <- t.rid - 1;
   let req =
@@ -211,7 +213,7 @@ let on_recover t =
    cleanup re-issue) per call, so the destination server interleaves
    migration with client traffic.  Returns true if it did something. *)
 let step t ~drain =
-  if t.done_ || not t.go then false
+  if idle t then false
   else if not t.started then begin
     (* register the split: from here plan keys route via [moved_key] *)
     t.started <- true;

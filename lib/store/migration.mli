@@ -59,6 +59,10 @@ val release : t -> unit
 (** Controller signal: start migrating (the destination server's
     [side_work] begins stepping on its next loop iteration). *)
 
+val idle : t -> bool
+(** [step] would do nothing: the migration is not released yet, or has
+    finished.  Pure (the shard server's idle poll re-checks it). *)
+
 val on_recover : t -> unit
 (** Destination-crash resume hook, called by the destination shard's
     crash handler after heap resolution and structure recovery: rebuilds

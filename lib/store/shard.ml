@@ -45,7 +45,8 @@
    [guard] lets the store defer or forward a request whose key is mid-
    handoff or no longer owned here (Migration), and [side_work] runs one
    bounded unit of background work per loop iteration (the migration
-   scan).  Internal requests — the migration's own reads/deletes/inserts,
+   scan), with a predicate telling when that unit would do nothing.
+   Internal requests — the migration's own reads/deletes/inserts,
    flagged [internal] — bypass the guard and do not count as client
    completions, but their operations ARE recorded as oracle events: they
    mutate the structure like any other op. *)
@@ -344,12 +345,25 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
          (Sim.now () -. crash_ns))
   in
   let rec recover_safe () = try recover_crash () with Crash -> recover_safe () in
+  (* Nothing for the loop to do but poll again: an empty mailbox, no
+     re-sync pending and no side work, while the store is live.  Pure, so
+     the idle re-polls can run in the scheduler ([Sim.poll_while]). *)
+  let quiet () =
+    Queue.is_empty t.mailbox
+    && (match t.replica with Some rep -> rep.Replica.ready | None -> true)
+    && (match side_work with Some (_, idle) -> idle () | None -> true)
+    && live ()
+  in
   let rec loop () =
     match
-      if Queue.is_empty t.mailbox then Sim.step poll_ns else drain_batch ();
+      if Queue.is_empty t.mailbox then begin
+        Sim.step poll_ns;
+        Sim.poll_while ~period:poll_ns quiet
+      end
+      else drain_batch ();
       resync_step ();
       match side_work with
-      | Some work -> ignore (work ~drain:drain_batch : bool)
+      | Some (work, _) -> ignore (work ~drain:drain_batch : bool)
       | None -> ()
     with
     | () -> if live () then loop ()

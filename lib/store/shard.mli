@@ -102,7 +102,7 @@ val serve :
   live:(unit -> bool) ->
   on_complete:(request -> ok:bool -> recovered:bool -> unit) ->
   ?guard:(request -> [ `Execute | `Defer | `Forward of t ]) ->
-  ?side_work:(drain:(unit -> unit) -> bool) ->
+  ?side_work:(drain:(unit -> unit) -> bool) * (unit -> bool) ->
   ?after_recovery:(unit -> unit) ->
   unit ->
   unit
@@ -116,9 +116,12 @@ val serve :
 
     [guard] (client requests only) may [`Defer] a request (requeued —
     its key is mid-handoff) or [`Forward] it to its current owner.
-    [side_work ~drain] runs one bounded unit of background work per
-    loop iteration (the migration scan); [drain] lets it serve this
-    shard's own mailbox while waiting on another shard.
+    [side_work = (work, idle)]: [work ~drain] runs one bounded unit of
+    background work per loop iteration (the migration scan); [drain]
+    lets it serve this shard's own mailbox while waiting on another
+    shard.  [idle ()] must hold only when [work] would do nothing; it
+    must be pure, since idle re-polls run it in the scheduler
+    ([Sim.poll_while]).
     [after_recovery] runs at the end of the crash protocol, after heap
     resolution and structure recovery (the migration's journal
     rescan). *)

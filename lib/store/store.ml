@@ -150,7 +150,7 @@ let validate cfg =
                 Error "store: cascade needs two distinct shards"
             | None, _ -> Ok threads))
 
-let run ?(record = fun (_ : int) -> ()) ?(schedule = [||]) cfg =
+let run ?record ?(schedule = [||]) cfg =
   match validate cfg with
   | Error _ as e -> e
   | Ok threads -> (
@@ -269,26 +269,17 @@ let run ?(record = fun (_ : int) -> ()) ?(schedule = [||]) cfg =
           | Some _ -> ()  (* open loop: fire and move to the next arrival *)
           | None ->
               (* closed loop: block until the request resolves *)
-              let rec wait () =
-                match req.Shard.state with
-                | Shard.Pending ->
-                    Sim.step poll_ns;
-                    wait ()
-                | Shard.Done _ -> ()
-              in
-              wait ()
+              Sim.poll_while ~period:poll_ns (fun () ->
+                  match req.Shard.state with
+                  | Shard.Pending -> true
+                  | Shard.Done _ -> false)
         done
       in
       let controller () =
         (match (migration, cfg.migrate) with
         | Some m, Some { m_after; _ } ->
-            let rec wait () =
-              if !completed < m_after && !completed < total then begin
-                Sim.step 50.;
-                wait ()
-              end
-            in
-            wait ();
+            Sim.poll_while ~period:50. (fun () ->
+                !completed < m_after && !completed < total);
             Trace.note
               (Printf.sprintf "releasing migration after %d completions"
                  !completed);
@@ -296,13 +287,8 @@ let run ?(record = fun (_ : int) -> ()) ?(schedule = [||]) cfg =
         | _ -> ());
         match cfg.crash with
         | Some (After_requests { victim; requests = after }) ->
-            let rec wait () =
-              if !completed < after && !completed < total then begin
-                Sim.step 50.;
-                wait ()
-              end
-            in
-            wait ();
+            Sim.poll_while ~period:50. (fun () ->
+                !completed < after && !completed < total);
             if live () then begin
               Trace.note
                 (Printf.sprintf "injecting crash into shard %d after %d \
@@ -313,21 +299,15 @@ let run ?(record = fun (_ : int) -> ()) ?(schedule = [||]) cfg =
             (* land the second crash inside the first victim's recovery
                window: poll for [in_recovery] (restart_ns dwarfs the
                50 ns poll, so the window cannot be missed) *)
-            let rec watch () =
-              if live () then
-                if shards.(first).Shard.in_recovery then begin
-                  Trace.note
-                    (Printf.sprintf
-                       "cascade: crashing shard %d inside shard %d's recovery"
-                       second first);
-                  Sim.interrupt ~tid:(server_tid second) Shard.Crash
-                end
-                else begin
-                  Sim.step 50.;
-                  watch ()
-                end
-            in
-            watch ()
+            Sim.poll_while ~period:50. (fun () ->
+                live () && not shards.(first).Shard.in_recovery);
+            if live () then begin
+              Trace.note
+                (Printf.sprintf
+                   "cascade: crashing shard %d inside shard %d's recovery"
+                   second first);
+              Sim.interrupt ~tid:(server_tid second) Shard.Crash
+            end
         | Some (At_dispatch _ | Both_at_dispatch _) | None -> ()
       in
       let second_victim = second_victim_of cfg.crash in
@@ -353,7 +333,9 @@ let run ?(record = fun (_ : int) -> ()) ?(schedule = [||]) cfg =
                   ~wb:(wb_for sid) ~live ~on_complete ~guard:(guard s)
                   ?side_work:
                     (Option.map
-                       (fun m ~drain -> Migration.step m ~drain)
+                       (fun m ->
+                         ((fun ~drain -> Migration.step m ~drain), fun () ->
+                           Migration.idle m))
                        mig_here)
                   ?after_recovery:
                     (Option.map (fun m () -> Migration.on_recover m) mig_here)
@@ -379,7 +361,7 @@ let run ?(record = fun (_ : int) -> ()) ?(schedule = [||]) cfg =
       in
       let divergences = ref 0 in
       match
-        Sim.run ~policy:`Perf ~seed:cfg.seed ~step_limit ~schedule ~record
+        Sim.run ~policy:`Perf ~seed:cfg.seed ~step_limit ~schedule ?record
           ~divergence:(fun ~step:_ ~want:_ -> incr divergences)
           ~interrupts bodies
       with

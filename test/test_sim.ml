@@ -423,6 +423,201 @@ let test_self_interrupt_raises_immediately () =
       : Sim.outcome);
   Alcotest.(check bool) "self-interrupt raised in place" true !caught
 
+(* -- poll_while ------------------------------------------------------------ *)
+
+(* A producer (tid 0) counts up in [work] steps of [cost]; each waiter
+   (tids 1..waiters) waits twice — for the counter to reach half of
+   [target], then [target] — with a re-check every [period], stepping
+   once between the waits.  The second wait also gives up at virtual
+   time [deadline], so conditions read the clock too.  When the counter
+   reaches [poke], the producer interrupts waiter 1, which catches the
+   interrupt and moves on.  Periods below the expensive threshold take
+   [poll_while]'s plain-loop fallback under [`Perf]. *)
+type scenario = {
+  random : bool;
+  seed : int;
+  period : float;
+  waiters : int;
+  work : int;
+  cost : float;
+  target : int;
+  deadline : float;
+  poke : int;  (* 0 = never *)
+}
+
+let show_scenario s =
+  Printf.sprintf
+    "{random=%b seed=%d period=%g waiters=%d work=%d cost=%g target=%d \
+     deadline=%g poke=%d}"
+    s.random s.seed s.period s.waiters s.work s.cost s.target s.deadline s.poke
+
+let gen_scenario =
+  QCheck2.Gen.(
+    let* random = bool in
+    let* seed = int_range 0 10_000 in
+    let* period = oneofl [ 5.; 10.; 60. ] in
+    let* waiters = int_range 1 3 in
+    let* work = int_range 1 10 in
+    let* cost = oneofl [ 1.5; 20.; 45. ] in
+    let* target = int_range 0 work in
+    let* deadline = oneofl [ infinity; 150.; 400. ] in
+    let* poke = int_range 0 work in
+    return { random; seed; period; waiters; work; cost; target; deadline; poke })
+
+exception Poke
+
+(* Everything a run exposes: its outcome, the [record] tape, the tracer's
+   events, and a log of where each waiter finished a wait or caught an
+   interrupt and where each fiber exited (normally or unwound): clock,
+   own dispatch count and global step count.  Paired with the step
+   indices of the loop's idle [step] calls (empty under [~poll:true]). *)
+let observe ~poll ?crash_at ?step_limit ?(interrupts = [||]) sc =
+  let idle = ref [] in
+  let wait ~period cond =
+    if poll then Sim.poll_while ~period cond
+    else
+      while cond () do
+        idle := (Sim.steps_executed () + 1) :: !idle;
+        Sim.step period
+      done
+  in
+  let counter = ref 0 in
+  let log = ref [] in
+  let note tid what =
+    log :=
+      (tid, what, Sim.now (), Sim.dispatches ~tid, Sim.steps_executed ())
+      :: !log
+  in
+  let producer () =
+    for _ = 1 to sc.work do
+      Sim.step sc.cost;
+      incr counter;
+      if !counter = sc.poke then Sim.interrupt ~tid:1 Poke
+    done
+  in
+  let waiter tid () =
+    (try wait ~period:sc.period (fun () -> !counter < sc.target / 2)
+     with Poke -> note tid "poked");
+    note tid "first";
+    Sim.step 3.;
+    (try
+       wait ~period:sc.period (fun () ->
+           !counter < sc.target && Sim.now () < sc.deadline)
+     with Poke -> note tid "poked");
+    note tid "second"
+  in
+  let bodies =
+    Array.init (sc.waiters + 1) (fun tid _ ->
+        Fun.protect
+          ~finally:(fun () -> note tid "exit")
+          (if tid = 0 then producer else waiter tid))
+  in
+  let tape = ref [] and events = ref [] in
+  Sim.set_tracer (Some (fun ev -> events := ev :: !events));
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Sim.set_tracer None)
+      (fun () ->
+        match
+          Sim.run
+            ~policy:(if sc.random then `Random else `Perf)
+            ~seed:sc.seed ?crash_at ?step_limit ~interrupts
+            ~record:(fun t -> tape := t :: !tape)
+            bodies
+        with
+        | Sim.All_done -> "done"
+        | Sim.Crashed_at n -> Printf.sprintf "crashed@%d" n
+        | exception Sim.Step_limit -> "step-limit"
+        | exception Poke -> "poke escaped")
+  in
+  ((outcome, List.rev !tape, List.rev !events, List.rev !log), List.rev !idle)
+
+let same_as_loop ?crash_at ?step_limit ?interrupts sc =
+  fst (observe ~poll:true ?crash_at ?step_limit ?interrupts sc)
+  = fst (observe ~poll:false ?crash_at ?step_limit ?interrupts sc)
+
+let prop_poll_matches_loop =
+  QCheck2.Test.make ~name:"poll_while replays the Sim.step loop exactly"
+    ~count:300 ~print:show_scenario gen_scenario same_as_loop
+
+(* Every crash point, step limit and static interrupt dispatch of the
+   clean run gives the same observation. *)
+let prop_poll_matches_loop_at_bounds =
+  QCheck2.Test.make
+    ~name:"poll_while matches the loop at every crash, limit and interrupt"
+    ~count:40 ~print:show_scenario gen_scenario (fun sc ->
+      let (_, tape, _, _), _ = observe ~poll:false sc in
+      let upto f = List.for_all f (List.init (List.length tape + 1) succ) in
+      upto (fun c -> same_as_loop ~crash_at:c sc)
+      && upto (fun l -> same_as_loop ~step_limit:l sc)
+      && upto (fun d -> same_as_loop ~interrupts:[| (1, d, Poke) |] sc))
+
+let test_poll_idle_ticks () =
+  (* With a switching period, most of a waiter's steps are idle ticks,
+     which [poll_while] runs in the scheduler: a crash or step limit
+     landing on each must match the loop, under both policies. *)
+  List.iter
+    (fun random ->
+      let sc =
+        { random; seed = 7; period = 10.; waiters = 2; work = 6; cost = 45.;
+          target = 6; deadline = infinity; poke = 0 }
+      in
+      let _, idle = observe ~poll:false sc in
+      Alcotest.(check bool) "idle ticks" true (List.length idle > 10);
+      List.iter
+        (fun c ->
+          if not (same_as_loop ~crash_at:c sc) then
+            Alcotest.failf "crash at idle step %d differs" c;
+          if not (same_as_loop ~step_limit:c sc) then
+            Alcotest.failf "step limit at idle step %d differs" c)
+        idle)
+    [ false; true ]
+
+let test_poll_outside_run () =
+  (* outside a run [step] is a no-op, so the wait only re-checks *)
+  let n = ref 0 in
+  Sim.poll_while ~period:60. (fun () -> incr n; !n < 3);
+  Alcotest.(check int) "re-checked until false" 3 !n
+
+let test_poll_cond_exception () =
+  (* a [cond] that raises on an idle tick raises inside the waiting
+     fiber, where its own handler catches it, as in the loop *)
+  let caught = ref false in
+  let ticks = ref 0 in
+  (match
+     Sim.run
+       [|
+         (fun _ ->
+           try
+             Sim.poll_while ~period:60. (fun () ->
+                 incr ticks;
+                 if !ticks = 3 then raise Boom;
+                 true)
+           with Boom -> caught := true);
+       |]
+   with
+  | Sim.All_done -> ()
+  | Sim.Crashed_at _ -> Alcotest.fail "unexpected crash");
+  Alcotest.(check bool) "caught in the fiber" true !caught
+
+(* A boxed float in the step path costs a minor allocation per
+   [Sim.step] (so per Pmem access); this bound catches it coming back.
+   Only the yields (one every 16 cheap steps under [`Perf]) allocate:
+   their continuation and requeued fiber. *)
+let test_step_allocation () =
+  let steps = 100_000 in
+  let body _ =
+    for _ = 1 to steps do
+      Sim.step 1.5
+    done
+  in
+  ignore (Sim.run [| body; body |] : Sim.outcome);
+  let before = Gc.minor_words () in
+  ignore (Sim.run [| body; body |] : Sim.outcome);
+  let per_step = (Gc.minor_words () -. before) /. float_of_int (2 * steps) in
+  if per_step > 1.0 then
+    Alcotest.failf "%.2f minor words per Sim.step 1.5 (bound 1.0)" per_step
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all;
@@ -459,4 +654,12 @@ let suite =
       test_interrupt_on_finished_fiber_is_noop;
     Alcotest.test_case "self-interrupt raises immediately" `Quick
       test_self_interrupt_raises_immediately;
+    QCheck_alcotest.to_alcotest prop_poll_matches_loop;
+    QCheck_alcotest.to_alcotest prop_poll_matches_loop_at_bounds;
+    Alcotest.test_case "poll_while: bounds on idle ticks" `Quick
+      test_poll_idle_ticks;
+    Alcotest.test_case "poll_while outside a run" `Quick test_poll_outside_run;
+    Alcotest.test_case "poll_while: cond exception reaches the fiber" `Quick
+      test_poll_cond_exception;
+    Alcotest.test_case "Sim.step allocation bound" `Quick test_step_allocation;
   ]
