@@ -1,7 +1,7 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det clean figures
+.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden clean figures
 
-check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det
+check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden
 
 build:
 	dune build
@@ -151,6 +151,23 @@ elastic-smoke:
 perfbench-det:
 	bash perfbench/run.sh --smoke --seed 3 > _build/perfbench-smoke3.txt
 	grep '^det ' _build/perfbench-smoke3.txt | diff test/perfbench-smoke3.det -
+
+# Scheduling golden: the digests of two outputs that every scheduling
+# decision shapes must match the committed ones — the JSONL trace of a
+# seeded crash campaign (`Random` decisions, one Sched event each) and
+# the report of the explore-smoke tree (`choose` decisions).
+# explore-smoke and parbench-smoke only compare -j 1 against -j 2, which
+# a scheduler change that alters every tree the same way passes.  A
+# change that means to move them regenerates the golden with the same
+# commands and says so.
+sched-golden:
+	dune exec bin/repro.exe -- crash -a tracking --seeds 20 \
+	  --trace _build/sched-golden-crash.jsonl > /dev/null
+	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
+	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0 \
+	  > _build/sched-golden-explore.txt
+	cd _build && md5sum sched-golden-crash.jsonl sched-golden-explore.txt \
+	  | diff ../test/sched-golden.txt -
 
 clean:
 	dune clean

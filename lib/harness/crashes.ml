@@ -205,7 +205,7 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
       match run_round ~kind round bodies with
       | Sim.All_done ->
           if kind = `Recover then Metrics.recovery_round_done round;
-          if Array.exists (fun o -> o <> None) pending then
+          if Array.exists Option.is_some pending then
             (* recovery itself crashed: recover again *)
             rounds ~kind:`Recover (round + 1) (Array.init cfg.threads recoverer)
           else if Array.exists (fun r -> !r <> []) remaining then
@@ -245,17 +245,21 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
            count, crash count) so a bare message is actionable without
            the repro file; the counts are pure functions of the recorded
            execution, so a replayed failure produces the identical
-           string (Crashes.replay and the shrinker compare on it). *)
-        let context = Printf.sprintf "seed %d, %d rounds, %d crashes" seed
+           string (Crashes.replay and the shrinker compare on it).  Built
+           only on failure: most executions pass. *)
+        let context () =
+          Printf.sprintf "seed %d, %d rounds, %d crashes" seed
             (List.length !log) !crashes
         in
         match algo.Set_intf.check () with
         | Error msg ->
-            Error (Printf.sprintf "structure invariant: %s: %s" context msg)
+            Error
+              (Printf.sprintf "structure invariant: %s: %s" (context ()) msg)
         | Ok () -> (
             let final = algo.Set_intf.contents () in
             match Oracle.check ~initial ~final (List.rev !events) with
-            | Error msg -> Error (Printf.sprintf "oracle: %s: %s" context msg)
+            | Error msg ->
+                Error (Printf.sprintf "oracle: %s: %s" (context ()) msg)
             | Ok () ->
                 Ok
                   {

@@ -228,9 +228,13 @@ let notify inst ev =
   (match inst.icollector with None -> () | Some f -> f ev);
   match inst.iforensics with None -> () | Some f -> f ev
 
+(* [Queue.clear] writes the queue's pointers even when it is empty, and
+   at a reset or crash most of the [max_threads] queues are. *)
+let clear_queue q = if not (Queue.is_empty q) then Queue.clear q
+
 let reset_pending () =
   let inst = instance () in
-  Array.iter Queue.clear inst.pending;
+  Array.iter clear_queue inst.pending;
   Array.fill inst.wb_deadline 0 max_threads neg_infinity;
   inst.icrashes <- []
 
@@ -584,7 +588,7 @@ let resolve_queue_at_crash rng ~fate q =
   match rng with
   | None ->
       Queue.iter (function Apply _ as e -> fate e false | Fence -> ()) q;
-      Queue.clear q
+      clear_queue q
   | Some rng ->
       (* Fence-delimited segments complete in order: some prefix of
          segments completed fully, the next one partially (an arbitrary
@@ -624,7 +628,7 @@ let resolve_queue_deterministic choice ~fate q =
   match choice with
   | `Drop ->
       Queue.iter (function Apply _ as e -> fate e false | Fence -> ()) q;
-      Queue.clear q
+      clear_queue q
   | `All ->
       Queue.iter
         (function
@@ -633,7 +637,7 @@ let resolve_queue_deterministic choice ~fate q =
               fate e true
           | Fence -> ())
         q;
-      Queue.clear q
+      clear_queue q
   | `Prefix k ->
       let applied = ref 0 in
       while not (Queue.is_empty q) do

@@ -29,7 +29,13 @@ let dummy_fiber = Thunk (fun () -> Done)
 
 type engine = {
   policy : [ `Perf | `Random ];
-  rng : Random.State.t;
+  (* Created on first use ([engine_rng]): under [choose] or [`Perf] the
+     scheduler never draws, and seeding costs an MD5 per run.  The state
+     is a pure function of (seed, fiber count), so creating it late
+     changes no draw. *)
+  mutable rng : Random.State.t option;
+  rng_seed : int;
+  nfibers : int;
   clocks : float array;
   (* Perf-mode batched cost not yet yielded, per tid.  A float array, not
      a mutable float field of [ctx]: [ctx] is a mixed record, so every
@@ -76,6 +82,17 @@ type engine = {
      run is only draining doomed fibers, whose order is semantically
      inert. *)
   choose : (crashing:bool -> int array -> int) option;
+  (* [choose]'s argument, built without allocating: per-tid flags
+     (all false between decisions) and one reused buffer per ready
+     count, indexed by that count. *)
+  ready_flag : bool array;
+  tid_bufs : int array array;
+  (* A decision a switching step took before suspending (see
+     [switch_point]): [handoff] is the picked ready index, for the
+     [Yield] handler, which requeues the yielder, removes the pick and
+     leaves its slot in [next_slot] for the loop; -1 = none. *)
+  mutable handoff : int;
+  mutable next_slot : int;
   (* Per-fiber fault injection: an exception delivered to one fiber at
      its next resumption, leaving every other fiber running — the
      primitive behind shard-local crashes (Harness.Store).  [pending_intr]
@@ -112,6 +129,9 @@ let set_tracer t = (state ()).dtracer <- t
 type _ Effect.t +=
   | Yield : unit Effect.t
   | Poll_yield : float * (unit -> bool) -> unit Effect.t
+  | Yield_raise : exn -> unit Effect.t
+      (* a hook raised while a switching step decided: requeue the
+         yielder and re-raise in the scheduler, as [dequeue] would have *)
 
 (* ---- ready-queue operations ----------------------------------------- *)
 
@@ -194,8 +214,6 @@ let remove_at e i =
   end;
   slot
 
-let heap_pop_min e = remove_at e 0
-
 let ready_index_of_tid e tid =
   let n = e.ready_len in
   let found = ref (-1) in
@@ -204,54 +222,95 @@ let ready_index_of_tid e tid =
   done;
   !found
 
-(* The ready tids at this decision, in ascending order (for [choose]). *)
-let ready_tids e =
-  let n = e.ready_len in
-  let tids = Array.make n (-1) in
-  for j = 0 to n - 1 do
-    let t = e.slot_tid.(e.ready_slot.(j)) in
-    assert (t >= 0);
-    tids.(j) <- t
-  done;
-  Array.sort compare tids;
-  tids
+let engine_rng e =
+  match e.rng with
+  | Some r -> r
+  | None ->
+      let r = Random.State.make [| e.rng_seed; 0x51ED; e.nfibers |] in
+      e.rng <- Some r;
+      r
 
-(* Consume the next replay-tape entry, if any: [Some i] is the ready
-   index of the recorded tid.  A recorded tid that is not ready is a
+(* Every decision below counts the ready fibers plus, when [self >= 0],
+   a yielder that a switching step has not requeued yet: it stands at
+   ready index [ready_len], where [enqueue] would append it. *)
+
+(* The ready tids in ascending order, for [choose].  The buffer is
+   reused for every decision with the same number of ready fibers. *)
+let ready_tids e self =
+  let flags = e.ready_flag in
+  for j = 0 to e.ready_len - 1 do
+    flags.(e.slot_tid.(e.ready_slot.(j))) <- true
+  done;
+  if self >= 0 then flags.(self) <- true;
+  let k = if self >= 0 then e.ready_len + 1 else e.ready_len in
+  let buf =
+    let b = e.tid_bufs.(k) in
+    if Array.length b = k then b
+    else begin
+      let b = Array.make k 0 in
+      e.tid_bufs.(k) <- b;
+      b
+    end
+  in
+  let m = ref 0 in
+  for t = 0 to Array.length flags - 1 do
+    if flags.(t) then begin
+      flags.(t) <- false;
+      buf.(!m) <- t;
+      incr m
+    end
+  done;
+  buf
+
+(* Consume the next replay-tape entry, if any: the ready index of the
+   recorded tid, or -1.  A recorded tid that is not ready is a
    divergence: it is reported and the decision falls back to the active
    policy — silently substituting a policy pick used to "replay" a
    different execution while claiming success. *)
-let take_replay e =
-  if e.replay_pos >= Array.length e.replay then None
+let take_replay e self =
+  if e.replay_pos >= Array.length e.replay then -1
   else begin
     let want = e.replay.(e.replay_pos) in
     e.replay_pos <- e.replay_pos + 1;
-    let i = ready_index_of_tid e want in
+    let i =
+      if self >= 0 && want = self then e.ready_len
+      else ready_index_of_tid e want
+    in
     if i < 0 then begin
-      (match e.divergence with
+      match e.divergence with
       | None -> ()
-      | Some f -> f ~step:e.steps ~want);
-      None
-    end
-    else Some i
+      | Some f -> f ~step:e.steps ~want
+    end;
+    i
   end
 
-let pop_random e =
+(* The scheduling decision: the ready index of the fiber to dispatch
+   next.  Under [`Perf] the yielder's insertion seq would be the newest,
+   so it wins only on a strictly smaller clock. *)
+let decide e self =
   let n = e.ready_len in
-  assert (n > 0);
-  let i =
-    match e.choose with
-    | Some f ->
-        let tid = f ~crashing:e.crashing (ready_tids e) in
-        let i = ready_index_of_tid e tid in
-        if i < 0 then
-          failwith
-            (Printf.sprintf "Sim: choose picked tid %d, which is not ready"
-               tid)
-        else i
-    | None -> Random.State.int e.rng n
-  in
-  remove_at e i
+  let r = take_replay e self in
+  if r >= 0 then r
+  else
+    match e.policy with
+    | `Perf ->
+        if self >= 0 && (n = 0 || e.clocks.(self) < e.ready_clock.(0)) then n
+        else 0
+    | `Random -> (
+        match e.choose with
+        | Some f ->
+            let tid = f ~crashing:e.crashing (ready_tids e self) in
+            if self >= 0 && tid = self then n
+            else begin
+              let i = ready_index_of_tid e tid in
+              if i < 0 then
+                failwith
+                  (Printf.sprintf
+                     "Sim: choose picked tid %d, which is not ready" tid);
+              i
+            end
+        | None ->
+            Random.State.int (engine_rng e) (if self >= 0 then n + 1 else n))
 
 let enqueue e tid fiber =
   let slot =
@@ -282,13 +341,35 @@ let enqueue e tid fiber =
   e.seq <- e.seq + 1;
   heap_push e e.clocks.(tid) e.seq slot
 
-(* Pick the next fiber to dispatch; returns its slot — the caller reads
+(* Requeue yielder [i] as [fiber] and take the ready entry [r] that its
+   switching step picked before suspending; returns the pick's slot.
+   Under [`Random] the requeue comes first: [enqueue] appends without
+   sifting, so [r] still names the pick, and the yielder fills its hole
+   exactly as [enqueue] then [dequeue] would leave it — the uniform draws
+   index this layout.  Under [`Perf] every decision is by clock order or
+   by tid, so the layout is unobservable, and the pick must leave before
+   the push can move it. *)
+let requeue_and_take e i fiber r =
+  match e.policy with
+  | `Random ->
+      enqueue e i fiber;
+      remove_at e r
+  | `Perf ->
+      let slot = remove_at e r in
+      enqueue e i fiber;
+      slot
+
+(* Pick the next fiber to dispatch — the one a switching step already
+   picked, if any; returns its slot — the caller reads
    [slot_tid]/[slot_fiber] and then frees the slot with [release]. *)
 let dequeue e =
   let slot =
-    match take_replay e with
-    | Some i -> remove_at e i
-    | None -> if e.policy = `Perf then heap_pop_min e else pop_random e
+    if e.next_slot >= 0 then begin
+      let s = e.next_slot in
+      e.next_slot <- -1;
+      s
+    end
+    else remove_at e (decide e (-1))
   in
   assert (e.slot_tid.(slot) >= 0);
   (match e.record with None -> () | Some f -> f e.slot_tid.(slot));
@@ -317,7 +398,7 @@ let now () =
   let c = ctx_exn "Sim.now" in
   c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
 
-let random_state () = (ctx_exn "Sim.random_state").engine.rng
+let random_state () = engine_rng (ctx_exn "Sim.random_state").engine
 
 let steps_executed () =
   match (state ()).cur with Some c -> c.engine.steps | None -> 0
@@ -352,6 +433,92 @@ let due_interrupt e tid =
           Some exn
       | _ -> None)
 
+let mark_crashing st e =
+  if not e.crashing then begin
+    e.crashing <- true;
+    match st.dtracer with
+    | None -> ()
+    | Some f -> f (Crash { step = e.steps })
+  end
+
+(* [settle]'s verdicts, allocated once. *)
+let stop_step_limit = Some Step_limit
+let stop_crashed = Some Crashed
+
+(* One scheduling step of fiber [i]: fold its batched cost into its
+   clock, count the step and apply the bounds.  Returns the exception to
+   raise in the fiber, if a bound fired, and [None] if it may go on.
+
+   Boundary convention (see sim.mli): a bound of n fires at the n-th
+   scheduling step — steps 1..n-1 complete normally, the n-th [step]
+   call does not return.  Both bounds use the same comparison so the
+   explorer's crash-point enumeration is exact.  On [Step_limit] the
+   fiber unwinds where it is raised (its finalizers run); [exnc]
+   re-raises into the dispatch loop, which tears the remaining fibers
+   down before letting Step_limit escape. *)
+let settle st e i =
+  e.clocks.(i) <- e.clocks.(i) +. e.pending.(i);
+  e.pending.(i) <- 0.;
+  e.steps <- e.steps + 1;
+  if e.aborting || (e.step_limit >= 1 && e.steps >= e.step_limit) then begin
+    e.aborting <- true;
+    stop_step_limit
+  end
+  else begin
+    if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing st e;
+    if e.crashing then stop_crashed else None
+  end
+
+(* The dispatch of fiber [i] that a switching step decided in place:
+   the same tracing, counting and interrupt delivery as the loop's
+   dispatch of a suspended fiber. *)
+let redispatch st e i =
+  (match st.dtracer with
+  | None -> ()
+  | Some f -> f (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
+  e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
+  match due_interrupt e i with None -> () | Some exn -> raise exn
+
+(* A switching step of the running fiber [c].  It settles the step, then
+   takes the decision [dequeue] would take after requeueing the fiber.
+   When that picks the fiber itself, the step returns after [redispatch]
+   — no effect, no continuation, no requeue.  Otherwise the fiber
+   suspends, and the decision goes with it in [handoff] so that no tape
+   entry, [choose] call or rng draw is consumed twice.  The hooks
+   ([record], [choose], [divergence]) run outside the fiber, as they do
+   in the loop, and an exception they raise surfaces in the loop too.
+   Under [`Perf] with no tape left and no [record] no hook can run, and a
+   pick other than the fiber is the heap's root, which the loop's pop
+   takes again: that case suspends plainly. *)
+let switch_point st c =
+  let e = c.engine and i = c.ctid in
+  (match settle st e i with None -> () | Some exn -> raise exn);
+  let n = e.ready_len in
+  if e.policy = `Perf && e.record == None
+     && e.replay_pos >= Array.length e.replay
+  then begin
+    if decide e i = n then redispatch st e i else Effect.perform Yield
+  end
+  else begin
+    let cur = st.cur in
+    st.cur <- None;
+    match
+      let r = decide e i in
+      if r = n then (match e.record with None -> () | Some f -> f i);
+      r
+    with
+    | r ->
+        st.cur <- cur;
+        if r = n then redispatch st e i
+        else begin
+          e.handoff <- r;
+          Effect.perform Yield
+        end
+    | exception exn ->
+        st.cur <- cur;
+        Effect.perform (Yield_raise exn)
+  end
+
 let advance cost =
   match (state ()).cur with
   | None -> ()
@@ -373,7 +540,7 @@ let expensive_threshold = 10.0
    would stop yielding, every later decision would shift relative to the
    recorded schedule, and the replayed run would silently be a different
    interleaving. *)
-let ctx_step_as c ~switch cost =
+let ctx_step_as st c ~switch cost =
   let p = c.engine.pending in
   p.(c.ctid) <- p.(c.ctid) +. cost;
   c.since_yield <- c.since_yield + 1;
@@ -384,13 +551,14 @@ let ctx_step_as c ~switch cost =
   in
   if must_switch then begin
     c.since_yield <- 0;
-    Effect.perform Yield
+    switch_point st c
   end
 
 let step_as ~switch cost =
-  match (state ()).cur with
+  let st = state () in
+  match st.cur with
   | None -> ()
-  | Some c -> ctx_step_as c ~switch cost
+  | Some c -> ctx_step_as st c ~switch cost
 
 let step cost = step_as ~switch:cost cost
 
@@ -434,17 +602,9 @@ let h_now h =
   | None -> 0.
 
 let h_step_as h ~switch cost =
-  match h.cur with None -> () | Some c -> ctx_step_as c ~switch cost
+  match h.cur with None -> () | Some c -> ctx_step_as h c ~switch cost
 
 let h_step h cost = h_step_as h ~switch:cost cost
-
-let mark_crashing st e =
-  if not e.crashing then begin
-    e.crashing <- true;
-    match st.dtracer with
-    | None -> ()
-    | Some f -> f (Crash { step = e.steps })
-  end
 
 let request_crash () =
   let c = ctx_exn "Sim.request_crash" in
@@ -452,10 +612,6 @@ let request_crash () =
   raise Crashed
 
 (* ---- the driver ------------------------------------------------------ *)
-
-(* [settle]'s verdicts, allocated once. *)
-let stop_step_limit = Some Step_limit
-let stop_crashed = Some Crashed
 
 let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
     ?(schedule = [||]) ?record ?divergence ?choose ?(interrupts = [||]) bodies =
@@ -483,7 +639,9 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       (* The engine rng is a pure function of (seed, n): no state crosses
          runs or domains, so campaigns may execute work items in any
          order — or on any domain — and observe identical draws. *)
-      rng = Random.State.make [| seed; 0x51ED; n |];
+      rng = None;
+      rng_seed = seed;
+      nfibers = n;
       clocks = Array.make (max n 1) 0.;
       pending = Array.make (max n 1) 0.;
       ready_clock = Array.make cap 0.;
@@ -505,6 +663,10 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       record;
       divergence;
       choose;
+      ready_flag = Array.make (max n 1) false;
+      tid_bufs = Array.make (n + 1) [||];
+      handoff = -1;
+      next_slot = -1;
       pending_intr = Array.make (max n 1) None;
       intr_sched;
       dispatch_counts = Array.make (max n 1) 0;
@@ -516,42 +678,20 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
   (* [st.cur] of each fiber, allocated once: the loop sets it on every
      dispatch. *)
   let cur_of = Array.map Option.some contexts in
-  (* One scheduling step of fiber [i]: fold its batched cost into its
-     clock, count the step and apply the bounds.  Returns the exception
-     to discontinue the fiber with, if a bound fired, and [None] if it
-     may be requeued.
-
-     Boundary convention (see sim.mli): a bound of n fires at the n-th
-     scheduling step — steps 1..n-1 complete normally, the n-th [step]
-     call does not return.  Both bounds use the same comparison so the
-     explorer's crash-point enumeration is exact.  On [Step_limit] the
-     fiber unwinds where it is discontinued (its finalizers run); [exnc]
-     re-raises into the dispatch loop, which tears the remaining fibers
-     down before letting Step_limit escape. *)
-  let settle i =
-    e.clocks.(i) <- e.clocks.(i) +. e.pending.(i);
-    e.pending.(i) <- 0.;
-    e.steps <- e.steps + 1;
-    if e.aborting || (e.step_limit >= 1 && e.steps >= e.step_limit) then begin
-      e.aborting <- true;
-      stop_step_limit
-    end
-    else begin
-      if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing st e;
-      if e.crashing then stop_crashed else None
-    end
-  in
   let handler i : (unit, status) Effect.Deep.handler =
     (* The [Yield] response is allocated once per fiber, not per effect:
-       matching [Yield] refines [a = unit], so this one value fits. *)
+       matching [Yield] refines [a = unit], so this one value fits.  The
+       yielding step has already settled (see [switch_point]). *)
     let on_yield =
       Some
         (fun (k : (unit, status) Effect.Deep.continuation) ->
-          match settle i with
-          | None ->
-              enqueue e i (Cont k);
-              Suspended
-          | Some exn -> Effect.Deep.discontinue k exn)
+          let r = e.handoff in
+          if r < 0 then enqueue e i (Cont k)
+          else begin
+            e.handoff <- -1;
+            e.next_slot <- requeue_and_take e i (Cont k) r
+          end;
+          Suspended)
     in
     {
       retc = (fun () -> Done);
@@ -564,11 +704,16 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
           | Poll_yield (period, cond) ->
               Some
                 (fun (k : (a, status) Effect.Deep.continuation) ->
-                  match settle i with
+                  match settle st e i with
                   | None ->
                       enqueue e i (Poll { k; period; cond });
                       Suspended
                   | Some exn -> Effect.Deep.discontinue k exn)
+          | Yield_raise exn ->
+              Some
+                (fun (k : (a, status) Effect.Deep.continuation) ->
+                  enqueue e i (Cont k);
+                  raise exn)
           | _ -> None);
     }
   in
@@ -619,7 +764,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
                 | false -> ignore (Effect.Deep.continue k () : status)
                 | true -> (
                     e.pending.(i) <- e.pending.(i) +. period;
-                    match settle i with
+                    match settle st e i with
                     | None -> enqueue e i fiber
                     | Some exn -> ignore (Effect.Deep.discontinue k exn : status))
                 | exception exn ->
@@ -634,6 +779,9 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
      their finalizers run, then re-raise. *)
   let teardown () =
     e.aborting <- true;
+    (* the escaping fiber may have left itself current: the hooks
+       [dequeue] calls run outside any fiber *)
+    st.cur <- None;
     while e.ready_len > 0 do
       let slot = dequeue e in
       let i = e.slot_tid.(slot) in

@@ -97,8 +97,14 @@ val run :
     [choose] delegates every decision past the replay tape to an external
     scheduling policy: it receives the ready tids in ascending order and
     must return one of them ([~crashing:true] marks post-crash drain
-    decisions, whose order is semantically inert).  Used by the
-    exploration harness to enumerate schedules deterministically.
+    decisions, whose order is semantically inert).  The array is valid
+    only during the call: the engine reuses it for later decisions, so
+    [choose] must copy what it keeps.  Used by the exploration harness
+    to enumerate schedules deterministically.
+
+    [record], [choose] and [divergence] run outside any fiber
+    ({!in_sim} is [false]); an exception they raise escapes {!run} after
+    the remaining fibers are unwound.
 
     [interrupts] is a static per-fiber fault schedule: each entry
     [(tid, at, exn)] (with [at >= 1], 1-based) arms [exn] for delivery at
@@ -158,7 +164,13 @@ val now : unit -> float
 val step : float -> unit
 (** Charge [cost] virtual nanoseconds to the calling fiber and give the
     scheduler a switch point.  No-op outside a run (real executions pay
-    real time instead). *)
+    real time instead).
+
+    A switching step takes the scheduling decision before it suspends.
+    When the decision picks the calling fiber, the step returns without
+    suspending, but it is still a dispatch: traced ([Sched]), recorded,
+    counted by {!dispatches}, and the place where a due {!interrupt} is
+    raised, exactly as if the fiber had been suspended and resumed. *)
 
 val step_as : switch:float -> float -> unit
 (** [step_as ~switch cost] charges [cost] but takes the scheduling/

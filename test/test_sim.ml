@@ -290,13 +290,32 @@ let test_choose_drives_scheduling () =
   Alcotest.(check bool) "single-ready decisions also consulted" true
     !seen_single;
   (* a chooser returning a non-ready tid is a hard error, not a fallback *)
+  (match
+     Sim.run ~policy:`Random
+       ~choose:(fun ~crashing:_ _ -> 61)
+       [| (fun _ -> Sim.step 1.) |]
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "non-ready choose pick must fail");
+  (* also for a decision taken at a step: the error escapes the run from
+     the scheduler, past the fiber's own handlers *)
+  let caught = ref false and calls = ref 0 in
   match
     Sim.run ~policy:`Random
-      ~choose:(fun ~crashing:_ _ -> 61)
-      [| (fun _ -> Sim.step 1.) |]
+      ~choose:(fun ~crashing:_ ready ->
+        incr calls;
+        if !calls = 1 then ready.(0) else 61)
+      [|
+        (fun _ ->
+          try
+            Sim.step 1.;
+            Sim.step 1.
+          with Failure _ -> caught := true);
+      |]
   with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "non-ready choose pick must fail"
+  | exception Failure _ ->
+      Alcotest.(check bool) "the fiber did not see it" false !caught
+  | _ -> Alcotest.fail "non-ready choose pick at a step must fail"
 
 let test_many_threads () =
   let n = 60 in
@@ -618,6 +637,259 @@ let test_step_allocation () =
   if per_step > 1.0 then
     Alcotest.failf "%.2f minor words per Sim.step 1.5 (bound 1.0)" per_step
 
+(* -- scheduling goldens ---------------------------------------------------
+
+   Each decision source (the replay tape, [choose], the seeded rng and the
+   perf heap) is pinned by the exact [record] tape, tracer events and
+   fiber log of a small run.  A switching [step] re-dispatches its own
+   fiber in place when the decision picks it (sim.mli), and that must be
+   unobservable: these values may not move.  The hooks also check where
+   they run: [record], [choose] and [divergence] outside any fiber, the
+   tracer inside the fiber it dispatches. *)
+
+exception Zap
+
+(* One run rendered as a string: outcome | tape | tracer events and
+   divergences | fiber log.  Each body gets a [note] that logs an event
+   with the fiber's clock, own dispatch count and the global step
+   count. *)
+let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
+    ?(schedule = [||]) ?choose ?(interrupts = [||]) bodies =
+  let outside what =
+    if Sim.in_sim () then Alcotest.failf "%s ran inside a fiber" what
+  in
+  let tape = Buffer.create 64 and events = Buffer.create 512 in
+  let log = Buffer.create 128 in
+  let note what =
+    let tid = Sim.tid () in
+    Printf.bprintf log " %d:%s@%g/%d/%d" tid what (Sim.now ())
+      (Sim.dispatches ~tid) (Sim.steps_executed ())
+  in
+  let record t =
+    outside "record";
+    Printf.bprintf tape "%d" t
+  in
+  let divergence ~step ~want =
+    outside "divergence";
+    Printf.bprintf events " div%d:%d" step want
+  in
+  let choose =
+    Option.map
+      (fun f ~crashing ready ->
+        outside "choose";
+        f ~crashing ready)
+      choose
+  in
+  let tracer = function
+    | Sim.Sched { step; tid; clock } ->
+        if (not (Sim.in_sim ())) || Sim.tid () <> tid then
+          Alcotest.failf "Sched of tid %d traced outside its fiber" tid;
+        Printf.bprintf events " %d:%d@%g" step tid clock
+    | Sim.Crash { step } -> Printf.bprintf events " crash%d" step
+  in
+  Sim.set_tracer (Some tracer);
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Sim.set_tracer None)
+      (fun () ->
+        match
+          Sim.run ~policy ~seed ?crash_at ?step_limit ~schedule ~record
+            ~divergence ?choose ~interrupts
+            (Array.map (fun body tid -> body note tid) bodies)
+        with
+        | Sim.All_done -> "done"
+        | Sim.Crashed_at n -> Printf.sprintf "crashed@%d" n
+        | exception Sim.Step_limit -> "step-limit")
+  in
+  Printf.sprintf "%s | %s |%s |%s" outcome (Buffer.contents tape)
+    (Buffer.contents events) (Buffer.contents log)
+
+(* Long observations are pinned by digest; the message shows the run. *)
+let check_digest name expected obs =
+  let got = Digest.to_hex (Digest.string obs) in
+  if got <> expected then
+    Alcotest.failf "%s: digest %s, expected %s; run:\n%s" name got expected obs
+
+(* [n] steps of [cost], catching [Zap]. *)
+let stepper ?(cost = 10.) n note _ =
+  (try
+     for _ = 1 to n do
+       Sim.step cost
+     done
+   with Zap -> note "zap");
+  note "end"
+
+(* Choosers that allocate nothing per decision. *)
+let mem (t : int) a =
+  let r = ref false in
+  for j = 0 to Array.length a - 1 do
+    if a.(j) = t then r := true
+  done;
+  !r
+
+(* Keep running the previous pick while it is ready (the explorer's
+   default branch): nearly every decision resumes the yielder. *)
+let sticky () =
+  let prev = ref (-1) in
+  fun ~crashing:_ ready ->
+    let t = if mem !prev ready then !prev else ready.(0) in
+    prev := t;
+    t
+
+(* Move to the next ready tid after the previous pick: never the
+   yielder while another fiber is ready. *)
+let rotating () =
+  let prev = ref (-1) in
+  fun ~crashing:_ ready ->
+    let t =
+      match Array.find_opt (fun t -> t > !prev) ready with
+      | Some t -> t
+      | None -> ready.(0)
+    in
+    prev := t;
+    t
+
+(* Eight fibers of mixed costs and lengths; fiber 7 waits in
+   [poll_while] for fiber 0's counter, and fiber 0 interrupts the long
+   fiber 5 after its third step. *)
+let mixed_bodies () =
+  let counter = ref 0 in
+  Array.init 8 (fun t note tid ->
+      match t with
+      | 0 ->
+          for i = 1 to 6 do
+            Sim.step 7.;
+            incr counter;
+            if i = 3 then Sim.interrupt ~tid:5 Zap
+          done;
+          note "end"
+      | 7 ->
+          Sim.poll_while ~period:60. (fun () -> !counter < 4);
+          note "woke";
+          Sim.step 3.;
+          note "end"
+      | 5 -> stepper ~cost:25. 12 note tid
+      | _ -> stepper ~cost:(float_of_int (5 * t)) (2 + (t mod 4)) note tid)
+
+let test_golden_random () =
+  List.iter
+    (fun (seed, expected) ->
+      check_digest
+        (Printf.sprintf "random seed %d" seed)
+        expected
+        (sched_run ~seed (mixed_bodies ())))
+    [
+      (1, "5eba35e1e867d7bc5532c8dea8adadf5");
+      (2, "8c27f72af9f8f555346b45e48336a73a");
+      (3, "635771484b4e751e5125a497eddd7ad6");
+    ]
+
+let test_golden_choose () =
+  let bodies () =
+    Array.init 3 (fun t -> stepper ~cost:(float_of_int (t + 1)) 4)
+  in
+  Alcotest.(check string) "choose picks the yielder"
+    "done | 000001111122222 | 0:0@0 1:0@1 2:0@2 3:0@3 4:0@4 4:1@0 5:1@2 6:1@4 \
+     7:1@6 8:1@8 8:2@0 9:2@3 10:2@6 11:2@9 12:2@12 | 0:end@4/5/4 1:end@8/5/8 \
+     2:end@12/5/12"
+    (sched_run ~choose:(sticky ()) (bodies ()));
+  Alcotest.(check string) "choose picks another fiber"
+    "done | 012012012012012 | 0:0@0 1:1@0 2:2@0 3:0@1 4:1@2 5:2@3 6:0@2 7:1@4 \
+     8:2@6 9:0@3 10:1@6 11:2@9 12:0@4 12:1@8 12:2@12 | 0:end@4/5/12 \
+     1:end@8/5/12 2:end@12/5/12"
+    (sched_run ~choose:(rotating ()) (bodies ()))
+
+let test_golden_replay () =
+  let bodies () = Array.init 3 (fun _ -> stepper 4) in
+  let picks = ref [] in
+  ignore
+    (Sim.run ~policy:`Random ~seed:5
+       ~record:(fun t -> picks := t :: !picks)
+       (Array.map (fun b -> b ignore) (bodies ()))
+      : Sim.outcome);
+  let tape = Array.of_list (List.rev !picks) in
+  tape.(Array.length tape / 2) <- 7;
+  Alcotest.(check string) "random replay with a divergent entry"
+    "done | 201011101002222 | 0:2@0 1:0@0 2:1@0 3:0@10 4:1@10 5:1@20 6:1@30 \
+     div7:7 7:0@20 8:1@40 8:0@30 9:0@40 9:2@10 10:2@20 11:2@30 12:2@40 | \
+     1:end@40/5/8 0:end@40/5/9 2:end@40/5/12"
+    (sched_run ~seed:9 ~schedule:tape (bodies ()));
+  Alcotest.(check string) "perf replay with a divergent entry"
+    "done | 201011121002220 | 0:2@0 1:0@0 2:1@0 3:0@10 4:1@10 5:1@20 6:1@30 \
+     div7:7 7:2@10 8:1@40 8:0@20 9:0@30 10:2@20 11:2@30 12:2@40 div12:2 \
+     12:0@40 | 1:end@40/5/8 2:end@40/5/12 0:end@40/5/12"
+    (sched_run ~policy:`Perf ~schedule:tape (bodies ()))
+
+let test_golden_perf_ties () =
+  let bodies =
+    [|
+      stepper 4;
+      stepper 4;
+      stepper ~cost:20. 3;
+      (fun note _ ->
+        for _ = 1 to 6 do
+          Sim.step_as ~switch:10. 5.
+        done;
+        note "end");
+      stepper ~cost:1. 40;
+    |]
+  in
+  Alcotest.(check string) "perf clock ties"
+    "done | 012343013342013301342012 | 0:0@0 1:1@0 2:2@0 3:3@0 4:4@0 5:3@5 \
+     6:0@10 7:1@10 8:3@10 9:3@15 10:4@16 11:2@20 12:0@20 13:1@20 14:3@20 \
+     15:3@25 16:0@30 17:1@30 18:3@30 18:4@32 18:2@40 19:0@40 19:1@40 19:2@60 \
+     | 3:end@30/7/18 4:end@40/3/18 0:end@40/5/19 1:end@40/5/19 \
+     2:end@60/4/19"
+    (sched_run ~policy:`Perf bodies)
+
+(* Bounds landing on a dispatch that resumes the yielder: [sticky]
+   keeps fiber 0 running for all its steps, then fiber 1. *)
+let test_bounds_on_in_place () =
+  let bodies () = Array.init 2 (fun _ -> stepper 4) in
+  let run ?crash_at ?step_limit ?interrupts () =
+    sched_run ~choose:(sticky ()) ?crash_at ?step_limit ?interrupts (bodies ())
+  in
+  Alcotest.(check string) "crash_at 3"
+    "crashed@3 | 0001 | 0:0@0 1:0@10 2:0@20 crash3 |" (run ~crash_at:3 ());
+  Alcotest.(check string) "step_limit 3"
+    "step-limit | 0001 | 0:0@0 1:0@10 2:0@20 |" (run ~step_limit:3 ());
+  Alcotest.(check string) "interrupt at dispatch 3"
+    "done | 00011111 | 0:0@0 1:0@10 2:0@20 2:1@0 3:1@10 4:1@20 5:1@30 6:1@40 \
+     | 0:zap@20/3/2 0:end@20/3/2 1:end@40/5/6"
+    (run ~interrupts:[| (0, 3, Zap) |] ());
+  let all = Buffer.create 4096 in
+  for k = 1 to 10 do
+    Buffer.add_string all (run ~crash_at:k ());
+    Buffer.add_string all (run ~step_limit:k ());
+    for t = 0 to 1 do
+      if k <= 6 then
+        Buffer.add_string all (run ~interrupts:[| (t, k, Zap) |] ())
+    done
+  done;
+  check_digest "every bound and interrupt" "d1f5c2a18502c151b39a7690ccb9caf2"
+    (Buffer.contents all)
+
+(* A dispatch that resumes the yielder is done in place: no continuation,
+   no requeue and no ready array per decision. *)
+let test_in_place_allocation () =
+  let steps = 100_000 in
+  let body _ =
+    for _ = 1 to steps do
+      Sim.step 1.
+    done
+  in
+  let run () =
+    ignore
+      (Sim.run ~policy:`Random ~choose:(sticky ()) [| body; body |]
+        : Sim.outcome)
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per = (Gc.minor_words () -. before) /. float_of_int (2 * steps) in
+  if per >= 1.0 then
+    Alcotest.failf "%.2f minor words per in-place dispatch (bound 1.0)" per
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all;
@@ -662,4 +934,13 @@ let suite =
     Alcotest.test_case "poll_while: cond exception reaches the fiber" `Quick
       test_poll_cond_exception;
     Alcotest.test_case "Sim.step allocation bound" `Quick test_step_allocation;
+    Alcotest.test_case "golden: seeded rng" `Quick test_golden_random;
+    Alcotest.test_case "golden: choose" `Quick test_golden_choose;
+    Alcotest.test_case "golden: replay with a divergence" `Quick
+      test_golden_replay;
+    Alcotest.test_case "golden: perf clock ties" `Quick test_golden_perf_ties;
+    Alcotest.test_case "bounds on in-place dispatches" `Quick
+      test_bounds_on_in_place;
+    Alcotest.test_case "in-place dispatch allocation bound" `Quick
+      test_in_place_allocation;
   ]
