@@ -152,22 +152,26 @@ perfbench-det:
 	bash perfbench/run.sh --smoke --seed 3 > _build/perfbench-smoke3.txt
 	grep '^det ' _build/perfbench-smoke3.txt | diff test/perfbench-smoke3.det -
 
-# Scheduling golden: the digests of two outputs that every scheduling
+# Scheduling golden: the digests of three outputs that every scheduling
 # decision shapes must match the committed ones — the JSONL trace of a
-# seeded crash campaign (`Random` decisions, one Sched event each) and
-# the report of the explore-smoke tree (`choose` decisions).
-# explore-smoke and parbench-smoke only compare -j 1 against -j 2, which
-# a scheduler change that alters every tree the same way passes.  A
-# change that means to move them regenerates the golden with the same
-# commands and says so.
+# seeded crash campaign (`Random` decisions, one Sched event each), the
+# report of the explore-smoke tree (`choose` decisions) and the JSONL
+# trace of a serve run with a replica failover and a shard split
+# (`Perf` decisions over 10 fibers with poll waiters, a crash and a
+# migration).  explore-smoke and parbench-smoke only compare -j 1
+# against -j 2, which a scheduler change that alters every tree the same
+# way passes.  A change that means to move them regenerates the golden
+# with the same commands and says so.
 sched-golden:
 	dune exec bin/repro.exe -- crash -a tracking --seeds 20 \
 	  --trace _build/sched-golden-crash.jsonl > /dev/null
 	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
 	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0 \
 	  > _build/sched-golden-explore.txt
+	dune exec bin/repro.exe -- serve --replicate --migrate 0 --crash-shard 1 \
+	  --crash-after 400 --trace _build/sched-golden-serve.jsonl > /dev/null
 	cd _build && md5sum sched-golden-crash.jsonl sched-golden-explore.txt \
-	  | diff ../test/sched-golden.txt -
+	  sched-golden-serve.jsonl | diff ../test/sched-golden.txt -
 
 clean:
 	dune clean

@@ -31,37 +31,80 @@ let check_tid tid =
 
 (* ---- heaps, lines, fields -------------------------------------------- *)
 
-(* What a field's crash-time reset did: nothing (volatile value already
-   matched the durable one), reverted a newer volatile value to a stale
-   durable one, or poisoned the field (no durable value ever existed).
-   Both non-clean cases name the line so the crash report can render the
-   durable-vs-volatile diff. *)
-type reset_outcome = Rclean | Rreverted of string | Rpoisoned of string
+(* A line's write-back deadline: a record of one float is stored flat, so
+   the pwb that moves it allocates nothing (a float field of the mixed
+   [line] record would be a box, allocated on every store). *)
+type deadline = { mutable until : float }
 
 type heap = {
   hname : string;
   track : bool;
-  (* One closure per field: revert to the durable value on crash,
-     reporting what that reset lost (if anything). *)
-  mutable resets : (unit -> reset_outcome) list;
-  mutable metas : (unit -> unit) list;  (* clear cache metadata on crash *)
+  (* Tracked heaps only, newest first: every field, which a crash reverts
+     to its durable value or poisons, and every line, whose cache
+     metadata a crash clears. *)
+  mutable hfields : field list;
+  mutable hlines : line list;
   mutable n_lines : int;
 }
 
+and line = {
+  lheap : heap;
+  lname : string;
+  lid : int;  (* per-heap allocation index (1-based); names recur, ids don't *)
+  mutable sharers : int;  (* bitmap of tids with a cached copy *)
+  mutable owner : int;  (* tid that last took write ownership *)
+  mutable wb_owner : int;  (* tid with an in-flight write-back; -1 = none *)
+  wb_until : deadline;  (* completion time of that write-back *)
+  mutable fields : field list;
+      (* Newest first.  A completed write-back persists each field's
+         current value: write-backs materialize the line's coherent
+         content at completion time (like CLWB), never an issue-time
+         snapshot — per-location durable state can only move forward. *)
+}
+
+(* [durable] is meaningful only when [flags] has [has_durable]: until the
+   first persist it holds the initial value, as a placeholder of the
+   right type. *)
+and 'a t = {
+  line : line;
+  mutable v : 'a;
+  mutable durable : 'a;
+  mutable flags : int;
+}
+
+and field = F : 'a t -> field [@@unboxed]
+
+let has_durable = 1
+let poisoned = 2
+
 (* ---- per-machine state: the instance ---------------------------------- *)
 
-(* A pending write-back carries its provenance — the cache line it will
-   persist and the persist site that issued it — so crash resolution can
-   report exactly which line/site was dropped.  The two extra words are
-   written once per pwb and never read on the hot path, so carrying them
-   unconditionally costs nothing observable when forensics is off (and
-   the virtual-time cost model is untouched either way). *)
-type wb_entry =
-  | Apply of { aheap : heap; aline : string; asite : string; apply : unit -> unit }
-      (* complete this write-back; tagged with the owning heap so a
-         heap-scoped crash ({!crash} [~scope:`Heap]) can resolve only
-         the victim's entries *)
-  | Fence
+(* A thread's write-pending queue (its store buffer): a growable ring of
+   (line, persist site) in issue order, from [head], [len] entries long,
+   with a power-of-two capacity.  A fence is an entry whose line is
+   [fence_line].  The site is the issuing pwb's name, kept so that crash
+   resolution and the write-back observer can report exactly which
+   line/site completed or was dropped; it is written once per pwb and
+   never read on the hot path.  Vacated slots are reset to [fence_line],
+   so the ring does not keep a finished run's lines alive. *)
+type ring = {
+  mutable lines : line array;
+  mutable sites : string array;
+  mutable head : int;
+  mutable len : int;
+}
+
+let fence_line =
+  {
+    lheap = { hname = ""; track = false; hfields = []; hlines = []; n_lines = 0 };
+    lname = "fence";
+    lid = 0;
+    sharers = 0;
+    owner = -1;
+    wb_owner = -1;
+    wb_until = { until = neg_infinity };
+    fields = [];
+  }
 
 (* Per-crash forensic record, kept on the instance unconditionally
    (crashes are rare; the hot path never touches this). *)
@@ -133,7 +176,7 @@ type instance = {
   (* Per-thread queues of outstanding write-backs (the store buffer /
      write-pending queue).  Machine-wide, like real hardware: one per
      CPU, not per allocation region. *)
-  pending : wb_entry Queue.t array;
+  rings : ring array;
   (* Latest acceptance deadline among a thread's outstanding write-backs:
      with ADR, acceptance by the write-pending queue is the persistence
      point, so fences and draining CASes wait for acceptance only. *)
@@ -161,7 +204,9 @@ type instance = {
 
 let create_instance () =
   {
-    pending = Array.init max_threads (fun _ -> Queue.create ());
+    rings =
+      Array.init max_threads (fun _ ->
+          { lines = [||]; sites = [||]; head = 0; len = 0 });
     wb_deadline = Array.make max_threads neg_infinity;
     itracer = None;
     icollector = None;
@@ -172,20 +217,22 @@ let create_instance () =
   }
 
 (* The domain's hot context: every simulated instruction consults the
-   engine (tid/clock/step), the cost table, the persistence stats, and
+   engine (tid/clock/charge), the cost table, the persistence stats, and
    the current instance, and each module-level accessor is a separate
-   domain-local fetch.  [Sim.handle], [Cost.current] and [Pstats.dstats]
-   all return their domain's {e unique, never-replaced} value (tweaks
-   mutate them in place), so one record fetched with a single DLS lookup
-   can carry all four for the operation's duration.  The instance is the
-   only component that is swapped ([with_instance]), which is why it is a
-   mutable field here rather than its own key.
+   domain-local fetch.  [Sim.handle] (with its [Sim.view]), [Cost.current]
+   and [Pstats.dstats] all return their domain's {e unique,
+   never-replaced} value (tweaks mutate them in place), so one record
+   fetched with a single DLS lookup can carry all of them for the
+   operation's duration.  The instance is the only component that is
+   swapped ([with_instance]), which is why it is a mutable field here
+   rather than its own key.
 
    This also fixes the cross-domain hazard of the old module-level
    state: the record, like each component, is per-domain, so concurrent
    simulations cannot corrupt each other's write-back queues. *)
 type hot = {
   hsim : Sim.handle;
+  hview : Sim.view;
   hcost : Cost.t;
   hpst : Pstats.dstats;
   mutable hinst : instance;
@@ -193,8 +240,10 @@ type hot = {
 
 let hot_key : hot Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
+      let hsim = Sim.handle () in
       {
-        hsim = Sim.handle ();
+        hsim;
+        hview = Sim.view hsim;
         hcost = Cost.current ();
         hpst = Pstats.dstats ();
         hinst = create_instance ();
@@ -228,43 +277,110 @@ let notify inst ev =
   (match inst.icollector with None -> () | Some f -> f ev);
   match inst.iforensics with None -> () | Some f -> f ev
 
-(* [Queue.clear] writes the queue's pointers even when it is empty, and
-   at a reset or crash most of the [max_threads] queues are. *)
-let clear_queue q = if not (Queue.is_empty q) then Queue.clear q
+(* ---- engine view: the running fiber's time and charges ---------------- *)
+
+(* [Sim.now], or 0 outside a fiber. *)
+let[@inline] now_of (v : Sim.view) =
+  if v.running then v.clocks.(v.tid) +. v.pending.(v.tid) else 0.
+
+(* [Sim.step_as ~switch cost]: the batching rule of [Sim.view], evaluated
+   here so that only a switch point calls into the engine. *)
+let[@inline] charge ht ~switch cost =
+  let v = ht.hview in
+  if v.running then begin
+    let i = v.tid in
+    v.pending.(i) <- v.pending.(i) +. cost;
+    let since = v.since.(i) + 1 in
+    if switch >= v.threshold || since >= v.stride then Sim.h_switch ht.hsim
+    else v.since.(i) <- since
+  end
+
+(* [Float.max 0. x] for a non-NaN [x], without the call and its boxes. *)
+let[@inline] pos (x : float) = if x > 0. then x else 0.
+
+(* ---- write-back rings --------------------------------------------------- *)
+
+let ring_push r line site =
+  let cap = Array.length r.lines in
+  if r.len = cap then begin
+    let ncap = max 8 (2 * cap) in
+    let lines = Array.make ncap fence_line and sites = Array.make ncap "" in
+    for k = 0 to r.len - 1 do
+      let j = (r.head + k) land (cap - 1) in
+      lines.(k) <- r.lines.(j);
+      sites.(k) <- r.sites.(j)
+    done;
+    r.lines <- lines;
+    r.sites <- sites;
+    r.head <- 0
+  end;
+  let j = (r.head + r.len) land (Array.length r.lines - 1) in
+  r.lines.(j) <- line;
+  r.sites.(j) <- site;
+  r.len <- r.len + 1
+
+let rec persist_fields = function
+  | [] -> ()
+  | F f :: rest ->
+      f.durable <- f.v;
+      f.flags <- f.flags lor has_durable;
+      persist_fields rest
+
+(* Complete (persist) write-back [line] of [tid], issued at [site]. *)
+let complete inst tid line site =
+  persist_fields line.fields;
+  match inst.iwb_obs with None -> () | Some obs -> obs tid line.lname site Drained
+
+let clear_ring r =
+  if r.len > 0 then begin
+    let mask = Array.length r.lines - 1 in
+    for k = 0 to r.len - 1 do
+      r.lines.((r.head + k) land mask) <- fence_line
+    done;
+    r.head <- 0;
+    r.len <- 0
+  end
+
+(* Complete every outstanding write-back of [tid]. *)
+let drain_queue inst tid =
+  let r = inst.rings.(tid) in
+  let mask = Array.length r.lines - 1 in
+  for k = 0 to r.len - 1 do
+    let j = (r.head + k) land mask in
+    let l = r.lines.(j) in
+    if l != fence_line then complete inst tid l r.sites.(j)
+  done;
+  clear_ring r;
+  inst.wb_deadline.(tid) <- neg_infinity
+
+(* Bound the queue like a real write-pending queue: the oldest
+   *write-back* has certainly completed once the queue is deep.  Fences
+   carry no payload, so pop through them until a write-back is actually
+   completed — popping a bare fence would silently drop the bound's
+   invariant (and let fences accumulate unboundedly). *)
+let complete_oldest inst tid r =
+  let mask = Array.length r.lines - 1 in
+  let popping = ref true in
+  while !popping && r.len > 0 do
+    let j = r.head in
+    let l = r.lines.(j) in
+    r.lines.(j) <- fence_line;
+    r.head <- (j + 1) land mask;
+    r.len <- r.len - 1;
+    if l != fence_line then begin
+      popping := false;
+      complete inst tid l r.sites.(j)
+    end
+  done
 
 let reset_pending () =
   let inst = instance () in
-  Array.iter clear_queue inst.pending;
+  Array.iter clear_ring inst.rings;
   Array.fill inst.wb_deadline 0 max_threads neg_infinity;
   inst.icrashes <- []
 
-type line = {
-  lheap : heap;
-  lname : string;
-  lid : int;  (* per-heap allocation index (1-based); names recur, ids don't *)
-  lsite : string;  (* allocation site derived from the name (site_of_name) *)
-  mutable sharers : int;  (* bitmap of tids with a cached copy *)
-  mutable owner : int;  (* tid that last took write ownership *)
-  mutable wb_owner : int;  (* tid with an in-flight write-back; -1 = none *)
-  mutable wb_until : float;  (* completion time of that write-back *)
-  mutable persists : (unit -> unit) list;
-      (* one per field: write back the field's current value.  Write-backs
-         materialize the line's coherent content at completion time (like
-         CLWB), never an issue-time snapshot — per-location durable state
-         can only move forward. *)
-}
-
-type 'a persisted = Never | P of 'a
-
-type 'a t = {
-  line : line;
-  mutable v : 'a;
-  mutable durable : 'a persisted;
-  mutable poisoned : bool;
-}
-
 let heap ?(track_for_crash = true) ?(name = "heap") () =
-  { hname = name; track = track_for_crash; resets = []; metas = []; n_lines = 0 }
+  { hname = name; track = track_for_crash; hfields = []; hlines = []; n_lines = 0 }
 
 let lines_allocated h = h.n_lines
 let heap_name h = h.hname
@@ -276,23 +392,16 @@ let new_line ?(name = "line") h =
       lheap = h;
       lname = name;
       lid = h.n_lines;
-      lsite = site_of_name name;
       sharers = 0;
       owner = -1;
       wb_owner = -1;
-      wb_until = neg_infinity;
-      persists = [];
+      wb_until = { until = neg_infinity };
+      fields = [];
     }
   in
-  if h.track then
-    h.metas <-
-      (fun () ->
-        line.sharers <- 0;
-        line.owner <- -1;
-        line.wb_owner <- -1;
-        line.wb_until <- neg_infinity)
-      :: h.metas;
+  if h.track then h.hlines <- line :: h.hlines;
   let ht = hot () in
+  let v = ht.hview in
   let inst = ht.hinst in
   (match inst.ialloc with
   | None -> ()
@@ -302,39 +411,25 @@ let new_line ?(name = "line") h =
           al_heap = h.hname;
           al_id = line.lid;
           al_line = name;
-          al_site = line.lsite;
-          al_tid = Sim.h_tid ht.hsim;
-          al_time = Sim.h_now ht.hsim;
+          al_site = site_of_name name;
+          al_tid = v.tid;
+          al_time = now_of v;
         });
   if observing inst then
     notify inst
-      (Alloc { tid = Sim.h_tid ht.hsim; heap = h.hname; line = name; site = line.lsite });
-  Sim.h_step ht.hsim ht.hcost.alloc;
+      (Alloc { tid = v.tid; heap = h.hname; line = name; site = site_of_name name });
+  let cost = ht.hcost.alloc in
+  charge ht ~switch:cost cost;
   line
 
 let line_name l = l.lname
 let line_id l = l.lid
-let line_site l = l.lsite
 
 let on_line line v =
-  let fld = { line; v; durable = Never; poisoned = false } in
-  line.persists <- (fun () -> fld.durable <- P fld.v) :: line.persists;
+  let fld = { line; v; durable = v; flags = 0 } in
+  line.fields <- F fld :: line.fields;
   let h = line.lheap in
-  if h.track then
-    h.resets <-
-      (fun () ->
-        match fld.durable with
-        | P p ->
-            (* [P fld.v] aliases the stored value, so physical inequality
-               is an exact staleness test for both immediates and boxes. *)
-            let stale = fld.v != p in
-            fld.v <- p;
-            fld.poisoned <- false;
-            if stale then Rreverted fld.line.lname else Rclean
-        | Never ->
-            fld.poisoned <- true;
-            Rpoisoned fld.line.lname)
-      :: h.resets;
+  if h.track then h.hfields <- F fld :: h.hfields;
   fld
 
 let alloc ?name h v = on_line (new_line ?name h) v
@@ -343,14 +438,14 @@ let line_of fld = fld.line
 let bit tid = 1 lsl tid
 
 let check fld =
-  if fld.poisoned then raise (Poisoned fld.line.lname)
+  if fld.flags land poisoned <> 0 then raise (Poisoned fld.line.lname)
 
 (* ---- volatile accesses with the coherence cost model ----------------- *)
 
 let read fld =
   check fld;
   let ht = hot () in
-  let tid = Sim.h_tid ht.hsim in
+  let tid = ht.hview.tid in
   check_tid tid;
   let line = fld.line in
   let c = ht.hcost in
@@ -358,7 +453,8 @@ let read fld =
   line.sharers <- line.sharers lor bit tid;
   let inst = ht.hinst in
   if observing inst then notify inst (Read { tid; line = line.lname; hit });
-  Sim.h_step ht.hsim (if hit then c.cache_hit else c.cache_miss);
+  let cost = if hit then c.cache_hit else c.cache_miss in
+  charge ht ~switch:cost cost;
   fld.v
 
 let take_ownership line tid =
@@ -368,7 +464,7 @@ let take_ownership line tid =
 let write fld v =
   check fld;
   let ht = hot () in
-  let tid = Sim.h_tid ht.hsim in
+  let tid = ht.hview.tid in
   check_tid tid;
   let line = fld.line in
   let c = ht.hcost in
@@ -379,44 +475,29 @@ let write fld v =
   if observing inst then
     notify inst
       (Write { tid; line = line.lname; hit = exclusive; invalidated = popcount others });
-  Sim.h_step ht.hsim (if exclusive then c.write_hit else c.write_miss);
+  let cost = if exclusive then c.write_hit else c.write_miss in
+  charge ht ~switch:cost cost;
   fld.v <- v
-
-(* Complete (persist) every outstanding write-back of [tid]. *)
-let drain_queue inst tid =
-  let q = inst.pending.(tid) in
-  while not (Queue.is_empty q) do
-    match Queue.pop q with
-    | Apply a ->
-        a.apply ();
-        (match inst.iwb_obs with
-        | None -> ()
-        | Some obs -> obs tid a.aline a.asite Drained)
-    | Fence -> ()
-  done;
-  inst.wb_deadline.(tid) <- neg_infinity
 
 let cas fld expected desired =
   check fld;
   let ht = hot () in
-  let tid = Sim.h_tid ht.hsim in
+  let tid = ht.hview.tid in
   check_tid tid;
   let line = fld.line in
   let c = ht.hcost in
   let inst = ht.hinst in
-  let now = Sim.h_now ht.hsim in
+  let now = now_of ht.hview in
   let base = if line.owner = tid then c.cas_base else c.cas_contended in
   (* Store serialization: a locked instruction waits for an in-flight
      write-back of the same line (the pwb-then-CAS pathology of §5)... *)
-  let line_stall =
-    if line.wb_owner >= 0 && line.wb_until > now then line.wb_until -. now
-    else 0.
-  in
+  let until = line.wb_until.until in
+  let line_stall = if line.wb_owner >= 0 && until > now then until -. now else 0. in
   (* ...and, on Intel, for the whole store buffer, completing the
      thread's own outstanding write-backs as a side effect. *)
   let drain_stall =
     if c.cas_drains_wb then begin
-      let stall = Float.max 0. (inst.wb_deadline.(tid) -. now) in
+      let stall = pos (inst.wb_deadline.(tid) -. now) in
       drain_queue inst tid;
       stall
     end
@@ -424,17 +505,19 @@ let cas fld expected desired =
   in
   let others = line.sharers land lnot (bit tid) in
   take_ownership line tid;
-  if line.wb_owner >= 0 && line.wb_until <= now then begin
+  if line.wb_owner >= 0 && until <= now then begin
     line.wb_owner <- -1;
-    line.wb_until <- neg_infinity
+    line.wb_until.until <- neg_infinity
   end;
   (* Switch on the static instruction cost only: the stall part depends
      on write-back deadlines, i.e. on the clocks, and letting it pick
      switch points would make schedule placement drift whenever the
      causal profiler scales a cost (a replayed tape would diverge).
      With a static basis, switch placement is a pure function of the
-     instruction stream. *)
-  Sim.h_step_as ht.hsim ~switch:base (base +. Float.max line_stall drain_stall);
+     instruction stream.  Both stalls are non-negative, so the larger
+     one is [Float.max]'s. *)
+  let stall = if line_stall >= drain_stall then line_stall else drain_stall in
+  charge ht ~switch:base (base +. stall);
   let success = fld.v == expected in
   if observing inst then
     notify inst
@@ -458,8 +541,8 @@ let cas fld expected desired =
      of foreign data plus an uncombinable media write — the paper's
      high-impact pwbs (Capsules-Opt's marked-node and target-neighborhood
      flushes; nearly every flush of the general transformation). *)
-let classify line tid now =
-  if line.wb_owner >= 0 && line.wb_owner <> tid && line.wb_until > now then
+let[@inline] classify line tid now =
+  if line.wb_owner >= 0 && line.wb_owner <> tid && line.wb_until.until > now then
     Pstats.High
   else if line.owner >= 0 && line.owner <> tid then Pstats.High
   else if line.sharers land lnot (bit tid) <> 0 then Pstats.Medium
@@ -471,260 +554,184 @@ let classify line tid now =
    and the scheduling decision is taken on the {e static, unscaled} part
    of the cost ([Sim.step_as]) so a recorded schedule replays without
    divergence while costs are what-if scaled.  All multipliers default
-   to 1.0, in which case this is exactly the unscaled model. *)
+   to 1.0, in which case this is exactly the unscaled model.
 
-let pwb site line =
+   Each instruction counts and charges its site in the domain's
+   [Pstats.dstats] arrays directly. *)
+
+let pwb (site : Pstats.site) line =
   let ht = hot () in
   let pst = ht.hpst in
-  if Pstats.d_enabled pst site then begin
-    let tid = Sim.h_tid ht.hsim in
+  let id = site.id in
+  if id >= pst.cap then Pstats.d_reserve pst site;
+  if pst.enabled.(id) then begin
+    let tid = ht.hview.tid in
     check_tid tid;
     let c = ht.hcost in
     let inst = ht.hinst in
-    let now = Sim.h_now ht.hsim in
+    let now = now_of ht.hview in
     let impact = classify line tid now in
-    Pstats.d_record pst site impact;
+    let ci =
+      match impact with
+      | Low ->
+          pst.n_low.(id) <- pst.n_low.(id) + 1;
+          0
+      | Medium ->
+          pst.n_medium.(id) <- pst.n_medium.(id) + 1;
+          1
+      | High ->
+          pst.n_high.(id) <- pst.n_high.(id) + 1;
+          2
+    in
     if observing inst then
-      notify inst
-        (Pwb { tid; site = Pstats.name site; impact; line = line.lname });
-    let m = Pstats.d_cost_mult pst site *. Pstats.d_category_mult pst impact in
+      notify inst (Pwb { tid; site = site.name; impact; line = line.lname });
+    let m = pst.mult.(id) *. pst.cat_mult.(ci) in
     (* Flushing a line that is dirty in another cache, or that already has
        an in-flight write-back from another thread, pays the ping-pong
        penalty the paper associates with high-impact pwbs. *)
+    let until = line.wb_until.until in
     let stall =
-      if line.wb_owner >= 0 && line.wb_owner <> tid && line.wb_until > now
-      then (line.wb_until -. now) +. c.pwb_inflight_stall
+      if line.wb_owner >= 0 && line.wb_owner <> tid && until > now then
+        (until -. now) +. c.pwb_inflight_stall
       else if line.owner >= 0 && line.owner <> tid then
         (* last written by another core: steal it before writing back *)
         c.pwb_steal
       else if line.sharers land lnot (bit tid) <> 0 then c.pwb_shared
       else 0.
     in
-    let q = inst.pending.(tid) in
-    (* Bound the queue like a real write-pending queue: the oldest
-       *write-back* has certainly completed once the queue is deep.
-       Fences carry no payload, so pop through them until an Apply is
-       actually completed — popping a bare Fence would silently drop the
-       bound's invariant (and let fences accumulate unboundedly). *)
-    if Queue.length q > 64 then begin
-      let rec complete_oldest () =
-        match Queue.pop q with
-        | Apply a ->
-            a.apply ();
-            (match inst.iwb_obs with
-            | None -> ()
-            | Some obs -> obs tid a.aline a.asite Drained)
-        | Fence -> if not (Queue.is_empty q) then complete_oldest ()
-      in
-      complete_oldest ()
-    end;
-    Queue.push
-      (Apply
-         {
-           aheap = line.lheap;
-           aline = line.lname;
-           asite = Pstats.name site;
-           apply = (fun () -> List.iter (fun f -> f ()) line.persists);
-         })
-      q;
+    let r = inst.rings.(tid) in
+    if r.len > 64 then complete_oldest inst tid r;
+    ring_push r line site.name;
     (* the line's media write-back completes late (contention stalls),
        but the persistence point — acceptance — is much earlier.  Both
        deadlines scale with the multiplier: a virtually-sped-up pwb also
        stalls later fences/CASes proportionally less. *)
     line.wb_owner <- tid;
-    line.wb_until <- now +. (m *. c.pwb_latency);
+    line.wb_until.until <- now +. (m *. c.pwb_latency);
     let accepted = now +. (m *. c.pwb_accept) in
     if accepted > inst.wb_deadline.(tid) then inst.wb_deadline.(tid) <- accepted;
-    let cost = c.pwb_issue +. stall in
-    Pstats.d_add_time pst site (m *. cost);
-    Pstats.d_add_category_time pst impact (m *. cost);
+    let charged = m *. (c.pwb_issue +. stall) in
+    pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
+    pst.cat_time.(ci) <- pst.cat_time.(ci) +. charged;
     (* switch on the static issue cost: see the CAS path *)
-    Sim.h_step_as ht.hsim ~switch:c.pwb_issue (m *. cost)
+    charge ht ~switch:c.pwb_issue charged
   end
 
 let pwb_f site fld = pwb site fld.line
 
-let pfence site =
+let pfence (site : Pstats.site) =
   let ht = hot () in
   let pst = ht.hpst in
-  if Pstats.d_enabled pst site then begin
-    let tid = Sim.h_tid ht.hsim in
+  let id = site.id in
+  if id >= pst.cap then Pstats.d_reserve pst site;
+  if pst.enabled.(id) then begin
+    let tid = ht.hview.tid in
     check_tid tid;
-    Pstats.d_record_fence pst site;
+    pst.n_fence.(id) <- pst.n_fence.(id) + 1;
     let inst = ht.hinst in
-    if observing inst then notify inst (Pfence { tid; site = Pstats.name site });
-    Queue.push Fence inst.pending.(tid);
-    let m = Pstats.d_cost_mult pst site in
+    if observing inst then notify inst (Pfence { tid; site = site.name });
+    ring_push inst.rings.(tid) fence_line "";
     let cost = ht.hcost.pfence_base in
-    Pstats.d_add_time pst site (m *. cost);
-    Sim.h_step_as ht.hsim ~switch:cost (m *. cost)
+    let charged = pst.mult.(id) *. cost in
+    pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
+    charge ht ~switch:cost charged
   end
 
-let psync site =
+let psync (site : Pstats.site) =
   let ht = hot () in
   let pst = ht.hpst in
-  if Pstats.d_enabled pst site then begin
-    let tid = Sim.h_tid ht.hsim in
+  let id = site.id in
+  if id >= pst.cap then Pstats.d_reserve pst site;
+  if pst.enabled.(id) then begin
+    let tid = ht.hview.tid in
     check_tid tid;
-    Pstats.d_record_fence pst site;
+    pst.n_fence.(id) <- pst.n_fence.(id) + 1;
     let inst = ht.hinst in
-    if observing inst then notify inst (Psync { tid; site = Pstats.name site });
-    let now = Sim.h_now ht.hsim in
-    let stall = Float.max 0. (inst.wb_deadline.(tid) -. now) in
+    if observing inst then notify inst (Psync { tid; site = site.name });
+    let now = now_of ht.hview in
+    let stall = pos (inst.wb_deadline.(tid) -. now) in
     drain_queue inst tid;
-    let m = Pstats.d_cost_mult pst site in
     let c = ht.hcost in
-    let cost = c.psync_base +. stall in
-    Pstats.d_add_time pst site (m *. cost);
+    let charged = pst.mult.(id) *. (c.psync_base +. stall) in
+    pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
     (* switch on the static base cost: see the CAS path *)
-    Sim.h_step_as ht.hsim ~switch:c.psync_base (m *. cost)
+    charge ht ~switch:c.psync_base charged
   end
 
 (* ---- crashes ----------------------------------------------------------- *)
 
-(* Every resolver reports each write-back's fate through [fate entry
-   persisted] so the crash can log exactly which line/site survived. *)
-let resolve_queue_at_crash rng ~fate q =
-  match rng with
-  | None ->
-      Queue.iter (function Apply _ as e -> fate e false | Fence -> ()) q;
-      clear_queue q
-  | Some rng ->
-      (* Fence-delimited segments complete in order: some prefix of
-         segments completed fully, the next one partially (an arbitrary
-         in-order subset), everything later not at all. *)
-      let fresh_mode () =
-        if Random.State.bool rng then `Full
-        else if Random.State.bool rng then `Partial
-        else `Drop
+(* How a crash resolves the write-backs it hits.  [Rng]: fence-delimited
+   segments complete in order — some prefix of segments fully, the next
+   one partially (an rng-drawn in-order subset), everything later not at
+   all.  The deterministic resolutions serve the exploration harness:
+   instead of an rng-drawn subset they complete an explicit, replayable
+   choice, and [Prefix k] completes each thread's [k] oldest write-backs
+   in issue order — a prefix always respects fence ordering, so every
+   such choice is a legal NVM state. *)
+type resolver = Rng of Random.State.t | Drop_all | Complete_all | Prefix of int
+
+(* A segment's fate under [Rng]. *)
+type segment = Full | Partial | Dropped
+
+let fresh_mode rng =
+  if Random.State.bool rng then Full
+  else if Random.State.bool rng then Partial
+  else Dropped
+
+(* Resolve [tid]'s ring, reporting each resolved write-back through
+   [fate tid line site persisted].  [victim] is the crashed heap under
+   [`Heap] scope, [None] under [`Machine].  A machine crash resolves
+   every write-back and empties the ring.  A heap crash resolves only the
+   victim's write-backs and keeps every other entry — fences included —
+   in issue order: fences survive (they still order the remaining
+   entries, which belong to live structures) but they also advance the
+   resolver's segment state, because fence ordering is a per-thread
+   property, not a per-heap one, so a victim write-back issued after a
+   fence may only persist if the fence's predecessors did.  The rng
+   resolver draws its first segment's mode for every thread, whether or
+   not its ring holds anything. *)
+let resolve_ring ~fate ~victim resolver tid r =
+  let mode = ref (match resolver with Rng rng -> fresh_mode rng | _ -> Full) in
+  let applied = ref 0 in
+  let mask = Array.length r.lines - 1 in
+  let kept = ref 0 in
+  let keep l s =
+    let j = (r.head + !kept) land mask in
+    r.lines.(j) <- l;
+    r.sites.(j) <- s;
+    incr kept
+  in
+  for k = 0 to r.len - 1 do
+    let j = (r.head + k) land mask in
+    let l = r.lines.(j) and s = r.sites.(j) in
+    r.lines.(j) <- fence_line;
+    if l == fence_line then begin
+      (match resolver with
+      | Rng rng -> mode := if !mode = Full then fresh_mode rng else Dropped
+      | Drop_all | Complete_all | Prefix _ -> ());
+      if Option.is_some victim then keep l s
+    end
+    else if match victim with None -> true | Some h -> l.lheap == h then begin
+      let persisted =
+        match resolver with
+        | Rng rng ->
+            !mode = Full || (!mode = Partial && Random.State.bool rng)
+        | Drop_all -> false
+        | Complete_all -> true
+        | Prefix k ->
+            !applied < k
+            && begin
+                 incr applied;
+                 true
+               end
       in
-      let mode = ref (fresh_mode ()) in
-      while not (Queue.is_empty q) do
-        match Queue.pop q with
-        | Fence -> (
-            match !mode with
-            | `Full -> mode := fresh_mode ()
-            | `Partial | `Drop -> mode := `Drop)
-        | Apply a as e -> (
-            match !mode with
-            | `Full ->
-                a.apply ();
-                fate e true
-            | `Partial ->
-                if Random.State.bool rng then begin
-                  a.apply ();
-                  fate e true
-                end
-                else fate e false
-            | `Drop -> fate e false)
-      done
-
-(* Deterministic resolutions for the exploration harness: instead of an
-   rng-drawn write-back subset, complete an explicit, replayable choice.
-   [`Prefix k] completes each thread's k oldest write-backs in issue
-   order — a prefix always respects fence ordering, so every such choice
-   is a legal NVM state. *)
-let resolve_queue_deterministic choice ~fate q =
-  match choice with
-  | `Drop ->
-      Queue.iter (function Apply _ as e -> fate e false | Fence -> ()) q;
-      clear_queue q
-  | `All ->
-      Queue.iter
-        (function
-          | Apply a as e ->
-              a.apply ();
-              fate e true
-          | Fence -> ())
-        q;
-      clear_queue q
-  | `Prefix k ->
-      let applied = ref 0 in
-      while not (Queue.is_empty q) do
-        match Queue.pop q with
-        | Fence -> ()
-        | Apply a as e ->
-            if !applied < k then begin
-              a.apply ();
-              incr applied;
-              fate e true
-            end
-            else fate e false
-      done
-
-(* Heap-scoped resolution: walk a thread's queue once, resolving only the
-   victim heap's write-backs through [on_victim] and preserving every
-   other entry — fences included — in issue order.  Fences survive (they
-   still order the remaining entries, which belong to live structures)
-   but they also advance the victim resolver's segment state: fence
-   ordering is a per-thread property, not a per-heap one, so a victim
-   write-back issued after a fence may only persist if the fence's
-   predecessors did. *)
-let resolve_queue_scoped h on_victim q =
-  let keep = Queue.create () in
-  while not (Queue.is_empty q) do
-    match Queue.pop q with
-    | Apply a as e when a.aheap == h -> on_victim e
-    | Fence as e ->
-        on_victim e;
-        Queue.push e keep
-    | Apply _ as e -> Queue.push e keep
+      if persisted then persist_fields l.fields;
+      fate tid l s persisted
+    end
+    else keep l s
   done;
-  Queue.transfer keep q
-
-(* Per-queue resolver closures mirroring the machine-wide resolvers'
-   semantics on the victim-entry subsequence. *)
-let victim_resolver_rng rng ~fate =
-  match rng with
-  | None -> (
-      function Apply _ as e -> fate e false | Fence -> ())
-  | Some rng ->
-      let fresh_mode () =
-        if Random.State.bool rng then `Full
-        else if Random.State.bool rng then `Partial
-        else `Drop
-      in
-      let mode = ref (fresh_mode ()) in
-      fun ev ->
-        match ev with
-        | Fence -> (
-            match !mode with
-            | `Full -> mode := fresh_mode ()
-            | `Partial | `Drop -> mode := `Drop)
-        | Apply a as e -> (
-            match !mode with
-            | `Full ->
-                a.apply ();
-                fate e true
-            | `Partial ->
-                if Random.State.bool rng then begin
-                  a.apply ();
-                  fate e true
-                end
-                else fate e false
-            | `Drop -> fate e false)
-
-let victim_resolver_deterministic choice ~fate =
-  match choice with
-  | `Drop -> ( function Apply _ as e -> fate e false | Fence -> ())
-  | `All -> (
-      function
-      | Apply a as e ->
-          a.apply ();
-          fate e true
-      | Fence -> ())
-  | `Prefix k ->
-      let applied = ref 0 in
-      fun ev ->
-        match ev with
-        | Fence -> ()
-        | Apply a as e ->
-            if !applied < k then begin
-              a.apply ();
-              incr applied;
-              fate e true
-            end
-            else fate e false
+  r.len <- !kept;
+  if !kept = 0 then r.head <- 0
 
 let resolution_label ?rng ?resolution () =
   match resolution with
@@ -739,66 +746,52 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
      (issue order within a tid), recorded unconditionally — this runs
      once per crash, never on the hot path. *)
   let fates = ref [] and n_persisted = ref 0 and n_dropped = ref 0 in
-  let fate_for tid e persisted =
-    (match e with
-    | Apply a ->
-        if persisted then incr n_persisted else incr n_dropped;
-        fates :=
-          {
-            cf_tid = tid;
-            cf_line = a.aline;
-            cf_site = a.asite;
-            cf_persisted = persisted;
-          }
-          :: !fates;
-        (match inst.iwb_obs with
-        | None -> ()
-        | Some obs ->
-            obs tid a.aline a.asite
-              (if persisted then Crash_persisted else Crash_dropped))
-    | Fence -> ())
+  let fate tid l site persisted =
+    if persisted then incr n_persisted else incr n_dropped;
+    fates :=
+      { cf_tid = tid; cf_line = l.lname; cf_site = site; cf_persisted = persisted }
+      :: !fates;
+    match inst.iwb_obs with
+    | None -> ()
+    | Some obs ->
+        obs tid l.lname site (if persisted then Crash_persisted else Crash_dropped)
   in
-  (match scope with
-  | `Machine ->
-      (match resolution with
-      | Some choice ->
-          Array.iteri
-            (fun tid q ->
-              resolve_queue_deterministic choice ~fate:(fate_for tid) q)
-            inst.pending
-      | None ->
-          Array.iteri
-            (fun tid q -> resolve_queue_at_crash rng ~fate:(fate_for tid) q)
-            inst.pending);
-      Array.fill inst.wb_deadline 0 max_threads neg_infinity
-  | `Heap ->
-      (* Survivors' pending write-backs are untouched, so their
-         acceptance deadlines stay meaningful: leave [wb_deadline]
-         alone.  Keeping a (now possibly stale) deadline for a thread
-         whose victim entries were resolved only makes its next fence
-         conservatively slower, never incorrect. *)
-      Array.iteri
-        (fun tid q ->
-          let on_victim =
-            match resolution with
-            | Some choice ->
-                victim_resolver_deterministic choice ~fate:(fate_for tid)
-            | None -> victim_resolver_rng rng ~fate:(fate_for tid)
-          in
-          resolve_queue_scoped h on_victim q)
-        inst.pending);
+  let resolver =
+    match (resolution, rng) with
+    | Some `Drop, _ | None, None -> Drop_all
+    | Some `All, _ -> Complete_all
+    | Some (`Prefix k), _ -> Prefix k
+    | None, Some rng -> Rng rng
+  in
+  let victim = match scope with `Machine -> None | `Heap -> Some h in
+  Array.iteri (resolve_ring ~fate ~victim resolver) inst.rings;
+  (* Under [`Heap] scope survivors' pending write-backs are untouched, so
+     their acceptance deadlines stay meaningful: [wb_deadline] is left
+     alone.  Keeping a (now possibly stale) deadline for a thread whose
+     victim entries were resolved only makes its next fence
+     conservatively slower, never incorrect. *)
+  if scope = `Machine then Array.fill inst.wb_deadline 0 max_threads neg_infinity;
   (* Revert every field to its durable value; fields with no durable
      value come up poisoned, fields whose volatile value was newer lose
      it, and both kinds of line are what a postmortem's durable-vs-
-     volatile diff names. *)
+     volatile diff names.  A field's poison bit clears only when it has a
+     durable value to come back with. *)
   let pois = ref [] and rev = ref [] in
   List.iter
-    (fun f ->
-      match f () with
-      | Rclean -> ()
-      | Rpoisoned l -> pois := l :: !pois
-      | Rreverted l -> rev := l :: !rev)
-    h.resets;
+    (fun (F f) ->
+      if f.flags land has_durable <> 0 then begin
+        (* [durable] aliases the value persisted, so physical inequality
+           is an exact staleness test for both immediates and boxes. *)
+        let stale = f.v != f.durable in
+        f.v <- f.durable;
+        f.flags <- f.flags land lnot poisoned;
+        if stale then rev := f.line.lname :: !rev
+      end
+      else begin
+        f.flags <- f.flags lor poisoned;
+        pois := f.line.lname :: !pois
+      end)
+    h.hfields;
   let dedup_capped acc =
     match !acc with
     | [] -> ([], 0)
@@ -825,7 +818,13 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
   in
   let poisoned_capped, poisoned_total = dedup_capped pois in
   let reverted_capped, reverted_total = dedup_capped rev in
-  List.iter (fun f -> f ()) h.metas;
+  List.iter
+    (fun l ->
+      l.sharers <- 0;
+      l.owner <- -1;
+      l.wb_owner <- -1;
+      l.wb_until.until <- neg_infinity)
+    h.hlines;
   inst.icrashes <-
     {
       cr_heap = h.hname;
@@ -846,18 +845,25 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
 let system_persist fld v =
   check fld;
   fld.v <- v;
-  fld.durable <- P v;
+  fld.durable <- v;
+  fld.flags <- fld.flags lor has_durable;
   Sim.step 0.
 
 let peek fld = fld.v
-let peek_persisted fld = match fld.durable with Never -> None | P p -> Some p
-let is_poisoned fld = fld.poisoned
+
+let peek_persisted fld =
+  if fld.flags land has_durable <> 0 then Some fld.durable else None
+
+let is_poisoned fld = fld.flags land poisoned <> 0
 
 let outstanding_writebacks tid =
   check_tid tid;
-  Queue.fold
-    (fun n e -> match e with Apply _ -> n + 1 | Fence -> n)
-    0 (instance ()).pending.(tid)
+  let r = (instance ()).rings.(tid) in
+  let n = ref 0 in
+  for k = 0 to r.len - 1 do
+    if r.lines.((r.head + k) land (Array.length r.lines - 1)) != fence_line then incr n
+  done;
+  !n
 
 let max_outstanding_writebacks () =
   let m = ref 0 in

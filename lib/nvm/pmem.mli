@@ -228,9 +228,6 @@ val line_id : line -> int
     key 5 are both ["node:5"]), ids never do, so [(heap, id)] identifies
     an allocation exactly — the key of the space registry. *)
 
-val line_site : line -> string
-(** {!site_of_name} of the line's name, computed once at allocation. *)
-
 type 'a t
 (** A field of type ['a] residing on some line. *)
 

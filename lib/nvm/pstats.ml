@@ -41,10 +41,9 @@ let sites () = locked (fun () -> List.rev !ordered)
 (* Everything mutable — enabled flags, cost multipliers, execution counts,
    charged time — lives in flat per-domain arrays indexed by site id:
    concurrent campaigns on separate domains enable/scale/count without
-   observing each other, and the hot recording paths ({!record},
-   {!add_time}, the {!enabled} check on every pwb) are single unboxed
-   array accesses instead of record-field chases. *)
-type stats = {
+   observing each other, and {!Pmem}'s persistence instructions count and
+   charge with plain array accesses on the record (pstats.mli). *)
+type dstats = {
   mutable cap : int;
   mutable enabled : bool array;
   mutable mult : float array;
@@ -71,7 +70,7 @@ let fresh () =
     cat_time = [| 0.; 0.; 0. |];
   }
 
-let dls : stats Domain.DLS.key = Domain.DLS.new_key fresh
+let dls : dstats Domain.DLS.key = Domain.DLS.new_key fresh
 
 let grow st want =
   let cap = max 16 (max want (2 * st.cap)) in
@@ -143,22 +142,10 @@ let record s cat =
   | Medium -> st.n_medium.(s.id) <- st.n_medium.(s.id) + 1
   | High -> st.n_high.(s.id) <- st.n_high.(s.id) + 1
 
-let record_fence s =
-  let st = stx s.id in
-  st.n_fence.(s.id) <- st.n_fence.(s.id) + 1
-
-let add_time s ns =
-  let st = stx s.id in
-  st.t_ns.(s.id) <- st.t_ns.(s.id) +. ns
-
 let site_time s = (stx s.id).t_ns.(s.id)
 
 (* Per-category charged time (pwbs only), for the causal profiler's
    category rows. *)
-let add_category_time c ns =
-  let a = (Domain.DLS.get dls).cat_time in
-  a.(cat_index c) <- a.(cat_index c) +. ns
-
 let category_time c = (Domain.DLS.get dls).cat_time.(cat_index c)
 
 type totals = {
@@ -235,40 +222,7 @@ let pp_category ppf = function
   | Medium -> Format.pp_print_string ppf "medium"
   | High -> Format.pp_print_string ppf "high"
 
-(* ---- hot-path accessors ------------------------------------------------
-   One DLS fetch per operation instead of one per consultation (pwb makes
-   six).  Each accessor keeps the lazy-grow check — a single compare — so
-   a site first exercised on this domain is still safe whichever accessor
-   touches it first. *)
-
-type dstats = stats
+(* ---- hot path ---------------------------------------------------------- *)
 
 let dstats () = Domain.DLS.get dls
-
-let d_enabled st (s : site) =
-  if s.id >= st.cap then grow st (s.id + 1);
-  st.enabled.(s.id)
-
-let d_record st (s : site) cat =
-  if s.id >= st.cap then grow st (s.id + 1);
-  match cat with
-  | Low -> st.n_low.(s.id) <- st.n_low.(s.id) + 1
-  | Medium -> st.n_medium.(s.id) <- st.n_medium.(s.id) + 1
-  | High -> st.n_high.(s.id) <- st.n_high.(s.id) + 1
-
-let d_record_fence st (s : site) =
-  if s.id >= st.cap then grow st (s.id + 1);
-  st.n_fence.(s.id) <- st.n_fence.(s.id) + 1
-
-let d_cost_mult st (s : site) =
-  if s.id >= st.cap then grow st (s.id + 1);
-  st.mult.(s.id)
-
-let d_category_mult st c = st.cat_mult.(cat_index c)
-
-let d_add_time st (s : site) ns =
-  if s.id >= st.cap then grow st (s.id + 1);
-  st.t_ns.(s.id) <- st.t_ns.(s.id) +. ns
-
-let d_add_category_time st c ns =
-  st.cat_time.(cat_index c) <- st.cat_time.(cat_index c) +. ns
+let d_reserve st (s : site) = if s.id >= st.cap then grow st (s.id + 1)

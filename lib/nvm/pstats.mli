@@ -16,7 +16,9 @@ type kind = Pwb | Pfence | Psync
 
 type category = Low | Medium | High
 
-type site
+type site = private { id : int; name : string; kind : kind }
+(** A site's identity: its dense id (the index of its slot in every
+    {!dstats} array), its name and its instruction kind. *)
 
 val make : kind -> string -> site
 (** [make kind name] registers (or returns the existing) site.  Sites are
@@ -73,19 +75,10 @@ val all_multipliers_default : unit -> bool
 val record : site -> category -> unit
 (** Count one executed pwb at [site] with its observed impact category. *)
 
-val record_fence : site -> unit
-(** Count one executed pfence or psync. *)
-
-val add_time : site -> float -> unit
-(** Account [ns] of charged virtual time to the site (called by {!Pmem}
-    with the actually-charged, i.e. multiplier-scaled, cost). *)
-
 val site_time : site -> float
-(** Virtual ns charged at this site since the last {!reset} — the
-    numerator of the causal profiler's "share of persistence time". *)
-
-val add_category_time : category -> float -> unit
-(** Account charged pwb time to its per-execution impact class. *)
+(** Virtual ns charged at this site since the last {!reset}, as {!Pmem}
+    charged it (scaled by the multipliers) — the numerator of the causal
+    profiler's "share of persistence time". *)
 
 val category_time : category -> float
 (** Virtual ns charged to pwbs of this emergent impact class since the
@@ -128,28 +121,34 @@ val site_fences : site -> int
 
 val pp_category : Format.formatter -> category -> unit
 
-(** {2 Hot-path accessors}
+(** {2 Hot path}
 
-    {!Pmem.pwb} consults this module up to six times per executed pwb
-    (enabled, record, two multipliers, two time accounts), and each
-    module-level accessor above pays one domain-local fetch.  A {!dstats}
-    is the calling domain's statistics fetched {e once}; the [d_]*
-    variants below are then plain array accesses.  Same contract as
-    {!Sim.handle}: fetch at the top of an operation, never store one or
-    move it across domains. *)
+    {!Pmem}'s pwb, pfence and psync count and charge their site on every
+    execution.  A {!dstats} is the calling domain's statistics as a
+    private record: no other module can replace its arrays, but those
+    instructions update the arrays' elements in place, with no call.
+    Fetch it once per domain and never move it across domains.  The
+    arrays cover ids below [cap]; grow them with {!d_reserve} before
+    touching a site whose id is not below it. *)
 
-type dstats
-(** The calling domain's mutable statistics (one domain-local fetch). *)
+type dstats = private {
+  mutable cap : int;  (** every array below covers ids [0 .. cap - 1] *)
+  mutable enabled : bool array;
+  mutable mult : float array;  (** {!cost_mult} per site *)
+  mutable n_low : int array;  (** pwb counts per impact class *)
+  mutable n_medium : int array;
+  mutable n_high : int array;
+  mutable n_fence : int array;  (** pfence/psync counts *)
+  mutable t_ns : float array;  (** {!site_time} per site *)
+  cat_mult : float array;  (** {!category_mult}, indexed Low, Medium, High *)
+  cat_time : float array;  (** {!category_time}, same index *)
+}
 
 val dstats : unit -> dstats
-(** Identity guarantee: returns the domain's {e unique} statistics value
-    (grown and reset in place, never replaced), so it may be cached
-    domain-locally ({!Pmem}'s hot context relies on this). *)
+(** The calling domain's statistics.  Identity guarantee: the domain's
+    {e unique} value, grown and reset in place and never replaced, so it
+    may be cached domain-locally ({!Pmem}'s hot context relies on this). *)
 
-val d_enabled : dstats -> site -> bool
-val d_record : dstats -> site -> category -> unit
-val d_record_fence : dstats -> site -> unit
-val d_cost_mult : dstats -> site -> float
-val d_category_mult : dstats -> category -> float
-val d_add_time : dstats -> site -> float -> unit
-val d_add_category_time : dstats -> category -> float -> unit
+val d_reserve : dstats -> site -> unit
+(** [d_reserve st s] grows [st]'s arrays to cover [s]'s id: a site
+    registered on one domain may first be exercised on another. *)

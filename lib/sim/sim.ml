@@ -27,6 +27,19 @@ type fiber =
    (non-option) array: reading it is a bug caught by slot_tid = -1. *)
 let dummy_fiber = Thunk (fun () -> Done)
 
+(* The running-fiber view (sim.mli): what the memory model reads on every
+   simulated instruction, as plain fields.  [tid] and [running] mirror
+   [cur] (see [set_cur]); the arrays are the current run's. *)
+type view = {
+  mutable running : bool;
+  mutable tid : int;
+  mutable clocks : float array;
+  mutable pending : float array;
+  mutable since : int array;
+  mutable stride : int;
+  threshold : float;
+}
+
 type engine = {
   policy : [ `Perf | `Random ];
   (* Created on first use ([engine_rng]): under [choose] or [`Perf] the
@@ -87,10 +100,10 @@ type engine = {
      count, indexed by that count. *)
   ready_flag : bool array;
   tid_bufs : int array array;
-  (* A decision a switching step took before suspending (see
+  (* The decision a switching step took before suspending (see
      [switch_point]): [handoff] is the picked ready index, for the
      [Yield] handler, which requeues the yielder, removes the pick and
-     leaves its slot in [next_slot] for the loop; -1 = none. *)
+     leaves its slot in [next_slot] for the loop (-1 = none). *)
   mutable handoff : int;
   mutable next_slot : int;
   (* Per-fiber fault injection: an exception delivered to one fiber at
@@ -106,7 +119,6 @@ type engine = {
 type ctx = {
   ctid : int;
   engine : engine;
-  mutable since_yield : int;
 }
 
 (* All ambient engine state is domain-local: each OCaml 5 domain may host
@@ -118,13 +130,53 @@ type ctx = {
 type domain_state = {
   mutable cur : ctx option;
   mutable dtracer : (trace_event -> unit) option;
+  view : view;
 }
 
+(* In perf mode, cheap cache-hit accesses are batched: the clock advances
+   but a scheduling point is only offered every [yield_stride] accesses or
+   when the access was expensive.  Race mode always offers a switch so
+   interleavings stay maximally adversarial: its stride is 1. *)
+let yield_stride = 16
+let expensive_threshold = 10.0
+
 let dls : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { cur = None; dtracer = None })
+  Domain.DLS.new_key (fun () ->
+      {
+        cur = None;
+        dtracer = None;
+        view =
+          {
+            running = false;
+            tid = 0;
+            clocks = [||];
+            pending = [||];
+            since = [||];
+            stride = 1;
+            threshold = expensive_threshold;
+          };
+      })
 
 let state () = Domain.DLS.get dls
 let set_tracer t = (state ()).dtracer <- t
+
+let set_cur st cur =
+  st.cur <- cur;
+  let v = st.view in
+  match cur with
+  | Some c ->
+      v.running <- true;
+      v.tid <- c.ctid
+  | None ->
+      v.running <- false;
+      v.tid <- 0
+
+(* The batching rule: a step whose switch basis is [switch], the
+   [since]-th step of its fiber since the fiber last switched, offers a
+   switch point.  Pmem evaluates the same comparison on the view's
+   fields (sim.mli). *)
+let[@inline] switches v ~switch ~since =
+  switch >= v.threshold || since >= v.stride
 
 type _ Effect.t +=
   | Yield : unit Effect.t
@@ -136,44 +188,64 @@ type _ Effect.t +=
 (* ---- ready-queue operations ----------------------------------------- *)
 
 (* Heap order: clock, ties broken by insertion sequence.  Slot ids never
-   participate in the order, so slot numbering is unobservable. *)
-let lt e i j =
-  let ci = e.ready_clock.(i) and cj = e.ready_clock.(j) in
-  ci < cj || (ci = cj && e.ready_seq.(i) < e.ready_seq.(j))
+   participate in the order, so slot numbering is unobservable.  Seqs are
+   unique, so the order is strict and every valid heap layout yields the
+   same decisions. *)
+let[@inline] before (c1 : float) (s1 : int) c2 s2 = c1 < c2 || (c1 = c2 && s1 < s2)
 
-let swap e i j =
-  let c = e.ready_clock.(i) in
-  e.ready_clock.(i) <- e.ready_clock.(j);
-  e.ready_clock.(j) <- c;
-  let s = e.ready_seq.(i) in
-  e.ready_seq.(i) <- e.ready_seq.(j);
-  e.ready_seq.(j) <- s;
-  let t = e.ready_slot.(i) in
-  e.ready_slot.(i) <- e.ready_slot.(j);
-  e.ready_slot.(j) <- t
-
-let sift_up e i =
+(* The sifts move a hole instead of swapping: the entry [(clock, seq,
+   slot)] being placed is held aside and written once, at its final
+   index.  Every index they touch is below [ready_len], within the
+   arrays, hence the unchecked accesses. *)
+let sift_up e i clock seq slot =
+  let rc = e.ready_clock and rs = e.ready_seq and rt = e.ready_slot in
   let i = ref i in
-  while !i > 0 && lt e !i ((!i - 1) / 2) do
+  while
+    !i > 0
+    &&
     let p = (!i - 1) / 2 in
-    swap e p !i;
+    before clock seq (Array.unsafe_get rc p) (Array.unsafe_get rs p)
+  do
+    let p = (!i - 1) / 2 in
+    Array.unsafe_set rc !i (Array.unsafe_get rc p);
+    Array.unsafe_set rs !i (Array.unsafe_get rs p);
+    Array.unsafe_set rt !i (Array.unsafe_get rt p);
     i := p
-  done
+  done;
+  Array.unsafe_set rc !i clock;
+  Array.unsafe_set rs !i seq;
+  Array.unsafe_set rt !i slot
 
-let sift_down e i =
-  let i = ref i in
-  let continue_sift = ref true in
-  while !continue_sift do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let m = ref !i in
-    if l < e.ready_len && lt e l !m then m := l;
-    if r < e.ready_len && lt e r !m then m := r;
-    if !m = !i then continue_sift := false
+let sift_down e i clock seq slot =
+  let n = e.ready_len in
+  let rc = e.ready_clock and rs = e.ready_seq and rt = e.ready_slot in
+  let i = ref i and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    if l >= n then sifting := false
     else begin
-      swap e !m !i;
-      i := !m
+      let r = l + 1 in
+      let m =
+        if
+          r < n
+          && before (Array.unsafe_get rc r) (Array.unsafe_get rs r)
+               (Array.unsafe_get rc l) (Array.unsafe_get rs l)
+        then r
+        else l
+      in
+      let cm = Array.unsafe_get rc m and sm = Array.unsafe_get rs m in
+      if before cm sm clock seq then begin
+        Array.unsafe_set rc !i cm;
+        Array.unsafe_set rs !i sm;
+        Array.unsafe_set rt !i (Array.unsafe_get rt m);
+        i := m
+      end
+      else sifting := false
     end
-  done
+  done;
+  Array.unsafe_set rc !i clock;
+  Array.unsafe_set rs !i seq;
+  Array.unsafe_set rt !i slot
 
 let heap_push e clock seq slot =
   let n = e.ready_len in
@@ -189,28 +261,38 @@ let heap_push e clock seq slot =
     Array.blit e.ready_slot 0 bt 0 n;
     e.ready_slot <- bt
   end;
-  e.ready_clock.(n) <- clock;
-  e.ready_seq.(n) <- seq;
-  e.ready_slot.(n) <- slot;
   e.ready_len <- n + 1;
-  if e.policy = `Perf then sift_up e n
+  match e.policy with
+  | `Perf -> sift_up e n clock seq slot
+  | `Random ->
+      e.ready_clock.(n) <- clock;
+      e.ready_seq.(n) <- seq;
+      e.ready_slot.(n) <- slot
 
 (* Remove the entry at ready index [i], preserving the heap invariant in
    perf mode (replay can pull an arbitrary ready fiber, not just the
-   clock minimum); returns the removed entry's slot. *)
+   clock minimum); returns the removed entry's slot.  The last entry
+   fills the hole: under [`Random] in place, under [`Perf] sifted up when
+   it is below the hole's parent and down otherwise. *)
 let remove_at e i =
   let n = e.ready_len in
   assert (n > 0 && i < n);
   let slot = e.ready_slot.(i) in
   e.ready_len <- n - 1;
   if i < n - 1 then begin
-    e.ready_clock.(i) <- e.ready_clock.(n - 1);
-    e.ready_seq.(i) <- e.ready_seq.(n - 1);
-    e.ready_slot.(i) <- e.ready_slot.(n - 1);
-    if e.policy = `Perf then begin
-      sift_down e i;
-      sift_up e i
-    end
+    let clock = e.ready_clock.(n - 1)
+    and seq = e.ready_seq.(n - 1)
+    and last = e.ready_slot.(n - 1) in
+    match e.policy with
+    | `Random ->
+        e.ready_clock.(i) <- clock;
+        e.ready_seq.(i) <- seq;
+        e.ready_slot.(i) <- last
+    | `Perf ->
+        let p = (i - 1) / 2 in
+        if i > 0 && before clock seq e.ready_clock.(p) e.ready_seq.(p) then
+          sift_up e i clock seq last
+        else sift_down e i clock seq last
   end;
   slot
 
@@ -312,7 +394,8 @@ let decide e self =
         | None ->
             Random.State.int (engine_rng e) (if self >= 0 then n + 1 else n))
 
-let enqueue e tid fiber =
+(* A free slot holding [tid]'s [fiber]. *)
+let take_slot e tid fiber =
   let slot =
     if e.free_top > 0 then begin
       e.free_top <- e.free_top - 1;
@@ -338,6 +421,10 @@ let enqueue e tid fiber =
   in
   e.slot_tid.(slot) <- tid;
   e.slot_fiber.(slot) <- fiber;
+  slot
+
+let enqueue e tid fiber =
+  let slot = take_slot e tid fiber in
   e.seq <- e.seq + 1;
   heap_push e e.clocks.(tid) e.seq slot
 
@@ -347,13 +434,21 @@ let enqueue e tid fiber =
    sifting, so [r] still names the pick, and the yielder fills its hole
    exactly as [enqueue] then [dequeue] would leave it — the uniform draws
    index this layout.  Under [`Perf] every decision is by clock order or
-   by tid, so the layout is unobservable, and the pick must leave before
-   the push can move it. *)
+   by tid, so the layout is unobservable.  A root pick, the usual case,
+   hands the root to the yielder, which sifts down once; any other pick
+   must leave before the push can move it.  Either way the yielder gets
+   the seq and slot [enqueue] would give it. *)
 let requeue_and_take e i fiber r =
   match e.policy with
   | `Random ->
       enqueue e i fiber;
       remove_at e r
+  | `Perf when r = 0 ->
+      let slot = take_slot e i fiber in
+      e.seq <- e.seq + 1;
+      let picked = e.ready_slot.(0) in
+      sift_down e 0 e.clocks.(i) e.seq slot;
+      picked
   | `Perf ->
       let slot = remove_at e r in
       enqueue e i fiber;
@@ -487,9 +582,9 @@ let redispatch st e i =
    entry, [choose] call or rng draw is consumed twice.  The hooks
    ([record], [choose], [divergence]) run outside the fiber, as they do
    in the loop, and an exception they raise surfaces in the loop too.
-   Under [`Perf] with no tape left and no [record] no hook can run, and a
-   pick other than the fiber is the heap's root, which the loop's pop
-   takes again: that case suspends plainly. *)
+   Under [`Perf] with no tape left and no [record] no hook can run, so
+   the fiber stays current while it decides; a pick other than the fiber
+   is then the heap's root. *)
 let switch_point st c =
   let e = c.engine and i = c.ctid in
   (match settle st e i with None -> () | Some exn -> raise exn);
@@ -497,25 +592,30 @@ let switch_point st c =
   if e.policy = `Perf && e.record == None
      && e.replay_pos >= Array.length e.replay
   then begin
-    if decide e i = n then redispatch st e i else Effect.perform Yield
+    let r = decide e i in
+    if r = n then redispatch st e i
+    else begin
+      e.handoff <- r;
+      Effect.perform Yield
+    end
   end
   else begin
     let cur = st.cur in
-    st.cur <- None;
+    set_cur st None;
     match
       let r = decide e i in
       if r = n then (match e.record with None -> () | Some f -> f i);
       r
     with
     | r ->
-        st.cur <- cur;
+        set_cur st cur;
         if r = n then redispatch st e i
         else begin
           e.handoff <- r;
           Effect.perform Yield
         end
     | exception exn ->
-        st.cur <- cur;
+        set_cur st cur;
         Effect.perform (Yield_raise exn)
   end
 
@@ -526,13 +626,6 @@ let advance cost =
       let p = c.engine.pending in
       p.(c.ctid) <- p.(c.ctid) +. cost
 
-(* In perf mode, cheap cache-hit accesses are batched: the clock advances
-   but a scheduling point is only offered every [yield_stride] accesses or
-   when the access was expensive.  Race mode always offers a switch so
-   interleavings stay maximally adversarial. *)
-let yield_stride = 16
-let expensive_threshold = 10.0
-
 (* [step_as ~switch cost] charges [cost] but takes the switch decision as
    if the cost were [switch].  The causal profiler's virtual-speedup hook
    (Harness.Causal) scales what a persistence instruction {e charges}
@@ -541,18 +634,14 @@ let expensive_threshold = 10.0
    recorded schedule, and the replayed run would silently be a different
    interleaving. *)
 let ctx_step_as st c ~switch cost =
-  let p = c.engine.pending in
-  p.(c.ctid) <- p.(c.ctid) +. cost;
-  c.since_yield <- c.since_yield + 1;
-  let must_switch =
-    match c.engine.policy with
-    | `Random -> true
-    | `Perf -> switch >= expensive_threshold || c.since_yield >= yield_stride
-  in
-  if must_switch then begin
-    c.since_yield <- 0;
+  let v = st.view and i = c.ctid in
+  v.pending.(i) <- v.pending.(i) +. cost;
+  let since = v.since.(i) + 1 in
+  if switches v ~switch ~since then begin
+    v.since.(i) <- 0;
     switch_point st c
   end
+  else v.since.(i) <- since
 
 let step_as ~switch cost =
   let st = state () in
@@ -569,13 +658,14 @@ let step cost = step_as ~switch:cost cost
    effect-handler round trip.  Otherwise (a cheap period under [`Perf],
    which batches) the plain loop is the only exact rendering. *)
 let poll_while ~period cond =
-  match (state ()).cur with
-  | Some c
-    when c.engine.policy = `Random || period >= expensive_threshold ->
+  let st = state () in
+  match st.cur with
+  (* a step that switches right after a switch switches every time *)
+  | Some c when switches st.view ~switch:period ~since:1 ->
       if cond () then begin
-        let p = c.engine.pending in
-        p.(c.ctid) <- p.(c.ctid) +. period;
-        c.since_yield <- 0;
+        let v = st.view in
+        v.pending.(c.ctid) <- v.pending.(c.ctid) +. period;
+        v.since.(c.ctid) <- 0;
         Effect.perform (Poll_yield (period, cond))
       end
   | _ ->
@@ -593,18 +683,16 @@ let poll_while ~period cond =
 type handle = domain_state
 
 let handle () = state ()
-let h_in_sim h = h.cur <> None
-let h_tid h = match h.cur with Some c -> c.ctid | None -> 0
+let h_in_sim h = h.view.running
+let h_tid h = h.view.tid
+let view h = h.view
 
-let h_now h =
+let h_switch h =
   match h.cur with
-  | Some c -> c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
-  | None -> 0.
-
-let h_step_as h ~switch cost =
-  match h.cur with None -> () | Some c -> ctx_step_as h c ~switch cost
-
-let h_step h cost = h_step_as h ~switch:cost cost
+  | None -> ()
+  | Some c ->
+      h.view.since.(c.ctid) <- 0;
+      switch_point h c
 
 let request_crash () =
   let c = ctx_exn "Sim.request_crash" in
@@ -672,9 +760,12 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       dispatch_counts = Array.make (max n 1) 0;
     }
   in
-  let contexts =
-    Array.init n (fun i -> { ctid = i; engine = e; since_yield = 0 })
-  in
+  let v = st.view in
+  v.clocks <- e.clocks;
+  v.pending <- e.pending;
+  v.since <- Array.make (max n 1) 0;
+  v.stride <- (match policy with `Perf -> yield_stride | `Random -> 1);
+  let contexts = Array.init n (fun i -> { ctid = i; engine = e }) in
   (* [st.cur] of each fiber, allocated once: the loop sets it on every
      dispatch. *)
   let cur_of = Array.map Option.some contexts in
@@ -685,12 +776,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
     let on_yield =
       Some
         (fun (k : (unit, status) Effect.Deep.continuation) ->
-          let r = e.handoff in
-          if r < 0 then enqueue e i (Cont k)
-          else begin
-            e.handoff <- -1;
-            e.next_slot <- requeue_and_take e i (Cont k) r
-          end;
+          e.next_slot <- requeue_and_take e i (Cont k) e.handoff;
           Suspended)
     in
     {
@@ -731,13 +817,13 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
         (match fiber with
         | Thunk _ -> () (* never started: nothing volatile to unwind *)
         | Cont k | Poll { k; _ } ->
-            st.cur <- cur_of.(i);
+            set_cur st cur_of.(i);
             ignore (Effect.Deep.discontinue k Crashed : status);
-            st.cur <- None);
+            set_cur st None);
         loop ()
       end
       else begin
-        st.cur <- cur_of.(i);
+        set_cur st cur_of.(i);
         (match st.dtracer with
         | None -> ()
         | Some f ->
@@ -769,7 +855,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
                     | Some exn -> ignore (Effect.Deep.discontinue k exn : status))
                 | exception exn ->
                     ignore (Effect.Deep.discontinue k exn : status))));
-        st.cur <- None;
+        set_cur st None;
         loop ()
       end
     end
@@ -781,7 +867,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
     e.aborting <- true;
     (* the escaping fiber may have left itself current: the hooks
        [dequeue] calls run outside any fiber *)
-    st.cur <- None;
+    set_cur st None;
     while e.ready_len > 0 do
       let slot = dequeue e in
       let i = e.slot_tid.(slot) in
@@ -790,14 +876,14 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       match fiber with
       | Thunk _ -> () (* never started: nothing to unwind *)
       | Cont k | Poll { k; _ } ->
-          st.cur <- cur_of.(i);
+          set_cur st cur_of.(i);
           (try ignore (Effect.Deep.discontinue k Step_limit : status)
            with _ -> ());
-          st.cur <- None
+          set_cur st None
     done
   in
   Fun.protect
-    ~finally:(fun () -> st.cur <- None)
+    ~finally:(fun () -> set_cur st None)
     (fun () ->
       try loop ()
       with exn ->

@@ -120,11 +120,12 @@ val in_sim : unit -> bool
 
     Every ambient accessor above pays one domain-local ([Domain.DLS])
     fetch.  That is negligible in isolation but the memory model
-    ({!Nvm.Pmem}) consults the engine several times {e per simulated
-    instruction} — tid, clock, then a step — and exploration campaigns
-    execute hundreds of millions of instructions.  A {!handle} is the
-    calling domain's ambient engine state fetched {e once}; the [h_]*
-    accessors below are then plain field reads with no further lookups.
+    ({!Nvm.Pmem}) consults the engine {e per simulated instruction} —
+    tid, clock, then a charge — and exploration campaigns execute
+    hundreds of millions of instructions.  A {!handle} is the calling
+    domain's ambient engine state fetched {e once}; the [h_]* accessors
+    and the {!type-view} below are then plain field reads with no further
+    lookups.
 
     A handle is only meaningful on the domain that fetched it, and it
     stays valid for that domain's lifetime (the underlying record is
@@ -145,15 +146,51 @@ val h_tid : handle -> int
 (** Like {!tid} but returns [0] outside a run (the convention real
     executions use for "the only thread"). *)
 
-val h_now : handle -> float
-(** Like {!now} but returns [0.] outside a run. *)
+(** {2 Running-fiber view}
 
-val h_step : handle -> float -> unit
-(** [h_step h cost] = {!step}[ cost], without the domain-local fetch. *)
+    The memory model charges every simulated instruction to the running
+    fiber, and most charges do not switch.  The {!type-view} lets it do that
+    without a call: it publishes, as plain fields, who is running and the
+    state a charge touches.  A charge of [cost] whose switch basis is
+    [switch] is exactly {!step_as}[ ~switch cost]:
 
-val h_step_as : handle -> switch:float -> float -> unit
-(** [h_step_as h ~switch cost] = {!step_as}[ ~switch cost], without the
-    domain-local fetch. *)
+    - nothing happens unless [running];
+    - [pending.(tid)] grows by [cost];
+    - with [since = since.(tid) + 1], the step offers a switch point when
+      [switch >= threshold || since >= stride] — the batching rule,
+      stated once here and used by {!step} itself ([stride] is 1 under
+      [`Random], which therefore always switches);
+    - at a switch point the caller calls {!h_switch}, which resets
+      [since.(tid)] to 0 and takes the scheduling decision; otherwise it
+      stores [since] in [since.(tid)].
+
+    The fiber's current virtual time ({!now}) is
+    [clocks.(tid) +. pending.(tid)].
+
+    Contract: the view is domain-local, like the {!handle} it belongs to
+    — created once per domain, mutated in place, never replaced, and
+    never to be read from another domain.  Its fields are meaningful only
+    while [running] holds: outside a fiber, and while [record], [choose]
+    or [divergence] run, [running] is [false] and [tid] is [0]; the
+    arrays belong to the last run and must not be touched. *)
+
+type view = private {
+  mutable running : bool;  (** a fiber of a run on this domain is running *)
+  mutable tid : int;  (** its tid; [0] when none is *)
+  mutable clocks : float array;  (** per-tid settled virtual clocks (ns) *)
+  mutable pending : float array;  (** per-tid charged cost not yet settled *)
+  mutable since : int array;  (** per-tid steps since the last switch point *)
+  mutable stride : int;  (** batching stride: 16 under [`Perf], 1 under [`Random] *)
+  threshold : float;  (** a switch basis at or above this always switches *)
+}
+
+val view : handle -> view
+(** The domain's view: same lifetime and identity as the handle. *)
+
+val h_switch : handle -> unit
+(** The switch point of a charge that the batching rule selected (see
+    {!type-view}): what {!step} does after charging when it switches.  No-op
+    outside a fiber. *)
 
 val tid : unit -> int
 (** Logical thread id of the calling fiber.  @raise Not_in_run outside a run. *)

@@ -318,6 +318,228 @@ let prop_random_crash_consistency =
           Pmem.is_poisoned c || List.mem (Pmem.peek c) hist)
         cells history)
 
+(* -- crash-resolution goldens ----------------------------------------------
+
+   Three threads' write-back queues, with fences, over two heaps, crashed
+   under each resolution in both scopes, then (after one more flush and
+   sync by thread 0) crashed again with every write-back dropped.  Each
+   run is pinned by the crash reports, every field's volatile value,
+   durable value and poison bit, the outstanding write-backs per thread
+   and the rng's next draw. *)
+
+type golden_heap = {
+  pair : Pmem.line;
+  p0 : int Pmem.t;
+  p1 : int Pmem.t;
+  cells : int Pmem.t array;
+  str : string Pmem.t;
+  dups : int Pmem.t array;  (* two lines with the same name *)
+}
+
+let golden_heap name =
+  let h = Pmem.heap ~name () in
+  let pair = Pmem.new_line ~name:(name ^ ".pair") h in
+  let p0 = Pmem.on_line pair 0 in
+  let p1 = Pmem.on_line pair 1 in
+  let cells =
+    Array.init 4 (fun k -> Pmem.alloc ~name:(Printf.sprintf "%s.cell:%d" name k) h k)
+  in
+  let str = Pmem.alloc ~name:(name ^ ".str[0]") h "s" in
+  let dups = Array.init 2 (fun k -> Pmem.alloc ~name:(name ^ ".dup") h (100 + k)) in
+  (h, { pair; p0; p1; cells; str; dups })
+
+let golden_state ha a hb b =
+  let buf = Buffer.create 1024 in
+  let field name show f =
+    Printf.bprintf buf " %s=%s/%s%s" name (show (Pmem.peek f))
+      (match Pmem.peek_persisted f with Some v -> show v | None -> "-")
+      (if Pmem.is_poisoned f then "!" else "")
+  in
+  List.iter
+    (fun (tag, g) ->
+      field (tag ^ "p0") string_of_int g.p0;
+      field (tag ^ "p1") string_of_int g.p1;
+      Array.iteri (fun k f -> field (Printf.sprintf "%sc%d" tag k) string_of_int f) g.cells;
+      field (tag ^ "s") Fun.id g.str;
+      Array.iteri (fun k f -> field (Printf.sprintf "%sd%d" tag k) string_of_int f) g.dups)
+    [ ("a.", a); ("b.", b) ];
+  Printf.bprintf buf " | lines %d %d | queued" (Pmem.lines_allocated ha)
+    (Pmem.lines_allocated hb);
+  for tid = 0 to 3 do
+    Printf.bprintf buf " %d" (Pmem.outstanding_writebacks tid)
+  done;
+  Buffer.contents buf
+
+let golden_reports () =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun (r : Pmem.crash_report) ->
+      Printf.bprintf buf "[%s %s %s +%d -%d" r.cr_heap
+        (match r.cr_scope with `Machine -> "machine" | `Heap -> "heap")
+        r.cr_resolution r.cr_persisted r.cr_dropped;
+      List.iter
+        (fun (f : Pmem.crash_fate) ->
+          Printf.bprintf buf " %d:%s:%s:%b" f.cf_tid f.cf_line f.cf_site
+            f.cf_persisted)
+        r.cr_fates;
+      Printf.bprintf buf " poisoned %d:%s reverted %d:%s]" r.cr_poisoned_total
+        (String.concat "," r.cr_poisoned) r.cr_reverted_total
+        (String.concat "," r.cr_reverted))
+    (Pmem.crash_reports ());
+  Buffer.contents buf
+
+let golden_crash ?rng ?resolution scope =
+  let _ = fresh () in
+  let ha, a = golden_heap "a" and hb, b = golden_heap "b" in
+  (* durable values for some fields, so a crash reverts them *)
+  Pmem.write a.cells.(0) 10;
+  Pmem.pwb_f site_pwb a.cells.(0);
+  Pmem.pwb site_pwb b.pair;
+  Pmem.pwb_f site_pwb a.dups.(1);
+  Pmem.psync site_sync;
+  let prog t =
+    match t with
+    | 0 ->
+        Pmem.write a.p0 (t + 20);
+        Pmem.pwb site_pwb a.pair;
+        Pmem.write b.cells.(0) 30;
+        Pmem.pwb_f site_pwb b.cells.(0);
+        Pmem.pfence site_fence;
+        Pmem.write a.str "t0";
+        Pmem.pwb_f site_pwb a.str;
+        Pmem.write a.cells.(0) 11;
+        Pmem.pwb_f site_pwb a.cells.(0);
+        Pmem.pfence site_fence;
+        Pmem.write a.dups.(0) 200;
+        Pmem.pwb_f site_pwb a.dups.(0);
+        Pmem.pwb_f site_pwb b.dups.(1)
+    | 1 ->
+        Pmem.pfence site_fence;
+        Pmem.write a.cells.(1) 41;
+        Pmem.pwb_f site_pwb a.cells.(1);
+        Pmem.write b.p1 42;
+        Pmem.pwb site_pwb b.pair;
+        Pmem.pfence site_fence;
+        Pmem.pfence site_fence;
+        Pmem.write a.p1 43;
+        Pmem.pwb site_pwb a.pair;
+        Pmem.write a.dups.(1) 44;
+        Pmem.pwb_f site_pwb a.dups.(1);
+        Pmem.pfence site_fence
+    | _ ->
+        Pmem.write a.cells.(2) 52;
+        Pmem.pwb_f site_pwb a.cells.(2);
+        Pmem.write b.cells.(2) 53;
+        Pmem.pwb_f site_pwb b.cells.(2);
+        Pmem.pwb_f site_pwb a.cells.(2);
+        Pmem.write a.cells.(3) 54;
+        Pmem.pwb_f site_pwb a.cells.(3)
+  in
+  ignore (Sim.run ~policy:`Perf (Array.init 3 (fun t _ -> prog t)) : Sim.outcome);
+  Pmem.crash ?rng ?resolution ~scope ha;
+  let first = golden_state ha a hb b in
+  (* a persist does not clear a poison bit; the next reset does *)
+  Pmem.pwb_f site_pwb a.cells.(3);
+  Pmem.pwb_f site_pwb a.cells.(2);
+  Pmem.psync site_sync;
+  let persisted = golden_state ha a hb b in
+  Pmem.crash ~resolution:`Drop ha;
+  let next = match rng with Some r -> Random.State.bits r | None -> -1 in
+  Printf.sprintf "%s ||%s ||%s ||%s || next %d" (golden_reports ()) first
+    persisted (golden_state ha a hb b) next
+
+let test_golden_crash_resolutions () =
+  let runs =
+    List.concat_map
+      (fun (sname, scope) ->
+        List.map
+          (fun (rname, f) -> (sname ^ " " ^ rname, f scope))
+          ([
+             ("drop", fun scope -> golden_crash ~resolution:`Drop scope);
+             ("all", fun scope -> golden_crash ~resolution:`All scope);
+             ("prefix 1", fun scope -> golden_crash ~resolution:(`Prefix 1) scope);
+             ("prefix 2", fun scope -> golden_crash ~resolution:(`Prefix 2) scope);
+             ("no rng", fun scope -> golden_crash scope);
+           ]
+          @ List.init 5 (fun k ->
+                ( Printf.sprintf "rng %d" (k + 1),
+                  fun scope ->
+                    golden_crash ~rng:(Random.State.make [| k + 1 |]) scope ))))
+      [ ("machine", `Machine); ("heap", `Heap) ]
+  in
+  let got =
+    List.map (fun (name, obs) -> name ^ " " ^ Digest.to_hex (Digest.string obs)) runs
+  in
+  let expected =
+    [
+      "machine drop abb3c69f0eb3c61e3de78e1b2ec91a48";
+      "machine all 9ca96633a010a84bf08f803464d2127b";
+      "machine prefix 1 1246af2d0fb71da3b13c615c6534773f";
+      "machine prefix 2 27d36eddb99c84429d6d1ca2db3b9f95";
+      "machine no rng abb3c69f0eb3c61e3de78e1b2ec91a48";
+      "machine rng 1 5225491ff401b5fc928e2cd1db3dce27";
+      "machine rng 2 eb51e830f87691310fb24fb9a6bf304a";
+      "machine rng 3 b36e2db8d80ddf31823ae7fead5d20e9";
+      "machine rng 4 897059e8d5fb04c3870dfa497638bd8d";
+      "machine rng 5 009a2976ac2d52386d4adeb66cbbf1b4";
+      "heap drop c21adca28b21b08374612bb29cd180bf";
+      "heap all cda1b6dfbca53808a1ebc567f0235f47";
+      "heap prefix 1 e8b8e978d9759a5e1ad6dfcd4d4bb310";
+      "heap prefix 2 76a7e057ec61b4740a739c06828a58ac";
+      "heap no rng c21adca28b21b08374612bb29cd180bf";
+      "heap rng 1 79f4ad175d71f6f30ce82d7ed879f0e5";
+      "heap rng 2 156caea6b963335b184c56c422b3ba78";
+      "heap rng 3 ba919e148ec42a1e95cf67ce31649648";
+      "heap rng 4 d0641b1ada34315cc050f1d322a5ee3b";
+      "heap rng 5 b7e78bdee1210ead89e979fc63171ac3";
+    ]
+  in
+  if got <> expected then
+    Alcotest.failf "crash goldens:\n%s\nruns:\n%s" (String.concat "\n" got)
+      (String.concat "\n" (List.map (fun (n, o) -> n ^ ": " ^ o) runs))
+
+(* -- allocation bounds ---------------------------------------------------- *)
+
+(* Minor words per iteration of [body] in one fiber, after a warm-up
+   run. *)
+let words_per_iter ~iters body =
+  let run () =
+    Pmem.reset_pending ();
+    ignore
+      (Sim.run [| (fun _ -> for i = 1 to iters do body i done) |] : Sim.outcome)
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let w = (Gc.minor_words () -. before) /. float_of_int iters in
+  Pmem.reset_pending ();
+  w
+
+let test_instruction_allocation () =
+  let h = Pmem.heap ~track_for_crash:false ~name:"alloc-bound" () in
+  let c = Pmem.alloc h 0 in
+  Pstats.set_all_enabled true;
+  List.iter
+    (fun (what, body) ->
+      let w = words_per_iter ~iters:20_000 body in
+      if w >= 1.0 then
+        Alcotest.failf "%.2f minor words per %s (bound 1.0)" w what)
+    [
+      ("read", fun _ -> ignore (Sys.opaque_identity (Pmem.read c) : int));
+      ("write", fun i -> Pmem.write c i);
+      ("CAS", fun i -> ignore (Pmem.cas c (Pmem.peek c) i : bool));
+      ( "write+pwb+psync",
+        fun i ->
+          Pmem.write c i;
+          Pmem.pwb_f site_pwb c;
+          Pmem.psync site_sync );
+      ( "write+pwb past the queue bound",
+        fun i ->
+          Pmem.write c i;
+          Pmem.pwb_f site_pwb c );
+      ("pfence", fun _ -> Pmem.pfence site_fence);
+    ]
+
 let suite =
   [
     Alcotest.test_case "read-write-cas" `Quick test_read_write;
@@ -357,4 +579,8 @@ let suite =
     Alcotest.test_case "heap-scoped crash respects pfence ordering" `Quick
       test_heap_crash_preserves_fence_ordering;
     QCheck_alcotest.to_alcotest prop_random_crash_consistency;
+    Alcotest.test_case "golden: crash resolutions" `Quick
+      test_golden_crash_resolutions;
+    Alcotest.test_case "instruction allocation bounds" `Quick
+      test_instruction_allocation;
   ]

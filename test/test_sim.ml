@@ -890,6 +890,66 @@ let test_in_place_allocation () =
   if per >= 1.0 then
     Alcotest.failf "%.2f minor words per in-place dispatch (bound 1.0)" per
 
+(* Sixteen [`Perf] fibers of mixed costs: batched cheap steps, expensive
+   steps, [step_as] with a cheap charge on an expensive basis, clock-only
+   [advance]s, a [poll_while] waiter on fiber 0's counter and an
+   interrupt of fiber 9.  Nearly every switching step picks the heap's
+   root. *)
+let perf_bodies () =
+  let counter = ref 0 in
+  Array.init 16 (fun t note tid ->
+      match t with
+      | 0 ->
+          for i = 1 to 20 do
+            Sim.step 12.;
+            incr counter;
+            if i = 5 then Sim.interrupt ~tid:9 Zap
+          done;
+          note "end"
+      | 15 ->
+          Sim.poll_while ~period:40. (fun () -> !counter < 12);
+          note "woke";
+          stepper ~cost:1.5 20 note tid
+      | 9 -> stepper ~cost:30. 25 note tid
+      | _ when t mod 4 = 1 -> stepper ~cost:1.5 (30 + t) note tid
+      | _ when t mod 4 = 2 ->
+          for _ = 1 to 8 + t do
+            Sim.step_as ~switch:10. 2.
+          done;
+          note "end"
+      | _ when t mod 4 = 3 ->
+          for i = 1 to 6 do
+            Sim.advance (float_of_int (7 * t));
+            Sim.step (if i mod 2 = 0 then 45. else 3.)
+          done;
+          note "end"
+      | _ -> stepper ~cost:(float_of_int (5 * t)) (4 + t) note tid)
+
+let record_tape ?(policy = `Perf) ?(seed = 0) bodies =
+  let picks = ref [] in
+  ignore
+    (Sim.run ~policy ~seed
+       ~record:(fun t -> picks := t :: !picks)
+       (Array.map (fun b tid -> b ignore tid) bodies)
+      : Sim.outcome);
+  Array.of_list (List.rev !picks)
+
+let test_golden_perf_many () =
+  check_digest "perf, 16 mixed fibers" "b2568f537e034c8e587772568d4f73dd"
+    (sched_run ~policy:`Perf (perf_bodies ()));
+  (* A [`Perf] tape replayed under [`Perf]: every non-self pick is the
+     root. *)
+  check_digest "perf replay, root picks" "b2568f537e034c8e587772568d4f73dd"
+    (sched_run ~policy:`Perf
+       ~schedule:(record_tape (perf_bodies ()))
+       (perf_bodies ()));
+  (* A [`Random] tape replayed under [`Perf]: most picks are not the
+     root. *)
+  check_digest "perf replay, non-root picks" "c3e1902ae85c22af3073791ed598ef43"
+    (sched_run ~policy:`Perf
+       ~schedule:(record_tape ~policy:`Random ~seed:4 (perf_bodies ()))
+       (perf_bodies ()))
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all;
@@ -939,6 +999,8 @@ let suite =
     Alcotest.test_case "golden: replay with a divergence" `Quick
       test_golden_replay;
     Alcotest.test_case "golden: perf clock ties" `Quick test_golden_perf_ties;
+    Alcotest.test_case "golden: perf, sixteen fibers and replays" `Quick
+      test_golden_perf_many;
     Alcotest.test_case "bounds on in-place dispatches" `Quick
       test_bounds_on_in_place;
     Alcotest.test_case "in-place dispatch allocation bound" `Quick
