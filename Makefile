@@ -1,7 +1,7 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden clean figures
+.PHONY: check build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden output-golden clean figures
 
-check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden
+check: build test explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden output-golden
 
 build:
 	dune build
@@ -172,6 +172,66 @@ sched-golden:
 	  --crash-after 400 --trace _build/sched-golden-serve.jsonl > /dev/null
 	cd _build && md5sum sched-golden-crash.jsonl sched-golden-explore.txt \
 	  sched-golden-serve.jsonl | diff ../test/sched-golden.txt -
+
+# Output golden: the digests of the CLI's reports, saved repro files,
+# replay transcripts and postmortems must match the committed ones —
+# both shipped repros explained (text and JSON), stats, space, causal
+# and three serve reports, a Perfetto export, campaign replay/shrink,
+# and the failure path of explore, crash, stats, soak and a serve
+# sweep (stdout plus the repro it saves, then that serve repro replayed
+# and explained).  Paths are relative, so the digests do not depend on
+# where the repository is checked out.  A change that means to move an
+# output regenerates the golden with the same commands and says so.
+OG = _build/output-golden
+output-golden:
+	rm -rf $(OG) && mkdir -p $(OG)
+	dune exec bin/repro.exe -- explain repros/tracking-broken.repro > $(OG)/explain-tb.txt
+	dune exec bin/repro.exe -- explain --json repros/tracking-broken.repro > $(OG)/explain-tb.json
+	dune exec bin/repro.exe -- explain repros/memento-broken.repro > $(OG)/explain-mb.txt
+	dune exec bin/repro.exe -- explain --json repros/memento-broken.repro > $(OG)/explain-mb.json
+	dune exec bin/repro.exe -- stats -a tracking -t 4 --ops 40 --crashes 2 \
+	  --keys 64 --seed 1 > $(OG)/stats.txt
+	dune exec bin/repro.exe -- stats -a tracking -t 4 --ops 40 --crashes 2 \
+	  --keys 64 --seed 1 --json - > $(OG)/stats.json
+	dune exec bin/repro.exe -- space --check -j 1 --json - > $(OG)/space.json
+	dune exec bin/repro.exe -- causal --quick --json - > $(OG)/causal.json
+	dune exec bin/repro.exe -- serve --shards 4 --clients 4 --ops 100 \
+	  --crash-shard 2 --json - > $(OG)/serve-crash.json
+	dune exec bin/repro.exe -- serve --replicate --migrate 0 --crash-shard 1 \
+	  --crash-after 400 --json - > $(OG)/serve-failover.json
+	dune exec bin/repro.exe -- serve --shards 3 --wb prefix:1 \
+	  --backend tracking,tracking-topic,tracking-hash --skew 0.8 \
+	  --open-loop 400 --json - > $(OG)/serve-mixed.json
+	dune exec bin/repro.exe -- trace -a tracking -t 3 --ops 12 --crashes 2 \
+	  --keys 32 --seed 7 --perfetto $(OG)/trace-perfetto.json \
+	  --jsonl $(OG)/trace.jsonl > $(OG)/trace.txt
+	dune exec bin/repro.exe -- replay repros/tracking-broken.repro > $(OG)/replay-tb.txt
+	dune exec bin/repro.exe -- --replay repros/tracking-broken.repro > $(OG)/replay-opt-tb.txt
+	dune exec bin/repro.exe -- replay --shrink --out $(OG)/shrunk.repro \
+	  repros/memento-broken.repro > $(OG)/shrink.txt
+	! dune exec bin/repro.exe -- explore -a memento-broken -t 1 --ops 3 \
+	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0 \
+	  --repro $(OG)/explore.repro > $(OG)/explore.txt 2> /dev/null
+	! dune exec bin/repro.exe -- crash -a tracking-broken --seeds 20 \
+	  --repro $(OG)/crash.repro > $(OG)/crash.txt
+	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
+	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
+	  --explore --dispatch-budget 200 -j 2 --repro $(OG)/serve.repro \
+	  > $(OG)/serve-explore.txt
+	dune exec bin/repro.exe -- replay $(OG)/serve.repro > $(OG)/serve-replay.txt
+	dune exec bin/repro.exe -- explain $(OG)/serve.repro > $(OG)/explain-serve.txt
+	dune exec bin/repro.exe -- explain --json $(OG)/serve.repro > $(OG)/explain-serve.json
+	! dune exec bin/repro.exe -- stats -a tracking-broken -t 4 --ops 40 \
+	  --crashes 2 --keys 64 --seed 5 > $(OG)/stats-broken.txt
+	! dune exec bin/repro.exe -- soak -a tracking-broken --rounds 1 > $(OG)/soak.txt
+	cd $(OG) && md5sum explain-tb.txt explain-tb.json explain-mb.txt \
+	  explain-mb.json stats.txt stats.json space.json causal.json \
+	  serve-crash.json serve-failover.json serve-mixed.json trace.txt \
+	  trace-perfetto.json trace.jsonl replay-tb.txt replay-opt-tb.txt \
+	  shrink.txt shrunk.repro explore.txt explore.repro crash.txt crash.repro \
+	  serve-explore.txt serve.repro serve-replay.txt explain-serve.txt \
+	  explain-serve.json stats-broken.txt soak.txt \
+	  | diff ../../test/output-golden.txt -
 
 clean:
 	dune clean

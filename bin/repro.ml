@@ -54,38 +54,114 @@ let jobs_arg =
 
 let resolve_jobs j = if j <= 0 then Parallel.default_jobs () else j
 
-(* -- crash forensics helpers ---------------------------------------------- *)
+(* -- flags shared by several commands ------------------------------------- *)
 
-(* Postmortems are printed through the same formatter as the violation
-   message so the two can never interleave out of order. *)
-let pp_postmortem pm = Format.printf "@.%s" (Forensics.render_text pm)
+(* One definition per flag; each command passes its own default (and its
+   own doc where the flag means something else there). *)
+let int_flag names ~doc default =
+  Arg.(value & opt int default & info names ~doc)
 
-let pp_no_postmortem reason = Format.printf "@.(no postmortem: %s)@." reason
+let threads = int_flag [ "threads"; "t" ] ~doc:"Logical threads."
+let ops ?(doc = "Operations per thread.") d = int_flag [ "ops" ] ~doc d
+let keys = int_flag [ "keys" ] ~doc:"Key range size."
+let crashes ?(doc = "Max crashes injected.") d = int_flag [ "crashes" ] ~doc d
+let seed ?(doc = "Workload seed.") d = int_flag [ "seed" ] ~doc d
+let prefill = int_flag [ "prefill" ] ~doc:"Keys inserted before the run."
 
-(* [Crashes.run_campaign] failures carry a "seed N: " prefix; pull the
-   failing seed back out so the campaign can be re-run under the
-   forensic recorder. *)
-let seed_of_campaign_failure msg =
-  let n = String.length msg in
-  if n > 5 && String.sub msg 0 5 = "seed " then begin
-    let i = ref 5 and v = ref 0 and seen = ref false in
-    while !i < n && msg.[!i] >= '0' && msg.[!i] <= '9' do
-      v := (10 * !v) + (Char.code msg.[!i] - Char.code '0');
-      seen := true;
-      incr i
-    done;
-    if !seen && !i < n && msg.[!i] = ':' then Some !v else None
+let file_flag ?(docv = "FILE") name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let json doc = file_flag "json" ~doc
+let csv ?docv doc = file_flag ?docv "csv" ~doc
+
+let trace what =
+  file_flag "trace"
+    ~doc:(Printf.sprintf "Write a JSONL event trace of %s to $(docv)." what)
+
+let repro_out what =
+  file_flag "repro"
+    ~doc:(Printf.sprintf "On failure, save a replayable %s to $(docv)." what)
+
+let traced trace go =
+  match trace with Some p -> Trace.with_file p go | None -> go ()
+
+let require_recoverable ?(crashing = true) algo =
+  if crashing && algo.Set_intf.fname = "harris" then begin
+    Format.printf "harris is volatile: it cannot recover from crashes@.";
+    exit 1
   end
-  else None
 
-(* Attach a postmortem to a campaign failure by re-running the failing
-   seed under the forensic recorder (seeded runs are deterministic, so
-   the free re-run reproduces the recorded failure). *)
-let campaign_postmortem cfg ~seed =
-  match Crashes.forensic_run cfg ~seed with
-  | Error _, _, Some pm -> pp_postmortem pm
-  | Ok _, _, _ -> pp_no_postmortem "the forensic re-run passed"
-  | Error _, _, None -> pp_no_postmortem "forensic re-run produced no report"
+let campaign_cfg algo mix threads ops crashes key_range =
+  Crashes.
+    {
+      factory = algo;
+      threads;
+      ops_per_thread = ops;
+      workload =
+        { (Workload.default mix) with key_range; prefill_n = key_range / 2 };
+      max_crashes = crashes;
+    }
+
+(* -- repro files of either kind ------------------------------------------- *)
+
+(* A campaign or a serve repro; the file's magic line says which. *)
+type repro = Campaign of Repro.t | Serve of Store_repro.t
+
+let load_repro file =
+  let serve =
+    try
+      In_channel.with_open_text file In_channel.input_line
+      = Some Store_repro.magic
+    with Sys_error _ -> false
+  in
+  match
+    if serve then Result.map (fun r -> Serve r) (Store_repro.load file)
+    else Result.map (fun r -> Campaign r) (Repro.load file)
+  with
+  | Ok r -> r
+  | Error msg ->
+      Format.printf "cannot load %s: %s@." file msg;
+      exit 2
+
+let repro_file_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE"
+        ~doc:"Repro file (campaign or serve) written on a failure.")
+
+let save_repro path = function
+  | Campaign r -> Repro.save path r
+  | Serve r -> Store_repro.save path r
+
+let replay_repro = function
+  | Campaign r -> Crashes.replay r
+  | Serve r -> Store_repro.replay r
+
+let explain_repro = function
+  | Campaign r -> Crashes.explain r
+  | Serve r -> Store_repro.explain r
+
+let recorded_error = function
+  | Campaign r -> r.Repro.error
+  | Serve r -> r.Store_repro.error
+
+(* The one failure path: the violation, the repro (saved if asked for)
+   and the postmortem of explaining that repro, printed through one
+   formatter so they never interleave out of order; then exit 1. *)
+let violation ?repro_file ~msg repro =
+  Format.printf "DETECTABILITY VIOLATION — %s@." msg;
+  Option.iter
+    (fun p ->
+      save_repro p repro;
+      Format.printf "%s saved to %s@."
+        (match repro with Campaign _ -> "repro" | Serve _ -> "serve repro")
+        p)
+    repro_file;
+  (match explain_repro repro with
+  | Ok pm -> Format.printf "@.%s" (Forensics.render_text pm)
+  | Error reason -> Format.printf "@.(no postmortem: %s)@." reason);
+  exit 1
 
 (* -- figures ------------------------------------------------------------ *)
 
@@ -96,12 +172,6 @@ let figure_ids =
         ~doc:"Figure ids (3a..4f, 5r, 5u, 6r, 6u, 7r, 7u); all if none.")
 
 let figures_cmd =
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"DIR" ~doc:"Also write one CSV per figure into $(docv).")
-  in
   let run quick ids csv =
     let cfg = cfg_of_quick quick in
     (if ids = [] then Report.print_all cfg
@@ -117,7 +187,9 @@ let figures_cmd =
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's figures (§5).")
-    Term.(const run $ quick $ figure_ids $ csv)
+    Term.(
+      const run $ quick $ figure_ids
+      $ csv ~docv:"DIR" "Also write one CSV per figure into $(docv).")
 
 (* -- sweep --------------------------------------------------------------- *)
 
@@ -153,108 +225,41 @@ let crash_cmd =
   let seeds =
     Arg.(value & opt int 100 & info [ "seeds" ] ~doc:"Number of seeded runs.")
   in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 15 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 3 & info [ "crashes" ] ~doc:"Max crashes per run.")
-  in
-  let key_range =
-    Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the whole campaign to $(docv).")
-  in
-  let repro_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, save a replayable repro to $(docv).")
-  in
   let run algo mix seeds threads ops crashes key_range trace repro_file =
-    if algo.Set_intf.fname = "harris" then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
-    let cfg =
-      Crashes.
-        {
-          factory = algo;
-          threads;
-          ops_per_thread = ops;
-          workload =
-            {
-              (Workload.default mix) with
-              key_range;
-              prefill_n = key_range / 2;
-            };
-          max_crashes = crashes;
-        }
-    in
-    let campaign () =
-      Crashes.run_campaign ?repro_file cfg ~seeds:(List.init seeds Fun.id)
-    in
-    let result =
-      match trace with Some p -> Trace.with_file p campaign | None -> campaign ()
-    in
-    match result with
+    require_recoverable algo;
+    let cfg = campaign_cfg algo mix threads ops crashes key_range in
+    match
+      traced trace (fun () ->
+          Crashes.run_campaign cfg ~seeds:(List.init seeds Fun.id))
+    with
     | Ok (n, o) ->
         Format.printf
           "%s: %d runs passed — %d operations, %d recovered through crashes, \
            %d crashes injected@."
           algo.Set_intf.fname n o.Crashes.completed_ops o.Crashes.recovered_ops
           o.Crashes.crashes
-    | Error msg ->
-        Format.printf "DETECTABILITY VIOLATION — %s@." msg;
-        (match repro_file with
-        | Some p -> Format.printf "repro saved to %s@." p
-        | None -> ());
-        (match seed_of_campaign_failure msg with
-        | Some seed -> campaign_postmortem cfg ~seed
-        | None -> pp_no_postmortem "failing seed not found in the message");
-        exit 1
+    | Error r ->
+        violation ?repro_file
+          ~msg:(Printf.sprintf "seed %d: %s" r.Repro.seed r.Repro.error)
+          (Campaign r)
   in
   Cmd.v
     (Cmd.info "crash"
        ~doc:"Crash-injection campaign with detectability checking.")
     Term.(
-      const run $ algo $ mix $ seeds $ threads $ ops $ crashes $ key_range
-      $ trace $ repro_file)
+      const run $ algo $ mix $ seeds $ threads 4 $ ops 15
+      $ crashes ~doc:"Max crashes per run." 3
+      $ keys 64 $ trace "the whole campaign" $ repro_out "repro")
 
 (* -- explore -------------------------------------------------------------- *)
 
 let explore_cmd =
-  let threads =
-    Arg.(value & opt int 2 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 1 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let key_range =
-    Arg.(value & opt int 8 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let prefill =
-    Arg.(value & opt int 4 & info [ "prefill" ] ~doc:"Keys inserted before the run.")
-  in
   let preemptions =
     Arg.(
       value & opt int 2
       & info [ "preemptions" ]
           ~doc:"CHESS preemption bound: max preemptive context switches \
                 explored per execution.")
-  in
-  let crashes =
-    Arg.(
-      value & opt int 1
-      & info [ "crashes" ] ~doc:"Max crashes injected per execution.")
   in
   let wb =
     Arg.(
@@ -268,35 +273,15 @@ let explore_cmd =
       value & opt int 100_000
       & info [ "max-execs" ] ~doc:"Execution budget; 0 = run until exhausted.")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "seed" ] ~doc:"Workload seed.")
-  in
   let keep_going =
     Arg.(
       value & flag
       & info [ "keep-going" ]
           ~doc:"Keep exploring after the first failure (count them all).")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the exploration to $(docv).")
-  in
-  let repro_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, save a replayable repro to $(docv).")
-  in
   let run algo mix threads ops key_range prefill preemptions crashes wb
       max_execs seed keep_going trace repro_file jobs =
-    if algo.Set_intf.fname = "harris" then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
+    require_recoverable algo;
     let jobs = resolve_jobs jobs in
     if jobs > 1 && trace <> None then
       Format.eprintf
@@ -331,21 +316,11 @@ let explore_cmd =
       Explore.run ~stop_on_failure:(not keep_going)
         ~progress:Report.explore_progress ~jobs cfg
     in
-    let o = match trace with Some p -> Trace.with_file p go | None -> go () in
+    let o = traced trace go in
     Format.printf "%a" Report.pp_explore o.Explore.stats;
-    match o.Explore.failure with
-    | None -> ()
-    | Some r ->
-        Format.printf "DETECTABILITY VIOLATION — %s@." r.Repro.error;
-        (match repro_file with
-        | Some p ->
-            Repro.save p r;
-            Format.printf "repro saved to %s@." p
-        | None -> ());
-        (match Crashes.explain r with
-        | Ok pm -> pp_postmortem pm
-        | Error e -> pp_no_postmortem e);
-        exit 1
+    Option.iter
+      (fun r -> violation ?repro_file ~msg:r.Repro.error (Campaign r))
+      o.Explore.failure
   in
   Cmd.v
     (Cmd.info "explore"
@@ -354,62 +329,62 @@ let explore_cmd =
           preemption bound), crash point and write-back subset of a small \
           campaign, checking detectability on each execution.")
     Term.(
-      const run $ algo $ mix $ threads $ ops $ key_range $ prefill
-      $ preemptions $ crashes $ wb $ max_execs $ seed $ keep_going $ trace
-      $ repro_file $ jobs_arg)
+      const run $ algo $ mix $ threads 2 $ ops 1 $ keys 8 $ prefill 4
+      $ preemptions
+      $ crashes ~doc:"Max crashes injected per execution." 1
+      $ wb $ max_execs $ seed 0 $ keep_going $ trace "the exploration"
+      $ repro_out "repro" $ jobs_arg)
 
 (* -- replay --------------------------------------------------------------- *)
 
 let replay_run file do_shrink any_error out trace =
-  match Repro.load file with
-  | Error msg ->
-      Format.printf "cannot load %s: %s@." file msg;
+  let r = load_repro file in
+  (match r with
+  | Serve _ when do_shrink || any_error ->
+      Format.printf
+        "cannot shrink %s: --shrink and --any-error take a campaign repro@."
+        file;
       exit 2
-  | Ok r ->
-      Format.printf "%a@." Repro.pp r;
-      let r =
-        if not do_shrink then r
-        else begin
-          let r' = Crashes.shrink ~match_error:(not any_error) r in
-          Format.printf "shrunk to: threads=%d ops/thread=%d rounds=%d@."
-            r'.Repro.threads r'.Repro.ops_per_thread
-            (List.length r'.Repro.rounds);
-          r'
-        end
-      in
-      (match out with
-      | Some p ->
-          Repro.save p r;
-          Format.printf "wrote %s@." p
-      | None -> ());
-      let go () = Crashes.replay r in
-      let result =
-        match trace with Some p -> Trace.with_file p go | None -> go ()
-      in
-      (match result with
-      | Error msg when String.equal msg r.Repro.error ->
-          Format.printf "reproduced: %s@." msg
-      | Error msg ->
-          Format.printf "reproduced a DIFFERENT failure: %s@." msg;
-          Format.printf "(recorded: %s)@." r.Repro.error;
-          exit 1
-      | Ok () ->
-          Format.printf "did NOT reproduce — the replay passed@.";
-          exit 1)
+  | _ -> ());
+  (* transcripts are pinned byte for byte (make output-golden): the
+     campaign one follows the file with a blank line, the serve one not *)
+  (match r with
+  | Campaign c -> Format.printf "%a@." Repro.pp c
+  | Serve s -> Format.printf "%a" Store_repro.pp s);
+  let r =
+    match r with
+    | Campaign c when do_shrink ->
+        let c = Crashes.shrink ~match_error:(not any_error) c in
+        Format.printf "shrunk to: threads=%d ops/thread=%d rounds=%d@."
+          c.Repro.threads c.Repro.ops_per_thread
+          (List.length c.Repro.rounds);
+        Campaign c
+    | r -> r
+  in
+  Option.iter
+    (fun p ->
+      save_repro p r;
+      Format.printf "wrote %s@." p)
+    out;
+  let recorded = recorded_error r in
+  match traced trace (fun () -> replay_repro r) with
+  | Error msg when String.equal msg recorded ->
+      Format.printf "reproduced: %s@." msg
+  | Error msg ->
+      Format.printf "reproduced a DIFFERENT failure: %s@." msg;
+      Format.printf "(recorded: %s)@." recorded;
+      exit 1
+  | Ok () ->
+      Format.printf "did NOT reproduce — the replay passed@.";
+      exit 1
 
 let replay_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"Repro file written by the crash command.")
-  in
   let shrinkf =
     Arg.(
       value & flag
       & info [ "shrink" ]
-          ~doc:"Greedily minimize the repro (fewer threads, fewer ops, \
-                earlier crash) before replaying.")
+          ~doc:"Greedily minimize a campaign repro (fewer threads, fewer \
+                ops, earlier crash) before replaying.")
   in
   let any_error =
     Arg.(
@@ -426,68 +401,27 @@ let replay_cmd =
       & info [ "out"; "o" ] ~docv:"FILE"
           ~doc:"Write the (possibly shrunk) repro back out to $(docv).")
   in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the replay to $(docv).")
-  in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
          "Deterministically replay (and optionally shrink) a saved \
-          failing-campaign repro.")
-    Term.(const replay_run $ file $ shrinkf $ any_error $ out $ trace)
+          failing-campaign or failing-serve repro.")
+    Term.(
+      const replay_run $ repro_file_arg $ shrinkf $ any_error $ out
+      $ trace "the replay")
 
 (* -- explain (crash forensics) -------------------------------------------- *)
 
 let explain_run file json _jobs =
-  let first_line =
-    match In_channel.with_open_text file In_channel.input_line with
-    | Some l -> l
-    | None -> ""
-    | exception Sys_error msg ->
-        Format.printf "cannot read %s: %s@." file msg;
-        exit 2
-  in
-  let result =
-    (* campaign and serve repros share the CLI entry point; the magic
-       line says which replayer owns the file *)
-    if String.equal first_line Store_repro.magic then
-      match Store_repro.load file with
-      | Error msg -> `Load msg
-      | Ok r -> (
-          match Store_repro.explain r with
-          | Ok pm -> `Postmortem pm
-          | Error msg -> `Explain msg)
-    else
-      match Repro.load file with
-      | Error msg -> `Load msg
-      | Ok r -> (
-          match Crashes.explain r with
-          | Ok pm -> `Postmortem pm
-          | Error msg -> `Explain msg)
-  in
-  match result with
-  | `Load msg ->
-      Format.printf "cannot load %s: %s@." file msg;
-      exit 2
-  | `Explain msg ->
+  match explain_repro (load_repro file) with
+  | Error msg ->
       Format.printf "cannot explain %s: %s@." file msg;
       exit 1
-  | `Postmortem pm ->
+  | Ok pm ->
       if json then print_endline (Forensics.render_json pm)
       else print_string (Forensics.render_text pm)
 
 let explain_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE"
-          ~doc:"Repro file (campaign or serve) written on a failure.")
-  in
   let json =
     Arg.(
       value & flag
@@ -506,7 +440,7 @@ let explain_cmd =
           sites), and the lineage of the operations touching the failure.  \
           Output is deterministic: byte-identical across replays and -j \
           settings.")
-    Term.(const explain_run $ file $ json $ jobs_arg)
+    Term.(const explain_run $ repro_file_arg $ json $ jobs_arg)
 
 (* -- soak ----------------------------------------------------------------- *)
 
@@ -516,25 +450,9 @@ let soak_cmd =
       value & opt int 0
       & info [ "rounds" ] ~doc:"Campaign rounds; 0 = run until interrupted.")
   in
-  let threads =
-    Arg.(value & opt int 6 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
   let run algo mix rounds threads =
-    if algo.Set_intf.fname = "harris" then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
-    let cfg =
-      Crashes.
-        {
-          factory = algo;
-          threads;
-          ops_per_thread = 20;
-          workload =
-            { (Workload.default mix) with key_range = 64; prefill_n = 32 };
-          max_crashes = 4;
-        }
-    in
+    require_recoverable algo;
+    let cfg = campaign_cfg algo mix threads 20 4 64 in
     let round = ref 0 in
     let continue () = rounds = 0 || !round < rounds in
     while continue () do
@@ -546,71 +464,36 @@ let soak_cmd =
             "round %d: %d runs ok — %d ops, %d recovered, %d crashes@."
             !round n o.Crashes.completed_ops o.Crashes.recovered_ops
             o.Crashes.crashes
-      | Error msg ->
-          Format.printf "round %d: DETECTABILITY VIOLATION — %s@." !round msg;
-          (match seed_of_campaign_failure msg with
-          | Some seed -> campaign_postmortem cfg ~seed
-          | None -> pp_no_postmortem "failing seed not found in the message");
-          exit 1
+      | Error r ->
+          Format.printf "round %d: " !round;
+          violation
+            ~msg:(Printf.sprintf "seed %d: %s" r.Repro.seed r.Repro.error)
+            (Campaign r)
     done
   in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
          "Run crash-injection campaigns indefinitely (or for --rounds),           50 fresh seeds per round.")
-    Term.(const run $ algo $ mix $ rounds $ threads)
+    Term.(const run $ algo $ mix $ rounds $ threads 6)
 
 (* -- stats ---------------------------------------------------------------- *)
 
-let campaign_cfg algo mix threads ops crashes key_range =
-  Crashes.
-    {
-      factory = algo;
-      threads;
-      ops_per_thread = ops;
-      workload =
-        { (Workload.default mix) with key_range; prefill_n = key_range / 2 };
-      max_crashes = crashes;
-    }
-
 let stats_cmd =
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 50 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 2 & info [ "crashes" ] ~doc:"Max crashes injected.")
-  in
-  let key_range =
-    Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let top =
     Arg.(
       value & opt int 10
       & info [ "top" ] ~doc:"Contended cache lines to report.")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (\"-\" = stdout).")
-  in
   let run algo mix threads ops crashes key_range seed top json =
-    if algo.Set_intf.fname = "harris" && crashes > 0 then begin
-      Format.printf "harris is volatile: it cannot recover from crashes@.";
-      exit 1
-    end;
+    require_recoverable ~crashing:(crashes > 0) algo;
     let cfg = campaign_cfg algo mix threads ops crashes key_range in
     Metrics.enable ();
     let result =
       Fun.protect
         ~finally:(fun () -> Metrics.disable ())
         (fun () ->
-          let r = Crashes.run_once cfg ~seed in
+          let r = Crashes.run_campaign cfg ~seeds:[ seed ] in
           (* --json - owns stdout: the human report would corrupt the
              stream for anything piping the output into a JSON parser. *)
           if json <> Some "-" then begin
@@ -631,10 +514,9 @@ let stats_cmd =
     in
     match result with
     | Ok _ -> ()
-    | Error msg ->
-        Format.printf "@.DETECTABILITY VIOLATION — %s@." msg;
-        campaign_postmortem cfg ~seed;
-        exit 1
+    | Error r ->
+        Format.printf "@.";
+        violation ~msg:r.Repro.error (Campaign r)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -643,8 +525,9 @@ let stats_cmd =
           report: latency histograms per op kind, the most contended cache \
           lines, recovery durations.  Nothing is written to disk.")
     Term.(
-      const run $ algo $ mix $ threads $ ops $ crashes $ key_range $ seed
-      $ top $ json)
+      const run $ algo $ mix $ threads 4 $ ops 50 $ crashes 2 $ keys 64
+      $ seed 1 $ top
+      $ json "Also write the report as JSON to $(docv) (\"-\" = stdout).")
 
 (* -- space ---------------------------------------------------------------- *)
 
@@ -657,40 +540,10 @@ let space_cmd =
             "Implementations to account (default: tracking, tracking-hash, \
              capsules-opt, memento-list, memento-comb).")
   in
-  let threads =
-    Arg.(value & opt int 4 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 120 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 3 & info [ "crashes" ] ~doc:"Max crashes injected.")
-  in
-  let key_range =
-    Arg.(value & opt int 64 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let prefill =
-    Arg.(value & opt int 16 & info [ "prefill" ] ~doc:"Keys inserted before the run.")
-  in
   let find_pct =
     Arg.(
       value & opt int 20
       & info [ "find-pct" ] ~docv:"P" ~doc:"Percentage of find operations.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Also write the report as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Also write the summary table as CSV to $(docv) (\"-\" = stdout).")
   in
   let strict =
     Arg.(
@@ -760,21 +613,15 @@ let space_cmd =
           virtual time, and the detectable-object space lower bound \
           (arXiv 2002.11378).")
     Term.(
-      const run $ variants $ threads $ ops $ find_pct $ crashes $ key_range
-      $ prefill $ seed $ jobs_arg $ json $ csv $ strict)
+      const run $ variants $ threads 4 $ ops 120 $ find_pct $ crashes 3
+      $ keys 64 $ prefill 16 $ seed 1 $ jobs_arg
+      $ json "Also write the report as JSON to $(docv) (\"-\" = stdout)."
+      $ csv "Also write the summary table as CSV to $(docv) (\"-\" = stdout)."
+      $ strict)
 
 (* -- causal --------------------------------------------------------------- *)
 
 let causal_cmd =
-  let threads =
-    Arg.(value & opt int 16 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(
-      value & opt int 250
-      & info [ "ops" ] ~doc:"Operations per thread (fixed work, not time).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let factors =
     Arg.(
       value
@@ -798,20 +645,6 @@ let causal_cmd =
           ~doc:
             "Cost-table knobs to sweep (default: the persistence and \
              contention set; \"none\" = skip mechanism rows).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the profile as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:"Write the attribution table as CSV to $(docv).")
   in
   let check =
     Arg.(
@@ -913,25 +746,16 @@ let causal_cmd =
           knob virtually scaled, and rank targets by throughput \
           sensitivity.")
     Term.(
-      const run $ algo $ mix $ quick $ threads $ ops $ seed $ factors
-      $ no_sites $ no_categories $ mechanisms $ json $ csv $ check $ jobs_arg)
+      const run $ algo $ mix $ quick $ threads 16
+      $ ops ~doc:"Operations per thread (fixed work, not time)." 250
+      $ seed 1 $ factors $ no_sites $ no_categories $ mechanisms
+      $ json "Write the profile as JSON to $(docv) (\"-\" = stdout)."
+      $ csv "Write the attribution table as CSV to $(docv)."
+      $ check $ jobs_arg)
 
 (* -- trace (Perfetto export) ---------------------------------------------- *)
 
 let trace_cmd =
-  let threads =
-    Arg.(value & opt int 3 & info [ "threads"; "t" ] ~doc:"Logical threads.")
-  in
-  let ops =
-    Arg.(value & opt int 10 & info [ "ops" ] ~doc:"Operations per thread.")
-  in
-  let crashes =
-    Arg.(value & opt int 2 & info [ "crashes" ] ~doc:"Max crashes injected.")
-  in
-  let key_range =
-    Arg.(value & opt int 32 & info [ "keys" ] ~doc:"Key range size.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Workload seed.") in
   let from =
     Arg.(
       value
@@ -1024,47 +848,19 @@ let trace_cmd =
           one track per logical thread, operation spans, persistence \
           instants, crash/round markers.")
     Term.(
-      const run $ algo $ mix $ threads $ ops $ crashes $ key_range $ seed
-      $ from $ jsonl $ perfetto $ validate)
+      const run $ algo $ mix $ threads 3 $ ops 10 $ crashes 2 $ keys 32
+      $ seed 1 $ from $ jsonl $ perfetto $ validate)
 
 (* -- serve (sharded store service) ----------------------------------------- *)
 
 let wb_conv =
-  let parse = function
-    | "rng" -> Ok `Rng
-    | "drop" -> Ok `Drop
-    | "all" -> Ok `All
-    | s -> (
-        match String.index_opt s ':' with
-        | Some i when String.sub s 0 i = "prefix" -> (
-            match
-              int_of_string_opt
-                (String.sub s (i + 1) (String.length s - i - 1))
-            with
-            | Some k when k >= 1 -> Ok (`Prefix k)
-            | _ -> Error (`Msg "expected rng | drop | all | prefix:<k>"))
-        | _ -> Error (`Msg "expected rng | drop | all | prefix:<k>"))
+  let parse s =
+    Result.map_error
+      (fun _ -> `Msg "expected rng | drop | all | prefix:<k>")
+      (Repro.wb_of_string s)
   in
-  let print ppf wb = Format.pp_print_string ppf (Store.wb_label wb) in
+  let print ppf wb = Format.pp_print_string ppf (Repro.wb_to_string wb) in
   Arg.conv (parse, print)
-
-let serve_replay file =
-  match Store_repro.load file with
-  | Error msg ->
-      Format.printf "cannot load %s: %s@." file msg;
-      exit 2
-  | Ok r -> (
-      Format.printf "%a" Store_repro.pp r;
-      match Store_repro.replay r with
-      | Error msg when String.equal msg r.Store_repro.error ->
-          Format.printf "reproduced: %s@." msg
-      | Error msg ->
-          Format.printf "reproduced a DIFFERENT failure: %s@." msg;
-          Format.printf "(recorded: %s)@." r.Store_repro.error;
-          exit 1
-      | Ok () ->
-          Format.printf "did NOT reproduce — the replay passed@.";
-          exit 1)
 
 let serve_cmd =
   let shards =
@@ -1073,17 +869,11 @@ let serve_cmd =
   let clients =
     Arg.(value & opt int 4 & info [ "clients" ] ~doc:"Client fibers.")
   in
-  let ops =
-    Arg.(value & opt int 200 & info [ "ops" ] ~doc:"Requests per client.")
-  in
   let batch =
     Arg.(
       value & opt int 1
       & info [ "batch" ]
           ~doc:"Max requests a server drains per mailbox activation.")
-  in
-  let key_range =
-    Arg.(value & opt int 128 & info [ "keys" ] ~doc:"Key range size.")
   in
   let skew =
     Arg.(
@@ -1229,23 +1019,6 @@ let serve_cmd =
       & info [ "restart-ns" ]
           ~doc:"Virtual restart latency charged before shard recovery.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the SLO report as JSON to $(docv) (\"-\" = stdout).")
-  in
-  let csv =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "csv" ] ~docv:"FILE"
-          ~doc:
-            "Write the per-shard windowed time-series (throughput and mean \
-             latency per virtual-time window) as CSV to $(docv).")
-  in
   let check =
     Arg.(
       value & flag
@@ -1254,27 +1027,6 @@ let serve_cmd =
             "Smoke assertion: exit nonzero unless zero requests were lost \
              and (with a crash planned) survivors kept completing requests \
              inside the recovery window.")
-  in
-  let repro_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "repro" ] ~docv:"FILE"
-          ~doc:"On failure, save a replayable serve repro to $(docv).")
-  in
-  let replay =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "replay" ] ~docv:"FILE"
-          ~doc:"Replay a saved serve repro instead of running.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Write a JSONL event trace of the serve to $(docv).")
   in
   let explore =
     Arg.(
@@ -1294,197 +1046,165 @@ let serve_cmd =
   let run algo mix shards clients ops batch key_range skew open_loop
       crash_shard crash_after crash_both crash_cascade crash_dispatch wb wb2
       backend replicate failover_ns migrate migrate_after broken_handoff
-      check_balance restart_ns seed json csv check repro_file replay trace
-      explore dispatch_budget jobs =
-    match replay with
-    | Some f -> serve_replay f
-    | None -> (
-        if
-          algo.Set_intf.fname = "harris"
-          && (crash_shard <> None || crash_both <> None
-             || crash_cascade <> None || explore || migrate <> None
-             || replicate)
-        then begin
-          Format.printf "harris is volatile: it cannot recover from crashes@.";
-          exit 1
-        end;
-        let backends =
-          match backend with
-          | None -> None
-          | Some csv ->
-              let names = String.split_on_char ',' csv in
-              let resolve name =
-                match Set_intf.by_name (String.trim name) with
-                | Ok f -> f
-                | Error msg ->
-                    Format.printf "bad --backend: %s@." msg;
-                    exit 2
-              in
-              Some (Array.of_list (List.map resolve names))
-        in
-        let dist =
-          match skew with
-          | None -> Workload.Uniform
-          | Some s -> (
-              try Workload.skewed s
-              with Invalid_argument msg ->
-                Format.printf "bad --skew: %s@." msg;
-                exit 2)
-        in
-        let total = clients * ops in
-        let crash =
-          match (crash_shard, crash_both, crash_cascade) with
-          | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-              Format.printf
-                "--crash-shard, --crash-both and --crash-cascade are \
-                 mutually exclusive@.";
-              exit 2
-          | Some victim, None, None ->
-              let requests =
-                match crash_after with Some n -> n | None -> max 1 (total / 3)
-              in
-              Some (Store.After_requests { victim; requests })
-          | None, Some (a, b), None ->
-              Some (Store.Both_at_dispatch { a; b; dispatch = crash_dispatch })
-          | None, None, Some (first, second) ->
-              Some (Store.Cascade { first; second; dispatch = crash_dispatch })
-          | None, None, None -> None
-        in
-        let migrate =
-          match migrate with
-          | None ->
-              if broken_handoff then begin
-                Format.printf "--broken-handoff needs --migrate@.";
+      check_balance restart_ns seed json csv check repro_file trace explore
+      dispatch_budget jobs =
+    require_recoverable
+      ~crashing:
+        (crash_shard <> None || crash_both <> None || crash_cascade <> None
+        || explore || migrate <> None || replicate)
+      algo;
+    let backends =
+      match backend with
+      | None -> None
+      | Some csv ->
+          let names = String.split_on_char ',' csv in
+          let resolve name =
+            match Set_intf.by_name (String.trim name) with
+            | Ok f -> f
+            | Error msg ->
+                Format.printf "bad --backend: %s@." msg;
                 exit 2
-              end;
-              None
-          | Some msrc ->
-              let m_after =
-                match migrate_after with
-                | Some n -> n
-                | None -> max 1 (total / 4)
-              in
-              Some { Store.msrc; m_after; m_broken = broken_handoff }
-        in
-        let cfg =
+          in
+          Some (Array.of_list (List.map resolve names))
+    in
+    let dist =
+      match skew with
+      | None -> Workload.Uniform
+      | Some s -> (
+          try Workload.skewed s
+          with Invalid_argument msg ->
+            Format.printf "bad --skew: %s@." msg;
+            exit 2)
+    in
+    let total = clients * ops in
+    let crash =
+      match (crash_shard, crash_both, crash_cascade) with
+      | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
+          Format.printf
+            "--crash-shard, --crash-both and --crash-cascade are \
+             mutually exclusive@.";
+          exit 2
+      | Some victim, None, None ->
+          let requests =
+            match crash_after with Some n -> n | None -> max 1 (total / 3)
+          in
+          Some (Store.After_requests { victim; requests })
+      | None, Some (a, b), None ->
+          Some (Store.Both_at_dispatch { a; b; dispatch = crash_dispatch })
+      | None, None, Some (first, second) ->
+          Some (Store.Cascade { first; second; dispatch = crash_dispatch })
+      | None, None, None -> None
+    in
+    let migrate =
+      match migrate with
+      | None ->
+          if broken_handoff then begin
+            Format.printf "--broken-handoff needs --migrate@.";
+            exit 2
+          end;
+          None
+      | Some msrc ->
+          let m_after =
+            match migrate_after with
+            | Some n -> n
+            | None -> max 1 (total / 4)
+          in
+          Some { Store.msrc; m_after; m_broken = broken_handoff }
+    in
+    let cfg =
+      {
+        Store.factory = algo;
+        backends;
+        shards;
+        clients;
+        ops_per_client = ops;
+        batch;
+        workload =
           {
-            Store.factory = algo;
-            backends;
-            shards;
-            clients;
-            ops_per_client = ops;
-            batch;
-            workload =
-              {
-                Workload.mix;
-                key_range;
-                prefill_n = key_range / 2;
-                dist;
-              };
-            open_loop_ns = open_loop;
-            crash;
-            wb;
-            wb2;
-            restart_ns;
-            failover_ns;
-            replicate;
-            migrate;
-            seed;
-          }
-        in
-        if explore then begin
-          let go () =
-            Store.explore ~dispatch_budget ~jobs:(resolve_jobs jobs) cfg
-          in
-          match (match trace with
-                 | Some p -> Trace.with_file p go
-                 | None -> go ())
-          with
-          | Error msg ->
-              Format.printf "explore failed: %s@." msg;
-              exit 2
-          | Ok st ->
+            Workload.mix;
+            key_range;
+            prefill_n = key_range / 2;
+            dist;
+          };
+        open_loop_ns = open_loop;
+        crash;
+        wb;
+        wb2;
+        restart_ns;
+        failover_ns;
+        replicate;
+        migrate;
+        seed;
+      }
+    in
+    if explore then begin
+      match
+        traced trace (fun () ->
+            Store.explore ~dispatch_budget ~jobs:(resolve_jobs jobs) cfg)
+      with
+      | Error msg ->
+          Format.printf "explore failed: %s@." msg;
+          exit 2
+      | Ok st ->
+          Format.printf
+            "store explore: %d executions, %d crashes fired, %d failures@."
+            st.Store.ex_executions st.Store.ex_fired st.Store.ex_failures;
+          Array.iter
+            (fun (label, d) ->
               Format.printf
-                "store explore: %d executions, %d crashes fired, %d failures@."
-                st.Store.ex_executions st.Store.ex_fired st.Store.ex_failures;
-              Array.iter
-                (fun (label, d) ->
-                  Format.printf
-                    "  %s: crash points explored through dispatch %d@." label
-                    d)
-                st.Store.ex_max_dispatch;
-              match st.Store.ex_first_failure with
-              | None -> ()
-              | Some msg ->
-                  Format.printf "DETECTABILITY VIOLATION — %s@." msg;
-                  (match st.Store.ex_first_cex with
-                  | Some (cex, sched, bare) ->
-                      let sr =
-                        Store_repro.of_config cex ~error:bare ~schedule:sched
-                      in
-                      (match repro_file with
-                      | Some p ->
-                          Store_repro.save p sr;
-                          Format.printf "serve repro saved to %s@." p
-                      | None -> ());
-                      (match Store_repro.explain sr with
-                      | Ok pm -> pp_postmortem pm
-                      | Error e -> pp_no_postmortem e)
-                  | None ->
-                      pp_no_postmortem "no counterexample was recorded");
-                  exit 1
-        end
-        else begin
-          let sched = ref [] in
-          let record c = sched := c :: !sched in
-          let go () = Store.run ~record cfg in
-          let result =
-            match trace with Some p -> Trace.with_file p go | None -> go ()
-          in
-          match result with
-          | Error msg ->
-              Format.printf "DETECTABILITY VIOLATION — %s@." msg;
-              let sr =
-                Store_repro.of_config cfg ~error:msg
-                  ~schedule:(Array.of_list (List.rev !sched))
-              in
-              (match repro_file with
-              | Some p ->
-                  Store_repro.save p sr;
-                  Format.printf "serve repro saved to %s@." p
-              | None -> ());
-              (match Store_repro.explain sr with
-              | Ok pm -> pp_postmortem pm
-              | Error e -> pp_no_postmortem e);
-              exit 1
-          | Ok report ->
-              (* --json - owns stdout for pipelines *)
-              if json <> Some "-" then Format.printf "%a" Slo.pp report;
-              (match csv with
-              | Some p ->
-                  Out_channel.with_open_text p (fun oc ->
-                      Out_channel.output_string oc (Slo.windows_csv report));
-                  if json <> Some "-" then Format.printf "wrote %s@." p
-              | None -> ());
-              (match json with
-              | Some "-" -> print_endline (Slo.to_json report)
-              | Some p ->
-                  Out_channel.with_open_text p (fun oc ->
-                      Out_channel.output_string oc (Slo.to_json report);
-                      Out_channel.output_char oc '\n');
-                  Format.printf "wrote %s@." p
-              | None -> ());
-              if check || check_balance <> None then begin
-                match
-                  Slo.check ?balance_max:check_balance
-                    ~crash_expected:(crash <> None) report
-                with
-                | Ok () -> Format.printf "check OK@."
-                | Error msg ->
-                    Format.printf "CHECK FAILED: %s@." msg;
-                    exit 1
-              end
-        end)
+                "  %s: crash points explored through dispatch %d@." label
+                d)
+            st.Store.ex_max_dispatch;
+          (* the counterexample is recorded with the first failure; its
+             error is the bare one a replay observes, not the display
+             string naming the crash point *)
+          Option.iter
+            (fun msg ->
+              let config, schedule, error = Option.get st.Store.ex_first_cex in
+              violation ?repro_file ~msg
+                (Serve { Store_repro.config; error; schedule }))
+            st.Store.ex_first_failure
+    end
+    else begin
+      let sched = ref [] in
+      let record c = sched := c :: !sched in
+      match traced trace (fun () -> Store.run ~record cfg) with
+      | Error msg ->
+          violation ?repro_file ~msg
+            (Serve
+               {
+                 Store_repro.config = cfg;
+                 error = msg;
+                 schedule = Array.of_list (List.rev !sched);
+               })
+      | Ok report ->
+          (* --json - owns stdout for pipelines *)
+          if json <> Some "-" then Format.printf "%a" Slo.pp report;
+          (match csv with
+          | Some p ->
+              Out_channel.with_open_text p (fun oc ->
+                  Out_channel.output_string oc (Slo.windows_csv report));
+              if json <> Some "-" then Format.printf "wrote %s@." p
+          | None -> ());
+          (match json with
+          | Some "-" -> print_endline (Slo.to_json report)
+          | Some p ->
+              Out_channel.with_open_text p (fun oc ->
+                  Out_channel.output_string oc (Slo.to_json report);
+                  Out_channel.output_char oc '\n');
+              Format.printf "wrote %s@." p
+          | None -> ());
+          if check || check_balance <> None then begin
+            match
+              Slo.check ?balance_max:check_balance
+                ~crash_expected:(crash <> None) report
+            with
+            | Ok () -> Format.printf "check OK@."
+            | Error msg ->
+                Format.printf "CHECK FAILED: %s@." msg;
+                exit 1
+          end
+    end
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1495,12 +1215,19 @@ let serve_cmd =
           it while the survivors keep serving; reports throughput, latency \
           quantiles, per-shard recovery durations and the degraded window.")
     Term.(
-      const run $ algo $ mix $ shards $ clients $ ops $ batch $ key_range
-      $ skew $ open_loop $ crash_shard $ crash_after $ crash_both
-      $ crash_cascade $ crash_dispatch $ wb $ wb2 $ backend $ replicate
-      $ failover_ns $ migrate $ migrate_after $ broken_handoff
-      $ check_balance $ restart_ns $ seed $ json $ csv $ check $ repro_file
-      $ replay $ trace $ explore $ dispatch_budget $ jobs_arg)
+      const run $ algo $ mix $ shards $ clients
+      $ ops ~doc:"Requests per client." 200
+      $ batch $ keys 128 $ skew $ open_loop $ crash_shard $ crash_after
+      $ crash_both $ crash_cascade $ crash_dispatch $ wb $ wb2 $ backend
+      $ replicate $ failover_ns $ migrate $ migrate_after $ broken_handoff
+      $ check_balance $ restart_ns
+      $ seed ~doc:"Run seed." 1
+      $ json "Write the SLO report as JSON to $(docv) (\"-\" = stdout)."
+      $ csv
+          "Write the per-shard windowed time-series (throughput and mean \
+           latency per virtual-time window) as CSV to $(docv)."
+      $ check $ repro_out "serve repro" $ trace "the serve" $ explore
+      $ dispatch_budget $ jobs_arg)
 
 (* -- classify ------------------------------------------------------------- *)
 

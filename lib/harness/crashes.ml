@@ -286,27 +286,30 @@ let run_once ?script ?repro_file ?observe cfg ~seed =
   | _ -> ());
   result
 
-let replay (r : Repro.t) =
+(* Replay a repro with its recorded crash points, schedules and
+   write-back resolutions forced.  Any divergence means the run was NOT
+   the recorded execution: even a "reproduced" failure message could
+   belong to a different interleaving, so it outranks the result. *)
+let replayed (r : Repro.t) : Repro.replayed =
   match config_of r with
-  | Error _ as e -> e
+  | Error msg -> Diverged msg (* no factory has the recorded name *)
   | Ok cfg -> (
       let first_div = ref None in
       let on_divergence ~round ~step ~want =
         if !first_div = None then first_div := Some (round, step, want)
       in
       let result, _ = run_logged ~script:r.rounds ~on_divergence cfg ~seed:r.seed in
-      (* Any divergence means the run was NOT the recorded execution:
-         fail loudly — even a "reproduced" failure message could belong
-         to a different interleaving. *)
       match (!first_div, result) with
       | Some (round, step, want), _ ->
-          Error
+          Diverged
             (Printf.sprintf
                "schedule divergence at round %d step %d (recorded tid %d not \
                 ready): the replay executed a different interleaving"
                round step want)
-      | None, Ok _ -> Ok ()
-      | None, (Error _ as e) -> e)
+      | None, Ok _ -> Passed
+      | None, Error e -> Failed e)
+
+let replay r = Repro.replay_result (replayed r)
 
 (* ---- crash forensics --------------------------------------------------- *)
 
@@ -327,39 +330,9 @@ let forensic_run ?script ?on_divergence cfg ~seed =
       in
       (result, rounds, pm))
 
-(* Replay a repro under the recorder and return its postmortem.  Like
-   {!replay}, a schedule divergence or a different failure is an error:
-   a postmortem must describe the recorded execution, not a neighbor. *)
 let explain (r : Repro.t) =
-  match config_of r with
-  | Error msg -> Error msg
-  | Ok cfg -> (
-      let first_div = ref None in
-      let on_divergence ~round ~step ~want =
-        if !first_div = None then first_div := Some (round, step, want)
-      in
-      let result, _, pm =
-        forensic_run ~script:r.rounds ~on_divergence cfg ~seed:r.seed
-      in
-      match (!first_div, result, pm) with
-      | Some (round, step, want), _, _ ->
-          Error
-            (Printf.sprintf
-               "schedule divergence at round %d step %d (recorded tid %d not \
-                ready): the replay executed a different interleaving"
-               round step want)
-      | None, Ok _, _ ->
-          Error "the repro did not fail on replay — nothing to explain"
-      | None, Error e, Some pm ->
-          if String.equal e r.Repro.error then Ok pm
-          else
-            Error
-              (Printf.sprintf
-                 "replay failed differently: recorded %S, replay produced %S"
-                 r.Repro.error e)
-      | None, Error e, None ->
-          (* forensic_run always builds a postmortem for an Error result *)
-          Error ("postmortem construction failed for: " ^ e))
+  Forensics.explain ~algo:r.algo ~seed:r.seed ~error:r.error (fun () ->
+      replayed r)
 
 (* ---- greedy shrinking -------------------------------------------------- *)
 
@@ -477,13 +450,13 @@ let shrink ?(budget = 500) ?(match_error = true) (r : Repro.t) =
   done;
   !cur
 
-let run_campaign ?repro_file cfg ~seeds =
+let run_campaign cfg ~seeds =
   let rec go acc n = function
     | [] -> Ok (n, acc)
     | seed :: rest -> (
-        match run_once ?repro_file cfg ~seed with
-        | Error msg -> Error (Printf.sprintf "seed %d: %s" seed msg)
-        | Ok o ->
+        match run_logged cfg ~seed with
+        | Error error, rounds -> Error (repro_of cfg ~seed ~error ~rounds)
+        | Ok o, _ ->
             go
               {
                 completed_ops = acc.completed_ops + o.completed_ops;

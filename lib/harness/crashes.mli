@@ -79,13 +79,10 @@ val run_logged :
     script/rng. *)
 
 val run_campaign :
-  ?repro_file:string ->
-  config ->
-  seeds:int list ->
-  (int * outcome, string) result
-(** All seeds; returns the run count and accumulated outcome, or the
-    seed's error message prefixed with the seed.  [repro_file] is passed
-    through to {!run_once}. *)
+  config -> seeds:int list -> (int * outcome, Repro.t) result
+(** All seeds; returns the run count and accumulated outcome, or — at
+    the first failing seed — that run's repro, ready to save, replay or
+    explain. *)
 
 val repro_of :
   config -> seed:int -> error:string -> rounds:Repro.round list -> Repro.t

@@ -665,31 +665,16 @@ let render_text pm =
     pm.pm_ops;
   Buffer.contents b
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json pm =
   let b = Buffer.create 4096 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let strs ss =
-    "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") ss)
+    "["
+    ^ String.concat "," (List.map (fun s -> "\"" ^ Json.escape s ^ "\"") ss)
     ^ "]"
   in
-  p "{\"algo\":\"%s\",\"seed\":%d,\"error\":\"%s\"," (json_escape pm.pm_algo)
-    pm.pm_seed (json_escape pm.pm_error);
+  p "{\"algo\":\"%s\",\"seed\":%d,\"error\":\"%s\"," (Json.escape pm.pm_algo)
+    pm.pm_seed (Json.escape pm.pm_error);
   p "\"rounds\":%d,\"crashes\":%d,\"ops_recorded\":%d," pm.pm_rounds
     pm.pm_crash_count pm.pm_ops_total;
   p "\"disabled_sites\":%s," (strs pm.pm_disabled_sites);
@@ -698,23 +683,23 @@ let render_json pm =
     (fun i c ->
       if i > 0 then p ",";
       p "{\"index\":%d,\"round\":%d,\"heap\":\"%s\",\"scope\":\"%s\","
-        c.c_index c.c_round (json_escape c.c_heap) c.c_scope;
+        c.c_index c.c_round (Json.escape c.c_heap) c.c_scope;
       p "\"resolution\":\"%s\",\"persisted\":%d,\"dropped\":%d,"
-        (json_escape c.c_resolution) c.c_persisted c.c_dropped;
+        (Json.escape c.c_resolution) c.c_persisted c.c_dropped;
       p "\"dropped_wbs\":[";
       List.iteri
         (fun j w ->
           if j > 0 then p ",";
           p "{\"line\":\"%s\",\"site\":\"%s\",\"tid\":%d}"
-            (json_escape w.b_line) (json_escape w.b_site) w.b_tid)
+            (Json.escape w.b_line) (Json.escape w.b_site) w.b_tid)
         c.c_dropped_wbs;
       p "],\"never_persisted\":[";
       List.iteri
         (fun j q ->
           if j > 0 then p ",";
           p "{\"line\":\"%s\",\"writer\":\"%s\",\"flush\":\"%s\"}"
-            (json_escape q.p_line) (json_escape q.p_writer)
-            (json_escape q.p_flush))
+            (Json.escape q.p_line) (Json.escape q.p_writer)
+            (Json.escape q.p_flush))
         c.c_poisoned;
       p "],\"never_persisted_total\":%d," c.c_poisoned_total;
       p "\"reverted\":[";
@@ -722,8 +707,8 @@ let render_json pm =
         (fun j q ->
           if j > 0 then p ",";
           p "{\"line\":\"%s\",\"writer\":\"%s\",\"flush\":\"%s\"}"
-            (json_escape q.p_line) (json_escape q.p_writer)
-            (json_escape q.p_flush))
+            (Json.escape q.p_line) (Json.escape q.p_writer)
+            (Json.escape q.p_flush))
         c.c_reverted;
       p "],\"reverted_total\":%d}" c.c_reverted_total)
     pm.pm_crashes;
@@ -733,7 +718,7 @@ let render_json pm =
     (fun i m ->
       if i > 0 then p ",";
       p "{\"tid\":%d,\"seq\":%d,\"kind\":\"%s\",\"key\":%d," m.m_tid m.m_seq
-        (json_escape m.m_kind) m.m_key;
+        (Json.escape m.m_kind) m.m_key;
       p "\"rounds\":[%s],"
         (String.concat "," (List.map string_of_int m.m_rounds));
       p "\"cas_ok\":%d,\"cas_failed\":%d," m.m_cas_ok m.m_cas_failed;
@@ -742,10 +727,10 @@ let render_json pm =
         (fun j (line, site, f) ->
           if j > 0 then p ",";
           p "{\"line\":\"%s\",\"site\":\"%s\",\"fate\":\"%s\"}"
-            (json_escape line) (json_escape site) (json_escape f))
+            (Json.escape line) (Json.escape site) (Json.escape f))
         m.m_pwbs;
       p "],\"decision\":\"%s\",\"ok\":%s}"
-        (json_escape m.m_decision)
+        (Json.escape m.m_decision)
         (match m.m_ok with
         | None -> "null"
         | Some true -> "true"
@@ -753,6 +738,24 @@ let render_json pm =
     pm.pm_ops;
   p "]}";
   Buffer.contents b
+
+(* The one explain verdict for every repro kind: replay under the
+   recorder, then refuse anything but the recorded failure — a diverged
+   schedule, a passing replay or a different failure message would
+   describe a neighbor, not the recorded execution. *)
+let explain ~algo ~seed ~error replay =
+  start ();
+  Fun.protect ~finally:stop (fun () ->
+      match (replay () : Repro.replayed) with
+      | Diverged msg -> Error msg
+      | Passed ->
+          Error "the repro did not fail on replay — nothing to explain"
+      | Failed e when String.equal e error -> Ok (build ~algo ~seed ~error)
+      | Failed e ->
+          Error
+            (Printf.sprintf
+               "replay failed differently: recorded %S, replay produced %S"
+               error e))
 
 let error pm = pm.pm_error
 let disabled_sites pm = pm.pm_disabled_sites

@@ -59,6 +59,17 @@ val build : algo:string -> seed:int -> error:string -> postmortem
 
     @raise Invalid_argument when the recorder is not active. *)
 
+val explain :
+  algo:string -> seed:int -> error:string -> (unit -> Repro.replayed) ->
+  (postmortem, string) result
+(** Explain a repro of either kind: run its replay (the thunk) under a
+    fresh recorder and, if it failed with the recorded [error], {!build}
+    that failure's postmortem.  Otherwise [Error] says why not: a
+    divergence passes its own message through, and a passing replay or
+    a different failure is named as such — a postmortem must describe
+    the recorded execution.  Deterministic: the same repro explains to
+    byte-identical renderings. *)
+
 val render_text : postmortem -> string
 (** Human-readable postmortem; deterministic byte-for-byte. *)
 

@@ -30,12 +30,11 @@ val convert : jsonl:string -> out:string -> (stats, string) result
 (** [convert ~jsonl ~out] reads [jsonl] and writes [out].  [Error] on
     unreadable input or a line that does not parse. *)
 
-(** {1 Minimal JSON for validation}
+(** {1 JSON reader}
 
-    A tiny recursive-descent parser — just enough to re-read the emitted
-    file and check it structurally, with no external dependency. *)
+    {!Json}'s value type and parser, re-exported for existing callers. *)
 
-type json =
+type json = Json.t =
   | Null
   | Bool of bool
   | Num of float

@@ -166,24 +166,6 @@ let pp_causal ppf (p : Causal.profile) =
      schedule; headroom: throughput gain with the target's cost at zero; \
      div > 0 marks reruns whose schedule diverged from the tape)@."
 
-(* Shared with Causal.to_json in spirit; kept local because Report's JSON
-   is a different document (metrics, not attribution). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let metrics_json ?(top = 10) () =
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
@@ -196,7 +178,7 @@ let metrics_json ?(top = 10) () =
         (Printf.sprintf
            "{\"name\":\"%s\",\"count\":%d,\"mean\":%s,\"p50\":%s,\"p90\":%s,\
             \"p99\":%s,\"max\":%s}"
-           (json_escape name) s.Metrics.count (fl s.Metrics.mean)
+           (Json.escape name) s.Metrics.count (fl s.Metrics.mean)
            (fl s.Metrics.p50) (fl s.Metrics.p90) (fl s.Metrics.p99)
            (fl s.Metrics.max)))
     (Metrics.histograms ());
@@ -207,7 +189,7 @@ let metrics_json ?(top = 10) () =
       add
         (Printf.sprintf
            "{\"line\":\"%s\",\"cas_failures\":%d,\"invalidations\":%d}"
-           (json_escape c.Metrics.ct_line) c.Metrics.ct_cas_failures
+           (Json.escape c.Metrics.ct_line) c.Metrics.ct_cas_failures
            c.Metrics.ct_invalidations))
     (Metrics.contention_top top);
   add "],\"alloc_sites\":[";
@@ -216,14 +198,14 @@ let metrics_json ?(top = 10) () =
       if i > 0 then add ",";
       add
         (Printf.sprintf "{\"heap\":\"%s\",\"site\":\"%s\",\"lines\":%d}"
-           (json_escape s.Metrics.as_heap) (json_escape s.Metrics.as_site)
+           (Json.escape s.Metrics.as_heap) (Json.escape s.Metrics.as_site)
            s.Metrics.as_lines))
     (Metrics.alloc_sites_top top);
   add "],\"heap_occupancy\":{";
   List.iteri
     (fun i (h, n) ->
       if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%d" (json_escape h) n))
+      add (Printf.sprintf "\"%s\":%d" (Json.escape h) n))
     (Metrics.heap_occupancy ());
   add "},\"recovery_rounds\":[";
   List.iteri
@@ -238,16 +220,16 @@ let metrics_json ?(top = 10) () =
       add
         (Printf.sprintf
            "{\"crash\":%d,\"heap\":\"%s\",\"scope\":\"%s\",\"resolution\":\"%s\",\"persisted\":%d,\"dropped\":%d}"
-           i (json_escape r.Pmem.cr_heap)
+           i (Json.escape r.Pmem.cr_heap)
            (match r.Pmem.cr_scope with `Machine -> "machine" | `Heap -> "heap")
-           (json_escape r.Pmem.cr_resolution) r.Pmem.cr_persisted
+           (Json.escape r.Pmem.cr_resolution) r.Pmem.cr_persisted
            r.Pmem.cr_dropped))
     (Pmem.crash_reports ());
   add "],\"counters\":{";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then add ",";
-      add (Printf.sprintf "\"%s\":%d" (json_escape name) v))
+      add (Printf.sprintf "\"%s\":%d" (Json.escape name) v))
     (Metrics.counters ());
   add "},";
   add (Printf.sprintf "\"spans_dropped\":%d}" (Metrics.spans_dropped ()));

@@ -409,8 +409,8 @@ let to_json r =
       in
       f
         "{\"sid\":%d,\"backend\":\"%s\",\"served\":%d,\"keys\":%d,\"crashes\":%d,\"retried\":%d,\"recovered\":%d,\"deferred\":%d,\"forwarded\":%d,\"max_queue\":%d,\"heap_lines\":%d,\"recovery_ns\":[%s],\"promotions\":%d,\"failover_ns\":[%s],\"resync_ns\":[%s]}"
-        s.ss_sid s.ss_backend s.ss_served s.ss_keys s.ss_crashes s.ss_retried
-        s.ss_recovered s.ss_deferred s.ss_forwarded s.ss_max_queue
+        s.ss_sid (Json.escape s.ss_backend) s.ss_served s.ss_keys s.ss_crashes
+        s.ss_retried s.ss_recovered s.ss_deferred s.ss_forwarded s.ss_max_queue
         s.ss_heap_lines (ns_list s.ss_recovery_ns) s.ss_promotions
         (ns_list s.ss_failover_ns) (ns_list s.ss_resync_ns))
     r.shards;

@@ -522,12 +522,6 @@ type explore_stats = {
   ex_first_cex : (config * int array * string) option;
 }
 
-let wb_label = function
-  | `Rng -> "rng"
-  | `Drop -> "drop"
-  | `All -> "all"
-  | `Prefix n -> Printf.sprintf "prefix:%d" n
-
 let default_wb_pairs =
   [ (`Drop, `Drop); (`All, `All); (`Drop, `All); (`All, `Drop);
     (`Prefix 1, `Prefix 1) ]
@@ -586,8 +580,8 @@ let explore ?(wbs = [ `Drop; `All; `Prefix 1; `Prefix 2 ])
         in
         let arm_label (wb, wb2) =
           match wb2 with
-          | None -> wb_label wb
-          | Some w2 -> wb_label wb ^ "+" ^ wb_label w2
+          | None -> Repro.wb_to_string wb
+          | Some w2 -> Repro.wb_to_string wb ^ "+" ^ Repro.wb_to_string w2
         in
         let max_dispatch = ref 0 in
         let k = ref 1 in

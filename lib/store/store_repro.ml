@@ -1,148 +1,28 @@
-(* Replay files for failing serve runs, mirroring Harness.Repro's
-   line-based format.  A serve is ONE Sim.run, so the file carries one
-   recorded schedule instead of per-round lines; together with the
-   config scalars and the seed it pins the client rng streams, the
-   routing, the crash point and the write-back resolution, so a failure
-   replays bit-for-bit.  Any schedule divergence on replay is fatal —
-   the execution would no longer be the recorded one. *)
+(* Replay files for failing serve runs, in Repro's keyed-line codec.  A
+   serve is ONE Sim.run, so the file carries one recorded schedule
+   instead of per-round lines; together with the config and the seed it
+   pins the client rng streams, the routing, the crash point and the
+   write-back resolution, so a failure replays bit-for-bit.  Any
+   schedule divergence on replay is fatal — the execution would no
+   longer be the recorded one. *)
 
+let ( let* ) = Result.bind
 let magic = "tracking-nvm-serve v1"
 
-type t = {
-  algo : string;
-  shards : int;
-  clients : int;
-  ops_per_client : int;
-  batch : int;
-  find_pct : int;
-  key_range : int;
-  prefill : int;
-  skew : float option;  (* hot-set mass; None = uniform *)
-  open_loop_ns : float option;
-  crash : Store.crash_plan option;
-  wb : [ `Rng | `Drop | `All | `Prefix of int ];
-  (* Elastic-store fields.  All optional in the file with the defaults
-     below, so pre-elastic repro files parse unchanged. *)
-  wb2 : [ `Rng | `Drop | `All | `Prefix of int ] option;  (* default None *)
-  backends : string list option;  (* per-shard algo names; default None *)
-  replicate : bool;  (* default false *)
-  failover_ns : float;  (* default 500 *)
-  migrate : Store.migrate_plan option;  (* default None *)
-  restart_ns : float;
-  seed : int;
-  error : string;
-  schedule : int array;
-}
+type t = { config : Store.config; error : string; schedule : int array }
 
-let of_config (cfg : Store.config) ~error ~schedule =
-  {
-    algo = cfg.Store.factory.Set_intf.fname;
-    shards = cfg.Store.shards;
-    clients = cfg.Store.clients;
-    ops_per_client = cfg.Store.ops_per_client;
-    batch = cfg.Store.batch;
-    find_pct = cfg.Store.workload.Workload.mix.Workload.find_pct;
-    key_range = cfg.Store.workload.Workload.key_range;
-    prefill = cfg.Store.workload.Workload.prefill_n;
-    skew =
-      (match cfg.Store.workload.Workload.dist with
-      | Workload.Uniform -> None
-      | Workload.Skewed { s; _ } -> Some s);
-    open_loop_ns = cfg.Store.open_loop_ns;
-    crash = cfg.Store.crash;
-    wb = cfg.Store.wb;
-    wb2 = cfg.Store.wb2;
-    backends =
-      Option.map
-        (fun arr ->
-          Array.to_list (Array.map (fun f -> f.Set_intf.fname) arr))
-        cfg.Store.backends;
-    replicate = cfg.Store.replicate;
-    failover_ns = cfg.Store.failover_ns;
-    migrate = cfg.Store.migrate;
-    restart_ns = cfg.Store.restart_ns;
-    seed = cfg.Store.seed;
-    error;
-    schedule;
-  }
+(* ---- serve-only tokens ------------------------------------------------- *)
 
-let config_of r =
-  match Set_intf.by_name r.algo with
-  | Error msg -> Error (Printf.sprintf "serve repro references %s" msg)
-  | Ok factory -> (
-      match Workload.mix_of_find_pct r.find_pct with
-      | exception Invalid_argument _ ->
-          Error (Printf.sprintf "serve repro has invalid find-pct %d" r.find_pct)
-      | mix -> (
-          match
-            match r.skew with
-            | None -> Ok Workload.Uniform
-            | Some s -> (
-                match Workload.skewed s with
-                | d -> Ok d
-                | exception Invalid_argument m -> Error m)
-          with
-          | Error m -> Error m
-          | Ok dist -> (
-              let backends =
-                match r.backends with
-                | None -> Ok None
-                | Some names ->
-                    let rec resolve acc = function
-                      | [] -> Ok (Some (Array.of_list (List.rev acc)))
-                      | n :: rest -> (
-                          match Set_intf.by_name n with
-                          | Error msg ->
-                              Error
-                                (Printf.sprintf "serve repro references %s" msg)
-                          | Ok f -> resolve (f :: acc) rest)
-                    in
-                    resolve [] names
-              in
-              match backends with
-              | Error _ as e -> e
-              | Ok backends ->
-                  Ok
-                    {
-                      Store.factory;
-                      backends;
-                      shards = r.shards;
-                      clients = r.clients;
-                      ops_per_client = r.ops_per_client;
-                      batch = r.batch;
-                      workload =
-                        {
-                          Workload.mix;
-                          key_range = r.key_range;
-                          prefill_n = r.prefill;
-                          dist;
-                        };
-                      open_loop_ns = r.open_loop_ns;
-                      crash = r.crash;
-                      wb = r.wb;
-                      wb2 = r.wb2;
-                      restart_ns = r.restart_ns;
-                      failover_ns = r.failover_ns;
-                      replicate = r.replicate;
-                      migrate = r.migrate;
-                      seed = r.seed;
-                    })))
+(* ["-"] stands for an absent optional value. *)
+let optional_to_string to_string = function
+  | None -> "-"
+  | Some x -> to_string x
 
-(* ---- rendering --------------------------------------------------------- *)
+let optional_of_string of_string = function
+  | "-" -> Ok None
+  | v -> Result.map Option.some (of_string v)
 
-let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-let schedule_string sched =
-  if Array.length sched = 0 then "-"
-  else String.concat "," (Array.to_list (Array.map string_of_int sched))
-
-let wb_string = function
-  | `Rng -> "rng"
-  | `Drop -> "drop"
-  | `All -> "all"
-  | `Prefix k -> Printf.sprintf "prefix:%d" k
-
-let crash_string = function
+let crash_to_string = function
   | None -> "none"
   | Some (Store.After_requests { victim; requests }) ->
       Printf.sprintf "after %d %d" victim requests
@@ -153,345 +33,202 @@ let crash_string = function
   | Some (Store.Cascade { first; second; dispatch }) ->
       Printf.sprintf "cascade %d %d %d" first second dispatch
 
-let pp ppf r =
-  Format.fprintf ppf "%s@." magic;
-  Format.fprintf ppf "algo %s@." r.algo;
-  Format.fprintf ppf "shards %d@." r.shards;
-  Format.fprintf ppf "clients %d@." r.clients;
-  Format.fprintf ppf "ops-per-client %d@." r.ops_per_client;
-  Format.fprintf ppf "batch %d@." r.batch;
-  Format.fprintf ppf "find-pct %d@." r.find_pct;
-  Format.fprintf ppf "key-range %d@." r.key_range;
-  Format.fprintf ppf "prefill %d@." r.prefill;
-  (match r.skew with
-  | None -> Format.fprintf ppf "dist uniform@."
-  | Some s -> Format.fprintf ppf "dist skew:%g@." s);
-  (match r.open_loop_ns with
-  | None -> Format.fprintf ppf "open-loop-ns -@."
-  | Some m -> Format.fprintf ppf "open-loop-ns %g@." m);
-  Format.fprintf ppf "crash %s@." (crash_string r.crash);
-  Format.fprintf ppf "wb %s@." (wb_string r.wb);
-  (match r.wb2 with
-  | None -> Format.fprintf ppf "wb2 -@."
-  | Some wb2 -> Format.fprintf ppf "wb2 %s@." (wb_string wb2));
-  (match r.backends with
-  | None -> Format.fprintf ppf "backends -@."
-  | Some names -> Format.fprintf ppf "backends %s@." (String.concat "," names));
-  Format.fprintf ppf "replicate %d@." (if r.replicate then 1 else 0);
-  Format.fprintf ppf "failover-ns %g@." r.failover_ns;
-  (match r.migrate with
-  | None -> Format.fprintf ppf "migrate none@."
+let crash_of_string s =
+  (* split_on_char never returns the empty list *)
+  let words = String.split_on_char ' ' s in
+  match (List.hd words, List.map int_of_string_opt (List.tl words)) with
+  | "none", [] -> Ok None
+  | "after", [ Some victim; Some requests ] ->
+      Ok (Some (Store.After_requests { victim; requests }))
+  | "dispatch", [ Some victim; Some dispatch ] ->
+      Ok (Some (Store.At_dispatch { victim; dispatch }))
+  | "both", [ Some a; Some b; Some dispatch ] ->
+      Ok (Some (Store.Both_at_dispatch { a; b; dispatch }))
+  | "cascade", [ Some first; Some second; Some dispatch ] ->
+      Ok (Some (Store.Cascade { first; second; dispatch }))
+  | _ -> Error (Printf.sprintf "bad crash plan %S" s)
+
+let migrate_to_string = function
+  | None -> "none"
   | Some { Store.msrc; m_after; m_broken } ->
-      Format.fprintf ppf "migrate %d %d %d@." msrc m_after
-        (if m_broken then 1 else 0));
-  Format.fprintf ppf "restart-ns %g@." r.restart_ns;
-  Format.fprintf ppf "seed %d@." r.seed;
-  Format.fprintf ppf "error %s@." (one_line r.error);
-  Format.fprintf ppf "schedule %s@." (schedule_string r.schedule)
+      Printf.sprintf "%d %d %d" msrc m_after (Bool.to_int m_broken)
 
-let save path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let ppf = Format.formatter_of_out_channel oc in
-      pp ppf r;
-      Format.pp_print_flush ppf ())
-
-(* ---- parsing ----------------------------------------------------------- *)
-
-let parse_schedule = function
-  | "-" | "" -> Ok [||]
-  | s -> (
-      let parts = String.split_on_char ',' s in
-      try Ok (Array.of_list (List.map int_of_string parts))
-      with Failure _ -> Error (Printf.sprintf "bad schedule %S" s))
-
-let parse_wb = function
-  | "rng" -> Ok `Rng
-  | "drop" -> Ok `Drop
-  | "all" -> Ok `All
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "prefix" -> (
-          match
-            int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some k when k >= 1 -> Ok (`Prefix k)
-          | _ -> Error (Printf.sprintf "bad write-back resolution %S" s))
-      | _ -> Error (Printf.sprintf "bad write-back resolution %S" s))
-
-let parse_crash = function
+let migrate_of_string = function
   | "none" -> Ok None
   | s -> (
-      match String.split_on_char ' ' s with
-      | [ "after"; v; n ] -> (
-          match (int_of_string_opt v, int_of_string_opt n) with
-          | Some victim, Some requests ->
-              Ok (Some (Store.After_requests { victim; requests }))
-          | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | [ "dispatch"; v; k ] -> (
-          match (int_of_string_opt v, int_of_string_opt k) with
-          | Some victim, Some dispatch ->
-              Ok (Some (Store.At_dispatch { victim; dispatch }))
-          | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | [ "both"; a; b; k ] -> (
-          match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt k)
-          with
-          | Some a, Some b, Some dispatch ->
-              Ok (Some (Store.Both_at_dispatch { a; b; dispatch }))
-          | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | [ "cascade"; f; snd; k ] -> (
-          match
-            (int_of_string_opt f, int_of_string_opt snd, int_of_string_opt k)
-          with
-          | Some first, Some second, Some dispatch ->
-              Ok (Some (Store.Cascade { first; second; dispatch }))
-          | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-      | _ -> Error (Printf.sprintf "bad crash plan %S" s))
-
-let parse_migrate = function
-  | "none" -> Ok None
-  | s -> (
-      match String.split_on_char ' ' s with
-      | [ src; after; broken ] -> (
-          match
-            (int_of_string_opt src, int_of_string_opt after,
-             int_of_string_opt broken)
-          with
-          | Some msrc, Some m_after, Some b when b = 0 || b = 1 ->
-              Ok (Some { Store.msrc; m_after; m_broken = b = 1 })
-          | _ -> Error (Printf.sprintf "bad migrate plan %S" s))
+      match List.map int_of_string_opt (String.split_on_char ' ' s) with
+      | [ Some msrc; Some m_after; Some ((0 | 1) as b) ] ->
+          Ok (Some { Store.msrc; m_after; m_broken = b = 1 })
       | _ -> Error (Printf.sprintf "bad migrate plan %S" s))
 
-let parse_dist = function
-  | "uniform" -> Ok None
-  | s -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "skew" -> (
-          match
-            float_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-          with
-          | Some v -> Ok (Some v)
-          | None -> Error (Printf.sprintf "bad dist %S" s))
-      | _ -> Error (Printf.sprintf "bad dist %S" s))
+(* "uniform" or "skew:<hot-set mass>"; the mass is checked here, so a
+   skew no workload accepts is a load error. *)
+let dist_of_string s =
+  let bad = Error (Printf.sprintf "bad dist %S" s) in
+  match String.split_on_char ':' s with
+  | [ "uniform" ] -> Ok Workload.Uniform
+  | [ "skew"; v ] -> (
+      match float_of_string_opt v with
+      | None -> bad
+      | Some v -> (
+          try Ok (Workload.skewed v) with Invalid_argument m -> Error m))
+  | _ -> bad
+
+let factory name =
+  Result.map_error
+    (Printf.sprintf "serve repro references %s")
+    (Set_intf.by_name name)
+
+(* ---- the file ---------------------------------------------------------- *)
+
+let fields { config = c; error; schedule } =
+  let w = c.Store.workload in
+  let g = Printf.sprintf "%g" in
+  let names a =
+    String.concat "," (Array.to_list (Array.map (fun f -> f.Set_intf.fname) a))
+  in
+  [
+    ("algo", c.factory.Set_intf.fname);
+    ("shards", string_of_int c.shards);
+    ("clients", string_of_int c.clients);
+    ("ops-per-client", string_of_int c.ops_per_client);
+    ("batch", string_of_int c.batch);
+    ("find-pct", string_of_int w.Workload.mix.Workload.find_pct);
+    ("key-range", string_of_int w.key_range);
+    ("prefill", string_of_int w.prefill_n);
+    ( "dist",
+      match w.dist with
+      | Workload.Uniform -> "uniform"
+      | Workload.Skewed { s; _ } -> "skew:" ^ g s );
+    ("open-loop-ns", optional_to_string g c.open_loop_ns);
+    ("crash", crash_to_string c.crash);
+    ("wb", Repro.wb_to_string c.wb);
+    ("wb2", optional_to_string Repro.wb_to_string c.wb2);
+    ("backends", optional_to_string names c.backends);
+    ("replicate", if c.replicate then "1" else "0");
+    ("failover-ns", g c.failover_ns);
+    ("migrate", migrate_to_string c.migrate);
+    ("restart-ns", g c.restart_ns);
+    ("seed", string_of_int c.seed);
+    ("error", Repro.one_line error);
+    ("schedule", Repro.schedule_to_string schedule);
+  ]
+
+let pp ppf r = Repro.pp_fields ~magic ppf (fields r)
+let save path r = Repro.save_fields ~magic path (fields r)
+
+let keys =
+  [ "algo"; "shards"; "clients"; "ops-per-client"; "batch"; "find-pct";
+    "key-range"; "prefill"; "dist"; "open-loop-ns"; "crash"; "wb"; "wb2";
+    "backends"; "replicate"; "failover-ns"; "migrate"; "restart-ns"; "seed";
+    "error"; "schedule" ]
 
 let load path =
-  match In_channel.with_open_text path In_channel.input_lines with
-  | exception Sys_error msg -> Error msg
-  | [] -> Error "empty serve repro file"
-  | first :: _ when first <> magic ->
-      Error (Printf.sprintf "not a serve repro file (expected %S)" magic)
-  | _ :: lines -> (
-      let r =
-        ref
-          {
-            algo = "";
-            shards = 0;
-            clients = 0;
-            ops_per_client = 0;
-            batch = 0;
-            find_pct = -1;
-            key_range = 0;
-            prefill = -1;
-            skew = None;
-            open_loop_ns = None;
-            crash = None;
-            wb = `Rng;
-            (* elastic fields default here, so pre-elastic files parse *)
-            wb2 = None;
-            backends = None;
-            replicate = false;
-            failover_ns = 500.;
-            migrate = None;
-            restart_ns = -1.;
-            seed = 0;
-            error = "";
-            schedule = [||];
-          }
-      in
-      let err = ref None in
-      let fail msg = if !err = None then err := Some msg in
-      let seen = ref [] in
-      let once key =
-        if List.mem key !seen then fail (Printf.sprintf "duplicate field %S" key)
-        else seen := key :: !seen
-      in
-      let int_field key set v =
-        once key;
-        match int_of_string_opt v with
-        | Some n -> r := set !r n
-        | None -> fail (Printf.sprintf "bad integer %S" v)
-      in
-      let float_field key set v =
-        once key;
-        match float_of_string_opt v with
-        | Some x -> r := set !r x
-        | None -> fail (Printf.sprintf "bad number %S" v)
-      in
-      List.iter
-        (fun line ->
-          let line = String.trim line in
-          if line <> "" then
-            let key, value =
-              match String.index_opt line ' ' with
-              | None -> (line, "")
-              | Some i ->
-                  ( String.sub line 0 i,
-                    String.sub line (i + 1) (String.length line - i - 1) )
-            in
-            match key with
-            | "algo" ->
-                once key;
-                r := { !r with algo = value }
-            | "shards" -> int_field key (fun r n -> { r with shards = n }) value
-            | "clients" -> int_field key (fun r n -> { r with clients = n }) value
-            | "ops-per-client" ->
-                int_field key (fun r n -> { r with ops_per_client = n }) value
-            | "batch" -> int_field key (fun r n -> { r with batch = n }) value
-            | "find-pct" ->
-                int_field key (fun r n -> { r with find_pct = n }) value
-            | "key-range" ->
-                int_field key (fun r n -> { r with key_range = n }) value
-            | "prefill" -> int_field key (fun r n -> { r with prefill = n }) value
-            | "dist" -> (
-                once key;
-                match parse_dist value with
-                | Ok skew -> r := { !r with skew }
-                | Error e -> fail e)
-            | "open-loop-ns" -> (
-                once key;
-                if value = "-" then r := { !r with open_loop_ns = None }
-                else
-                  match float_of_string_opt value with
-                  | Some m when m > 0. -> r := { !r with open_loop_ns = Some m }
-                  | _ -> fail (Printf.sprintf "bad open-loop-ns %S" value))
-            | "crash" -> (
-                once key;
-                match parse_crash value with
-                | Ok crash -> r := { !r with crash }
-                | Error e -> fail e)
-            | "wb" -> (
-                once key;
-                match parse_wb value with
-                | Ok wb -> r := { !r with wb }
-                | Error e -> fail e)
-            | "wb2" -> (
-                once key;
-                if value = "-" then r := { !r with wb2 = None }
-                else
-                  match parse_wb value with
-                  | Ok wb2 -> r := { !r with wb2 = Some wb2 }
-                  | Error e -> fail e)
-            | "backends" ->
-                once key;
-                if value = "-" then r := { !r with backends = None }
-                else
-                  r :=
-                    { !r with backends = Some (String.split_on_char ',' value) }
-            | "replicate" -> (
-                once key;
-                match value with
-                | "0" -> r := { !r with replicate = false }
-                | "1" -> r := { !r with replicate = true }
-                | _ -> fail (Printf.sprintf "bad replicate %S" value))
-            | "failover-ns" ->
-                float_field key (fun r x -> { r with failover_ns = x }) value
-            | "migrate" -> (
-                once key;
-                match parse_migrate value with
-                | Ok migrate -> r := { !r with migrate }
-                | Error e -> fail e)
-            | "restart-ns" ->
-                float_field key (fun r x -> { r with restart_ns = x }) value
-            | "seed" -> int_field key (fun r n -> { r with seed = n }) value
-            | "error" ->
-                once key;
-                r := { !r with error = value }
-            | "schedule" -> (
-                once key;
-                match parse_schedule value with
-                | Ok schedule -> r := { !r with schedule }
-                | Error e -> fail e)
-            | k -> fail (Printf.sprintf "unknown field %S" k))
-        lines;
-      match !err with
-      | Some e -> Error e
-      | None ->
-          let r = !r in
-          if r.algo = "" then Error "missing algo field"
-          else if r.shards <= 0 then Error "missing/invalid shards field"
-          else if r.clients <= 0 then Error "missing/invalid clients field"
-          else if r.ops_per_client <= 0 then
-            Error "missing/invalid ops-per-client field"
-          else if r.batch <= 0 then Error "missing/invalid batch field"
-          else if r.find_pct < 0 || r.find_pct > 100 then
-            Error "missing/invalid find-pct field"
-          else if r.key_range <= 0 then Error "missing/invalid key-range field"
-          else if r.prefill < 0 then Error "missing/invalid prefill field"
-          else if r.restart_ns < 0. then
-            Error "missing/invalid restart-ns field"
-          else if r.failover_ns < 0. then Error "invalid failover-ns field"
-          else Ok r)
+  let* fs = Repro.read ~what:"serve repro" ~magic ~keys path in
+  let get key ~default decode = Repro.field fs key ~default decode in
+  let* algo = get "algo" ~default:"" Result.ok in
+  let* shards = get "shards" ~default:0 Repro.int in
+  let* clients = get "clients" ~default:0 Repro.int in
+  let* ops_per_client = get "ops-per-client" ~default:0 Repro.int in
+  let* batch = get "batch" ~default:0 Repro.int in
+  let* find_pct = get "find-pct" ~default:(-1) Repro.int in
+  let* key_range = get "key-range" ~default:0 Repro.int in
+  let* prefill_n = get "prefill" ~default:(-1) Repro.int in
+  let* dist = get "dist" ~default:Workload.Uniform dist_of_string in
+  let* open_loop_ns =
+    get "open-loop-ns" ~default:None
+      (optional_of_string (fun v ->
+           match float_of_string_opt v with
+           | Some m when m > 0. -> Ok m
+           | _ -> Error (Printf.sprintf "bad open-loop-ns %S" v)))
+  in
+  let* crash = get "crash" ~default:None crash_of_string in
+  let* wb = get "wb" ~default:`Rng Repro.wb_of_string in
+  (* the elastic fields are optional, so pre-elastic files load *)
+  let* wb2 = get "wb2" ~default:None (optional_of_string Repro.wb_of_string) in
+  let* backends =
+    get "backends" ~default:None
+      (optional_of_string (fun v ->
+           List.fold_right
+             (fun name acc ->
+               let* f = factory name in
+               let* rest = acc in
+               Ok (f :: rest))
+             (String.split_on_char ',' v)
+             (Ok [])
+           |> Result.map Array.of_list))
+  in
+  let* replicate =
+    get "replicate" ~default:false (function
+      | "0" -> Ok false
+      | "1" -> Ok true
+      | v -> Error (Printf.sprintf "bad replicate %S" v))
+  in
+  let* failover_ns = get "failover-ns" ~default:500. Repro.float in
+  let* migrate = get "migrate" ~default:None migrate_of_string in
+  let* restart_ns = get "restart-ns" ~default:(-1.) Repro.float in
+  let* seed = get "seed" ~default:0 Repro.int in
+  let* error = get "error" ~default:"" Result.ok in
+  let* schedule = get "schedule" ~default:[||] Repro.schedule_of_string in
+  let* () =
+    Repro.check
+      [
+        (algo <> "", "missing algo field");
+        (shards > 0, "missing/invalid shards field");
+        (clients > 0, "missing/invalid clients field");
+        (ops_per_client > 0, "missing/invalid ops-per-client field");
+        (batch > 0, "missing/invalid batch field");
+        (find_pct >= 0 && find_pct <= 100, "missing/invalid find-pct field");
+        (key_range > 0, "missing/invalid key-range field");
+        (prefill_n >= 0, "missing/invalid prefill field");
+        (restart_ns >= 0., "missing/invalid restart-ns field");
+        (failover_ns >= 0., "invalid failover-ns field");
+      ]
+  in
+  let* factory = factory algo in
+  let mix = Workload.mix_of_find_pct find_pct in
+  Ok
+    {
+      config =
+        {
+          Store.factory;
+          backends;
+          shards;
+          clients;
+          ops_per_client;
+          batch;
+          workload = { Workload.mix; key_range; prefill_n; dist };
+          open_loop_ns;
+          crash;
+          wb;
+          wb2;
+          restart_ns;
+          failover_ns;
+          replicate;
+          migrate;
+          seed;
+        };
+      error;
+      schedule;
+    }
 
 (* ---- replay ------------------------------------------------------------ *)
 
-let replay r =
-  match config_of r with
-  | Error _ as e -> e
-  | Ok cfg -> (
-      let result = Store.run ~schedule:r.schedule cfg in
-      match result with
-      | Ok report when report.Slo.divergences > 0 ->
-          Error
-            (Printf.sprintf
-               "schedule divergence (%d entries not honored): the replay \
-                executed a different interleaving"
-               report.Slo.divergences)
-      | Ok report when report.Slo.lost > 0 ->
-          Error (Printf.sprintf "%d lost requests" report.Slo.lost)
-      | Ok _ -> Ok ()
-      | Error _ as e -> e)
+let replayed r : Repro.replayed =
+  match Store.run ~schedule:r.schedule r.config with
+  | Ok report when report.Slo.divergences > 0 ->
+      Diverged
+        (Printf.sprintf
+           "schedule divergence (%d entries not honored): the replay \
+            executed a different interleaving"
+           report.Slo.divergences)
+  | Ok report when report.Slo.lost > 0 ->
+      Failed (Printf.sprintf "%d lost requests" report.Slo.lost)
+  | Ok _ -> Passed
+  | Error e -> Failed e
 
-(* ---- forensic explain -------------------------------------------------- *)
+let replay r = Repro.replay_result (replayed r)
 
-(* Like [replay], but under the Forensics recorder, returning the
-   postmortem of the recorded failure.  The same faithfulness rules
-   apply: a diverged schedule, a passing replay or a different failure
-   message all refuse to produce a postmortem — it must describe the
-   recorded execution. *)
 let explain r =
-  match config_of r with
-  | Error e -> Error e
-  | Ok cfg ->
-      Forensics.start ();
-      Fun.protect ~finally:Forensics.stop (fun () ->
-          let result = Store.run ~schedule:r.schedule cfg in
-          match result with
-          | Ok report when report.Slo.divergences > 0 ->
-              Error
-                (Printf.sprintf
-                   "schedule divergence (%d entries not honored): the replay \
-                    executed a different interleaving"
-                   report.Slo.divergences)
-          | Ok report when report.Slo.lost > 0 ->
-              let error = Printf.sprintf "%d lost requests" report.Slo.lost in
-              if String.equal error r.error then
-                Ok (Forensics.build ~algo:r.algo ~seed:r.seed ~error)
-              else
-                Error
-                  (Printf.sprintf
-                     "replay failed differently: recorded %S, replay produced \
-                      %S"
-                     r.error error)
-          | Ok _ ->
-              Error "the repro did not fail on replay — nothing to explain"
-          | Error error ->
-              if String.equal error r.error then
-                Ok (Forensics.build ~algo:r.algo ~seed:r.seed ~error)
-              else
-                Error
-                  (Printf.sprintf
-                     "replay failed differently: recorded %S, replay produced \
-                      %S"
-                     r.error error))
+  Forensics.explain ~algo:r.config.Store.factory.Set_intf.fname
+    ~seed:r.config.Store.seed ~error:r.error (fun () -> replayed r)

@@ -1,55 +1,31 @@
-(** Replay files for failing serve runs — the store-service counterpart
-    of [Harness.Repro]'s ["tracking-nvm-repro v1"] format.
+(** Replay files for failing serve runs — the store-service kind of
+    repro, written and read with [Harness.Repro]'s keyed-line codec
+    under the ["tracking-nvm-serve v1"] magic line.
 
     A serve is one [Sim.run], so a file carries the full service config
     (algorithm, topology, workload incl. skew, loop mode, crash plan,
-    write-back resolution, restart latency), the seed, the recorded
-    error and the recorded scheduler choices.  Replaying re-runs
-    {!Store.run} with that schedule; any divergence is fatal — the
-    replay would no longer be the recorded execution. *)
+    write-back resolutions, elastic plan, restart latency), the seed,
+    the recorded error and the recorded scheduler choices.  Replaying
+    re-runs {!Store.run} with that schedule; any divergence is fatal —
+    the replay would no longer be the recorded execution. *)
 
 val magic : string
 
 type t = {
-  algo : string;
-  shards : int;
-  clients : int;
-  ops_per_client : int;
-  batch : int;
-  find_pct : int;
-  key_range : int;
-  prefill : int;
-  skew : float option;  (** hot-set mass; [None] = uniform keys *)
-  open_loop_ns : float option;
-  crash : Store.crash_plan option;
-  wb : [ `Rng | `Drop | `All | `Prefix of int ];
-  wb2 : [ `Rng | `Drop | `All | `Prefix of int ] option;
-      (** second correlated-crash victim's resolution; optional in the
-          file (["wb2 -"]), so pre-elastic files parse *)
-  backends : string list option;
-      (** per-shard algo names (["backends -"] = uniform) *)
-  replicate : bool;  (** optional field, default false *)
-  failover_ns : float;  (** optional field, default 500 *)
-  migrate : Store.migrate_plan option;
-      (** ["migrate none"] or ["migrate <src> <after> <broken01>"] *)
-  restart_ns : float;
-  seed : int;
-  error : string;
-  schedule : int array;
+  config : Store.config;  (** the serve that failed, seed included *)
+  error : string;  (** the failure the file reproduces *)
+  schedule : int array;  (** scheduler choice at every decision *)
 }
-
-val of_config : Store.config -> error:string -> schedule:int array -> t
-
-val config_of : t -> (Store.config, string) result
-(** Rebuild a runnable config; [Error] if the file references an unknown
-    algorithm or invalid workload parameters. *)
 
 val pp : Format.formatter -> t -> unit
 val save : string -> t -> unit
 
 val load : string -> (t, string) result
-(** Parse and validate; rejects wrong magic, duplicate fields, unknown
-    fields and missing/out-of-range values. *)
+(** Parse, validate and resolve: rejects wrong magic, duplicate fields,
+    unknown fields, missing/out-of-range values, an invalid skew and an
+    algorithm or backend name no factory has.  The elastic fields
+    ([wb2], [backends], [replicate], [failover-ns], [migrate]) are
+    optional, so pre-elastic files load with their defaults. *)
 
 val replay : t -> (unit, string) result
 (** Re-run the recorded serve under its recorded schedule.  [Ok ()] if
@@ -57,9 +33,6 @@ val replay : t -> (unit, string) result
     reproduced failure, or a fatal schedule-divergence report. *)
 
 val explain : t -> (Forensics.postmortem, string) result
-(** Replay the serve under the [Forensics] recorder and return the
-    postmortem of its failure.  Like {!replay}, a schedule divergence is
-    an error; so are a passing replay and a replay failing with a
-    different message — a postmortem must describe the recorded
-    execution.  Deterministic: the same repro explains to byte-identical
-    renderings. *)
+(** {!replay} under the [Forensics] recorder, with
+    [Forensics.explain]'s verdict: the postmortem of the recorded
+    failure, or why the replay was not that failure. *)

@@ -20,7 +20,9 @@ let campaign f ~seeds ~threads ~ops ~max_crashes ~key_range =
       Alcotest.(check int) "all seeds ran" seeds n;
       Alcotest.(check bool)
         "some crashes actually happened" true (o.Crashes.crashes > 0)
-  | Error msg -> Alcotest.failf "%s: %s" f.Set_intf.fname msg
+  | Error r ->
+      Alcotest.failf "%s: seed %d: %s" f.Set_intf.fname r.Repro.seed
+        r.Repro.error
 
 let test_tracking_campaign () =
   campaign Set_intf.tracking ~seeds:60 ~threads:4 ~ops:12 ~max_crashes:3

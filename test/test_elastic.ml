@@ -271,7 +271,9 @@ let test_explore_catches_broken_handoff () =
             (match cex.Store.migrate with
             | Some m -> m.Store.m_broken
             | None -> false);
-          let r = Store_repro.of_config cex ~error:bare ~schedule:sched in
+          let r =
+            { Store_repro.config = cex; error = bare; schedule = sched }
+          in
           match Store_repro.replay r with
           | Error e ->
               Alcotest.(check string) "replay reproduces the bare error" bare e
@@ -297,36 +299,40 @@ let test_repro_elastic_fields_roundtrip () =
       migrate = migrate ~m_after:7 ~m_broken:true 0;
     }
   in
-  let r = Store_repro.of_config c ~error:"synthetic" ~schedule:[| 1; 2; 3 |] in
+  let r =
+    { Store_repro.config = c; error = "synthetic"; schedule = [| 1; 2; 3 |] }
+  in
   with_temp_file (fun path ->
       Store_repro.save path r;
       match Store_repro.load path with
       | Error e -> Alcotest.fail ("load: " ^ e)
-      | Ok r' -> (
+      | Ok r' ->
+          let c' = r'.Store_repro.config in
           Alcotest.(check bool) "crash plan survives" true
-            (r'.Store_repro.crash = c.Store.crash);
+            (c'.Store.crash = c.Store.crash);
           Alcotest.(check bool) "wb2 survives" true
-            (r'.Store_repro.wb2 = Some (`Prefix 2));
+            (c'.Store.wb2 = Some (`Prefix 2));
           Alcotest.(check bool) "backends survive" true
-            (r'.Store_repro.backends = Some [ "tracking"; "tracking-topic" ]);
-          Alcotest.(check bool) "replicate survives" true
-            r'.Store_repro.replicate;
+            (Option.map
+               (Array.map (fun f -> f.Set_intf.fname))
+               c'.Store.backends
+            = Some [| "tracking"; "tracking-topic" |]);
+          Alcotest.(check bool) "replicate survives" true c'.Store.replicate;
           Alcotest.(check (float 0.)) "failover-ns survives" 750.
-            r'.Store_repro.failover_ns;
+            c'.Store.failover_ns;
           Alcotest.(check bool) "migrate plan survives" true
-            (r'.Store_repro.migrate = c.Store.migrate);
-          match Store_repro.config_of r' with
-          | Error e -> Alcotest.fail ("config_of: " ^ e)
-          | Ok c' ->
-              Alcotest.(check bool) "config round-trips the plan" true
-                (c'.Store.migrate = c.Store.migrate
-                && c'.Store.wb2 = c.Store.wb2
-                && c'.Store.replicate)))
+            (c'.Store.migrate = c.Store.migrate);
+          Alcotest.(check bool) "config round-trips the plan" true
+            (c'.Store.migrate = c.Store.migrate
+            && c'.Store.wb2 = c.Store.wb2
+            && c'.Store.replicate))
 
 (* Pre-elastic serve repro files carry none of the new fields — they
    must still load, with the documented defaults. *)
 let test_repro_pre_elastic_files_still_parse () =
-  let r = Store_repro.of_config (cfg ()) ~error:"synthetic" ~schedule:[||] in
+  let r =
+    { Store_repro.config = cfg (); error = "synthetic"; schedule = [||] }
+  in
   with_temp_file (fun path ->
       Store_repro.save path r;
       let legacy_keys = [ "wb2"; "backends"; "replicate"; "failover-ns"; "migrate" ] in
@@ -348,12 +354,13 @@ let test_repro_pre_elastic_files_still_parse () =
       match Store_repro.load path with
       | Error e -> Alcotest.fail ("pre-elastic file rejected: " ^ e)
       | Ok r' ->
+          let c' = r'.Store_repro.config in
           Alcotest.(check bool) "defaults applied" true
-            (r'.Store_repro.wb2 = None
-            && r'.Store_repro.backends = None
-            && (not r'.Store_repro.replicate)
-            && r'.Store_repro.failover_ns = 500.
-            && r'.Store_repro.migrate = None))
+            (c'.Store.wb2 = None
+            && c'.Store.backends = None
+            && (not c'.Store.replicate)
+            && c'.Store.failover_ns = 500.
+            && c'.Store.migrate = None))
 
 let suite =
   [

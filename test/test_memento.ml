@@ -201,7 +201,8 @@ let campaign fname ~seeds ~threads ~ops ~max_crashes ~key_range =
       Alcotest.(check int) "all seeds ran" seeds n;
       Alcotest.(check bool) "some crashes actually happened" true
         (o.Crashes.crashes > 0)
-  | Error msg -> Alcotest.failf "%s: %s" fname msg
+  | Error r ->
+      Alcotest.failf "%s: seed %d: %s" fname r.Repro.seed r.Repro.error
 
 let test_mlist_campaign () =
   campaign "memento-list" ~seeds:40 ~threads:4 ~ops:10 ~max_crashes:3

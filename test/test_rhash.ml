@@ -86,7 +86,7 @@ let test_crash_campaign () =
   | Ok (n, o) ->
       Alcotest.(check int) "all seeds" 40 n;
       Alcotest.(check bool) "crashes happened" true (o.Crashes.crashes > 0)
-  | Error m -> Alcotest.fail m
+  | Error r -> Alcotest.failf "seed %d: %s" r.Repro.seed r.Repro.error
 
 (* The functor also works for non-integer keys. *)
 module SH = Rhash.Make (struct

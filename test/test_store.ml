@@ -234,20 +234,21 @@ let broken_failure () =
 
 let test_store_repro_roundtrip () =
   let c, error, schedule = broken_failure () in
-  let r = Store_repro.of_config c ~error ~schedule in
+  let r = { Store_repro.config = c; error; schedule } in
   with_temp_file (fun path ->
       Store_repro.save path r;
       match Store_repro.load path with
       | Error e -> Alcotest.fail ("load: " ^ e)
       | Ok r' ->
-          Alcotest.(check string) "algo" "tracking-broken" r'.Store_repro.algo;
+          let c' = r'.Store_repro.config in
+          Alcotest.(check string) "algo" "tracking-broken"
+            c'.Store.factory.Set_intf.fname;
           Alcotest.(check string) "error survives" error r'.Store_repro.error;
           Alcotest.(check int) "schedule length" (Array.length schedule)
             (Array.length r'.Store_repro.schedule);
           Alcotest.(check bool) "crash plan survives" true
-            (r'.Store_repro.crash = c.Store.crash);
-          Alcotest.(check bool) "wb survives" true
-            (r'.Store_repro.wb = `All);
+            (c'.Store.crash = c.Store.crash);
+          Alcotest.(check bool) "wb survives" true (c'.Store.wb = `All);
           (match Store_repro.replay r' with
           | Error e -> Alcotest.(check string) "replays to same failure" error e
           | Ok () -> Alcotest.fail "saved serve repro did not reproduce"))
@@ -258,16 +259,77 @@ let test_store_repro_rejects_garbage () =
           Out_channel.output_string oc "not a serve repro\n");
       match Store_repro.load path with
       | Ok _ -> Alcotest.fail "accepted a garbage file"
-      | Error _ -> ());
-  let c, error, schedule = (cfg (), "synthetic", [||]) in
-  let r =
-    { (Store_repro.of_config c ~error ~schedule) with Store_repro.algo = "nope" }
+      | Error _ -> ())
+
+(* Malformed serve files must be rejected at load, never half-parsed:
+   the serve-kind counterpart of test_repro.ml's campaign corpus.  The
+   base file loads, and every case changes exactly one thing about it. *)
+let test_store_repro_malformed_corpus () =
+  let base =
+    [
+      ("algo", "tracking"); ("shards", "2"); ("clients", "2");
+      ("ops-per-client", "4"); ("batch", "1"); ("find-pct", "30");
+      ("key-range", "16"); ("prefill", "8"); ("dist", "uniform");
+      ("open-loop-ns", "-"); ("crash", "none"); ("wb", "rng");
+      ("restart-ns", "5000"); ("seed", "1"); ("error", "x");
+      ("schedule", "-");
+    ]
   in
-  match Store_repro.config_of r with
-  | Ok _ -> Alcotest.fail "unknown algo accepted"
-  | Error msg ->
-      Alcotest.(check bool) "error names the algo" true
-        (String.length msg > 0)
+  let body fields =
+    String.concat "" (List.map (fun (k, v) -> k ^ " " ^ v ^ "\n") fields)
+  in
+  let render fields = Store_repro.magic ^ "\n" ^ body fields in
+  let set key value =
+    render
+      (if List.mem_assoc key base then
+         List.map (fun (k, v) -> (k, if k = key then value else v)) base
+       else base @ [ (key, value) ])
+  in
+  let without key = render (List.remove_assoc key base) in
+  let load contents =
+    with_temp_file (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc contents);
+        Store_repro.load path)
+  in
+  (match load (render base) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "base file rejected: %s" e);
+  let cases =
+    [
+      ("empty file", "");
+      ("bad magic", "tracking-nvm-repro v1\n" ^ body base);
+      ("unknown field", set "wibble" "3");
+      ("duplicate field", render base ^ "shards 4\n");
+      ("bad integer", set "shards" "two");
+      ("bad number", set "restart-ns" "soon");
+      ("bad dist", set "dist" "zipf");
+      ("bad dist skew", set "dist" "skew:hot");
+      ("bad open-loop-ns", set "open-loop-ns" "often");
+      ("bad crash plan", set "crash" "later 1 2");
+      ("bad wb", set "wb" "sometimes");
+      ("bad wb prefix", set "wb" "prefix:0");
+      ("bad wb2", set "wb2" "prefix:x");
+      ("bad replicate", set "replicate" "yes");
+      ("bad migrate plan", set "migrate" "0 3 2");
+      ("bad schedule", set "schedule" "0,one,2");
+      ("negative failover-ns", set "failover-ns" "-1");
+      ("unknown algorithm", set "algo" "nope");
+      ("unknown backend", set "backends" "tracking,nope");
+    ]
+    @ List.map
+        (fun key -> ("missing " ^ key, without key))
+        [
+          "algo"; "shards"; "clients"; "ops-per-client"; "batch"; "find-pct";
+          "key-range"; "prefill"; "restart-ns";
+        ]
+  in
+  List.iter
+    (fun (name, contents) ->
+      match load contents with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: accepted" name)
+    cases
 
 (* -- bounded crash-point exploration --------------------------------------- *)
 
@@ -302,7 +364,9 @@ let test_explore_catches_broken_variant () =
       match st.Store.ex_first_cex with
       | None -> Alcotest.fail "failure reported but no counterexample captured"
       | Some (cex, sched, bare) -> (
-          let r = Store_repro.of_config cex ~error:bare ~schedule:sched in
+          let r =
+            { Store_repro.config = cex; error = bare; schedule = sched }
+          in
           match Store_repro.replay r with
           | Error e ->
               Alcotest.(check string) "replay reproduces the bare error" bare e
@@ -359,6 +423,8 @@ let suite =
       test_store_repro_roundtrip;
     Alcotest.test_case "serve repro rejects garbage" `Quick
       test_store_repro_rejects_garbage;
+    Alcotest.test_case "serve repro rejects a malformed corpus" `Quick
+      test_store_repro_malformed_corpus;
     Alcotest.test_case "explore clean on tracking" `Quick
       test_explore_clean_on_tracking;
     Alcotest.test_case "explore catches the broken variant" `Quick
