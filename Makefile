@@ -179,10 +179,18 @@ sched-golden:
 # and three serve reports, a Perfetto export, campaign replay/shrink,
 # and the failure path of explore, crash, stats, soak and a serve
 # sweep (stdout plus the repro it saves, then that serve repro replayed
-# and explained).  Paths are relative, so the digests do not depend on
-# where the repository is checked out.  A change that means to move an
-# output regenerates the golden with the same commands and says so.
+# and explained); the explore report of every crash-capable set-model
+# variant on the crash-explore tree (the two negative controls fail,
+# with a postmortem); and the refusal of a queue backend by crash and
+# space.  Paths are relative, so the digests do not depend on where the
+# repository is checked out.  A change that means to move an output
+# regenerates the golden with the same commands and says so.
 OG = _build/output-golden
+EXPLORE_PASS = tracking capsules capsules-opt romulus redo-opt tracking-bst \
+  tracking-noopt tracking-hash memento-list memento-comb
+EXPLORE_FAIL = tracking-broken memento-broken
+EXPLORE_TREE = -t 2 --ops 2 --keys 8 --prefill 2 --preemptions 0 --crashes 1 \
+  --wb 1 --max-execs 0
 output-golden:
 	rm -rf $(OG) && mkdir -p $(OG)
 	dune exec bin/repro.exe -- explain repros/tracking-broken.repro > $(OG)/explain-tb.txt
@@ -224,6 +232,12 @@ output-golden:
 	! dune exec bin/repro.exe -- stats -a tracking-broken -t 4 --ops 40 \
 	  --crashes 2 --keys 64 --seed 5 > $(OG)/stats-broken.txt
 	! dune exec bin/repro.exe -- soak -a tracking-broken --rounds 1 > $(OG)/soak.txt
+	for a in $(EXPLORE_PASS); do dune exec bin/repro.exe -- explore -a $$a \
+	  $(EXPLORE_TREE) > $(OG)/explore-$$a.txt 2> /dev/null || exit 1; done
+	for a in $(EXPLORE_FAIL); do ! dune exec bin/repro.exe -- explore -a $$a \
+	  $(EXPLORE_TREE) > $(OG)/explore-$$a.txt 2> /dev/null || exit 1; done
+	! dune exec bin/repro.exe -- crash -a tracking-topic > $(OG)/crash-topic.txt
+	! dune exec bin/repro.exe -- space tracking-topic > $(OG)/space-topic.txt
 	cd $(OG) && md5sum explain-tb.txt explain-tb.json explain-mb.txt \
 	  explain-mb.json stats.txt stats.json space.json causal.json \
 	  serve-crash.json serve-failover.json serve-mixed.json trace.txt \
@@ -231,6 +245,8 @@ output-golden:
 	  shrink.txt shrunk.repro explore.txt explore.repro crash.txt crash.repro \
 	  serve-explore.txt serve.repro serve-replay.txt explain-serve.txt \
 	  explain-serve.json stats-broken.txt soak.txt \
+	  $(patsubst %,explore-%.txt,$(EXPLORE_PASS) $(EXPLORE_FAIL)) \
+	  crash-topic.txt space-topic.txt \
 	  | diff ../../test/output-golden.txt -
 
 clean:

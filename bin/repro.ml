@@ -85,7 +85,21 @@ let repro_out what =
 let traced trace go =
   match trace with Some p -> Trace.with_file p go | None -> go ()
 
+(* Campaigns (crash, explore, stats, soak, trace, space) judge every run
+   with the per-key set oracle.  A FIFO backend's oracle is sound only
+   where one fiber serializes its operations, as a store shard's server
+   does, so a queue backend runs under serve only. *)
+let require_set_model algo =
+  if algo.Set_intf.model <> Set_intf.Set_model then begin
+    Format.printf
+      "%s is a FIFO queue backend: campaigns check set semantics; run it \
+       as a serve backend@."
+      algo.Set_intf.fname;
+    exit 2
+  end
+
 let require_recoverable ?(crashing = true) algo =
+  require_set_model algo;
   if crashing && algo.Set_intf.fname = "harris" then begin
     Format.printf "harris is volatile: it cannot recover from crashes@.";
     exit 1
@@ -555,6 +569,7 @@ let space_cmd =
   in
   let run variants threads ops find_pct crashes key_range prefill seed jobs
       json csv strict =
+    List.iter require_set_model variants;
     let variants =
       if variants <> [] then variants
       else
@@ -793,6 +808,7 @@ let trace_cmd =
       match from with
       | Some f -> (f, fun () -> ())
       | None ->
+          require_set_model algo;
           let path, cleanup =
             match jsonl with
             | Some p -> (p, fun () -> ())

@@ -265,6 +265,11 @@ let recover t op =
             else apply t op
         | (Ins _ | Del _ | Fnd _), _ -> apply t op)
 
+(* The sequence mirror is the only state outside Pmem. *)
+let save_volatile t =
+  let seqs = Array.copy t.seqs in
+  fun () -> Array.blit seqs 0 t.seqs 0 (Array.length seqs)
+
 let to_list t = Harris.to_list t.list
 let check_invariants t = Harris.check_invariants t.list
 

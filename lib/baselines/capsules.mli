@@ -37,6 +37,11 @@ val recover : t -> op -> bool
 
 val apply : t -> op -> bool
 
+val save_volatile : t -> unit -> unit
+(** Capture the state kept outside {!Pmem} — the per-thread sequence
+    mirror — and return the function that puts it back (the harness
+    calls it before each run from a restored heap). *)
+
 val to_list : t -> int list
 val check_invariants : t -> (unit, string) result
 

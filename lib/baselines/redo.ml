@@ -266,6 +266,16 @@ let recover t kop =
       await t id a.qseq
   else apply t kop
 
+(* Outside Pmem: the sequence mirror, the log cursor and the checkpoint
+   countdown, which [recover_structure] rewrites. *)
+let save_volatile t =
+  let seqs = Array.copy t.seqs in
+  let vtail = t.vtail and since_ckpt = t.since_ckpt in
+  fun () ->
+    Array.blit seqs 0 t.seqs 0 (Array.length seqs);
+    t.vtail <- vtail;
+    t.since_ckpt <- since_ckpt
+
 let to_list t =
   let rec go acc nd =
     match Pmem.peek nd.next with

@@ -31,6 +31,12 @@ val recover_structure : t -> unit
 
 val recover : t -> op -> bool
 
+val save_volatile : t -> unit -> unit
+(** Capture the state kept outside {!Pmem} — the per-thread sequence
+    mirror, the log cursor and the checkpoint countdown — and return the
+    function that puts it back (the harness calls it before each run
+    from a restored heap). *)
+
 val to_list : t -> int list
 val check_invariants : t -> (unit, string) result
 

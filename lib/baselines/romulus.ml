@@ -300,6 +300,21 @@ let recover t op =
   end
   else apply t op
 
+(* Outside Pmem: the sequence mirror and the twin pointers, which
+   [restore] rewrites on every main node it mirrors.  Captured between
+   transactions, when every main link is durable, so the main chain a
+   crash brings back is the one walked here. *)
+let save_volatile t =
+  let seqs = Array.copy t.seqs in
+  let rec walk acc nd =
+    let acc = (nd, nd.twin) :: acc in
+    match Pmem.peek nd.next with None -> acc | Some next -> walk acc next
+  in
+  let twins = Array.of_list (walk [] t.head_m) in
+  fun () ->
+    Array.blit seqs 0 t.seqs 0 (Array.length seqs);
+    Array.iter (fun (nd, twin) -> nd.twin <- twin) twins
+
 let to_list_from head =
   let rec go acc nd =
     match Pmem.peek nd.next with

@@ -30,6 +30,13 @@ val recover_structure : t -> unit
 val recover : t -> op -> bool
 (** Detectable recovery of the calling thread's crashed operation. *)
 
+val save_volatile : t -> unit -> unit
+(** Capture the state kept outside {!Pmem} — the per-thread sequence
+    mirror and the twin pointer of every main-copy node reachable now —
+    and return the function that puts it back (the harness calls it
+    before each run from a restored heap).  Call it between
+    transactions, when the main chain is durable. *)
+
 val to_list : t -> int list
 val check_invariants : t -> (unit, string) result
 

@@ -65,23 +65,64 @@ let config_of (r : Repro.t) =
               max_crashes = r.max_crashes;
             })
 
-(* One seeded run.  [script] forces the crash point, schedule and
-   write-back resolution of its rounds (later rounds run free); [ctl]
-   instead delegates every decision to an external controller (schedules
-   are then recorded, not replayed).  [on_divergence] reports every
-   schedule-replay entry that could not be honored.  The returned round
-   log always reflects what actually happened, so a failure can be
-   replayed — or shrunk — from it. *)
-let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
+(* Everything a run does before round 0, done once: the heap, the
+   structure, the prefill, the initial contents and the op scripts, plus
+   snapshots of the heap and of the structure's OCaml-side state, and the
+   harness rng as the prefill left it.  [run_prepared] puts the snapshots
+   back and copies the rng, so each run starts from this state. *)
+type prepared = {
+  cfg : config;
+  seed : int;
+  heap : Pmem.heap;
+  algo : Set_intf.t;
+  rng : Random.State.t;
+  initial : int list;
+  scripts : Set_intf.op list array;
+  mem : Pmem.snapshot;
+  restore_volatile : unit -> unit;
+}
+
+let prepare cfg ~seed =
   Pmem.reset_pending ();
+  (* before [make]: the negative controls disable their site inside it *)
   Pstats.set_all_enabled true;
   let rng = Random.State.make [| seed; 0xC2A5 |] in
   let heap = Pmem.heap ~name:cfg.factory.Set_intf.fname () in
   let algo = cfg.factory.make heap ~threads:cfg.threads in
   Workload.prefill rng cfg.workload algo;
   Pmem.reset_pending ();
-  if Metrics.active () then Metrics.reset ();
   let initial = algo.Set_intf.contents () in
+  let scripts =
+    Array.init cfg.threads (fun t ->
+        let trng = Random.State.make [| seed; t; 0x0F5 |] in
+        List.init cfg.ops_per_thread (fun _ -> Workload.gen_op trng cfg.workload))
+  in
+  {
+    cfg;
+    seed;
+    heap;
+    algo;
+    rng;
+    initial;
+    scripts;
+    mem = Pmem.snapshot heap;
+    restore_volatile = algo.Set_intf.save_volatile ();
+  }
+
+(* One seeded run from a prepared state.  [script] forces the crash
+   point, schedule and write-back resolution of its rounds (later rounds
+   run free); [ctl] instead delegates every decision to an external
+   controller (schedules are then recorded, not replayed).
+   [on_divergence] reports every schedule-replay entry that could not be
+   honored.  The returned round log always reflects what actually
+   happened, so a failure can be replayed — or shrunk — from it. *)
+let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
+  let { cfg; seed; heap; algo; initial; _ } = p in
+  Pmem.restore p.mem;
+  p.restore_volatile ();
+  Pmem.reset_pending ();
+  let rng = Random.State.copy p.rng in
+  if Metrics.active () then Metrics.reset ();
   let events = ref [] in
   let recovered = ref 0 in
   let crashes = ref 0 in
@@ -89,11 +130,7 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
      it will re-supply after a crash together with the framework's own
      token for it ([note_begin]), and each thread's remaining script. *)
   let pending = Array.make cfg.threads None in
-  let remaining =
-    Array.init cfg.threads (fun t ->
-        let trng = Random.State.make [| seed; t; 0x0F5 |] in
-        ref (List.init cfg.ops_per_thread (fun _ -> Workload.gen_op trng cfg.workload)))
-  in
+  let remaining = Array.map ref p.scripts in
   let record op ok =
     events := { Oracle.eop = op; ok } :: !events
   in
@@ -226,7 +263,7 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
           | [] ->
               failwith
                 (Printf.sprintf
-                   "Crashes.run_logged: crash ended round %d (seed %d) but \
+                   "Crashes.run_prepared: crash ended round %d (seed %d) but \
                     the round log is empty — every round's finalizer must \
                     push its entry before the crash resolution is patched in"
                    round seed));
@@ -278,6 +315,9 @@ let run_logged ?(script = []) ?on_divergence ?ctl ?observe cfg ~seed =
   | Error msg -> Trace.note ("FAILURE: " ^ msg)
   | Ok _ -> ());
   (result, List.rev !log)
+
+let run_logged ?script ?on_divergence ?ctl ?observe cfg ~seed =
+  run_prepared ?script ?on_divergence ?ctl ?observe (prepare cfg ~seed)
 
 let run_once ?script ?repro_file ?observe cfg ~seed =
   let result, rounds = run_logged ?script ?observe cfg ~seed in

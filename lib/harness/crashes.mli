@@ -63,6 +63,42 @@ val run_once :
     the verdict, while the run's heap and structure are still in scope —
     the space sweep's entry point. *)
 
+type prepared
+(** The state every run of one (configuration, seed) starts from: the
+    heap and structure after the prefill, the initial contents, each
+    thread's op script and the harness rng as the prefill left it —
+    with a {!Pmem.snapshot} of the heap and the structure's
+    [save_volatile] capture, so that a run can put that state back
+    instead of rebuilding it.
+
+    A prepared state belongs to the domain that made it: {!Pmem}
+    instances and {!Pstats} are domain-local, so it must never be run
+    on another domain.  Its runs also assume the persist-site
+    configuration [prepare] left (all sites enabled, except the ones
+    the factory disables itself). *)
+
+val prepare : config -> seed:int -> prepared
+(** Everything a run does before round 0: empty the write-back rings,
+    enable every persist site (before [make], which the negative
+    controls use to disable theirs), build the heap and the structure,
+    prefill with the harness rng, empty the rings again, then take the
+    initial contents, the op scripts and both snapshots. *)
+
+val run_prepared :
+  ?script:Repro.round list ->
+  ?on_divergence:(round:int -> step:int -> want:int -> unit) ->
+  ?ctl:ctl ->
+  ?observe:(Pmem.heap -> Set_intf.t -> unit) ->
+  prepared ->
+  (outcome, string) result * Repro.round list
+(** Restore the prepared heap and volatile state, empty the write-back
+    rings and crash log, copy the rng, then run the rounds and every
+    oracle, invariant and poison check.  The result and round log equal
+    those of a {!run_logged} with the same arguments, however many runs
+    came before from the same prepared state: {!Explore} prepares once
+    per tree and runs every execution this way.  [script],
+    [on_divergence], [ctl] and [observe] are as in {!run_logged}. *)
+
 val run_logged :
   ?script:Repro.round list ->
   ?on_divergence:(round:int -> step:int -> want:int -> unit) ->
@@ -71,12 +107,12 @@ val run_logged :
   config ->
   seed:int ->
   (outcome, string) result * Repro.round list
-(** Like {!run_once}, also returning the recorded round log (crash point,
-    schedule and write-back resolution per simulator round) — the raw
-    material of a repro.  [on_divergence] fires for every scripted
-    schedule entry that could not be honored; [ctl] delegates all
-    campaign decisions to an external controller instead of the
-    script/rng. *)
+(** [run_prepared (prepare cfg ~seed)]: like {!run_once}, also returning
+    the recorded round log (crash point, schedule and write-back
+    resolution per simulator round) — the raw material of a repro.
+    [on_divergence] fires for every scripted schedule entry that could
+    not be honored; [ctl] delegates all campaign decisions to an
+    external controller instead of the script/rng. *)
 
 val run_campaign :
   config -> seeds:int list -> (int * outcome, Repro.t) result

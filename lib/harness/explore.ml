@@ -2,8 +2,9 @@
    crash campaigns.
 
    The explorer runs one campaign configuration over and over through
-   [Crashes.run_logged ~ctl], doing depth-first search over every
-   decision the campaign makes:
+   [Crashes.run_prepared ~ctl], from one [Crashes.prepare]d state per
+   search, doing depth-first search over every decision the campaign
+   makes:
 
    - {e scheduling}: which ready thread runs at each simulator step,
      with CHESS-style preemption bounding — the default schedule is
@@ -27,7 +28,7 @@
    forcing a prefix of recorded decisions and letting defaults extend
    it; backtracking flips the deepest decision with untried
    alternatives.  Every execution runs the full oracle / invariant /
-   poison checks of [Crashes.run_logged], and a failing execution's
+   poison checks of [Crashes.run_prepared], and a failing execution's
    round log is already a standard [Repro.t] script — replay and
    shrinking work on it unchanged, with zero schedule divergences. *)
 
@@ -93,6 +94,9 @@ let copy_frame f = { chosen = f.chosen; untried = f.untried; fround = f.fround }
    budget check at [jobs = 1], one shared atomic decrement per execution
    across the pool at [jobs > 1]. *)
 let search ?(stop_on_failure = true) ?progress ~grant ~resume path cfg =
+  (* Every execution starts from the same post-prefill state: build it
+     once, on this domain, and restore it per execution. *)
+  let prepared = Crashes.prepare cfg.campaign ~seed:cfg.seed in
   let executions = ref 0 in
   let failures = ref 0 in
   let decision_points = ref 0 in
@@ -202,7 +206,7 @@ let search ?(stop_on_failure = true) ?progress ~grant ~resume path cfg =
       match f.chosen with Wb w -> w | _ -> kind_error "wb"
     in
     let ctl = { Crashes.ctl_crash_at; ctl_choose; ctl_wb } in
-    let result, rounds = Crashes.run_logged ~ctl cfg.campaign ~seed:cfg.seed in
+    let result, rounds = Crashes.run_prepared ~ctl prepared in
     (result, rounds, fresh_from)
   in
   (* After an execution, frames created fresh on this path learn their

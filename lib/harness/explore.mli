@@ -23,7 +23,11 @@
     Every execution runs the full oracle / detectability / poison checks
     of {!Crashes.run_logged}; a failure is returned as a standard
     {!Repro.t} that [repro --replay] and [--shrink] consume unchanged,
-    replaying with zero schedule divergences. *)
+    replaying with zero schedule divergences.  The heap, structure,
+    prefill and op scripts are built once per search
+    ({!Crashes.prepare}) and restored before each execution
+    ({!Crashes.run_prepared}), so a traced search logs the set-up events
+    once. *)
 
 type config = {
   campaign : Crashes.config;
@@ -76,4 +80,5 @@ val run :
     when [stop_on_failure] or [max_execs] cuts the search short the
     execution counts reflect the pool's own stopping points (still
     deterministic in the reported failure, not in the counts).  Worker
-    domains are not observed by the calling domain's [Trace]/[Metrics]. *)
+    domains are not observed by the calling domain's [Trace]/[Metrics].
+    Each work item prepares its own state on the domain that runs it. *)

@@ -35,7 +35,6 @@ type model = Set_model | Queue_model
 
 type t = {
   name : string;
-  model : model;
   insert : int -> bool;
   delete : int -> bool;
   find : int -> bool;
@@ -46,15 +45,25 @@ type t = {
   contents : unit -> int list;
   space : unit -> (Pmem.line * [ `Payload of int list | `Meta of string ]) list;
   supports_crash : bool;
+  save_volatile : unit -> unit -> unit;
 }
+
+(* Most structures keep all their state in Pmem fields, which
+   [Pmem.snapshot] already covers. *)
+let no_volatile () = ignore
 
 let apply t = function Ins k -> t.insert k | Del k -> t.delete k | Fnd k -> t.find k
 
-type factory = { fname : string; make : Pmem.heap -> threads:int -> t }
+type factory = {
+  fname : string;
+  model : model;
+  make : Pmem.heap -> threads:int -> t;
+}
 
 let tracking =
   {
     fname = "tracking";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module L = Rlist.Int in
@@ -76,13 +85,14 @@ let tracking =
           contents = (fun () -> L.to_list l);
           space = (fun () -> L.space l);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
 let tracking_bst =
   {
     fname = "tracking-bst";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module T = Rbst.Int in
@@ -104,13 +114,14 @@ let tracking_bst =
           contents = (fun () -> T.to_list t);
           space = (fun () -> T.space t);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
 let tracking_no_ro_opt =
   {
     fname = "tracking-noopt";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module L = Rlist.Int in
@@ -134,7 +145,7 @@ let tracking_no_ro_opt =
           contents = (fun () -> L.to_list l);
           space = (fun () -> L.space l);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
@@ -147,6 +158,7 @@ let tracking_no_ro_opt =
 let tracking_broken =
   {
     fname = "tracking-broken";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module L = Rlist.Int in
@@ -171,13 +183,14 @@ let tracking_broken =
           contents = (fun () -> L.to_list l);
           space = (fun () -> L.space l);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
 let tracking_hash =
   {
     fname = "tracking-hash";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module H = Rhash.Int in
@@ -199,13 +212,14 @@ let tracking_hash =
           contents = (fun () -> List.sort compare (H.to_list h));
           space = (fun () -> H.space h);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
 let capsules_factory name variant =
   {
     fname = name;
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let c = Capsules.create ~variant heap ~threads in
@@ -226,7 +240,7 @@ let capsules_factory name variant =
           contents = (fun () -> Capsules.to_list c);
           space = (fun () -> Capsules.space c);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = (fun () -> Capsules.save_volatile c);
         });
   }
 
@@ -236,6 +250,7 @@ let capsules_opt = capsules_factory "capsules-opt" `Opt
 let romulus =
   {
     fname = "romulus";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let r = Romulus.create heap ~threads in
@@ -256,13 +271,14 @@ let romulus =
           contents = (fun () -> Romulus.to_list r);
           space = (fun () -> Romulus.space r);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = (fun () -> Romulus.save_volatile r);
         });
   }
 
 let redo =
   {
     fname = "redo-opt";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let r = Redo.create heap ~threads in
@@ -283,13 +299,14 @@ let redo =
           contents = (fun () -> Redo.to_list r);
           space = (fun () -> Redo.space r);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = (fun () -> Redo.save_volatile r);
         });
   }
 
 let harris_volatile =
   {
     fname = "harris";
+    model = Set_model;
     make =
       (fun heap ~threads:_ ->
         let l = Harris.create heap in
@@ -306,7 +323,7 @@ let harris_volatile =
           contents = (fun () -> Harris.to_list l);
           space = (fun () -> Harris.space l);
           supports_crash = false;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
@@ -320,6 +337,7 @@ let harris_volatile =
 let memento_list_factory fname ~prefix ~disable_site =
   {
     fname;
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module L = Mlist.Int in
@@ -354,7 +372,7 @@ let memento_list_factory fname ~prefix ~disable_site =
           contents = (fun () -> L.to_list l);
           space = (fun () -> L.space l);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
@@ -374,6 +392,7 @@ let memento_broken =
 let memento_comb =
   {
     fname = "memento-comb";
+    model = Set_model;
     make =
       (fun heap ~threads ->
         let module C = Mcomb.Int in
@@ -401,7 +420,7 @@ let memento_comb =
           contents = (fun () -> C.to_list c);
           space = (fun () -> C.space c);
           supports_crash = true;
-          model = Set_model;
+          save_volatile = no_volatile;
         });
   }
 
@@ -416,6 +435,7 @@ let memento_comb =
 let tracking_topic =
   {
     fname = "tracking-topic";
+    model = Queue_model;
     make =
       (fun heap ~threads ->
         let q : int Rqueue.t = Rqueue.create ~prefix:"rtopic" heap ~threads in
@@ -437,7 +457,6 @@ let tracking_topic =
         in
         {
           name = "tracking-topic";
-          model = Queue_model;
           insert = (fun k -> run (Ins k));
           delete = (fun k -> run (Del k));
           find = (fun k -> run (Fnd k));
@@ -455,6 +474,7 @@ let tracking_topic =
           contents = (fun () -> Rqueue.to_list q);
           space = (fun () -> Rqueue.space q);
           supports_crash = true;
+          save_volatile = no_volatile;
         });
   }
 

@@ -35,7 +35,6 @@ type model = Set_model | Queue_model
 (** One live instance, closed over its heap and thread count. *)
 type t = {
   name : string;
-  model : model;
   insert : int -> bool;
   delete : int -> bool;
   find : int -> bool;
@@ -57,11 +56,31 @@ type t = {
           classify the rest of the heap as garbage) *)
   supports_crash : bool;
       (** whether crash campaigns may include this implementation *)
+  save_volatile : unit -> unit -> unit;
+      (** [save_volatile ()] captures the state the structure keeps in
+          OCaml memory rather than in {!Pmem} fields, and returns the
+          function that puts it back.  {!Crashes.prepare} calls it once,
+          next to {!Pmem.snapshot}; every prepared run calls the returned
+          function after {!Pmem.restore}.  Together the two must return
+          the instance to the captured state exactly: a run from it
+          must behave like a run from a fresh build (sequence mirrors,
+          volatile cursors, twin pointers rewritten by recovery).
+          Structures whose state lives entirely in Pmem use
+          {!no_volatile}. *)
 }
+
+val no_volatile : unit -> unit -> unit
+(** The [save_volatile] of a structure with no OCaml-side state. *)
 
 val apply : t -> op -> bool
 
-type factory = { fname : string; make : Pmem.heap -> threads:int -> t }
+type factory = {
+  fname : string;
+  model : model;
+      (** what the structure's operations mean, known without building
+          one: campaigns check the set model only *)
+  make : Pmem.heap -> threads:int -> t;
+}
 
 val tracking : factory
 val tracking_bst : factory

@@ -840,6 +840,80 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
     }
     :: inst.icrashes
 
+(* ---- snapshots ---------------------------------------------------------- *)
+
+(* Everything a run can change on a tracked heap's fields and lines, as
+   of one instant.  The field and line lists themselves are immutable
+   (allocation prepends), so keeping the heads is enough to forget what
+   was allocated later. *)
+type fsnap = FS : { f : 'a t; sv : 'a; sd : 'a; sflags : int } -> fsnap
+
+type lsnap = {
+  l : line;
+  ssharers : int;
+  sowner : int;
+  swb_owner : int;
+  suntil : float;
+  sfields : field list;
+}
+
+type snapshot = {
+  sheap : heap;
+  shfields : field list;
+  shlines : line list;
+  sn_lines : int;
+  sfs : fsnap array;
+  sls : lsnap array;
+}
+
+let snapshot h =
+  if not h.track then invalid_arg "Pmem.snapshot: heap is not tracked for crash";
+  {
+    sheap = h;
+    shfields = h.hfields;
+    shlines = h.hlines;
+    sn_lines = h.n_lines;
+    sfs =
+      Array.of_list
+        (List.map
+           (fun (F f) -> FS { f; sv = f.v; sd = f.durable; sflags = f.flags })
+           h.hfields);
+    sls =
+      Array.of_list
+        (List.map
+           (fun l ->
+             {
+               l;
+               ssharers = l.sharers;
+               sowner = l.owner;
+               swb_owner = l.wb_owner;
+               suntil = l.wb_until.until;
+               sfields = l.fields;
+             })
+           h.hlines);
+  }
+
+let restore s =
+  let h = s.sheap in
+  h.hfields <- s.shfields;
+  h.hlines <- s.shlines;
+  h.n_lines <- s.sn_lines;
+  Array.iter
+    (fun (FS { f; sv; sd; sflags }) ->
+      f.v <- sv;
+      f.durable <- sd;
+      f.flags <- sflags)
+    s.sfs;
+  Array.iter
+    (fun s ->
+      let l = s.l in
+      l.sharers <- s.ssharers;
+      l.owner <- s.sowner;
+      l.wb_owner <- s.swb_owner;
+      l.wb_until.until <- s.suntil;
+      l.fields <- s.sfields)
+    s.sls
+
 (* ---- introspection ----------------------------------------------------- *)
 
 let system_persist fld v =

@@ -214,6 +214,34 @@ val lines_allocated : heap -> int
 
 val heap_name : heap -> string
 
+(** {2 Snapshots}
+
+    A crash-exploration tree runs thousands of executions from the same
+    post-prefill state; a snapshot lets it build that state once and put
+    it back before each execution instead of rebuilding it. *)
+
+type snapshot
+(** The state of a tracked heap at one instant: each field's volatile
+    value, durable value and poison/durable flags; each line's cache
+    metadata (sharers, owner, in-flight write-back and its deadline) and
+    field list; the heap's field list, line list and line count. *)
+
+val snapshot : heap -> snapshot
+(** @raise Invalid_argument if the heap was made with
+    [~track_for_crash:false]: an untracked heap does not know its
+    fields. *)
+
+val restore : snapshot -> unit
+(** Put every field and line of the snapshot's heap back as it was.
+    Lines allocated after the snapshot drop out of the heap (a later
+    {!crash} no longer resets them), and the next {!new_line} gets the
+    id it got right after the snapshot, so a run from a restored heap
+    allocates the same ids as a run from a fresh build.  The
+    {!type-instance} is untouched: call {!reset_pending} to empty the
+    write-back rings and the crash log.  Values are restored by
+    reference — state a structure keeps in mutable OCaml memory outside
+    its fields is the structure's to put back. *)
+
 (** {1 Lines and fields} *)
 
 type line

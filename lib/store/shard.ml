@@ -80,6 +80,7 @@ type t = {
   server_tid : int;
   mutable heap : Pmem.heap;  (* swapped by failover promotion *)
   mutable algo : Set_intf.t;
+  model : Set_intf.model;  (* the backend's, kept by a failover *)
   replica : Replica.t option;
   mailbox : request Queue.t;
   queue_gauge : Metrics.gauge;
@@ -116,6 +117,7 @@ let create ?(replicate = false) factory ~threads ~server_tid sid =
     server_tid;
     heap;
     algo;
+    model = factory.Set_intf.model;
     replica =
       (if replicate then Some (Replica.create factory ~threads ~sid) else None);
     mailbox = Queue.create ();

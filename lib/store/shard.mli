@@ -47,6 +47,7 @@ type t = {
   server_tid : int;
   mutable heap : Pmem.heap;  (** swapped by failover promotion *)
   mutable algo : Set_intf.t;
+  model : Set_intf.model;  (** the backend factory's; a failover keeps it *)
   replica : Replica.t option;
   mailbox : request Queue.t;
   queue_gauge : Metrics.gauge;

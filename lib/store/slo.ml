@@ -155,7 +155,7 @@ let build ?window_ns ~total ~divergences ~requests ~(shards : Shard.t array)
     let key_counts =
       Array.to_list shards
       |> List.filter_map (fun (s : Shard.t) ->
-             match s.Shard.algo.Set_intf.model with
+             match s.Shard.model with
              | Set_intf.Set_model ->
                  Some (List.length (s.Shard.algo.Set_intf.contents ()))
              | Set_intf.Queue_model -> None)

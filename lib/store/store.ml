@@ -176,7 +176,7 @@ let run ?record ?(schedule = [||]) cfg =
       match
         match cfg.migrate with
         | Some { msrc; _ }
-          when shards.(msrc).Shard.algo.Set_intf.model <> Set_intf.Set_model ->
+          when shards.(msrc).Shard.model <> Set_intf.Set_model ->
             Error
               (Printf.sprintf
                  "store: migration source shard %d is not a set-model backend"
@@ -392,7 +392,7 @@ let run ?record ?(schedule = [||]) cfg =
                        let final = s.Shard.algo.Set_intf.contents () in
                        let events = List.rev s.Shard.events in
                        let verdict =
-                         match s.Shard.algo.Set_intf.model with
+                         match s.Shard.model with
                          | Set_intf.Set_model ->
                              Oracle.check ~initial:s.Shard.initial ~final events
                          | Set_intf.Queue_model ->
@@ -447,7 +447,7 @@ let run ?record ?(schedule = [||]) cfg =
             let set_shards =
               Array.to_list shards
               |> List.filter (fun (s : Shard.t) ->
-                     s.Shard.algo.Set_intf.model = Set_intf.Set_model)
+                     s.Shard.model = Set_intf.Set_model)
             in
             if set_shards = [] then None
             else

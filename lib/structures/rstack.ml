@@ -15,11 +15,11 @@ type 'a t = {
 
 type 'a pending = Push of 'a | Pop
 
-let node_ctr = ref 0
-
+(* Named by the id the line is about to get, so a node's name depends on
+   its heap alone. *)
 let new_node heap value next =
-  incr node_ctr;
-  let line = Pmem.new_line ~name:(Printf.sprintf "snode#%d" !node_ctr) heap in
+  let name = Printf.sprintf "snode#%d" (Pmem.lines_allocated heap + 1) in
+  let line = Pmem.new_line ~name heap in
   {
     value;
     line;

@@ -129,6 +129,7 @@ let test_raising_measurement_leaks_nothing () =
   let raising =
     {
       Set_intf.fname = "raiser";
+      model = Set_model;
       make = (fun _ ~threads:_ -> failwith "constructor boom");
     }
   in

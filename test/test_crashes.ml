@@ -134,6 +134,73 @@ let test_find_recovery_reinvokes () =
   | Sim.Crashed_at _ -> Alcotest.fail "unexpected");
   Alcotest.(check bool) "find recovered correctly" true !r
 
+(* A prepared state serves a whole sweep and every run from it equals a
+   fresh run: for each crash-capable factory, one [Crashes.prepare] on
+   crash-explore's tree shape serves a crash at every step of the
+   crash-free round 0, under three write-back resolutions, and each
+   run's verdict and round log must equal a fresh [run_logged] with the
+   same script.  The prepared runs go first, back to back, so each one
+   starts from the state the previous one left — what [Pmem.restore]
+   and the structure's [save_volatile] must undo.  For the two
+   frameworks of crash-explore the restore must also allocate at least
+   1,000 minor words per run less than the rebuild it replaces. *)
+let test_prepared_equals_fresh () =
+  let tree f =
+    Crashes.
+      {
+        factory = f;
+        threads = 2;
+        ops_per_thread = 2;
+        workload =
+          {
+            (Workload.default Workload.update_intensive) with
+            key_range = 8;
+            prefill_n = 2;
+          };
+        max_crashes = 1;
+      }
+  in
+  let round c wb = [ { Repro.kind = `Work; crash_at = c; schedule = [||]; wb } ] in
+  let crash_capable (f : Set_intf.factory) =
+    (f.make (Pmem.heap ~track_for_crash:false ()) ~threads:1).supports_crash
+  in
+  List.iter
+    (fun (f : Set_intf.factory) ->
+      let cfg = tree f in
+      List.iter
+        (fun seed ->
+          let steps =
+            match Crashes.run_logged ~script:(round 0 `Rng) cfg ~seed with
+            | _, r0 :: _ -> Array.length r0.Repro.schedule - cfg.threads
+            | _, [] -> Alcotest.failf "%s: no round 0" f.fname
+          in
+          let scripts =
+            List.concat_map
+              (fun c -> List.map (round c) [ `Drop; `All; `Prefix 1 ])
+              (List.init (steps + 1) Fun.id)
+          in
+          let p = Crashes.prepare cfg ~seed in
+          let w0 = Gc.minor_words () in
+          let prepared = List.map (fun script -> Crashes.run_prepared ~script p) scripts in
+          let w1 = Gc.minor_words () in
+          let fresh = List.map (fun script -> Crashes.run_logged ~script cfg ~seed) scripts in
+          let w2 = Gc.minor_words () in
+          let differ =
+            List.filter (fun (a, b) -> a <> b) (List.combine prepared fresh)
+          in
+          if differ <> [] then
+            Alcotest.failf "%s seed %d: %d of %d prepared runs differ from fresh runs"
+              f.fname seed (List.length differ) (List.length scripts);
+          if List.mem f.fname [ "tracking"; "memento-list" ] then begin
+            let n = float_of_int (List.length scripts) in
+            let saved = ((w2 -. w1) -. (w1 -. w0)) /. n in
+            if saved < 1000. then
+              Alcotest.failf "%s seed %d: restore saves %.0f minor words per run"
+                f.fname seed saved
+          end)
+        [ 1; 2 ])
+    (List.filter crash_capable Set_intf.all)
+
 let suite =
   [
     Alcotest.test_case "tracking campaign" `Quick test_tracking_campaign;
@@ -154,4 +221,6 @@ let suite =
       test_recover_twice_is_stable;
     Alcotest.test_case "find recovery re-invokes" `Quick
       test_find_recovery_reinvokes;
+    Alcotest.test_case "prepared runs equal fresh runs" `Quick
+      test_prepared_equals_fresh;
   ]

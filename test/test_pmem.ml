@@ -540,6 +540,41 @@ let test_instruction_allocation () =
       ("pfence", fun _ -> Pmem.pfence site_fence);
     ]
 
+(* Snapshot/restore: values, durable values and poison flags come back,
+   lines allocated after the snapshot drop out of the heap (ids and the
+   crash set), and fields added to an old line after it are forgotten. *)
+let test_snapshot_restore () =
+  let h = fresh () in
+  let a = Pmem.alloc ~name:"a" h 1 in
+  let b = Pmem.alloc ~name:"b" h 10 in
+  Pmem.pwb_f site_pwb a;
+  Pmem.psync site_sync;
+  Pmem.write a 2;
+  let s = Pmem.snapshot h in
+  Pmem.write a 3;
+  Pmem.pwb_f site_pwb a;
+  Pmem.psync site_sync;
+  Pmem.crash h;
+  Alcotest.(check bool) "b poisoned before restore" true (Pmem.is_poisoned b);
+  let extra = Pmem.on_line (Pmem.line_of a) "late" in
+  let c = Pmem.alloc ~name:"c" h 100 in
+  Pmem.restore s;
+  Alcotest.(check int) "volatile value" 2 (Pmem.peek a);
+  Alcotest.(check (option int)) "durable value" (Some 1) (Pmem.peek_persisted a);
+  Alcotest.(check bool) "poison cleared" false (Pmem.is_poisoned b);
+  Alcotest.(check int) "line count" 2 (Pmem.lines_allocated h);
+  let d = Pmem.alloc ~name:"d" h 0 in
+  Alcotest.(check int) "next id as after the snapshot" 3
+    (Pmem.line_id (Pmem.line_of d));
+  Pmem.crash h;
+  Alcotest.(check int) "reverts to the restored durable value" 1 (Pmem.peek a);
+  Alcotest.(check bool) "late field no longer on the line" false
+    (Pmem.is_poisoned extra);
+  Alcotest.(check bool) "dropped line no longer reset" false (Pmem.is_poisoned c);
+  Alcotest.check_raises "untracked heap"
+    (Invalid_argument "Pmem.snapshot: heap is not tracked for crash")
+    (fun () -> ignore (Pmem.snapshot (Pmem.heap ~track_for_crash:false ()) : Pmem.snapshot))
+
 let suite =
   [
     Alcotest.test_case "read-write-cas" `Quick test_read_write;
@@ -583,4 +618,5 @@ let suite =
       test_golden_crash_resolutions;
     Alcotest.test_case "instruction allocation bounds" `Quick
       test_instruction_allocation;
+    Alcotest.test_case "snapshot and restore" `Quick test_snapshot_restore;
   ]
