@@ -15,15 +15,20 @@ explore-smoke:
 	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
 	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0
 
-# Metrics + Perfetto smoke: a small campaign with metrics and tracing on;
+# Metrics + Perfetto smoke: a small campaign with tracing on;
 # --validate re-parses the emitted trace_event JSON and requires at least
 # one complete span per thread track.  repro stats must report in-memory
-# latency/contention/recovery profiles for a crashing seed.
+# latency/contention/recovery profiles for a crashing seed.  A contended
+# crash campaign traced without metrics must report failed CASes in its
+# op_end lines: the tracer counts them from the event bus itself.
 metrics-smoke:
 	dune exec bin/repro.exe -- trace -a tracking -t 3 --ops 12 --crashes 2 \
 	  --keys 32 --seed 7 --perfetto _build/perfetto-smoke.json --validate
 	dune exec bin/repro.exe -- stats -a tracking -t 4 --ops 40 --crashes 2 \
 	  --keys 64 --seed 1
+	dune exec bin/repro.exe -- crash -a tracking -t 6 --ops 20 --keys 8 \
+	  --seeds 1 --crashes 1 --trace _build/ms-crash.jsonl
+	grep -q '"cas_fail":[1-9]' _build/ms-crash.jsonl
 
 # Causal profiler smoke: a tiny what-if sweep whose --check asserts the
 # paper's orderings — high-impact pwbs above low-impact per execution,

@@ -817,12 +817,8 @@ let trace_cmd =
                 (t, fun () -> try Sys.remove t with Sys_error _ -> ())
           in
           let cfg = campaign_cfg algo mix threads ops crashes key_range in
-          Metrics.enable ();
           let result =
-            Fun.protect
-              ~finally:(fun () -> Metrics.disable ())
-              (fun () ->
-                Trace.with_file path (fun () -> Crashes.run_once cfg ~seed))
+            Trace.with_file path (fun () -> Crashes.run_once cfg ~seed)
           in
           (match result with
           | Ok o ->

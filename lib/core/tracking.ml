@@ -63,25 +63,21 @@ let cleanup ops s d =
     p.Desc.cleanup;
   Pmem.psync s.cleanup_sync
 
-(* Observability hook (see Harness.Metrics): called with the descriptor
-   owner's tid whenever another thread runs Help on its operation.
-   Domain-local, like every observability hook of the substrate; one
-   domain-local read when disabled, and no protocol behaviour depends on
-   it. *)
-let helped_hook : (int -> unit) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* A bus event (see Sim) for every Help run on another thread's
+   operation; one domain-local read when nobody subscribes, and no
+   protocol behaviour depends on it. *)
+type Sim.event += Helped of { owner : int }
 
-let set_helped_hook h = Domain.DLS.set helped_hook h
+let set_helped_hook =
+  Sim.hook (fun f -> function Helped { owner } -> f owner | _ -> ())
 
 let note_help d =
-  match Domain.DLS.get helped_hook with
-  | None -> ()
-  | Some f ->
-      let owner = Desc.owner d in
-      if owner >= 0 then begin
-        let h = Sim.handle () in
-        if Sim.h_in_sim h && Sim.h_tid h <> owner then f owner
-      end
+  let v = Sim.view (Sim.handle ()) in
+  if v.subs != [] then begin
+    let owner = Desc.owner d in
+    if owner >= 0 && v.running && v.tid <> owner then
+      Sim.publish v (Helped { owner })
+  end
 
 (* Algorithm 2. *)
 let help ops s d =

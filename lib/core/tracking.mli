@@ -30,12 +30,14 @@ val help : 'n node_ops -> sites -> 'n Desc.t -> unit
     recovery after a crash in any phase (a descriptor whose result is set
     proceeds straight to cleanup). *)
 
+type Sim.event += Helped of { owner : int }
+(** Published on the {!Sim} bus whenever {!help} runs on behalf of
+    {e another} thread's operation, with the descriptor owner's tid (the
+    owner running its own phases, and recovery of one's own descriptor,
+    do not count).  One domain-local read when nobody subscribes. *)
+
 val set_helped_hook : (int -> unit) option -> unit
-(** Observability hook (see [Harness.Metrics]): when set, called with the
-    descriptor owner's tid whenever {!help} runs on behalf of {e another}
-    thread's operation (the owner running its own phases, and recovery of
-    one's own descriptor, do not count).  Domain-local; one domain-local
-    read when disabled. *)
+(** The {!Helped} owners as a one-slot setter ({!Sim.hook}). *)
 
 (** Result of one gather+analysis attempt, produced by the structure. *)
 type 'n attempt =

@@ -140,13 +140,10 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
       | [] -> ()
       | op :: rest ->
           pending.(tid) <- Some (op, algo.Set_intf.note_begin op);
-          Metrics.op_begin ~kind:(Metrics.kind_of_op op)
-            ~key:(Set_intf.op_key op);
-          Forensics.op_begin ~tid ~kind:(Metrics.kind_of_op op)
+          Events.op_begin ~kind:(Events.kind_of_op op)
             ~key:(Set_intf.op_key op);
           let ok = Set_intf.apply algo op in
-          Metrics.op_end ~ok;
-          Forensics.op_end ~tid ~ok;
+          Events.op_end ~ok;
           record op ok;
           pending.(tid) <- None;
           remaining.(tid) := rest;
@@ -158,11 +155,9 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
     (match pending.(tid) with
     | None -> ()
     | Some (op, token) ->
-        Metrics.op_begin ~kind:"recover" ~key:(Set_intf.op_key op);
-        Forensics.op_begin ~tid ~kind:"recover" ~key:(Set_intf.op_key op);
+        Events.op_begin ~kind:"recover" ~key:(Set_intf.op_key op);
         let ok = algo.Set_intf.recover token in
-        Metrics.op_end ~ok;
-        Forensics.op_end ~tid ~ok;
+        Events.op_end ~ok;
         record op ok;
         incr recovered;
         pending.(tid) <- None;
@@ -200,8 +195,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
       | None, None -> [||]
     in
     let picks = ref [] in
-    Trace.round ~kind round;
-    Forensics.round ~kind round;
+    Events.round ~kind round;
     Fun.protect
       ~finally:(fun () ->
         log :=
@@ -255,7 +249,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
           | `Rng -> Pmem.crash ~rng heap
           | (`Drop | `All | `Prefix _) as resolution ->
               Pmem.crash ~resolution heap);
-          Forensics.note_crash ~round;
+          Events.crash_resolved ~round;
           (* patch the resolution into the round entry the finalizer just
              pushed, so the log replays with the same NVM state *)
           (match !log with

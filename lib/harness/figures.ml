@@ -186,7 +186,7 @@ let fig_throughput cfg mix =
 let fig_psyncs_per_op cfg mix =
   {
     id = fig_id mix "b";
-    title = "psync+pfence per operation, " ^ mix.Workload.name;
+    title = "psync per operation, " ^ mix.Workload.name;
     ylabel = "psyncs/op";
     threads = cfg.sweep;
     series =

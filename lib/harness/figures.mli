@@ -5,8 +5,8 @@
     - 3a/4a — throughput of Tracking, Capsules, Capsules-Opt, Romulus and
       RedoOpt (plus the volatile Harris list as the persistence-free
       yardstick) against thread count;
-    - 3b/4b — psync+pfence executed per operation (the paper's machine
-      implements pfence with psync);
+    - 3b/4b — psync executed per operation (pfences are counted
+      separately, in [Runner.point.pfences_per_op]);
     - 3c/4c — throughput with and without psync/pfence instructions;
     - 3d/4d — pwb executed per operation;
     - 3e/4e — fraction of executed pwbs whose {e code line} is low /

@@ -1,12 +1,13 @@
 (* Crash forensics: reconstruct per-operation lineage and produce a
    postmortem for a failing campaign.
 
-   The recorder is an opt-in third observer on Pmem (composing with the
-   tracer and the metrics collector): while active it attributes every
-   CAS, write and issued write-back to the operation currently open on
-   the issuing thread, follows each write-back to its fate (drained,
-   persisted-at-crash, dropped-at-crash) through Pmem's write-back
-   observer, and pairs Pmem's per-crash reports with campaign rounds.
+   The recorder is an opt-in subscriber on the Sim observer bus: while
+   active it attributes every CAS, write and issued write-back to the
+   operation currently open on the issuing thread (the harness's
+   Op_begin/Op_end events), follows each write-back to its fate
+   (drained, persisted-at-crash, dropped-at-crash) through Pmem's
+   Writeback events, and pairs Pmem's per-crash reports with the
+   harness's Round and Crash_resolved events.
    [build] then turns the recording plus the failure message into an
    immutable, deterministically-rendered postmortem: the crash-point
    durable-vs-volatile diff (which lines never persisted and which site
@@ -14,11 +15,9 @@
    persist sites — the negative controls' elided flushes), and the
    lineage of the operations that touched the failure.
 
-   Nothing here runs when the recorder is off: the hooks are [None], so
-   Pmem constructs no events, and the harness entry points return after
-   one domain-local read.  Postmortems are therefore always produced by
-   a dedicated forensic {e replay} of a repro, never by instrumenting
-   the original campaign. *)
+   Nothing here runs when the recorder is off: it is not subscribed.
+   Postmortems are always produced by a dedicated forensic {e replay} of
+   a repro, never by instrumenting the original campaign. *)
 
 (* ---- recording --------------------------------------------------------- *)
 
@@ -120,7 +119,7 @@ let touch_round st op =
   | r :: _ when r = st.s_round -> ()
   | _ -> op.o_rounds <- st.s_round :: op.o_rounds
 
-let on_event st : Pmem.trace_event -> unit = function
+let on_pmem_event st : Pmem.trace_event -> unit = function
   | Pmem.Read _ | Pmem.Pfence _ | Pmem.Psync _ | Pmem.Alloc _ -> ()
   | Pmem.Write { tid; line; _ } -> note_write st tid line
   | Pmem.Cas { tid; line; success; _ } ->
@@ -164,19 +163,6 @@ let on_wb st tid line site (f : Pmem.wb_fate) =
           | Pmem.Crash_dropped -> Crash_dropped st.s_crashes)
       end
 
-let start () =
-  let st = fresh_state () in
-  slot () := Some st;
-  Pmem.set_forensics (Some (on_event st));
-  Pmem.set_wb_observer (Some (on_wb st))
-
-let stop () =
-  slot () := None;
-  Pmem.set_forensics None;
-  Pmem.set_wb_observer None
-
-(* ---- harness entry points (no-ops when inactive) ----------------------- *)
-
 let close_op st tid =
   match st.s_cur.(tid) with
   | None -> ()
@@ -184,47 +170,54 @@ let close_op st tid =
       st.s_cur.(tid) <- None;
       st.s_ops <- op :: st.s_ops
 
-let op_begin ~tid ~kind ~key =
+let op_begin st ~tid ~kind ~key =
+  (* an op still open on this thread was interrupted by a crash: the
+     system never saw it return *)
+  close_op st tid;
+  let seq = st.s_seq.(tid) in
+  st.s_seq.(tid) <- seq + 1;
+  st.s_cur.(tid) <-
+    Some
+      {
+        o_tid = tid;
+        o_seq = seq;
+        o_kind = kind;
+        o_key = key;
+        o_rounds = [ st.s_round ];
+        o_cas = [];
+        o_pwbs = [];
+        o_writes = [];
+        o_ok = None;
+      }
+
+let op_end st ~tid ~ok =
+  (match st.s_cur.(tid) with
+  | None -> ()
+  | Some op -> op.o_ok <- Some ok);
+  close_op st tid
+
+let on_event ev =
   match !(slot ()) with
   | None -> ()
-  | Some st ->
-      (* an op still open on this thread was interrupted by a crash: the
-         system never saw it return *)
-      close_op st tid;
-      let seq = st.s_seq.(tid) in
-      st.s_seq.(tid) <- seq + 1;
-      st.s_cur.(tid) <-
-        Some
-          {
-            o_tid = tid;
-            o_seq = seq;
-            o_kind = kind;
-            o_key = key;
-            o_rounds = [ st.s_round ];
-            o_cas = [];
-            o_pwbs = [];
-            o_writes = [];
-            o_ok = None;
-          }
+  | Some st -> (
+      match ev with
+      | Pmem.Mem e -> on_pmem_event st e
+      | Pmem.Writeback { tid; line; site; fate } -> on_wb st tid line site fate
+      | Events.Op_begin { tid; kind; key; _ } -> op_begin st ~tid ~kind ~key
+      | Events.Op_end { tid; ok; _ } -> op_end st ~tid ~ok
+      | Events.Round { n; _ } -> st.s_round <- n
+      | Events.Crash_resolved { round } ->
+          st.s_crash_rounds <- round :: st.s_crash_rounds;
+          st.s_crashes <- st.s_crashes + 1
+      | _ -> ())
 
-let op_end ~tid ~ok =
-  match !(slot ()) with
-  | None -> ()
-  | Some st ->
-      (match st.s_cur.(tid) with
-      | None -> ()
-      | Some op -> op.o_ok <- Some ok);
-      close_op st tid
+let start () =
+  slot () := Some (fresh_state ());
+  Sim.subscribe on_event
 
-let round ~kind:_ n =
-  match !(slot ()) with None -> () | Some st -> st.s_round <- n
-
-let note_crash ~round =
-  match !(slot ()) with
-  | None -> ()
-  | Some st ->
-      st.s_crash_rounds <- round :: st.s_crash_rounds;
-      st.s_crashes <- st.s_crashes + 1
+let stop () =
+  slot () := None;
+  Sim.unsubscribe on_event
 
 (* ---- the postmortem ---------------------------------------------------- *)
 

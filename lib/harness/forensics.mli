@@ -1,49 +1,31 @@
 (** Crash forensics: operation lineage, durable-vs-volatile state diffs
     at crash points, and automatic postmortems for failing campaigns.
 
-    The recorder is a third, independent observer on [Pmem] (next to the
-    tracer and the metrics collector): while active it attributes every
-    CAS, write and issued write-back to the operation open on the
-    issuing thread, follows each write-back to its fate (drained,
-    persisted-at-crash or dropped-at-crash, with the crash resolution
-    that decided it), and pairs [Pmem]'s per-crash reports with campaign
-    rounds.  {!build} turns the recording plus the failure message into
-    an immutable postmortem whose text/JSON renderings are
-    deterministic: byte-identical across replays of the same repro and
-    across [-j] settings, because a postmortem is always produced by a
-    dedicated forensic replay on one domain.
+    The recorder is a subscriber on the [Sim] observer bus: while active
+    it attributes every CAS, write and issued write-back to the
+    operation open on the issuing thread ([Events.Op_begin]/[Op_end]),
+    follows each write-back to its fate (drained, persisted-at-crash or
+    dropped-at-crash, with the crash resolution that decided it:
+    [Pmem.Writeback]), and pairs [Pmem]'s per-crash reports with
+    campaign rounds ([Events.Round], [Events.Crash_resolved]).  {!build}
+    turns the recording plus the failure message into an immutable
+    postmortem whose text/JSON renderings are deterministic:
+    byte-identical across replays of the same repro and across [-j]
+    settings, because a postmortem is always produced by a dedicated
+    forensic replay on one domain.
 
-    Everything is a no-op while the recorder is inactive (the default):
-    the hooks are [None] so [Pmem] constructs no events, and the harness
-    entry points return after one domain-local read — campaigns run with
-    zero forensics cost. *)
+    The recorder is inactive by default and then not subscribed:
+    campaigns run with zero forensics cost.  An operation that begins on
+    a thread whose previous operation never ended is recorded as
+    interrupted (it never returned). *)
 
 val start : unit -> unit
-(** Install a fresh recorder on the calling domain (forensics + write-
-    back observer hooks on the current [Pmem] instance). *)
+(** Subscribe a fresh recorder on the calling domain. *)
 
 val stop : unit -> unit
-(** Uninstall the hooks and drop the recording.  Idempotent. *)
+(** Unsubscribe and drop the recording.  Idempotent. *)
 
 val active : unit -> bool
-
-(** {1 Harness entry points}
-
-    Called by [Crashes] and [Store]/[Shard] alongside the corresponding
-    [Metrics]/[Trace] calls; all no-ops when the recorder is off. *)
-
-val op_begin : tid:int -> kind:string -> key:int -> unit
-(** Announce an operation on [tid].  If an operation is still open on
-    this thread it is recorded as interrupted (it never returned). *)
-
-val op_end : tid:int -> ok:bool -> unit
-
-val round : kind:[ `Work | `Recover ] -> int -> unit
-(** Campaign-round boundary. *)
-
-val note_crash : round:int -> unit
-(** Attribute the crash that just happened ([Pmem.crash] has returned)
-    to [round]. *)
 
 (** {1 Postmortems} *)
 

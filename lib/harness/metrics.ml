@@ -1,4 +1,5 @@
-(* Operation-level metrics over the Sim/Pmem observability hooks.
+(* Operation-level metrics: one subscriber on the Sim observer bus,
+   subscribed while enabled.
 
    Same zero-cost-when-off discipline as Trace: every entry point is
    guarded by one domain-local read, no virtual time is charged, no RNG
@@ -44,7 +45,7 @@ type centry = {
 }
 
 (* One allocation-site row: lines allocated under this (heap, site) pair,
-   maintained by the Pmem collector's Alloc arm. *)
+   maintained from the bus's Alloc events. *)
 type aentry = {
   ae_heap : string;
   ae_site : string;
@@ -86,7 +87,7 @@ type state = {
   cur_begin : float array;
   cur_cas0 : int array;
   cur_helped : bool array;
-  (* failed CASes per thread, maintained by the Pmem collector *)
+  (* failed CASes per thread, counted from the bus's CAS events *)
   cas_fails : int array;
   mutable spans_rev : span list;
   mutable n_spans : int;
@@ -324,60 +325,40 @@ let push_span st sp =
 let spans () = List.rev (state ()).spans_rev
 let spans_dropped () = (state ()).sp_dropped
 
-let vtid () = if Sim.in_sim () then Sim.tid () else 0
-let vnow () = if Sim.in_sim () then Sim.now () else 0.
+let in_range tid = tid >= 0 && tid < max_t
 
-let kind_of_op = function
-  | Set_intf.Ins _ -> "insert"
-  | Set_intf.Del _ -> "delete"
-  | Set_intf.Fnd _ -> "find"
-
-let op_begin ~kind ~key =
-  let st = state () in
-  if st.enabled || Trace.active () then begin
-    let tid = vtid () in
-    if tid >= 0 && tid < max_t then begin
-      let clock = vnow () in
-      st.cur_kind.(tid) <- kind;
-      st.cur_key.(tid) <- key;
-      st.cur_begin.(tid) <- clock;
-      st.cur_cas0.(tid) <- st.cas_fails.(tid);
-      st.cur_helped.(tid) <- false;
-      Trace.op_begin ~tid ~kind ~key ~clock
-    end
+let op_begin st ~tid ~kind ~key ~clock =
+  if in_range tid then begin
+    st.cur_kind.(tid) <- kind;
+    st.cur_key.(tid) <- key;
+    st.cur_begin.(tid) <- clock;
+    st.cur_cas0.(tid) <- st.cas_fails.(tid);
+    st.cur_helped.(tid) <- false
   end
 
-let op_end ~ok =
-  let st = state () in
-  if st.enabled || Trace.active () then begin
-    let tid = vtid () in
-    if tid >= 0 && tid < max_t && st.cur_kind.(tid) <> "" then begin
-      let clock = vnow () in
-      let kind = st.cur_kind.(tid) in
-      let cas_failures = st.cas_fails.(tid) - st.cur_cas0.(tid) in
-      let helped = st.cur_helped.(tid) in
-      Trace.op_end ~tid ~ok ~cas_failures ~helped ~clock;
-      if st.enabled then begin
-        let dur = Float.max 0. (clock -. st.cur_begin.(tid)) in
-        observe st.h_op dur;
-        observe (hist_for_kind st kind) dur;
-        incr st.c_completed;
-        if helped then incr st.c_helped;
-        if cas_failures > 0 then incr st.c_cas_failed;
-        push_span st
-          {
-            sp_tid = tid;
-            sp_kind = kind;
-            sp_key = st.cur_key.(tid);
-            sp_begin = st.cur_begin.(tid);
-            sp_end = clock;
-            sp_ok = ok;
-            sp_cas_failures = cas_failures;
-            sp_helped = helped;
-          }
-      end;
-      st.cur_kind.(tid) <- ""
-    end
+let op_end st ~tid ~ok ~clock =
+  if in_range tid && st.cur_kind.(tid) <> "" then begin
+    let kind = st.cur_kind.(tid) in
+    let cas_failures = st.cas_fails.(tid) - st.cur_cas0.(tid) in
+    let helped = st.cur_helped.(tid) in
+    let dur = Float.max 0. (clock -. st.cur_begin.(tid)) in
+    observe st.h_op dur;
+    observe (hist_for_kind st kind) dur;
+    incr st.c_completed;
+    if helped then incr st.c_helped;
+    if cas_failures > 0 then incr st.c_cas_failed;
+    push_span st
+      {
+        sp_tid = tid;
+        sp_kind = kind;
+        sp_key = st.cur_key.(tid);
+        sp_begin = st.cur_begin.(tid);
+        sp_end = clock;
+        sp_ok = ok;
+        sp_cas_failures = cas_failures;
+        sp_helped = helped;
+      };
+    st.cur_kind.(tid) <- ""
   end
 
 (* ---- contention profile ------------------------------------------------ *)
@@ -468,39 +449,31 @@ let heap_occupancy () =
   Hashtbl.fold (fun h n acc -> (h, n) :: acc) st.heap_occ_tbl []
   |> List.sort compare
 
-(* The kind of the calling thread's in-flight operation span, "" between
-   spans — the space observer uses it to attribute allocations to the
-   operation that made them. *)
-let current_op_kind () =
+(* Only subscribed while enabled, so no per-event guard is needed here. *)
+let on_event ev =
   let st = state () in
-  let tid = vtid () in
-  if tid >= 0 && tid < max_t then st.cur_kind.(tid) else ""
-
-(* Only installed while enabled, so no per-event guard is needed here. *)
-let on_pmem_event : Pmem.trace_event -> unit = function
-  | Pmem.Cas { tid; line; success; invalidated } ->
-      let st = state () in
+  match ev with
+  | Pmem.Mem (Pmem.Cas { tid; line; success; invalidated }) ->
       if not success then begin
-        if tid >= 0 && tid < max_t then
-          st.cas_fails.(tid) <- st.cas_fails.(tid) + 1;
+        if in_range tid then st.cas_fails.(tid) <- st.cas_fails.(tid) + 1;
         bump st line ~fails:1 ~invals:invalidated
       end
       else if invalidated > 0 then bump st line ~fails:0 ~invals:invalidated
-  | Pmem.Write { line; invalidated; _ } ->
-      if invalidated > 0 then
-        let st = state () in
-        bump st line ~fails:0 ~invals:invalidated
-  | Pmem.Alloc { heap; site; _ } -> bump_alloc (state ()) ~heap ~site
-  | Pmem.Read _ | Pmem.Pwb _ | Pmem.Pfence _ | Pmem.Psync _ -> ()
-
-let on_helped owner =
-  if owner >= 0 && owner < max_t then (state ()).cur_helped.(owner) <- true
+  | Pmem.Mem (Pmem.Write { line; invalidated; _ }) ->
+      if invalidated > 0 then bump st line ~fails:0 ~invals:invalidated
+  | Pmem.Mem (Pmem.Alloc { heap; site; _ }) -> bump_alloc st ~heap ~site
+  | Tracking.Helped { owner } ->
+      if in_range owner then st.cur_helped.(owner) <- true
+  | Events.Op_begin { tid; kind; key; clock } ->
+      op_begin st ~tid ~kind ~key ~clock
+  | Events.Op_end { tid; ok; clock } -> op_end st ~tid ~ok ~clock
+  | _ -> ()
 
 (* ---- recovery profile -------------------------------------------------- *)
 
 let recovery_thread_done () =
   let st = state () in
-  if st.enabled then st.recovery_cur <- Float.max st.recovery_cur (vnow ())
+  if st.enabled then st.recovery_cur <- Float.max st.recovery_cur (Sim.now ())
 
 let recovery_round_done round =
   let st = state () in
@@ -516,20 +489,12 @@ let recovery_durations () = List.rev (state ()).recovery_rev
 (* ---- lifecycle --------------------------------------------------------- *)
 
 let enable () =
-  let st = state () in
-  if not st.enabled then begin
-    st.enabled <- true;
-    Pmem.set_collector (Some on_pmem_event);
-    Tracking.set_helped_hook (Some on_helped)
-  end
+  (state ()).enabled <- true;
+  Sim.subscribe on_event
 
 let disable () =
-  let st = state () in
-  if st.enabled then begin
-    st.enabled <- false;
-    Pmem.set_collector None;
-    Tracking.set_helped_hook None
-  end
+  (state ()).enabled <- false;
+  Sim.unsubscribe on_event
 
 let reset () =
   let st = state () in

@@ -1,25 +1,25 @@
-(** Operation-level metrics over the [Sim]/[Pmem] observability hooks.
+(** Operation-level metrics: one subscriber on the [Sim] observer bus.
 
     A {e domain-local} registry of counters, gauges and log-bucketed
     virtual-time histograms, plus three derived profiles.  Like every
-    observability surface of the substrate (Trace sink, Pmem hooks),
+    observability surface of the substrate (the bus, the Trace sink),
     metrics state belongs to the calling domain: concurrent campaigns on
     separate domains ([Harness.Parallel]) record independently, and the
     worker domains of a [-j] run are not observed by the main domain's
     instruments.  The derived profiles:
 
-    - {e operation spans}: begin/end instrumentation around every
-      [Set_intf] operation (installed by [Runner] and [Crashes]), tagged
-      with op kind, outcome, CAS-failure count and whether the operation
-      was helped by another thread ([Tracking.helped_hook]);
+    - {e operation spans}: the [Events.Op_begin]/[Op_end] pairs that
+      [Runner], [Crashes] and the store's shards emit around every
+      [Set_intf] operation, tagged with op kind, outcome, CAS-failure
+      count and whether another thread helped the operation
+      ([Tracking.Helped]);
     - {e contention profile}: per-cache-line CAS failures and cache
-      invalidations, aggregated from [Pmem.collector];
+      invalidations, aggregated from the [Pmem.Mem] events;
     - {e recovery durations}: virtual time of each recovery round of a
       crash campaign ([Crashes]).
 
-    Everything is disabled by default.  When disabled, every entry point
-    is a ref read (or one ref read plus [Trace.active ()] for span
-    boundaries, which also serve the tracer) and allocates nothing; in
+    Everything is disabled by default.  When disabled, nothing is
+    subscribed, every entry point is a ref read and allocates nothing; in
     particular no [Sim] virtual time is charged and no RNG draws are
     consumed, so enabling or disabling metrics can never change a
     simulated execution.
@@ -30,12 +30,11 @@
 (** {1 Activation} *)
 
 val enable : unit -> unit
-(** Turn recording on and install the [Pmem.collector] and
-    [Tracking.helped_hook] hooks.  Idempotent. *)
+(** Turn recording on and subscribe to the bus.  Idempotent. *)
 
 val disable : unit -> unit
-(** Turn recording off and uninstall the hooks.  Recorded data is kept
-    until {!reset}.  Idempotent. *)
+(** Turn recording off and unsubscribe.  Recorded data is kept until
+    {!reset}.  Idempotent. *)
 
 val active : unit -> bool
 
@@ -97,7 +96,11 @@ val histograms : unit -> (string * summary) list
 val counters : unit -> (string * int) list
 val gauges : unit -> (string * float) list
 
-(** {1 Operation spans} *)
+(** {1 Operation spans}
+
+    An [Events.Op_begin] opens a span on its thread; the thread's next
+    [Events.Op_end] closes it, records the duration into the ["op"] and
+    ["op.<kind>"] histograms and stores the span. *)
 
 type span = {
   sp_tid : int;
@@ -109,18 +112,6 @@ type span = {
   sp_cas_failures : int;  (** failed CASes executed by the thread inside *)
   sp_helped : bool;  (** another thread ran Help on this op *)
 }
-
-val kind_of_op : Set_intf.op -> string
-
-val op_begin : kind:string -> key:int -> unit
-(** Open a span on the calling simulated thread.  Also emits the
-    [op_begin] trace event when a [Trace] sink is active (spans feed the
-    tracer even when metrics are disabled). *)
-
-val op_end : ok:bool -> unit
-(** Close the calling thread's open span: records the duration into the
-    ["op"] and ["op.<kind>"] histograms and stores the span.  No-op if no
-    span is open. *)
 
 val spans : unit -> span list
 (** Completed spans in completion order.  Storage is capped (the
@@ -149,8 +140,8 @@ type alloc_site = {
 
 val alloc_sites_top : int -> alloc_site list
 (** Top-N allocation sites by lines allocated (ties by heap then site
-    name), aggregated from the [Pmem.Alloc] collector events while
-    metrics were enabled. *)
+    name), aggregated from the [Pmem.Alloc] events while metrics were
+    enabled. *)
 
 val note_heap_occupancy : heap:string -> lines:int -> unit
 (** Snapshot a heap's [Pmem.lines_allocated] into the registry (the
@@ -159,11 +150,6 @@ val note_heap_occupancy : heap:string -> lines:int -> unit
 
 val heap_occupancy : unit -> (string * int) list
 (** Snapshotted per-heap line counts, sorted by heap name. *)
-
-val current_op_kind : unit -> string
-(** Kind of the calling simulated thread's in-flight operation span
-    ([""] between spans) — lets the space observer attribute an
-    allocation to the operation performing it. *)
 
 (** {1 Recovery profile} *)
 

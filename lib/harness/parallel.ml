@@ -3,10 +3,10 @@
    A campaign is a finite list of independent work items (seed ×
    schedule-prefix × crash-plan, victim shard, (target, factor) rerun...)
    whose per-item results are pure functions of the item — the whole
-   point of the per-domain substrate state (Sim ambient context, Pmem
-   instance, Cost table, Pstats statistics, Metrics registry, Trace
-   sink) is that running an item on a worker domain produces bit-for-bit
-   the result it would produce inline.
+   point of the per-domain substrate state (Sim ambient context and bus
+   subscribers, Pmem machine, Cost table, Pstats statistics, Metrics
+   registry, Trace sink) is that running an item on a worker domain
+   produces bit-for-bit the result it would produce inline.
 
    Determinism contract:
    - results are merged {e by work-item index}, never by completion

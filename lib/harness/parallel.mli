@@ -3,11 +3,11 @@
     Fans a finite array of independent work items (seed ×
     schedule-prefix × crash-plan, victim shard, (target, factor)
     rerun, ...) across OCaml 5 domains.  Each worker domain gets its own
-    copy of all domain-local substrate state — [Sim] ambient context,
-    [Pmem] instance, [Cost] table, [Pstats] statistics, [Metrics]
-    registry, [Trace] sink — so per-item results are bit-for-bit what
-    the same item would produce inline, and two items never observe
-    each other's write-backs, clocks, or counters.
+    copy of all domain-local substrate state — [Sim] ambient context and
+    bus subscribers, [Pmem] machine, [Cost] table, [Pstats] statistics,
+    [Metrics] registry, [Trace] sink — so per-item results are
+    bit-for-bit what the same item would produce inline, and two items
+    never observe each other's write-backs, clocks, or counters.
 
     {2 Determinism contract}
 

@@ -33,10 +33,9 @@ let measure ?(duration_ns = 400_000.) ?(seed = 1) ?(prepare = fun () -> ())
     let rec go () =
       if Sim.now () < duration_ns then begin
         let op = Workload.gen_op trng workload in
-        Metrics.op_begin ~kind:(Metrics.kind_of_op op)
-          ~key:(Set_intf.op_key op);
+        Events.op_begin ~kind:(Events.kind_of_op op) ~key:(Set_intf.op_key op);
         let ok = Set_intf.apply algo op in
-        Metrics.op_end ~ok;
+        Events.op_end ~ok;
         ops.(tid) <- ops.(tid) + 1;
         go ()
       end

@@ -32,7 +32,7 @@ val measure :
   threads:int ->
   Workload.config ->
   point
-(** [prepare] runs after instance creation and prefill but before the
+(** [prepare] runs after structure creation and prefill but before the
     measured run (and before statistics are reset) — the hook the figure
     generators use to disable persistence-instruction sites. *)
 

@@ -12,10 +12,11 @@
    of dead twins.
 
    The registry below records each allocation's provenance (site, owning
-   heap, allocating operation, virtual time) through [Pmem]'s fourth
-   observer hook; the sweep joins registry against live set to attribute
-   garbage to its allocation sites and operations and to bucket its birth
-   times into virtual-time windows.  All state is domain-local, so
+   heap, allocating operation, virtual time) from the Sim observer bus:
+   Pmem's Alloc events, and the harness's operation spans for the
+   allocating operation.  The sweep joins registry against live set to
+   attribute garbage to its allocation sites and operations and to bucket
+   its birth times into virtual-time windows.  All state is domain-local, so
    [Parallel.run] campaigns stay byte-identical across [-j]. *)
 
 type alloc_rec = {
@@ -28,28 +29,46 @@ type alloc_rec = {
   ar_op : string;  (* in-flight op kind at allocation, "" outside ops *)
 }
 
-type registry = { mutable recs : alloc_rec list (* newest first *) }
+type registry = {
+  mutable recs : alloc_rec list;  (* newest first *)
+  cur_op : string array;  (* per thread: the open operation's kind, or "" *)
+}
 
-let key = Domain.DLS.new_key (fun () -> { recs = [] })
+let key =
+  Domain.DLS.new_key (fun () ->
+      { recs = []; cur_op = Array.make Pmem.max_threads "" })
+
 let registry () = Domain.DLS.get key
+let in_range tid = tid >= 0 && tid < Pmem.max_threads
 
-let on_alloc (ai : Pmem.alloc_info) =
+let on_event ev =
   let r = registry () in
-  r.recs <-
-    {
-      ar_heap = ai.Pmem.al_heap;
-      ar_lid = ai.Pmem.al_id;
-      ar_line = ai.Pmem.al_line;
-      ar_site = ai.Pmem.al_site;
-      ar_tid = ai.Pmem.al_tid;
-      ar_time = ai.Pmem.al_time;
-      ar_op = Metrics.current_op_kind ();
-    }
-    :: r.recs
+  match ev with
+  | Pmem.Mem (Pmem.Alloc { tid; heap; line; site; id; time }) ->
+      r.recs <-
+        {
+          ar_heap = heap;
+          ar_lid = id;
+          ar_line = line;
+          ar_site = site;
+          ar_tid = tid;
+          ar_time = time;
+          ar_op = (if in_range tid then r.cur_op.(tid) else "");
+        }
+        :: r.recs
+  | Events.Op_begin { tid; kind; _ } ->
+      if in_range tid then r.cur_op.(tid) <- kind
+  | Events.Op_end { tid; _ } -> if in_range tid then r.cur_op.(tid) <- ""
+  | _ -> ()
 
-let enable () = Pmem.set_alloc_observer (Some on_alloc)
-let disable () = Pmem.set_alloc_observer None
-let reset () = (registry ()).recs <- []
+let enable () = Sim.subscribe on_event
+let disable () = Sim.unsubscribe on_event
+
+let reset () =
+  let r = registry () in
+  r.recs <- [];
+  Array.fill r.cur_op 0 Pmem.max_threads ""
+
 let recs () = List.rev (registry ()).recs
 
 (* ---- the sweep --------------------------------------------------------- *)
@@ -185,8 +204,8 @@ let default_cfg =
     seed = 1;
   }
 
-(* One crash-campaign run of [factory] with the allocation registry and
-   metrics attached, swept at the final state.  Self-contained per call so
+(* One crash-campaign run of [factory] with the allocation registry
+   attached, swept at the final state.  Self-contained per call so
    [Parallel.run] fan-out keeps every domain's observers local. *)
 let run_variant cfg (factory : Set_intf.factory) =
   let ccfg =
@@ -206,10 +225,8 @@ let run_variant cfg (factory : Set_intf.factory) =
   in
   reset ();
   enable ();
-  Metrics.enable ();
   Fun.protect
     ~finally:(fun () ->
-      Metrics.disable ();
       disable ();
       reset ())
     (fun () ->

@@ -1,7 +1,9 @@
 (** Persistent-space observability (DESIGN.md, "Persistent-space
-    accounting"): an allocation registry fed by [Pmem]'s allocation
-    observer, a live-set sweep over each structure's {!Set_intf.t.space}
-    enumeration, and campaign/rendering glue for [repro space].
+    accounting"): an allocation registry fed from the [Sim] observer bus
+    ([Pmem.Alloc] events, attributed to the operation the harness's
+    [Events.Op_begin] opened on the allocating thread), a live-set sweep
+    over each structure's {!Set_intf.t.space} enumeration, and
+    campaign/rendering glue for [repro space].
 
     Classification: every line a heap ever allocated is exactly one of
     {e live payload} (reachable, holds abstract-set state), {e
@@ -24,8 +26,8 @@ type alloc_rec = {
 }
 
 val enable : unit -> unit
-(** Install the allocation observer in the calling domain.  Zero cost for
-    runs that never enable it. *)
+(** Subscribe the registry on the calling domain.  Zero cost for runs
+    that never enable it. *)
 
 val disable : unit -> unit
 val reset : unit -> unit

@@ -9,13 +9,25 @@ type trace_event =
   | Pwb of { tid : int; site : string; impact : Pstats.category; line : string }
   | Pfence of { tid : int; site : string }
   | Psync of { tid : int; site : string }
-  | Alloc of { tid : int; heap : string; line : string; site : string }
+  | Alloc of {
+      tid : int;
+      heap : string;
+      line : string;
+      site : string;
+      id : int;
+      time : float;
+    }
 
 (* What finally happened to an issued write-back: completed by a drain
    (psync, a draining CAS, or queue-capacity completion), or resolved at
    a crash — persisted or dropped by the adversarial resolution. *)
 type wb_fate = Drained | Crash_persisted | Crash_dropped
 
+type Sim.event +=
+  | Mem of trace_event
+  | Writeback of { tid : int; line : string; site : string; fate : wb_fate }
+
+let set_collector = Sim.hook (fun f -> function Mem e -> f e | _ -> ())
 
 let popcount n =
   let n = ref n and c = ref 0 in
@@ -77,13 +89,13 @@ and field = F : 'a t -> field [@@unboxed]
 let has_durable = 1
 let poisoned = 2
 
-(* ---- per-machine state: the instance ---------------------------------- *)
+(* ---- per-machine state ------------------------------------------------- *)
 
 (* A thread's write-pending queue (its store buffer): a growable ring of
    (line, persist site) in issue order, from [head], [len] entries long,
    with a power-of-two capacity.  A fence is an entry whose line is
    [fence_line].  The site is the issuing pwb's name, kept so that crash
-   resolution and the write-back observer can report exactly which
+   resolution and the Writeback events can report exactly which
    line/site completed or was dropped; it is written once per pwb and
    never read on the hot path.  Vacated slots are reset to [fence_line],
    so the ring does not keep a finished run's lines alive. *)
@@ -106,8 +118,8 @@ let fence_line =
     fields = [];
   }
 
-(* Per-crash forensic record, kept on the instance unconditionally
-   (crashes are rare; the hot path never touches this). *)
+(* Per-crash forensic record, kept unconditionally (crashes are rare; the
+   hot path never touches this). *)
 type crash_fate = {
   cf_tid : int;
   cf_line : string;
@@ -151,28 +163,20 @@ let site_of_name name =
   in
   if upto = String.length name then name else String.sub name 0 upto
 
-(* Everything the space observer needs about one allocation, captured at
-   the [new_line] call: where ([al_heap], [al_site]), which line
-   ([al_id] is the per-heap allocation index — names recur, ids don't),
-   and when/by whom ([al_time] virtual ns, [al_tid]; both 0 outside a
-   simulation, e.g. for structure-creation allocations). *)
-type alloc_info = {
-  al_heap : string;
-  al_id : int;
-  al_line : string;
-  al_site : string;
-  al_tid : int;
-  al_time : float;
-}
-
-(* One simulated machine's mutable persistency state, explicitly owned:
-   the per-thread write-pending queues (the store buffer), the acceptance
-   deadlines, and the two observability hooks.  An instance belongs to
-   exactly one run at a time; the module-level API below is a thin shim
-   over the calling domain's {e current} instance, so existing callers
-   keep working while concurrent runs on separate domains (or an explicit
-   [with_instance] scope) each own a machine outright. *)
-type instance = {
+(* The domain's machine and hot context.  Every simulated instruction
+   consults the engine (tid/clock/charge), the cost table and the
+   persistence stats; [Sim.handle] (with its [Sim.view]), [Cost.current]
+   and [Pstats.dstats] all return their domain's {e unique,
+   never-replaced} value (tweaks mutate them in place), so one record
+   fetched with a single DLS lookup carries all of them for the
+   operation's duration.  The same record owns the domain's machine
+   state: concurrent simulations on separate domains cannot touch each
+   other's write-back queues. *)
+type hot = {
+  hsim : Sim.handle;
+  hview : Sim.view;
+  hcost : Cost.t;
+  hpst : Pstats.dstats;
   (* Per-thread queues of outstanding write-backs (the store buffer /
      write-pending queue).  Machine-wide, like real hardware: one per
      CPU, not per allocation region. *)
@@ -181,61 +185,8 @@ type instance = {
      with ADR, acceptance by the write-pending queue is the persistence
      point, so fences and draining CASes wait for acceptance only. *)
   wb_deadline : float array;
-  (* Observability hooks (see Harness.Trace and Harness.Metrics): events
-     are constructed only when an observer is installed.  [tracer]
-     serializes (event tracing); [collector] aggregates (metrics); both
-     may be active at once. *)
-  mutable itracer : (trace_event -> unit) option;
-  mutable icollector : (trace_event -> unit) option;
-  (* Third observer, for crash forensics (Harness.Forensics): sees the
-     same event stream as tracer/collector, plus write-back fates via
-     [iwb_obs].  Kept separate so forensic replay composes with tracing
-     and metrics instead of stealing their hooks. *)
-  mutable iforensics : (trace_event -> unit) option;
-  mutable iwb_obs : (int -> string -> string -> wb_fate -> unit) option;
-  (* Fourth observer, for persistent-space accounting (Harness.Space):
-     fires once per [new_line] with the allocation's provenance.  Kept
-     off the [observing] fast path — allocation is not a memory access —
-     so the disabled cost is one physical-equality check per alloc. *)
-  mutable ialloc : (alloc_info -> unit) option;
   (* Crash log, newest first; cleared by [reset_pending]. *)
-  mutable icrashes : crash_report list;
-}
-
-let create_instance () =
-  {
-    rings =
-      Array.init max_threads (fun _ ->
-          { lines = [||]; sites = [||]; head = 0; len = 0 });
-    wb_deadline = Array.make max_threads neg_infinity;
-    itracer = None;
-    icollector = None;
-    iforensics = None;
-    iwb_obs = None;
-    ialloc = None;
-    icrashes = [];
-  }
-
-(* The domain's hot context: every simulated instruction consults the
-   engine (tid/clock/charge), the cost table, the persistence stats, and
-   the current instance, and each module-level accessor is a separate
-   domain-local fetch.  [Sim.handle] (with its [Sim.view]), [Cost.current]
-   and [Pstats.dstats] all return their domain's {e unique,
-   never-replaced} value (tweaks mutate them in place), so one record
-   fetched with a single DLS lookup can carry all of them for the
-   operation's duration.  The instance is the only component that is
-   swapped ([with_instance]), which is why it is a mutable field here
-   rather than its own key.
-
-   This also fixes the cross-domain hazard of the old module-level
-   state: the record, like each component, is per-domain, so concurrent
-   simulations cannot corrupt each other's write-back queues. *)
-type hot = {
-  hsim : Sim.handle;
-  hview : Sim.view;
-  hcost : Cost.t;
-  hpst : Pstats.dstats;
-  mutable hinst : instance;
+  mutable crashes : crash_report list;
 }
 
 let hot_key : hot Domain.DLS.key =
@@ -246,36 +197,19 @@ let hot_key : hot Domain.DLS.key =
         hview = Sim.view hsim;
         hcost = Cost.current ();
         hpst = Pstats.dstats ();
-        hinst = create_instance ();
+        rings =
+          Array.init max_threads (fun _ ->
+              { lines = [||]; sites = [||]; head = 0; len = 0 });
+        wb_deadline = Array.make max_threads neg_infinity;
+        crashes = [];
       })
 
 let hot () = Domain.DLS.get hot_key
-let instance () = (hot ()).hinst
+let crash_reports () = List.rev (hot ()).crashes
 
-let with_instance inst f =
-  let ht = hot () in
-  let prev = ht.hinst in
-  ht.hinst <- inst;
-  Fun.protect ~finally:(fun () -> ht.hinst <- prev) f
-
-let set_tracer t = (instance ()).itracer <- t
-let set_collector c = (instance ()).icollector <- c
-
-let set_forensics f =
-  let inst = instance () in
-  inst.iforensics <- f
-
-let set_wb_observer f = (instance ()).iwb_obs <- f
-let set_alloc_observer f = (instance ()).ialloc <- f
-let crash_reports () = List.rev (instance ()).icrashes
-
-let observing inst =
-  inst.itracer != None || inst.icollector != None || inst.iforensics != None
-
-let notify inst ev =
-  (match inst.itracer with None -> () | Some f -> f ev);
-  (match inst.icollector with None -> () | Some f -> f ev);
-  match inst.iforensics with None -> () | Some f -> f ev
+(* Publish a memory event; callers construct it only when [v.subs] is
+   non-empty. *)
+let notify (v : Sim.view) ev = Sim.publish v (Mem ev)
 
 (* ---- engine view: the running fiber's time and charges ---------------- *)
 
@@ -327,9 +261,11 @@ let rec persist_fields = function
       persist_fields rest
 
 (* Complete (persist) write-back [line] of [tid], issued at [site]. *)
-let complete inst tid line site =
+let complete ht tid line site =
   persist_fields line.fields;
-  match inst.iwb_obs with None -> () | Some obs -> obs tid line.lname site Drained
+  let v = ht.hview in
+  if v.subs != [] then
+    Sim.publish v (Writeback { tid; line = line.lname; site; fate = Drained })
 
 let clear_ring r =
   if r.len > 0 then begin
@@ -342,23 +278,23 @@ let clear_ring r =
   end
 
 (* Complete every outstanding write-back of [tid]. *)
-let drain_queue inst tid =
-  let r = inst.rings.(tid) in
+let drain_queue ht tid =
+  let r = ht.rings.(tid) in
   let mask = Array.length r.lines - 1 in
   for k = 0 to r.len - 1 do
     let j = (r.head + k) land mask in
     let l = r.lines.(j) in
-    if l != fence_line then complete inst tid l r.sites.(j)
+    if l != fence_line then complete ht tid l r.sites.(j)
   done;
   clear_ring r;
-  inst.wb_deadline.(tid) <- neg_infinity
+  ht.wb_deadline.(tid) <- neg_infinity
 
 (* Bound the queue like a real write-pending queue: the oldest
    *write-back* has certainly completed once the queue is deep.  Fences
    carry no payload, so pop through them until a write-back is actually
    completed — popping a bare fence would silently drop the bound's
    invariant (and let fences accumulate unboundedly). *)
-let complete_oldest inst tid r =
+let complete_oldest ht tid r =
   let mask = Array.length r.lines - 1 in
   let popping = ref true in
   while !popping && r.len > 0 do
@@ -369,15 +305,15 @@ let complete_oldest inst tid r =
     r.len <- r.len - 1;
     if l != fence_line then begin
       popping := false;
-      complete inst tid l r.sites.(j)
+      complete ht tid l r.sites.(j)
     end
   done
 
 let reset_pending () =
-  let inst = instance () in
-  Array.iter clear_ring inst.rings;
-  Array.fill inst.wb_deadline 0 max_threads neg_infinity;
-  inst.icrashes <- []
+  let ht = hot () in
+  Array.iter clear_ring ht.rings;
+  Array.fill ht.wb_deadline 0 max_threads neg_infinity;
+  ht.crashes <- []
 
 let heap ?(track_for_crash = true) ?(name = "heap") () =
   { hname = name; track = track_for_crash; hfields = []; hlines = []; n_lines = 0 }
@@ -402,22 +338,17 @@ let new_line ?(name = "line") h =
   if h.track then h.hlines <- line :: h.hlines;
   let ht = hot () in
   let v = ht.hview in
-  let inst = ht.hinst in
-  (match inst.ialloc with
-  | None -> ()
-  | Some obs ->
-      obs
-        {
-          al_heap = h.hname;
-          al_id = line.lid;
-          al_line = name;
-          al_site = site_of_name name;
-          al_tid = v.tid;
-          al_time = now_of v;
-        });
-  if observing inst then
-    notify inst
-      (Alloc { tid = v.tid; heap = h.hname; line = name; site = site_of_name name });
+  if v.subs != [] then
+    notify v
+      (Alloc
+         {
+           tid = v.tid;
+           heap = h.hname;
+           line = name;
+           site = site_of_name name;
+           id = line.lid;
+           time = now_of v;
+         });
   let cost = ht.hcost.alloc in
   charge ht ~switch:cost cost;
   line
@@ -451,8 +382,8 @@ let read fld =
   let c = ht.hcost in
   let hit = line.sharers land bit tid <> 0 in
   line.sharers <- line.sharers lor bit tid;
-  let inst = ht.hinst in
-  if observing inst then notify inst (Read { tid; line = line.lname; hit });
+  let v = ht.hview in
+  if v.subs != [] then notify v (Read { tid; line = line.lname; hit });
   let cost = if hit then c.cache_hit else c.cache_miss in
   charge ht ~switch:cost cost;
   fld.v
@@ -471,9 +402,9 @@ let write fld v =
   let exclusive = line.owner = tid && line.sharers = bit tid in
   let others = line.sharers land lnot (bit tid) in
   take_ownership line tid;
-  let inst = ht.hinst in
-  if observing inst then
-    notify inst
+  let view = ht.hview in
+  if view.subs != [] then
+    notify view
       (Write { tid; line = line.lname; hit = exclusive; invalidated = popcount others });
   let cost = if exclusive then c.write_hit else c.write_miss in
   charge ht ~switch:cost cost;
@@ -486,7 +417,6 @@ let cas fld expected desired =
   check_tid tid;
   let line = fld.line in
   let c = ht.hcost in
-  let inst = ht.hinst in
   let now = now_of ht.hview in
   let base = if line.owner = tid then c.cas_base else c.cas_contended in
   (* Store serialization: a locked instruction waits for an in-flight
@@ -497,8 +427,8 @@ let cas fld expected desired =
      thread's own outstanding write-backs as a side effect. *)
   let drain_stall =
     if c.cas_drains_wb then begin
-      let stall = pos (inst.wb_deadline.(tid) -. now) in
-      drain_queue inst tid;
+      let stall = pos (ht.wb_deadline.(tid) -. now) in
+      drain_queue ht tid;
       stall
     end
     else 0.
@@ -519,8 +449,9 @@ let cas fld expected desired =
   let stall = if line_stall >= drain_stall then line_stall else drain_stall in
   charge ht ~switch:base (base +. stall);
   let success = fld.v == expected in
-  if observing inst then
-    notify inst
+  let v = ht.hview in
+  if v.subs != [] then
+    notify v
       (Cas { tid; line = line.lname; success; invalidated = popcount others });
   if success then begin
     fld.v <- desired;
@@ -568,7 +499,6 @@ let pwb (site : Pstats.site) line =
     let tid = ht.hview.tid in
     check_tid tid;
     let c = ht.hcost in
-    let inst = ht.hinst in
     let now = now_of ht.hview in
     let impact = classify line tid now in
     let ci =
@@ -583,8 +513,9 @@ let pwb (site : Pstats.site) line =
           pst.n_high.(id) <- pst.n_high.(id) + 1;
           2
     in
-    if observing inst then
-      notify inst (Pwb { tid; site = site.name; impact; line = line.lname });
+    let v = ht.hview in
+    if v.subs != [] then
+      notify v (Pwb { tid; site = site.name; impact; line = line.lname });
     let m = pst.mult.(id) *. pst.cat_mult.(ci) in
     (* Flushing a line that is dirty in another cache, or that already has
        an in-flight write-back from another thread, pays the ping-pong
@@ -599,8 +530,8 @@ let pwb (site : Pstats.site) line =
       else if line.sharers land lnot (bit tid) <> 0 then c.pwb_shared
       else 0.
     in
-    let r = inst.rings.(tid) in
-    if r.len > 64 then complete_oldest inst tid r;
+    let r = ht.rings.(tid) in
+    if r.len > 64 then complete_oldest ht tid r;
     ring_push r line site.name;
     (* the line's media write-back completes late (contention stalls),
        but the persistence point — acceptance — is much earlier.  Both
@@ -609,7 +540,7 @@ let pwb (site : Pstats.site) line =
     line.wb_owner <- tid;
     line.wb_until.until <- now +. (m *. c.pwb_latency);
     let accepted = now +. (m *. c.pwb_accept) in
-    if accepted > inst.wb_deadline.(tid) then inst.wb_deadline.(tid) <- accepted;
+    if accepted > ht.wb_deadline.(tid) then ht.wb_deadline.(tid) <- accepted;
     let charged = m *. (c.pwb_issue +. stall) in
     pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
     pst.cat_time.(ci) <- pst.cat_time.(ci) +. charged;
@@ -628,9 +559,9 @@ let pfence (site : Pstats.site) =
     let tid = ht.hview.tid in
     check_tid tid;
     pst.n_fence.(id) <- pst.n_fence.(id) + 1;
-    let inst = ht.hinst in
-    if observing inst then notify inst (Pfence { tid; site = site.name });
-    ring_push inst.rings.(tid) fence_line "";
+    let v = ht.hview in
+    if v.subs != [] then notify v (Pfence { tid; site = site.name });
+    ring_push ht.rings.(tid) fence_line "";
     let cost = ht.hcost.pfence_base in
     let charged = pst.mult.(id) *. cost in
     pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
@@ -646,11 +577,11 @@ let psync (site : Pstats.site) =
     let tid = ht.hview.tid in
     check_tid tid;
     pst.n_fence.(id) <- pst.n_fence.(id) + 1;
-    let inst = ht.hinst in
-    if observing inst then notify inst (Psync { tid; site = site.name });
-    let now = now_of ht.hview in
-    let stall = pos (inst.wb_deadline.(tid) -. now) in
-    drain_queue inst tid;
+    let v = ht.hview in
+    if v.subs != [] then notify v (Psync { tid; site = site.name });
+    let now = now_of v in
+    let stall = pos (ht.wb_deadline.(tid) -. now) in
+    drain_queue ht tid;
     let c = ht.hcost in
     let charged = pst.mult.(id) *. (c.psync_base +. stall) in
     pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
@@ -741,7 +672,8 @@ let resolution_label ?rng ?resolution () =
   | None -> ( match rng with Some _ -> "rng" | None -> "drop")
 
 let crash ?rng ?resolution ?(scope = `Machine) h =
-  let inst = instance () in
+  let ht = hot () in
+  let v = ht.hview in
   (* Forensic bookkeeping: every resolved write-back's fate, in tid order
      (issue order within a tid), recorded unconditionally — this runs
      once per crash, never on the hot path. *)
@@ -751,10 +683,15 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
     fates :=
       { cf_tid = tid; cf_line = l.lname; cf_site = site; cf_persisted = persisted }
       :: !fates;
-    match inst.iwb_obs with
-    | None -> ()
-    | Some obs ->
-        obs tid l.lname site (if persisted then Crash_persisted else Crash_dropped)
+    if v.subs != [] then
+      Sim.publish v
+        (Writeback
+           {
+             tid;
+             line = l.lname;
+             site;
+             fate = (if persisted then Crash_persisted else Crash_dropped);
+           })
   in
   let resolver =
     match (resolution, rng) with
@@ -764,13 +701,13 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
     | None, Some rng -> Rng rng
   in
   let victim = match scope with `Machine -> None | `Heap -> Some h in
-  Array.iteri (resolve_ring ~fate ~victim resolver) inst.rings;
+  Array.iteri (resolve_ring ~fate ~victim resolver) ht.rings;
   (* Under [`Heap] scope survivors' pending write-backs are untouched, so
      their acceptance deadlines stay meaningful: [wb_deadline] is left
      alone.  Keeping a (now possibly stale) deadline for a thread whose
      victim entries were resolved only makes its next fence
      conservatively slower, never incorrect. *)
-  if scope = `Machine then Array.fill inst.wb_deadline 0 max_threads neg_infinity;
+  if scope = `Machine then Array.fill ht.wb_deadline 0 max_threads neg_infinity;
   (* Revert every field to its durable value; fields with no durable
      value come up poisoned, fields whose volatile value was newer lose
      it, and both kinds of line are what a postmortem's durable-vs-
@@ -825,7 +762,7 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
       l.wb_owner <- -1;
       l.wb_until.until <- neg_infinity)
     h.hlines;
-  inst.icrashes <-
+  ht.crashes <-
     {
       cr_heap = h.hname;
       cr_scope = scope;
@@ -838,7 +775,7 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
       cr_reverted = reverted_capped;
       cr_reverted_total = reverted_total;
     }
-    :: inst.icrashes
+    :: ht.crashes
 
 (* ---- snapshots ---------------------------------------------------------- *)
 
@@ -932,7 +869,7 @@ let is_poisoned fld = fld.flags land poisoned <> 0
 
 let outstanding_writebacks tid =
   check_tid tid;
-  let r = (instance ()).rings.(tid) in
+  let r = (hot ()).rings.(tid) in
   let n = ref 0 in
   for k = 0 to r.len - 1 do
     if r.lines.((r.head + k) land (Array.length r.lines - 1)) != fence_line then incr n

@@ -26,7 +26,13 @@ exception Poisoned of string
 val max_threads : int
 (** Maximum logical threads supported by the sharer bitmaps (62). *)
 
-(** {1 Observability} *)
+(** {1 Observability}
+
+    Pmem publishes on the {!Sim} observer bus: every memory access,
+    persistence instruction and allocation as {!Mem}, and the fate of
+    every issued write-back as {!Writeback}.  An instruction tests for
+    subscribers with one load of the running-fiber view it already holds
+    and builds no event while nobody subscribes. *)
 
 type trace_event =
   | Read of { tid : int; line : string; hit : bool }
@@ -40,10 +46,15 @@ type trace_event =
           paired with the issuing persist [site]. *)
   | Pfence of { tid : int; site : string }
   | Psync of { tid : int; site : string }
-  | Alloc of { tid : int; heap : string; line : string; site : string }
-      (** A fresh cache line was allocated ({!new_line}/{!alloc}): owning
-          heap, line name, and the allocation site derived from the name
-          ({!site_of_name}). *)
+  | Alloc of {
+      tid : int;  (** allocating thread; 0 outside a simulation *)
+      heap : string;  (** owning heap's name *)
+      line : string;  (** line name *)
+      site : string;  (** allocation site, {!site_of_name} of the name *)
+      id : int;  (** per-heap allocation index ({!line_id}) *)
+      time : float;  (** virtual ns at allocation; 0 outside a simulation *)
+    }
+      (** A fresh cache line was allocated ({!new_line}/{!alloc}). *)
 
 type wb_fate = Drained | Crash_persisted | Crash_dropped
 (** What finally happened to an issued write-back: [Drained] — completed
@@ -51,45 +62,15 @@ type wb_fate = Drained | Crash_persisted | Crash_dropped
     [Crash_persisted] / [Crash_dropped] — resolved at a crash by the
     adversarial resolution. *)
 
-val set_tracer : (trace_event -> unit) option -> unit
-(** Observability hook (see [Harness.Trace]): when set, every memory
-    access and persistence instruction is reported.  Events are only
-    constructed when an observer is installed; the disabled path is one
-    read per hook.  The hook belongs to the current {!type-instance}. *)
+type Sim.event +=
+  | Mem of trace_event
+  | Writeback of { tid : int; line : string; site : string; fate : wb_fate }
+      (** Fires once per issued write-back, when a drain completes it or
+          a crash resolves it: issuing thread, flushed line, persist
+          site. *)
 
 val set_collector : (trace_event -> unit) option -> unit
-(** Second, independent observability hook (see [Harness.Metrics]).
-    The tracer serializes events to a sink while the collector
-    aggregates them; keeping them separate lets tracing and metrics run
-    at once without clobbering each other's installation. *)
-
-val set_forensics : (trace_event -> unit) option -> unit
-(** Third, independent observability hook (see [Harness.Forensics]):
-    same event stream as tracer and collector, kept separate so a
-    forensic replay composes with tracing and metrics. *)
-
-val set_wb_observer : (int -> string -> string -> wb_fate -> unit) option -> unit
-(** Write-back fate hook, [obs tid line site fate]: fires once per issued
-    write-back when it is completed by a drain or resolved at a crash.
-    Zero cost when unset (one physical-equality check per drained
-    entry). *)
-
-type alloc_info = {
-  al_heap : string;  (** owning heap's name *)
-  al_id : int;  (** per-heap allocation index (1-based); unique where names recur *)
-  al_line : string;  (** line name *)
-  al_site : string;  (** allocation site, {!site_of_name} of the name *)
-  al_tid : int;  (** allocating thread; 0 outside a simulation *)
-  al_time : float;  (** virtual ns at allocation; 0 outside a simulation *)
-}
-(** Provenance of one cache-line allocation, as seen by the space
-    observer. *)
-
-val set_alloc_observer : (alloc_info -> unit) option -> unit
-(** Fourth, independent observability hook (see [Harness.Space]): fires
-    once per {!new_line} / {!alloc} with the allocation's provenance.
-    Zero cost when unset (one physical-equality check per allocation);
-    composes with tracer/collector/forensics. *)
+(** The {!Mem} events as a one-slot setter ({!Sim.hook}). *)
 
 val site_of_name : string -> string
 (** Allocation site encoded in a line name: the prefix before the
@@ -133,35 +114,17 @@ type crash_report = {
     path. *)
 
 val crash_reports : unit -> crash_report list
-(** Every crash of the current instance since the last {!reset_pending},
+(** Every crash on the calling domain since the last {!reset_pending},
     oldest first. *)
 
-(** {1 Instances}
+(** {1 The machine}
 
-    An {!type-instance} is one simulated machine's persistency state: the
-    per-thread write-pending queues (store buffers), their acceptance
-    deadlines, and the tracer/collector hooks.  Every operation in this
-    module acts on the calling domain's {e current} instance — a default
-    is created lazily per domain, so single-run programs never notice —
-    and {!with_instance} rebinds it for an explicit scope.  Two
-    concurrent simulations on separate domains (or on separate explicit
-    instances) cannot observe each other's write-backs.
-
-    Cache-line bookkeeping (sharers/owner/write-back state) lives on the
-    lines themselves, which belong to per-run {!type-heap}s — it is
-    per-run state already and needs no instance. *)
-
-type instance
-
-val create_instance : unit -> instance
-(** A fresh machine: empty write-back queues, no deadlines, no hooks. *)
-
-val instance : unit -> instance
-(** The calling domain's current instance. *)
-
-val with_instance : instance -> (unit -> 'a) -> 'a
-(** [with_instance inst f] runs [f] with [inst] as the current instance,
-    restoring the previous one on exit (exceptions included). *)
+    Each domain owns one simulated machine: the per-thread write-pending
+    queues (store buffers), their acceptance deadlines and the crash
+    log.  Two simulations on separate domains cannot observe each other's
+    write-backs.  Cache-line bookkeeping (sharers/owner/write-back state)
+    lives on the lines themselves, which belong to per-run
+    {!type-heap}s. *)
 
 (** {1 Heaps} *)
 
@@ -236,11 +199,11 @@ val restore : snapshot -> unit
     Lines allocated after the snapshot drop out of the heap (a later
     {!crash} no longer resets them), and the next {!new_line} gets the
     id it got right after the snapshot, so a run from a restored heap
-    allocates the same ids as a run from a fresh build.  The
-    {!type-instance} is untouched: call {!reset_pending} to empty the
-    write-back rings and the crash log.  Values are restored by
-    reference — state a structure keeps in mutable OCaml memory outside
-    its fields is the structure's to put back. *)
+    allocates the same ids as a run from a fresh build.  The machine is
+    untouched: call {!reset_pending} to empty the write-back rings and
+    the crash log.  Values are restored by reference — state a structure
+    keeps in mutable OCaml memory outside its fields is the structure's
+    to put back. *)
 
 (** {1 Lines and fields} *)
 
@@ -314,5 +277,5 @@ val max_outstanding_writebacks : unit -> int
     [m] outstanding, [`Prefix k] for [k >= m] is equivalent to [`All]. *)
 
 val reset_pending : unit -> unit
-(** Drop all pending write-backs of all threads in the current instance
-    and clear its crash log (between experiments). *)
+(** Drop all pending write-backs of all threads on the calling domain's
+    machine and clear its crash log (between experiments). *)

@@ -10,6 +10,9 @@ type trace_event =
   | Sched of { step : int; tid : int; clock : float }
   | Crash of { step : int }
 
+type event = ..
+type event += Engine of trace_event
+
 type status = Done | Suspended
 
 type fiber =
@@ -38,6 +41,7 @@ type view = {
   mutable since : int array;
   mutable stride : int;
   threshold : float;
+  mutable subs : (event -> unit) list;
 }
 
 type engine = {
@@ -129,7 +133,6 @@ type ctx = {
    runs observe each other's scheduler state. *)
 type domain_state = {
   mutable cur : ctx option;
-  mutable dtracer : (trace_event -> unit) option;
   view : view;
 }
 
@@ -144,7 +147,6 @@ let dls : domain_state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       {
         cur = None;
-        dtracer = None;
         view =
           {
             running = false;
@@ -154,11 +156,42 @@ let dls : domain_state Domain.DLS.key =
             since = [||];
             stride = 1;
             threshold = expensive_threshold;
+            subs = [];
           };
       })
 
 let state () = Domain.DLS.get dls
-let set_tracer t = (state ()).dtracer <- t
+
+(* ---- the observer bus ----------------------------------------------------
+   The subscriber list lives on the view, which the dispatch loop and every
+   Pmem instruction already hold: with nobody subscribed, an emitter pays
+   one field load and constructs nothing. *)
+
+let subscribe f =
+  let v = (state ()).view in
+  if not (List.memq f v.subs) then v.subs <- v.subs @ [ f ]
+
+let unsubscribe f =
+  let v = (state ()).view in
+  v.subs <- List.filter (fun g -> g != f) v.subs
+
+let rec deliver ev = function
+  | [] -> ()
+  | f :: rest ->
+      f ev;
+      deliver ev rest
+
+let publish v ev = deliver ev v.subs
+
+let hook adapt =
+  let slot = Domain.DLS.new_key (fun () -> None) in
+  fun f ->
+    Option.iter unsubscribe (Domain.DLS.get slot);
+    let sub = Option.map adapt f in
+    Option.iter subscribe sub;
+    Domain.DLS.set slot sub
+
+let set_tracer = hook (fun f -> function Engine e -> f e | _ -> ())
 
 let set_cur st cur =
   st.cur <- cur;
@@ -531,9 +564,8 @@ let due_interrupt e tid =
 let mark_crashing st e =
   if not e.crashing then begin
     e.crashing <- true;
-    match st.dtracer with
-    | None -> ()
-    | Some f -> f (Crash { step = e.steps })
+    let v = st.view in
+    if v.subs != [] then publish v (Engine (Crash { step = e.steps }))
   end
 
 (* [settle]'s verdicts, allocated once. *)
@@ -568,9 +600,10 @@ let settle st e i =
    the same tracing, counting and interrupt delivery as the loop's
    dispatch of a suspended fiber. *)
 let redispatch st e i =
-  (match st.dtracer with
-  | None -> ()
-  | Some f -> f (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
+  let v = st.view in
+  if v.subs != [] then
+    publish v
+      (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
   e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
   match due_interrupt e i with None -> () | Some exn -> raise exn
 
@@ -683,8 +716,6 @@ let poll_while ~period cond =
 type handle = domain_state
 
 let handle () = state ()
-let h_in_sim h = h.view.running
-let h_tid h = h.view.tid
 let view h = h.view
 
 let h_switch h =
@@ -824,10 +855,9 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
       end
       else begin
         set_cur st cur_of.(i);
-        (match st.dtracer with
-        | None -> ()
-        | Some f ->
-            f (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
+        if v.subs != [] then
+          publish v
+            (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
         e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
         (* Fault injection is delivered at a resumption only: a Thunk has
            not installed its handlers yet, so an exception raised into it

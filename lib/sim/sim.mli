@@ -21,8 +21,8 @@
     Each OCaml 5 domain may host its own independent {!run} — the
     parallel campaign driver ({!Harness.Parallel}) runs one simulation
     per worker domain — and no run observes another domain's scheduler
-    state, clocks, or tracer.  Nested runs on the {e same} domain remain
-    rejected. *)
+    state, clocks, or bus subscribers.  Nested runs on the {e same}
+    domain remain rejected. *)
 
 exception Crashed
 (** Raised inside a fiber when a system-wide crash interrupts it. *)
@@ -48,12 +48,38 @@ type trace_event =
       (** fiber [tid] was dispatched at global step [step] *)
   | Crash of { step : int }  (** the system-wide crash boundary *)
 
+(** {2 The observer bus}
+
+    Every observer of a simulation — the tracer, metrics, forensics, space
+    accounting, the benchmark's per-layer counts — reads one event stream.
+    {!type-event} is extensible: each layer adds the events it emits
+    ({!Nvm.Pmem} its memory and write-back events, [Tracking] helping,
+    the harness operation, round and crash boundaries), and the engine
+    contributes {!Engine}.  Subscribers live on the domain's
+    {!type-view}, so the list is {e domain-local} and an emitter that
+    already holds the view tests for subscribers with one field load; it
+    constructs no event while nobody subscribes. *)
+
+type event = ..
+
+type event += Engine of trace_event
+      (** a scheduling decision or the crash boundary, emitted by {!run} *)
+
+val subscribe : (event -> unit) -> unit
+(** Add a subscriber on the calling domain; it receives every event after
+    those subscribed before it.  Subscribing a function that is already
+    subscribed (physical equality) does nothing. *)
+
+val unsubscribe : (event -> unit) -> unit
+(** Remove a subscriber (physical equality); no-op if absent. *)
+
+val hook : (('a -> unit) -> event -> unit) -> ('a -> unit) option -> unit
+(** [hook adapt] is a one-slot setter over the bus: [set (Some f)]
+    subscribes [adapt f], replacing what the same setter subscribed
+    before, and [set None] removes it.  The slot is domain-local. *)
+
 val set_tracer : (trace_event -> unit) option -> unit
-(** Observability hook (see {!Harness.Trace}): when set, the engine calls
-    it on every scheduling decision and at the crash boundary.  The hook
-    is {e domain-local} — installing a tracer affects runs on the calling
-    domain only.  The disabled path costs a single domain-local read per
-    dispatch — no allocation. *)
+(** The {!Engine} events as a one-slot setter ({!hook}). *)
 
 val run :
   ?policy:[ `Perf | `Random ] ->
@@ -123,9 +149,8 @@ val in_sim : unit -> bool
     ({!Nvm.Pmem}) consults the engine {e per simulated instruction} —
     tid, clock, then a charge — and exploration campaigns execute
     hundreds of millions of instructions.  A {!handle} is the calling
-    domain's ambient engine state fetched {e once}; the [h_]* accessors
-    and the {!type-view} below are then plain field reads with no further
-    lookups.
+    domain's ambient engine state fetched {e once}; its {!type-view}
+    below is then plain field reads with no further lookups.
 
     A handle is only meaningful on the domain that fetched it, and it
     stays valid for that domain's lifetime (the underlying record is
@@ -138,13 +163,6 @@ type handle
 
 val handle : unit -> handle
 (** Fetch the calling domain's handle. *)
-
-val h_in_sim : handle -> bool
-(** [h_in_sim h] = {!in_sim}[ ()], without the domain-local fetch. *)
-
-val h_tid : handle -> int
-(** Like {!tid} but returns [0] outside a run (the convention real
-    executions use for "the only thread"). *)
 
 (** {2 Running-fiber view}
 
@@ -172,7 +190,11 @@ val h_tid : handle -> int
     never to be read from another domain.  Its fields are meaningful only
     while [running] holds: outside a fiber, and while [record], [choose]
     or [divergence] run, [running] is [false] and [tid] is [0]; the
-    arrays belong to the last run and must not be touched. *)
+    arrays belong to the last run and must not be touched.
+
+    The view also carries the domain's bus subscribers, [subs]: emit an
+    event [ev] with [if v.subs != [] then publish v ev], which builds
+    [ev] only when someone listens. *)
 
 type view = private {
   mutable running : bool;  (** a fiber of a run on this domain is running *)
@@ -182,10 +204,15 @@ type view = private {
   mutable since : int array;  (** per-tid steps since the last switch point *)
   mutable stride : int;  (** batching stride: 16 under [`Perf], 1 under [`Random] *)
   threshold : float;  (** a switch basis at or above this always switches *)
+  mutable subs : (event -> unit) list;  (** bus subscribers, in order *)
 }
 
 val view : handle -> view
 (** The domain's view: same lifetime and identity as the handle. *)
+
+val publish : view -> event -> unit
+(** Deliver an event to every subscriber of the view's domain, in
+    subscription order. *)
 
 val h_switch : handle -> unit
 (** The switch point of a charge that the batching rule selected (see

@@ -158,15 +158,11 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
   in
   let execute req =
     t.inflight <- Some (Primary (req, t.algo.Set_intf.note_begin req.op));
-    Metrics.op_begin
-      ~kind:(Metrics.kind_of_op req.op)
-      ~key:(Set_intf.op_key req.op);
-    Forensics.op_begin ~tid:t.server_tid
-      ~kind:(Metrics.kind_of_op req.op)
+    Events.op_begin
+      ~kind:(Events.kind_of_op req.op)
       ~key:(Set_intf.op_key req.op);
     let ok = Set_intf.apply t.algo req.op in
-    Metrics.op_end ~ok;
-    Forensics.op_end ~tid:t.server_tid ~ok;
+    Events.op_end ~ok;
     (* Mirror a committed client mutation to the replica before the
        request completes — that ordering is what makes the replica's
        state a prefix-exact copy and the failover result correct.  The
@@ -234,7 +230,7 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
     | `Rng -> Pmem.crash ~rng:(Sim.random_state ()) ~scope:`Heap t.heap
     | (`Drop | `All | `Prefix _) as resolution ->
         Pmem.crash ~resolution ~scope:`Heap t.heap);
-    Forensics.note_crash ~round:(-1);
+    Events.crash_resolved ~round:(-1);
     Sim.step failover_ns;
     (* promote: the replica heap never crashed, so no restart latency
        and no structure repair.  Mark it consumed FIRST so a nested
@@ -281,17 +277,14 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
         Pmem.crash ~resolution ~scope:`Heap t.heap);
     (* there are no campaign rounds in a serve: attribute the crash to no
        round (the heap name carries the shard identity) *)
-    Forensics.note_crash ~round:(-1);
+    Events.crash_resolved ~round:(-1);
     Sim.step restart_ns;
     t.algo.Set_intf.recover_structure ();
     match t.inflight with
     | Some (Primary (req, token)) ->
-        Metrics.op_begin ~kind:"recover" ~key:(Set_intf.op_key req.op);
-        Forensics.op_begin ~tid:t.server_tid ~kind:"recover"
-          ~key:(Set_intf.op_key req.op);
+        Events.op_begin ~kind:"recover" ~key:(Set_intf.op_key req.op);
         let ok = t.algo.Set_intf.recover token in
-        Metrics.op_end ~ok;
-        Forensics.op_end ~tid:t.server_tid ~ok;
+        Events.op_end ~ok;
         t.inflight <- None;
         t.recovered <- t.recovered + 1;
         complete req ~ok ~recovered:true

@@ -1,7 +1,8 @@
 (* The metrics layer: histogram quantiles against a brute-force oracle,
    the zero-event guarantee when disabled, registry reset between runs,
    span/contention/recovery collection during crash campaigns, the
-   Trace.start restart fix, and end-to-end Perfetto conversion. *)
+   Trace.start restart fix, end-to-end Perfetto conversion, and the
+   observer bus: subscribers that compose and the one-slot setters. *)
 
 let campaign_cfg ?(threads = 4) ?(ops = 30) ?(max_crashes = 2) () =
   Crashes.
@@ -250,6 +251,153 @@ let test_perfetto_roundtrip () =
                 "validator agrees on span count" s.Perfetto.out_spans
                 v.Perfetto.out_spans))
 
+(* ---- observers compose on the bus -------------------------------------- *)
+
+(* A contended update-heavy campaign: 6 threads on 8 keys fail CASes and
+   help each other, and seed 4 crashes once. *)
+let contended_cfg =
+  Crashes.
+    {
+      factory = Set_intf.tracking;
+      threads = 6;
+      ops_per_thread = 20;
+      workload =
+        { (Workload.default Workload.update_intensive) with
+          key_range = 8;
+          prefill_n = 4;
+        };
+      max_crashes = 1;
+    }
+
+let contended_seed = 4
+
+(* The campaign traced into a temporary file, under [around]; returns the
+   JSONL. *)
+let traced_campaign around =
+  let path = Filename.temp_file "compose" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      around (fun () ->
+          Trace.with_file path (fun () ->
+              match Crashes.run_once contended_cfg ~seed:contended_seed with
+              | Ok o ->
+                  Alcotest.(check bool) "the campaign crashed" true
+                    (o.Crashes.crashes > 0)
+              | Error m -> Alcotest.failf "campaign failed: %s" m));
+      read_file path)
+
+let postmortem () =
+  Forensics.render_text
+    (Forensics.build ~algo:"tracking" ~seed:contended_seed ~error:"compose")
+
+let with_forensics f =
+  Forensics.start ();
+  Fun.protect ~finally:Forensics.stop (fun () ->
+      f ();
+      postmortem ())
+
+let with_space f =
+  Space.reset ();
+  Space.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Space.disable ();
+      Space.reset ())
+    (fun () ->
+      f ();
+      Space.recs ())
+
+(* Trace, Metrics, Forensics and Space each subscribe one handler: none
+   may change what another records.  The op_end fields come from the bus,
+   so a trace no longer depends on Metrics being on. *)
+let test_subscribers_compose () =
+  let alone = traced_campaign (fun f -> f ()) in
+  Alcotest.(check bool) "a failed CAS inside some span" true
+    (List.exists
+       (fun d -> contains ~affix:(Printf.sprintf {|"cas_fail":%d|} d) alone)
+       [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ]);
+  Alcotest.(check bool) "a helped span" true
+    (contains ~affix:{|"helped":true|} alone);
+  let with_m = traced_campaign with_metrics in
+  Alcotest.(check string) "trace with Metrics = trace alone" alone with_m;
+  let pm_all = ref "" and space_all = ref [] in
+  let with_all =
+    traced_campaign (fun f ->
+        with_metrics (fun () ->
+            pm_all :=
+              with_forensics (fun () -> space_all := with_space f)))
+  in
+  Alcotest.(check string) "trace with all four = trace alone" alone with_all;
+  let run () =
+    match Crashes.run_once contended_cfg ~seed:contended_seed with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "campaign failed: %s" m
+  in
+  Alcotest.(check string) "postmortem = Forensics alone" (with_forensics run)
+    !pm_all;
+  let space_alone = with_space run in
+  Alcotest.(check bool) "registry recorded allocations" true
+    (space_alone <> []);
+  Alcotest.(check bool) "registry = Space alone" true
+    (space_alone = !space_all)
+
+(* The one-slot setters perfbench uses: a second [Some] replaces the
+   first, [None] removes it, and a collector sees exactly the memory
+   events a trace writes. *)
+let test_collector_shim () =
+  let h = Pmem.heap ~track_for_crash:false ~name:"shim" () in
+  let c = Pmem.alloc h 0 in
+  let read5 _ =
+    for _ = 1 to 5 do
+      ignore (Pmem.read c : int)
+    done
+  in
+  let reads () = ignore (Sim.run [| read5 |] : Sim.outcome) in
+  let f = ref 0 and g = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Pmem.set_collector None)
+    (fun () ->
+      Pmem.set_collector (Some (fun _ -> incr f));
+      Pmem.set_collector (Some (fun _ -> incr g));
+      reads ();
+      Alcotest.(check (pair int int)) "only the second collector" (0, 5)
+        (!f, !g);
+      Pmem.set_collector None;
+      reads ();
+      Alcotest.(check (pair int int)) "no collector after None" (0, 5)
+        (!f, !g));
+  let seen = Hashtbl.create 8 in
+  let count k = Option.value ~default:0 (Hashtbl.find_opt seen k) in
+  let bump k = Hashtbl.replace seen k (count k + 1) in
+  let kind = function
+    | Pmem.Read _ -> "read"
+    | Pmem.Write _ -> "write"
+    | Pmem.Cas _ -> "cas"
+    | Pmem.Pwb _ -> "pwb"
+    | Pmem.Pfence _ -> "pfence"
+    | Pmem.Psync _ -> "psync"
+    | Pmem.Alloc _ -> "alloc"
+  in
+  let trace =
+    traced_campaign (fun run ->
+        Pmem.set_collector (Some (fun ev -> bump (kind ev)));
+        Fun.protect ~finally:(fun () -> Pmem.set_collector None) run)
+  in
+  let lines = String.split_on_char '\n' trace in
+  List.iter
+    (fun k ->
+      let in_trace =
+        List.length
+          (List.filter
+             (String.starts_with ~prefix:(Printf.sprintf {|{"ev":"%s",|} k))
+             lines)
+      in
+      Alcotest.(check int) ("collector and trace agree on " ^ k) in_trace
+        (count k))
+    [ "read"; "write"; "cas"; "pwb"; "pfence"; "psync"; "alloc" ];
+  Alcotest.(check bool) "the collector saw CASes" true (count "cas" > 0)
+
 let test_json_parser () =
   let ok s = match Perfetto.parse_json s with Ok _ -> true | Error _ -> false in
   Alcotest.(check bool) "object" true
@@ -277,4 +425,7 @@ let suite =
     Alcotest.test_case "Perfetto conversion round-trip" `Quick
       test_perfetto_roundtrip;
     Alcotest.test_case "JSON parser corner cases" `Quick test_json_parser;
+    Alcotest.test_case "bus subscribers compose" `Quick
+      test_subscribers_compose;
+    Alcotest.test_case "collector shim semantics" `Quick test_collector_shim;
   ]

@@ -139,7 +139,7 @@ let test_store_explore_jobs_identical () =
     "first failure" s1.Store.ex_first_failure s2.Store.ex_first_failure
 
 (* Two simulations interleaved on separate domains: each domain's Pmem
-   instance owns its own write-pending queues, so neither run may
+   machine owns its own write-pending queues, so neither run may
    observe the other's outstanding write-backs (the historical global
    queue array made this exact scenario corrupt both runs). *)
 let test_interleaved_runs_isolated () =
