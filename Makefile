@@ -88,24 +88,24 @@ memento-smoke:
 	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0
 
 # Crash-forensics smoke: `repro explain` on the shipped negative-control
-# repros must name the elided persist site in the postmortem, and the
-# output must be byte-identical across -j settings (the determinism
-# contract of forensic replay).
+# repros must name the elided persist site in the postmortem, and two
+# runs of the same explain must print byte-identical output (the
+# determinism contract of forensic replay).
 forensics-smoke:
 	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
 	  | grep -q 'rlist-broken.new.pwb'
 	dune exec bin/repro.exe -- explain repros/memento-broken.repro \
 	  | grep -q 'mmt-broken.cp.pwb'
-	dune exec bin/repro.exe -- explain -j 1 repros/tracking-broken.repro \
-	  > _build/forensics-tb-j1.txt
-	dune exec bin/repro.exe -- explain -j 4 repros/tracking-broken.repro \
-	  > _build/forensics-tb-j4.txt
-	cmp _build/forensics-tb-j1.txt _build/forensics-tb-j4.txt
-	dune exec bin/repro.exe -- explain --json -j 1 repros/memento-broken.repro \
-	  > _build/forensics-mb-j1.json
-	dune exec bin/repro.exe -- explain --json -j 4 repros/memento-broken.repro \
-	  > _build/forensics-mb-j4.json
-	cmp _build/forensics-mb-j1.json _build/forensics-mb-j4.json
+	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
+	  > _build/forensics-tb-1.txt
+	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
+	  > _build/forensics-tb-2.txt
+	cmp _build/forensics-tb-1.txt _build/forensics-tb-2.txt
+	dune exec bin/repro.exe -- explain --json repros/memento-broken.repro \
+	  > _build/forensics-mb-1.json
+	dune exec bin/repro.exe -- explain --json repros/memento-broken.repro \
+	  > _build/forensics-mb-2.json
+	cmp _build/forensics-mb-1.json _build/forensics-mb-2.json
 
 # Persistent-space accounting smoke: the default variant set must pass
 # the detectable-object lower-bound check (--check), report live/meta/
@@ -186,8 +186,9 @@ sched-golden:
 # sweep (stdout plus the repro it saves, then that serve repro replayed
 # and explained); the explore report of every crash-capable set-model
 # variant on the crash-explore tree (the two negative controls fail,
-# with a postmortem); and the refusal of a queue backend by crash and
-# space.  Paths are relative, so the digests do not depend on where the
+# with a postmortem); the refusal of a queue backend by crash and space;
+# and the refusal of the volatile harris list by crash and explore.
+# Paths are relative, so the digests do not depend on where the
 # repository is checked out.  A change that means to move an output
 # regenerates the golden with the same commands and says so.
 OG = _build/output-golden
@@ -243,6 +244,9 @@ output-golden:
 	  $(EXPLORE_TREE) > $(OG)/explore-$$a.txt 2> /dev/null || exit 1; done
 	! dune exec bin/repro.exe -- crash -a tracking-topic > $(OG)/crash-topic.txt
 	! dune exec bin/repro.exe -- space tracking-topic > $(OG)/space-topic.txt
+	! dune exec bin/repro.exe -- crash -a harris > $(OG)/crash-harris.txt
+	! dune exec bin/repro.exe -- explore -a harris $(EXPLORE_TREE) \
+	  > $(OG)/explore-harris.txt
 	cd $(OG) && md5sum explain-tb.txt explain-tb.json explain-mb.txt \
 	  explain-mb.json stats.txt stats.json space.json causal.json \
 	  serve-crash.json serve-failover.json serve-mixed.json trace.txt \
@@ -251,7 +255,7 @@ output-golden:
 	  serve-explore.txt serve.repro serve-replay.txt explain-serve.txt \
 	  explain-serve.json stats-broken.txt soak.txt \
 	  $(patsubst %,explore-%.txt,$(EXPLORE_PASS) $(EXPLORE_FAIL)) \
-	  crash-topic.txt space-topic.txt \
+	  crash-topic.txt space-topic.txt crash-harris.txt explore-harris.txt \
 	  | diff ../../test/output-golden.txt -
 
 clean:

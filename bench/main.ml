@@ -1,96 +1,12 @@
-(* Benchmark harness.
+(* Benchmark harness: every figure of §5 regenerated on the simulated
+   multicore + NVMM and printed as series tables, plus the measured
+   per-code-line pwb classification behind Figures 3e/4e, the ablations
+   and extensions beyond the paper, and (with --wallclock) the host-time
+   campaign suite.  The simulator's own host cost per workload and per
+   layer is measured by perfbench (perfbench/README.md).
 
-   Two parts:
-
-   1. A Bechamel suite with one micro-benchmark per paper figure, each
-      timing the regeneration of one representative data point of that
-      figure — the real wall-clock cost of the simulator, useful for
-      tracking regressions in this repository itself.
-
-   2. The full reproduction: every figure of §5 regenerated on the
-      simulated multicore + NVMM and printed as series tables, plus the
-      measured per-code-line pwb classification behind Figures 3e/4e.
-
-   Flags: --quick (coarser sweep), --skip-bechamel, --skip-figures. *)
-
-open Bechamel
-open Toolkit
-
-let point factory mix threads () =
-  ignore
-    (Runner.measure ~duration_ns:20_000. ~seed:1 factory ~threads
-       (Workload.default mix)
-      : Runner.point)
-
-let without kinds f () =
-  List.iter (fun k -> Pstats.set_kind_enabled k false) kinds;
-  f ();
-  Pstats.set_all_enabled true
-
-let crash_campaign factory () =
-  let cfg =
-    Crashes.
-      {
-        factory;
-        threads = 4;
-        ops_per_thread = 8;
-        workload =
-          { Workload.(default update_intensive) with key_range = 32; prefill_n = 16 };
-        max_crashes = 2;
-      }
-  in
-  match Crashes.run_once cfg ~seed:1 with
-  | Ok _ -> ()
-  | Error m -> failwith m
-
-let bechamel_suite =
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let ri = Workload.read_intensive and ui = Workload.update_intensive in
-  Test.make_grouped ~name:"figures"
-    [
-      mk "fig3a-throughput" (point Set_intf.tracking ri 8);
-      mk "fig3b-psync-count" (point Set_intf.capsules_opt ri 8);
-      mk "fig3c-no-psync"
-        (without Pstats.[ Psync; Pfence ] (point Set_intf.tracking ri 8));
-      mk "fig3d-pwb-count" (point Set_intf.capsules ri 4);
-      mk "fig3e-categorize" (point Set_intf.capsules_opt ri 16);
-      mk "fig3f-removal"
-        (without Pstats.[ Pwb ] (point Set_intf.tracking ri 8));
-      mk "fig4a-throughput" (point Set_intf.tracking ui 8);
-      mk "fig4b-psync-count" (point Set_intf.capsules_opt ui 8);
-      mk "fig4c-no-psync"
-        (without Pstats.[ Psync; Pfence ] (point Set_intf.capsules_opt ui 8));
-      mk "fig4d-pwb-count" (point Set_intf.romulus ui 4);
-      mk "fig4e-categorize" (point Set_intf.redo ui 8);
-      mk "fig4f-removal"
-        (without Pstats.[ Pwb ] (point Set_intf.capsules_opt ui 8));
-      mk "fig5-tracking-categories" (point Set_intf.tracking ui 16);
-      mk "fig6-capsopt-categories" (point Set_intf.capsules_opt ui 16);
-      mk "detectability-crash-campaign"
-        (crash_campaign Set_intf.tracking);
-    ]
-
-let run_bechamel () =
-  Printf.printf "== Bechamel micro-benchmarks (one per paper figure) ==\n%!";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg instances bechamel_suite in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name o acc ->
-        let est =
-          match Analyze.OLS.estimates o with Some [ e ] -> e | _ -> nan
-        in
-        (name, est) :: acc)
-      results []
-  in
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-42s %14.0f ns/run\n%!" name est)
-    (List.sort compare rows)
+   Flags: --quick (coarser sweep), --skip-figures, --skip-extras,
+   --wallclock [-j LIST] [--out FILE]. *)
 
 (* ---- ablations and extensions beyond the paper's figures -------------- *)
 
@@ -211,102 +127,69 @@ let run_extras ~quick =
         List.map (fun n -> thr Set_intf.tracking_bst ~threads:n ~duration ui) sweep );
     ];
 
-  (* Extension 4: the Tracking-derived recoverable queue (not in the
-     paper; demonstrates the transformation's generality). *)
+  (* Extensions 4 and 5: the Tracking-derived recoverable queue, stack
+     and exchanger (not in the paper; they demonstrate the
+     transformation's generality).  [rate] runs [n] fibers, each calling
+     [step] with its own rng (seeded with its tid and [seed]) until
+     [duration], and returns the counted steps per virtual microsecond. *)
+  let rate what ~seed n step =
+    let ops = ref 0 in
+    let body (_ : int) =
+      let rng = Random.State.make [| Sim.tid (); seed |] in
+      let rec go () =
+        if Sim.now () < duration then begin
+          if step rng then incr ops;
+          go ()
+        end
+      in
+      go ()
+    in
+    (match Sim.run ~policy:`Perf (Array.make n body) with
+    | Sim.All_done -> ()
+    | Sim.Crashed_at at ->
+        failwith
+          (Printf.sprintf
+             "%s bench: crash injected at step %d, but throughput runs \
+              configure no crash point"
+             what at));
+    float_of_int !ops /. duration *. 1000.
+  in
   let queue_rate n =
     Pmem.reset_pending ();
-    let heap = Pmem.heap ~track_for_crash:false () in
-    let q = Rqueue.create heap ~threads:n in
+    let q = Rqueue.create (Pmem.heap ~track_for_crash:false ()) ~threads:n in
     for i = 0 to 63 do
       Rqueue.enqueue q i
     done;
     Pmem.reset_pending ();
-    let ops = ref 0 in
-    let body (_ : int) =
-      let rng = Random.State.make [| Sim.tid (); 3 |] in
-      let rec go () =
-        if Sim.now () < duration then begin
-          if Random.State.bool rng then Rqueue.enqueue q 1
-          else ignore (Rqueue.dequeue q : int option);
-          incr ops;
-          go ()
-        end
-      in
-      go ()
-    in
-    (match Sim.run ~policy:`Perf (Array.make n body) with
-    | Sim.All_done -> ()
-    | Sim.Crashed_at step ->
-        failwith
-          (Printf.sprintf
-             "queue bench: crash injected at step %d, but throughput runs \
-              configure no crash point"
-             step));
-    float_of_int !ops /. duration *. 1000.
+    rate "queue" ~seed:3 n (fun rng ->
+        if Random.State.bool rng then Rqueue.enqueue q 1
+        else ignore (Rqueue.dequeue q : int option);
+        true)
   in
   let stack_rate n =
     Pmem.reset_pending ();
-    let heap = Pmem.heap ~track_for_crash:false () in
-    let st = Rstack.create heap ~threads:n in
+    let st = Rstack.create (Pmem.heap ~track_for_crash:false ()) ~threads:n in
     for i = 0 to 63 do
       Rstack.push st i
     done;
     Pmem.reset_pending ();
-    let ops = ref 0 in
-    let body (_ : int) =
-      let rng = Random.State.make [| Sim.tid (); 5 |] in
-      let rec go () =
-        if Sim.now () < duration then begin
-          if Random.State.bool rng then Rstack.push st 1
-          else ignore (Rstack.pop st : int option);
-          incr ops;
-          go ()
-        end
-      in
-      go ()
-    in
-    (match Sim.run ~policy:`Perf (Array.make n body) with
-    | Sim.All_done -> ()
-    | Sim.Crashed_at step ->
-        failwith
-          (Printf.sprintf
-             "stack bench: crash injected at step %d, but throughput runs \
-              configure no crash point"
-             step));
-    float_of_int !ops /. duration *. 1000.
+    rate "stack" ~seed:5 n (fun rng ->
+        if Random.State.bool rng then Rstack.push st 1
+        else ignore (Rstack.pop st : int option);
+        true)
   in
   table "[extension] recoverable queue and stack, 50/50 mixes (Mops/s)"
     [
       ("tracking queue", List.map queue_rate sweep);
       ("tracking stack", List.map stack_rate sweep);
     ];
-
-  (* Extension 5: recoverable exchanger rendezvous rate. *)
+  (* an exchange counts only when it met a partner; no rng is drawn *)
   let exchanger_rate n =
     Pmem.reset_pending ();
     let heap = Pmem.heap ~track_for_crash:false () in
     let x = Rexchanger.create heap ~threads:n in
-    let swaps = ref 0 in
-    let body (_ : int) =
-      let rec go () =
-        if Sim.now () < duration then begin
-          (match Rexchanger.exchange ~spins:200 x (Sim.tid ()) with
-          | Some _ -> incr swaps
-          | None -> ());
-          go ()
-        end
-      in
-      go ()
-    in
-    (match Sim.run ~policy:`Perf (Array.make n body) with
-    | Sim.All_done -> ()
-    | Sim.Crashed_at step ->
-        failwith
-          (Printf.sprintf
-             "exchanger bench: crash injected at step %d, but throughput \
-              runs configure no crash point"
-             step));
-    float_of_int !swaps /. duration *. 1000.
+    rate "exchanger" ~seed:0 n (fun _ ->
+        Rexchanger.exchange ~spins:200 x (Sim.tid ()) <> None)
   in
   table "[extension] exchanger rendezvous rate (Mops/s)"
     [ ("exchanges", List.map exchanger_rate (List.filter (fun n -> n >= 2) sweep)) ];
@@ -570,7 +453,6 @@ let run_wallclock ~jobs_list ~out =
 let () =
   let args = Array.to_list Sys.argv in
   let quick = List.mem "--quick" args in
-  let skip_bechamel = List.mem "--skip-bechamel" args in
   let skip_figures = List.mem "--skip-figures" args in
   let skip_extras = List.mem "--skip-extras" args in
   let after_flag name =
@@ -599,7 +481,6 @@ let () =
     run_wallclock ~jobs_list ~out
   end
   else begin
-    if not skip_bechamel then run_bechamel ();
     if not skip_figures then begin
       let cfg =
         if quick then Figures.quick_config

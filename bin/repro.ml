@@ -100,8 +100,9 @@ let require_set_model algo =
 
 let require_recoverable ?(crashing = true) algo =
   require_set_model algo;
-  if crashing && algo.Set_intf.fname = "harris" then begin
-    Format.printf "harris is volatile: it cannot recover from crashes@.";
+  if crashing && not algo.Set_intf.supports_crash then begin
+    Format.printf "%s is volatile: it cannot recover from crashes@."
+      algo.Set_intf.fname;
     exit 1
   end
 
@@ -426,7 +427,7 @@ let replay_cmd =
 
 (* -- explain (crash forensics) -------------------------------------------- *)
 
-let explain_run file json _jobs =
+let explain_run file json =
   match explain_repro (load_repro file) with
   | Error msg ->
       Format.printf "cannot explain %s: %s@." file msg;
@@ -452,9 +453,8 @@ let explain_cmd =
           never-persisted cache line and the site that wrote it, the \
           culprit analysis (including registered-but-disabled persist \
           sites), and the lineage of the operations touching the failure.  \
-          Output is deterministic: byte-identical across replays and -j \
-          settings.")
-    Term.(const explain_run $ repro_file_arg $ json $ jobs_arg)
+          Output is deterministic: byte-identical across replays.")
+    Term.(const explain_run $ repro_file_arg $ json)
 
 (* -- soak ----------------------------------------------------------------- *)
 

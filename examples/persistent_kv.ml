@@ -27,9 +27,9 @@ let () =
           (List.init requests_per_client (fun _ ->
                let k = Random.State.int crng key_space in
                match Random.State.int crng 3 with
-               | 0 -> T.Insert k
-               | 1 -> T.Delete k
-               | _ -> T.Find k)))
+               | 0 -> `Insert k
+               | 1 -> `Delete k
+               | _ -> `Find k)))
   in
   let pending = Array.make clients None in
   let responses = ref [] in
@@ -92,8 +92,8 @@ let () =
   List.iter
     (fun (req, resp) ->
       match (req, resp) with
-      | T.Insert k, true -> bump si k
-      | T.Delete k, true -> bump sd k
+      | `Insert k, true -> bump si k
+      | `Delete k, true -> bump sd k
       | _ -> ())
     !responses;
   let contents = T.to_list tree in

@@ -38,7 +38,7 @@ let () =
   (* Detectable recovery: the system re-invokes the thread's recovery
      function with the same arguments; it finishes (or re-executes) the
      operation and returns its response. *)
-  (match Sim.run [| (fun _ -> assert (L.recover list (L.Insert 20))) |] with
+  (match Sim.run [| (fun _ -> assert (L.recover list (`Insert 20))) |] with
   | Sim.All_done -> ()
   | Sim.Crashed_at _ -> assert false);
 

@@ -1,16 +1,14 @@
-type op = Ins of int | Del of int | Fnd of int
-
 type phase =
   | Announced  (* capsule 1: the operation is announced *)
   | Pre_cas  (* capsule 2: about to execute the decisive CAS *)
   | Completed
 
 type state = {
-  op : op;
+  op : [ `Insert of int | `Delete of int | `Find of int ];
   phase : phase;
   seq : int;  (* per-thread monotone id embedded in links by this op *)
   target : Harris.node option;
-      (* Ins: the allocated node; Del: the victim *)
+      (* insert: the allocated node; delete: the victim *)
   result : bool option;
 }
 
@@ -54,7 +52,8 @@ type t = {
   seqs : int array;  (* volatile mirror of the last used sequence number *)
 }
 
-let idle = { op = Fnd 0; phase = Completed; seq = 0; target = None; result = Some false }
+let idle =
+  { op = `Find 0; phase = Completed; seq = 0; target = None; result = Some false }
 
 let init_pwb = Pstats.make Pwb "caps.init.pwb"
 let init_sync = Pstats.make Psync "caps.init.psync"
@@ -139,7 +138,13 @@ let insert t k =
   announce_invocation t id;
   t.seqs.(id) <- t.seqs.(id) + 1;
   let st =
-    { op = Ins k; phase = Announced; seq = t.seqs.(id); target = None; result = None }
+    {
+      op = `Insert k;
+      phase = Announced;
+      seq = t.seqs.(id);
+      target = None;
+      result = None;
+    }
   in
   persist_state t id st;
   let rec attempt () =
@@ -176,7 +181,13 @@ let delete t k =
   announce_invocation t id;
   t.seqs.(id) <- t.seqs.(id) + 1;
   let st =
-    { op = Del k; phase = Announced; seq = t.seqs.(id); target = None; result = None }
+    {
+      op = `Delete k;
+      phase = Announced;
+      seq = t.seqs.(id);
+      target = None;
+      result = None;
+    }
   in
   persist_state t id st;
   let rec attempt () =
@@ -213,13 +224,22 @@ let find t k =
   announce_invocation t id;
   t.seqs.(id) <- t.seqs.(id) + 1;
   let st =
-    { op = Fnd k; phase = Announced; seq = t.seqs.(id); target = None; result = None }
+    {
+      op = `Find k;
+      phase = Announced;
+      seq = t.seqs.(id);
+      target = None;
+      result = None;
+    }
   in
   persist_state t id st;
   let _, curr = search t id k in
   finish t id st (curr.key = k)
 
-let apply t = function Ins k -> insert t k | Del k -> delete t k | Fnd k -> find t k
+let apply t = function
+  | `Insert k -> insert t k
+  | `Delete k -> delete t k
+  | `Find k -> find t k
 
 (* Is [nd] on the chain from the head (marked or not)?  Used by recovery
    to decide whether an insert's decisive CAS became durable. *)
@@ -247,7 +267,7 @@ let recover t op =
     | Announced -> apply t op
     | Pre_cas -> (
         match (st.op, st.target) with
-        | Ins _, Some nd ->
+        | `Insert _, Some nd ->
             (* The insert took effect iff the node became reachable (it may
                since have been marked or even unlinked — but an unlink
                implies a durable mark, so the mark is conclusive). *)
@@ -256,14 +276,14 @@ let recover t op =
               true
             end
             else apply t op
-        | Del _, Some victim ->
+        | `Delete _, Some victim ->
             let link = Pmem.peek victim.Harris.next in
             if link.marked && link.writer = id && link.wseq = st.seq then begin
               let _ = finish t id st true in
               true
             end
             else apply t op
-        | (Ins _ | Del _ | Fnd _), _ -> apply t op)
+        | (`Insert _ | `Delete _ | `Find _), _ -> apply t op)
 
 (* The sequence mirror is the only state outside Pmem. *)
 let save_volatile t =

@@ -21,8 +21,6 @@
 
 type t
 
-type op = Ins of int | Del of int | Fnd of int
-
 val create :
   variant:[ `General | `Opt ] -> Pmem.heap -> threads:int -> t
 
@@ -30,12 +28,12 @@ val insert : t -> int -> bool
 val delete : t -> int -> bool
 val find : t -> int -> bool
 
-val recover : t -> op -> bool
+val recover : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 (** Detectable recovery of the calling thread's crashed operation: decide
     from the persisted capsule state and the (tid, seq) marks whether the
     decisive CAS took effect; finish, return the response, or re-invoke. *)
 
-val apply : t -> op -> bool
+val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 
 val save_volatile : t -> unit -> unit
 (** Capture the state kept outside {!Pmem} — the per-thread sequence

@@ -33,7 +33,6 @@ let create heap =
   { heap; head }
 
 let head t = t.head
-let heap_of t = t.heap
 
 let succ_exn link =
   match link.succ with

@@ -31,7 +31,6 @@ type t
 
 val create : Pmem.heap -> t
 val head : t -> node
-val heap_of : t -> Pmem.heap
 
 val make_link :
   ?writer:int -> ?wseq:int -> succ:node option -> marked:bool -> unit -> link

@@ -1,13 +1,19 @@
-type op = Ins of int | Del of int | Fnd of int
-
-type req = { qop : op; qseq : int }
+type req = {
+  qop : [ `Insert of int | `Delete of int | `Find of int ];
+  qseq : int;
+}
 type res = { pseq : int; pval : bool }
 
 type node = { key : int; line : Pmem.line; next : node option Pmem.t }
 
 (* One redo-log batch: the logical update operations applied by one
    combining round, with their owners and results. *)
-type lrec = { owner : int; oseq : int; lop : op; lval : bool }
+type lrec = {
+  owner : int;
+  oseq : int;
+  lop : [ `Insert of int | `Delete of int | `Find of int ];
+  lval : bool;
+}
 
 type bnode = {
   bline : Pmem.line;
@@ -78,7 +84,7 @@ let create ?(checkpoint_every = 32) heap ~threads =
   let pairs =
     Array.init threads (fun i ->
         let line = Pmem.new_line ~name:(Printf.sprintf "redo.ann[%d]" i) heap in
-        let a = Pmem.on_line line { qop = Fnd 0; qseq = 0 } in
+        let a = Pmem.on_line line { qop = `Find 0; qseq = 0 } in
         let st = Pmem.on_line line 0 in
         Pmem.pwb s.ann_pwb line;
         (a, st))
@@ -121,10 +127,10 @@ let search_from head k =
 (* Volatile application by the combiner; durability comes from the log. *)
 let apply_volatile t kop =
   match kop with
-  | Fnd k ->
+  | `Find k ->
       let _, curr = search_from t.head k in
       curr.key = k
-  | Ins k ->
+  | `Insert k ->
       let pred, curr = search_from t.head k in
       if curr.key = k then false
       else begin
@@ -132,7 +138,7 @@ let apply_volatile t kop =
           (Some (new_node t.heap ~key:k ~next:(Some curr)));
         true
       end
-  | Del k ->
+  | `Delete k ->
       let pred, curr = search_from t.head k in
       if curr.key <> k then false
       else begin
@@ -171,8 +177,8 @@ let combine t =
         let v = apply_volatile t a.qop in
         decided := (j, a.qseq, v) :: !decided;
         match a.qop with
-        | Fnd _ -> ()
-        | Ins _ | Del _ ->
+        | `Find _ -> ()
+        | `Insert _ | `Delete _ ->
             recs := { owner = j; oseq = a.qseq; lop = a.qop; lval = v } :: !recs
       end)
     t.ann;
@@ -220,10 +226,13 @@ let run_op t kop =
   Pmem.psync t.s.ann_sync;
   await t id seq
 
-let insert t k = run_op t (Ins k)
-let delete t k = run_op t (Del k)
-let find t k = run_op t (Fnd k)
-let apply t = function Ins k -> insert t k | Del k -> delete t k | Fnd k -> find t k
+let insert t k = run_op t (`Insert k)
+let delete t k = run_op t (`Delete k)
+let find t k = run_op t (`Find k)
+let apply t = function
+  | `Insert k -> insert t k
+  | `Delete k -> delete t k
+  | `Find k -> find t k
 
 let recover_structure t =
   (* Data lines reverted to the last checkpoint; replay the log after the

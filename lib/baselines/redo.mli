@@ -16,20 +16,18 @@
 
 type t
 
-type op = Ins of int | Del of int | Fnd of int
-
 val create : ?checkpoint_every:int -> Pmem.heap -> threads:int -> t
 
 val insert : t -> int -> bool
 val delete : t -> int -> bool
 val find : t -> int -> bool
-val apply : t -> op -> bool
+val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 
 val recover_structure : t -> unit
 (** Post-crash, single-threaded: replay the redo log onto the
     checkpointed state, restore result slots, and cut a fresh checkpoint. *)
 
-val recover : t -> op -> bool
+val recover : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 
 val save_volatile : t -> unit -> unit
 (** Capture the state kept outside {!Pmem} — the per-thread sequence

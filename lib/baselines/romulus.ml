@@ -1,5 +1,3 @@
-type op = Ins of int | Del of int | Fnd of int
-
 (* Main-copy node; [twin] is the mirror node in the back copy (back nodes
    point to themselves). *)
 type node = {
@@ -11,7 +9,10 @@ type node = {
 
 type tstate = Idle | Mutating | Copying
 
-type announce = { aop : op; aseq : int }
+type announce = {
+  aop : [ `Insert of int | `Delete of int | `Find of int ];
+  aseq : int;
+}
 type result = { rseq : int; rval : bool }
 
 (* The whole commit record lives on one cache line so that one pwb makes
@@ -89,7 +90,7 @@ let create heap ~threads =
   let pairs =
     Array.init threads (fun i ->
         let line = Pmem.new_line ~name:(Printf.sprintf "rom.ann[%d]" i) heap in
-        let a = Pmem.on_line line { aop = Fnd 0; aseq = 0 } in
+        let a = Pmem.on_line line { aop = `Find 0; aseq = 0 } in
         let st = Pmem.on_line line 0 in
         Pmem.pwb init_pwb line;
         (a, st))
@@ -149,10 +150,10 @@ let search_from head k =
    mirror closure). *)
 let decide t op =
   match op with
-  | Fnd k ->
+  | `Find k ->
       let _, curr = search_from t.head_m k in
       (curr.key = k, [], fun () -> [])
-  | Ins k ->
+  | `Insert k ->
       let pred, curr = search_from t.head_m k in
       if curr.key = k then (false, [], fun () -> [])
       else begin
@@ -165,7 +166,7 @@ let decide t op =
             Pmem.write pred.twin.next (Some nb);
             [ nb.line; pred.twin.line ] )
       end
-  | Del k ->
+  | `Delete k ->
       let pred, curr = search_from t.head_m k in
       if curr.key <> k then (false, [], fun () -> [])
       else begin
@@ -213,8 +214,8 @@ let update t op =
   release t;
   value
 
-let insert t k = update t (Ins k)
-let delete t k = update t (Del k)
+let insert t k = update t (`Insert k)
+let delete t k = update t (`Delete k)
 
 (* Lock-free readers under a sequence lock against the main copy. *)
 let rec find t k =
@@ -234,7 +235,10 @@ let rec find t k =
     end
   end
 
-let apply t = function Ins k -> insert t k | Del k -> delete t k | Fnd k -> find t k
+let apply t = function
+  | `Insert k -> insert t k
+  | `Delete k -> delete t k
+  | `Find k -> find t k
 
 (* Rebuild [dst] as a fresh copy of [src].  [to_main] decides which side
    owns the twin pointers: fresh main nodes point at their back sources,

@@ -13,21 +13,19 @@
 
 type t
 
-type op = Ins of int | Del of int | Fnd of int
-
 val create : Pmem.heap -> threads:int -> t
 
 val insert : t -> int -> bool
 val delete : t -> int -> bool
 val find : t -> int -> bool
-val apply : t -> op -> bool
+val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 
 val recover_structure : t -> unit
 (** Post-crash, single-threaded: restore the inconsistent copy from the
     consistent one according to the persisted state flag.  Must run once
     before any thread recovery or new operation. *)
 
-val recover : t -> op -> bool
+val recover : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 (** Detectable recovery of the calling thread's crashed operation. *)
 
 val save_volatile : t -> unit -> unit

@@ -28,6 +28,12 @@ let quick_config =
 
 (* ---- measurement cache ------------------------------------------------ *)
 
+(* Every config field that changes a point: the virtual time per
+   measurement, the seeds averaged, and the classification's thread
+   count, which decides the sites a category curve scales. *)
+let cfg_key cfg =
+  Printf.sprintf "%h/%d/%d" cfg.duration_ns cfg.seeds cfg.classify_at
+
 type meas = {
   thr : float;
   pwbs : float;
@@ -53,8 +59,8 @@ let with_clean_sites f =
 
 let measure ?(scaled = []) cfg factory ~threads mix ~variant ~prepare =
   let key =
-    Printf.sprintf "%s/%d/%s/%s/%d" factory.Set_intf.fname threads
-      mix.Workload.name variant cfg.seeds
+    Printf.sprintf "%s/%d/%s/%s/%s" factory.Set_intf.fname threads
+      mix.Workload.name variant (cfg_key cfg)
   in
   match Hashtbl.find_opt cache key with
   | Some m -> m
@@ -108,7 +114,9 @@ let classification_cache : (string, (Pstats.site * Pstats.category * float) list
   Hashtbl.create 16
 
 let classify cfg mix factory =
-  let key = factory.Set_intf.fname ^ "/" ^ mix.Workload.name in
+  let key =
+    String.concat "/" [ factory.Set_intf.fname; mix.Workload.name; cfg_key cfg ]
+  in
   match Hashtbl.find_opt classification_cache key with
   | Some c -> c
   | None ->

@@ -225,8 +225,6 @@ let set_gauge g v =
     st.events <- st.events + 1
   end
 
-let gauge_value g = g.g
-
 (* ---- log-bucketed histograms ------------------------------------------ *)
 
 (* 4 buckets per octave: bucket 0 holds v <= 1, bucket i >= 1 holds

@@ -63,7 +63,6 @@ val incr_by : counter -> int -> unit
 val count : counter -> int
 
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val observe : histogram -> float -> unit
 (** Record a sample (clamped to [>= 0]).  The histogram is log-bucketed

@@ -1,8 +1,5 @@
 type event = { eop : Set_intf.op; ok : bool }
 
-let pp_event ppf e =
-  Format.fprintf ppf "%a = %b" Set_intf.pp_op e.eop e.ok
-
 module IM = Map.Make (Int)
 module IS = Set.Make (Int)
 

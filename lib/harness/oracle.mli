@@ -30,4 +30,3 @@ val check_queue :
     exactly whether the topic was non-empty, [Fnd k] must report model
     membership; the final model queue must equal [final]. *)
 
-val pp_event : Format.formatter -> event -> unit

@@ -8,6 +8,13 @@ let pp_op ppf = function
   | Del k -> Format.fprintf ppf "delete(%d)" k
   | Fnd k -> Format.fprintf ppf "find(%d)" k
 
+(* The pending invocation every structure's recovery takes: one closed
+   polymorphic variant that the structures and baselines share. *)
+let set_op = function
+  | Ins k -> `Insert k
+  | Del k -> `Delete k
+  | Fnd k -> `Find k
+
 (* The system's durable invocation bookkeeping is framework-shaped:
    Tracking's recovery re-runs the operation itself, while Memento needs
    the invocation timestamp the system captured before the op began.
@@ -18,13 +25,6 @@ let pp_op ppf = function
 type pending = ..
 type pending += Op of op
 type pending += Mmt of { mop : op; mseq : int }
-
-let op_only name recover_op = function
-  | Op op -> recover_op op
-  | _ ->
-      invalid_arg
-        (name ^ ": foreign pending token (this framework expects its own \
-                 note_begin token)")
 
 (* What the structure's operations mean, which decides the oracle a shard
    backend is checked against: [`Set] for per-key membership semantics
@@ -44,7 +44,6 @@ type t = {
   check : unit -> (unit, string) result;
   contents : unit -> int list;
   space : unit -> (Pmem.line * [ `Payload of int list | `Meta of string ]) list;
-  supports_crash : bool;
   save_volatile : unit -> unit -> unit;
 }
 
@@ -57,372 +56,211 @@ let apply t = function Ins k -> t.insert k | Del k -> t.delete k | Fnd k -> t.fi
 type factory = {
   fname : string;
   model : model;
+  supports_crash : bool;
   make : Pmem.heap -> threads:int -> t;
 }
 
-let tracking =
+(* ---- the variant table -------------------------------------------------- *)
+
+(* One row of the table; [make] gets the row's name for its instance.
+   [elide] names a persist site the row disables once [make] has
+   registered it: a negative control, which campaigns must catch
+   (Pstats.elide fails loudly on a site that does not exist). *)
+let row ?(model = Set_model) ?(supports_crash = true) ?elide fname make =
+  let make =
+    match elide with
+    | None -> make fname
+    | Some site ->
+        fun heap ~threads ->
+          let t = make fname heap ~threads in
+          Pstats.elide site;
+          t
+  in
+  { fname; model; supports_crash; make }
+
+(* Tracking and the baselines: the pending token is the operation itself,
+   handed back to the structure's recovery. *)
+let op_instance name ?(recover_structure = ignore)
+    ?(save_volatile = no_volatile) ~insert ~delete ~find ~recover ~check
+    ~contents ~space () =
   {
-    fname = "tracking";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module L = Rlist.Int in
-        let l = L.create heap ~threads in
-        let conv = function
-          | Ins k -> L.Insert k
-          | Del k -> L.Delete k
-          | Fnd k -> L.Find k
-        in
-        {
-          name = "tracking";
-          insert = L.insert l;
-          delete = L.delete l;
-          find = L.find l;
-          note_begin = (fun op -> Op op);
-          recover = op_only "tracking" (fun op -> L.recover l (conv op));
-          recover_structure = (fun () -> ());
-          check = (fun () -> L.check_invariants l);
-          contents = (fun () -> L.to_list l);
-          space = (fun () -> L.space l);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
+    name;
+    insert;
+    delete;
+    find;
+    note_begin = (fun op -> Op op);
+    recover =
+      (function
+      | Op op -> recover (set_op op)
+      | _ ->
+          invalid_arg
+            (name ^ ": foreign pending token (this framework expects its own \
+                     note_begin token)"));
+    recover_structure;
+    check;
+    contents;
+    space;
+    save_volatile;
   }
 
-let tracking_bst =
+(* Memento: the pending token is the invocation timestamp captured before
+   the operation starts.  Recovery replays the crashed invocation under
+   that timestamp, so its checkpoints and detectable-CAS outcomes
+   short-circuit instead of re-executing. *)
+let mmt_instance name ~next_invocation ~insert ~delete ~find ~recover ~check
+    ~contents ~space =
   {
-    fname = "tracking-bst";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module T = Rbst.Int in
-        let t = T.create heap ~threads in
-        let conv = function
-          | Ins k -> T.Insert k
-          | Del k -> T.Delete k
-          | Fnd k -> T.Find k
-        in
-        {
-          name = "tracking-bst";
-          insert = T.insert t;
-          delete = T.delete t;
-          find = T.find t;
-          note_begin = (fun op -> Op op);
-          recover = op_only "tracking-bst" (fun op -> T.recover t (conv op));
-          recover_structure = (fun () -> ());
-          check = (fun () -> T.check_invariants t);
-          contents = (fun () -> T.to_list t);
-          space = (fun () -> T.space t);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
+    name;
+    insert;
+    delete;
+    find;
+    note_begin = (fun op -> Mmt { mop = op; mseq = next_invocation () });
+    recover =
+      (function
+      | Mmt { mop; mseq } -> recover ~mseq (set_op mop)
+      | _ ->
+          invalid_arg
+            (name ^ ": foreign pending token (expects its note_begin \
+                     timestamp)"));
+    recover_structure = ignore;
+    check;
+    contents;
+    space;
+    save_volatile = no_volatile;
   }
+
+(* Tracking's list (§4): a site prefix, the read-only optimization and an
+   optional elided site make a row. *)
+let rlist fname ~prefix ~ro_opt ?elide () =
+  row ?elide fname (fun name heap ~threads ->
+      let module L = Rlist.Int in
+      let l = L.create ~prefix ~read_only_opt:ro_opt heap ~threads in
+      op_instance name ~insert:(L.insert l) ~delete:(L.delete l)
+        ~find:(L.find l) ~recover:(L.recover l)
+        ~check:(fun () -> L.check_invariants l)
+        ~contents:(fun () -> L.to_list l)
+        ~space:(fun () -> L.space l)
+        ())
+
+let tracking = rlist "tracking" ~prefix:"rlist" ~ro_opt:true ()
 
 let tracking_no_ro_opt =
-  {
-    fname = "tracking-noopt";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module L = Rlist.Int in
-        let l =
-          L.create ~prefix:"rlist-noopt" ~read_only_opt:false heap ~threads
-        in
-        let conv = function
-          | Ins k -> L.Insert k
-          | Del k -> L.Delete k
-          | Fnd k -> L.Find k
-        in
-        {
-          name = "tracking-noopt";
-          insert = L.insert l;
-          delete = L.delete l;
-          find = L.find l;
-          note_begin = (fun op -> Op op);
-          recover = op_only "tracking-noopt" (fun op -> L.recover l (conv op));
-          recover_structure = (fun () -> ());
-          check = (fun () -> L.check_invariants l);
-          contents = (fun () -> L.to_list l);
-          space = (fun () -> L.space l);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
-  }
+  rlist "tracking-noopt" ~prefix:"rlist-noopt" ~ro_opt:false ()
 
-(* Negative control for the crash harness: Tracking's list with the
-   new-node pwb elided (the site is disabled right after creation, inside
-   the campaign's enable-all window).  A freshly allocated node can then
-   be linked in but never flushed, so a crash leaves reachable poisoned
-   data — campaigns MUST fail on it, which exercises the repro/replay/
-   shrink pipeline end to end. *)
+(* A freshly allocated node can be linked in but never flushed, so a
+   crash leaves reachable poisoned data. *)
 let tracking_broken =
-  {
-    fname = "tracking-broken";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module L = Rlist.Int in
-        let l = L.create ~prefix:"rlist-broken" heap ~threads in
-        (match Pstats.find "rlist-broken.new.pwb" with
-        | Some s -> Pstats.set_enabled s false
-        | None -> ());
-        let conv = function
-          | Ins k -> L.Insert k
-          | Del k -> L.Delete k
-          | Fnd k -> L.Find k
-        in
-        {
-          name = "tracking-broken";
-          insert = L.insert l;
-          delete = L.delete l;
-          find = L.find l;
-          note_begin = (fun op -> Op op);
-          recover = op_only "tracking-broken" (fun op -> L.recover l (conv op));
-          recover_structure = (fun () -> ());
-          check = (fun () -> L.check_invariants l);
-          contents = (fun () -> L.to_list l);
-          space = (fun () -> L.space l);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
-  }
+  rlist "tracking-broken" ~prefix:"rlist-broken" ~ro_opt:true
+    ~elide:"rlist-broken.new.pwb" ()
+
+let tracking_bst =
+  row "tracking-bst" (fun name heap ~threads ->
+      let module T = Rbst.Int in
+      let t = T.create heap ~threads in
+      op_instance name ~insert:(T.insert t) ~delete:(T.delete t)
+        ~find:(T.find t) ~recover:(T.recover t)
+        ~check:(fun () -> T.check_invariants t)
+        ~contents:(fun () -> T.to_list t)
+        ~space:(fun () -> T.space t)
+        ())
 
 let tracking_hash =
-  {
-    fname = "tracking-hash";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module H = Rhash.Int in
-        let h = H.create ~buckets:16 heap ~threads in
-        let conv = function
-          | Ins k -> H.Insert k
-          | Del k -> H.Delete k
-          | Fnd k -> H.Find k
-        in
-        {
-          name = "tracking-hash";
-          insert = H.insert h;
-          delete = H.delete h;
-          find = H.find h;
-          note_begin = (fun op -> Op op);
-          recover = op_only "tracking-hash" (fun op -> H.recover h (conv op));
-          recover_structure = (fun () -> ());
-          check = (fun () -> H.check_invariants h);
-          contents = (fun () -> List.sort compare (H.to_list h));
-          space = (fun () -> H.space h);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
-  }
+  row "tracking-hash" (fun name heap ~threads ->
+      let module H = Rhash.Int in
+      let h = H.create ~buckets:16 heap ~threads in
+      op_instance name ~insert:(H.insert h) ~delete:(H.delete h)
+        ~find:(H.find h) ~recover:(H.recover h)
+        ~check:(fun () -> H.check_invariants h)
+        ~contents:(fun () -> List.sort compare (H.to_list h))
+        ~space:(fun () -> H.space h)
+        ())
 
-let capsules_factory name variant =
-  {
-    fname = name;
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let c = Capsules.create ~variant heap ~threads in
-        let conv = function
-          | Ins k -> Capsules.Ins k
-          | Del k -> Capsules.Del k
-          | Fnd k -> Capsules.Fnd k
-        in
-        {
-          name;
-          insert = Capsules.insert c;
-          delete = Capsules.delete c;
-          find = Capsules.find c;
-          note_begin = (fun op -> Op op);
-          recover = op_only name (fun op -> Capsules.recover c (conv op));
-          recover_structure = (fun () -> ());
-          check = (fun () -> Capsules.check_invariants c);
-          contents = (fun () -> Capsules.to_list c);
-          space = (fun () -> Capsules.space c);
-          supports_crash = true;
-          save_volatile = (fun () -> Capsules.save_volatile c);
-        });
-  }
+let capsules_row fname variant =
+  row fname (fun name heap ~threads ->
+      let c = Capsules.create ~variant heap ~threads in
+      op_instance name ~insert:(Capsules.insert c)
+        ~delete:(Capsules.delete c) ~find:(Capsules.find c)
+        ~recover:(Capsules.recover c)
+        ~check:(fun () -> Capsules.check_invariants c)
+        ~contents:(fun () -> Capsules.to_list c)
+        ~space:(fun () -> Capsules.space c)
+        ~save_volatile:(fun () -> Capsules.save_volatile c)
+        ())
 
-let capsules = capsules_factory "capsules" `General
-let capsules_opt = capsules_factory "capsules-opt" `Opt
+let capsules = capsules_row "capsules" `General
+let capsules_opt = capsules_row "capsules-opt" `Opt
 
 let romulus =
-  {
-    fname = "romulus";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let r = Romulus.create heap ~threads in
-        let conv = function
-          | Ins k -> Romulus.Ins k
-          | Del k -> Romulus.Del k
-          | Fnd k -> Romulus.Fnd k
-        in
-        {
-          name = "romulus";
-          insert = Romulus.insert r;
-          delete = Romulus.delete r;
-          find = Romulus.find r;
-          note_begin = (fun op -> Op op);
-          recover = op_only "romulus" (fun op -> Romulus.recover r (conv op));
-          recover_structure = (fun () -> Romulus.recover_structure r);
-          check = (fun () -> Romulus.check_invariants r);
-          contents = (fun () -> Romulus.to_list r);
-          space = (fun () -> Romulus.space r);
-          supports_crash = true;
-          save_volatile = (fun () -> Romulus.save_volatile r);
-        });
-  }
+  row "romulus" (fun name heap ~threads ->
+      let r = Romulus.create heap ~threads in
+      op_instance name ~insert:(Romulus.insert r)
+        ~delete:(Romulus.delete r) ~find:(Romulus.find r)
+        ~recover:(Romulus.recover r)
+        ~recover_structure:(fun () -> Romulus.recover_structure r)
+        ~check:(fun () -> Romulus.check_invariants r)
+        ~contents:(fun () -> Romulus.to_list r)
+        ~space:(fun () -> Romulus.space r)
+        ~save_volatile:(fun () -> Romulus.save_volatile r)
+        ())
 
 let redo =
-  {
-    fname = "redo-opt";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let r = Redo.create heap ~threads in
-        let conv = function
-          | Ins k -> Redo.Ins k
-          | Del k -> Redo.Del k
-          | Fnd k -> Redo.Fnd k
-        in
-        {
-          name = "redo-opt";
-          insert = Redo.insert r;
-          delete = Redo.delete r;
-          find = Redo.find r;
-          note_begin = (fun op -> Op op);
-          recover = op_only "redo-opt" (fun op -> Redo.recover r (conv op));
-          recover_structure = (fun () -> Redo.recover_structure r);
-          check = (fun () -> Redo.check_invariants r);
-          contents = (fun () -> Redo.to_list r);
-          space = (fun () -> Redo.space r);
-          supports_crash = true;
-          save_volatile = (fun () -> Redo.save_volatile r);
-        });
-  }
+  row "redo-opt" (fun name heap ~threads ->
+      let r = Redo.create heap ~threads in
+      op_instance name ~insert:(Redo.insert r) ~delete:(Redo.delete r)
+        ~find:(Redo.find r) ~recover:(Redo.recover r)
+        ~recover_structure:(fun () -> Redo.recover_structure r)
+        ~check:(fun () -> Redo.check_invariants r)
+        ~contents:(fun () -> Redo.to_list r)
+        ~space:(fun () -> Redo.space r)
+        ~save_volatile:(fun () -> Redo.save_volatile r)
+        ())
 
 let harris_volatile =
-  {
-    fname = "harris";
-    model = Set_model;
-    make =
-      (fun heap ~threads:_ ->
-        let l = Harris.create heap in
-        {
-          name = "harris";
-          insert = Harris.insert l;
-          delete = Harris.delete l;
-          find = Harris.find l;
-          note_begin = (fun op -> Op op);
-          recover =
-            (fun _ -> invalid_arg "harris: volatile list cannot recover");
-          recover_structure = (fun () -> ());
-          check = (fun () -> Harris.check_invariants l);
-          contents = (fun () -> Harris.to_list l);
-          space = (fun () -> Harris.space l);
-          supports_crash = false;
-          save_volatile = no_volatile;
-        });
-  }
+  row ~supports_crash:false "harris" (fun name heap ~threads:_ ->
+      let l = Harris.create heap in
+      op_instance name ~insert:(Harris.insert l) ~delete:(Harris.delete l)
+        ~find:(Harris.find l)
+        ~recover:(fun _ -> invalid_arg "harris: volatile list cannot recover")
+        ~check:(fun () -> Harris.check_invariants l)
+        ~contents:(fun () -> Harris.to_list l)
+        ~space:(fun () -> Harris.space l)
+        ())
 
 (* ---- the Memento framework (lib/memento) ------------------------------- *)
 
-(* Memento's pending token is the invocation timestamp captured before
-   the operation starts: recovery replays the crashed invocation under
-   that timestamp, so its checkpoints and detectable-CAS outcomes
-   short-circuit instead of re-executing. *)
+(* List-mmt: a site prefix and an optional elided site make a row. *)
+let mlist fname ~prefix ?elide () =
+  row ?elide fname (fun name heap ~threads ->
+      let module L = Mlist.Int in
+      let l = L.create ~prefix heap ~threads in
+      mmt_instance name
+        ~next_invocation:(fun () -> L.next_invocation l)
+        ~insert:(L.insert l) ~delete:(L.delete l) ~find:(L.find l)
+        ~recover:(L.recover l)
+        ~check:(fun () -> L.check_invariants l)
+        ~contents:(fun () -> L.to_list l)
+        ~space:(fun () -> L.space l))
 
-let memento_list_factory fname ~prefix ~disable_site =
-  {
-    fname;
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module L = Mlist.Int in
-        let l = L.create ~prefix heap ~threads in
-        (match disable_site with
-        | None -> ()
-        | Some site -> (
-            match Pstats.find site with
-            | Some s -> Pstats.set_enabled s false
-            | None -> ()));
-        let conv = function
-          | Ins k -> L.Insert k
-          | Del k -> L.Delete k
-          | Fnd k -> L.Find k
-        in
-        {
-          name = fname;
-          insert = L.insert l;
-          delete = L.delete l;
-          find = L.find l;
-          note_begin = (fun op -> Mmt { mop = op; mseq = L.next_invocation l });
-          recover =
-            (function
-            | Mmt { mop; mseq } -> L.recover l ~mseq (conv mop)
-            | _ ->
-                invalid_arg
-                  (fname
-                 ^ ": foreign pending token (expects its note_begin \
-                    timestamp)"));
-          recover_structure = (fun () -> ());
-          check = (fun () -> L.check_invariants l);
-          contents = (fun () -> L.to_list l);
-          space = (fun () -> L.space l);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
-  }
+let memento_list = mlist "memento-list" ~prefix:"mlist" ()
 
-let memento_list =
-  memento_list_factory "memento-list" ~prefix:"mlist" ~disable_site:None
-
-(* Negative control: List-mmt with the checkpoint persist elided.  The
-   detectable CAS then confirms (durably untags) a success whose result
+(* The detectable CAS confirms (durably untags) a success whose result
    checkpoint never reaches NVM: a crash in that window leaves the
    insert's effect durable with no durable evidence, so the replay
-   returns the wrong answer and campaigns MUST flag an oracle
-   violation — the Memento mirror of [tracking_broken]. *)
+   returns the wrong answer. *)
 let memento_broken =
-  memento_list_factory "memento-broken" ~prefix:"mmt-broken"
-    ~disable_site:(Some "mmt-broken.cp.pwb")
+  mlist "memento-broken" ~prefix:"mmt-broken" ~elide:"mmt-broken.cp.pwb" ()
 
 let memento_comb =
-  {
-    fname = "memento-comb";
-    model = Set_model;
-    make =
-      (fun heap ~threads ->
-        let module C = Mcomb.Int in
-        let c = C.create heap ~threads in
-        let conv = function
-          | Ins k -> C.Insert k
-          | Del k -> C.Delete k
-          | Fnd k -> C.Find k
-        in
-        {
-          name = "memento-comb";
-          insert = C.insert c;
-          delete = C.delete c;
-          find = C.find c;
-          note_begin = (fun op -> Mmt { mop = op; mseq = C.next_invocation c });
-          recover =
-            (function
-            | Mmt { mop; mseq } -> C.recover c ~mseq (conv mop)
-            | _ ->
-                invalid_arg
-                  "memento-comb: foreign pending token (expects its \
-                   note_begin timestamp)");
-          recover_structure = (fun () -> ());
-          check = (fun () -> C.check_invariants c);
-          contents = (fun () -> C.to_list c);
-          space = (fun () -> C.space c);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
-  }
+  row "memento-comb" (fun name heap ~threads ->
+      let module C = Mcomb.Int in
+      let c = C.create heap ~threads in
+      mmt_instance name
+        ~next_invocation:(fun () -> C.next_invocation c)
+        ~insert:(C.insert c) ~delete:(C.delete c) ~find:(C.find c)
+        ~recover:(C.recover c)
+        ~check:(fun () -> C.check_invariants c)
+        ~contents:(fun () -> C.to_list c)
+        ~space:(fun () -> C.space c))
 
 (* ---- queue-backed topic backend (elastic store, part c) ---------------- *)
 
@@ -433,50 +271,30 @@ let memento_comb =
    the order-sensitive {!Oracle.check_queue} model — sound because a
    shard's single server fiber serializes the topic's operations. *)
 let tracking_topic =
-  {
-    fname = "tracking-topic";
-    model = Queue_model;
-    make =
-      (fun heap ~threads ->
-        let q : int Rqueue.t = Rqueue.create ~prefix:"rtopic" heap ~threads in
-        let conv = function
-          | Ins k -> Rqueue.Enqueue k
-          | Del _ -> Rqueue.Dequeue
-          | Fnd _ -> invalid_arg "tracking-topic: find has no queue pending"
-        in
-        let run op =
-          match op with
-          | Fnd k -> List.mem k (Rqueue.to_list q)
-          | Ins _ | Del _ -> (
-              match Rqueue.apply q (conv op) with
-              | Some _ -> true  (* dequeue consumed a value *)
-              | None -> (
-                  match op with
-                  | Ins _ -> true  (* enqueues always succeed *)
-                  | _ -> false  (* dequeue of an empty topic *)))
-        in
-        {
-          name = "tracking-topic";
-          insert = (fun k -> run (Ins k));
-          delete = (fun k -> run (Del k));
-          find = (fun k -> run (Fnd k));
-          note_begin = (fun op -> Op op);
-          recover =
-            op_only "tracking-topic" (fun op ->
-                match op with
-                | Fnd k -> List.mem k (Rqueue.to_list q)
-                | Ins k -> (
-                    match Rqueue.recover q (Rqueue.Enqueue k) with
-                    | _ -> true)
-                | Del _ -> Rqueue.recover q Rqueue.Dequeue <> None);
-          recover_structure = (fun () -> ());
-          check = (fun () -> Rqueue.check_invariants q);
-          contents = (fun () -> Rqueue.to_list q);
-          space = (fun () -> Rqueue.space q);
-          supports_crash = true;
-          save_volatile = no_volatile;
-        });
-  }
+  row ~model:Queue_model "tracking-topic" (fun name heap ~threads ->
+      let q : int Rqueue.t = Rqueue.create ~prefix:"rtopic" heap ~threads in
+      let conv = function
+        | `Insert k -> Rqueue.Enqueue k
+        | `Delete _ -> Rqueue.Dequeue
+      in
+      (* [call] is [Rqueue.apply] for a fresh operation and
+         [Rqueue.recover] for a crashed one. *)
+      let run call = function
+        | `Find k -> List.mem k (Rqueue.to_list q)
+        | `Insert _ as op ->
+            ignore (call (conv op) : int option);
+            true
+        | `Delete _ as op -> call (conv op) <> None
+      in
+      op_instance name
+        ~insert:(fun k -> run (Rqueue.apply q) (`Insert k))
+        ~delete:(fun k -> run (Rqueue.apply q) (`Delete k))
+        ~find:(fun k -> run (Rqueue.apply q) (`Find k))
+        ~recover:(run (Rqueue.recover q))
+        ~check:(fun () -> Rqueue.check_invariants q)
+        ~contents:(fun () -> Rqueue.to_list q)
+        ~space:(fun () -> Rqueue.space q)
+        ())
 
 let all =
   [

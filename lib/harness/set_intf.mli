@@ -2,7 +2,18 @@
     every evaluated implementation (paper §5): Tracking, Capsules,
     Capsules-Opt, Romulus, RedoOpt, the Memento framework's List-mmt and
     combining set, plus the volatile Harris list as the persistence-free
-    yardstick. *)
+    yardstick.
+
+    This module is the one place that says what a variant is.  {!all} is
+    a table of rows, built from one private constructor per structure
+    family: a row names the variant, and the family's parameters (site
+    prefix, read-only optimization, ...) and an optional {e elided} site
+    complete it.  A row with an elided site is a negative control: its
+    [make] disables that persist site through {!Pstats.elide} once the
+    structure has registered it, so a misspelt site fails loudly.  Every
+    structure's recovery takes the same closed pending operation,
+    [[ `Insert of k | `Delete of k | `Find of k ]], converted from {!op}
+    in one place. *)
 
 type op = Ins of int | Del of int | Fnd of int
 
@@ -54,8 +65,6 @@ type t = {
           structure's roots, classified as payload (with the keys it
           holds) or detectability metadata ({!Space} consumes this to
           classify the rest of the heap as garbage) *)
-  supports_crash : bool;
-      (** whether crash campaigns may include this implementation *)
   save_volatile : unit -> unit -> unit;
       (** [save_volatile ()] captures the state the structure keeps in
           OCaml memory rather than in {!Pmem} fields, and returns the
@@ -79,6 +88,9 @@ type factory = {
   model : model;
       (** what the structure's operations mean, known without building
           one: campaigns check the set model only *)
+  supports_crash : bool;
+      (** whether crash campaigns may include this implementation, known
+          without building one *)
   make : Pmem.heap -> threads:int -> t;
 }
 
@@ -100,16 +112,19 @@ val tracking_topic : factory
     Built for the elastic store's multi-structure backends. *)
 
 val tracking_broken : factory
-(** Negative control: Tracking's list with the new-node pwb elided, so
-    crash campaigns {e must} fail with poisoned-data / oracle violations.
-    Exists to prove the harness detects missing flushes and to exercise
-    the repro/replay/shrink pipeline; never plotted. *)
+(** Negative control: Tracking's list row with the new-node pwb
+    (["rlist-broken.new.pwb"]) elided, so crash campaigns {e must} fail
+    with poisoned-data / oracle violations.  Exists to prove the harness
+    detects missing flushes and to exercise the repro/replay/shrink
+    pipeline; never plotted. *)
 
 val capsules : factory
 val capsules_opt : factory
 val romulus : factory
 val redo : factory
 val harris_volatile : factory
+(** The volatile Harris list, the persistence-free yardstick: its row
+    has [supports_crash = false], so crash campaigns refuse it. *)
 
 val memento_list : factory
 (** List-mmt: the Harris list composed from the Memento primitives
@@ -120,11 +135,15 @@ val memento_comb : factory
     through a single combiner and one detectable CAS per batch. *)
 
 val memento_broken : factory
-(** Negative control: List-mmt with the checkpoint persist elided, the
-    Memento mirror of {!tracking_broken} — crash campaigns and explore
-    {e must} flag a detectability (oracle) violation.  Never plotted. *)
+(** Negative control: the List-mmt row with the checkpoint persist
+    (["mmt-broken.cp.pwb"]) elided, the Memento mirror of
+    {!tracking_broken} — crash campaigns and explore {e must} flag a
+    detectability (oracle) violation.  Never plotted. *)
 
 val all : factory list
+(** The variant table: every row, in a fixed order (the order of
+    {!names} and of the CLI's valid-name lists). *)
+
 val names : unit -> string list
 
 val by_name : string -> (factory, string) result

@@ -98,7 +98,7 @@ type sweep = {
          process.  Vacuously true for variants that cannot crash. *)
 }
 
-let sweep ~threads ~ops ~crashes heap (inst : Set_intf.t) =
+let sweep ~threads ~ops ~crashes ~supports_crash heap (inst : Set_intf.t) =
   let live = Hashtbl.create 256 in
   (* Dedup by allocation id, payload winning over metadata: a prepared
      node can be reachable both from a checkpoint and from the chain. *)
@@ -177,8 +177,8 @@ let sweep ~threads ~ops ~crashes heap (inst : Set_intf.t) =
       count_by (fun r -> if r.ar_op = "" then "(none)" else r.ar_op) garbage_recs;
     sv_growth = growth;
     sv_growing = !late;
-    sv_supports_crash = inst.Set_intf.supports_crash;
-    sv_lb_ok = (not inst.Set_intf.supports_crash) || meta_lines >= threads;
+    sv_supports_crash = supports_crash;
+    sv_lb_ok = (not supports_crash) || meta_lines >= threads;
   }
 
 (* ---- campaign driver ---------------------------------------------------- *)
@@ -232,7 +232,10 @@ let run_variant cfg (factory : Set_intf.factory) =
     (fun () ->
       let swept = ref None in
       let observe heap inst =
-        swept := Some (sweep ~threads:cfg.threads ~ops:0 ~crashes:0 heap inst)
+        swept :=
+          Some
+            (sweep ~threads:cfg.threads ~ops:0 ~crashes:0
+               ~supports_crash:factory.Set_intf.supports_crash heap inst)
       in
       match Crashes.run_logged ~observe ccfg ~seed:cfg.seed with
       | Ok o, _ -> (

@@ -67,11 +67,18 @@ type sweep = {
 }
 
 val sweep :
-  threads:int -> ops:int -> crashes:int -> Pmem.heap -> Set_intf.t -> sweep
+  threads:int ->
+  ops:int ->
+  crashes:int ->
+  supports_crash:bool ->
+  Pmem.heap ->
+  Set_intf.t ->
+  sweep
 (** Classify every allocation of [heap] against the structure's live
-    enumeration.  Garbage counts come from the heap's occupancy counter
-    minus the live set; garbage {e attribution} (sites, ops, growth)
-    covers the allocations the registry observed. *)
+    enumeration; [supports_crash] is the variant's
+    {!Set_intf.factory.supports_crash}.  Garbage counts come from the
+    heap's occupancy counter minus the live set; garbage {e attribution}
+    (sites, ops, growth) covers the allocations the registry observed. *)
 
 (** Campaign parameters for [repro space]. *)
 type cfg = {

@@ -23,10 +23,6 @@ let skewed s =
          s);
   Skewed { s; inv_a = log 0.2 /. log s }
 
-let dist_name = function
-  | Uniform -> "uniform"
-  | Skewed { s; _ } -> Printf.sprintf "skewed-%.2f" s
-
 type config = {
   mix : mix;
   key_range : int;

@@ -27,10 +27,6 @@ val skewed : float -> dist
     classic "80% of accesses to 20% of keys".
     @raise Invalid_argument unless [0.2 <= s < 1.0]. *)
 
-val dist_name : dist -> string
-(** ["uniform"], or ["skewed-<s>"] — stable, parseable labels for CLI
-    output and serve-repro files. *)
-
 type config = {
   mix : mix;
   key_range : int;  (** keys drawn from [1, key_range] *)

@@ -25,15 +25,16 @@ module Make (K : Memento.KEY) = struct
   module Cp = Memento.Checkpoint
   module D = Memento.Dcas
 
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
-
   type resp = { rseq : int; rok : bool }
   (* response to invocation [rseq] of the owning thread; rseq 0 = none *)
 
   type ver = { items : K.t list; resps : resp array }
   (* one immutable version of the set: sorted items + latest responses *)
 
-  type ann = { aseq : int; aop : pending }
+  type ann = {
+    aseq : int;
+    aop : [ `Insert of K.t | `Delete of K.t | `Find of K.t ];
+  }
 
   type t = {
     ctx : Memento.ctx;
@@ -67,11 +68,11 @@ module Make (K : Memento.KEY) = struct
      one cached load per visited element — the combiner's serial work
      must show up in virtual time or combining would look infinitely
      fast. *)
-  let apply_model (op : pending) items =
+  let apply_model op items =
     let c = Cost.current () in
     let visit () = Sim.step c.Cost.cache_hit in
     match op with
-    | Insert k ->
+    | `Insert k ->
         let rec go acc = function
           | [] -> (true, List.rev (k :: acc))
           | x :: rest ->
@@ -82,7 +83,7 @@ module Make (K : Memento.KEY) = struct
               else (true, List.rev_append acc (k :: x :: rest))
         in
         go [] items
-    | Delete k ->
+    | `Delete k ->
         let rec go acc = function
           | [] -> (false, items)
           | x :: rest ->
@@ -93,7 +94,7 @@ module Make (K : Memento.KEY) = struct
               else (false, items)
         in
         go [] items
-    | Find k ->
+    | `Find k ->
         let rec go = function
           | [] -> false
           | x :: rest ->
@@ -126,7 +127,7 @@ module Make (K : Memento.KEY) = struct
          ~desired:{ items = !items; resps }
         : bool)
 
-  let update t h ~seq (op : pending) =
+  let update t h ~seq op =
     match Cp.peek t.res h ~seq with
     | Some r -> r
     | None ->
@@ -160,9 +161,9 @@ module Make (K : Memento.KEY) = struct
     let h = Memento.my_handle t.ctx in
     run_at t h ~seq:(Memento.begin_op h) p
 
-  let insert t k = exec t (Insert k)
-  let delete t k = exec t (Delete k)
-  let find t k = exec t (Find k)
+  let insert t k = exec t (`Insert k)
+  let delete t k = exec t (`Delete k)
+  let find t k = exec t (`Find k)
 
   let next_invocation t =
     Memento.next_invocation (Memento.my_handle t.ctx)

@@ -7,7 +7,6 @@
 
 module Make (K : Memento.KEY) : sig
   type t
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
 
   val create : ?prefix:string -> Pmem.heap -> threads:int -> t
   (** [prefix] (default ["mcomb"]) names the persistence sites. *)
@@ -20,7 +19,8 @@ module Make (K : Memento.KEY) : sig
   (** The calling thread's next invocation timestamp (the durable
       pending token the system records before invoking). *)
 
-  val recover : t -> mseq:int -> pending -> bool
+  val recover :
+    t -> mseq:int -> [ `Insert of K.t | `Delete of K.t | `Find of K.t ] -> bool
   (** Detectably finish (or first-execute) the crashed invocation whose
       pending token is [mseq]. *)
 

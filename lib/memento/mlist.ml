@@ -33,8 +33,6 @@ module Make (K : Memento.KEY) = struct
     unlink_pwb : Pstats.site;
   }
 
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
-
   let key_name = function
     | Neg_inf -> "-inf"
     | Pos_inf -> "+inf"
@@ -213,17 +211,17 @@ module Make (K : Memento.KEY) = struct
         commit t h ~seq (go t.head)
 
   let run_at t h ~seq = function
-    | Insert k -> insert_at t h ~seq k
-    | Delete k -> delete_at t h ~seq k
-    | Find k -> find_at t h ~seq k
+    | `Insert k -> insert_at t h ~seq k
+    | `Delete k -> delete_at t h ~seq k
+    | `Find k -> find_at t h ~seq k
 
   let exec t p =
     let h = Memento.my_handle t.ctx in
     run_at t h ~seq:(Memento.begin_op h) p
 
-  let insert t k = exec t (Insert k)
-  let delete t k = exec t (Delete k)
-  let find t k = exec t (Find k)
+  let insert t k = exec t (`Insert k)
+  let delete t k = exec t (`Delete k)
+  let find t k = exec t (`Find k)
 
   let next_invocation t =
     Memento.next_invocation (Memento.my_handle t.ctx)

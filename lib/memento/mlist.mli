@@ -6,7 +6,6 @@
 
 module Make (K : Memento.KEY) : sig
   type t
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
 
   val create : ?prefix:string -> Pmem.heap -> threads:int -> t
   (** [prefix] (default ["mlist"]) names the persistence sites
@@ -22,7 +21,8 @@ module Make (K : Memento.KEY) : sig
       run under — recorded by the system as its durable pending token
       {e before} invoking the operation. *)
 
-  val recover : t -> mseq:int -> pending -> bool
+  val recover :
+    t -> mseq:int -> [ `Insert of K.t | `Delete of K.t | `Find of K.t ] -> bool
   (** Detectably finish (or first-execute) the crashed invocation whose
       pending token is [mseq]. *)
 

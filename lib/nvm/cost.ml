@@ -69,8 +69,6 @@ let assign dst src =
   dst.op_overhead <- src.op_overhead;
   dst.cas_drains_wb <- src.cas_drains_wb
 
-let restore_defaults () = assign (current ()) (defaults ())
-
 let copy t = { t with cache_hit = t.cache_hit }
 
 let with_table tweak f =
@@ -134,5 +132,4 @@ let knobs =
     ("cas_drains_wb", Flag, fun t f -> t.cas_drains_wb <- f > 0.);
   ]
 
-let knob_names = List.map (fun (n, _, _) -> n) knobs
 let find_knob n = List.find_opt (fun (n', _, _) -> n = n') knobs

@@ -52,9 +52,6 @@ val current : unit -> t
 val defaults : unit -> t
 (** A fresh copy of the calibrated default table. *)
 
-val restore_defaults : unit -> unit
-(** Reset {!current} to the calibrated defaults. *)
-
 val with_table : (t -> unit) -> (unit -> 'a) -> 'a
 (** [with_table tweak f] applies [tweak] to a copy of the defaults,
     installs it, runs [f], and restores the previous table. *)
@@ -82,5 +79,4 @@ val knobs : (string * knob_kind * (t -> float -> unit)) list
 (** [(name, kind, scale)] per field; [scale table f] multiplies the field
     by [f] (or sets the flag to [f > 0.]). *)
 
-val knob_names : string list
 val find_knob : string -> (string * knob_kind * (t -> float -> unit)) option

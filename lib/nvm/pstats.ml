@@ -98,6 +98,12 @@ let stx id =
 let enabled s = (stx s.id).enabled.(s.id)
 let set_enabled s b = (stx s.id).enabled.(s.id) <- b
 
+let elide n =
+  match find n with
+  | Some s -> set_enabled s false
+  | None ->
+      invalid_arg (Printf.sprintf "Pstats.elide: no site %S is registered" n)
+
 let set_all_enabled b =
   List.iter (fun s -> (stx s.id).enabled.(s.id) <- b) (sites ())
 
@@ -203,13 +209,6 @@ let classify s =
     else if m >= l then Some Medium
     else Some Low
   end
-
-let set_category_enabled ~classification cat b =
-  List.iter
-    (fun s ->
-      if s.kind = Pwb && classification s = Some cat then
-        (stx s.id).enabled.(s.id) <- b)
-    (sites ())
 
 let site_counts s =
   let st = stx s.id in

@@ -1,10 +1,10 @@
 (** Persistence-instruction accounting, following the paper's methodology
     (§5): every pwb/pfence/psync in the source is a named {e site} (a code
-    line).  Sites can be disabled individually or by category to rebuild
-    the paper's persistence-free, no-psync, and category-removal variants,
-    and every executed pwb is classified by the memory model into the
-    paper's low / medium / high impact categories based on the sharing
-    state of the flushed cache line.
+    line).  Sites can be disabled individually or by kind to rebuild the
+    paper's persistence-free and no-psync variants, and every executed
+    pwb is classified by the memory model into the paper's low / medium /
+    high impact categories based on the sharing state of the flushed
+    cache line.
 
     Site {e identity} (name, kind, id) is global and registration is
     thread-safe; everything mutable — enabled flags, cost multipliers,
@@ -30,19 +30,21 @@ val name : site -> string
 val kind : site -> kind
 
 val find : string -> site option
-(** Look an already-registered site up by name (e.g. to disable one
-    specific pwb — the harness' elided-flush negative controls). *)
+(** Look an already-registered site up by name. *)
 
 val enabled : site -> bool
 val set_enabled : site -> bool -> unit
 
+val elide : string -> unit
+(** [elide name] disables the registered site [name] on the calling
+    domain — the one way a negative control removes a persist
+    instruction (the elided-site rows of [Set_intf.all], the broken
+    migration handoff).
+    @raise Invalid_argument naming [name] if no such site is registered. *)
+
 val set_all_enabled : bool -> unit
 val set_kind_enabled : kind -> bool -> unit
 (** Enable/disable every site of a kind (e.g. all psyncs, as in Figs 3c/4c). *)
-
-val set_category_enabled : classification:(site -> category option) -> category -> bool -> unit
-(** Enable/disable all pwb sites whose classification matches, as in the
-    category-removal experiments (Figs 3f/4f/5/6). *)
 
 val cost_mult : site -> float
 (** The site's causal-profiler cost multiplier (default [1.0]): {!Pmem}

@@ -46,11 +46,12 @@
    recovery protocol.
 
    The negative control ("broken handoff") elides the stage-MOVED pwb
-   by disabling its Pstats site, exactly like tracking-broken /
-   memento-broken: the commit then reverts on a destination crash while
-   the source cleanup already deleted the key — the key vanishes from
-   both shards, which the store-level conservation oracle catches and a
-   Forensics postmortem names via the disabled site. *)
+   with [Pstats.elide], the one elision call that the negative-control
+   rows of Set_intf.all (tracking-broken, memento-broken) use too: the
+   commit then reverts on a destination crash while the source cleanup
+   already deleted the key — the key vanishes from both shards, which
+   the store-level conservation oracle catches and a Forensics
+   postmortem names via the disabled site. *)
 
 (* Pstats sites, registered once at module load (global identity). *)
 let s_intent = Pstats.make Pstats.Pwb "mig.intent.pwb"
@@ -82,7 +83,6 @@ type t = {
   mutable resumes : int;  (* post-crash rescans *)
   mutable rid : int;  (* internal request ids, negative *)
   poll_ns : float;
-  broken : bool;
 }
 
 let create ~table ~(src : Shard.t) ~(dst : Shard.t) ~key_range ~poll_ns
@@ -112,10 +112,7 @@ let create ~table ~(src : Shard.t) ~(dst : Shard.t) ~key_range ~poll_ns
   in
   let phase = Pmem.alloc ~name:"mig.phase" dst.Shard.heap 0 in
   Pmem.system_persist phase 0;
-  if broken then
-    (* the negative control: elide the handoff-commit flush, exactly the
-       mechanism of tracking-broken / memento-broken *)
-    Pstats.set_enabled s_moved false;
+  if broken then Pstats.elide (Pstats.name s_moved);
   {
     table;
     src;
@@ -134,10 +131,8 @@ let create ~table ~(src : Shard.t) ~(dst : Shard.t) ~key_range ~poll_ns
     resumes = 0;
     rid = 0;
     poll_ns;
-    broken;
   }
 
-let plan_size t = Array.length t.plan
 let finished t = t.done_
 
 (* The routing table's [moved] predicate and the source guard's

@@ -25,7 +25,6 @@ type t = {
   mutable resumes : int;
   mutable rid : int;
   poll_ns : float;
-  broken : bool;
 }
 
 val create :
@@ -40,11 +39,11 @@ val create :
 (** Plan = every key in [1..key_range] that {!Router.splits} assigns away
     from [src] (deterministic — committed in repro files by construction).
     Allocates and durably zeroes the journal on [dst]'s heap.  [broken]
-    disables the ["mig.handoff.pwb"] site — the deliberately broken
-    variant whose commit reverts on a destination crash (negative
-    control; the store-level conservation oracle must catch it). *)
+    elides the ["mig.handoff.pwb"] site through {!Pstats.elide}, the one
+    elision call every negative control uses — the deliberately broken
+    variant whose commit reverts on a destination crash (the store-level
+    conservation oracle must catch it). *)
 
-val plan_size : t -> int
 val finished : t -> bool
 
 val moved_key : t -> int -> bool

@@ -33,8 +33,6 @@ module Make (K : KEY) = struct
            equal to the empty set" *)
   }
 
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
-
   let key_name = function
     | Inf1 -> "inf1"
     | Inf2 -> "inf2"
@@ -255,9 +253,9 @@ module Make (K : KEY) = struct
       ~attempt:(find_attempt t k)
 
   let apply t = function
-    | Insert k -> insert t k
-    | Delete k -> delete t k
-    | Find k -> find t k
+    | `Insert k -> insert t k
+    | `Delete k -> delete t k
+    | `Find k -> find t k
 
   let recover t op =
     Tracking.recover t.ops t.sites (my_handle t) ~reinvoke:(fun () ->

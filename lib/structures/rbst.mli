@@ -29,10 +29,8 @@ module Make (K : KEY) : sig
   val delete : t -> K.t -> bool
   val find : t -> K.t -> bool
 
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
-
-  val recover : t -> pending -> bool
-  val apply : t -> pending -> bool
+  val recover : t -> [ `Insert of K.t | `Delete of K.t | `Find of K.t ] -> bool
+  val apply : t -> [ `Insert of K.t | `Delete of K.t | `Find of K.t ] -> bool
 
   (** {1 Introspection — tests and examples only} *)
 

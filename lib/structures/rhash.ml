@@ -9,8 +9,6 @@ module Make (K : KEY) = struct
 
   type t = { buckets : L.t array }
 
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
-
   let create ?(prefix = "rhash") ?(buckets = 64) heap ~threads =
     if buckets < 1 then invalid_arg "Rhash.create: bucket count";
     {
@@ -27,20 +25,12 @@ module Make (K : KEY) = struct
   let delete t k = L.delete (bucket t k) k
   let find t k = L.find (bucket t k) k
 
-  let conv = function
-    | Insert k -> (k, L.Insert k)
-    | Delete k -> (k, L.Delete k)
-    | Find k -> (k, L.Find k)
-
-  let apply t p =
-    let k, op = conv p in
-    L.apply (bucket t k) op
+  let key_of (`Insert k | `Delete k | `Find k) = k
+  let apply t p = L.apply (bucket t (key_of p)) p
 
   (* The pending operation names its key, the key names its bucket, and
      the bucket holds this thread's check-point and recovery data for it. *)
-  let recover t p =
-    let k, op = conv p in
-    L.recover (bucket t k) op
+  let recover t p = L.recover (bucket t (key_of p)) p
 
   let to_list t =
     Array.to_list t.buckets |> List.concat_map L.to_list

@@ -24,8 +24,6 @@ module Make (K : KEY) = struct
     ro_opt : bool;  (* the read-only optimization (red code of Alg. 1) *)
   }
 
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
-
   let key_name = function
     | Neg_inf -> "-inf"
     | Pos_inf -> "+inf"
@@ -219,9 +217,9 @@ module Make (K : KEY) = struct
       ~attempt:(find_attempt t k)
 
   let apply t = function
-    | Insert k -> insert t k
-    | Delete k -> delete t k
-    | Find k -> find t k
+    | `Insert k -> insert t k
+    | `Delete k -> delete t k
+    | `Find k -> find t k
 
   let recover t op =
     Tracking.recover t.ops t.sites (my_handle t) ~reinvoke:(fun () ->

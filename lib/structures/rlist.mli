@@ -37,15 +37,12 @@ module Make (K : KEY) : sig
 
   val find : t -> K.t -> bool
 
-  (** A pending invocation, as re-supplied by the system to the recovery
-      function after a crash. *)
-  type pending = Insert of K.t | Delete of K.t | Find of K.t
+  val recover : t -> [ `Insert of K.t | `Delete of K.t | `Find of K.t ] -> bool
+  (** Complete (or re-invoke) the calling thread's crashed operation —
+      its pending invocation, as re-supplied by the system after a crash
+      — and return its response: the detectable-recovery guarantee. *)
 
-  val recover : t -> pending -> bool
-  (** Complete (or re-invoke) the calling thread's crashed operation and
-      return its response — the detectable-recovery guarantee. *)
-
-  val apply : t -> pending -> bool
+  val apply : t -> [ `Insert of K.t | `Delete of K.t | `Find of K.t ] -> bool
   (** Run a pending description as a fresh operation (harness glue). *)
 
   (** {1 Introspection — tests and examples only} *)

@@ -179,32 +179,6 @@ let to_list t =
 
 let length t = List.length (to_list t)
 
-let dump t =
-  let info_s nd =
-    match Pmem.peek nd.info with
-    | Desc.Clean -> "clean"
-    | Desc.Tagged d ->
-        Printf.sprintf "tagged<%s,result=%s>" (Desc.payload d).Desc.label
-          (match Pmem.peek (Desc.result_field d) with
-          | None -> "_"
-          | Some b -> string_of_bool b)
-    | Desc.Untagged d ->
-        Printf.sprintf "untagged<%s>" (Desc.payload d).Desc.label
-  in
-  let buf = Buffer.create 128 in
-  let rec walk n nd =
-    if n > 20 then Buffer.add_string buf " ..."
-    else begin
-      Buffer.add_string buf
-        (Printf.sprintf " [%s %s|%s]" (Pmem.line_name nd.line)
-           (match nd.value with None -> "bot" | Some _ -> "v")
-           (info_s nd));
-      match Pmem.peek nd.next with None -> () | Some nx -> walk (n + 1) nx
-    end
-  in
-  walk 0 (Pmem.peek t.top);
-  Buffer.contents buf
-
 let check_invariants ?(expect_untagged = true) t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec go n nd =

@@ -31,9 +31,6 @@ val to_list : 'a t -> 'a list
 
 val length : 'a t -> int
 
-val dump : 'a t -> string
-(** One-line rendering of the chain with tag states (debugging aid). *)
-
 val check_invariants : ?expect_untagged:bool -> 'a t -> (unit, string) result
 
 val space : 'a t -> (Pmem.line * [ `Payload of 'a list | `Meta of string ]) list

@@ -43,9 +43,9 @@ let test_no_ro_opt_concurrent_and_crash () =
         let k = Random.State.int rng 8 in
         let op =
           match Random.State.int rng 3 with
-          | 0 -> L.Insert k
-          | 1 -> L.Delete k
-          | _ -> L.Find k
+          | 0 -> `Insert k
+          | 1 -> `Delete k
+          | _ -> `Find k
         in
         pending.(tid) <- Some op;
         let ok = L.apply t op in

@@ -124,7 +124,7 @@ let test_capsules_mark_identity () =
          (fun _ ->
            Alcotest.(check bool)
              "recover of a different op re-invokes" true
-             (Capsules.recover c (Capsules.Ins 6)));
+             (Capsules.recover c (`Insert 6)));
        |]
       : Sim.outcome);
   Alcotest.(check (list int)) "6 inserted" [ 6 ] (Capsules.to_list c)
@@ -149,7 +149,7 @@ let test_romulus_crash_sweep () =
         Romulus.recover_structure r;
         let resp = ref false in
         (match
-           Sim.run [| (fun (_ : int) -> resp := Romulus.recover r (Romulus.Ins 9)) |]
+           Sim.run [| (fun (_ : int) -> resp := Romulus.recover r (`Insert 9)) |]
          with
         | Sim.All_done -> ()
         | Sim.Crashed_at _ -> Alcotest.fail "crash in recovery");
@@ -179,7 +179,7 @@ let test_redo_crash_sweep () =
         Redo.recover_structure r;
         let resp = ref false in
         (match
-           Sim.run [| (fun (_ : int) -> resp := Redo.recover r (Redo.Del 5)) |]
+           Sim.run [| (fun (_ : int) -> resp := Redo.recover r (`Delete 5)) |]
          with
         | Sim.All_done -> ()
         | Sim.Crashed_at _ -> Alcotest.fail "crash in recovery");
@@ -207,7 +207,7 @@ let test_capsules_crash_sweep () =
             let resp = ref false in
             (match
                Sim.run
-                 [| (fun (_ : int) -> resp := Capsules.recover c (Capsules.Del 5)) |]
+                 [| (fun (_ : int) -> resp := Capsules.recover c (`Delete 5)) |]
              with
             | Sim.All_done -> ()
             | Sim.Crashed_at _ -> Alcotest.fail "crash in recovery");

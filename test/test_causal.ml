@@ -130,6 +130,7 @@ let test_raising_measurement_leaks_nothing () =
     {
       Set_intf.fname = "raiser";
       model = Set_model;
+      supports_crash = true;
       make = (fun _ ~threads:_ -> failwith "constructor boom");
     }
   in

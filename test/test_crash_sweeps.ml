@@ -34,7 +34,7 @@ let test_bst_insert_sweep () =
       t)
     ~run:(fun t -> ignore (T.insert t 7 : bool))
     ~recover_and_check:(fun crash_at t ->
-      if not (T.recover t (T.Insert 7)) then
+      if not (T.recover t (`Insert 7)) then
         Alcotest.failf "crash_at=%d: recovered insert said false" crash_at;
       if not (T.mem_volatile t 7) then
         Alcotest.failf "crash_at=%d: 7 not durable" crash_at;
@@ -52,7 +52,7 @@ let test_bst_delete_sweep () =
       t)
     ~run:(fun t -> ignore (T.delete t 7 : bool))
     ~recover_and_check:(fun crash_at t ->
-      if not (T.recover t (T.Delete 7)) then
+      if not (T.recover t (`Delete 7)) then
         Alcotest.failf "crash_at=%d: recovered delete said false" crash_at;
       if T.mem_volatile t 7 then
         Alcotest.failf "crash_at=%d: 7 still durable" crash_at;
@@ -113,7 +113,7 @@ let test_hash_sweep () =
       h)
     ~run:(fun h -> ignore (H.insert h 7 : bool))
     ~recover_and_check:(fun crash_at h ->
-      if not (H.recover h (H.Insert 7)) then
+      if not (H.recover h (`Insert 7)) then
         Alcotest.failf "crash_at=%d: recovered insert said false" crash_at;
       if List.sort compare (H.to_list h) <> [ 3; 7 ] then
         Alcotest.failf "crash_at=%d: bad contents" crash_at)
@@ -134,7 +134,7 @@ let test_two_thread_sweep () =
     let pending = Array.make 2 None in
     let responses = ref [] in
     let ops =
-      [| [ L.Insert 5; L.Delete 10 ]; [ L.Insert 10; L.Delete 5 ] |]
+      [| [ `Insert 5; `Delete 10 ]; [ `Insert 10; `Delete 5 ] |]
     in
     let remaining = Array.map ref ops in
     let body tid (_ : int) =
@@ -187,9 +187,9 @@ let test_two_thread_sweep () =
           {
             Oracle.eop =
               (match op with
-              | L.Insert k -> Set_intf.Ins k
-              | L.Delete k -> Set_intf.Del k
-              | L.Find k -> Set_intf.Fnd k);
+              | `Insert k -> Set_intf.Ins k
+              | `Delete k -> Set_intf.Del k
+              | `Find k -> Set_intf.Fnd k);
             ok;
           })
         !responses

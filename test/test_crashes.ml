@@ -80,7 +80,7 @@ let test_recover_completed_update_returns_same () =
         Pmem.crash ~rng heap;
         let r = ref false in
         (match
-           Sim.run [| (fun _ -> r := L.recover t (L.Insert 7)) |]
+           Sim.run [| (fun _ -> r := L.recover t (`Insert 7)) |]
          with
         | Sim.All_done -> ()
         | Sim.Crashed_at _ -> Alcotest.fail "crash during recovery run");
@@ -105,7 +105,7 @@ let test_recover_twice_is_stable () =
   let answers = ref [] in
   for i = 1 to 3 do
     (match
-       Sim.run ~seed:i [| (fun _ -> answers := L.recover t (L.Insert 3) :: !answers) |]
+       Sim.run ~seed:i [| (fun _ -> answers := L.recover t (`Insert 3) :: !answers) |]
      with
     | Sim.All_done -> ()
     | Sim.Crashed_at _ -> Alcotest.fail "unexpected");
@@ -129,7 +129,7 @@ let test_find_recovery_reinvokes () =
   | Sim.All_done | Sim.Crashed_at _ -> ());
   Pmem.crash heap;
   let r = ref false in
-  (match Sim.run [| (fun _ -> r := L.recover t (L.Find 5)) |] with
+  (match Sim.run [| (fun _ -> r := L.recover t (`Find 5)) |] with
   | Sim.All_done -> ()
   | Sim.Crashed_at _ -> Alcotest.fail "unexpected");
   Alcotest.(check bool) "find recovered correctly" true !r
@@ -161,9 +161,7 @@ let test_prepared_equals_fresh () =
       }
   in
   let round c wb = [ { Repro.kind = `Work; crash_at = c; schedule = [||]; wb } ] in
-  let crash_capable (f : Set_intf.factory) =
-    (f.make (Pmem.heap ~track_for_crash:false ()) ~threads:1).supports_crash
-  in
+  let crash_capable (f : Set_intf.factory) = f.supports_crash in
   List.iter
     (fun (f : Set_intf.factory) ->
       let cfg = tree f in

@@ -93,6 +93,61 @@ let test_memento_broken_postmortem () =
         "reverted to older durable values" text;
       check_contains "writer attribution" "insert key 3" text
 
+(* -- the variant table on the crash-explore tree --------------------------- *)
+
+(* The persist sites a row's [make] leaves disabled: its elided site, if
+   it has one. *)
+let elided (f : Set_intf.factory) =
+  Pstats.set_all_enabled true;
+  ignore (f.make (Pmem.heap ~track_for_crash:false ()) ~threads:2 : Set_intf.t);
+  let off =
+    List.filter_map
+      (fun s -> if Pstats.enabled s then None else Some (Pstats.name s))
+      (Pstats.sites ())
+  in
+  Pstats.set_all_enabled true;
+  off
+
+(* Every crash-capable set-model row on the tree `make output-golden`
+   explores (2 threads x 2 ops, keys 8, prefill 2, no preemptions, one
+   crash, write-back width 1): a row with an elided site must fail, with
+   exactly that site named as disabled; every other row must exhaust the
+   tree. *)
+let test_variant_table () =
+  let controls = ref [] in
+  List.iter
+    (fun (f : Set_intf.factory) ->
+      if f.supports_crash && f.model = Set_intf.Set_model then begin
+        let cfg =
+          {
+            (explore_cfg ~algo:f.fname ~threads:2 ~ops:2 ~keys:8 ~prefill:2
+               ~seed:0)
+            with
+            Explore.wb_width = 1;
+          }
+        in
+        let o = Explore.run cfg in
+        match (elided f, o.Explore.failure) with
+        | [], None ->
+            Alcotest.(check bool)
+              (f.fname ^ " exhausts the tree")
+              true o.Explore.stats.Explore.complete
+        | [], Some r -> Alcotest.failf "%s failed: %s" f.fname r.Repro.error
+        | _ :: _, None -> Alcotest.failf "%s: elided site not caught" f.fname
+        | sites, Some r -> (
+            controls := f.fname :: !controls;
+            match Crashes.explain r with
+            | Error e -> Alcotest.failf "%s: explain failed: %s" f.fname e
+            | Ok pm ->
+                Alcotest.(check (list string))
+                  (f.fname ^ " disabled sites")
+                  sites (Forensics.disabled_sites pm))
+      end)
+    Set_intf.all;
+  Alcotest.(check (list string))
+    "negative controls" [ "tracking-broken"; "memento-broken" ]
+    (List.rev !controls)
+
 (* -- healthy variants never produce a postmortem -------------------------- *)
 
 let healthy_cfg ~algo =
@@ -146,6 +201,8 @@ let suite =
       `Quick test_tracking_broken_postmortem;
     Alcotest.test_case "memento-broken postmortem names site and stale line"
       `Quick test_memento_broken_postmortem;
+    Alcotest.test_case "every variant row on the crash-explore tree" `Quick
+      test_variant_table;
     QCheck_alcotest.to_alcotest prop_healthy_no_postmortem;
     Alcotest.test_case "explain output is byte-identical" `Quick
       test_explain_byte_identical;

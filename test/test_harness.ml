@@ -246,6 +246,33 @@ let prop_oracle_weaker_than_linearize =
         Oracle.check ~initial:[] ~final:(IS.elements final) events = Ok ()
       end)
 
+(* Figure points are cached per process.  Two configurations that differ
+   only in their virtual time per measurement must each get their own
+   points: every series must equal what [Runner.measure] gives for that
+   configuration. *)
+let test_figures_cache_per_config () =
+  let mix = Workload.update_intensive in
+  List.iter
+    (fun duration_ns ->
+      let cfg =
+        { Figures.quick_config with Figures.sweep = [ 4 ]; duration_ns }
+      in
+      let fig = Figures.fig_throughput cfg mix in
+      List.iter
+        (fun (s : Figures.series) ->
+          let f = Result.get_ok (Set_intf.by_name s.Figures.label) in
+          Pstats.set_all_enabled true;
+          let p =
+            Runner.measure ~duration_ns ~seed:1 f ~threads:4
+              (Workload.default mix)
+          in
+          Alcotest.(check (list (pair int (float 0.))))
+            (Printf.sprintf "%s at %.0f ns" s.Figures.label duration_ns)
+            [ (4, p.Runner.throughput_mops) ]
+            s.Figures.values)
+        fig.Figures.series)
+    [ 20_000.; 60_000. ]
+
 let test_csv_rendering () =
   let fig =
     {
@@ -281,6 +308,8 @@ let suite =
     Alcotest.test_case "psync removal minor under CAS drain" `Quick
       test_cas_drain_ablation_shifts_cost;
     Alcotest.test_case "figures quick smoke" `Quick test_figures_quick_smoke;
+    Alcotest.test_case "figure points are cached per configuration" `Quick
+      test_figures_cache_per_config;
     Alcotest.test_case "csv rendering" `Quick test_csv_rendering;
     QCheck_alcotest.to_alcotest prop_oracle_weaker_than_linearize;
   ]

@@ -130,18 +130,18 @@ let test_crash_spanning_history () =
         let k = Random.State.int rng 3 in
         let op =
           match Random.State.int rng 3 with
-          | 0 -> L.Insert k
-          | 1 -> L.Delete k
-          | _ -> L.Find k
+          | 0 -> `Insert k
+          | 1 -> `Delete k
+          | _ -> `Find k
         in
         let inv = Sim.steps_executed () in
         pending.(tid) <- Some (op, inv);
         let ok = L.apply t op in
         entries :=
           { Linearize.op = (match op with
-             | L.Insert k -> Set_intf.Ins k
-             | L.Delete k -> Set_intf.Del k
-             | L.Find k -> Set_intf.Fnd k);
+             | `Insert k -> Set_intf.Ins k
+             | `Delete k -> Set_intf.Del k
+             | `Find k -> Set_intf.Fnd k);
             ok; inv; res = Sim.steps_executed () } :: !entries;
         pending.(tid) <- None
       done
@@ -164,9 +164,9 @@ let test_crash_spanning_history () =
                         {
                           Linearize.op =
                             (match op with
-                            | L.Insert k -> Set_intf.Ins k
-                            | L.Delete k -> Set_intf.Del k
-                            | L.Find k -> Set_intf.Fnd k);
+                            | `Insert k -> Set_intf.Ins k
+                            | `Delete k -> Set_intf.Del k
+                            | `Find k -> Set_intf.Fnd k);
                           ok;
                           inv;
                           res = crash_step + 1000 + Sim.steps_executed ();

@@ -149,6 +149,21 @@ let test_disabled_site_is_noop () =
   Pmem.crash h;
   Alcotest.(check bool) "nothing persisted" true (Pmem.is_poisoned c)
 
+(* [Pstats.elide] is the negative controls' one way to remove a persist
+   instruction: it disables a registered site by name and refuses a name
+   no site has, instead of leaving the control silently intact. *)
+let test_elide () =
+  Pstats.set_all_enabled true;
+  Pstats.elide (Pstats.name site_pwb);
+  Alcotest.(check bool) "site disabled" false (Pstats.enabled site_pwb);
+  Alcotest.(check bool) "other sites untouched" true (Pstats.enabled site_sync);
+  Pstats.set_enabled site_pwb true;
+  Alcotest.check_raises "unknown site"
+    (Invalid_argument "Pstats.elide: no site \"no.such.pwb\" is registered")
+    (fun () -> Pstats.elide "no.such.pwb");
+  Alcotest.(check (option string)) "nothing registered" None
+    (Option.map Pstats.name (Pstats.find "no.such.pwb"))
+
 let test_stats_counting () =
   Pstats.reset ();
   let h = fresh () in
@@ -600,6 +615,8 @@ let suite =
       test_system_persist;
     Alcotest.test_case "disabled site is a no-op" `Quick
       test_disabled_site_is_noop;
+    Alcotest.test_case "elide disables a named site, rejects unknown names"
+      `Quick test_elide;
     Alcotest.test_case "statistics counting" `Quick test_stats_counting;
     Alcotest.test_case "outstanding write-back accounting" `Quick
       test_outstanding_accounting;

@@ -197,7 +197,7 @@ let test_find_empty_affect () =
   | Sim.All_done | Sim.Crashed_at _ -> ());
   Pmem.crash heap;
   let r = ref false in
-  (match Sim.run [| (fun _ -> r := T.recover t (T.Find 7)) |] with
+  (match Sim.run [| (fun _ -> r := T.recover t (`Find 7)) |] with
   | Sim.All_done -> ()
   | Sim.Crashed_at _ -> Alcotest.fail "unexpected crash");
   Alcotest.(check bool) "recovered find" true !r

@@ -81,7 +81,7 @@ let test_lower_bound_metadata () =
     (fun (f : Set_intf.factory) ->
       let _, algo = fresh_algo f 4 in
       ignore (algo.Set_intf.insert 1);
-      if algo.Set_intf.supports_crash then begin
+      if f.Set_intf.supports_crash then begin
         let m = List.length (meta_lines (algo.Set_intf.space ())) in
         if m < 4 then
           Alcotest.failf "%s: %d metadata lines < 4 threads (arXiv 2002.11378)"
