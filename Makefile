@@ -187,7 +187,10 @@ sched-golden:
 # and explained); the explore report of every crash-capable set-model
 # variant on the crash-explore tree (the two negative controls fail,
 # with a postmortem); the refusal of a queue backend by crash and space;
-# and the refusal of the volatile harris list by crash and explore.
+# the refusal of the volatile harris list by crash and explore; and the
+# explore report of tracking and romulus on a two-crash tree, whose
+# executions resume from checkpoints after a recovery round and crash
+# inside recovery.
 # Paths are relative, so the digests do not depend on where the
 # repository is checked out.  A change that means to move an output
 # regenerates the golden with the same commands and says so.
@@ -196,6 +199,8 @@ EXPLORE_PASS = tracking capsules capsules-opt romulus redo-opt tracking-bst \
   tracking-noopt tracking-hash memento-list memento-comb
 EXPLORE_FAIL = tracking-broken memento-broken
 EXPLORE_TREE = -t 2 --ops 2 --keys 8 --prefill 2 --preemptions 0 --crashes 1 \
+  --wb 1 --max-execs 0
+EXPLORE2_TREE = -t 2 --ops 1 --keys 4 --prefill 1 --preemptions 0 --crashes 2 \
   --wb 1 --max-execs 0
 output-golden:
 	rm -rf $(OG) && mkdir -p $(OG)
@@ -247,6 +252,8 @@ output-golden:
 	! dune exec bin/repro.exe -- crash -a harris > $(OG)/crash-harris.txt
 	! dune exec bin/repro.exe -- explore -a harris $(EXPLORE_TREE) \
 	  > $(OG)/explore-harris.txt
+	for a in tracking romulus; do dune exec bin/repro.exe -- explore -a $$a \
+	  $(EXPLORE2_TREE) > $(OG)/explore2-$$a.txt 2> /dev/null || exit 1; done
 	cd $(OG) && md5sum explain-tb.txt explain-tb.json explain-mb.txt \
 	  explain-mb.json stats.txt stats.json space.json causal.json \
 	  serve-crash.json serve-failover.json serve-mixed.json trace.txt \
@@ -256,6 +263,7 @@ output-golden:
 	  explain-serve.json stats-broken.txt soak.txt \
 	  $(patsubst %,explore-%.txt,$(EXPLORE_PASS) $(EXPLORE_FAIL)) \
 	  crash-topic.txt space-topic.txt crash-harris.txt explore-harris.txt \
+	  explore2-tracking.txt explore2-romulus.txt \
 	  | diff ../../test/output-golden.txt -
 
 clean:

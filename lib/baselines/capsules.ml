@@ -285,7 +285,8 @@ let recover t op =
             else apply t op
         | (`Insert _ | `Delete _ | `Find _), _ -> apply t op)
 
-(* The sequence mirror is the only state outside Pmem. *)
+(* The sequence mirror is the only state outside Pmem, at any round
+   boundary. *)
 let save_volatile t =
   let seqs = Array.copy t.seqs in
   fun () -> Array.blit seqs 0 t.seqs 0 (Array.length seqs)

@@ -38,7 +38,8 @@ val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 val save_volatile : t -> unit -> unit
 (** Capture the state kept outside {!Pmem} — the per-thread sequence
     mirror — and return the function that puts it back (the harness
-    calls it before each run from a restored heap). *)
+    calls it when a run resumes from a checkpoint).  Any round boundary
+    may be captured. *)
 
 val to_list : t -> int list
 val check_invariants : t -> (unit, string) result

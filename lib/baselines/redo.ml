@@ -276,7 +276,9 @@ let recover t kop =
   else apply t kop
 
 (* Outside Pmem: the sequence mirror, the log cursor and the checkpoint
-   countdown, which [recover_structure] rewrites. *)
+   countdown, which combining advances and [recover_structure] rewrites;
+   nothing else of the instance changes, so any round boundary can be
+   captured. *)
 let save_volatile t =
   let seqs = Array.copy t.seqs in
   let vtail = t.vtail and since_ckpt = t.since_ckpt in

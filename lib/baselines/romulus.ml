@@ -305,9 +305,18 @@ let recover t op =
   else apply t op
 
 (* Outside Pmem: the sequence mirror and the twin pointers, which
-   [restore] rewrites on every main node it mirrors.  Captured between
-   transactions, when every main link is durable, so the main chain a
-   crash brings back is the one walked here. *)
+   [restore ~to_main:false] rewrites on the interior nodes of the main
+   chain a crash brings back.  Walking the volatile main chain at the
+   capture is enough at any round boundary of a campaign: twins
+   change only there and at construction, and the chain such a restore
+   walks can hold no node created before the capture that is off the
+   chain walked here.  Between rounds no transaction is in flight and
+   every main link is durable, so a later crash only brings back links
+   written later, and those point to nodes then on the chain or new.
+   After a crashed round a transaction may be in flight with main links
+   not yet durable; but that restore runs only if the crash left a
+   durable [Copying] commit, and the fence before it made every main
+   link durable with the value it has here. *)
 let save_volatile t =
   let seqs = Array.copy t.seqs in
   let rec walk acc nd =

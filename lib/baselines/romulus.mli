@@ -32,8 +32,11 @@ val save_volatile : t -> unit -> unit
 (** Capture the state kept outside {!Pmem} — the per-thread sequence
     mirror and the twin pointer of every main-copy node reachable now —
     and return the function that puts it back (the harness calls it
-    before each run from a restored heap).  Call it between
-    transactions, when the main chain is durable. *)
+    when a run resumes from a checkpoint).  Any round boundary may be
+    captured: between rounds, and after a crash before its write-back
+    resolution and {!recover_structure}, the main nodes whose twins a
+    later recovery can rewrite are all on the volatile chain walked
+    here or created later (the argument is at the implementation). *)
 
 val to_list : t -> int list
 val check_invariants : t -> (unit, string) result

@@ -15,19 +15,6 @@ type outcome = {
          value means the run was NOT the recorded execution *)
 }
 
-(* External control of every campaign decision, for the exploration
-   harness (Explore).  The controller sees exactly the decision points a
-   scripted replay would force, so an explorer-found failure replays
-   through the ordinary [script] path with zero divergences. *)
-type ctl = {
-  ctl_crash_at : kind:[ `Work | `Recover ] -> round:int -> int;
-      (* crash point for the upcoming round; <= 0 = run crash-free *)
-  ctl_choose : crashing:bool -> int array -> int;
-      (* scheduling decision, passed to Sim.run ~choose *)
-  ctl_wb : round:int -> Repro.wb;
-      (* write-back resolution for the crash that ended [round] *)
-}
-
 let repro_of cfg ~seed ~error ~rounds =
   {
     Repro.algo = cfg.factory.Set_intf.fname;
@@ -65,21 +52,73 @@ let config_of (r : Repro.t) =
               max_crashes = r.max_crashes;
             })
 
+(* The harness's side of a run, all plain data between rounds: the rng,
+   the system's durable invocation bookkeeping (each thread's pending
+   operation with the framework's own token for it, from [note_begin],
+   and its remaining script), the responses so far, the counters and the
+   round log, newest first. *)
+type run = {
+  rng : Random.State.t;
+  pending : (Set_intf.op * Set_intf.pending) option array;
+  remaining : Set_intf.op list array;
+  mutable events : Oracle.event list;
+  mutable recovered : int;
+  mutable crashes : int;
+  mutable divergences : int;
+  mutable log : Repro.round list;
+}
+
+let copy_run r =
+  {
+    r with
+    rng = Random.State.copy r.rng;
+    pending = Array.copy r.pending;
+    remaining = Array.copy r.remaining;
+  }
+
+(* Where a run resumes: at round 0, or right after [round] returned
+   [outcome] (its log entry pushed, the outcome not yet handled). *)
+type resume =
+  | Start
+  | After of { kind : [ `Work | `Recover ]; round : int; outcome : Sim.outcome }
+
+(* A round boundary as data: no fiber is alive there, so the heap and
+   machine ([Pmem.snapshot]), the structure's OCaml-side state
+   ([save_volatile]) and the run state are everything a run from it
+   depends on. *)
+type checkpoint = {
+  mem : Pmem.snapshot;
+  restore_volatile : unit -> unit;
+  state : run;
+  resume : resume;
+}
+
+(* External control of every campaign decision, for the exploration
+   harness (Explore).  The controller sees exactly the decision points a
+   scripted replay would force, so an explorer-found failure replays
+   through the ordinary [script] path with zero schedule divergences. *)
+type ctl = {
+  ctl_crash_at : kind:[ `Work | `Recover ] -> round:int -> int;
+      (* crash point for the upcoming round; <= 0 = run crash-free *)
+  ctl_choose : crashing:bool -> int array -> int;
+      (* scheduling decision, passed to Sim.run ~choose *)
+  ctl_wb : round:int -> Repro.wb;
+      (* write-back resolution for the crash that ended [round] *)
+  ctl_checkpoint : checkpoint -> unit;
+      (* each round boundary another round follows, as a checkpoint *)
+}
+
 (* Everything a run does before round 0, done once: the heap, the
-   structure, the prefill, the initial contents and the op scripts, plus
-   snapshots of the heap and of the structure's OCaml-side state, and the
-   harness rng as the prefill left it.  [run_prepared] puts the snapshots
-   back and copies the rng, so each run starts from this state. *)
+   structure, the prefill, the initial contents and the op scripts,
+   captured as the round-0 checkpoint every run resumes from unless it
+   is given a later one. *)
 type prepared = {
   cfg : config;
   seed : int;
   heap : Pmem.heap;
   algo : Set_intf.t;
-  rng : Random.State.t;
   initial : int list;
-  scripts : Set_intf.op list array;
-  mem : Pmem.snapshot;
-  restore_volatile : unit -> unit;
+  start : checkpoint;
 }
 
 let prepare cfg ~seed =
@@ -97,46 +136,54 @@ let prepare cfg ~seed =
         let trng = Random.State.make [| seed; t; 0x0F5 |] in
         List.init cfg.ops_per_thread (fun _ -> Workload.gen_op trng cfg.workload))
   in
+  let state =
+    {
+      rng;
+      pending = Array.make cfg.threads None;
+      remaining = scripts;
+      events = [];
+      recovered = 0;
+      crashes = 0;
+      divergences = 0;
+      log = [];
+    }
+  in
   {
     cfg;
     seed;
     heap;
     algo;
-    rng;
     initial;
-    scripts;
-    mem = Pmem.snapshot heap;
-    restore_volatile = algo.Set_intf.save_volatile ();
+    start =
+      {
+        mem = Pmem.snapshot heap;
+        restore_volatile = algo.Set_intf.save_volatile ();
+        state;
+        resume = Start;
+      };
   }
 
-(* One seeded run from a prepared state.  [script] forces the crash
-   point, schedule and write-back resolution of its rounds (later rounds
-   run free); [ctl] instead delegates every decision to an external
-   controller (schedules are then recorded, not replayed).
+(* One seeded run from a checkpoint of a prepared state: round 0's by
+   default, or [from], one a [ctl] run handed out.  [script] forces the
+   crash point, schedule and write-back resolution of its rounds (later
+   rounds run free); [ctl] instead delegates every decision to an
+   external controller (schedules are then recorded, not replayed) and
+   receives a checkpoint at every round boundary another round follows.
    [on_divergence] reports every schedule-replay entry that could not be
    honored.  The returned round log always reflects what actually
    happened, so a failure can be replayed — or shrunk — from it. *)
-let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
+let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
   let { cfg; seed; heap; algo; initial; _ } = p in
-  Pmem.restore p.mem;
-  p.restore_volatile ();
-  Pmem.reset_pending ();
-  let rng = Random.State.copy p.rng in
+  let cp = match from with Some cp -> cp | None -> p.start in
+  Pmem.restore cp.mem;
+  cp.restore_volatile ();
+  let st = copy_run cp.state in
   if Metrics.active () then Metrics.reset ();
-  let events = ref [] in
-  let recovered = ref 0 in
-  let crashes = ref 0 in
-  (* The system's durable invocation bookkeeping: the pending operation
-     it will re-supply after a crash together with the framework's own
-     token for it ([note_begin]), and each thread's remaining script. *)
-  let pending = Array.make cfg.threads None in
-  let remaining = Array.map ref p.scripts in
-  let record op ok =
-    events := { Oracle.eop = op; ok } :: !events
-  in
+  let { pending; remaining; _ } = st in
+  let record op ok = st.events <- { Oracle.eop = op; ok } :: st.events in
   let worker tid (_ : int) =
     let rec go () =
-      match !(remaining.(tid)) with
+      match remaining.(tid) with
       | [] -> ()
       | op :: rest ->
           pending.(tid) <- Some (op, algo.Set_intf.note_begin op);
@@ -146,7 +193,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
           Events.op_end ~ok;
           record op ok;
           pending.(tid) <- None;
-          remaining.(tid) := rest;
+          remaining.(tid) <- rest;
           go ()
     in
     go ()
@@ -159,24 +206,36 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
         let ok = algo.Set_intf.recover token in
         Events.op_end ~ok;
         record op ok;
-        incr recovered;
+        st.recovered <- st.recovered + 1;
         pending.(tid) <- None;
-        (match !(remaining.(tid)) with
-        | _ :: rest -> remaining.(tid) := rest
+        (match remaining.(tid) with
+        | _ :: rest -> remaining.(tid) <- rest
         | [] -> ()));
     Metrics.recovery_thread_done ()
   in
+  let workers = Array.init cfg.threads worker in
+  let recoverers = Array.init cfg.threads recoverer in
   let crash_budget_steps = cfg.threads * cfg.ops_per_thread * 300 in
   (* watchdog: a livelocked structure must fail the campaign, not hang it *)
   let step_limit = max 2_000_000 (crash_budget_steps * 100) in
   let next_crash_at round =
-    if !crashes >= cfg.max_crashes then -1
-    else 1 + Random.State.int rng (max 2 (crash_budget_steps / (round + 1)))
+    if st.crashes >= cfg.max_crashes then -1
+    else
+      1 + Random.State.int st.rng (max 2 (crash_budget_steps / (round + 1)))
   in
   let script = Array.of_list script in
-  let log = ref [] in (* Repro.round list, newest first *)
-  let divergences = ref 0 in
-  let run_round ~kind round bodies =
+  (* The round's dispatches, recorded into one buffer per run. *)
+  let picks = ref (Array.make 64 0) and n_picks = ref 0 in
+  let pick tid =
+    if !n_picks = Array.length !picks then begin
+      let bigger = Array.make (2 * !n_picks) 0 in
+      Array.blit !picks 0 bigger 0 !n_picks;
+      picks := bigger
+    end;
+    !picks.(!n_picks) <- tid;
+    incr n_picks
+  in
+  let run_round ~kind round =
     (* The rng draw happens even when the script or controller overrides
        the crash point, so a full-script replay consumes the harness rng
        in exactly the recorded pattern (Pmem.crash draws stay aligned). *)
@@ -194,25 +253,24 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
       | None, Some r -> r.Repro.schedule
       | None, None -> [||]
     in
-    let picks = ref [] in
+    n_picks := 0;
     Events.round ~kind round;
     Fun.protect
       ~finally:(fun () ->
-        log :=
+        st.log <-
           {
             Repro.kind;
             crash_at;
-            schedule = Array.of_list (List.rev !picks);
+            schedule = Array.sub !picks 0 !n_picks;
             wb = `Rng;
           }
-          :: !log)
+          :: st.log)
       (fun () ->
         Sim.run ~policy:`Random
           ~seed:(seed * 31 + round)
-          ~crash_at ~step_limit ~schedule
-          ~record:(fun tid -> picks := tid :: !picks)
+          ~crash_at ~step_limit ~schedule ~record:pick
           ~divergence:(fun ~step ~want ->
-            incr divergences;
+            st.divergences <- st.divergences + 1;
             Trace.note
               (Printf.sprintf "DIVERGENCE: round %d step %d wanted tid %d"
                  round step want);
@@ -220,7 +278,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
             | None -> ()
             | Some f -> f ~round ~step ~want)
           ?choose:(match ctl with Some c -> Some c.ctl_choose | None -> None)
-          bodies)
+          (match kind with `Work -> workers | `Recover -> recoverers))
   in
   (* The write-back resolution of the crash that just ended [round]:
      controller first, then the script, else the harness rng. *)
@@ -230,42 +288,63 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
     | None -> (
         if round < Array.length script then script.(round).Repro.wb else `Rng)
   in
-  let rec rounds ~kind round bodies =
+  let recovery_pending () = Array.exists Option.is_some pending in
+  let work_remaining () = Array.exists (fun r -> r <> []) remaining in
+  let rec rounds ~kind round =
     if round > 50 * cfg.max_crashes + 50 then Error "campaign did not converge"
-    else
-      match run_round ~kind round bodies with
-      | Sim.All_done ->
-          if kind = `Recover then Metrics.recovery_round_done round;
-          if Array.exists Option.is_some pending then
-            (* recovery itself crashed: recover again *)
-            rounds ~kind:`Recover (round + 1) (Array.init cfg.threads recoverer)
-          else if Array.exists (fun r -> !r <> []) remaining then
-            rounds ~kind:`Work (round + 1) (Array.init cfg.threads worker)
-          else Ok ()
-      | Sim.Crashed_at _ ->
-          incr crashes;
-          let wb = crash_wb round in
-          (match wb with
-          | `Rng -> Pmem.crash ~rng heap
-          | (`Drop | `All | `Prefix _) as resolution ->
-              Pmem.crash ~resolution heap);
-          Events.crash_resolved ~round;
-          (* patch the resolution into the round entry the finalizer just
-             pushed, so the log replays with the same NVM state *)
-          (match !log with
-          | rd :: rest -> log := { rd with Repro.wb } :: rest
-          | [] ->
-              failwith
-                (Printf.sprintf
-                   "Crashes.run_prepared: crash ended round %d (seed %d) but \
-                    the round log is empty — every round's finalizer must \
-                    push its entry before the crash resolution is patched in"
-                   round seed));
-          algo.Set_intf.recover_structure ();
-          rounds ~kind:`Recover (round + 1) (Array.init cfg.threads recoverer)
+    else begin
+      let outcome = run_round ~kind round in
+      (match ctl with
+      | Some c
+        when (match outcome with
+             | Sim.Crashed_at _ -> true
+             | Sim.All_done -> recovery_pending () || work_remaining ()) ->
+          c.ctl_checkpoint
+            {
+              mem = Pmem.snapshot heap;
+              restore_volatile = algo.Set_intf.save_volatile ();
+              state = copy_run st;
+              resume = After { kind; round; outcome };
+            }
+      | _ -> ());
+      after ~kind round outcome
+    end
+  and after ~kind round = function
+    | Sim.All_done ->
+        if kind = `Recover then Metrics.recovery_round_done round;
+        if recovery_pending () then
+          (* recovery itself crashed: recover again *)
+          rounds ~kind:`Recover (round + 1)
+        else if work_remaining () then rounds ~kind:`Work (round + 1)
+        else Ok ()
+    | Sim.Crashed_at _ ->
+        st.crashes <- st.crashes + 1;
+        let wb = crash_wb round in
+        (match wb with
+        | `Rng -> Pmem.crash ~rng:st.rng heap
+        | (`Drop | `All | `Prefix _) as resolution ->
+            Pmem.crash ~resolution heap);
+        Events.crash_resolved ~round;
+        (* patch the resolution into the round entry the finalizer just
+           pushed, so the log replays with the same NVM state *)
+        (match st.log with
+        | rd :: rest -> st.log <- { rd with Repro.wb } :: rest
+        | [] ->
+            failwith
+              (Printf.sprintf
+                 "Crashes.run_prepared: crash ended round %d (seed %d) but \
+                  the round log is empty — every round's finalizer must \
+                  push its entry before the crash resolution is patched in"
+                 round seed));
+        algo.Set_intf.recover_structure ();
+        rounds ~kind:`Recover (round + 1)
   in
   let result =
-    match rounds ~kind:`Work 0 (Array.init cfg.threads worker) with
+    match
+      match cp.resume with
+      | Start -> rounds ~kind:`Work 0
+      | After { kind; round; outcome } -> after ~kind round outcome
+    with
     | Error _ as e -> e
     | exception Pmem.Poisoned what ->
         Error (Printf.sprintf "touched never-persisted data: %s" what)
@@ -280,7 +359,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
            only on failure: most executions pass. *)
         let context () =
           Printf.sprintf "seed %d, %d rounds, %d crashes" seed
-            (List.length !log) !crashes
+            (List.length st.log) st.crashes
         in
         match algo.Set_intf.check () with
         | Error msg ->
@@ -288,16 +367,16 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
               (Printf.sprintf "structure invariant: %s: %s" (context ()) msg)
         | Ok () -> (
             let final = algo.Set_intf.contents () in
-            match Oracle.check ~initial ~final (List.rev !events) with
+            match Oracle.check ~initial ~final (List.rev st.events) with
             | Error msg ->
                 Error (Printf.sprintf "oracle: %s: %s" (context ()) msg)
             | Ok () ->
                 Ok
                   {
-                    completed_ops = List.length !events;
-                    recovered_ops = !recovered;
-                    crashes = !crashes;
-                    divergences = !divergences;
+                    completed_ops = List.length st.events;
+                    recovered_ops = st.recovered;
+                    crashes = st.crashes;
+                    divergences = st.divergences;
                   }))
   in
   Metrics.note_heap_occupancy ~heap:(Pmem.heap_name heap)
@@ -308,7 +387,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe p =
   (match result with
   | Error msg -> Trace.note ("FAILURE: " ^ msg)
   | Ok _ -> ());
-  (result, List.rev !log)
+  (result, List.rev st.log)
 
 let run_logged ?script ?on_divergence ?ctl ?observe cfg ~seed =
   run_prepared ?script ?on_divergence ?ctl ?observe (prepare cfg ~seed)

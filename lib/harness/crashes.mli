@@ -34,21 +34,6 @@ type outcome = {
           "replayed" result as meaningless. *)
 }
 
-(** External control of every campaign decision, for the exploration
-    harness ({!Explore}): the crash point of each round, every scheduling
-    decision (see [Sim.run ?choose]) and the write-back resolution of
-    each crash.  The controller sees exactly the decision points a
-    scripted replay would force, so an explorer-found failure replays
-    through the ordinary [script] path with zero divergences. *)
-type ctl = {
-  ctl_crash_at : kind:[ `Work | `Recover ] -> round:int -> int;
-      (** crash point for the upcoming round; [<= 0] = run crash-free *)
-  ctl_choose : crashing:bool -> int array -> int;
-      (** scheduling decision, passed to [Sim.run ~choose] *)
-  ctl_wb : round:int -> Repro.wb;
-      (** write-back resolution for the crash that ended [round] *)
-}
-
 val run_once :
   ?script:Repro.round list ->
   ?repro_file:string ->
@@ -66,9 +51,8 @@ val run_once :
 type prepared
 (** The state every run of one (configuration, seed) starts from: the
     heap and structure after the prefill, the initial contents, each
-    thread's op script and the harness rng as the prefill left it —
-    with a {!Pmem.snapshot} of the heap and the structure's
-    [save_volatile] capture, so that a run can put that state back
+    thread's op script and the harness rng as the prefill left it, held
+    as the round-0 {!checkpoint}, so that a run puts that state back
     instead of rebuilding it.
 
     A prepared state belongs to the domain that made it: {!Pmem}
@@ -77,27 +61,69 @@ type prepared
     configuration [prepare] left (all sites enabled, except the ones
     the factory disables itself). *)
 
+type checkpoint
+(** A round boundary of one run: the moment a round's {!Sim.run} has
+    returned and its round-log entry is in, before its outcome (a crash
+    to resolve, or the next round to start) is handled.  No simulated
+    thread is alive there, so the boundary is plain data: the tracked
+    heap and the machine's write-back rings, deadlines and crash log
+    ({!Pmem.snapshot}), the structure's [save_volatile] capture, and the
+    run state — the rng, each thread's pending token and remaining
+    script, the responses and counters so far, the round log — plus the
+    outcome still to handle.  A run resumed from it takes exactly the
+    steps the original run took after that point, given the same
+    decisions.  The post-prefill state of a {!prepared} is the round-0
+    checkpoint. *)
+
+(** External control of every campaign decision, for the exploration
+    harness ({!Explore}): the crash point of each round, every scheduling
+    decision (see [Sim.run ?choose]) and the write-back resolution of
+    each crash.  The controller sees exactly the decision points a
+    scripted replay would force, so an explorer-found failure replays
+    through the ordinary [script] path with zero divergences. *)
+type ctl = {
+  ctl_crash_at : kind:[ `Work | `Recover ] -> round:int -> int;
+      (** crash point for the upcoming round; [<= 0] = run crash-free *)
+  ctl_choose : crashing:bool -> int array -> int;
+      (** scheduling decision, passed to [Sim.run ~choose] *)
+  ctl_wb : round:int -> Repro.wb;
+      (** write-back resolution for the crash that ended [round] *)
+  ctl_checkpoint : checkpoint -> unit;
+      (** the checkpoint of each round boundary another round follows,
+          taken before the boundary's outcome is handled — a crash's
+          before its write-back resolution, so every resolution of that
+          crash can resume from it.  Only a [ctl] run captures them, and
+          a resumed run does not re-capture the boundary it resumed
+          from. *)
+}
+
 val prepare : config -> seed:int -> prepared
 (** Everything a run does before round 0: empty the write-back rings,
     enable every persist site (before [make], which the negative
     controls use to disable theirs), build the heap and the structure,
     prefill with the harness rng, empty the rings again, then take the
-    initial contents, the op scripts and both snapshots. *)
+    initial contents, the op scripts and the round-0 checkpoint. *)
 
 val run_prepared :
   ?script:Repro.round list ->
   ?on_divergence:(round:int -> step:int -> want:int -> unit) ->
   ?ctl:ctl ->
   ?observe:(Pmem.heap -> Set_intf.t -> unit) ->
+  ?from:checkpoint ->
   prepared ->
   (outcome, string) result * Repro.round list
-(** Restore the prepared heap and volatile state, empty the write-back
-    rings and crash log, copy the rng, then run the rounds and every
-    oracle, invariant and poison check.  The result and round log equal
-    those of a {!run_logged} with the same arguments, however many runs
-    came before from the same prepared state: {!Explore} prepares once
-    per tree and runs every execution this way.  [script],
-    [on_divergence], [ctl] and [observe] are as in {!run_logged}. *)
+(** Restore a checkpoint — [from], or the prepared state's round-0 one —
+    then handle its outcome and run the remaining rounds and every
+    oracle, invariant and poison check over the run's whole history.
+    [from] must come from a [ctl] run of this prepared state; the
+    resumed run continues that run from the checkpoint, so its result
+    and round log equal those of a {!run_logged} given the earlier run's
+    decisions up to the checkpoint and this run's after it, however many
+    runs came before from the same prepared state.  {!Explore} prepares
+    once per tree and resumes every execution from the deepest
+    checkpoint it shares with the previous one.  Only the events after
+    the checkpoint reach the observer bus.  [script], [on_divergence],
+    [ctl] and [observe] are as in {!run_logged}. *)
 
 val run_logged :
   ?script:Repro.round list ->

@@ -3,8 +3,8 @@
 
    The explorer runs one campaign configuration over and over through
    [Crashes.run_prepared ~ctl], from one [Crashes.prepare]d state per
-   search, doing depth-first search over every decision the campaign
-   makes:
+   search and the checkpoints its executions hand out, doing
+   depth-first search over every decision the campaign makes:
 
    - {e scheduling}: which ready thread runs at each simulator step,
      with CHESS-style preemption bounding — the default schedule is
@@ -24,13 +24,18 @@
      at least as deep as the fullest queue is [`All]).
 
    Everything is deterministic given the campaign seed and the decision
-   path, so the search is {e stateless}: an execution is (re)produced by
-   forcing a prefix of recorded decisions and letting defaults extend
-   it; backtracking flips the deepest decision with untried
-   alternatives.  Every execution runs the full oracle / invariant /
-   poison checks of [Crashes.run_prepared], and a failing execution's
-   round log is already a standard [Repro.t] script — replay and
-   shrinking work on it unchanged, with zero schedule divergences. *)
+   path: an execution is (re)produced by forcing a prefix of recorded
+   decisions and letting defaults extend it; backtracking flips the
+   deepest decision with untried alternatives.  The forced prefix is
+   not re-run from round 0: every execution hands out a checkpoint at
+   each round boundary it reaches ([Crashes.checkpoint]), the search
+   keeps those along the current path, and the next execution resumes
+   from the deepest one taken before the flipped decision.  Every
+   execution still runs the full oracle / invariant / poison checks of
+   [Crashes.run_prepared] over its whole history, and a failing
+   execution's round log is already a standard [Repro.t] script —
+   replay and shrinking work on it unchanged, with zero schedule
+   divergences. *)
 
 type config = {
   campaign : Crashes.config;
@@ -85,6 +90,25 @@ let path_push p f =
 
 let copy_frame f = { chosen = f.chosen; untried = f.untried; fround = f.fround }
 
+let rec mem_tid t ready i =
+  i < Array.length ready && (ready.(i) = t || mem_tid t ready (i + 1))
+
+(* [ready] minus [t], in order, as scheduling alternatives. *)
+let rec other_tids t ready i acc =
+  if i < 0 then acc
+  else
+    other_tids t ready (i - 1)
+      (if ready.(i) = t then acc else Sched ready.(i) :: acc)
+
+(* A checkpoint of the execution that reached it with [at] frames
+   consumed, with the explorer's per-execution state at that point. *)
+type saved = {
+  at : int;
+  sprev : int;
+  sused : int;
+  cp : Crashes.checkpoint;
+}
+
 (* One depth-first search over the subtree reachable from [path] without
    ever flipping its pre-seeded frames (their untried lists are empty;
    backtracking pops them and runs dry).  [resume] means the path was
@@ -93,9 +117,10 @@ let copy_frame f = { chosen = f.chosen; untried = f.untried; fround = f.fround }
    [grant] asks for permission to run one more execution — the local
    budget check at [jobs = 1], one shared atomic decrement per execution
    across the pool at [jobs > 1]. *)
-let search ?(stop_on_failure = true) ?progress ~grant ~resume path cfg =
+let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
+    cfg =
   (* Every execution starts from the same post-prefill state: build it
-     once, on this domain, and restore it per execution. *)
+     once, on this domain, as the round-0 checkpoint. *)
   let prepared = Crashes.prepare cfg.campaign ~seed:cfg.seed in
   let executions = ref 0 in
   let failures = ref 0 in
@@ -117,96 +142,137 @@ let search ?(stop_on_failure = true) ?progress ~grant ~resume path cfg =
     }
   in
   let report () = match progress with None -> () | Some f -> f (snapshot ()) in
-  (* One execution: consume the path as a forced prefix, extend it with
-     default choices past the end.  Every callback below fires in a
+  (* The checkpoints along the current path, deepest first.  One taken
+     with [at] frames consumed stays valid while the frame the last
+     backtrack flipped is at index [at] or deeper. *)
+  let saved = ref [] in
+  (* One execution consumes the path as a forced prefix and extends it
+     with default choices past the end.  Every callback below fires in a
      deterministic order given the prefix, so frame kinds always line up
      — a mismatch would mean the campaign itself is nondeterministic. *)
+  let cursor = ref 0 in
+  let prev = ref (-1) in  (* last scheduled tid of the current round *)
+  let preemptions_used = ref 0 in
+  (* the frame of a decision without alternatives, one per tid: never
+     mutated, since backtracking pops such frames *)
+  let only =
+    Array.init cfg.campaign.Crashes.threads (fun t ->
+        { chosen = Sched t; untried = []; fround = -1 })
+  in
+  (* Move to the next decision: [true] while it is forced by the path
+     (its frame is [current ()]), [false] past the path's end, where the
+     caller makes the frame and [fresh] appends it. *)
+  let forced () =
+    incr cursor;
+    !cursor <= path.len
+  in
+  let current () = path.frames.(!cursor - 1) in
+  let fresh f =
+    path_push path f;
+    f
+  in
+  let kind_error what =
+    failwith
+      (Printf.sprintf
+         "Explore: nondeterministic campaign (frame %d is not a %s frame: \
+          replaying the same prefix hit a different decision kind)"
+         (!cursor - 1) what)
+  in
+  let ctl_crash_at ~kind:_ ~round =
+    prev := -1;
+    let f =
+      if forced () then current ()
+      else fresh { chosen = Crash 0; untried = []; fround = round }
+    in
+    match f.chosen with Crash s -> s | _ -> kind_error "crash"
+  in
+  let sched_frame ~crashing ready =
+    let n = Array.length ready in
+    if crashing || n <= 1 then
+      (* post-crash drain order is semantically inert, and a single
+         ready thread leaves nothing to choose *)
+      only.(ready.(0))
+    else begin
+      let p = !prev in
+      let p_ready = mem_tid p ready 0 in
+      let default = if p_ready then p else ready.(0) in
+      incr decision_points;
+      (* deviating while the previous thread could continue is a
+         preemption; past the budget such branches are pruned (and
+         counted, so coverage is honest).  When the previous thread is
+         blocked or done, every choice is a free scheduling point. *)
+      if p_ready && !preemptions_used >= cfg.preemptions then begin
+        pruned := !pruned + (n - 1);
+        only.(default)
+      end
+      else
+        {
+          chosen = Sched default;
+          untried = other_tids default ready (n - 1) [];
+          fround = -1;
+        }
+    end
+  in
+  let ctl_choose ~crashing ready =
+    let f =
+      if forced () then current ()
+      else fresh (sched_frame ~crashing ready)
+    in
+    match f.chosen with
+    | Sched t ->
+        if (not crashing) && t <> !prev && mem_tid !prev ready 0 then
+          incr preemptions_used;
+        prev := t;
+        t
+    | _ -> kind_error "sched"
+  in
+  let ctl_wb ~round =
+    let f =
+      if forced () then current ()
+      else begin
+        let m = Pmem.max_outstanding_writebacks () in
+        let alts =
+          if m = 0 then [] (* nothing pending: every choice is `Drop *)
+          else
+            List.init
+              (min cfg.wb_width (m - 1))
+              (fun i -> Wb (`Prefix (i + 1)))
+            @ [ Wb `All ]
+        in
+        wb_choices := !wb_choices + List.length alts;
+        fresh { chosen = Wb `Drop; untried = alts; fround = round }
+      end
+    in
+    match f.chosen with Wb w -> w | _ -> kind_error "wb"
+  in
+  let ctl_checkpoint cp =
+    saved :=
+      { at = !cursor; sprev = !prev; sused = !preemptions_used; cp } :: !saved
+  in
+  let ctl = { Crashes.ctl_crash_at; ctl_choose; ctl_wb; ctl_checkpoint } in
+  (* Resume from the deepest checkpoint the last flip left valid (the
+     frames before it are unchanged), or from round 0. *)
   let exec_once () =
-    let cursor = ref 0 in
+    let rec valid = function
+      | s :: rest when s.at >= path.len -> valid rest
+      | l -> l
+    in
+    saved := valid !saved;
     let fresh_from = path.len in
-    let prev = ref (-1) in  (* last scheduled tid of the current round *)
-    let preemptions_used = ref 0 in
-    let take mk =
-      let f =
-        if !cursor < path.len then path.frames.(!cursor)
-        else begin
-          let f = mk () in
-          path_push path f;
-          f
-        end
-      in
-      incr cursor;
-      f
+    let from =
+      match !saved with
+      | s :: _ ->
+          cursor := s.at;
+          prev := s.sprev;
+          preemptions_used := s.sused;
+          Some s.cp
+      | [] ->
+          cursor := 0;
+          prev := -1;
+          preemptions_used := 0;
+          None
     in
-    let kind_error what =
-      failwith
-        (Printf.sprintf
-           "Explore: nondeterministic campaign (frame %d is not a %s frame: \
-            replaying the same prefix hit a different decision kind)"
-           (!cursor - 1) what)
-    in
-    let ctl_crash_at ~kind:_ ~round =
-      prev := -1;
-      let f = take (fun () -> { chosen = Crash 0; untried = []; fround = round }) in
-      match f.chosen with Crash s -> s | _ -> kind_error "crash"
-    in
-    let ctl_choose ~crashing ready =
-      let f =
-        take (fun () ->
-            if crashing || Array.length ready <= 1 then
-              (* post-crash drain order is semantically inert, and a
-                 single ready thread leaves nothing to choose *)
-              { chosen = Sched ready.(0); untried = []; fround = -1 }
-            else begin
-              let p = !prev in
-              let p_ready = Array.exists (fun t -> t = p) ready in
-              let default = if p_ready then p else ready.(0) in
-              let alts =
-                Array.to_list ready |> List.filter (fun t -> t <> default)
-              in
-              let alts =
-                (* deviating while the previous thread could continue is
-                   a preemption; past the budget such branches are
-                   pruned (and counted, so coverage is honest).  When
-                   the previous thread is blocked or done, every choice
-                   is a free scheduling point. *)
-                if p_ready && !preemptions_used >= cfg.preemptions then begin
-                  pruned := !pruned + List.length alts;
-                  []
-                end
-                else alts
-              in
-              incr decision_points;
-              { chosen = Sched default; untried = List.map (fun t -> Sched t) alts; fround = -1 }
-            end)
-      in
-      match f.chosen with
-      | Sched t ->
-          if (not crashing) && Array.exists (fun x -> x = !prev) ready && t <> !prev
-          then incr preemptions_used;
-          prev := t;
-          t
-      | _ -> kind_error "sched"
-    in
-    let ctl_wb ~round =
-      let f =
-        take (fun () ->
-            let m = Pmem.max_outstanding_writebacks () in
-            let alts =
-              if m = 0 then [] (* nothing pending: every choice is `Drop *)
-              else
-                List.init
-                  (min cfg.wb_width (m - 1))
-                  (fun i -> Wb (`Prefix (i + 1)))
-                @ [ Wb `All ]
-            in
-            wb_choices := !wb_choices + List.length alts;
-            { chosen = Wb `Drop; untried = alts; fround = round })
-      in
-      match f.chosen with Wb w -> w | _ -> kind_error "wb"
-    in
-    let ctl = { Crashes.ctl_crash_at; ctl_choose; ctl_wb } in
-    let result, rounds = Crashes.run_prepared ~ctl prepared in
+    let result, rounds = Crashes.run_prepared ~ctl ?from prepared in
     (result, rounds, fresh_from)
   in
   (* After an execution, frames created fresh on this path learn their
@@ -264,6 +330,7 @@ let search ?(stop_on_failure = true) ?progress ~grant ~resume path cfg =
   while !continue do
     incr executions;
     let result, rounds, fresh_from = exec_once () in
+    (match on_execution with None -> () | Some f -> f result rounds);
     backfill_crash_frames rounds fresh_from;
     (match result with
     | Error error ->
@@ -326,10 +393,11 @@ let sum_stats a b =
     complete = a.complete && b.complete;
   }
 
-let run ?(stop_on_failure = true) ?progress ?(jobs = 1) cfg =
+let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
   if jobs <= 1 then begin
     let grant e = not (cfg.max_execs > 0 && e >= cfg.max_execs) in
-    search ~stop_on_failure ?progress ~grant ~resume:false (path_create ()) cfg
+    search ~stop_on_failure ?progress ?on_execution ~grant ~resume:false
+      (path_create ()) cfg
   end
   else begin
     (* Discovery: one all-defaults execution on the calling domain, as a
@@ -337,7 +405,7 @@ let run ?(stop_on_failure = true) ?progress ?(jobs = 1) cfg =
        code path. *)
     let discovery_path = path_create () in
     let discovery =
-      search ~stop_on_failure ?progress:None
+      search ~stop_on_failure ?progress:None ?on_execution
         ~grant:(fun _ -> false)
         ~resume:false discovery_path cfg
     in
@@ -388,8 +456,8 @@ let run ?(stop_on_failure = true) ?progress ?(jobs = 1) cfg =
           (fun _ item ->
             match item with
             | `Continue ->
-                search ~stop_on_failure ?progress:None ~grant ~resume:true
-                  discovery_path cfg
+                search ~stop_on_failure ?progress:None ?on_execution ~grant
+                  ~resume:true discovery_path cfg
             | `Pinned alt ->
                 (* a pinned item's first execution is not the free
                    discovery one — it must claim budget like any other *)
@@ -399,8 +467,8 @@ let run ?(stop_on_failure = true) ?progress ?(jobs = 1) cfg =
                   Array.iter (fun f -> path_push path (copy_frame f)) prefix;
                   path_push path
                     { chosen = alt; untried = []; fround = pivot.fround };
-                  search ~stop_on_failure ?progress:None ~grant ~resume:false
-                    path cfg
+                  search ~stop_on_failure ?progress:None ?on_execution ~grant
+                    ~resume:false path cfg
                 end)
           items
       in

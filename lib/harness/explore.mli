@@ -25,9 +25,11 @@
     {!Repro.t} that [repro --replay] and [--shrink] consume unchanged,
     replaying with zero schedule divergences.  The heap, structure,
     prefill and op scripts are built once per search
-    ({!Crashes.prepare}) and restored before each execution
-    ({!Crashes.run_prepared}), so a traced search logs the set-up events
-    once. *)
+    ({!Crashes.prepare}), and each execution resumes from the deepest
+    round boundary it shares with the previous one
+    ({!Crashes.checkpoint}) instead of re-running the rounds before it,
+    so a traced search logs each execution's events from its resume
+    point on. *)
 
 type config = {
   campaign : Crashes.config;
@@ -60,6 +62,8 @@ type outcome = {
 val run :
   ?stop_on_failure:bool ->
   ?progress:(stats -> unit) ->
+  ?on_execution:
+    ((Crashes.outcome, string) result -> Repro.round list -> unit) ->
   ?jobs:int ->
   config ->
   outcome
@@ -67,6 +71,8 @@ val run :
     at the first violation; with [false] the search continues and counts
     further failures (the returned repro is still the first).
     [progress] is invoked every 500 executions and once at the end.
+    [on_execution] sees every execution's result and round log, on the
+    domain that ran it.
 
     [jobs] (default 1) fans the search across domains
     ({!Parallel.run}): after one discovery execution on the calling
@@ -81,4 +87,5 @@ val run :
     execution counts reflect the pool's own stopping points (still
     deterministic in the reported failure, not in the counts).  Worker
     domains are not observed by the calling domain's [Trace]/[Metrics].
-    Each work item prepares its own state on the domain that runs it. *)
+    Each work item prepares its own state, and keeps its own
+    checkpoints, on the domain that runs it. *)

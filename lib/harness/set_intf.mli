@@ -68,14 +68,18 @@ type t = {
   save_volatile : unit -> unit -> unit;
       (** [save_volatile ()] captures the state the structure keeps in
           OCaml memory rather than in {!Pmem} fields, and returns the
-          function that puts it back.  {!Crashes.prepare} calls it once,
-          next to {!Pmem.snapshot}; every prepared run calls the returned
-          function after {!Pmem.restore}.  Together the two must return
-          the instance to the captured state exactly: a run from it
-          must behave like a run from a fresh build (sequence mirrors,
-          volatile cursors, twin pointers rewritten by recovery).
-          Structures whose state lives entirely in Pmem use
-          {!no_volatile}. *)
+          function that puts it back.  {!Crashes} calls it next to
+          {!Pmem.snapshot} at every checkpoint: after the prefill, and
+          at any round boundary of an explored run — between rounds, or
+          right after a crash cut a round short and before its
+          write-back resolution and [recover_structure], with an
+          operation possibly in flight.  A run resumed from a checkpoint
+          calls the returned function after {!Pmem.restore}.  Together
+          the two must return the instance to the captured state
+          exactly: a run from it must behave like the run that reached
+          it (sequence mirrors, volatile cursors, twin pointers
+          rewritten by recovery).  Structures whose state lives entirely
+          in Pmem use {!no_volatile}. *)
 }
 
 val no_volatile : unit -> unit -> unit

@@ -185,6 +185,11 @@ type hot = {
      with ADR, acceptance by the write-pending queue is the persistence
      point, so fences and draining CASes wait for acceptance only. *)
   wb_deadline : float array;
+  (* Every thread at or above [live] has an empty ring and no deadline,
+     so the machine-wide walks (crash, reset, the outstanding count,
+     snapshots) stop there instead of at [max_threads]: a push raises
+     it, only an emptying of every ring lowers it. *)
+  mutable live : int;
   (* Crash log, newest first; cleared by [reset_pending]. *)
   mutable crashes : crash_report list;
 }
@@ -201,6 +206,7 @@ let hot_key : hot Domain.DLS.key =
           Array.init max_threads (fun _ ->
               { lines = [||]; sites = [||]; head = 0; len = 0 });
         wb_deadline = Array.make max_threads neg_infinity;
+        live = 0;
         crashes = [];
       })
 
@@ -309,10 +315,22 @@ let complete_oldest ht tid r =
     end
   done
 
+(* Push onto [tid]'s ring, keeping [live] above it. *)
+let[@inline] push ht tid line site =
+  if tid >= ht.live then ht.live <- tid + 1;
+  ring_push ht.rings.(tid) line site
+
+(* Empty every ring and deadline below [live]: the machine is idle. *)
+let clear_machine ht =
+  for tid = 0 to ht.live - 1 do
+    clear_ring ht.rings.(tid)
+  done;
+  Array.fill ht.wb_deadline 0 ht.live neg_infinity;
+  ht.live <- 0
+
 let reset_pending () =
   let ht = hot () in
-  Array.iter clear_ring ht.rings;
-  Array.fill ht.wb_deadline 0 max_threads neg_infinity;
+  clear_machine ht;
   ht.crashes <- []
 
 let heap ?(track_for_crash = true) ?(name = "heap") () =
@@ -532,7 +550,7 @@ let pwb (site : Pstats.site) line =
     in
     let r = ht.rings.(tid) in
     if r.len > 64 then complete_oldest ht tid r;
-    ring_push r line site.name;
+    push ht tid line site.name;
     (* the line's media write-back completes late (contention stalls),
        but the persistence point — acceptance — is much earlier.  Both
        deadlines scale with the multiplier: a virtually-sped-up pwb also
@@ -561,7 +579,7 @@ let pfence (site : Pstats.site) =
     pst.n_fence.(id) <- pst.n_fence.(id) + 1;
     let v = ht.hview in
     if v.subs != [] then notify v (Pfence { tid; site = site.name });
-    ring_push ht.rings.(tid) fence_line "";
+    push ht tid fence_line "";
     let cost = ht.hcost.pfence_base in
     let charged = pst.mult.(id) *. cost in
     pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
@@ -620,7 +638,7 @@ let fresh_mode rng =
    property, not a per-heap one, so a victim write-back issued after a
    fence may only persist if the fence's predecessors did.  The rng
    resolver draws its first segment's mode for every thread, whether or
-   not its ring holds anything. *)
+   not its ring holds anything (see [crash]). *)
 let resolve_ring ~fate ~victim resolver tid r =
   let mode = ref (match resolver with Rng rng -> fresh_mode rng | _ -> Full) in
   let applied = ref 0 in
@@ -701,13 +719,25 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
     | None, Some rng -> Rng rng
   in
   let victim = match scope with `Machine -> None | `Heap -> Some h in
-  Array.iteri (resolve_ring ~fate ~victim resolver) ht.rings;
+  for tid = 0 to ht.live - 1 do
+    resolve_ring ~fate ~victim resolver tid ht.rings.(tid)
+  done;
+  (* The rings above [live] are empty: resolving one only draws its
+     first segment's mode, which the rng stream (and so every seeded
+     campaign and shipped repro) still expects from every thread. *)
+  (match resolver with
+  | Rng rng ->
+      for _ = ht.live to max_threads - 1 do
+        ignore (fresh_mode rng : segment)
+      done
+  | Drop_all | Complete_all | Prefix _ -> ());
   (* Under [`Heap] scope survivors' pending write-backs are untouched, so
      their acceptance deadlines stay meaningful: [wb_deadline] is left
      alone.  Keeping a (now possibly stale) deadline for a thread whose
      victim entries were resolved only makes its next fence
-     conservatively slower, never incorrect. *)
-  if scope = `Machine then Array.fill ht.wb_deadline 0 max_threads neg_infinity;
+     conservatively slower, never incorrect.  A machine crash leaves
+     every ring empty. *)
+  if scope = `Machine then clear_machine ht;
   (* Revert every field to its durable value; fields with no durable
      value come up poisoned, fields whose volatile value was newer lose
      it, and both kinds of line are what a postmortem's durable-vs-
@@ -779,10 +809,10 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
 
 (* ---- snapshots ---------------------------------------------------------- *)
 
-(* Everything a run can change on a tracked heap's fields and lines, as
-   of one instant.  The field and line lists themselves are immutable
-   (allocation prepends), so keeping the heads is enough to forget what
-   was allocated later. *)
+(* Everything a run can change on a tracked heap's fields and lines, and
+   on the domain's machine, as of one instant.  The field and line lists
+   themselves are immutable (allocation prepends), so keeping the heads
+   is enough to forget what was allocated later. *)
 type fsnap = FS : { f : 'a t; sv : 'a; sd : 'a; sflags : int } -> fsnap
 
 type lsnap = {
@@ -801,10 +831,27 @@ type snapshot = {
   sn_lines : int;
   sfs : fsnap array;
   sls : lsnap array;
+  (* The machine: rings [0, slive) compacted to their entries in issue
+     order, their deadlines, and the crash log. *)
+  slive : int;
+  srings : ring array;
+  sdeadline : float array;
+  scrashes : crash_report list;
 }
+
+let copy_ring r =
+  let mask = Array.length r.lines - 1 in
+  let entry k a = a.((r.head + k) land mask) in
+  {
+    lines = Array.init r.len (fun k -> entry k r.lines);
+    sites = Array.init r.len (fun k -> entry k r.sites);
+    head = 0;
+    len = r.len;
+  }
 
 let snapshot h =
   if not h.track then invalid_arg "Pmem.snapshot: heap is not tracked for crash";
+  let ht = hot () in
   {
     sheap = h;
     shfields = h.hfields;
@@ -828,6 +875,10 @@ let snapshot h =
                sfields = l.fields;
              })
            h.hlines);
+    slive = ht.live;
+    srings = Array.init ht.live (fun tid -> copy_ring ht.rings.(tid));
+    sdeadline = Array.sub ht.wb_deadline 0 ht.live;
+    scrashes = ht.crashes;
   }
 
 let restore s =
@@ -849,7 +900,18 @@ let restore s =
       l.wb_owner <- s.swb_owner;
       l.wb_until.until <- s.suntil;
       l.fields <- s.sfields)
-    s.sls
+    s.sls;
+  let ht = hot () in
+  clear_machine ht;
+  Array.iteri
+    (fun tid r ->
+      for k = 0 to r.len - 1 do
+        ring_push ht.rings.(tid) r.lines.(k) r.sites.(k)
+      done)
+    s.srings;
+  Array.blit s.sdeadline 0 ht.wb_deadline 0 s.slive;
+  ht.live <- s.slive;
+  ht.crashes <- s.scrashes
 
 (* ---- introspection ----------------------------------------------------- *)
 
@@ -867,18 +929,22 @@ let peek_persisted fld =
 
 let is_poisoned fld = fld.flags land poisoned <> 0
 
-let outstanding_writebacks tid =
-  check_tid tid;
-  let r = (hot ()).rings.(tid) in
+(* Pending write-backs (fences excluded) in one ring. *)
+let ring_writebacks r =
   let n = ref 0 in
   for k = 0 to r.len - 1 do
     if r.lines.((r.head + k) land (Array.length r.lines - 1)) != fence_line then incr n
   done;
   !n
 
+let outstanding_writebacks tid =
+  check_tid tid;
+  ring_writebacks (hot ()).rings.(tid)
+
 let max_outstanding_writebacks () =
+  let ht = hot () in
   let m = ref 0 in
-  for tid = 0 to max_threads - 1 do
-    m := max !m (outstanding_writebacks tid)
+  for tid = 0 to ht.live - 1 do
+    m := Int.max !m (ring_writebacks ht.rings.(tid))
   done;
   !m

@@ -179,31 +179,37 @@ val heap_name : heap -> string
 
 (** {2 Snapshots}
 
-    A crash-exploration tree runs thousands of executions from the same
-    post-prefill state; a snapshot lets it build that state once and put
-    it back before each execution instead of rebuilding it. *)
+    A crash-exploration tree runs thousands of executions that share
+    prefixes: the post-prefill state, and every round boundary two
+    executions reach by the same decisions.  A snapshot lets it build
+    such a state once and put it back instead of re-running the work
+    that led there. *)
 
 type snapshot
-(** The state of a tracked heap at one instant: each field's volatile
-    value, durable value and poison/durable flags; each line's cache
-    metadata (sharers, owner, in-flight write-back and its deadline) and
-    field list; the heap's field list, line list and line count. *)
+(** The state of a tracked heap and of the calling domain's machine at
+    one instant: each field's volatile value, durable value and
+    poison/durable flags; each line's cache metadata (sharers, owner,
+    in-flight write-back and its deadline) and field list; the heap's
+    field list, line list and line count; every thread's write-pending
+    ring and acceptance deadline, and the crash log. *)
 
 val snapshot : heap -> snapshot
-(** @raise Invalid_argument if the heap was made with
+(** Take one at any instant no simulated thread is running (between
+    {!Sim.run}s).
+    @raise Invalid_argument if the heap was made with
     [~track_for_crash:false]: an untracked heap does not know its
     fields. *)
 
 val restore : snapshot -> unit
-(** Put every field and line of the snapshot's heap back as it was.
+(** Put every field and line of the snapshot's heap back as it was, and
+    the calling domain's write-back rings, deadlines and crash log.
     Lines allocated after the snapshot drop out of the heap (a later
     {!crash} no longer resets them), and the next {!new_line} gets the
     id it got right after the snapshot, so a run from a restored heap
-    allocates the same ids as a run from a fresh build.  The machine is
-    untouched: call {!reset_pending} to empty the write-back rings and
-    the crash log.  Values are restored by reference — state a structure
-    keeps in mutable OCaml memory outside its fields is the structure's
-    to put back. *)
+    allocates the same ids as a run from a fresh build.  A snapshot may
+    be restored any number of times.  Values are restored by reference
+    — state a structure keeps in mutable OCaml memory outside its
+    fields is the structure's to put back. *)
 
 (** {1 Lines and fields} *)
 
@@ -274,7 +280,10 @@ val outstanding_writebacks : int -> int
 val max_outstanding_writebacks : unit -> int
 (** Largest per-thread outstanding write-back count, over all threads —
     the exploration harness uses it to bound its [`Prefix] sweep: with
-    [m] outstanding, [`Prefix k] for [k >= m] is equivalent to [`All]. *)
+    [m] outstanding, [`Prefix k] for [k >= m] is equivalent to [`All].
+    Like {!crash} and {!reset_pending}, it visits only the threads that
+    have pushed a write-back or fence since the machine was last idle,
+    not all {!max_threads}. *)
 
 val reset_pending : unit -> unit
 (** Drop all pending write-backs of all threads on the calling domain's

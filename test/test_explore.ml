@@ -81,6 +81,134 @@ let test_broken_found_and_replays () =
   | Error e -> Alcotest.(check string) "bit-for-bit" r.Repro.error e
   | Ok () -> Alcotest.fail "explorer repro did not reproduce"
 
+(* crash-explore's tree (perfbench's crash-explore workload), and a
+   two-crash tree whose executions reach checkpoints after a recovery
+   round and crash again inside recovery.  The two-crash tree runs its
+   first 1,000 executions (most of them crash twice): the whole
+   tree is 30-36k executions per row, too many to replay each one. *)
+let crash_explore_tree (f : Set_intf.factory) seed =
+  Explore.
+    {
+      campaign =
+        Crashes.
+          {
+            factory = f;
+            threads = 2;
+            ops_per_thread = 2;
+            workload =
+              {
+                (Workload.default Workload.update_intensive) with
+                key_range = 8;
+                prefill_n = 2;
+              };
+            max_crashes = 1;
+          };
+      seed;
+      preemptions = 0;
+      crashes = 1;
+      wb_width = 1;
+      max_execs = 0;
+    }
+
+let two_crash_tree (f : Set_intf.factory) seed =
+  let t = crash_explore_tree f seed in
+  Explore.
+    {
+      t with
+      campaign =
+        {
+          t.campaign with
+          Crashes.ops_per_thread = 1;
+          workload =
+            { t.campaign.Crashes.workload with key_range = 4; prefill_n = 1 };
+          max_crashes = 2;
+        };
+      (* one preemption, so resumes must restore the explorer's budget;
+         romulus and redo-opt livelock on a preempted lock holder (their
+         waiter spins until the step budget runs out), so they keep 0 *)
+      preemptions =
+        (if List.mem f.fname [ "romulus"; "redo-opt" ] then 0 else 1);
+      crashes = 2;
+      max_execs = 1000;
+    }
+
+(* Every execution the explorer runs — most of them resumed from a
+   checkpoint of an earlier execution — must return what a fresh build
+   replaying its round log returns: the same verdict and the same round
+   log, on every crash-capable set-model row. *)
+let test_checkpointed_equal_fresh () =
+  let rows =
+    List.filter
+      (fun (f : Set_intf.factory) ->
+        f.supports_crash && f.model = Set_intf.Set_model)
+      Set_intf.all
+  in
+  List.iter
+    (fun (f : Set_intf.factory) ->
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun (shape, (cfg : Explore.config)) ->
+              let n = ref 0 and differ = ref 0 in
+              let on_execution result rounds =
+                incr n;
+                let fresh =
+                  Crashes.run_logged ~script:rounds cfg.Explore.campaign ~seed
+                in
+                if fresh <> (result, rounds) then incr differ
+              in
+              ignore
+                (Explore.run ~stop_on_failure:false ~on_execution cfg
+                  : Explore.outcome);
+              if !differ > 0 then
+                Alcotest.failf
+                  "%s seed %d, %s tree: %d of %d executions differ from a \
+                   fresh replay"
+                  f.fname seed shape !differ !n)
+            [
+              ("crash-explore", crash_explore_tree f seed);
+              ("two-crash", two_crash_tree f seed);
+            ])
+        [ 1; 2 ])
+    rows
+
+(* The work checkpoints save, measured deterministically: mean minor
+   words and Sim dispatches per explored execution on crash-explore's
+   tree (seeds 1 and 2), against what the explorer spent when every
+   execution restarted from the post-prefill state (measured the same
+   way before checkpoints: tracking 9,520.1 words and 176.97
+   dispatches, memento-list 6,366.7 and 112.20).  Words must at least
+   halve, dispatches fall by at least 30%. *)
+let test_work_per_execution () =
+  List.iter
+    (fun (name, restart_words, restart_dispatches) ->
+      let f = Result.get_ok (Set_intf.by_name name) in
+      let run seed =
+        (Explore.run ~stop_on_failure:false (crash_explore_tree f seed))
+          .Explore.stats
+          .Explore.executions
+      in
+      ignore (run 1 : int);
+      let w0 = Gc.minor_words () in
+      let execs = run 1 + run 2 in
+      let words = (Gc.minor_words () -. w0) /. float_of_int execs in
+      let n = ref 0 in
+      let count = function Sim.Engine (Sim.Sched _) -> incr n | _ -> () in
+      Sim.subscribe count;
+      Fun.protect
+        ~finally:(fun () -> Sim.unsubscribe count)
+        (fun () -> ignore (run 1 + run 2 : int));
+      let dispatches = float_of_int !n /. float_of_int execs in
+      Printf.printf "%s: %.1f words, %.2f dispatches per execution\n%!" name
+        words dispatches;
+      if words > 0.5 *. restart_words then
+        Alcotest.failf "%s: %.1f minor words per execution (bound %.1f)" name
+          words (0.5 *. restart_words);
+      if dispatches > 0.7 *. restart_dispatches then
+        Alcotest.failf "%s: %.2f dispatches per execution (bound %.2f)" name
+          dispatches (0.7 *. restart_dispatches))
+    [ ("tracking", 9520.1, 176.97); ("memento-list", 6366.7, 112.20) ]
+
 let suite =
   [
     Alcotest.test_case "tracking survives the full bounded tree" `Quick
@@ -89,4 +217,8 @@ let suite =
       test_budget_reported_honestly;
     Alcotest.test_case "broken variant found and replays" `Quick
       test_broken_found_and_replays;
+    Alcotest.test_case "checkpointed executions equal fresh replays" `Quick
+      test_checkpointed_equal_fresh;
+    Alcotest.test_case "checkpoints cut work per execution" `Quick
+      test_work_per_execution;
   ]

@@ -590,6 +590,26 @@ let test_snapshot_restore () =
     (Invalid_argument "Pmem.snapshot: heap is not tracked for crash")
     (fun () -> ignore (Pmem.snapshot (Pmem.heap ~track_for_crash:false ()) : Pmem.snapshot))
 
+(* A snapshot carries the machine too: a write-back pending when it was
+   taken is pending again after a restore, however the rings and the
+   crash log changed in between, and it completes at a later crash. *)
+let test_snapshot_restores_machine () =
+  let h = fresh () in
+  let p = Pmem.alloc ~name:"p" h 5 in
+  Pmem.pwb_f site_pwb p;
+  let s = Pmem.snapshot h in
+  Pmem.psync site_sync;
+  Pmem.crash h;
+  Alcotest.(check int) "rings drained" 0 (Pmem.max_outstanding_writebacks ());
+  Alcotest.(check int) "one crash logged" 1 (List.length (Pmem.crash_reports ()));
+  Pmem.restore s;
+  Alcotest.(check int) "pending write-back" 1 (Pmem.max_outstanding_writebacks ());
+  Alcotest.(check int) "crash log" 0 (List.length (Pmem.crash_reports ()));
+  Alcotest.(check bool) "not yet durable" true (Pmem.peek_persisted p = None);
+  Pmem.crash ~resolution:`All h;
+  Alcotest.(check bool) "the restored write-back persists" false
+    (Pmem.is_poisoned p)
+
 let suite =
   [
     Alcotest.test_case "read-write-cas" `Quick test_read_write;
@@ -636,4 +656,6 @@ let suite =
     Alcotest.test_case "instruction allocation bounds" `Quick
       test_instruction_allocation;
     Alcotest.test_case "snapshot and restore" `Quick test_snapshot_restore;
+    Alcotest.test_case "snapshot restores the machine" `Quick
+      test_snapshot_restores_machine;
   ]
