@@ -187,10 +187,15 @@ sched-golden:
 # and explained); the explore report of every crash-capable set-model
 # variant on the crash-explore tree (the two negative controls fail,
 # with a postmortem); the refusal of a queue backend by crash and space;
-# the refusal of the volatile harris list by crash and explore; and the
+# the refusal of the volatile harris list by crash and explore; the
 # explore report of tracking and romulus on a two-crash tree, whose
 # executions resume from checkpoints after a recovery round and crash
-# inside recovery.
+# inside recovery; and, at preemption bound 1, the explore report of
+# tracking on explore-smoke's tree and the failing reports and saved
+# repros of both negative controls on the crash-explore tree — the
+# trees where a spent preemption budget starts forcing the running
+# thread in the middle of an execution.  Romulus and redo-opt stay at
+# bound 0 (see ROADMAP, false violation).
 # Paths are relative, so the digests do not depend on where the
 # repository is checked out.  A change that means to move an output
 # regenerates the golden with the same commands and says so.
@@ -201,6 +206,8 @@ EXPLORE_FAIL = tracking-broken memento-broken
 EXPLORE_TREE = -t 2 --ops 2 --keys 8 --prefill 2 --preemptions 0 --crashes 1 \
   --wb 1 --max-execs 0
 EXPLORE2_TREE = -t 2 --ops 1 --keys 4 --prefill 1 --preemptions 0 --crashes 2 \
+  --wb 1 --max-execs 0
+EXPLORE_P1_TREE = -t 2 --ops 2 --keys 8 --prefill 2 --preemptions 1 --crashes 1 \
   --wb 1 --max-execs 0
 output-golden:
 	rm -rf $(OG) && mkdir -p $(OG)
@@ -254,6 +261,12 @@ output-golden:
 	  > $(OG)/explore-harris.txt
 	for a in tracking romulus; do dune exec bin/repro.exe -- explore -a $$a \
 	  $(EXPLORE2_TREE) > $(OG)/explore2-$$a.txt 2> /dev/null || exit 1; done
+	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 --keys 4 \
+	  --prefill 1 --preemptions 1 --crashes 1 --wb 2 --max-execs 0 \
+	  > $(OG)/explore-p1-tracking.txt 2> /dev/null
+	for a in $(EXPLORE_FAIL); do ! dune exec bin/repro.exe -- explore -a $$a \
+	  $(EXPLORE_P1_TREE) --repro $(OG)/explore-p1-$$a.repro \
+	  > $(OG)/explore-p1-$$a.txt 2> /dev/null || exit 1; done
 	cd $(OG) && md5sum explain-tb.txt explain-tb.json explain-mb.txt \
 	  explain-mb.json stats.txt stats.json space.json causal.json \
 	  serve-crash.json serve-failover.json serve-mixed.json trace.txt \
@@ -263,7 +276,9 @@ output-golden:
 	  explain-serve.json stats-broken.txt soak.txt \
 	  $(patsubst %,explore-%.txt,$(EXPLORE_PASS) $(EXPLORE_FAIL)) \
 	  crash-topic.txt space-topic.txt crash-harris.txt explore-harris.txt \
-	  explore2-tracking.txt explore2-romulus.txt \
+	  explore2-tracking.txt explore2-romulus.txt explore-p1-tracking.txt \
+	  explore-p1-tracking-broken.txt explore-p1-tracking-broken.repro \
+	  explore-p1-memento-broken.txt explore-p1-memento-broken.repro \
 	  | diff ../../test/output-golden.txt -
 
 clean:

@@ -56,9 +56,20 @@ let config_of (r : Repro.t) =
    the system's durable invocation bookkeeping (each thread's pending
    operation with the framework's own token for it, from [note_begin],
    and its remaining script), the responses so far, the counters and the
-   round log, newest first. *)
+   round log, newest first.
+
+   A run without a controller draws each round's crash point from [rng].
+   Under a controller, whose crash point always wins, those draws are
+   only owed: [owed] counts them — they are the draws of rounds
+   [0..owed-1], since a round draws only while crashes remain and the
+   crash count never falls — and [rng] stays the prepared state's,
+   shared with every checkpoint and never advanced, until a [`Rng]
+   write-back resolution first needs it ([own_rng]).  [owned] says
+   [rng] belongs to this run alone, so a checkpoint must copy it. *)
 type run = {
-  rng : Random.State.t;
+  mutable rng : Random.State.t;
+  mutable owned : bool;
+  mutable owed : int;
   pending : (Set_intf.op * Set_intf.pending) option array;
   remaining : Set_intf.op list array;
   mutable events : Oracle.event list;
@@ -71,7 +82,7 @@ type run = {
 let copy_run r =
   {
     r with
-    rng = Random.State.copy r.rng;
+    rng = (if r.owned then Random.State.copy r.rng else r.rng);
     pending = Array.copy r.pending;
     remaining = Array.copy r.remaining;
   }
@@ -102,6 +113,9 @@ type ctl = {
       (* crash point for the upcoming round; <= 0 = run crash-free *)
   ctl_choose : crashing:bool -> int array -> int;
       (* scheduling decision, passed to Sim.run ~choose *)
+  ctl_keep : int -> bool;
+      (* a switching step's runner continues undecided, passed to
+         Sim.run ~keep *)
   ctl_wb : round:int -> Repro.wb;
       (* write-back resolution for the crash that ended [round] *)
   ctl_checkpoint : checkpoint -> unit;
@@ -139,6 +153,8 @@ let prepare cfg ~seed =
   let state =
     {
       rng;
+      owned = false;
+      owed = 0;
       pending = Array.make cfg.threads None;
       remaining = scripts;
       events = [];
@@ -218,10 +234,29 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
   let crash_budget_steps = cfg.threads * cfg.ops_per_thread * 300 in
   (* watchdog: a livelocked structure must fail the campaign, not hang it *)
   let step_limit = max 2_000_000 (crash_budget_steps * 100) in
+  let crash_bound round = max 2 (crash_budget_steps / (round + 1)) in
+  (* [st.rng] brought up to date with the draws a run without a
+     controller would have made, and owned by this run. *)
+  let own_rng () =
+    if not st.owned then begin
+      let rng = Random.State.copy st.rng in
+      for round = 0 to st.owed - 1 do
+        ignore (Random.State.int rng (crash_bound round) : int)
+      done;
+      st.rng <- rng;
+      st.owned <- true;
+      st.owed <- 0
+    end;
+    st.rng
+  in
   let next_crash_at round =
     if st.crashes >= cfg.max_crashes then -1
-    else
-      1 + Random.State.int st.rng (max 2 (crash_budget_steps / (round + 1)))
+    else if ctl <> None && not st.owned then begin
+      assert (round = st.owed);
+      st.owed <- st.owed + 1;
+      -1
+    end
+    else 1 + Random.State.int (own_rng ()) (crash_bound round)
   in
   let script = Array.of_list script in
   (* The round's dispatches, recorded into one buffer per run. *)
@@ -236,9 +271,10 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
     incr n_picks
   in
   let run_round ~kind round =
-    (* The rng draw happens even when the script or controller overrides
-       the crash point, so a full-script replay consumes the harness rng
-       in exactly the recorded pattern (Pmem.crash draws stay aligned). *)
+    (* The rng draw happens even when the script overrides the crash
+       point, so a full-script replay consumes the harness rng in exactly
+       the recorded pattern (Pmem.crash draws stay aligned); under a
+       controller the draw is owed instead (see [run]). *)
     let picked = next_crash_at round in
     let forced = if round < Array.length script then Some script.(round) else None in
     let crash_at =
@@ -278,6 +314,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
             | None -> ()
             | Some f -> f ~round ~step ~want)
           ?choose:(match ctl with Some c -> Some c.ctl_choose | None -> None)
+          ?keep:(match ctl with Some c -> Some c.ctl_keep | None -> None)
           (match kind with `Work -> workers | `Recover -> recoverers))
   in
   (* The write-back resolution of the crash that just ended [round]:
@@ -321,7 +358,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
         st.crashes <- st.crashes + 1;
         let wb = crash_wb round in
         (match wb with
-        | `Rng -> Pmem.crash ~rng:st.rng heap
+        | `Rng -> Pmem.crash ~rng:(own_rng ()) heap
         | (`Drop | `All | `Prefix _) as resolution ->
             Pmem.crash ~resolution heap);
         Events.crash_resolved ~round;

@@ -80,12 +80,20 @@ type checkpoint
     decision (see [Sim.run ?choose]) and the write-back resolution of
     each crash.  The controller sees exactly the decision points a
     scripted replay would force, so an explorer-found failure replays
-    through the ordinary [script] path with zero divergences. *)
+    through the ordinary [script] path with zero divergences.  Its crash
+    point always wins, so a controlled run draws none from the harness
+    rng and never copies it; a controller that resolves a crash with
+    [`Rng] still gets the resolution a scripted replay of the run's log
+    reproduces. *)
 type ctl = {
   ctl_crash_at : kind:[ `Work | `Recover ] -> round:int -> int;
       (** crash point for the upcoming round; [<= 0] = run crash-free *)
   ctl_choose : crashing:bool -> int array -> int;
       (** scheduling decision, passed to [Sim.run ~choose] *)
+  ctl_keep : int -> bool;
+      (** whether the runner of a switching step continues without a
+          decision (its argument counts the ready threads, runner
+          included), passed to [Sim.run ~keep] *)
   ctl_wb : round:int -> Repro.wb;
       (** write-back resolution for the crash that ended [round] *)
   ctl_checkpoint : checkpoint -> unit;

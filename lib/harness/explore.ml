@@ -26,7 +26,14 @@
    Everything is deterministic given the campaign seed and the decision
    path: an execution is (re)produced by forcing a prefix of recorded
    decisions and letting defaults extend it; backtracking flips the
-   deepest decision with untried alternatives.  The forced prefix is
+   deepest decision with untried alternatives.  The path holds only the
+   decisions that branch, plus every crash-point and write-back frame:
+   a scheduling decision with one legal outcome — a post-crash drain, a
+   single ready thread, or the running thread once the preemption budget
+   is spent — takes no frame, because replaying the prefix derives it
+   again.  At a switching step such a decision does not even reach
+   [ctl_choose]: the explorer answers [Sim.run ~keep] and the runner
+   continues in place.  The forced prefix is
    not re-run from round 0: every execution hands out a checkpoint at
    each round boundary it reaches ([Crashes.checkpoint]), the search
    keeps those along the current path, and the next execution resumes
@@ -49,7 +56,7 @@ type config = {
 type stats = {
   executions : int;
   failures : int;
-  decision_points : int;  (* scheduling frames expanded *)
+  decision_points : int;  (* scheduling choices among 2+ ready threads *)
   crash_points : int;  (* crash alternatives enumerated *)
   wb_choices : int;  (* write-back alternatives enumerated *)
   pruned : int;  (* schedule alternatives suppressed by the preemption bound *)
@@ -153,12 +160,6 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
   let cursor = ref 0 in
   let prev = ref (-1) in  (* last scheduled tid of the current round *)
   let preemptions_used = ref 0 in
-  (* the frame of a decision without alternatives, one per tid: never
-     mutated, since backtracking pops such frames *)
-  let only =
-    Array.init cfg.campaign.Crashes.threads (fun t ->
-        { chosen = Sched t; untried = []; fround = -1 })
-  in
   (* Move to the next decision: [true] while it is forced by the path
      (its frame is [current ()]), [false] past the path's end, where the
      caller makes the frame and [fresh] appends it. *)
@@ -186,45 +187,67 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
     in
     match f.chosen with Crash s -> s | _ -> kind_error "crash"
   in
-  let sched_frame ~crashing ready =
-    let n = Array.length ready in
-    if crashing || n <= 1 then
-      (* post-crash drain order is semantically inert, and a single
-         ready thread leaves nothing to choose *)
-      only.(ready.(0))
-    else begin
-      let p = !prev in
-      let p_ready = mem_tid p ready 0 in
-      let default = if p_ready then p else ready.(0) in
+  (* A scheduling decision that does not branch gets no frame: a crash
+     drain (its order is semantically inert), a single ready thread, or
+     the previous thread still ready once the preemption budget is spent
+     (deviating while it could continue is a preemption; past the budget
+     such branches are pruned).  Replaying a prefix derives each of them
+     again from [prev] and the budget.  A pruned decision is counted,
+     with the alternatives it suppresses, once, when it lies past the
+     end of the path, so coverage is honest. *)
+  let count_pruned n =
+    if !cursor >= path.len then begin
       incr decision_points;
-      (* deviating while the previous thread could continue is a
-         preemption; past the budget such branches are pruned (and
-         counted, so coverage is honest).  When the previous thread is
-         blocked or done, every choice is a free scheduling point. *)
-      if p_ready && !preemptions_used >= cfg.preemptions then begin
-        pruned := !pruned + (n - 1);
-        only.(default)
-      end
-      else
-        {
-          chosen = Sched default;
-          untried = other_tids default ready (n - 1) [];
-          fround = -1;
-        }
+      pruned := !pruned + (n - 1)
     end
   in
+  (* A switching step of the running thread, [!prev], which is ready:
+     kept without a [ctl_choose] call unless the decision branches. *)
+  let ctl_keep n =
+    if n <= 1 then true
+    else if !preemptions_used >= cfg.preemptions then begin
+      count_pruned n;
+      true
+    end
+    else false
+  in
   let ctl_choose ~crashing ready =
-    let f =
-      if forced () then current ()
-      else fresh (sched_frame ~crashing ready)
+    let n = Array.length ready in
+    let p = !prev in
+    let t =
+      if crashing || n <= 1 then ready.(0)
+      else begin
+        let p_ready = mem_tid p ready 0 in
+        if p_ready && !preemptions_used >= cfg.preemptions then begin
+          count_pruned n;
+          p
+        end
+        else begin
+          (* When the previous thread is blocked or done, every choice is
+             a free scheduling point. *)
+          let f =
+            if forced () then current ()
+            else begin
+              incr decision_points;
+              let default = if p_ready then p else ready.(0) in
+              fresh
+                {
+                  chosen = Sched default;
+                  untried = other_tids default ready (n - 1) [];
+                  fround = -1;
+                }
+            end
+          in
+          match f.chosen with
+          | Sched t ->
+              if t <> p && p_ready then incr preemptions_used;
+              t
+          | _ -> kind_error "sched"
+        end
+      end
     in
-    match f.chosen with
-    | Sched t ->
-        if (not crashing) && t <> !prev && mem_tid !prev ready 0 then
-          incr preemptions_used;
-        prev := t;
-        t
-    | _ -> kind_error "sched"
+    prev := t;
+    t
   in
   let ctl_wb ~round =
     let f =
@@ -249,7 +272,9 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
     saved :=
       { at = !cursor; sprev = !prev; sused = !preemptions_used; cp } :: !saved
   in
-  let ctl = { Crashes.ctl_crash_at; ctl_choose; ctl_wb; ctl_checkpoint } in
+  let ctl =
+    { Crashes.ctl_crash_at; ctl_choose; ctl_keep; ctl_wb; ctl_checkpoint }
+  in
   (* Resume from the deepest checkpoint the last flip left valid (the
      frames before it are unchanged), or from round 0. *)
   let exec_once () =

@@ -44,7 +44,10 @@ type config = {
 type stats = {
   executions : int;
   failures : int;
-  decision_points : int;  (** scheduling frames expanded *)
+  decision_points : int;
+      (** tree nodes where two or more threads were ready outside a crash
+          drain: branching decisions and decisions the preemption bound
+          pruned, each counted once *)
   crash_points : int;  (** crash alternatives enumerated *)
   wb_choices : int;  (** write-back alternatives enumerated *)
   pruned : int;

@@ -31,8 +31,11 @@ type fiber =
 let dummy_fiber = Thunk (fun () -> Done)
 
 (* The running-fiber view (sim.mli): what the memory model reads on every
-   simulated instruction, as plain fields.  [tid] and [running] mirror
-   [cur] (see [set_cur]); the arrays are the current run's. *)
+   simulated instruction, as plain fields.  [running] and [tid] say which
+   fiber is executing: the dispatch loop sets them around each dispatch,
+   and a switching step clears them while its hooks run.  Both are
+   immediates, so neither costs a write barrier.  The arrays are the
+   domain's engine's. *)
 type view = {
   mutable running : bool;
   mutable tid : int;
@@ -44,21 +47,30 @@ type view = {
   mutable subs : (event -> unit) list;
 }
 
+(* The scheduler's state.  There is one engine per domain: [run] resets
+   it for each run and builds a new one only when the fiber count
+   changes, so the arrays, each fiber's effect handler and its initial
+   thunk are allocated once per fiber count, not once per run.  The
+   per-run settings (policy, bounds, tape, hooks, bodies) are mutable
+   fields, and [finish] drops the ones a finished run must not keep
+   alive. *)
 type engine = {
-  policy : [ `Perf | `Random ];
+  view : view;  (* the domain's *)
+  nfibers : int;
+  mutable policy : [ `Perf | `Random ];
   (* Created on first use ([engine_rng]): under [choose] or [`Perf] the
      scheduler never draws, and seeding costs an MD5 per run.  The state
      is a pure function of (seed, fiber count), so creating it late
      changes no draw. *)
   mutable rng : Random.State.t option;
-  rng_seed : int;
-  nfibers : int;
+  mutable rng_seed : int;
   clocks : float array;
   (* Perf-mode batched cost not yet yielded, per tid.  A float array, not
-     a mutable float field of [ctx]: [ctx] is a mixed record, so every
-     store into such a field would allocate a fresh box — on every
-     [step], hence on every Pmem access. *)
+     a mutable float field of a record: a mixed record would allocate a
+     fresh box on every store into such a field — on every [step], hence
+     on every Pmem access. *)
   pending : float array;
+  since : int array;  (* per-tid steps since the last switch point *)
   (* Min-heap of ready fibers for the perf policy, keyed by
      (clock, insertion seq); the race policy picks uniformly from the
      same arrays.  Kept as three parallel unboxed arrays — one float
@@ -80,8 +92,8 @@ type engine = {
   mutable free_top : int;
   mutable seq : int;
   mutable steps : int;
-  crash_at : int; (* -1 = never *)
-  step_limit : int; (* -1 = unlimited *)
+  mutable crash_at : int; (* -1 = never *)
+  mutable step_limit : int; (* -1 = unlimited *)
   mutable crashing : bool;
   mutable aborting : bool; (* step limit hit: tear every fiber down *)
   (* Replay: tids to pick at each random-policy scheduling decision,
@@ -90,15 +102,24 @@ type engine = {
      the decision falls back to [choose]/the seeded rng.  Divergences
      desynchronize every later decision, so callers must treat any
      divergence as "this is not the recorded execution". *)
-  replay : int array;
+  mutable replay : int array;
   mutable replay_pos : int;
-  record : (int -> unit) option;
-  divergence : (step:int -> want:int -> unit) option;
+  mutable record : (int -> unit) option;
+  mutable divergence : (step:int -> want:int -> unit) option;
   (* External scheduling policy: decisions past the replay tape are
      delegated here instead of the rng.  [crashing] tells the chooser the
      run is only draining doomed fibers, whose order is semantically
      inert. *)
-  choose : (crashing:bool -> int array -> int) option;
+  mutable choose : (crashing:bool -> int array -> int) option;
+  (* Asked first at a switching step past the tape, with the number of
+     ready fibers counting the runner: [true] keeps the runner without a
+     decision. *)
+  mutable keep : (int -> bool) option;
+  (* [`Perf] with no [record] and no [keep]: past the tape no hook can
+     run at a switching step, so the fiber decides while it stays
+     current. *)
+  mutable quiet : bool;
+  mutable bodies : (int -> unit) array;
   (* [choose]'s argument, built without allocating: per-tid flags
      (all false between decisions) and one reused buffer per ready
      count, indexed by that count. *)
@@ -118,22 +139,9 @@ type engine = {
   pending_intr : exn option array;
   intr_sched : (int * exn) list array;
   dispatch_counts : int array;
-}
-
-type ctx = {
-  ctid : int;
-  engine : engine;
-}
-
-(* All ambient engine state is domain-local: each OCaml 5 domain may host
-   its own independent [run] (the parallel campaign driver,
-   Harness.Parallel, runs one simulation per worker domain), and nothing
-   one domain does may leak into another.  Module-level refs — the old
-   representation — are shared across domains and would let concurrent
-   runs observe each other's scheduler state. *)
-type domain_state = {
-  mutable cur : ctx option;
-  view : view;
+  (* Fiber [i]'s initial thunk, which runs [bodies.(i) i] under its
+     effect handler: built with the engine. *)
+  thunks : fiber array;
 }
 
 (* In perf mode, cheap cache-hit accesses are batched: the clock advances
@@ -143,37 +151,10 @@ type domain_state = {
 let yield_stride = 16
 let expensive_threshold = 10.0
 
-let dls : domain_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        cur = None;
-        view =
-          {
-            running = false;
-            tid = 0;
-            clocks = [||];
-            pending = [||];
-            since = [||];
-            stride = 1;
-            threshold = expensive_threshold;
-            subs = [];
-          };
-      })
-
-let state () = Domain.DLS.get dls
-
 (* ---- the observer bus ----------------------------------------------------
    The subscriber list lives on the view, which the dispatch loop and every
    Pmem instruction already hold: with nobody subscribed, an emitter pays
    one field load and constructs nothing. *)
-
-let subscribe f =
-  let v = (state ()).view in
-  if not (List.memq f v.subs) then v.subs <- v.subs @ [ f ]
-
-let unsubscribe f =
-  let v = (state ()).view in
-  v.subs <- List.filter (fun g -> g != f) v.subs
 
 let rec deliver ev = function
   | [] -> ()
@@ -183,33 +164,21 @@ let rec deliver ev = function
 
 let publish v ev = deliver ev v.subs
 
-let hook adapt =
-  let slot = Domain.DLS.new_key (fun () -> None) in
-  fun f ->
-    Option.iter unsubscribe (Domain.DLS.get slot);
-    let sub = Option.map adapt f in
-    Option.iter subscribe sub;
-    Domain.DLS.set slot sub
-
-let set_tracer = hook (fun f -> function Engine e -> f e | _ -> ())
-
-let set_cur st cur =
-  st.cur <- cur;
-  let v = st.view in
-  match cur with
-  | Some c ->
-      v.running <- true;
-      v.tid <- c.ctid
-  | None ->
-      v.running <- false;
-      v.tid <- 0
-
 (* The batching rule: a step whose switch basis is [switch], the
    [since]-th step of its fiber since the fiber last switched, offers a
    switch point.  Pmem evaluates the same comparison on the view's
    fields (sim.mli). *)
 let[@inline] switches v ~switch ~since =
   switch >= v.threshold || since >= v.stride
+
+(* Fiber [i] executes from here on / no fiber does. *)
+let[@inline] enter v i =
+  v.running <- true;
+  v.tid <- i
+
+let[@inline] leave v =
+  v.running <- false;
+  v.tid <- 0
 
 type _ Effect.t +=
   | Yield : unit Effect.t
@@ -511,41 +480,6 @@ let release e slot =
   e.free_slots.(e.free_top) <- slot;
   e.free_top <- e.free_top + 1
 
-(* ---- public accessors ------------------------------------------------ *)
-
-let in_sim () = (state ()).cur <> None
-
-let ctx_exn op =
-  match (state ()).cur with
-  | Some c -> c
-  | None -> raise (Not_in_run op)
-
-let tid () = (ctx_exn "Sim.tid").ctid
-
-let now () =
-  let c = ctx_exn "Sim.now" in
-  c.engine.clocks.(c.ctid) +. c.engine.pending.(c.ctid)
-
-let random_state () = engine_rng (ctx_exn "Sim.random_state").engine
-
-let steps_executed () =
-  match (state ()).cur with Some c -> c.engine.steps | None -> 0
-
-let interrupt ~tid exn =
-  let c = ctx_exn "Sim.interrupt" in
-  let e = c.engine in
-  if tid < 0 || tid >= Array.length e.pending_intr then
-    invalid_arg (Printf.sprintf "Sim.interrupt: tid %d out of range" tid);
-  if tid = c.ctid then raise exn;
-  e.pending_intr.(tid) <- Some exn
-
-let dispatches ~tid =
-  let c = ctx_exn "Sim.dispatches" in
-  let e = c.engine in
-  if tid < 0 || tid >= Array.length e.dispatch_counts then
-    invalid_arg (Printf.sprintf "Sim.dispatches: tid %d out of range" tid);
-  e.dispatch_counts.(tid)
-
 (* The interrupt due for fiber [tid] at this dispatch, if any: an armed
    [interrupt] fires first, then the head of the static at-dispatch
    schedule once the fiber's dispatch count has reached it. *)
@@ -561,10 +495,10 @@ let due_interrupt e tid =
           Some exn
       | _ -> None)
 
-let mark_crashing st e =
+let mark_crashing e =
   if not e.crashing then begin
     e.crashing <- true;
-    let v = st.view in
+    let v = e.view in
     if v.subs != [] then publish v (Engine (Crash { step = e.steps }))
   end
 
@@ -583,7 +517,7 @@ let stop_crashed = Some Crashed
    fiber unwinds where it is raised (its finalizers run); [exnc]
    re-raises into the dispatch loop, which tears the remaining fibers
    down before letting Step_limit escape. *)
-let settle st e i =
+let settle e i =
   e.clocks.(i) <- e.clocks.(i) +. e.pending.(i);
   e.pending.(i) <- 0.;
   e.steps <- e.steps + 1;
@@ -592,72 +526,290 @@ let settle st e i =
     stop_step_limit
   end
   else begin
-    if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing st e;
+    if e.crash_at >= 1 && e.steps >= e.crash_at then mark_crashing e;
     if e.crashing then stop_crashed else None
   end
 
 (* The dispatch of fiber [i] that a switching step decided in place:
    the same tracing, counting and interrupt delivery as the loop's
    dispatch of a suspended fiber. *)
-let redispatch st e i =
-  let v = st.view in
+let redispatch e i =
+  let v = e.view in
   if v.subs != [] then
     publish v
       (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
   e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
   match due_interrupt e i with None -> () | Some exn -> raise exn
 
-(* A switching step of the running fiber [c].  It settles the step, then
+(* A switching step of the running fiber [i].  It settles the step, then
    takes the decision [dequeue] would take after requeueing the fiber.
    When that picks the fiber itself, the step returns after [redispatch]
    — no effect, no continuation, no requeue.  Otherwise the fiber
    suspends, and the decision goes with it in [handoff] so that no tape
-   entry, [choose] call or rng draw is consumed twice.  The hooks
-   ([record], [choose], [divergence]) run outside the fiber, as they do
-   in the loop, and an exception they raise surfaces in the loop too.
-   Under [`Perf] with no tape left and no [record] no hook can run, so
-   the fiber stays current while it decides; a pick other than the fiber
-   is then the heap's root. *)
-let switch_point st c =
-  let e = c.engine and i = c.ctid in
-  (match settle st e i with None -> () | Some exn -> raise exn);
+   entry, [choose] call or rng draw is consumed twice.  Past the tape,
+   [keep] is asked first, and a [true] is a pick of the fiber itself
+   with no decision taken.  The hooks ([keep], [record], [choose],
+   [divergence]) run outside the fiber, as they do in the loop — the
+   view says no fiber is running while they do — and an exception they
+   raise surfaces in the loop too.  A [quiet] engine with no tape left
+   runs no hook, so the fiber stays current while it decides; a pick
+   other than the fiber is then the heap's root. *)
+let switch_point e i =
+  (match settle e i with None -> () | Some exn -> raise exn);
   let n = e.ready_len in
-  if e.policy = `Perf && e.record == None
-     && e.replay_pos >= Array.length e.replay
-  then begin
+  let past_tape = e.replay_pos >= Array.length e.replay in
+  if e.quiet && past_tape then begin
     let r = decide e i in
-    if r = n then redispatch st e i
+    if r = n then redispatch e i
     else begin
       e.handoff <- r;
       Effect.perform Yield
     end
   end
   else begin
-    let cur = st.cur in
-    set_cur st None;
+    let v = e.view in
+    leave v;
     match
-      let r = decide e i in
+      let r =
+        match e.keep with
+        | Some k when past_tape && k (n + 1) -> n
+        | _ -> decide e i
+      in
       if r = n then (match e.record with None -> () | Some f -> f i);
       r
     with
     | r ->
-        set_cur st cur;
-        if r = n then redispatch st e i
+        enter v i;
+        if r = n then redispatch e i
         else begin
           e.handoff <- r;
           Effect.perform Yield
         end
     | exception exn ->
-        set_cur st cur;
+        enter v i;
         Effect.perform (Yield_raise exn)
   end
 
+(* ---- the engine ----------------------------------------------------- *)
+
+(* Fiber [i]'s effect handler: built once per engine, like everything it
+   closes over. *)
+let handler e i : (unit, status) Effect.Deep.handler =
+  (* The [Yield] response is allocated once per fiber, not per effect:
+     matching [Yield] refines [a = unit], so this one value fits.  The
+     yielding step has already settled (see [switch_point]). *)
+  let on_yield =
+    Some
+      (fun (k : (unit, status) Effect.Deep.continuation) ->
+        e.next_slot <- requeue_and_take e i (Cont k) e.handoff;
+        Suspended)
+  in
+  {
+    retc = (fun () -> Done);
+    exnc = (fun exn -> match exn with Crashed -> Done | exn -> raise exn);
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, status) Effect.Deep.continuation -> status) option ->
+        match eff with
+        | Yield -> on_yield
+        | Poll_yield (period, cond) ->
+            Some
+              (fun (k : (a, status) Effect.Deep.continuation) ->
+                match settle e i with
+                | None ->
+                    enqueue e i (Poll { k; period; cond });
+                    Suspended
+                | Some exn -> Effect.Deep.discontinue k exn)
+        | Yield_raise exn ->
+            Some
+              (fun (k : (a, status) Effect.Deep.continuation) ->
+                enqueue e i (Cont k);
+                raise exn)
+        | _ -> None);
+  }
+
+(* An engine for [n] fibers, installed in the domain's [view]. *)
+let build view n =
+  let m = max n 1 and cap = max 8 (2 * n) in
+  let e =
+    {
+      view;
+      nfibers = n;
+      policy = `Perf;
+      rng = None;
+      rng_seed = 0;
+      clocks = Array.make m 0.;
+      pending = Array.make m 0.;
+      since = Array.make m 0;
+      ready_clock = Array.make cap 0.;
+      ready_seq = Array.make cap 0;
+      ready_slot = Array.make cap 0;
+      ready_len = 0;
+      slot_tid = Array.make cap (-1);
+      slot_fiber = Array.make cap dummy_fiber;
+      free_slots = Array.make cap 0;
+      free_top = 0;
+      seq = 0;
+      steps = 0;
+      crash_at = -1;
+      step_limit = -1;
+      crashing = false;
+      aborting = false;
+      replay = [||];
+      replay_pos = 0;
+      record = None;
+      divergence = None;
+      choose = None;
+      keep = None;
+      quiet = true;
+      bodies = [||];
+      ready_flag = Array.make m false;
+      tid_bufs = Array.make (n + 1) [||];
+      handoff = -1;
+      next_slot = -1;
+      pending_intr = Array.make m None;
+      intr_sched = Array.make m [];
+      dispatch_counts = Array.make m 0;
+      thunks = Array.make n dummy_fiber;
+    }
+  in
+  for i = 0 to n - 1 do
+    let h = handler e i in
+    let body () = e.bodies.(i) i in
+    e.thunks.(i) <- Thunk (fun () -> Effect.Deep.match_with body () h)
+  done;
+  view.clocks <- e.clocks;
+  view.pending <- e.pending;
+  view.since <- e.since;
+  e
+
+(* Return the engine to the state a freshly built one is in, under a
+   run's settings.  Between runs the slot table is already empty (every
+   dispatch and every teardown releases its slot; [finish] clears what
+   a failed teardown left). *)
+let reset e ~policy ~seed ~crash_at ~step_limit ~schedule ~record ~divergence
+    ~choose ~keep bodies =
+  e.policy <- policy;
+  e.rng <- None;
+  e.rng_seed <- seed;
+  e.crash_at <- crash_at;
+  e.step_limit <- step_limit;
+  e.replay <- schedule;
+  e.replay_pos <- 0;
+  e.record <- record;
+  e.divergence <- divergence;
+  e.choose <- choose;
+  e.keep <- keep;
+  e.quiet <- policy = `Perf && record == None && keep == None;
+  e.bodies <- bodies;
+  for i = 0 to Array.length e.clocks - 1 do
+    e.clocks.(i) <- 0.;
+    e.pending.(i) <- 0.;
+    e.since.(i) <- 0;
+    e.dispatch_counts.(i) <- 0
+  done;
+  e.ready_len <- 0;
+  let cap = Array.length e.slot_tid in
+  for s = 0 to cap - 1 do
+    e.free_slots.(s) <- cap - 1 - s
+  done;
+  e.free_top <- cap;
+  e.seq <- 0;
+  e.steps <- 0;
+  e.crashing <- false;
+  e.aborting <- false;
+  e.handoff <- -1;
+  e.next_slot <- -1;
+  e.view.stride <- (match policy with `Perf -> yield_stride | `Random -> 1)
+
+(* All ambient engine state is domain-local: each OCaml 5 domain may host
+   its own independent [run] (the parallel campaign driver,
+   Harness.Parallel, runs one simulation per worker domain), and nothing
+   one domain does may leak into another.  Module-level refs would be
+   shared across domains and would let concurrent runs observe each
+   other's scheduler state. *)
+type domain_state = {
+  view : view;
+  mutable eng : engine;
+  mutable active : bool;  (* a run is in progress on this domain *)
+}
+
+let dls : domain_state Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let view =
+        {
+          running = false;
+          tid = 0;
+          clocks = [||];
+          pending = [||];
+          since = [||];
+          stride = 1;
+          threshold = expensive_threshold;
+          subs = [];
+        }
+      in
+      { view; eng = build view 0; active = false })
+
+let state () = Domain.DLS.get dls
+
+let subscribe f =
+  let v = (state ()).view in
+  if not (List.memq f v.subs) then v.subs <- v.subs @ [ f ]
+
+let unsubscribe f =
+  let v = (state ()).view in
+  v.subs <- List.filter (fun g -> g != f) v.subs
+
+let hook adapt =
+  let slot = Domain.DLS.new_key (fun () -> None) in
+  fun f ->
+    Option.iter unsubscribe (Domain.DLS.get slot);
+    let sub = Option.map adapt f in
+    Option.iter subscribe sub;
+    Domain.DLS.set slot sub
+
+let set_tracer = hook (fun f -> function Engine e -> f e | _ -> ())
+
+(* ---- public accessors ------------------------------------------------ *)
+
+let in_sim () = (state ()).view.running
+
+(* The domain's engine, for an accessor that needs a running fiber. *)
+let running_engine op =
+  let st = state () in
+  if st.view.running then st.eng else raise (Not_in_run op)
+
+let tid () =
+  let v = (state ()).view in
+  if v.running then v.tid else raise (Not_in_run "Sim.tid")
+
+let now () =
+  let v = (state ()).view in
+  if v.running then v.clocks.(v.tid) +. v.pending.(v.tid)
+  else raise (Not_in_run "Sim.now")
+
+let random_state () = engine_rng (running_engine "Sim.random_state")
+
+let steps_executed () =
+  let st = state () in
+  if st.view.running then st.eng.steps else 0
+
+let interrupt ~tid exn =
+  let e = running_engine "Sim.interrupt" in
+  if tid < 0 || tid >= Array.length e.pending_intr then
+    invalid_arg (Printf.sprintf "Sim.interrupt: tid %d out of range" tid);
+  if tid = e.view.tid then raise exn;
+  e.pending_intr.(tid) <- Some exn
+
+let dispatches ~tid =
+  let e = running_engine "Sim.dispatches" in
+  if tid < 0 || tid >= Array.length e.dispatch_counts then
+    invalid_arg (Printf.sprintf "Sim.dispatches: tid %d out of range" tid);
+  e.dispatch_counts.(tid)
+
 let advance cost =
-  match (state ()).cur with
-  | None -> ()
-  | Some c ->
-      let p = c.engine.pending in
-      p.(c.ctid) <- p.(c.ctid) +. cost
+  let v = (state ()).view in
+  if v.running then v.pending.(v.tid) <- v.pending.(v.tid) +. cost
 
 (* [step_as ~switch cost] charges [cost] but takes the switch decision as
    if the cost were [switch].  The causal profiler's virtual-speedup hook
@@ -666,45 +818,43 @@ let advance cost =
    would stop yielding, every later decision would shift relative to the
    recorded schedule, and the replayed run would silently be a different
    interleaving. *)
-let ctx_step_as st c ~switch cost =
-  let v = st.view and i = c.ctid in
-  v.pending.(i) <- v.pending.(i) +. cost;
-  let since = v.since.(i) + 1 in
-  if switches v ~switch ~since then begin
-    v.since.(i) <- 0;
-    switch_point st c
-  end
-  else v.since.(i) <- since
-
 let step_as ~switch cost =
   let st = state () in
-  match st.cur with
-  | None -> ()
-  | Some c -> ctx_step_as st c ~switch cost
+  let v = st.view in
+  if v.running then begin
+    let i = v.tid in
+    v.pending.(i) <- v.pending.(i) +. cost;
+    let since = v.since.(i) + 1 in
+    if switches v ~switch ~since then begin
+      v.since.(i) <- 0;
+      switch_point st.eng i
+    end
+    else v.since.(i) <- since
+  end
 
 let step cost = step_as ~switch:cost cost
 
 (* [poll_while ~period cond] = [while cond () do step period done].  When
    that step would always switch, the fiber suspends once as a [Poll]
-   fiber and the scheduler runs the idle re-checks itself (see the
-   dispatch loop in [run]): an idle tick then costs a [cond] call instead of an
-   effect-handler round trip.  Otherwise (a cheap period under [`Perf],
-   which batches) the plain loop is the only exact rendering. *)
+   fiber and the scheduler runs the idle re-checks itself (see [loop]):
+   an idle tick then costs a [cond] call instead of an effect-handler
+   round trip.  Otherwise (a cheap period under [`Perf], which batches)
+   the plain loop is the only exact rendering. *)
 let poll_while ~period cond =
-  let st = state () in
-  match st.cur with
+  let v = (state ()).view in
   (* a step that switches right after a switch switches every time *)
-  | Some c when switches st.view ~switch:period ~since:1 ->
-      if cond () then begin
-        let v = st.view in
-        v.pending.(c.ctid) <- v.pending.(c.ctid) +. period;
-        v.since.(c.ctid) <- 0;
-        Effect.perform (Poll_yield (period, cond))
-      end
-  | _ ->
-      while cond () do
-        step period
-      done
+  if v.running && switches v ~switch:period ~since:1 then begin
+    if cond () then begin
+      let i = v.tid in
+      v.pending.(i) <- v.pending.(i) +. period;
+      v.since.(i) <- 0;
+      Effect.perform (Poll_yield (period, cond))
+    end
+  end
+  else
+    while cond () do
+      step period
+    done
 
 (* ---- hot-path handle --------------------------------------------------
    One DLS fetch amortized over the several engine consultations the
@@ -719,205 +869,157 @@ let handle () = state ()
 let view h = h.view
 
 let h_switch h =
-  match h.cur with
-  | None -> ()
-  | Some c ->
-      h.view.since.(c.ctid) <- 0;
-      switch_point h c
+  let v = h.view in
+  if v.running then begin
+    let i = v.tid in
+    v.since.(i) <- 0;
+    switch_point h.eng i
+  end
 
 let request_crash () =
-  let c = ctx_exn "Sim.request_crash" in
-  mark_crashing (state ()) c.engine;
+  mark_crashing (running_engine "Sim.request_crash");
   raise Crashed
 
 (* ---- the driver ------------------------------------------------------ *)
 
+let rec loop (e : engine) =
+  if e.ready_len > 0 then begin
+    let v = e.view in
+    let slot = dequeue e in
+    let i = e.slot_tid.(slot) in
+    let fiber = e.slot_fiber.(slot) in
+    release e slot;
+    if e.crashing then begin
+      match fiber with
+      | Thunk _ -> () (* never started: nothing volatile to unwind *)
+      | Cont k | Poll { k; _ } ->
+          enter v i;
+          ignore (Effect.Deep.discontinue k Crashed : status);
+          leave v
+    end
+    else begin
+      enter v i;
+      if v.subs != [] then
+        publish v
+          (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
+      e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
+      (* Fault injection is delivered at a resumption only: a Thunk has
+         not installed its handlers yet, so an exception raised into it
+         would escape the whole run instead of reaching the fiber's own
+         recovery path.  A due interrupt stays armed until the fiber
+         next suspends. *)
+      (match fiber with
+      | Thunk f -> ignore (f () : status)
+      | Cont k -> (
+          match due_interrupt e i with
+          | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
+          | None -> ignore (Effect.Deep.continue k () : status))
+      | Poll { k; period; cond } -> (
+          match due_interrupt e i with
+          | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
+          | None -> (
+              (* What resuming [k] would do — re-check [cond] and, while
+                 it holds, step [period] again — without resuming it. *)
+              match cond () with
+              | false -> ignore (Effect.Deep.continue k () : status)
+              | true -> (
+                  e.pending.(i) <- e.pending.(i) +. period;
+                  match settle e i with
+                  | None -> enqueue e i fiber
+                  | Some exn -> ignore (Effect.Deep.discontinue k exn : status))
+              | exception exn ->
+                  ignore (Effect.Deep.discontinue k exn : status))));
+      leave v
+    end;
+    loop e
+  end
+
+(* An exception escaping a fiber (Step_limit, a test failure, ...) must
+   not abandon the other suspended fibers undiscontinued: unwind each so
+   their finalizers run. *)
+let teardown (e : engine) =
+  e.aborting <- true;
+  let v = e.view in
+  (* the escaping fiber may have left itself current: the hooks
+     [dequeue] calls run outside any fiber *)
+  leave v;
+  while e.ready_len > 0 do
+    let slot = dequeue e in
+    let i = e.slot_tid.(slot) in
+    let fiber = e.slot_fiber.(slot) in
+    release e slot;
+    match fiber with
+    | Thunk _ -> () (* never started: nothing to unwind *)
+    | Cont k | Poll { k; _ } ->
+        enter v i;
+        (try ignore (Effect.Deep.discontinue k Step_limit : status)
+         with _ -> ());
+        leave v
+  done
+
+(* End a run: no fiber is running, and the engine keeps nothing of the
+   run alive — bodies, hooks, tape, armed interrupts, nor (when a hook
+   raised during [teardown]) the fibers still queued. *)
+let finish st (e : engine) =
+  leave e.view;
+  st.active <- false;
+  e.bodies <- [||];
+  e.replay <- [||];
+  e.record <- None;
+  e.divergence <- None;
+  e.choose <- None;
+  e.keep <- None;
+  e.rng <- None;
+  if e.ready_len > 0 then begin
+    e.ready_len <- 0;
+    for s = 0 to Array.length e.slot_tid - 1 do
+      e.slot_tid.(s) <- -1;
+      e.slot_fiber.(s) <- dummy_fiber
+    done
+  end;
+  for i = 0 to Array.length e.pending_intr - 1 do
+    if e.pending_intr.(i) != None then e.pending_intr.(i) <- None;
+    if e.intr_sched.(i) != [] then e.intr_sched.(i) <- []
+  done
+
 let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
-    ?(schedule = [||]) ?record ?divergence ?choose ?(interrupts = [||]) bodies =
-  (* The whole run executes on the calling domain: [st] can be fetched
-     once and closed over.  One run per domain — concurrent runs live on
-     separate domains with separate [domain_state]s. *)
+    ?(schedule = [||]) ?record ?divergence ?choose ?keep ?(interrupts = [||])
+    bodies =
+  (* The whole run executes on the calling domain, on the domain's
+     engine.  One run per domain — concurrent runs live on separate
+     domains with separate [domain_state]s. *)
   let st = state () in
-  if st.cur <> None then
+  if st.active then
     failwith "Sim.run: nested runs are not supported (same domain)";
   let n = Array.length bodies in
-  let intr_sched = Array.make (max n 1) [] in
   Array.iter
-    (fun (tid, at, exn) ->
+    (fun (tid, at, _) ->
       if tid < 0 || tid >= n then
         invalid_arg (Printf.sprintf "Sim.run: interrupt tid %d out of range" tid);
       if at < 1 then
-        invalid_arg "Sim.run: interrupt dispatch indices are 1-based";
-      intr_sched.(tid) <-
-        List.sort (fun (a, _) (b, _) -> compare a b) ((at, exn) :: intr_sched.(tid)))
+        invalid_arg "Sim.run: interrupt dispatch indices are 1-based")
     interrupts;
-  let cap = max 8 (2 * n) in
-  let e =
-    {
-      policy;
-      (* The engine rng is a pure function of (seed, n): no state crosses
-         runs or domains, so campaigns may execute work items in any
-         order — or on any domain — and observe identical draws. *)
-      rng = None;
-      rng_seed = seed;
-      nfibers = n;
-      clocks = Array.make (max n 1) 0.;
-      pending = Array.make (max n 1) 0.;
-      ready_clock = Array.make cap 0.;
-      ready_seq = Array.make cap 0;
-      ready_slot = Array.make cap 0;
-      ready_len = 0;
-      slot_tid = Array.make cap (-1);
-      slot_fiber = Array.make cap dummy_fiber;
-      free_slots = Array.init cap (fun i -> cap - 1 - i);
-      free_top = cap;
-      seq = 0;
-      steps = 0;
-      crash_at;
-      step_limit;
-      crashing = false;
-      aborting = false;
-      replay = schedule;
-      replay_pos = 0;
-      record;
-      divergence;
-      choose;
-      ready_flag = Array.make (max n 1) false;
-      tid_bufs = Array.make (n + 1) [||];
-      handoff = -1;
-      next_slot = -1;
-      pending_intr = Array.make (max n 1) None;
-      intr_sched;
-      dispatch_counts = Array.make (max n 1) 0;
-    }
-  in
-  let v = st.view in
-  v.clocks <- e.clocks;
-  v.pending <- e.pending;
-  v.since <- Array.make (max n 1) 0;
-  v.stride <- (match policy with `Perf -> yield_stride | `Random -> 1);
-  let contexts = Array.init n (fun i -> { ctid = i; engine = e }) in
-  (* [st.cur] of each fiber, allocated once: the loop sets it on every
-     dispatch. *)
-  let cur_of = Array.map Option.some contexts in
-  let handler i : (unit, status) Effect.Deep.handler =
-    (* The [Yield] response is allocated once per fiber, not per effect:
-       matching [Yield] refines [a = unit], so this one value fits.  The
-       yielding step has already settled (see [switch_point]). *)
-    let on_yield =
-      Some
-        (fun (k : (unit, status) Effect.Deep.continuation) ->
-          e.next_slot <- requeue_and_take e i (Cont k) e.handoff;
-          Suspended)
-    in
-    {
-      retc = (fun () -> Done);
-      exnc = (fun exn -> match exn with Crashed -> Done | exn -> raise exn);
-      effc =
-        (fun (type a) (eff : a Effect.t) :
-             ((a, status) Effect.Deep.continuation -> status) option ->
-          match eff with
-          | Yield -> on_yield
-          | Poll_yield (period, cond) ->
-              Some
-                (fun (k : (a, status) Effect.Deep.continuation) ->
-                  match settle st e i with
-                  | None ->
-                      enqueue e i (Poll { k; period; cond });
-                      Suspended
-                  | Some exn -> Effect.Deep.discontinue k exn)
-          | Yield_raise exn ->
-              Some
-                (fun (k : (a, status) Effect.Deep.continuation) ->
-                  enqueue e i (Cont k);
-                  raise exn)
-          | _ -> None);
-    }
-  in
-  let start i () = Effect.Deep.match_with (fun () -> bodies.(i) i) () (handler i) in
+  if st.eng.nfibers <> n then st.eng <- build st.view n;
+  let e = st.eng in
+  reset e ~policy ~seed ~crash_at ~step_limit ~schedule ~record ~divergence
+    ~choose ~keep bodies;
+  Array.iter
+    (fun (tid, at, exn) ->
+      e.intr_sched.(tid) <-
+        List.sort
+          (fun (a, _) (b, _) -> compare a b)
+          ((at, exn) :: e.intr_sched.(tid)))
+    interrupts;
+  st.active <- true;
   for i = 0 to n - 1 do
-    enqueue e i (Thunk (start i))
+    enqueue e i e.thunks.(i)
   done;
-  let rec loop () =
-    if e.ready_len > 0 then begin
-      let slot = dequeue e in
-      let i = e.slot_tid.(slot) in
-      let fiber = e.slot_fiber.(slot) in
-      release e slot;
-      if e.crashing then begin
-        (match fiber with
-        | Thunk _ -> () (* never started: nothing volatile to unwind *)
-        | Cont k | Poll { k; _ } ->
-            set_cur st cur_of.(i);
-            ignore (Effect.Deep.discontinue k Crashed : status);
-            set_cur st None);
-        loop ()
-      end
-      else begin
-        set_cur st cur_of.(i);
-        if v.subs != [] then
-          publish v
-            (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
-        e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
-        (* Fault injection is delivered at a resumption only: a Thunk has
-           not installed its handlers yet, so an exception raised into it
-           would escape the whole run instead of reaching the fiber's own
-           recovery path.  A due interrupt stays armed until the fiber
-           next suspends. *)
-        (match fiber with
-        | Thunk f -> ignore (f () : status)
-        | Cont k -> (
-            match due_interrupt e i with
-            | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
-            | None -> ignore (Effect.Deep.continue k () : status))
-        | Poll { k; period; cond } -> (
-            match due_interrupt e i with
-            | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
-            | None -> (
-                (* What resuming [k] would do — re-check [cond] and, while
-                   it holds, step [period] again — without resuming it. *)
-                match cond () with
-                | false -> ignore (Effect.Deep.continue k () : status)
-                | true -> (
-                    e.pending.(i) <- e.pending.(i) +. period;
-                    match settle st e i with
-                    | None -> enqueue e i fiber
-                    | Some exn -> ignore (Effect.Deep.discontinue k exn : status))
-                | exception exn ->
-                    ignore (Effect.Deep.discontinue k exn : status))));
-        set_cur st None;
-        loop ()
-      end
-    end
-  in
-  (* An exception escaping a fiber (Step_limit, a test failure, ...) must
-     not abandon the other suspended fibers undiscontinued: unwind each so
-     their finalizers run, then re-raise. *)
-  let teardown () =
-    e.aborting <- true;
-    (* the escaping fiber may have left itself current: the hooks
-       [dequeue] calls run outside any fiber *)
-    set_cur st None;
-    while e.ready_len > 0 do
-      let slot = dequeue e in
-      let i = e.slot_tid.(slot) in
-      let fiber = e.slot_fiber.(slot) in
-      release e slot;
-      match fiber with
-      | Thunk _ -> () (* never started: nothing to unwind *)
-      | Cont k | Poll { k; _ } ->
-          set_cur st cur_of.(i);
-          (try ignore (Effect.Deep.discontinue k Step_limit : status)
-           with _ -> ());
-          set_cur st None
-    done
-  in
-  Fun.protect
-    ~finally:(fun () -> set_cur st None)
-    (fun () ->
-      try loop ()
-      with exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        teardown ();
-        Printexc.raise_with_backtrace exn bt);
-  if e.crashing then Crashed_at e.steps else All_done
+  match loop e with
+  | () ->
+      let outcome = if e.crashing then Crashed_at e.steps else All_done in
+      finish st e;
+      outcome
+  | exception exn ->
+      let bt = Printexc.get_raw_backtrace () in
+      Fun.protect ~finally:(fun () -> finish st e) (fun () -> teardown e);
+      Printexc.raise_with_backtrace exn bt

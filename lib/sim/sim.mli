@@ -34,7 +34,8 @@ exception Step_limit
 exception Not_in_run of string
 (** Raised by accessors that only make sense inside a simulated fiber
     ({!tid}, {!now}, {!random_state}, {!interrupt}, {!dispatches},
-    {!request_crash}) when called outside a run.  The payload names the
+    {!request_crash}) when called outside one: outside a run, or from
+    one of {!run}'s hooks.  The payload names the
     offending operation (e.g. ["Sim.tid"]) so misuse from hooks or
     metrics paths is diagnosable at the call site. *)
 
@@ -90,6 +91,7 @@ val run :
   ?record:(int -> unit) ->
   ?divergence:(step:int -> want:int -> unit) ->
   ?choose:(crashing:bool -> int array -> int) ->
+  ?keep:(int -> bool) ->
   ?interrupts:(int * int * exn) array ->
   (int -> unit) array ->
   outcome
@@ -128,9 +130,35 @@ val run :
     [choose] must copy what it keeps.  Used by the exploration harness
     to enumerate schedules deterministically.
 
-    [record], [choose] and [divergence] run outside any fiber
-    ({!in_sim} is [false]); an exception they raise escapes {!run} after
-    the remaining fibers are unwound.
+    [keep] spares a caller the decisions it knows the answer to.  At a
+    switching step of the running fiber, once the replay tape is used
+    up, [keep n] is asked first, with [n] the number of ready fibers
+    counting the runner.  When it returns [true] the runner continues in
+    place: no [choose] call, rng draw or perf-heap decision is taken,
+    but the step is still a dispatch of the runner — [record] sees it,
+    it is traced ([Sched]), counted by {!dispatches}, and a due
+    {!interrupt} lands there.  When it returns [false] the step decides
+    as it would without [keep].  The dispatch loop never asks it: a
+    thread's first dispatch, the dispatch after a thread finishes or
+    waits in {!poll_while}, and the crash drain always decide.  The
+    explorer answers it with the decisions that do not branch.
+
+    {b Hook contract}: [record], [choose], [divergence] and [keep] run
+    outside any fiber: {!in_sim} is [false], {!tid} and the other
+    fiber accessors raise {!Not_in_run}, and a {!step}, {!advance} or
+    memory-model charge made inside a hook is a no-op.  An exception a
+    hook raises escapes {!run} after the remaining fibers are unwound.
+    Marking the hooks' extent costs two stores of immediates into the
+    {!type-view}, no write barrier.
+
+    {b One engine per domain}: the engine's arrays, each fiber's effect
+    handler and initial thunk are kept on the calling domain and reset
+    for each run; they are rebuilt only when the number of bodies
+    changes.  A run's results depend on its arguments alone — no state
+    of an earlier run on the domain carries over, whether it finished,
+    crashed, hit the step limit or raised — and a finished run leaves
+    no body, hook, replay tape or armed interrupt reachable from the
+    engine.
 
     [interrupts] is a static per-fiber fault schedule: each entry
     [(tid, at, exn)] (with [at >= 1], 1-based) arms [exn] for delivery at
@@ -188,9 +216,9 @@ val handle : unit -> handle
     Contract: the view is domain-local, like the {!handle} it belongs to
     — created once per domain, mutated in place, never replaced, and
     never to be read from another domain.  Its fields are meaningful only
-    while [running] holds: outside a fiber, and while [record], [choose]
-    or [divergence] run, [running] is [false] and [tid] is [0]; the
-    arrays belong to the last run and must not be touched.
+    while [running] holds: outside a fiber, and while [record], [choose],
+    [divergence] or [keep] run, [running] is [false] and [tid] is [0];
+    the arrays belong to the domain's engine and must not be touched.
 
     The view also carries the domain's bus subscribers, [subs]: emit an
     event [ev] with [if v.subs != [] then publish v ev], which builds

@@ -644,8 +644,8 @@ let test_step_allocation () =
    fiber log of a small run.  A switching [step] re-dispatches its own
    fiber in place when the decision picks it (sim.mli), and that must be
    unobservable: these values may not move.  The hooks also check where
-   they run: [record], [choose] and [divergence] outside any fiber, the
-   tracer inside the fiber it dispatches. *)
+   they run: [record], [choose], [divergence] and [keep] outside any
+   fiber, the tracer inside the fiber it dispatches. *)
 
 exception Zap
 
@@ -654,7 +654,7 @@ exception Zap
    with the fiber's clock, own dispatch count and the global step
    count. *)
 let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
-    ?(schedule = [||]) ?choose ?(interrupts = [||]) bodies =
+    ?(schedule = [||]) ?choose ?keep ?(interrupts = [||]) bodies =
   let outside what =
     if Sim.in_sim () then Alcotest.failf "%s ran inside a fiber" what
   in
@@ -680,6 +680,13 @@ let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
         f ~crashing ready)
       choose
   in
+  let keep =
+    Option.map
+      (fun f n ->
+        outside "keep";
+        f n)
+      keep
+  in
   let tracer = function
     | Sim.Sched { step; tid; clock } ->
         if (not (Sim.in_sim ())) || Sim.tid () <> tid then
@@ -694,7 +701,7 @@ let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
       (fun () ->
         match
           Sim.run ~policy ~seed ?crash_at ?step_limit ~schedule ~record
-            ~divergence ?choose ~interrupts
+            ~divergence ?choose ?keep ~interrupts
             (Array.map (fun body tid -> body note tid) bodies)
         with
         | Sim.All_done -> "done"
@@ -950,6 +957,194 @@ let test_golden_perf_many () =
        ~schedule:(record_tape ~policy:`Random ~seed:4 (perf_bodies ()))
        (perf_bodies ()))
 
+(* A [keep] that always keeps: every switching step continues its
+   runner, so [choose] (or the rng) decides only in the dispatch loop —
+   at a thread's start, after the previous thread finished — while
+   [record] and the tracer still see every dispatch.  Inside [keep] no fiber is
+   running: [Sim.tid] raises, and a [Sim.step] or [Sim.advance] there
+   charges nothing (the clocks below are the steps' own). *)
+let test_keep_contract () =
+  let bodies () =
+    Array.init 3 (fun t -> stepper ~cost:(float_of_int (t + 1)) 4)
+  in
+  let chosen = ref [] and kept = ref [] in
+  let choose ~crashing:_ ready =
+    chosen := Array.to_list ready :: !chosen;
+    ready.(0)
+  in
+  let keep n =
+    (match Sim.tid () with
+    | _ -> Alcotest.fail "Sim.tid answered inside keep"
+    | exception Sim.Not_in_run _ -> ());
+    Sim.step 50.;
+    Sim.advance 50.;
+    kept := n :: !kept;
+    true
+  in
+  Alcotest.(check string) "keep keeps the runner"
+    "done | 000001111122222 | 0:0@0 1:0@1 2:0@2 3:0@3 4:0@4 4:1@0 5:1@2 6:1@4 \
+     7:1@6 8:1@8 8:2@0 9:2@3 10:2@6 11:2@9 12:2@12 | 0:end@4/5/4 1:end@8/5/8 \
+     2:end@12/5/12"
+    (sched_run ~choose ~keep (bodies ()));
+  Alcotest.(check (list (list int)))
+    "choose: thread starts and after each finish" [ [ 0; 1; 2 ]; [ 1; 2 ]; [ 2 ] ]
+    (List.rev !chosen);
+  Alcotest.(check (list int))
+    "keep: every switching step, runner counted"
+    [ 3; 3; 3; 3; 2; 2; 2; 2; 1; 1; 1; 1 ]
+    (List.rev !kept);
+  (* without [choose] the seeded rng decides in the loop only: whatever
+     the seed, each thread runs all its dispatches once started *)
+  for seed = 1 to 6 do
+    let run = sched_run ~seed ~keep:(fun _ -> true) (bodies ()) in
+    let tape = List.nth (String.split_on_char '|' run) 1 in
+    let blocks = String.trim tape |> String.to_seq |> List.of_seq in
+    let rec runs = function
+      | a :: (b :: _ as rest) when a = b -> runs rest
+      | _ :: rest -> 1 + runs rest
+      | [] -> 0
+    in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "seed %d: three runs of five dispatches" seed)
+      (3, 15)
+      (runs blocks, List.length blocks)
+  done
+
+(* -- engine reuse -----------------------------------------------------------
+
+   [run] keeps one engine per domain and resets it per run.  Runs that
+   end every way a run can end, with every kind of hook and a changing
+   fiber count, are made in sequence on one domain — the first four on
+   two fibers, so each abnormal end is followed by a run that reuses
+   its engine; each must observe what the same run observes first thing
+   on a fresh domain, and the engine must keep nothing of a finished
+   run alive. *)
+
+exception Tagged of int ref
+
+(* One run rendered: outcome | record tape | each fiber's clock and
+   dispatch count when it exited (normally, raising or unwound).
+   [track] is shown every value the run hands the engine. *)
+let reuse_run ~track ~policy ~n ?crash_at ?step_limit ?(raise_at = -1)
+    ?(tape = false) ?(hooks = false) ?(intr = false) seed =
+  let exits = Array.make n "-" in
+  let forever = step_limit <> None in
+  let body tid =
+    let steps = ref 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        exits.(tid) <-
+          Printf.sprintf "%g/%d" (Sim.now ()) (Sim.dispatches ~tid))
+      (fun () ->
+        try
+          while forever || !steps < 4 + tid do
+            incr steps;
+            Sim.step (float_of_int ((7 * tid) + !steps));
+            if tid = 1 && !steps = raise_at then failwith "boom"
+          done
+        with Tagged _ -> ())
+  in
+  let bodies = Array.init n (fun _ -> body) in
+  track (Obj.repr bodies);
+  let buf = Buffer.create 16 in
+  let record t = Buffer.add_char buf (Char.chr (48 + t)) in
+  track (Obj.repr record);
+  let schedule =
+    if tape then Array.init 7 (fun i -> (i * 5) mod n) else [||]
+  in
+  if tape then track (Obj.repr schedule);
+  let choose, keep =
+    if hooks then begin
+      let turns = ref 0 in
+      let choose ~crashing:_ ready =
+        incr turns;
+        ready.(!turns mod Array.length ready)
+      in
+      let keep k =
+        incr turns;
+        k = 1 || !turns mod 3 <> 0
+      in
+      track (Obj.repr choose);
+      track (Obj.repr keep);
+      (Some choose, Some keep)
+    end
+    else (None, None)
+  in
+  let interrupts =
+    if intr then [| (0, 2, Tagged (ref 0)); (1, 60, Tagged (ref 1)) |] else [||]
+  in
+  Array.iter (fun (_, _, x) -> track (Obj.repr x)) interrupts;
+  let outcome =
+    match
+      Sim.run ~policy ~seed ?crash_at ?step_limit ~schedule ~record ?choose
+        ?keep ~interrupts bodies
+    with
+    | Sim.All_done -> "done"
+    | Sim.Crashed_at k -> Printf.sprintf "crashed@%d" k
+    | exception Sim.Step_limit -> "step-limit"
+    | exception Failure m -> m
+  in
+  Printf.sprintf "%s | %s | %s" outcome (Buffer.contents buf)
+    (String.concat " " (Array.to_list exits))
+
+let reuse_runs =
+  [
+    ( "step limit",
+      fun track ->
+        reuse_run ~track ~policy:`Random ~n:2 ~step_limit:9 ~hooks:true 5 );
+    ("fiber raises", fun track -> reuse_run ~track ~policy:`Perf ~n:2 ~raise_at:2 5);
+    ( "interrupts and crash_at",
+      fun track ->
+        reuse_run ~track ~policy:`Random ~n:2 ~intr:true ~crash_at:4 5 );
+  ]
+  @ List.concat_map
+      (fun policy ->
+        List.mapi
+          (fun k n ->
+            ( Printf.sprintf "%s, %d fibers (%d)"
+                (match policy with `Perf -> "perf" | `Random -> "random")
+                n k,
+              fun track ->
+                reuse_run ~track ~policy ~n ~tape:(k = 1) ~hooks:(k <> 0) 5 ))
+          [ 2; 3; 2 ])
+      [ `Perf; `Random ]
+
+let test_engine_reuse () =
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let fresh =
+    List.map
+      (fun (name, run) ->
+        (name, on_fresh_domain (fun () -> run ignore)))
+      reuse_runs
+  in
+  (* The sequence, and what it handed the engine, on one domain.  Weak
+     pointers see whether any of it outlives its run. *)
+  let reused, kept_alive =
+    on_fresh_domain (fun () ->
+        let weak = Weak.create 64 and tracked = ref 0 in
+        let track x =
+          Weak.set weak !tracked (Some x);
+          incr tracked
+        in
+        let obs = List.map (fun (name, run) -> (name, run track)) reuse_runs in
+        Gc.full_major ();
+        let alive = ref 0 in
+        for j = 0 to !tracked - 1 do
+          if Weak.check weak j then incr alive
+        done;
+        (obs, !alive))
+  in
+  List.iter2
+    (fun (name, want) (_, got) ->
+      Alcotest.(check string) (name ^ ": as on a fresh domain") want got)
+    fresh reused;
+  Alcotest.(check bool) "a run reached its step limit" true
+    (List.exists (fun (_, o) -> String.starts_with ~prefix:"step-limit" o) fresh);
+  Alcotest.(check bool) "a run crashed" true
+    (List.exists (fun (_, o) -> String.starts_with ~prefix:"crashed" o) fresh);
+  Alcotest.(check int) "bodies, hooks, tapes and interrupts kept alive" 0
+    kept_alive
+
 let suite =
   [
     Alcotest.test_case "runs all threads" `Quick test_runs_all;
@@ -1005,4 +1200,8 @@ let suite =
       test_bounds_on_in_place;
     Alcotest.test_case "in-place dispatch allocation bound" `Quick
       test_in_place_allocation;
+    Alcotest.test_case "keep: runner continues, hooks outside fibers" `Quick
+      test_keep_contract;
+    Alcotest.test_case "engine reuse: runs isolated, nothing kept alive"
+      `Quick test_engine_reuse;
   ]
