@@ -817,8 +817,8 @@ let trace_cmd =
                 (t, fun () -> try Sys.remove t with Sys_error _ -> ())
           in
           let cfg = campaign_cfg algo mix threads ops crashes key_range in
-          let result =
-            Trace.with_file path (fun () -> Crashes.run_once cfg ~seed)
+          let result, _ =
+            Trace.with_file path (fun () -> Crashes.run_logged cfg ~seed)
           in
           (match result with
           | Ok o ->
@@ -1261,22 +1261,8 @@ let () =
     "Reproduction of 'Detectable Recovery of Lock-Free Data Structures' \
      (PPoPP 2022) on a simulated multicore with NVMM."
   in
-  (* [repro --replay FILE] works without naming the subcommand. *)
-  let default =
-    let replay_opt =
-      Arg.(
-        value
-        & opt (some file) None
-        & info [ "replay" ] ~docv:"FILE"
-            ~doc:"Replay a saved repro $(docv) (same as the replay command).")
-    in
-    Term.(
-      ret
-        (const (function
-           | Some f -> `Ok (replay_run f false false None None)
-           | None -> `Help (`Pager, None))
-        $ replay_opt))
-  in
+  (* [repro] without a subcommand prints the help. *)
+  let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval
        (Cmd.group ~default

@@ -33,8 +33,6 @@ val recover : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
     from the persisted capsule state and the (tid, seq) marks whether the
     decisive CAS took effect; finish, return the response, or re-invoke. *)
 
-val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
-
 val save_volatile : t -> unit -> unit
 (** Capture the state kept outside {!Pmem} — the per-thread sequence
     mirror — and return the function that puts it back (the harness

@@ -120,7 +120,6 @@ let find_with ?on_visit t k =
   let _, curr = search_with ?on_visit t k in
   curr.key = k
 
-let search t k = search_with t k
 let insert t k = insert_with t k
 let delete t k = delete_with t k
 let find t k = find_with t k

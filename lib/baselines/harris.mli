@@ -66,7 +66,6 @@ val delete_with :
 
 val find_with : ?on_visit:(node -> link -> unit) -> t -> int -> bool
 
-val search : t -> int -> node * node
 val insert : t -> int -> bool
 val delete : t -> int -> bool
 val find : t -> int -> bool

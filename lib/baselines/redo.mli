@@ -21,7 +21,6 @@ val create : ?checkpoint_every:int -> Pmem.heap -> threads:int -> t
 val insert : t -> int -> bool
 val delete : t -> int -> bool
 val find : t -> int -> bool
-val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 
 val recover_structure : t -> unit
 (** Post-crash, single-threaded: replay the redo log onto the

@@ -18,7 +18,6 @@ val create : Pmem.heap -> threads:int -> t
 val insert : t -> int -> bool
 val delete : t -> int -> bool
 val find : t -> int -> bool
-val apply : t -> [ `Insert of int | `Delete of int | `Find of int ] -> bool
 
 val recover_structure : t -> unit
 (** Post-crash, single-threaded: restore the inconsistent copy from the

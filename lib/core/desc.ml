@@ -45,17 +45,8 @@ let make heap ~label ~affect ?(writes = []) ?(news = []) ?(cleanup = [])
 let payload d = Pmem.read d.payload_f
 let result d = Pmem.read d.result_f
 let set_result d r = Pmem.write d.result_f (Some r)
-let result_field d = d.result_f
 let line d = d.dline
 let owner d = d.owner
 let tagged d = d.tagged_s
 let untagged d = d.untagged_s
 let same d1 d2 = d1 == d2
-
-let pp ppf d =
-  let p = Pmem.peek d.payload_f in
-  Format.fprintf ppf "<%s result=%s>" p.label
-    (match Pmem.peek d.result_f with
-    | None -> "⊥"
-    | Some true -> "true"
-    | Some false -> "false")

@@ -54,7 +54,6 @@ val payload : 'n t -> 'n payload
 
 val result : 'n t -> bool option
 val set_result : 'n t -> bool -> unit
-val result_field : 'n t -> bool option Pmem.t
 val line : 'n t -> Pmem.line
 
 val owner : 'n t -> int
@@ -71,5 +70,3 @@ val untagged : 'n t -> 'n state
 
 val same : 'n t -> 'n t -> bool
 (** Physical identity of descriptors. *)
-
-val pp : Format.formatter -> 'n t -> unit

@@ -36,10 +36,6 @@ let rec with_scaled scaled f =
             (fun t -> scale t fac)
             (fun () -> with_scaled rest f))
 
-let measure_scaled ?duration_ns ?seed ~scaled factory ~threads workload =
-  with_scaled scaled (fun () ->
-      Runner.measure ?duration_ns ?seed factory ~threads workload)
-
 (* ---- configuration ---------------------------------------------------- *)
 
 type config = {

@@ -50,22 +50,6 @@ val with_scaled : (target * float) list -> (unit -> 'a) -> 'a
     reverse order).
     @raise Invalid_argument on an unknown site or knob name. *)
 
-val measure_scaled :
-  ?duration_ns:float ->
-  ?seed:int ->
-  scaled:(target * float) list ->
-  Set_intf.factory ->
-  threads:int ->
-  Workload.config ->
-  Runner.point
-(** [Runner.measure] under {!with_scaled} — the engine behind the
-    category-removal figures: a figure-3f point is one call with the
-    removed category's sites scaled to [0.].  Scaling a site to zero
-    keeps the instruction (and its durability semantics, statistics and
-    scheduling points) and only zeroes its virtual cost, unlike the
-    site-disabling of earlier revisions which removed the instruction
-    from the execution. *)
-
 type config = {
   factory : Set_intf.factory;
   workload : Workload.config;
@@ -80,16 +64,13 @@ type config = {
   mechanisms : string list;  (** {!Nvm.Cost} knob names to sweep *)
 }
 
-val default_mechanisms : string list
-(** The persistence- and contention-relevant knobs: the pwb path
-    ([pwb_issue], [pwb_accept], [pwb_latency], [pwb_steal],
-    [pwb_shared], [pwb_inflight_stall]), the fences ([pfence_base],
-    [psync_base]), and the contention costs ([cas_contended],
-    [cache_miss], [write_miss], [cas_drains_wb]). *)
-
 val default_config : Set_intf.factory -> Workload.mix -> config
 (** 16 threads × 250 ops, update-style key range 500, factors
-    [0×/0.5×/2×], all sites and categories, {!default_mechanisms}. *)
+    [0×/0.5×/2×], all sites and categories, and the persistence- and
+    contention-relevant knobs: the pwb path ([pwb_issue], [pwb_accept],
+    [pwb_latency], [pwb_steal], [pwb_shared], [pwb_inflight_stall]), the
+    fences ([pfence_base], [psync_base]), and the contention costs
+    ([cas_contended], [cache_miss], [write_miss], [cas_drains_wb]). *)
 
 val quick_config : Set_intf.factory -> Workload.mix -> config
 (** Smaller: 8 threads × 120 ops — the smoke-test configuration. *)

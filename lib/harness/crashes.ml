@@ -52,24 +52,12 @@ let config_of (r : Repro.t) =
               max_crashes = r.max_crashes;
             })
 
-(* The harness's side of a run, all plain data between rounds: the rng,
-   the system's durable invocation bookkeeping (each thread's pending
+(* The harness's side of a run, all plain data between rounds: the
+   system's durable invocation bookkeeping (each thread's pending
    operation with the framework's own token for it, from [note_begin],
    and its remaining script), the responses so far, the counters and the
-   round log, newest first.
-
-   A run without a controller draws each round's crash point from [rng].
-   Under a controller, whose crash point always wins, those draws are
-   only owed: [owed] counts them — they are the draws of rounds
-   [0..owed-1], since a round draws only while crashes remain and the
-   crash count never falls — and [rng] stays the prepared state's,
-   shared with every checkpoint and never advanced, until a [`Rng]
-   write-back resolution first needs it ([own_rng]).  [owned] says
-   [rng] belongs to this run alone, so a checkpoint must copy it. *)
+   round log, newest first. *)
 type run = {
-  mutable rng : Random.State.t;
-  mutable owned : bool;
-  mutable owed : int;
   pending : (Set_intf.op * Set_intf.pending) option array;
   remaining : Set_intf.op list array;
   mutable events : Oracle.event list;
@@ -80,12 +68,7 @@ type run = {
 }
 
 let copy_run r =
-  {
-    r with
-    rng = (if r.owned then Random.State.copy r.rng else r.rng);
-    pending = Array.copy r.pending;
-    remaining = Array.copy r.remaining;
-  }
+  { r with pending = Array.copy r.pending; remaining = Array.copy r.remaining }
 
 (* Where a run resumes: at round 0, or right after [round] returned
    [outcome] (its log entry pushed, the outcome not yet handled). *)
@@ -116,7 +99,7 @@ type ctl = {
   ctl_keep : int -> bool;
       (* a switching step's runner continues undecided, passed to
          Sim.run ~keep *)
-  ctl_wb : round:int -> Repro.wb;
+  ctl_wb : round:int -> [ `Drop | `All | `Prefix of int ];
       (* write-back resolution for the crash that ended [round] *)
   ctl_checkpoint : checkpoint -> unit;
       (* each round boundary another round follows, as a checkpoint *)
@@ -125,10 +108,11 @@ type ctl = {
 (* Everything a run does before round 0, done once: the heap, the
    structure, the prefill, the initial contents and the op scripts,
    captured as the round-0 checkpoint every run resumes from unless it
-   is given a later one. *)
+   is given a later one, and the harness rng as the prefill left it. *)
 type prepared = {
   cfg : config;
   seed : int;
+  rng : Random.State.t;
   heap : Pmem.heap;
   algo : Set_intf.t;
   initial : int list;
@@ -152,9 +136,6 @@ let prepare cfg ~seed =
   in
   let state =
     {
-      rng;
-      owned = false;
-      owed = 0;
       pending = Array.make cfg.threads None;
       remaining = scripts;
       events = [];
@@ -167,6 +148,7 @@ let prepare cfg ~seed =
   {
     cfg;
     seed;
+    rng;
     heap;
     algo;
     initial;
@@ -190,10 +172,20 @@ let prepare cfg ~seed =
    happened, so a failure can be replayed — or shrunk — from it. *)
 let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
   let { cfg; seed; heap; algo; initial; _ } = p in
-  let cp = match from with Some cp -> cp | None -> p.start in
+  let cp =
+    match (from, ctl) with
+    | None, _ -> p.start
+    | Some cp, Some _ -> cp
+    | Some _, None -> invalid_arg "Crashes.run_prepared: ~from needs ~ctl"
+  in
   Pmem.restore cp.mem;
   cp.restore_volatile ();
   let st = copy_run cp.state in
+  (* Only a run without a controller draws — its crash points and [`Rng]
+     resolutions — and from its own copy of the prepared rng.  A
+     controller decides both, so its runs and their checkpoints leave
+     the prepared rng as the prefill left it. *)
+  let rng = if ctl = None then Random.State.copy p.rng else p.rng in
   if Metrics.active () then Metrics.reset ();
   let { pending; remaining; _ } = st in
   let record op ok = st.events <- { Oracle.eop = op; ok } :: st.events in
@@ -235,28 +227,9 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
   (* watchdog: a livelocked structure must fail the campaign, not hang it *)
   let step_limit = max 2_000_000 (crash_budget_steps * 100) in
   let crash_bound round = max 2 (crash_budget_steps / (round + 1)) in
-  (* [st.rng] brought up to date with the draws a run without a
-     controller would have made, and owned by this run. *)
-  let own_rng () =
-    if not st.owned then begin
-      let rng = Random.State.copy st.rng in
-      for round = 0 to st.owed - 1 do
-        ignore (Random.State.int rng (crash_bound round) : int)
-      done;
-      st.rng <- rng;
-      st.owned <- true;
-      st.owed <- 0
-    end;
-    st.rng
-  in
   let next_crash_at round =
     if st.crashes >= cfg.max_crashes then -1
-    else if ctl <> None && not st.owned then begin
-      assert (round = st.owed);
-      st.owed <- st.owed + 1;
-      -1
-    end
-    else 1 + Random.State.int (own_rng ()) (crash_bound round)
+    else 1 + Random.State.int rng (crash_bound round)
   in
   let script = Array.of_list script in
   (* The round's dispatches, recorded into one buffer per run. *)
@@ -271,23 +244,18 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
     incr n_picks
   in
   let run_round ~kind round =
-    (* The rng draw happens even when the script overrides the crash
-       point, so a full-script replay consumes the harness rng in exactly
-       the recorded pattern (Pmem.crash draws stay aligned); under a
-       controller the draw is owed instead (see [run]). *)
-    let picked = next_crash_at round in
-    let forced = if round < Array.length script then Some script.(round) else None in
-    let crash_at =
+    let crash_at, schedule =
       match ctl with
-      | Some c -> c.ctl_crash_at ~kind ~round
+      | Some c -> (c.ctl_crash_at ~kind ~round, [||]) (* nothing to replay *)
       | None -> (
-          match forced with Some r -> r.Repro.crash_at | None -> picked)
-    in
-    let schedule =
-      match (ctl, forced) with
-      | Some _, _ -> [||] (* the controller decides; nothing to replay *)
-      | None, Some r -> r.Repro.schedule
-      | None, None -> [||]
+          (* The rng draw happens even when the script overrides the
+             crash point, so a full-script replay consumes the harness
+             rng in exactly the recorded pattern (Pmem.crash draws stay
+             aligned). *)
+          let picked = next_crash_at round in
+          if round < Array.length script then
+            (script.(round).Repro.crash_at, script.(round).Repro.schedule)
+          else (picked, [||]))
     in
     n_picks := 0;
     Events.round ~kind round;
@@ -321,7 +289,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
      controller first, then the script, else the harness rng. *)
   let crash_wb round =
     match ctl with
-    | Some c -> c.ctl_wb ~round
+    | Some c -> (c.ctl_wb ~round :> Repro.wb)
     | None -> (
         if round < Array.length script then script.(round).Repro.wb else `Rng)
   in
@@ -358,7 +326,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
         st.crashes <- st.crashes + 1;
         let wb = crash_wb round in
         (match wb with
-        | `Rng -> Pmem.crash ~rng:(own_rng ()) heap
+        | `Rng -> Pmem.crash ~rng heap
         | (`Drop | `All | `Prefix _) as resolution ->
             Pmem.crash ~resolution heap);
         Events.crash_resolved ~round;
@@ -429,13 +397,6 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
 let run_logged ?script ?on_divergence ?ctl ?observe cfg ~seed =
   run_prepared ?script ?on_divergence ?ctl ?observe (prepare cfg ~seed)
 
-let run_once ?script ?repro_file ?observe cfg ~seed =
-  let result, rounds = run_logged ?script ?observe cfg ~seed in
-  (match (result, repro_file) with
-  | Error error, Some path -> Repro.save path (repro_of cfg ~seed ~error ~rounds)
-  | _ -> ());
-  result
-
 (* Replay a repro with its recorded crash points, schedules and
    write-back resolutions forced.  Any divergence means the run was NOT
    the recorded execution: even a "reproduced" failure message could
@@ -460,25 +421,6 @@ let replayed (r : Repro.t) : Repro.replayed =
       | None, Error e -> Failed e)
 
 let replay r = Repro.replay_result (replayed r)
-
-(* ---- crash forensics --------------------------------------------------- *)
-
-(* One campaign run with the forensic recorder attached: the recording
-   costs nothing to ordinary campaigns because it only exists here.  A
-   passing run yields no postmortem — that is the healthy-variant
-   property test/test_forensics.ml locks down. *)
-let forensic_run ?script ?on_divergence cfg ~seed =
-  Forensics.start ();
-  Fun.protect ~finally:Forensics.stop (fun () ->
-      let result, rounds = run_logged ?script ?on_divergence cfg ~seed in
-      let pm =
-        match result with
-        | Ok _ -> None
-        | Error error ->
-            Some
-              (Forensics.build ~algo:cfg.factory.Set_intf.fname ~seed ~error)
-      in
-      (result, rounds, pm))
 
 let explain (r : Repro.t) =
   Forensics.explain ~algo:r.algo ~seed:r.seed ~error:r.error (fun () ->
@@ -506,8 +448,9 @@ let errors_match ~original e =
    candidate makes the shrinker effective on schedule-dependent failures
    without giving up determinism: the result carries the exact seed,
    crash points and schedules of the shrunk failure, so it replays
-   bit-for-bit. *)
-let shrink ?(budget = 500) ?(match_error = true) (r : Repro.t) =
+   bit-for-bit.  At most 500 probe runs. *)
+let shrink ?(match_error = true) (r : Repro.t) =
+  let budget = 500 in
   let runs = ref 0 in
   let attempt (cand : Repro.t) ~scripts =
     match config_of cand with

@@ -34,20 +34,6 @@ type outcome = {
           "replayed" result as meaningless. *)
 }
 
-val run_once :
-  ?script:Repro.round list ->
-  ?repro_file:string ->
-  ?observe:(Pmem.heap -> Set_intf.t -> unit) ->
-  config ->
-  seed:int ->
-  (outcome, string) result
-(** One seeded run; [Error] describes the first detected violation.
-    [script] forces the crash point, schedule and write-back resolution
-    of its rounds (later rounds run free).  With [repro_file], a failing
-    run writes a replayable {!Repro.t} there.  [observe] fires once after
-    the verdict, while the run's heap and structure are still in scope —
-    the space sweep's entry point. *)
-
 type prepared
 (** The state every run of one (configuration, seed) starts from: the
     heap and structure after the prefill, the initial contents, each
@@ -68,11 +54,12 @@ type checkpoint
     thread is alive there, so the boundary is plain data: the tracked
     heap and the machine's write-back rings, deadlines and crash log
     ({!Pmem.snapshot}), the structure's [save_volatile] capture, and the
-    run state — the rng, each thread's pending token and remaining
-    script, the responses and counters so far, the round log — plus the
-    outcome still to handle.  A run resumed from it takes exactly the
-    steps the original run took after that point, given the same
-    decisions.  The post-prefill state of a {!prepared} is the round-0
+    run state — each thread's pending token and remaining script, the
+    responses and counters so far, the round log — plus the outcome
+    still to handle.  Only a [ctl] run takes checkpoints, and it draws
+    nothing from the harness rng, so no checkpoint holds one.  A run
+    resumed from it takes exactly the steps the original run took after
+    that point, given the same decisions.  The post-prefill state of a {!prepared} is the round-0
     checkpoint. *)
 
 (** External control of every campaign decision, for the exploration
@@ -80,11 +67,11 @@ type checkpoint
     decision (see [Sim.run ?choose]) and the write-back resolution of
     each crash.  The controller sees exactly the decision points a
     scripted replay would force, so an explorer-found failure replays
-    through the ordinary [script] path with zero divergences.  Its crash
-    point always wins, so a controlled run draws none from the harness
-    rng and never copies it; a controller that resolves a crash with
-    [`Rng] still gets the resolution a scripted replay of the run's log
-    reproduces. *)
+    through the ordinary [script] path with zero divergences.  The
+    controller decides deterministically: its crash point always wins
+    and it resolves every crash with a fixed subset, never [`Rng], so a
+    controlled run reads nothing from the harness rng.  A run without a
+    controller draws from its own copy of it. *)
 type ctl = {
   ctl_crash_at : kind:[ `Work | `Recover ] -> round:int -> int;
       (** crash point for the upcoming round; [<= 0] = run crash-free *)
@@ -94,7 +81,7 @@ type ctl = {
       (** whether the runner of a switching step continues without a
           decision (its argument counts the ready threads, runner
           included), passed to [Sim.run ~keep] *)
-  ctl_wb : round:int -> Repro.wb;
+  ctl_wb : round:int -> [ `Drop | `All | `Prefix of int ];
       (** write-back resolution for the crash that ended [round] *)
   ctl_checkpoint : checkpoint -> unit;
       (** the checkpoint of each round boundary another round follows,
@@ -123,11 +110,12 @@ val run_prepared :
 (** Restore a checkpoint — [from], or the prepared state's round-0 one —
     then handle its outcome and run the remaining rounds and every
     oracle, invariant and poison check over the run's whole history.
-    [from] must come from a [ctl] run of this prepared state; the
-    resumed run continues that run from the checkpoint, so its result
-    and round log equal those of a {!run_logged} given the earlier run's
-    decisions up to the checkpoint and this run's after it, however many
-    runs came before from the same prepared state.  {!Explore} prepares
+    [from] must come from a [ctl] run of this prepared state, and the
+    resumed run needs a [ctl] too ([Invalid_argument] otherwise); it
+    continues that run from the checkpoint, so its result and round log
+    equal those of a {!run_logged} given the earlier run's decisions up
+    to the checkpoint and this run's after it, however many runs came
+    before from the same prepared state.  {!Explore} prepares
     once per tree and resumes every execution from the deepest
     checkpoint it shares with the previous one.  Only the events after
     the checkpoint reach the observer bus.  [script], [on_divergence],
@@ -141,12 +129,16 @@ val run_logged :
   config ->
   seed:int ->
   (outcome, string) result * Repro.round list
-(** [run_prepared (prepare cfg ~seed)]: like {!run_once}, also returning
-    the recorded round log (crash point, schedule and write-back
-    resolution per simulator round) — the raw material of a repro.
-    [on_divergence] fires for every scripted schedule entry that could
-    not be honored; [ctl] delegates all campaign decisions to an
-    external controller instead of the script/rng. *)
+(** [run_prepared (prepare cfg ~seed)]: one seeded run; [Error]
+    describes the first detected violation.  Also returns the recorded
+    round log (crash point, schedule and write-back resolution per
+    simulator round) — the raw material of a repro.  [script] forces the
+    crash point, schedule and write-back resolution of its rounds (later
+    rounds run free); [on_divergence] fires for every scripted schedule
+    entry that could not be honored; [ctl] delegates all campaign
+    decisions to an external controller instead of the script/rng.
+    [observe] fires once after the verdict, while the run's heap and
+    structure are still in scope — the space sweep's entry point. *)
 
 val run_campaign :
   config -> seeds:int list -> (int * outcome, Repro.t) result
@@ -157,10 +149,6 @@ val run_campaign :
 val repro_of :
   config -> seed:int -> error:string -> rounds:Repro.round list -> Repro.t
 
-val config_of : Repro.t -> (config, string) result
-(** Resolve a repro back to a runnable configuration ([Error] if the
-    factory name is unknown). *)
-
 val replay : Repro.t -> (unit, string) result
 (** Re-run a repro with its recorded crash points, schedules and
     write-back resolutions forced.  [Error] is the reproduced failure —
@@ -170,18 +158,6 @@ val replay : Repro.t -> (unit, string) result
     step, wanted tid), {e regardless} of how the diverged run ended: a
     diverged "replay" proves nothing about the recorded failure. *)
 
-val forensic_run :
-  ?script:Repro.round list ->
-  ?on_divergence:(round:int -> step:int -> want:int -> unit) ->
-  config ->
-  seed:int ->
-  (outcome, string) result * Repro.round list * Forensics.postmortem option
-(** {!run_logged} with the {!Forensics} recorder attached for the run's
-    duration.  A failing run additionally returns its postmortem; a
-    passing run returns [None] — healthy variants yield zero
-    postmortems.  Ordinary campaigns never pay for this: the recorder
-    only exists inside this call. *)
-
 val explain : Repro.t -> (Forensics.postmortem, string) result
 (** Replay a repro under the forensic recorder and return the
     postmortem of its failure.  Like {!replay}, a schedule divergence is
@@ -190,13 +166,12 @@ val explain : Repro.t -> (Forensics.postmortem, string) result
     execution.  Deterministic: the same repro explains to byte-identical
     {!Forensics.render_text}/{!Forensics.render_json} output. *)
 
-val shrink : ?budget:int -> ?match_error:bool -> Repro.t -> Repro.t
+val shrink : ?match_error:bool -> Repro.t -> Repro.t
 (** Greedily minimize a failing repro: fewer threads, fewer ops per
     thread, earlier first crash point — each move kept only if a probe
     run (free or with a forced early crash scaled to the candidate's
     size) still fails {e with the original failure}: identical message,
     or the same class (prefix before the first [':']).  A probe that
     fails differently is a different bug and is not adopted;
-    [match_error:false] relaxes this.  [budget] bounds the total number
-    of probe runs (default 500).  The result is itself a faithful,
-    replayable repro. *)
+    [match_error:false] relaxes this.  At most 500 probe runs.  The
+    result is itself a faithful, replayable repro. *)

@@ -73,7 +73,8 @@ type outcome = {
 type choice =
   | Sched of int  (* run this tid *)
   | Crash of int  (* crash the upcoming round at this step; 0 = no crash *)
-  | Wb of Repro.wb  (* resolution of the crash that just fired *)
+  | Wb of [ `Drop | `All | `Prefix of int ]
+      (* resolution of the crash that just fired *)
 
 type frame = {
   mutable chosen : choice;

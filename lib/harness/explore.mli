@@ -22,7 +22,7 @@
 
     Every execution runs the full oracle / detectability / poison checks
     of {!Crashes.run_logged}; a failure is returned as a standard
-    {!Repro.t} that [repro --replay] and [--shrink] consume unchanged,
+    {!Repro.t} that [repro replay] and its [--shrink] consume unchanged,
     replaying with zero schedule divergences.  The heap, structure,
     prefill and op scripts are built once per search
     ({!Crashes.prepare}), and each execution resumes from the deepest

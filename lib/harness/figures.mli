@@ -52,25 +52,6 @@ val default_config : config
 val quick_config : config
 
 val fig_throughput : config -> Workload.mix -> figure
-val fig_psyncs_per_op : config -> Workload.mix -> figure
-val fig_no_psync : config -> Workload.mix -> figure
-val fig_pwbs_per_op : config -> Workload.mix -> figure
-val fig_pwb_categories : config -> Workload.mix -> figure
-val fig_category_removal : config -> Workload.mix -> figure
-
-val fig_category_impact :
-  config -> Workload.mix -> Set_intf.factory -> figure
-(** Figures 5 and 6: pass {!Set_intf.tracking} or
-    {!Set_intf.capsules_opt}. *)
-
-val fig_latency : config -> Workload.mix -> figure
-(** Beyond-paper figure 7: p50/p99 operation latency per thread count,
-    measured with [Metrics] enabled (and disabled again on return). *)
-
-val fig_frameworks : config -> Workload.mix -> figure
-(** Beyond-paper figure 8r/8u: the two detectability frameworks over one
-    structure — Tracking against the Memento-composed List-mmt and
-    Comb-mmt — throughput and psyncs/op per thread count. *)
 
 val classification :
   config -> Workload.mix -> Set_intf.factory ->

@@ -85,8 +85,6 @@ let state_key : state option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let slot () = Domain.DLS.get state_key
-let active () = !(slot ()) <> None
-
 let pkey tid line site =
   string_of_int tid ^ "|" ^ line ^ "|" ^ site
 
@@ -750,5 +748,4 @@ let explain ~algo ~seed ~error replay =
                "replay failed differently: recorded %S, replay produced %S"
                error e))
 
-let error pm = pm.pm_error
 let disabled_sites pm = pm.pm_disabled_sites

@@ -25,8 +25,6 @@ val start : unit -> unit
 val stop : unit -> unit
 (** Unsubscribe and drop the recording.  Idempotent. *)
 
-val active : unit -> bool
-
 (** {1 Postmortems} *)
 
 type postmortem
@@ -57,8 +55,6 @@ val render_text : postmortem -> string
 
 val render_json : postmortem -> string
 (** The same postmortem as one JSON object; deterministic. *)
-
-val error : postmortem -> string
 
 val disabled_sites : postmortem -> string list
 (** The registered-but-disabled persist sites observed after the

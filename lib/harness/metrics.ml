@@ -6,17 +6,12 @@
    draws are consumed, so enabling metrics can never perturb a simulated
    execution (test_repro locks the analogous property for the tracer).
 
-   The whole registry — instruments, spans, contention and recovery
-   profiles, and the enabled flag itself — is domain-local: concurrent
-   campaigns on separate domains (Harness.Parallel) record independently
-   and cannot observe each other's instruments.  Handles returned by
-   {!counter}/{!gauge}/{!histogram} belong to the domain that created
-   them.
+   The whole state — the fixed instruments, spans, contention and
+   recovery profiles, and the enabled flag itself — is domain-local:
+   concurrent campaigns on separate domains (Harness.Parallel) record
+   independently and cannot observe each other's instruments.
 
    All durations are virtual nanoseconds on the per-thread Sim clocks. *)
-
-type counter = { c_name : string; mutable c : int }
-type gauge = { g_name : string; mutable g : float }
 
 type histogram = {
   h_name : string;
@@ -64,23 +59,16 @@ type state = {
   (* Total volume of recorded data; the disabled-path test asserts this
      stays 0 across a whole campaign when metrics are off. *)
   mutable events : int;
-  counters_tbl : (string, counter) Hashtbl.t;
-  mutable counters_rev : counter list;
-  gauges_tbl : (string, gauge) Hashtbl.t;
-  mutable gauges_rev : gauge list;
-  hists_tbl : (string, histogram) Hashtbl.t;
-  mutable hists_rev : histogram list;
-  (* well-known instruments *)
+  (* the instruments [repro stats] reports, in its order *)
   h_op : histogram;
   h_insert : histogram;
   h_delete : histogram;
   h_find : histogram;
   h_recover : histogram;
   h_recovery_round : histogram;
-  c_completed : counter;
-  c_helped : counter;
-  c_cas_failed : counter;
-  g_recovery_last : gauge;
+  mutable completed : int;
+  mutable helped : int;
+  mutable with_cas_failure : int;
   (* in-flight span per thread; cur_kind = "" means none open *)
   cur_kind : string array;
   cur_key : int array;
@@ -101,7 +89,8 @@ type state = {
   mutable recovery_rev : (int * float) list;
 }
 
-let fresh_hist name =
+(* A fresh histogram; the state's six are the ones the report reads. *)
+let histogram name =
   {
     h_name = name;
     buckets = Array.make n_buckets 0;
@@ -111,119 +100,38 @@ let fresh_hist name =
     hmax = neg_infinity;
   }
 
-let register_counter st name =
-  match Hashtbl.find_opt st.counters_tbl name with
-  | Some c -> c
-  | None ->
-      let c = { c_name = name; c = 0 } in
-      Hashtbl.add st.counters_tbl name c;
-      st.counters_rev <- c :: st.counters_rev;
-      c
-
-let register_gauge st name =
-  match Hashtbl.find_opt st.gauges_tbl name with
-  | Some g -> g
-  | None ->
-      let g = { g_name = name; g = 0. } in
-      Hashtbl.add st.gauges_tbl name g;
-      st.gauges_rev <- g :: st.gauges_rev;
-      g
-
-let register_hist st name =
-  match Hashtbl.find_opt st.hists_tbl name with
-  | Some h -> h
-  | None ->
-      let h = fresh_hist name in
-      Hashtbl.add st.hists_tbl name h;
-      st.hists_rev <- h :: st.hists_rev;
-      h
-
 let fresh_state () =
-  let st =
-    {
-      enabled = false;
-      events = 0;
-      counters_tbl = Hashtbl.create 16;
-      counters_rev = [];
-      gauges_tbl = Hashtbl.create 16;
-      gauges_rev = [];
-      hists_tbl = Hashtbl.create 16;
-      hists_rev = [];
-      h_op = fresh_hist "op";
-      h_insert = fresh_hist "op.insert";
-      h_delete = fresh_hist "op.delete";
-      h_find = fresh_hist "op.find";
-      h_recover = fresh_hist "op.recover";
-      h_recovery_round = fresh_hist "recovery.round";
-      c_completed = { c_name = "ops.completed"; c = 0 };
-      c_helped = { c_name = "ops.helped"; c = 0 };
-      c_cas_failed = { c_name = "ops.with_cas_failure"; c = 0 };
-      g_recovery_last = { g_name = "recovery.last_ns"; g = 0. };
-      cur_kind = Array.make max_t "";
-      cur_key = Array.make max_t 0;
-      cur_begin = Array.make max_t 0.;
-      cur_cas0 = Array.make max_t 0;
-      cur_helped = Array.make max_t false;
-      cas_fails = Array.make max_t 0;
-      spans_rev = [];
-      n_spans = 0;
-      sp_dropped = 0;
-      contention_tbl = Hashtbl.create 64;
-      alloc_tbl = Hashtbl.create 64;
-      heap_occ_tbl = Hashtbl.create 8;
-      recovery_cur = 0.;
-      recovery_rev = [];
-    }
-  in
-  (* The well-known instruments are ordinary registry entries, just
-     pre-registered so their registration order is stable. *)
-  let reg_h h =
-    Hashtbl.add st.hists_tbl h.h_name h;
-    st.hists_rev <- h :: st.hists_rev
-  in
-  let reg_c c =
-    Hashtbl.add st.counters_tbl c.c_name c;
-    st.counters_rev <- c :: st.counters_rev
-  in
-  reg_h st.h_op;
-  reg_h st.h_insert;
-  reg_h st.h_delete;
-  reg_h st.h_find;
-  reg_h st.h_recover;
-  reg_h st.h_recovery_round;
-  reg_c st.c_completed;
-  reg_c st.c_helped;
-  reg_c st.c_cas_failed;
-  Hashtbl.add st.gauges_tbl st.g_recovery_last.g_name st.g_recovery_last;
-  st.gauges_rev <- st.g_recovery_last :: st.gauges_rev;
-  st
+  {
+    enabled = false;
+    events = 0;
+    h_op = histogram "op";
+    h_insert = histogram "op.insert";
+    h_delete = histogram "op.delete";
+    h_find = histogram "op.find";
+    h_recover = histogram "op.recover";
+    h_recovery_round = histogram "recovery.round";
+    completed = 0;
+    helped = 0;
+    with_cas_failure = 0;
+    cur_kind = Array.make max_t "";
+    cur_key = Array.make max_t 0;
+    cur_begin = Array.make max_t 0.;
+    cur_cas0 = Array.make max_t 0;
+    cur_helped = Array.make max_t false;
+    cas_fails = Array.make max_t 0;
+    spans_rev = [];
+    n_spans = 0;
+    sp_dropped = 0;
+    contention_tbl = Hashtbl.create 64;
+    alloc_tbl = Hashtbl.create 64;
+    heap_occ_tbl = Hashtbl.create 8;
+    recovery_cur = 0.;
+    recovery_rev = [];
+  }
 
 let dls : state Domain.DLS.key = Domain.DLS.new_key fresh_state
 let state () = Domain.DLS.get dls
 let active () = (state ()).enabled
-
-(* ---- registry (same name->entry idiom as Pstats sites) ---------------- *)
-
-let counter name = register_counter (state ()) name
-let gauge name = register_gauge (state ()) name
-let histogram name = register_hist (state ()) name
-
-let incr_by c k =
-  let st = state () in
-  if st.enabled then begin
-    c.c <- c.c + k;
-    st.events <- st.events + 1
-  end
-
-let incr c = incr_by c 1
-let count c = c.c
-
-let set_gauge g v =
-  let st = state () in
-  if st.enabled then begin
-    g.g <- v;
-    st.events <- st.events + 1
-  end
 
 (* ---- log-bucketed histograms ------------------------------------------ *)
 
@@ -294,21 +202,28 @@ let summary h =
     max = (if h.n = 0 then 0. else h.hmax);
   }
 
-let hist_summary name =
-  Option.map summary (Hashtbl.find_opt (state ()).hists_tbl name)
+let hists st =
+  [
+    st.h_op;
+    st.h_insert;
+    st.h_delete;
+    st.h_find;
+    st.h_recover;
+    st.h_recovery_round;
+  ]
 
 let histograms () =
-  List.rev_map (fun h -> (h.h_name, summary h)) (state ()).hists_rev
+  List.map (fun h -> (h.h_name, summary h)) (hists (state ()))
 
-let counters () = List.rev_map (fun c -> (c.c_name, c.c)) (state ()).counters_rev
-let gauges () = List.rev_map (fun g -> (g.g_name, g.g)) (state ()).gauges_rev
+let hist_summary name = List.assoc_opt name (histograms ())
 
-let hist_for_kind st = function
-  | "insert" -> st.h_insert
-  | "delete" -> st.h_delete
-  | "find" -> st.h_find
-  | "recover" -> st.h_recover
-  | k -> register_hist st ("op." ^ k)
+let counters () =
+  let st = state () in
+  [
+    ("ops.completed", st.completed);
+    ("ops.helped", st.helped);
+    ("ops.with_cas_failure", st.with_cas_failure);
+  ]
 
 (* ---- operation spans --------------------------------------------------- *)
 
@@ -341,10 +256,15 @@ let op_end st ~tid ~ok ~clock =
     let helped = st.cur_helped.(tid) in
     let dur = Float.max 0. (clock -. st.cur_begin.(tid)) in
     observe st.h_op dur;
-    observe (hist_for_kind st kind) dur;
-    incr st.c_completed;
-    if helped then incr st.c_helped;
-    if cas_failures > 0 then incr st.c_cas_failed;
+    (match kind with
+    | "insert" -> observe st.h_insert dur
+    | "delete" -> observe st.h_delete dur
+    | "find" -> observe st.h_find dur
+    | "recover" -> observe st.h_recover dur
+    | _ -> ());
+    st.completed <- st.completed + 1;
+    if helped then st.helped <- st.helped + 1;
+    if cas_failures > 0 then st.with_cas_failure <- st.with_cas_failure + 1;
     push_span st
       {
         sp_tid = tid;
@@ -478,7 +398,6 @@ let recovery_round_done round =
   if st.enabled then begin
     st.recovery_rev <- (round, st.recovery_cur) :: st.recovery_rev;
     observe st.h_recovery_round st.recovery_cur;
-    set_gauge st.g_recovery_last st.recovery_cur;
     st.recovery_cur <- 0.
   end
 
@@ -503,9 +422,10 @@ let reset () =
       h.sum <- 0.;
       h.hmin <- infinity;
       h.hmax <- neg_infinity)
-    st.hists_rev;
-  List.iter (fun c -> c.c <- 0) st.counters_rev;
-  List.iter (fun g -> g.g <- 0.) st.gauges_rev;
+    (hists st);
+  st.completed <- 0;
+  st.helped <- 0;
+  st.with_cas_failure <- 0;
   Hashtbl.reset st.contention_tbl;
   Hashtbl.reset st.alloc_tbl;
   Hashtbl.reset st.heap_occ_tbl;

@@ -1,7 +1,8 @@
 (** Operation-level metrics: one subscriber on the [Sim] observer bus.
 
-    A {e domain-local} registry of counters, gauges and log-bucketed
-    virtual-time histograms, plus three derived profiles.  Like every
+    A {e domain-local}, fixed set of instruments — the six log-bucketed
+    virtual-time histograms and three counters {!histograms} and
+    {!counters} report — plus three derived profiles.  Like every
     observability surface of the substrate (the bus, the Trace sink),
     metrics state belongs to the calling domain: concurrent campaigns on
     separate domains ([Harness.Parallel]) record independently, and the
@@ -39,30 +40,18 @@ val disable : unit -> unit
 val active : unit -> bool
 
 val reset : unit -> unit
-(** Clear all recorded data — histogram contents, counters, gauges,
-    spans, contention and recovery profiles.  Registered instruments
-    survive (a registry entry is its name).  Called automatically at the
+(** Clear all recorded data — histogram contents, counters, spans,
+    contention and recovery profiles.  Called automatically at the
     start of every [Runner.measure] / [Crashes.run_logged] when metrics
     are active, so each run reports only its own events. *)
 
-(** {1 Registry} *)
+(** {1 Instruments} *)
 
-type counter
-type gauge
 type histogram
 
-val counter : string -> counter
-(** [counter name] returns the counter registered under [name], creating
-    it on first use (same idiom as [Pstats.site]). *)
-
-val gauge : string -> gauge
 val histogram : string -> histogram
-
-val incr : counter -> unit
-val incr_by : counter -> int -> unit
-val count : counter -> int
-
-val set_gauge : gauge -> float -> unit
+(** A fresh histogram of its own, outside {!histograms}: the report's
+    instruments are fixed. *)
 
 val observe : histogram -> float -> unit
 (** Record a sample (clamped to [>= 0]).  The histogram is log-bucketed
@@ -83,23 +72,25 @@ val summary : histogram -> summary
     usual nearest-rank definition; bucket representatives are clamped to
     the observed [min]/[max]. *)
 
-val quantile : histogram -> float -> float
+val histograms : unit -> (string * summary) list
+(** The report's histograms, in this order: ["op"], ["op.insert"],
+    ["op.delete"], ["op.find"], ["op.recover"] (operation spans by kind)
+    and ["recovery.round"]. *)
 
 val hist_summary : string -> summary option
-(** Summary of the histogram registered under a name, if any samples or
-    registration exist. *)
-
-val histograms : unit -> (string * summary) list
-(** All registered histograms, in registration order. *)
+(** The summary of the report histogram of this name, if there is
+    one. *)
 
 val counters : unit -> (string * int) list
-val gauges : unit -> (string * float) list
+(** The report's counters, in this order: ["ops.completed"],
+    ["ops.helped"] and ["ops.with_cas_failure"] (operations that saw a
+    failed CAS). *)
 
 (** {1 Operation spans}
 
     An [Events.Op_begin] opens a span on its thread; the thread's next
     [Events.Op_end] closes it, records the duration into the ["op"] and
-    ["op.<kind>"] histograms and stores the span. *)
+    ["op.<kind>"] histograms, counts it and stores the span. *)
 
 type span = {
   sp_tid : int;
@@ -133,7 +124,7 @@ val contention_top : int -> contention list
 
 type alloc_site = {
   as_heap : string;  (** owning heap *)
-  as_site : string;  (** allocation site ([Pmem.site_of_name]) *)
+  as_site : string;  (** allocation site ([Pmem.Alloc]'s [site]) *)
   as_lines : int;  (** cache lines allocated at this (heap, site) *)
 }
 
@@ -143,9 +134,9 @@ val alloc_sites_top : int -> alloc_site list
     enabled. *)
 
 val note_heap_occupancy : heap:string -> lines:int -> unit
-(** Snapshot a heap's [Pmem.lines_allocated] into the registry (the
-    harness calls this once after a run) — occupancy in every report
-    without enabling the full space sweep.  No-op when disabled. *)
+(** Snapshot a heap's [Pmem.lines_allocated] (the harness calls this
+    once after a run) — occupancy in every report without enabling the
+    full space sweep.  No-op when disabled. *)
 
 val heap_occupancy : unit -> (string * int) list
 (** Snapshotted per-heap line counts, sorted by heap name. *)
@@ -167,7 +158,7 @@ val recovery_durations : unit -> (int * float) list
 (** {1 Introspection for tests} *)
 
 val events_recorded : unit -> int
-(** Total volume of recorded data — histogram samples, counter
-    increments, spans, contention entries and recovery rounds.  [0] iff
+(** Total volume of recorded data — histogram samples, spans,
+    contention entries and recovery rounds.  [0] iff
     nothing was recorded since the last {!reset}; the disabled-path test
     asserts a full campaign leaves this at [0]. *)

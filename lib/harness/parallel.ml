@@ -72,9 +72,6 @@ let run (type a b) ?(jobs = 1) (f : int -> a -> b) (items : a array) : b array
       results
   end
 
-let map ?jobs f items =
-  Array.to_list (run ?jobs (fun _ x -> f x) (Array.of_list items))
-
 let first_failure (type b) (is_failure : b -> bool) (results : b array) :
     (int * b) option =
   let rec scan i =

@@ -43,9 +43,6 @@ val run : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
     item raises, the exception of the {e lowest-indexed} failing item is
     re-raised after all domains join. *)
 
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** List-flavoured {!run} without the index. *)
-
 val first_failure : ('b -> bool) -> 'b array -> (int * 'b) option
 (** Lowest-indexed result satisfying the predicate — the deterministic
     "first counterexample" of a fanned campaign. *)

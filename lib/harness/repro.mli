@@ -101,7 +101,6 @@ type t = {
   rounds : round list;
 }
 
-val magic : string
 val save : string -> t -> unit
 
 val load : string -> (t, string) result

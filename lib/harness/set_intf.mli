@@ -79,11 +79,8 @@ type t = {
           exactly: a run from it must behave like the run that reached
           it (sequence mirrors, volatile cursors, twin pointers
           rewritten by recovery).  Structures whose state lives entirely
-          in Pmem use {!no_volatile}. *)
+          in Pmem return a no-op. *)
 }
-
-val no_volatile : unit -> unit -> unit
-(** The [save_volatile] of a structure with no OCaml-side state. *)
 
 val apply : t -> op -> bool
 
@@ -109,19 +106,6 @@ val tracking_no_ro_opt : factory
 val tracking_hash : factory
 (** Hash map composed of per-bucket Tracking lists (extension). *)
 
-val tracking_topic : factory
-(** The recoverable Michael–Scott queue ({!Structures.Rqueue}) as a
-    FIFO topic-partition shard backend ([Queue_model]): [Ins k]
-    publishes, [Del _] consumes the head, [Fnd k] is a membership scan.
-    Built for the elastic store's multi-structure backends. *)
-
-val tracking_broken : factory
-(** Negative control: Tracking's list row with the new-node pwb
-    (["rlist-broken.new.pwb"]) elided, so crash campaigns {e must} fail
-    with poisoned-data / oracle violations.  Exists to prove the harness
-    detects missing flushes and to exercise the repro/replay/shrink
-    pipeline; never plotted. *)
-
 val capsules : factory
 val capsules_opt : factory
 val romulus : factory
@@ -138,15 +122,21 @@ val memento_comb : factory
 (** Comb-mmt: the Memento combining set — all operations flattened
     through a single combiner and one detectable CAS per batch. *)
 
-val memento_broken : factory
-(** Negative control: the List-mmt row with the checkpoint persist
-    (["mmt-broken.cp.pwb"]) elided, the Memento mirror of
-    {!tracking_broken} — crash campaigns and explore {e must} flag a
-    detectability (oracle) violation.  Never plotted. *)
-
 val all : factory list
 (** The variant table: every row, in a fixed order (the order of
-    {!names} and of the CLI's valid-name lists). *)
+    {!names} and of the CLI's valid-name lists).  Besides the rows
+    above it holds three reached by name only:
+    - ["tracking-topic"], the recoverable Michael–Scott queue
+      ({!Structures.Rqueue}) as a FIFO topic-partition shard backend
+      ([Queue_model]): [Ins k] publishes, [Del _] consumes the head,
+      [Fnd k] is a membership scan;
+    - ["tracking-broken"], a negative control: Tracking's list with the
+      new-node pwb (["rlist-broken.new.pwb"]) elided, so crash campaigns
+      {e must} fail with poisoned-data or oracle violations;
+    - ["memento-broken"], its Memento mirror: List-mmt with the
+      checkpoint persist (["mmt-broken.cp.pwb"]) elided, which campaigns
+      and explore {e must} flag as a detectability violation.
+    The negative controls are never plotted. *)
 
 val names : unit -> string list
 

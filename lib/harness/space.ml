@@ -193,17 +193,6 @@ type cfg = {
   seed : int;
 }
 
-let default_cfg =
-  {
-    threads = 4;
-    ops_per_thread = 120;
-    find_pct = 20;
-    key_range = 64;
-    prefill = 16;
-    max_crashes = 3;
-    seed = 1;
-  }
-
 (* One crash-campaign run of [factory] with the allocation registry
    attached, swept at the final state.  Self-contained per call so
    [Parallel.run] fan-out keeps every domain's observers local. *)

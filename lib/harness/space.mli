@@ -35,12 +35,6 @@ val reset : unit -> unit
 val recs : unit -> alloc_rec list
 (** Recorded allocations, chronological. *)
 
-val bytes_per_line : int
-(** Simulated cache-line size (64): bytes = lines × this. *)
-
-val growth_windows : int
-(** Virtual-time buckets in {!sweep.sv_growth} (8). *)
-
 (** One variant's swept accounting. *)
 type sweep = {
   sv_variant : string;
@@ -91,31 +85,16 @@ type cfg = {
   seed : int;
 }
 
-val default_cfg : cfg
-
-val run_variant : cfg -> Set_intf.factory -> (sweep, string) result
-(** One crash-campaign run with registry + metrics attached, swept at the
-    final recovered state.  Self-contained (enables and tears down its
-    own observers), so it can run inside a [Parallel.run] domain. *)
-
 val campaign :
   ?jobs:int ->
   cfg ->
   Set_intf.factory list ->
   (string * (sweep, string) result) list
-(** [run_variant] over every factory, fanned with {!Parallel.run};
-    results in input order regardless of [jobs]. *)
+(** One crash-campaign run per factory, with the registry and metrics
+    attached and swept at the final recovered state, fanned with
+    {!Parallel.run}; results in input order regardless of [jobs]. *)
 
 type results = (string * (sweep, string) result) list
-
-val bytes_per_op : sweep -> float
-val lines_per_op : sweep -> float
-
-val meta_ratio : sweep -> float
-(** Metadata lines per live payload line — the per-framework
-    metadata-overhead ratio in EXPERIMENTS.md. *)
-
-val garbage_rate : sweep -> float
 
 val render_text : cfg -> results -> string
 val render_json : cfg -> results -> string

@@ -54,7 +54,6 @@ type handle = {
   ctx : ctx;
 }
 
-val handle : ctx -> int -> handle
 val my_handle : ctx -> handle
 
 val next_invocation : handle -> int

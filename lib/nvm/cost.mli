@@ -49,9 +49,6 @@ val current : unit -> t
     never replace it — so the record may be cached domain-locally
     ({!Pmem}'s hot context relies on this). *)
 
-val defaults : unit -> t
-(** A fresh copy of the calibrated default table. *)
-
 val with_table : (t -> unit) -> (unit -> 'a) -> 'a
 (** [with_table tweak f] applies [tweak] to a copy of the defaults,
     installs it, runs [f], and restores the previous table. *)
@@ -74,9 +71,5 @@ val is_default : t -> bool
 type knob_kind =
   | Scalar  (** a virtual-ns cost: any scaling factor is meaningful *)
   | Flag  (** a behaviour toggle: only 0 (off) vs nonzero (on) *)
-
-val knobs : (string * knob_kind * (t -> float -> unit)) list
-(** [(name, kind, scale)] per field; [scale table f] multiplies the field
-    by [f] (or sets the flag to [f > 0.]). *)
 
 val find_knob : string -> (string * knob_kind * (t -> float -> unit)) option

@@ -371,7 +371,6 @@ let new_line ?(name = "line") h =
   charge ht ~switch:cost cost;
   line
 
-let line_name l = l.lname
 let line_id l = l.lid
 
 let on_line line v =

@@ -50,7 +50,9 @@ type trace_event =
       tid : int;  (** allocating thread; 0 outside a simulation *)
       heap : string;  (** owning heap's name *)
       line : string;  (** line name *)
-      site : string;  (** allocation site, {!site_of_name} of the name *)
+      site : string;
+          (** allocation site: the line name before its [":key"] suffix
+              or ["[index]"] subscript (["node:5"] → ["node"]) *)
       id : int;  (** per-heap allocation index ({!line_id}) *)
       time : float;  (** virtual ns at allocation; 0 outside a simulation *)
     }
@@ -71,11 +73,6 @@ type Sim.event +=
 
 val set_collector : (trace_event -> unit) option -> unit
 (** The {!Mem} events as a one-slot setter ({!Sim.hook}). *)
-
-val site_of_name : string -> string
-(** Allocation site encoded in a line name: the prefix before the
-    [":key"] suffix or ["[index]"] subscript — ["node:5"] → ["node"],
-    ["rom.ann(3)"]-style ["rom.ann[3]"] → ["rom.ann"]. *)
 
 (** {1 Crash forensics} *)
 
@@ -217,8 +214,6 @@ type line
 
 val new_line : ?name:string -> heap -> line
 (** Allocate a fresh cache line (charged {!Cost.t.alloc}). *)
-
-val line_name : line -> string
 
 val line_id : line -> int
 (** Per-heap allocation index (1-based): line names recur (two nodes for

@@ -46,10 +46,6 @@ val create :
 
 val finished : t -> bool
 
-val moved_key : t -> int -> bool
-(** Has this key's handoff committed (volatile mirror; what the routing
-    table's [Migrating] predicate reads)? *)
-
 val in_handoff : t -> int -> bool
 (** Is this key's handoff mid-flight right now?  The store's guard
     defers client mutations of such a key on the source. *)

@@ -83,7 +83,6 @@ type t = {
   model : Set_intf.model;  (* the backend's, kept by a failover *)
   replica : Replica.t option;
   mailbox : request Queue.t;
-  queue_gauge : Metrics.gauge;
   mutable inflight : inflight option;
   mutable in_recovery : bool;
       (* true while the crash protocol runs — the cascade campaign's
@@ -121,7 +120,6 @@ let create ?(replicate = false) factory ~threads ~server_tid sid =
     replica =
       (if replicate then Some (Replica.create factory ~threads ~sid) else None);
     mailbox = Queue.create ();
-    queue_gauge = Metrics.gauge (Printf.sprintf "store.shard%d.queue_depth" sid);
     inflight = None;
     in_recovery = false;
     initial = [];
@@ -141,8 +139,7 @@ let create ?(replicate = false) factory ~threads ~server_tid sid =
 let submit t req =
   Queue.push req t.mailbox;
   let depth = Queue.length t.mailbox in
-  if depth > t.max_queue then t.max_queue <- depth;
-  Metrics.set_gauge t.queue_gauge (float_of_int depth)
+  if depth > t.max_queue then t.max_queue <- depth
 
 let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
     ~on_complete ?(guard = fun (_ : request) -> `Execute) ?side_work
@@ -153,7 +150,7 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
     t.events <- { Oracle.eop = req.op; ok } :: t.events;
     if not req.internal then begin
       t.client_events <- { Oracle.eop = req.op; ok } :: t.client_events;
-      on_complete req ~ok ~recovered
+      on_complete ()
     end
   in
   let execute req =
@@ -188,7 +185,6 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
     let n = ref 0 in
     while !n < batch && not (Queue.is_empty t.mailbox) do
       let req = Queue.pop t.mailbox in
-      Metrics.set_gauge t.queue_gauge (float_of_int (Queue.length t.mailbox));
       (match if req.internal then `Execute else guard req with
       | `Execute -> execute req
       | `Defer ->

@@ -50,7 +50,6 @@ type t = {
   model : Set_intf.model;  (** the backend factory's; a failover keeps it *)
   replica : Replica.t option;
   mailbox : request Queue.t;
-  queue_gauge : Metrics.gauge;
   mutable inflight : inflight option;
   mutable in_recovery : bool;
       (** true while the crash protocol runs — cascade campaigns land a
@@ -101,7 +100,7 @@ val serve :
   failover_ns:float ->
   wb:[ `Rng | `Drop | `All | `Prefix of int ] ->
   live:(unit -> bool) ->
-  on_complete:(request -> ok:bool -> recovered:bool -> unit) ->
+  on_complete:(unit -> unit) ->
   ?guard:(request -> [ `Execute | `Defer | `Forward of t ]) ->
   ?side_work:(drain:(unit -> unit) -> bool) * (unit -> bool) ->
   ?after_recovery:(unit -> unit) ->

@@ -80,16 +80,10 @@ let quantile sorted q =
     let rank = int_of_float (ceil (q *. float_of_int n)) in
     Some sorted.(max 0 (min (n - 1) (rank - 1)))
 
-let latency (req : Shard.request) =
-  match req.Shard.state with
-  | Shard.Pending -> None
-  | Shard.Done { done_ns; _ } ->
-      Some (Float.max 0. (done_ns -. req.Shard.submit_ns))
-
 let default_window_count = 8
 
-let build ?window_ns ~total ~divergences ~requests ~(shards : Shard.t array)
-    ~crash_victim () =
+let build ~total ~divergences ~requests ~(shards : Shard.t array)
+    ~crash_victim =
   let completed = ref 0 and lost = ref 0 in
   let first_submit = ref infinity and last_done = ref 0. in
   let lats = ref [] in
@@ -207,11 +201,8 @@ let build ?window_ns ~total ~divergences ~requests ~(shards : Shard.t array)
      Every (window, shard) cell is emitted — including empty ones — so
      the counter tracks and the CSV have a regular grid. *)
   let wn =
-    match window_ns with
-    | Some w when w > 0. -> w
-    | _ ->
-        if makespan <= 0. then 0.
-        else Float.max 1. (makespan /. float_of_int default_window_count)
+    if makespan <= 0. then 0.
+    else Float.max 1. (makespan /. float_of_int default_window_count)
   in
   let windows =
     if !completed = 0 || wn <= 0. then []

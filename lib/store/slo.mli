@@ -74,25 +74,18 @@ type report = {
           perfect); [None] when unmeasurable — no set-model shard, or a
           set-model shard ended empty while another didn't *)
   windows : window list;  (** window-major, then shard id; [[]] if empty *)
-  window_ns : float;  (** width actually used (makespan/8 by default) *)
+  window_ns : float;  (** window width: the makespan / 8 *)
   divergences : int;  (** schedule-replay divergences (0 unless replaying) *)
 }
 
-val latency : Shard.request -> float option
-(** Completion latency of a single request, clamped at zero; [None] while
-    pending. *)
-
 val build :
-  ?window_ns:float ->
   total:int ->
   divergences:int ->
   requests:Shard.request list ->
   shards:Shard.t array ->
   crash_victim:int option ->
-  unit ->
   report
-(** [window_ns] sets the windowed time-series' bucket width; by default
-    the makespan is split into 8 windows. *)
+(** The windowed time-series splits the makespan into 8 windows. *)
 
 val check :
   ?balance_max:float -> crash_expected:bool -> report -> (unit, string) result

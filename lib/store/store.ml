@@ -198,7 +198,6 @@ let run ?record ?(schedule = [||]) cfg =
         | None -> ()
       done;
       Pmem.reset_pending ();
-      if Metrics.active () then Metrics.reset ();
       Array.iter
         (fun (s : Shard.t) ->
           s.Shard.initial <- s.Shard.algo.Set_intf.contents ())
@@ -207,12 +206,7 @@ let run ?record ?(schedule = [||]) cfg =
       let completed = ref 0 in
       let requests = ref [] in
       let next_rid = ref 0 in
-      let lat_hist = Metrics.histogram "store.request.latency" in
-      let on_complete (req : Shard.request) ~ok:_ ~recovered:_ =
-        incr completed;
-        Metrics.observe lat_hist
-          (Float.max 0. (Sim.now () -. req.Shard.submit_ns))
-      in
+      let on_complete () = incr completed in
       (* Servers stay up past the last client completion until the
          migration finishes — handoffs keep flowing on an idle store. *)
       let live () =
@@ -479,7 +473,7 @@ let run ?record ?(schedule = [||]) cfg =
               let report =
                 Slo.build ~total ~divergences:!divergences
                   ~requests:!requests ~shards
-                  ~crash_victim:(victim_of cfg) ()
+                  ~crash_victim:(victim_of cfg)
               in
               if Trace.active () then
                 List.iter
@@ -522,12 +516,15 @@ type explore_stats = {
   ex_first_cex : (config * int array * string) option;
 }
 
-let default_wb_pairs =
+(* The write-back resolutions swept per crash point: a single victim's,
+   and the pairs of a both-endpoints power loss. *)
+let wbs = [ `Drop; `All; `Prefix 1; `Prefix 2 ]
+
+let wb_pairs =
   [ (`Drop, `Drop); (`All, `All); (`Drop, `All); (`All, `Drop);
     (`Prefix 1, `Prefix 1) ]
 
-let explore ?(wbs = [ `Drop; `All; `Prefix 1; `Prefix 2 ])
-    ?(wb_pairs = default_wb_pairs) ?(dispatch_budget = 64) ?(jobs = 1) cfg =
+let explore ?(dispatch_budget = 64) ?(jobs = 1) cfg =
   match run { cfg with crash = None } with
   | Error msg -> Error ("explore: crash-free baseline failed: " ^ msg)
   | Ok _ ->

@@ -89,15 +89,12 @@ val run :
 
 type victim_spec = Single of int | Both of int * int
 
-val spec_label : victim_spec -> string
-(** ["shardN"] or ["shardA+shardB"]. *)
-
 type explore_stats = {
   ex_executions : int;
   ex_fired : int;  (** runs whose crash interrupt actually delivered *)
   ex_max_dispatch : (string * int) array;
-      (** per victim spec ({!spec_label}), the highest dispatch index at
-          which its interrupt still fired *)
+      (** per victim spec (["shardN"] or ["shardA+shardB"]), the highest
+          dispatch index at which its interrupt still fired *)
   ex_failures : int;
   ex_first_failure : string option;
   ex_first_cex : (config * int array * string) option;
@@ -107,11 +104,6 @@ type explore_stats = {
 }
 
 val explore :
-  ?wbs:[ `Rng | `Drop | `All | `Prefix of int ] list ->
-  ?wb_pairs:
-    ([ `Rng | `Drop | `All | `Prefix of int ]
-    * [ `Rng | `Drop | `All | `Prefix of int ])
-    list ->
   ?dispatch_budget:int ->
   ?jobs:int ->
   config ->
@@ -120,11 +112,11 @@ val explore :
     spec x dispatch index (1 up to [dispatch_budget], default 64, or
     until the victim finishes before the interrupt fires) x write-back
     resolution.  Without a migration the specs are each single shard
-    under [wbs] (default [`Drop; `All; `Prefix 1; `Prefix 2]); with a
-    migration they are the source, the destination, and the correlated
-    both-endpoints power loss under [wb_pairs] (default crosses
-    drop/all both ways plus a prefix point) — each heap of the pair
-    resolves independently and adversarially.  Each execution must
+    under [`Drop], [`All], [`Prefix 1] and [`Prefix 2]; with a migration
+    they are the source, the destination, and the correlated
+    both-endpoints power loss under five pairs (drop/all crossed both
+    ways plus [`Prefix 1] on both) — each heap of the pair resolves
+    independently and adversarially.  Each execution must
     resolve every request to a definite outcome AND leave every key in
     exactly one shard (the full check set of {!run}); failures are
     counted and the first counterexample is reported.  [cfg.crash] is

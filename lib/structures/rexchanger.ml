@@ -193,25 +193,3 @@ let recover ?(spins = 64) t v =
                 | Got _ | Cancelled | Pending -> exchange ~spins t v)))
 
 let slot_is_free t = Pmem.peek t.slot = None
-
-(* Space-sweep enumeration.  An exchanger holds no abstract contents, so
-   the slot root is empty payload and every reachable descriptor (the
-   installed waiter's and each thread's announced one) is metadata.
-   Collided/cancelled descriptors that no cell references any more are
-   garbage by omission. *)
-let space t =
-  let acc = ref [] in
-  let push line cls = acc := (line, cls) :: !acc in
-  push (Pmem.line_of t.slot) (`Payload []);
-  (match Pmem.peek t.slot with
-  | None -> ()
-  | Some d -> push d.line (`Meta "descriptor"));
-  Array.iter
-    (fun cell ->
-      push (Pmem.line_of cell) (`Meta "announce");
-      match Pmem.peek cell with
-      | None -> ()
-      | Some d -> push d.line (`Meta "descriptor"))
-    t.rd;
-  Array.iter (fun cell -> push (Pmem.line_of cell) (`Meta "checkpoint")) t.cp;
-  List.rev !acc

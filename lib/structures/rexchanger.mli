@@ -33,9 +33,3 @@ val recover : ?spins:int -> t -> int -> int option
 
 val slot_is_free : t -> bool
 (** Volatile check that no waiter is currently installed. *)
-
-val space : t -> (Pmem.line * [ `Payload of int list | `Meta of string ]) list
-(** Persistent-space enumeration ([Harness.Space]): the slot root plus
-    every still-referenced descriptor and the per-thread CP/RD cells.
-    An exchanger holds no abstract contents, so payload lines carry no
-    values; unreferenced descriptors are garbage by omission. *)

@@ -177,8 +177,6 @@ let to_list t =
   in
   go [] (Pmem.peek t.top)
 
-let length t = List.length (to_list t)
-
 let check_invariants ?(expect_untagged = true) t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec go n nd =
@@ -195,33 +193,3 @@ let check_invariants ?(expect_untagged = true) t =
       | Some _, Some next -> go (n + 1) next
   in
   go 0 (Pmem.peek t.top)
-
-(* Space-sweep enumeration: the top root cell and the bottom sentinel
-   carry no abstract state; each chain node carries its value.  Popped
-   nodes (tagged forever, unreachable from top) are garbage by
-   omission. *)
-let space t =
-  let acc = ref [] in
-  let push_l line cls = acc := (line, cls) :: !acc in
-  let desc_of_info = function
-    | Desc.Clean -> ()
-    | Desc.Tagged d | Desc.Untagged d ->
-        push_l (Desc.line d) (`Meta "descriptor")
-  in
-  push_l (Pmem.line_of t.top) (`Payload []);
-  let rec walk nd =
-    push_l nd.line
-      (match nd.value with Some v -> `Payload [ v ] | None -> `Payload []);
-    desc_of_info (Pmem.peek nd.info);
-    match Pmem.peek nd.next with None -> () | Some next -> walk next
-  in
-  walk (Pmem.peek t.top);
-  Array.iter
-    (fun h ->
-      push_l (Pmem.line_of h.Tracking.cp) (`Meta "checkpoint");
-      push_l (Pmem.line_of h.Tracking.rd) (`Meta "announce");
-      match Pmem.peek h.Tracking.rd with
-      | None -> ()
-      | Some d -> push_l (Desc.line d) (`Meta "descriptor"))
-    t.handles;
-  List.rev !acc

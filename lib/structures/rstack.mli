@@ -29,12 +29,4 @@ val recover : 'a t -> 'a pending -> 'a option
 val to_list : 'a t -> 'a list
 (** Top-to-bottom volatile snapshot. *)
 
-val length : 'a t -> int
-
 val check_invariants : ?expect_untagged:bool -> 'a t -> (unit, string) result
-
-val space : 'a t -> (Pmem.line * [ `Payload of 'a list | `Meta of string ]) list
-(** Persistent-space enumeration ([Harness.Space]): reachable lines
-    classified as payload (chain nodes carry their value; the top root
-    and the sentinel carry none) or detectability metadata.  Popped nodes
-    are garbage by omission. *)

@@ -136,14 +136,14 @@ let test_raising_measurement_leaks_nothing () =
   in
   (try
      ignore
-       (Causal.measure_scaled ~duration_ns:10_000.
-          ~scaled:
-            [
-              (Causal.Category Pstats.Low, 0.);
-              (Causal.Mechanism "cache_miss", 2.);
-            ]
-          raising ~threads:2
-          (Workload.default Workload.update_intensive)
+       (Causal.with_scaled
+          [
+            (Causal.Category Pstats.Low, 0.);
+            (Causal.Mechanism "cache_miss", 2.);
+          ]
+          (fun () ->
+            Runner.measure ~duration_ns:10_000. raising ~threads:2
+              (Workload.default Workload.update_intensive))
          : Runner.point);
      Alcotest.fail "expected the factory to raise"
    with Failure _ -> ());

@@ -137,13 +137,18 @@ let test_find_recovery_reinvokes () =
 (* A prepared state serves a whole sweep and every run from it equals a
    fresh run: for each crash-capable factory, one [Crashes.prepare] on
    crash-explore's tree shape serves a crash at every step of the
-   crash-free round 0, under three write-back resolutions, and each
-   run's verdict and round log must equal a fresh [run_logged] with the
-   same script.  The prepared runs go first, back to back, so each one
-   starts from the state the previous one left — what [Pmem.restore]
-   and the structure's [save_volatile] must undo.  For the two
-   frameworks of crash-explore the restore must also allocate at least
-   1,000 minor words per run less than the rebuild it replaces. *)
+   crash-free round 0, under four write-back resolutions ([`Rng] among
+   them), and each run's verdict and round log must equal a fresh
+   [run_logged] with the same script.  The prepared runs go first, back
+   to back, so each one starts from the state the previous one left —
+   what [Pmem.restore] and the structure's [save_volatile] must undo.
+   Runs from one prepared state stay independent: an uncontrolled run
+   draws from its own copy of the harness rng, and a controlled run
+   never advances it, so for the two frameworks of crash-explore a
+   controlled run crashing at the same step ([`Drop]) precedes each
+   prepared run and changes nothing.  For those two the restore must
+   also allocate at least 1,000 minor words per run less than the
+   rebuild it replaces. *)
 let test_prepared_equals_fresh () =
   let tree f =
     Crashes.
@@ -172,14 +177,36 @@ let test_prepared_equals_fresh () =
             | _, r0 :: _ -> Array.length r0.Repro.schedule - cfg.threads
             | _, [] -> Alcotest.failf "%s: no round 0" f.fname
           in
-          let scripts =
+          let crashes =
             List.concat_map
-              (fun c -> List.map (round c) [ `Drop; `All; `Prefix 1 ])
+              (fun c ->
+                List.map (fun wb -> (c, round c wb)) [ `Drop; `All; `Prefix 1; `Rng ])
               (List.init (steps + 1) Fun.id)
           in
+          let scripts = List.map snd crashes in
+          let framework = List.mem f.fname [ "tracking"; "memento-list" ] in
+          let ctl c =
+            {
+              Crashes.ctl_crash_at =
+                (fun ~kind:_ ~round -> if round = 0 then c else 0);
+              ctl_choose = (fun ~crashing:_ ready -> ready.(0));
+              ctl_keep = (fun n -> n = 1);
+              ctl_wb = (fun ~round:_ -> `Drop);
+              ctl_checkpoint = ignore;
+            }
+          in
           let p = Crashes.prepare cfg ~seed in
-          let w0 = Gc.minor_words () in
-          let prepared = List.map (fun script -> Crashes.run_prepared ~script p) scripts in
+          let prepared_words = ref 0. in
+          let prepared =
+            List.map
+              (fun (c, script) ->
+                if framework then ignore (Crashes.run_prepared ~ctl:(ctl c) p);
+                let w = Gc.minor_words () in
+                let r = Crashes.run_prepared ~script p in
+                prepared_words := !prepared_words +. (Gc.minor_words () -. w);
+                r)
+              crashes
+          in
           let w1 = Gc.minor_words () in
           let fresh = List.map (fun script -> Crashes.run_logged ~script cfg ~seed) scripts in
           let w2 = Gc.minor_words () in
@@ -189,9 +216,9 @@ let test_prepared_equals_fresh () =
           if differ <> [] then
             Alcotest.failf "%s seed %d: %d of %d prepared runs differ from fresh runs"
               f.fname seed (List.length differ) (List.length scripts);
-          if List.mem f.fname [ "tracking"; "memento-list" ] then begin
+          if framework then begin
             let n = float_of_int (List.length scripts) in
-            let saved = ((w2 -. w1) -. (w1 -. w0)) /. n in
+            let saved = ((w2 -. w1) -. !prepared_words) /. n in
             if saved < 1000. then
               Alcotest.failf "%s seed %d: restore saves %.0f minor words per run"
                 f.fname seed saved

@@ -212,61 +212,6 @@ let test_work_per_execution () =
           dispatches budget_dispatches)
     [ ("tracking", 1940.7, 108.73); ("memento-list", 1361.6, 63.73) ]
 
-(* A controller that resolves crashes with [`Rng].  A controlled run
-   draws no crash point from the harness rng; its first [`Rng]
-   resolution must still see the rng a run without a controller has
-   there, so the round log replays through the script path to the same
-   verdict, log and crash resolutions (which write-backs each crash
-   persisted, from [Pmem.crash_reports]), and so does every resume from
-   one of its checkpoints — a crash's, taken before the resolution, and
-   one taken after a [`Rng] resolution already used the rng. *)
-let test_ctl_rng_replays () =
-  let tree = crash_explore_tree Set_intf.tracking 0 in
-  let cfg = { tree.Explore.campaign with Crashes.max_crashes = 2 } in
-  let twice = ref 0 in
-  List.iter
-    (fun seed ->
-      let prepared = Crashes.prepare cfg ~seed in
-      for first = 1 to 12 do
-        for second = 1 to 4 do
-          let first = 5 * first and second = 7 * second in
-          let checkpoints = ref [] in
-          let ctl =
-            {
-              Crashes.ctl_crash_at =
-                (fun ~kind:_ ~round ->
-                  match round with 0 -> first | 1 -> second | _ -> 0);
-              ctl_choose =
-                (fun ~crashing:_ ready -> ready.(Array.length ready - 1));
-              ctl_keep = (fun n -> n = 1);
-              ctl_wb = (fun ~round:_ -> `Rng);
-              ctl_checkpoint = (fun cp -> checkpoints := cp :: !checkpoints);
-            }
-          in
-          let with_crashes (result, rounds) =
-            (result, rounds, Pmem.crash_reports ())
-          in
-          let ((result, rounds, _) as ran) =
-            with_crashes (Crashes.run_prepared ~ctl prepared)
-          in
-          (match result with
-          | Ok o when o.Crashes.crashes = 2 -> incr twice
-          | _ -> ());
-          let where =
-            Printf.sprintf "seed %d, crashes at %d and %d" seed first second
-          in
-          if with_crashes (Crashes.run_logged ~script:rounds cfg ~seed) <> ran
-          then Alcotest.failf "%s: the script replay differs" where;
-          List.iter
-            (fun from ->
-              if with_crashes (Crashes.run_prepared ~ctl ~from prepared) <> ran
-              then Alcotest.failf "%s: a resume differs" where)
-            !checkpoints
-        done
-      done)
-    [ 1; 2; 3 ];
-  Alcotest.(check bool) "runs crashed twice" true (!twice > 10)
-
 let suite =
   [
     Alcotest.test_case "tracking survives the full bounded tree" `Quick
@@ -279,6 +224,4 @@ let suite =
       test_checkpointed_equal_fresh;
     Alcotest.test_case "checkpoints cut work per execution" `Quick
       test_work_per_execution;
-    Alcotest.test_case "a controller's `Rng resolutions replay" `Quick
-      test_ctl_rng_replays;
   ]

@@ -18,6 +18,8 @@ let campaign_cfg ?(threads = 4) ?(ops = 30) ?(max_crashes = 2) () =
       max_crashes;
     }
 
+let run_campaign cfg ~seed = fst (Crashes.run_logged cfg ~seed)
+
 let with_metrics f =
   Metrics.enable ();
   Fun.protect ~finally:Metrics.disable f
@@ -69,7 +71,7 @@ let prop_quantile_oracle =
 let test_disabled_records_nothing () =
   Metrics.disable ();
   Metrics.reset ();
-  (match Crashes.run_once (campaign_cfg ()) ~seed:3 with
+  (match run_campaign (campaign_cfg ()) ~seed:3 with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "campaign failed: %s" m);
   Alcotest.(check bool) "inactive" false (Metrics.active ());
@@ -129,7 +131,7 @@ let test_campaign_profiles () =
   let rec crashing_run seed =
     if seed > 20 then Alcotest.fail "no seed in 1..20 crashed"
     else
-      match Crashes.run_once (campaign_cfg ()) ~seed with
+      match run_campaign (campaign_cfg ()) ~seed with
       | Ok o when o.Crashes.crashes > 0 -> o
       | Ok _ -> crashing_run (seed + 1)
       | Error m -> Alcotest.failf "campaign failed: %s" m
@@ -234,7 +236,7 @@ let test_perfetto_roundtrip () =
       let result =
         with_metrics @@ fun () ->
         Trace.with_file jsonl (fun () ->
-            Crashes.run_once (campaign_cfg ~threads:3 ~ops:12 ()) ~seed:1)
+            run_campaign (campaign_cfg ~threads:3 ~ops:12 ()) ~seed:1)
       in
       (match result with
       | Ok _ -> ()
@@ -280,7 +282,7 @@ let traced_campaign around =
     (fun () ->
       around (fun () ->
           Trace.with_file path (fun () ->
-              match Crashes.run_once contended_cfg ~seed:contended_seed with
+              match run_campaign contended_cfg ~seed:contended_seed with
               | Ok o ->
                   Alcotest.(check bool) "the campaign crashed" true
                     (o.Crashes.crashes > 0)
@@ -330,7 +332,7 @@ let test_subscribers_compose () =
   in
   Alcotest.(check string) "trace with all four = trace alone" alone with_all;
   let run () =
-    match Crashes.run_once contended_cfg ~seed:contended_seed with
+    match run_campaign contended_cfg ~seed:contended_seed with
     | Ok _ -> ()
     | Error m -> Alcotest.failf "campaign failed: %s" m
   in

@@ -50,23 +50,6 @@ let with_temp_file f =
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () -> f path)
 
-let test_run_once_saves_loadable_repro () =
-  let cfg, seed, _, _ = find_failure () in
-  with_temp_file (fun path ->
-      match Crashes.run_once ~repro_file:path cfg ~seed with
-      | Ok _ -> Alcotest.fail "expected the recorded seed to fail again"
-      | Error error -> (
-          match Repro.load path with
-          | Error e -> Alcotest.fail ("load: " ^ e)
-          | Ok r -> (
-              Alcotest.(check string) "algo" "tracking-broken" r.Repro.algo;
-              Alcotest.(check int) "seed" seed r.Repro.seed;
-              Alcotest.(check string) "error" error r.Repro.error;
-              Alcotest.(check bool) "has rounds" true (r.Repro.rounds <> []);
-              match Crashes.replay r with
-              | Error e -> Alcotest.(check string) "file replays" error e
-              | Ok () -> Alcotest.fail "saved repro did not reproduce")))
-
 let test_save_load_roundtrip () =
   let cfg, seed, error, rounds = find_failure () in
   let r = Crashes.repro_of cfg ~seed ~error ~rounds in
@@ -91,7 +74,10 @@ let test_save_load_roundtrip () =
               Alcotest.(check (array int))
                 "round schedule" a.Repro.schedule b.Repro.schedule;
               Alcotest.(check bool) "round wb" true (a.Repro.wb = b.Repro.wb))
-            r.Repro.rounds r'.Repro.rounds)
+            r.Repro.rounds r'.Repro.rounds;
+          match Crashes.replay r' with
+          | Error e -> Alcotest.(check string) "loaded file replays" error e
+          | Ok () -> Alcotest.fail "loaded repro did not reproduce")
 
 (* pp/load round-trip over arbitrary well-formed repros: every value the
    printer can emit must load back identically. *)
@@ -253,7 +239,7 @@ let test_trace_is_wellformed_jsonl () =
   with_temp_file (fun path ->
       let cfg = broken_cfg ~threads:2 ~ops:4 in
       Trace.with_file path (fun () ->
-          ignore (Crashes.run_once cfg ~seed:0 : (Crashes.outcome, string) result));
+          ignore (Crashes.run_logged cfg ~seed:0));
       Alcotest.(check bool) "tracing off afterwards" false (Trace.active ());
       let lines = In_channel.with_open_text path In_channel.input_lines in
       Alcotest.(check bool) "trace not empty" true (List.length lines > 100);
@@ -295,17 +281,15 @@ let test_good_variants_still_pass () =
      because the replay plumbing broke campaigns in general *)
   let cfg = { (broken_cfg ~threads:4 ~ops:10) with Crashes.factory = Set_intf.tracking } in
   for seed = 0 to 9 do
-    match Crashes.run_once cfg ~seed with
-    | Ok _ -> ()
-    | Error e -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed e)
+    match Crashes.run_logged cfg ~seed with
+    | Ok _, _ -> ()
+    | Error e, _ -> Alcotest.fail (Printf.sprintf "seed %d: %s" seed e)
   done
 
 let suite =
   [
     Alcotest.test_case "broken variant replays bit-for-bit" `Quick
       test_broken_variant_replays;
-    Alcotest.test_case "run_once saves a loadable repro" `Quick
-      test_run_once_saves_loadable_repro;
     Alcotest.test_case "repro save/load roundtrip" `Quick
       test_save_load_roundtrip;
     Alcotest.test_case "qcheck pp/load round-trip" `Quick

@@ -172,36 +172,6 @@ let test_validate_rejects_bad_configs () =
     };
   expect_err { (cfg ()) with Store.clients = 40; shards = 30 }
 
-(* -- metrics wiring ------------------------------------------------------- *)
-
-let test_metrics_wiring () =
-  Metrics.enable ();
-  Fun.protect
-    ~finally:(fun () -> Metrics.disable ())
-    (fun () ->
-      let c =
-        {
-          (cfg ()) with
-          Store.crash =
-            Some (Store.After_requests { victim = 0; requests = 15 });
-        }
-      in
-      let r = run_ok c in
-      let total = c.Store.clients * c.Store.ops_per_client in
-      Alcotest.(check int) "no lost" 0 r.Slo.lost;
-      (match Metrics.hist_summary "store.request.latency" with
-      | None -> Alcotest.fail "latency histogram not registered"
-      | Some s ->
-          Alcotest.(check int) "one latency sample per request" total
-            s.Metrics.count);
-      let gauges = Metrics.gauges () in
-      List.iter
-        (fun sid ->
-          let name = Printf.sprintf "store.shard%d.queue_depth" sid in
-          Alcotest.(check bool) (name ^ " registered") true
-            (List.mem_assoc name gauges))
-        [ 0; 1 ])
-
 (* -- serve repro files ---------------------------------------------------- *)
 
 let with_temp_file f =
@@ -378,7 +348,7 @@ let test_explore_catches_broken_variant () =
 let test_empty_report_has_no_quantiles () =
   let r =
     Slo.build ~total:0 ~divergences:0 ~requests:[] ~shards:[||]
-      ~crash_victim:None ()
+      ~crash_victim:None
   in
   Alcotest.(check bool) "quantiles absent" true
     (r.Slo.lat_mean_ns = None
@@ -418,7 +388,6 @@ let suite =
       test_run_deterministic_and_replayable;
     Alcotest.test_case "config validation" `Quick
       test_validate_rejects_bad_configs;
-    Alcotest.test_case "metrics wiring" `Quick test_metrics_wiring;
     Alcotest.test_case "serve repro round-trips and replays" `Quick
       test_store_repro_roundtrip;
     Alcotest.test_case "serve repro rejects garbage" `Quick
