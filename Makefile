@@ -245,6 +245,9 @@ output-golden:
 	  --repro $(OG)/explore.repro > $(OG)/explore.txt 2> /dev/null
 	! dune exec bin/repro.exe -- crash -a tracking-broken --seeds 20 \
 	  --repro $(OG)/crash.repro > $(OG)/crash.txt
+	! dune exec bin/repro.exe -- crash -a memento-broken --seeds 40 -t 3 \
+	  --ops 5 --crashes 1 --keys 16 --repro $(OG)/crash-mb.repro \
+	  > $(OG)/crash-mb.txt
 	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
 	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
 	  --explore --dispatch-budget 200 -j 2 --repro $(OG)/serve.repro \
@@ -284,6 +287,7 @@ output-golden:
 	  explore2-tracking.txt explore2-romulus.txt explore-p1-tracking.txt \
 	  explore-p1-tracking-broken.txt explore-p1-tracking-broken.repro \
 	  explore-p1-memento-broken.txt explore-p1-memento-broken.repro \
+	  crash-mb.txt crash-mb.repro \
 	  | diff ../../test/output-golden.txt -
 
 clean:

@@ -72,57 +72,43 @@ let search_with ?(on_visit = fun _ _ -> ()) ?(mk_link = default_mk_link)
   in
   from_head ()
 
-let rec insert_with ?on_visit ?(mk_link = default_mk_link)
-    ?(after_cas = no_hook) t k =
-  let pred, curr = search_with ?on_visit ~mk_link ~after_cas t k in
+let rec insert t k =
+  let pred, curr = search_with t k in
   if curr.key = k then false
   else begin
     let nd =
-      new_node t ~key:k ~next:(mk_link ~succ:(Some curr) ~marked:false)
+      new_node t ~key:k ~next:(make_link ~succ:(Some curr) ~marked:false ())
     in
     let pred_link = Pmem.read pred.next in
-    if pred_link.marked || not (points_to pred_link curr) then
-      insert_with ?on_visit ~mk_link ~after_cas t k
-    else begin
-      let fresh = mk_link ~succ:(Some nd) ~marked:false in
-      if Pmem.cas pred.next pred_link fresh then begin
-        after_cas pred.next;
-        true
-      end
-      else insert_with ?on_visit ~mk_link ~after_cas t k
-    end
+    if pred_link.marked || not (points_to pred_link curr) then insert t k
+    else
+      let fresh = make_link ~succ:(Some nd) ~marked:false () in
+      Pmem.cas pred.next pred_link fresh || insert t k
   end
 
-let rec delete_with ?on_visit ?(mk_link = default_mk_link)
-    ?(after_cas = no_hook) t k =
-  let pred, curr = search_with ?on_visit ~mk_link ~after_cas t k in
+let rec delete t k =
+  let pred, curr = search_with t k in
   if curr.key <> k then false
   else begin
     let curr_link = Pmem.read curr.next in
-    if curr_link.marked then delete_with ?on_visit ~mk_link ~after_cas t k
+    if curr_link.marked then delete t k
     else begin
-      let marked_link = mk_link ~succ:curr_link.succ ~marked:true in
+      let marked_link = make_link ~succ:curr_link.succ ~marked:true () in
       if Pmem.cas curr.next curr_link marked_link then begin
-        after_cas curr.next;
         (* best-effort physical unlink; search finishes it otherwise *)
         let pred_link = Pmem.read pred.next in
-        (if (not pred_link.marked) && points_to pred_link curr then begin
-           let fresh = mk_link ~succ:curr_link.succ ~marked:false in
-           if Pmem.cas pred.next pred_link fresh then after_cas pred.next
-         end);
+        (if (not pred_link.marked) && points_to pred_link curr then
+           let fresh = make_link ~succ:curr_link.succ ~marked:false () in
+           ignore (Pmem.cas pred.next pred_link fresh : bool));
         true
       end
-      else delete_with ?on_visit ~mk_link ~after_cas t k
+      else delete t k
     end
   end
 
-let find_with ?on_visit t k =
-  let _, curr = search_with ?on_visit t k in
+let find t k =
+  let _, curr = search_with t k in
   curr.key = k
-
-let insert t k = insert_with t k
-let delete t k = delete_with t k
-let find t k = find_with t k
 
 let to_list t =
   let rec go acc nd =

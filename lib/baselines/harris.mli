@@ -7,7 +7,7 @@
     boxes compared physically by CAS, which gives the ABA-freedom the
     original obtains from pointer tagging.
 
-    The [_with] variants expose the instrumentation hooks the Capsules
+    {!search_with} exposes the instrumentation hooks the Capsules
     baselines need: [on_visit] fires on every traversed node (where the
     durability transformation inserts its pwb+pfence), [mk_link] lets the
     recoverable-CAS construction embed a (writer, wseq) identity in every
@@ -47,24 +47,6 @@ val search_with :
 (** [(pred, curr)] with [curr] the first unmarked node with key >= [k]
     and [pred] its unmarked predecessor; marked nodes in between are
     physically removed. *)
-
-val insert_with :
-  ?on_visit:(node -> link -> unit) ->
-  ?mk_link:(succ:node option -> marked:bool -> link) ->
-  ?after_cas:(link Pmem.t -> unit) ->
-  t ->
-  int ->
-  bool
-
-val delete_with :
-  ?on_visit:(node -> link -> unit) ->
-  ?mk_link:(succ:node option -> marked:bool -> link) ->
-  ?after_cas:(link Pmem.t -> unit) ->
-  t ->
-  int ->
-  bool
-
-val find_with : ?on_visit:(node -> link -> unit) -> t -> int -> bool
 
 val insert : t -> int -> bool
 val delete : t -> int -> bool

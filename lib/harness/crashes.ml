@@ -325,10 +325,7 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
     | Sim.Crashed_at _ ->
         st.crashes <- st.crashes + 1;
         let wb = crash_wb round in
-        (match wb with
-        | `Rng -> Pmem.crash ~rng heap
-        | (`Drop | `All | `Prefix _) as resolution ->
-            Pmem.crash ~resolution heap);
+        Pmem.crash ~rng ~resolution:wb heap;
         Events.crash_resolved ~round;
         (* patch the resolution into the round entry the finalizer just
            pushed, so the log replays with the same NVM state *)

@@ -6,7 +6,7 @@
    operation currently open on the issuing thread (the harness's
    Op_begin/Op_end events), follows each write-back to its fate
    (drained, persisted-at-crash, dropped-at-crash) through Pmem's
-   Writeback events, and pairs Pmem's per-crash reports with the
+   Writeback events, and pairs Pmem's Crashed reports with the
    harness's Round and Crash_resolved events.
    [build] then turns the recording plus the failure message into an
    immutable, deterministically-rendered postmortem: the crash-point
@@ -36,6 +36,9 @@ type pwb_rec = {
 
 type cas_rec = { cs_line : string; cs_ok : bool }
 
+(* A write-back a crash dropped. *)
+type pm_wb = { b_line : string; b_site : string; b_tid : int }
+
 type op_rec = {
   o_tid : int;
   o_seq : int;  (* per-thread announce order *)
@@ -57,15 +60,20 @@ type state = {
   s_cur : op_rec option array;
   mutable s_ops : op_rec list;  (* closed ops, newest first *)
   s_seq : int array;
-  s_pending : (string, pwb_rec Queue.t) Hashtbl.t;
-      (* "tid|line|site" -> issued-but-unresolved write-back records, in
-         issue order; fates pop the oldest, mirroring the queue *)
+  s_pending : (int * string, pwb_rec Queue.t) Hashtbl.t;
+      (* (tid, line) -> issued-but-unresolved write-back records, in
+         issue order.  A thread's write-backs of one line meet their
+         fates in issue order, so each fate pops the oldest; a
+         [Rings_cleared] drops them all unresolved. *)
   s_writers : (string, writer list) Hashtbl.t;
       (* per line, newest first; consecutive writes by the same op in
          the same round collapse to one record *)
   mutable s_orphans : pwb_rec list;  (* pwbs issued outside any op *)
   mutable s_crash_rounds : int list;  (* newest first; round per crash *)
-  mutable s_crashes : int;
+  mutable s_dropped : pm_wb list;
+      (* the crash in progress's dropped write-backs, newest first *)
+  mutable s_reports : (Pmem.crash_report * pm_wb list) list;
+      (* newest first, each with its dropped write-backs in order *)
 }
 
 let fresh_state () =
@@ -78,15 +86,14 @@ let fresh_state () =
     s_writers = Hashtbl.create 64;
     s_orphans = [];
     s_crash_rounds = [];
-    s_crashes = 0;
+    s_dropped = [];
+    s_reports = [];
   }
 
 let state_key : state option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let slot () = Domain.DLS.get state_key
-let pkey tid line site =
-  string_of_int tid ^ "|" ^ line ^ "|" ^ site
 
 let same_op a b =
   match (a, b) with
@@ -137,29 +144,33 @@ let on_pmem_event st : Pmem.trace_event -> unit = function
           touch_round st op;
           op.o_pwbs <- pw :: op.o_pwbs
       | None -> st.s_orphans <- pw :: st.s_orphans);
-      let k = pkey tid line site in
       let q =
-        match Hashtbl.find_opt st.s_pending k with
+        match Hashtbl.find_opt st.s_pending (tid, line) with
         | Some q -> q
         | None ->
             let q = Queue.create () in
-            Hashtbl.add st.s_pending k q;
+            Hashtbl.add st.s_pending (tid, line) q;
             q
       in
       Queue.push pw q
 
-let on_wb st tid line site (f : Pmem.wb_fate) =
-  match Hashtbl.find_opt st.s_pending (pkey tid line site) with
-  | None -> ()
-  | Some q ->
-      if not (Queue.is_empty q) then begin
-        let pw = Queue.pop q in
-        pw.pw_fate <-
-          (match f with
-          | Pmem.Drained -> Drained
-          | Pmem.Crash_persisted -> Crash_persisted st.s_crashes
-          | Pmem.Crash_dropped -> Crash_dropped st.s_crashes)
-      end
+(* A fate resolves the oldest unresolved record of its (tid, line); a
+   crash's index is the number of crashes reported before it. *)
+let on_wb st tid line (f : Pmem.wb_fate) =
+  match Hashtbl.find_opt st.s_pending (tid, line) with
+  | Some q when not (Queue.is_empty q) ->
+      let pw = Queue.pop q in
+      let crash = List.length st.s_reports in
+      pw.pw_fate <-
+        (match f with
+        | Pmem.Drained -> Drained
+        | Pmem.Crash_persisted -> Crash_persisted crash
+        | Pmem.Crash_dropped ->
+            st.s_dropped <-
+              { b_line = line; b_site = pw.pw_site; b_tid = tid }
+              :: st.s_dropped;
+            Crash_dropped crash)
+  | _ -> ()
 
 let close_op st tid =
   match st.s_cur.(tid) with
@@ -200,13 +211,16 @@ let on_event ev =
   | Some st -> (
       match ev with
       | Pmem.Mem e -> on_pmem_event st e
-      | Pmem.Writeback { tid; line; site; fate } -> on_wb st tid line site fate
+      | Pmem.Writeback { tid; line; fate } -> on_wb st tid line fate
+      | Pmem.Crashed r ->
+          st.s_reports <- (r, List.rev st.s_dropped) :: st.s_reports;
+          st.s_dropped <- []
+      | Pmem.Rings_cleared -> Hashtbl.reset st.s_pending
       | Events.Op_begin { tid; kind; key; _ } -> op_begin st ~tid ~kind ~key
       | Events.Op_end { tid; ok; _ } -> op_end st ~tid ~ok
       | Events.Round { n; _ } -> st.s_round <- n
       | Events.Crash_resolved { round } ->
-          st.s_crash_rounds <- round :: st.s_crash_rounds;
-          st.s_crashes <- st.s_crashes + 1
+          st.s_crash_rounds <- round :: st.s_crash_rounds
       | _ -> ())
 
 let start () =
@@ -218,8 +232,6 @@ let stop () =
   Sim.unsubscribe on_event
 
 (* ---- the postmortem ---------------------------------------------------- *)
-
-type pm_wb = { b_line : string; b_site : string; b_tid : int }
 
 type pm_poison = {
   p_line : string;
@@ -373,7 +385,6 @@ let build ~algo ~seed ~error =
   (* close still-open ops so the lineage includes in-flight work *)
   Array.iteri (fun tid _ -> close_op st tid) st.s_cur;
   let ops = List.rev st.s_ops in
-  let reports = Pmem.crash_reports () in
   let disabled =
     List.filter_map
       (fun s ->
@@ -383,7 +394,7 @@ let build ~algo ~seed ~error =
   in
   let crashes =
     List.mapi
-      (fun i (r : Pmem.crash_report) ->
+      (fun i ((r : Pmem.crash_report), dropped) ->
         let round = crash_round st i in
         let rbound = if round < 0 then None else Some round in
         {
@@ -394,21 +405,10 @@ let build ~algo ~seed ~error =
             (match r.Pmem.cr_scope with
             | `Machine -> "machine"
             | `Heap -> "heap");
-          c_resolution = r.Pmem.cr_resolution;
+          c_resolution = Repro.wb_to_string r.Pmem.cr_resolution;
           c_persisted = r.Pmem.cr_persisted;
           c_dropped = r.Pmem.cr_dropped;
-          c_dropped_wbs =
-            List.filter_map
-              (fun (f : Pmem.crash_fate) ->
-                if f.Pmem.cf_persisted then None
-                else
-                  Some
-                    {
-                      b_line = f.Pmem.cf_line;
-                      b_site = f.Pmem.cf_site;
-                      b_tid = f.Pmem.cf_tid;
-                    })
-              r.Pmem.cr_fates;
+          c_dropped_wbs = dropped;
           c_poisoned =
             List.map
               (fun line ->
@@ -430,7 +430,7 @@ let build ~algo ~seed ~error =
               r.Pmem.cr_reverted;
           c_reverted_total = r.Pmem.cr_reverted_total;
         })
-      reports
+      (List.rev st.s_reports)
   in
   (* ---- culprit analysis ---- *)
   let culprit_line = culprit_line_of_error error in
@@ -582,7 +582,7 @@ let build ~algo ~seed ~error =
     pm_seed = seed;
     pm_error = error;
     pm_rounds = st.s_round + 1;
-    pm_crash_count = st.s_crashes;
+    pm_crash_count = List.length crashes;
     pm_crashes = crashes;
     pm_disabled_sites = disabled;
     pm_culprit = culprit;

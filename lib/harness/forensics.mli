@@ -6,8 +6,11 @@
     operation open on the issuing thread ([Events.Op_begin]/[Op_end]),
     follows each write-back to its fate (drained, persisted-at-crash or
     dropped-at-crash, with the crash resolution that decided it:
-    [Pmem.Writeback]), and pairs [Pmem]'s per-crash reports with
-    campaign rounds ([Events.Round], [Events.Crash_resolved]).  {!build}
+    [Pmem.Writeback]), and pairs each [Pmem.Crashed] report with its
+    campaign round ([Events.Round], [Events.Crash_resolved]).  A fate
+    pairs with the oldest unresolved pwb of its (tid, line), whose site
+    it takes; a [Pmem.Rings_cleared] leaves every unresolved pwb
+    outstanding, so no later fate can land on one.  {!build}
     turns the recording plus the failure message into an immutable
     postmortem whose text/JSON renderings are deterministic:
     byte-identical across replays of the same repro and across [-j]
@@ -30,8 +33,8 @@ val stop : unit -> unit
 type postmortem
 
 val build : algo:string -> seed:int -> error:string -> postmortem
-(** Reconstruct the postmortem from the active recording, [Pmem]'s crash
-    reports and the failure message: per-crash persisted/dropped
+(** Reconstruct the postmortem from the active recording (crash reports
+    included) and the failure message: per-crash persisted/dropped
     write-back fates and the never-persisted-line diff, a culprit
     analysis (parsing the poisoned line or violated key out of [error],
     naming registered-but-disabled persist sites), and the lineage of

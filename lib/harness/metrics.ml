@@ -87,6 +87,7 @@ type state = {
   heap_occ_tbl : (string, int) Hashtbl.t;
   mutable recovery_cur : float;
   mutable recovery_rev : (int * float) list;
+  mutable crashes_rev : Pmem.crash_report list;  (* newest first *)
 }
 
 (* A fresh histogram; the state's six are the ones the report reads. *)
@@ -127,6 +128,7 @@ let fresh_state () =
     heap_occ_tbl = Hashtbl.create 8;
     recovery_cur = 0.;
     recovery_rev = [];
+    crashes_rev = [];
   }
 
 let dls : state Domain.DLS.key = Domain.DLS.new_key fresh_state
@@ -385,6 +387,9 @@ let on_event ev =
   | Events.Op_begin { tid; kind; key; clock } ->
       op_begin st ~tid ~kind ~key ~clock
   | Events.Op_end { tid; ok; clock } -> op_end st ~tid ~ok ~clock
+  | Pmem.Crashed r ->
+      st.crashes_rev <- r :: st.crashes_rev;
+      st.events <- st.events + 1
   | _ -> ()
 
 (* ---- recovery profile -------------------------------------------------- *)
@@ -402,6 +407,7 @@ let recovery_round_done round =
   end
 
 let recovery_durations () = List.rev (state ()).recovery_rev
+let crash_reports () = List.rev (state ()).crashes_rev
 
 (* ---- lifecycle --------------------------------------------------------- *)
 
@@ -438,6 +444,7 @@ let reset () =
   Array.fill st.cur_cas0 0 max_t 0;
   st.recovery_cur <- 0.;
   st.recovery_rev <- [];
+  st.crashes_rev <- [];
   st.events <- 0
 
 let events_recorded () = (state ()).events

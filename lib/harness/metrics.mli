@@ -17,7 +17,8 @@
     - {e contention profile}: per-cache-line CAS failures and cache
       invalidations, aggregated from the [Pmem.Mem] events;
     - {e recovery durations}: virtual time of each recovery round of a
-      crash campaign ([Crashes]).
+      crash campaign ([Crashes]);
+    - {e crash reports}: each [Pmem.Crashed] report, in crash order.
 
     Everything is disabled by default.  When disabled, nothing is
     subscribed, every entry point is a ref read and allocates nothing; in
@@ -41,9 +42,10 @@ val active : unit -> bool
 
 val reset : unit -> unit
 (** Clear all recorded data — histogram contents, counters, spans,
-    contention and recovery profiles.  Called automatically at the
-    start of every [Runner.measure] / [Crashes.run_logged] when metrics
-    are active, so each run reports only its own events. *)
+    contention and recovery profiles, crash reports.  Called
+    automatically at the start of every [Runner.measure] /
+    [Crashes.run_logged] when metrics are active, so each run reports
+    only its own events. *)
 
 (** {1 Instruments} *)
 
@@ -155,10 +157,17 @@ val recovery_round_done : int -> unit
 val recovery_durations : unit -> (int * float) list
 (** [(round, virtual ns)] per completed recovery round, oldest first. *)
 
+(** {1 Crash reports} *)
+
+val crash_reports : unit -> Pmem.crash_report list
+(** The [Pmem.Crashed] reports published since the last {!reset} while
+    metrics were enabled, oldest first: the write-backs each crash
+    persisted and dropped. *)
+
 (** {1 Introspection for tests} *)
 
 val events_recorded : unit -> int
 (** Total volume of recorded data — histogram samples, spans,
-    contention entries and recovery rounds.  [0] iff
+    contention entries, recovery rounds and crash reports.  [0] iff
     nothing was recorded since the last {!reset}; the disabled-path test
     asserts a full campaign leaves this at [0]. *)

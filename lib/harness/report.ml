@@ -113,7 +113,7 @@ let pp_metrics ?(top = 10) ppf () =
       List.iter
         (fun (r, d) -> Format.fprintf ppf "%8d %14.1f@." r d)
         rounds);
-  (match Pmem.crash_reports () with
+  (match Metrics.crash_reports () with
   | [] -> ()
   | reports ->
       Format.fprintf ppf "@.— write-backs at crashes —@.";
@@ -122,7 +122,8 @@ let pp_metrics ?(top = 10) ppf () =
       List.iteri
         (fun i (r : Pmem.crash_report) ->
           Format.fprintf ppf "%6d %-28s %-10s %9d %8d@." i r.Pmem.cr_heap
-            r.Pmem.cr_resolution r.Pmem.cr_persisted r.Pmem.cr_dropped)
+            (Repro.wb_to_string r.Pmem.cr_resolution)
+            r.Pmem.cr_persisted r.Pmem.cr_dropped)
         reports);
   Format.fprintf ppf "@.— counters —@.";
   List.iter
@@ -222,9 +223,9 @@ let metrics_json ?(top = 10) () =
            "{\"crash\":%d,\"heap\":\"%s\",\"scope\":\"%s\",\"resolution\":\"%s\",\"persisted\":%d,\"dropped\":%d}"
            i (Json.escape r.Pmem.cr_heap)
            (match r.Pmem.cr_scope with `Machine -> "machine" | `Heap -> "heap")
-           (Json.escape r.Pmem.cr_resolution) r.Pmem.cr_persisted
-           r.Pmem.cr_dropped))
-    (Pmem.crash_reports ());
+           (Json.escape (Repro.wb_to_string r.Pmem.cr_resolution))
+           r.Pmem.cr_persisted r.Pmem.cr_dropped))
+    (Metrics.crash_reports ());
   add "],\"counters\":{";
   List.iteri
     (fun i (name, v) ->

@@ -22,9 +22,8 @@ val pp_metrics : ?top:int -> Format.formatter -> unit -> unit
     summaries (count, mean, p50/p90/p99/max in virtual ns), the [top]
     (default 10) most contended cache lines, per-round recovery
     durations, the per-crash write-back fate counts (persisted vs
-    dropped, from [Pmem.crash_reports]) and the counter registry —
-    everything recorded since the last [Metrics.reset] /
-    [Pmem.reset_pending]. *)
+    dropped, from [Metrics.crash_reports]) and the counter registry —
+    everything recorded since the last [Metrics.reset]. *)
 
 val pp_causal : Format.formatter -> Causal.profile -> unit
 (** The ranked attribution table behind [repro causal]: one row per

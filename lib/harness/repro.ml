@@ -78,7 +78,7 @@ let check conditions =
 
 (* ---- shared tokens ----------------------------------------------------- *)
 
-type wb = [ `Rng | `Drop | `All | `Prefix of int ]
+type wb = Pmem.resolution
 
 let wb_to_string = function
   | `Rng -> "rng"

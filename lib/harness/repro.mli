@@ -44,7 +44,7 @@ val check : (bool * string) list -> (unit, string) result
 
 (** {2 Tokens shared by both kinds} *)
 
-type wb = [ `Rng | `Drop | `All | `Prefix of int ]
+type wb = Pmem.resolution
 (** How a crash resolved outstanding write-backs.  [`Rng]: the seeded
     harness rng drew the surviving subset (the normal campaign path —
     deterministic under replay because the draw stream is aligned).

@@ -23,9 +23,30 @@ type trace_event =
    a crash — persisted or dropped by the adversarial resolution. *)
 type wb_fate = Drained | Crash_persisted | Crash_dropped
 
+type resolution = [ `Rng | `Drop | `All | `Prefix of int ]
+
+(* The forensic record of one crash: published as [Crashed], after the
+   [Writeback]s of the entries it resolved, and built only when someone
+   subscribes. *)
+type crash_report = {
+  cr_heap : string;
+  cr_scope : [ `Machine | `Heap ];
+  cr_resolution : resolution;
+  cr_persisted : int;  (* write-backs completed by the resolution *)
+  cr_dropped : int;  (* write-backs lost at the crash *)
+  cr_poisoned : string list;  (* never-persisted lines, capped *)
+  cr_poisoned_total : int;  (* full count behind the cap *)
+  cr_reverted : string list;
+      (* lines whose volatile value was lost: reverted to an older
+         durable value at this crash; capped like cr_poisoned *)
+  cr_reverted_total : int;
+}
+
 type Sim.event +=
   | Mem of trace_event
-  | Writeback of { tid : int; line : string; site : string; fate : wb_fate }
+  | Writeback of { tid : int; line : string; fate : wb_fate }
+  | Crashed of crash_report
+  | Rings_cleared
 
 let set_collector = Sim.hook (fun f -> function Mem e -> f e | _ -> ())
 
@@ -92,16 +113,12 @@ let poisoned = 2
 (* ---- per-machine state ------------------------------------------------- *)
 
 (* A thread's write-pending queue (its store buffer): a growable ring of
-   (line, persist site) in issue order, from [head], [len] entries long,
-   with a power-of-two capacity.  A fence is an entry whose line is
-   [fence_line].  The site is the issuing pwb's name, kept so that crash
-   resolution and the Writeback events can report exactly which
-   line/site completed or was dropped; it is written once per pwb and
-   never read on the hot path.  Vacated slots are reset to [fence_line],
-   so the ring does not keep a finished run's lines alive. *)
+   lines in issue order, from [head], [len] entries long, with a
+   power-of-two capacity.  A fence is an entry whose line is
+   [fence_line].  Vacated slots are reset to [fence_line], so the ring
+   does not keep a finished run's lines alive. *)
 type ring = {
   mutable lines : line array;
-  mutable sites : string array;
   mutable head : int;
   mutable len : int;
 }
@@ -117,30 +134,6 @@ let fence_line =
     wb_until = { until = neg_infinity };
     fields = [];
   }
-
-(* Per-crash forensic record, kept unconditionally (crashes are rare; the
-   hot path never touches this). *)
-type crash_fate = {
-  cf_tid : int;
-  cf_line : string;
-  cf_site : string;
-  cf_persisted : bool;
-}
-
-type crash_report = {
-  cr_heap : string;
-  cr_scope : [ `Machine | `Heap ];
-  cr_resolution : string;  (* "rng" | "drop" | "all" | "prefix:k" *)
-  cr_persisted : int;  (* write-backs completed by the resolution *)
-  cr_dropped : int;  (* write-backs lost at the crash *)
-  cr_fates : crash_fate list;  (* per tid ascending, issue order within *)
-  cr_poisoned : string list;  (* never-persisted lines, capped *)
-  cr_poisoned_total : int;  (* full count behind the cap *)
-  cr_reverted : string list;
-      (* lines whose volatile value was lost: reverted to an older
-         durable value at this crash; capped like cr_poisoned *)
-  cr_reverted_total : int;
-}
 
 let poisoned_cap = 64
 
@@ -190,8 +183,6 @@ type hot = {
      snapshots) stop there instead of at [max_threads]: a push raises
      it, only an emptying of every ring lowers it. *)
   mutable live : int;
-  (* Crash log, newest first; cleared by [reset_pending]. *)
-  mutable crashes : crash_report list;
 }
 
 let hot_key : hot Domain.DLS.key =
@@ -203,15 +194,12 @@ let hot_key : hot Domain.DLS.key =
         hcost = Cost.current ();
         hpst = Pstats.dstats ();
         rings =
-          Array.init max_threads (fun _ ->
-              { lines = [||]; sites = [||]; head = 0; len = 0 });
+          Array.init max_threads (fun _ -> { lines = [||]; head = 0; len = 0 });
         wb_deadline = Array.make max_threads neg_infinity;
         live = 0;
-        crashes = [];
       })
 
 let hot () = Domain.DLS.get hot_key
-let crash_reports () = List.rev (hot ()).crashes
 
 (* Publish a memory event; callers construct it only when [v.subs] is
    non-empty. *)
@@ -240,23 +228,17 @@ let[@inline] pos (x : float) = if x > 0. then x else 0.
 
 (* ---- write-back rings --------------------------------------------------- *)
 
-let ring_push r line site =
+let ring_push r line =
   let cap = Array.length r.lines in
   if r.len = cap then begin
-    let ncap = max 8 (2 * cap) in
-    let lines = Array.make ncap fence_line and sites = Array.make ncap "" in
+    let lines = Array.make (max 8 (2 * cap)) fence_line in
     for k = 0 to r.len - 1 do
-      let j = (r.head + k) land (cap - 1) in
-      lines.(k) <- r.lines.(j);
-      sites.(k) <- r.sites.(j)
+      lines.(k) <- r.lines.((r.head + k) land (cap - 1))
     done;
     r.lines <- lines;
-    r.sites <- sites;
     r.head <- 0
   end;
-  let j = (r.head + r.len) land (Array.length r.lines - 1) in
-  r.lines.(j) <- line;
-  r.sites.(j) <- site;
+  r.lines.((r.head + r.len) land (Array.length r.lines - 1)) <- line;
   r.len <- r.len + 1
 
 let rec persist_fields = function
@@ -266,12 +248,12 @@ let rec persist_fields = function
       f.flags <- f.flags lor has_durable;
       persist_fields rest
 
-(* Complete (persist) write-back [line] of [tid], issued at [site]. *)
-let complete ht tid line site =
+(* Complete (persist) write-back [line] of [tid]. *)
+let complete ht tid line =
   persist_fields line.fields;
   let v = ht.hview in
   if v.subs != [] then
-    Sim.publish v (Writeback { tid; line = line.lname; site; fate = Drained })
+    Sim.publish v (Writeback { tid; line = line.lname; fate = Drained })
 
 let clear_ring r =
   if r.len > 0 then begin
@@ -288,9 +270,8 @@ let drain_queue ht tid =
   let r = ht.rings.(tid) in
   let mask = Array.length r.lines - 1 in
   for k = 0 to r.len - 1 do
-    let j = (r.head + k) land mask in
-    let l = r.lines.(j) in
-    if l != fence_line then complete ht tid l r.sites.(j)
+    let l = r.lines.((r.head + k) land mask) in
+    if l != fence_line then complete ht tid l
   done;
   clear_ring r;
   ht.wb_deadline.(tid) <- neg_infinity
@@ -311,14 +292,14 @@ let complete_oldest ht tid r =
     r.len <- r.len - 1;
     if l != fence_line then begin
       popping := false;
-      complete ht tid l r.sites.(j)
+      complete ht tid l
     end
   done
 
 (* Push onto [tid]'s ring, keeping [live] above it. *)
-let[@inline] push ht tid line site =
+let[@inline] push ht tid line =
   if tid >= ht.live then ht.live <- tid + 1;
-  ring_push ht.rings.(tid) line site
+  ring_push ht.rings.(tid) line
 
 (* Empty every ring and deadline below [live]: the machine is idle. *)
 let clear_machine ht =
@@ -328,10 +309,14 @@ let clear_machine ht =
   Array.fill ht.wb_deadline 0 ht.live neg_infinity;
   ht.live <- 0
 
+(* Apart from [restore], which puts a snapshot's rings back, the one
+   place ring entries vanish without a fate: a subscriber pairing fates
+   with pwbs learns it from [Rings_cleared]. *)
 let reset_pending () =
   let ht = hot () in
   clear_machine ht;
-  ht.crashes <- []
+  let v = ht.hview in
+  if v.subs != [] then Sim.publish v Rings_cleared
 
 let heap ?(track_for_crash = true) ?(name = "heap") () =
   { hname = name; track = track_for_crash; hfields = []; hlines = []; n_lines = 0 }
@@ -549,7 +534,7 @@ let pwb (site : Pstats.site) line =
     in
     let r = ht.rings.(tid) in
     if r.len > 64 then complete_oldest ht tid r;
-    push ht tid line site.name;
+    push ht tid line;
     (* the line's media write-back completes late (contention stalls),
        but the persistence point — acceptance — is much earlier.  Both
        deadlines scale with the multiplier: a virtually-sped-up pwb also
@@ -578,7 +563,7 @@ let pfence (site : Pstats.site) =
     pst.n_fence.(id) <- pst.n_fence.(id) + 1;
     let v = ht.hview in
     if v.subs != [] then notify v (Pfence { tid; site = site.name });
-    push ht tid fence_line "";
+    push ht tid fence_line;
     let cost = ht.hcost.pfence_base in
     let charged = pst.mult.(id) *. cost in
     pst.t_ns.(id) <- pst.t_ns.(id) +. charged;
@@ -608,17 +593,16 @@ let psync (site : Pstats.site) =
 
 (* ---- crashes ----------------------------------------------------------- *)
 
-(* How a crash resolves the write-backs it hits.  [Rng]: fence-delimited
+(* How a crash resolves the write-backs it hits.  [`Rng]: fence-delimited
    segments complete in order — some prefix of segments fully, the next
    one partially (an rng-drawn in-order subset), everything later not at
    all.  The deterministic resolutions serve the exploration harness:
    instead of an rng-drawn subset they complete an explicit, replayable
-   choice, and [Prefix k] completes each thread's [k] oldest write-backs
+   choice, and [`Prefix k] completes each thread's [k] oldest write-backs
    in issue order — a prefix always respects fence ordering, so every
    such choice is a legal NVM state. *)
-type resolver = Rng of Random.State.t | Drop_all | Complete_all | Prefix of int
 
-(* A segment's fate under [Rng]. *)
+(* A segment's fate under [`Rng]. *)
 type segment = Full | Partial | Dropped
 
 let fresh_mode rng =
@@ -627,46 +611,44 @@ let fresh_mode rng =
   else Dropped
 
 (* Resolve [tid]'s ring, reporting each resolved write-back through
-   [fate tid line site persisted].  [victim] is the crashed heap under
-   [`Heap] scope, [None] under [`Machine].  A machine crash resolves
-   every write-back and empties the ring.  A heap crash resolves only the
-   victim's write-backs and keeps every other entry — fences included —
-   in issue order: fences survive (they still order the remaining
-   entries, which belong to live structures) but they also advance the
-   resolver's segment state, because fence ordering is a per-thread
-   property, not a per-heap one, so a victim write-back issued after a
-   fence may only persist if the fence's predecessors did.  The rng
-   resolver draws its first segment's mode for every thread, whether or
-   not its ring holds anything (see [crash]). *)
-let resolve_ring ~fate ~victim resolver tid r =
-  let mode = ref (match resolver with Rng rng -> fresh_mode rng | _ -> Full) in
+   [fate tid line persisted]; [rng] is [Some] exactly under [`Rng].
+   [victim] is the crashed heap under [`Heap] scope, [None] under
+   [`Machine].  A machine crash resolves every write-back and empties the
+   ring.  A heap crash resolves only the victim's write-backs and keeps
+   every other entry — fences included — in issue order: fences survive
+   (they still order the remaining entries, which belong to live
+   structures) but they also advance the resolution's segment state,
+   because fence ordering is a per-thread property, not a per-heap one,
+   so a victim write-back issued after a fence may only persist if the
+   fence's predecessors did.  [`Rng] draws its first segment's mode for
+   every thread, whether or not its ring holds anything (see [crash]). *)
+let resolve_ring ~fate ~victim resolution rng tid r =
+  let mode = ref (match rng with Some rng -> fresh_mode rng | None -> Full) in
   let applied = ref 0 in
   let mask = Array.length r.lines - 1 in
   let kept = ref 0 in
-  let keep l s =
-    let j = (r.head + !kept) land mask in
-    r.lines.(j) <- l;
-    r.sites.(j) <- s;
+  let keep l =
+    r.lines.((r.head + !kept) land mask) <- l;
     incr kept
   in
   for k = 0 to r.len - 1 do
     let j = (r.head + k) land mask in
-    let l = r.lines.(j) and s = r.sites.(j) in
+    let l = r.lines.(j) in
     r.lines.(j) <- fence_line;
     if l == fence_line then begin
-      (match resolver with
-      | Rng rng -> mode := if !mode = Full then fresh_mode rng else Dropped
-      | Drop_all | Complete_all | Prefix _ -> ());
-      if Option.is_some victim then keep l s
+      (match rng with
+      | Some rng -> mode := if !mode = Full then fresh_mode rng else Dropped
+      | None -> ());
+      if Option.is_some victim then keep l
     end
     else if match victim with None -> true | Some h -> l.lheap == h then begin
       let persisted =
-        match resolver with
-        | Rng rng ->
+        match (resolution, rng) with
+        | `Rng, Some rng ->
             !mode = Full || (!mode = Partial && Random.State.bool rng)
-        | Drop_all -> false
-        | Complete_all -> true
-        | Prefix k ->
+        | `Rng, None | `Drop, _ -> false
+        | `All, _ -> true
+        | `Prefix k, _ ->
             !applied < k
             && begin
                  incr applied;
@@ -674,62 +656,78 @@ let resolve_ring ~fate ~victim resolver tid r =
                end
       in
       if persisted then persist_fields l.fields;
-      fate tid l s persisted
+      fate tid l persisted
     end
-    else keep l s
+    else keep l
   done;
   r.len <- !kept;
   if !kept = 0 then r.head <- 0
 
-let resolution_label ?rng ?resolution () =
-  match resolution with
-  | Some `Drop -> "drop"
-  | Some `All -> "all"
-  | Some (`Prefix k) -> Printf.sprintf "prefix:%d" k
-  | None -> ( match rng with Some _ -> "rng" | None -> "drop")
+(* The distinct [names] in reverse order (the field walk collects them
+   oldest allocation first), capped at [poisoned_cap], and their count. *)
+let dedup_capped names =
+  let seen = Hashtbl.create 16 in
+  let uniq =
+    List.filter
+      (fun l ->
+        (not (Hashtbl.mem seen l))
+        && begin
+             Hashtbl.add seen l ();
+             true
+           end)
+      (List.rev names)
+  in
+  let total = List.length uniq in
+  let capped =
+    if total <= poisoned_cap then uniq
+    else List.filteri (fun i _ -> i < poisoned_cap) uniq
+  in
+  (capped, total)
 
 let crash ?rng ?resolution ?(scope = `Machine) h =
+  let resolution =
+    match resolution with
+    | Some r -> r
+    | None -> if Option.is_some rng then `Rng else `Drop
+  in
+  let rng =
+    match resolution with
+    | `Rng when Option.is_none rng ->
+        invalid_arg "Pmem.crash: `Rng resolution without ~rng"
+    | `Rng -> rng
+    | `Drop | `All | `Prefix _ -> None
+  in
   let ht = hot () in
   let v = ht.hview in
-  (* Forensic bookkeeping: every resolved write-back's fate, in tid order
-     (issue order within a tid), recorded unconditionally — this runs
-     once per crash, never on the hot path. *)
-  let fates = ref [] and n_persisted = ref 0 and n_dropped = ref 0 in
-  let fate tid l site persisted =
-    if persisted then incr n_persisted else incr n_dropped;
-    fates :=
-      { cf_tid = tid; cf_line = l.lname; cf_site = site; cf_persisted = persisted }
-      :: !fates;
-    if v.subs != [] then
+  (* The forensic record — counts, Writeback and Crashed events, the
+     poisoned and reverted lists — is built only for a subscriber. *)
+  let observed = v.subs != [] in
+  let n_persisted = ref 0 and n_dropped = ref 0 in
+  let fate tid l persisted =
+    if observed then begin
+      if persisted then incr n_persisted else incr n_dropped;
       Sim.publish v
         (Writeback
            {
              tid;
              line = l.lname;
-             site;
              fate = (if persisted then Crash_persisted else Crash_dropped);
            })
-  in
-  let resolver =
-    match (resolution, rng) with
-    | Some `Drop, _ | None, None -> Drop_all
-    | Some `All, _ -> Complete_all
-    | Some (`Prefix k), _ -> Prefix k
-    | None, Some rng -> Rng rng
+    end
   in
   let victim = match scope with `Machine -> None | `Heap -> Some h in
   for tid = 0 to ht.live - 1 do
-    resolve_ring ~fate ~victim resolver tid ht.rings.(tid)
+    resolve_ring ~fate ~victim resolution rng tid ht.rings.(tid)
   done;
   (* The rings above [live] are empty: resolving one only draws its
      first segment's mode, which the rng stream (and so every seeded
      campaign and shipped repro) still expects from every thread. *)
-  (match resolver with
-  | Rng rng ->
+  (match rng with
+  | Some rng ->
       for _ = ht.live to max_threads - 1 do
         ignore (fresh_mode rng : segment)
       done
-  | Drop_all | Complete_all | Prefix _ -> ());
+  | None -> ());
   (* Under [`Heap] scope survivors' pending write-backs are untouched, so
      their acceptance deadlines stay meaningful: [wb_deadline] is left
      alone.  Keeping a (now possibly stale) deadline for a thread whose
@@ -748,42 +746,15 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
       if f.flags land has_durable <> 0 then begin
         (* [durable] aliases the value persisted, so physical inequality
            is an exact staleness test for both immediates and boxes. *)
-        let stale = f.v != f.durable in
+        if observed && f.v != f.durable then rev := f.line.lname :: !rev;
         f.v <- f.durable;
-        f.flags <- f.flags land lnot poisoned;
-        if stale then rev := f.line.lname :: !rev
+        f.flags <- f.flags land lnot poisoned
       end
       else begin
         f.flags <- f.flags lor poisoned;
-        pois := f.line.lname :: !pois
+        if observed then pois := f.line.lname :: !pois
       end)
     h.hfields;
-  let dedup_capped acc =
-    match !acc with
-    | [] -> ([], 0)
-    | lines ->
-        let lines = List.rev lines in
-        let seen = Hashtbl.create 16 in
-        let total = ref 0 in
-        let uniq =
-          List.filter
-            (fun l ->
-              if Hashtbl.mem seen l then false
-              else begin
-                Hashtbl.add seen l ();
-                incr total;
-                true
-              end)
-            lines
-        in
-        let capped =
-          if !total <= poisoned_cap then uniq
-          else List.filteri (fun i _ -> i < poisoned_cap) uniq
-        in
-        (capped, !total)
-  in
-  let poisoned_capped, poisoned_total = dedup_capped pois in
-  let reverted_capped, reverted_total = dedup_capped rev in
   List.iter
     (fun l ->
       l.sharers <- 0;
@@ -791,20 +762,23 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
       l.wb_owner <- -1;
       l.wb_until.until <- neg_infinity)
     h.hlines;
-  ht.crashes <-
-    {
-      cr_heap = h.hname;
-      cr_scope = scope;
-      cr_resolution = resolution_label ?rng ?resolution ();
-      cr_persisted = !n_persisted;
-      cr_dropped = !n_dropped;
-      cr_fates = List.rev !fates;
-      cr_poisoned = poisoned_capped;
-      cr_poisoned_total = poisoned_total;
-      cr_reverted = reverted_capped;
-      cr_reverted_total = reverted_total;
-    }
-    :: ht.crashes
+  if observed then begin
+    let cr_poisoned, cr_poisoned_total = dedup_capped !pois in
+    let cr_reverted, cr_reverted_total = dedup_capped !rev in
+    Sim.publish v
+      (Crashed
+         {
+           cr_heap = h.hname;
+           cr_scope = scope;
+           cr_resolution = resolution;
+           cr_persisted = !n_persisted;
+           cr_dropped = !n_dropped;
+           cr_poisoned;
+           cr_poisoned_total;
+           cr_reverted;
+           cr_reverted_total;
+         })
+  end
 
 (* ---- snapshots ---------------------------------------------------------- *)
 
@@ -830,23 +804,16 @@ type snapshot = {
   sn_lines : int;
   sfs : fsnap array;
   sls : lsnap array;
-  (* The machine: rings [0, slive) compacted to their entries in issue
-     order, their deadlines, and the crash log. *)
+  (* The machine: rings [0, slive) compacted to their lines in issue
+     order, and their deadlines. *)
   slive : int;
-  srings : ring array;
+  srings : line array array;
   sdeadline : float array;
-  scrashes : crash_report list;
 }
 
 let copy_ring r =
   let mask = Array.length r.lines - 1 in
-  let entry k a = a.((r.head + k) land mask) in
-  {
-    lines = Array.init r.len (fun k -> entry k r.lines);
-    sites = Array.init r.len (fun k -> entry k r.sites);
-    head = 0;
-    len = r.len;
-  }
+  Array.init r.len (fun k -> r.lines.((r.head + k) land mask))
 
 let snapshot h =
   if not h.track then invalid_arg "Pmem.snapshot: heap is not tracked for crash";
@@ -877,7 +844,6 @@ let snapshot h =
     slive = ht.live;
     srings = Array.init ht.live (fun tid -> copy_ring ht.rings.(tid));
     sdeadline = Array.sub ht.wb_deadline 0 ht.live;
-    scrashes = ht.crashes;
   }
 
 let restore s =
@@ -903,14 +869,10 @@ let restore s =
   let ht = hot () in
   clear_machine ht;
   Array.iteri
-    (fun tid r ->
-      for k = 0 to r.len - 1 do
-        ring_push ht.rings.(tid) r.lines.(k) r.sites.(k)
-      done)
+    (fun tid lines -> Array.iter (ring_push ht.rings.(tid)) lines)
     s.srings;
   Array.blit s.sdeadline 0 ht.wb_deadline 0 s.slive;
-  ht.live <- s.slive;
-  ht.crashes <- s.scrashes
+  ht.live <- s.slive
 
 (* ---- introspection ----------------------------------------------------- *)
 

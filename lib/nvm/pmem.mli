@@ -29,8 +29,10 @@ val max_threads : int
 (** {1 Observability}
 
     Pmem publishes on the {!Sim} observer bus: every memory access,
-    persistence instruction and allocation as {!Mem}, and the fate of
-    every issued write-back as {!Writeback}.  An instruction tests for
+    persistence instruction and allocation as {!Mem}, the fate of every
+    issued write-back as {!Writeback}, each crash's report as {!Crashed}
+    and a {!reset_pending} as {!Rings_cleared}.  The bus is the only
+    record of what a write-back or a crash did.  An instruction tests for
     subscribers with one load of the running-fiber view it already holds
     and builds no event while nobody subscribes. *)
 
@@ -64,35 +66,15 @@ type wb_fate = Drained | Crash_persisted | Crash_dropped
     [Crash_persisted] / [Crash_dropped] — resolved at a crash by the
     adversarial resolution. *)
 
-type Sim.event +=
-  | Mem of trace_event
-  | Writeback of { tid : int; line : string; site : string; fate : wb_fate }
-      (** Fires once per issued write-back, when a drain completes it or
-          a crash resolves it: issuing thread, flushed line, persist
-          site. *)
-
-val set_collector : (trace_event -> unit) option -> unit
-(** The {!Mem} events as a one-slot setter ({!Sim.hook}). *)
-
-(** {1 Crash forensics} *)
-
-type crash_fate = {
-  cf_tid : int;
-  cf_line : string;
-  cf_site : string;
-  cf_persisted : bool;
-}
-(** One resolved write-back at a crash: issuing thread, flushed line,
-    persist site, and whether the resolution completed it. *)
+type resolution = [ `Rng | `Drop | `All | `Prefix of int ]
+(** How a crash resolves outstanding write-backs (see {!crash}). *)
 
 type crash_report = {
   cr_heap : string;  (** crashed heap's name *)
   cr_scope : [ `Machine | `Heap ];
-  cr_resolution : string;  (** ["rng"], ["drop"], ["all"] or ["prefix:k"] *)
+  cr_resolution : resolution;
   cr_persisted : int;  (** write-backs the resolution completed *)
   cr_dropped : int;  (** write-backs lost at this crash *)
-  cr_fates : crash_fate list;
-      (** tid-ascending, issue order within a thread *)
   cr_poisoned : string list;
       (** distinct never-persisted lines after the reset (first
           {!cr_poisoned_total} up to a cap of 64), newest
@@ -104,21 +86,35 @@ type crash_report = {
           durable-vs-volatile diff); capped like {!cr_poisoned} *)
   cr_reverted_total : int;
 }
-(** The forensic record of one {!crash}: which write-backs the
+(** The forensic record of one {!crash}: how many write-backs the
     adversarial resolution persisted vs dropped, which lines came up
-    poisoned, and which reverted to stale durable values.  Recorded
-    unconditionally — crashes are rare and this never touches the hot
-    path. *)
+    poisoned, and which reverted to stale durable values. *)
 
-val crash_reports : unit -> crash_report list
-(** Every crash on the calling domain since the last {!reset_pending},
-    oldest first. *)
+type Sim.event +=
+  | Mem of trace_event
+  | Writeback of { tid : int; line : string; fate : wb_fate }
+      (** Fires once per issued write-back, when a drain completes it or
+          a crash resolves it: issuing thread and flushed line.  A
+          thread's write-backs of one line meet their fates in issue
+          order, so a fate pairs with the oldest unresolved {!Pwb} of
+          the same (tid, line) — whose [site] names the persist site. *)
+  | Crashed of crash_report
+      (** Fires at the end of every {!crash}, after the {!Writeback}s of
+          the entries it resolved.  Built only while someone
+          subscribes. *)
+  | Rings_cleared
+      (** {!reset_pending} dropped every pending write-back without a
+          fate: a subscriber pairing fates with pwbs forgets its
+          unresolved ones. *)
+
+val set_collector : (trace_event -> unit) option -> unit
+(** The {!Mem} events as a one-slot setter ({!Sim.hook}). *)
 
 (** {1 The machine}
 
     Each domain owns one simulated machine: the per-thread write-pending
-    queues (store buffers), their acceptance deadlines and the crash
-    log.  Two simulations on separate domains cannot observe each other's
+    queues (store buffers) of lines and their acceptance deadlines.  Two
+    simulations on separate domains cannot observe each other's
     write-backs.  Cache-line bookkeeping (sharers/owner/write-back state)
     lives on the lines themselves, which belong to per-run
     {!type-heap}s. *)
@@ -135,25 +131,29 @@ val heap : ?track_for_crash:bool -> ?name:string -> unit -> heap
 
 val crash :
   ?rng:Random.State.t ->
-  ?resolution:[ `Drop | `All | `Prefix of int ] ->
+  ?resolution:resolution ->
   ?scope:[ `Machine | `Heap ] ->
   heap ->
   unit
-(** Crash affecting [heap]: outstanding write-backs are resolved — with
-    [rng], each pfence-delimited segment may complete fully, partially
+(** Crash affecting [heap]: outstanding write-backs are resolved — under
+    [`Rng], each pfence-delimited segment may complete fully, partially
     (a random subset, in issue order) or not at all, respecting fence
-    ordering; without [rng], all outstanding write-backs are dropped
-    (the harshest adversary).  Then every tracked field of [heap]
-    reverts to its persisted value or becomes poisoned, and [heap]'s
-    cache metadata is cleared.
+    ordering, drawing from [rng]; under [`Drop], all outstanding
+    write-backs are dropped (the harshest adversary).  Then every
+    tracked field of [heap] reverts to its persisted value or becomes
+    poisoned, and [heap]'s cache metadata is cleared.  [resolution]
+    defaults to [`Rng] when [rng] is given and to [`Drop] otherwise.
 
-    [resolution] overrides the rng with a {e deterministic, replayable}
-    write-back choice (used by the exploration harness to sweep
-    adversarial subsets): [`Drop] drops everything, [`All] completes
-    everything, [`Prefix k] completes each thread's [k] oldest
-    write-backs in issue order — a prefix always respects fence ordering,
-    so every choice is a legal NVM state.  No rng draw is consumed when
-    [resolution] is given.
+    The other resolutions are {e deterministic, replayable} write-back
+    choices (used by the exploration harness to sweep adversarial
+    subsets): [`All] completes everything, [`Prefix k] completes each
+    thread's [k] oldest write-backs in issue order — a prefix always
+    respects fence ordering, so every choice is a legal NVM state.  No
+    rng draw is consumed under them.
+
+    While anyone subscribes, the crash publishes a {!Writeback} per
+    resolved entry and then its {!Crashed} report; otherwise it builds
+    neither.
 
     [scope] (default [`Machine]) selects which write-backs the crash
     resolves.  [`Machine] is the whole-system crash described above:
@@ -166,7 +166,9 @@ val crash :
     untouched.  Fences still delimit the victim's in-order segments,
     since fence ordering is per thread, not per heap.  The field
     reset/poison step is identical in both scopes (it is already
-    per-heap). *)
+    per-heap).
+
+    @raise Invalid_argument on [`Rng] without [rng]. *)
 
 val lines_allocated : heap -> int
 (** Occupancy counter: cache lines ever allocated from this heap (the
@@ -188,7 +190,7 @@ type snapshot
     poison/durable flags; each line's cache metadata (sharers, owner,
     in-flight write-back and its deadline) and field list; the heap's
     field list, line list and line count; every thread's write-pending
-    ring and acceptance deadline, and the crash log. *)
+    ring and acceptance deadline. *)
 
 val snapshot : heap -> snapshot
 (** Take one at any instant no simulated thread is running (between
@@ -199,7 +201,7 @@ val snapshot : heap -> snapshot
 
 val restore : snapshot -> unit
 (** Put every field and line of the snapshot's heap back as it was, and
-    the calling domain's write-back rings, deadlines and crash log.
+    the calling domain's write-back rings and deadlines.
     Lines allocated after the snapshot drop out of the heap (a later
     {!crash} no longer resets them), and the next {!new_line} gets the
     id it got right after the snapshot, so a run from a restored heap
@@ -282,4 +284,7 @@ val max_outstanding_writebacks : unit -> int
 
 val reset_pending : unit -> unit
 (** Drop all pending write-backs of all threads on the calling domain's
-    machine and clear its crash log (between experiments). *)
+    machine (between experiments), publishing {!Rings_cleared} while
+    anyone subscribes.  Apart from {!restore}, which puts a snapshot's
+    rings back, the one place write-backs vanish without a
+    {!Writeback}. *)

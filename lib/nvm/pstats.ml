@@ -141,13 +141,6 @@ let all_multipliers_default () =
 let set_kind_enabled k b =
   List.iter (fun s -> if s.kind = k then (stx s.id).enabled.(s.id) <- b) (sites ())
 
-let record s cat =
-  let st = stx s.id in
-  match cat with
-  | Low -> st.n_low.(s.id) <- st.n_low.(s.id) + 1
-  | Medium -> st.n_medium.(s.id) <- st.n_medium.(s.id) + 1
-  | High -> st.n_high.(s.id) <- st.n_high.(s.id) + 1
-
 let site_time s = (stx s.id).t_ns.(s.id)
 
 (* Per-category charged time (pwbs only), for the causal profiler's
@@ -192,23 +185,6 @@ let reset () =
   Array.fill st.n_fence 0 st.cap 0;
   Array.fill st.t_ns 0 st.cap 0.;
   Array.fill st.cat_time 0 3 0.
-
-(* Majority category with ties pinned toward the {e higher} impact class:
-   a site observed 50/50 medium/high counts as high.  The profiler must
-   not understate a site's worst observed behaviour, and an unspecified
-   tie-break would make figure points depend on count parity. *)
-let classify s =
-  if s.kind <> Pwb then None
-  else begin
-    let st = stx s.id in
-    let l = st.n_low.(s.id)
-    and m = st.n_medium.(s.id)
-    and h = st.n_high.(s.id) in
-    if l = 0 && m = 0 && h = 0 then None
-    else if h >= m && h >= l then Some High
-    else if m >= l then Some Medium
-    else Some Low
-  end
 
 let site_counts s =
   let st = stx s.id in

@@ -74,9 +74,6 @@ val all_multipliers_default : unit -> bool
 (** [true] iff every site and category multiplier is [1.0] — the
     leak-check used by tests and by sweep teardowns. *)
 
-val record : site -> category -> unit
-(** Count one executed pwb at [site] with its observed impact category. *)
-
 val site_time : site -> float
 (** Virtual ns charged at this site since the last {!reset}, as {!Pmem}
     charged it (scaled by the multipliers) — the numerator of the causal
@@ -102,14 +99,6 @@ val reset : unit -> unit
     flags and cost multipliers are {e configuration}, not statistics:
     they survive [reset] (use {!set_all_enabled}/{!reset_cost_mults}/
     {!reset_category_mults} to restore them). *)
-
-val classify : site -> category option
-(** Majority observed category of a pwb site since the last {!reset};
-    [None] if the site never executed or is not a pwb.  Ties are pinned
-    toward the {e higher} impact class (a 50/50 medium/high site counts
-    as high): the profiler must not understate a site's worst observed
-    behaviour, and an unspecified tie-break would make repeated figure
-    points depend on count parity. *)
 
 val sites : unit -> site list
 (** All registered sites, in registration order. *)

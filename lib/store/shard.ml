@@ -77,7 +77,6 @@ type inflight =
 
 type t = {
   sid : int;
-  server_tid : int;
   mutable heap : Pmem.heap;  (* swapped by failover promotion *)
   mutable algo : Set_intf.t;
   model : Set_intf.model;  (* the backend's, kept by a failover *)
@@ -101,10 +100,9 @@ type t = {
   mutable forwarded : int;  (* guard forwards (key owned elsewhere) *)
   mutable max_queue : int;
   mutable recoveries : (float * float) list;  (* (crash_ns, end_ns), newest first *)
-  mutable dispatches : int;  (* server-fiber dispatch count, set at exit *)
 }
 
-let create ?(replicate = false) factory ~threads ~server_tid sid =
+let create ?(replicate = false) factory ~threads sid =
   let heap =
     Pmem.heap
       ~name:(Printf.sprintf "%s-shard%d" factory.Set_intf.fname sid)
@@ -113,7 +111,6 @@ let create ?(replicate = false) factory ~threads ~server_tid sid =
   let algo = factory.Set_intf.make heap ~threads in
   {
     sid;
-    server_tid;
     heap;
     algo;
     model = factory.Set_intf.model;
@@ -133,7 +130,6 @@ let create ?(replicate = false) factory ~threads ~server_tid sid =
     forwarded = 0;
     max_queue = 0;
     recoveries = [];
-    dispatches = 0;
   }
 
 let submit t req =
@@ -222,10 +218,7 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
     | _ -> ()
   in
   let failover rep crash_ns =
-    (match wb with
-    | `Rng -> Pmem.crash ~rng:(Sim.random_state ()) ~scope:`Heap t.heap
-    | (`Drop | `All | `Prefix _) as resolution ->
-        Pmem.crash ~resolution ~scope:`Heap t.heap);
+    Pmem.crash ~rng:(Sim.random_state ()) ~resolution:wb ~scope:`Heap t.heap;
     Events.crash_resolved ~round:(-1);
     Sim.step failover_ns;
     (* promote: the replica heap never crashed, so no restart latency
@@ -267,10 +260,7 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
   in
   let restart crash_ns =
     ignore crash_ns;
-    (match wb with
-    | `Rng -> Pmem.crash ~rng:(Sim.random_state ()) ~scope:`Heap t.heap
-    | (`Drop | `All | `Prefix _) as resolution ->
-        Pmem.crash ~resolution ~scope:`Heap t.heap);
+    Pmem.crash ~rng:(Sim.random_state ()) ~resolution:wb ~scope:`Heap t.heap;
     (* there are no campaign rounds in a serve: attribute the crash to no
        round (the heap name carries the shard identity) *)
     Events.crash_resolved ~round:(-1);
@@ -363,5 +353,4 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
         t.in_recovery <- false;
         loop ()
   in
-  loop ();
-  t.dispatches <- Sim.dispatches ~tid:t.server_tid
+  loop ()

@@ -44,7 +44,6 @@ type inflight =
 
 type t = {
   sid : int;
-  server_tid : int;
   mutable heap : Pmem.heap;  (** swapped by failover promotion *)
   mutable algo : Set_intf.t;
   model : Set_intf.model;  (** the backend factory's; a failover keeps it *)
@@ -68,19 +67,15 @@ type t = {
   mutable max_queue : int;
   mutable recoveries : (float * float) list;
       (** (crash_ns, recovery_end_ns), newest first *)
-  mutable dispatches : int;
-      (** server-fiber dispatch count, recorded at server exit — bounds
-          the meaningful crash points of {!Store.explore} *)
 }
 
 val create :
   ?replicate:bool ->
   Set_intf.factory ->
   threads:int ->
-  server_tid:int ->
   int ->
   t
-(** [create factory ~threads ~server_tid sid]: fresh heap named
+(** [create factory ~threads sid]: fresh heap named
     ["<algo>-shard<sid>"] plus a structure instance on it.
     [replicate] (default false) attaches a ready {!Replica} on its own
     heap (the caller must prefill both identically).  [threads] must
@@ -98,7 +93,7 @@ val serve :
   poll_ns:float ->
   restart_ns:float ->
   failover_ns:float ->
-  wb:[ `Rng | `Drop | `All | `Prefix of int ] ->
+  wb:Pmem.resolution ->
   live:(unit -> bool) ->
   on_complete:(unit -> unit) ->
   ?guard:(request -> [ `Execute | `Defer | `Forward of t ]) ->

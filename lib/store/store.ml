@@ -45,8 +45,8 @@ type config = {
   workload : Workload.config;
   open_loop_ns : float option;
   crash : crash_plan option;
-  wb : [ `Rng | `Drop | `All | `Prefix of int ];
-  wb2 : [ `Rng | `Drop | `All | `Prefix of int ] option;
+  wb : Pmem.resolution;
+  wb2 : Pmem.resolution option;
       (* write-back resolution of the SECOND victim of a correlated
          crash; [None] = same as [wb].  Distinct resolutions are what
          make a both-endpoint power loss adversarial per heap. *)
@@ -160,8 +160,8 @@ let run ?record ?(schedule = [||]) cfg =
       let server_tid sid = 1 + cfg.clients + sid in
       let shards =
         Array.init nshards (fun sid ->
-            Shard.create ~replicate:cfg.replicate (backend_of cfg sid) ~threads
-              ~server_tid:(server_tid sid) sid)
+            Shard.create ~replicate:cfg.replicate (backend_of cfg sid)
+              ~threads sid)
       in
       let table = Router.create ~shards:cfg.shards in
       let migration =

@@ -53,9 +53,9 @@ type config = {
       (** [Some mean]: open-loop Poisson arrivals with this mean
           interarrival (virtual ns); [None]: closed loop *)
   crash : crash_plan option;
-  wb : [ `Rng | `Drop | `All | `Prefix of int ];
+  wb : Pmem.resolution;
       (** write-back resolution of shard crashes (see [Pmem.crash]) *)
-  wb2 : [ `Rng | `Drop | `All | `Prefix of int ] option;
+  wb2 : Pmem.resolution option;
       (** resolution of the {e second} victim of a correlated crash;
           [None] = same as [wb] *)
   restart_ns : float;  (** shard restart latency charged before recovery *)

@@ -288,7 +288,7 @@ module Make (K : KEY) = struct
 
   let size t = List.length (to_list t)
 
-  let check_invariants ?(expect_untagged = true) t =
+  let check_invariants t =
     let err fmt = Format.kasprintf (fun s -> Error s) fmt in
     (* left subtree strictly below the node key, right subtree at or
        above it; bounds propagate down. *)
@@ -300,9 +300,7 @@ module Make (K : KEY) = struct
           if lo_ok && hi_ok then Ok ()
           else err "leaf %s violates search bounds" (key_name k)
       | Node q -> (
-          if
-            expect_untagged
-            && match Pmem.peek q.info with Desc.Tagged _ -> true | _ -> false
+          if match Pmem.peek q.info with Desc.Tagged _ -> true | _ -> false
           then err "reachable internal %s is tagged in a quiescent state"
                  (key_name q.ikey)
           else

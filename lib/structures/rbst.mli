@@ -39,10 +39,10 @@ module Make (K : KEY) : sig
 
   val mem_volatile : t -> K.t -> bool
 
-  val check_invariants : ?expect_untagged:bool -> t -> (unit, string) result
+  val check_invariants : t -> (unit, string) result
   (** BST ordering of internal keys w.r.t. leaves, exactly two children
-      per internal node, sentinel structure intact; with [expect_untagged]
-      every reachable internal node must be untagged (quiescent state). *)
+      per internal node, sentinel structure intact, and every reachable
+      internal node untagged (quiescent state). *)
 
   val size : t -> int
   (** Number of keys (excluding sentinels). *)

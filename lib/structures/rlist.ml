@@ -246,7 +246,7 @@ module Make (K : KEY) = struct
 
   let length t = List.length (to_list t)
 
-  let check_invariants ?(expect_untagged = true) t =
+  let check_invariants t =
     let err fmt = Format.kasprintf (fun s -> Error s) fmt in
     let rec go prev nd =
       let order_ok =
@@ -260,9 +260,7 @@ module Make (K : KEY) = struct
       if not order_ok then
         err "order violation: %s before %s" (key_name prev.key)
           (key_name nd.key)
-      else if
-        expect_untagged
-        && match Pmem.peek nd.info with Desc.Tagged _ -> true | _ -> false
+      else if match Pmem.peek nd.info with Desc.Tagged _ -> true | _ -> false
       then err "reachable node %s is tagged in a quiescent state"
              (key_name nd.key)
       else

@@ -53,11 +53,10 @@ module Make (K : KEY) : sig
   val mem_volatile : t -> K.t -> bool
   (** Uncosted presence check via {!Pmem.peek}. *)
 
-  val check_invariants : ?expect_untagged:bool -> t -> (unit, string) result
-  (** Strictly sorted, sentinel-delimited, reachable tail; with
-      [expect_untagged] (default true) also requires every reachable
-      node's info field to be untagged, which must hold in any quiescent
-      state (all operations completed or recovered). *)
+  val check_invariants : t -> (unit, string) result
+  (** Strictly sorted, sentinel-delimited, reachable tail, and every
+      reachable node's info field untagged, which must hold in any
+      quiescent state (all operations completed or recovered). *)
 
   val length : t -> int
 

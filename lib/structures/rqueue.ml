@@ -184,13 +184,11 @@ let to_list t =
 
 let length t = List.length (to_list t)
 
-let check_invariants ?(expect_untagged = true) t =
+let check_invariants t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec go n nd =
     if n > 1_000_000 then err "queue chain too long or cyclic"
-    else if
-      expect_untagged
-      && match Pmem.peek nd.info with Desc.Tagged _ -> true | _ -> false
+    else if match Pmem.peek nd.info with Desc.Tagged _ -> true | _ -> false
     then err "reachable queue node is tagged in a quiescent state"
     else
       match Pmem.peek nd.next with None -> Ok () | Some next -> go (n + 1) next

@@ -48,7 +48,7 @@ val to_list : 'a t -> 'a list
 
 val length : 'a t -> int
 
-val check_invariants : ?expect_untagged:bool -> 'a t -> (unit, string) result
+val check_invariants : 'a t -> (unit, string) result
 
 val space : 'a t -> (Pmem.line * [ `Payload of 'a list | `Meta of string ]) list
 (** Persistent-space enumeration ([Harness.Space]): reachable lines

@@ -177,13 +177,11 @@ let to_list t =
   in
   go [] (Pmem.peek t.top)
 
-let check_invariants ?(expect_untagged = true) t =
+let check_invariants t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   let rec go n nd =
     if n > 1_000_000 then err "stack chain too long or cyclic"
-    else if
-      expect_untagged
-      && match Pmem.peek nd.info with Desc.Tagged _ -> true | _ -> false
+    else if match Pmem.peek nd.info with Desc.Tagged _ -> true | _ -> false
     then err "reachable stack node is tagged in a quiescent state"
     else
       match (nd.value, Pmem.peek nd.next) with

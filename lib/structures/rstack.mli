@@ -29,4 +29,4 @@ val recover : 'a t -> 'a pending -> 'a option
 val to_list : 'a t -> 'a list
 (** Top-to-bottom volatile snapshot. *)
 
-val check_invariants : ?expect_untagged:bool -> 'a t -> (unit, string) result
+val check_invariants : 'a t -> (unit, string) result

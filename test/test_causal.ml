@@ -154,24 +154,6 @@ let test_raising_measurement_leaks_nothing () =
   Alcotest.(check bool) "all sites enabled" true
     (List.for_all Pstats.enabled (Pstats.sites ()))
 
-(* ---- classification plumbing ------------------------------------------ *)
-
-let test_classify_tie_pins_high () =
-  let s = Pstats.make Pstats.Pwb "test.tie.pwb" in
-  Pstats.reset ();
-  Pstats.record s Pstats.Medium;
-  Pstats.record s Pstats.High;
-  Alcotest.(check bool) "50/50 medium/high counts as high" true
-    (Pstats.classify s = Some Pstats.High);
-  Pstats.reset ();
-  Pstats.record s Pstats.Low;
-  Pstats.record s Pstats.Medium;
-  Alcotest.(check bool) "50/50 low/medium counts as medium" true
-    (Pstats.classify s = Some Pstats.Medium);
-  Pstats.reset ();
-  Alcotest.(check bool) "no executions, no class" true
-    (Pstats.classify s = None)
-
 (* Each measurement resets classification state: two identical runs see
    identical counts (nothing accumulates across figure points). *)
 let test_counts_reset_between_points () =
@@ -233,8 +215,6 @@ let suite =
       test_with_scaled_rejects_unknown;
     Alcotest.test_case "raising measurement leaks no state" `Quick
       test_raising_measurement_leaks_nothing;
-    Alcotest.test_case "classify pins ties toward high impact" `Quick
-      test_classify_tie_pins_high;
     Alcotest.test_case "counts reset between figure points" `Quick
       test_counts_reset_between_points;
     Alcotest.test_case "csv/json export shapes" `Quick test_export_shapes;

@@ -197,6 +197,36 @@ let test_explain_byte_identical () =
   (* and the JSON names the same culprit site *)
   check_contains "json culprit" "mmt-broken.cp.pwb" j1
 
+(* -- each fate pairs with its own pwb ------------------------------------- *)
+
+let pairing_pwb = Pstats.make Pstats.Pwb "test.pairing.pwb"
+let pairing_sync = Pstats.make Pstats.Psync "test.pairing.psync"
+
+(* [Pmem.reset_pending] drops a write-back without a fate: a later pwb of
+   the same line by the same thread must meet its own fate, not stay
+   outstanding behind the discarded one. *)
+let test_fate_pairs_with_own_pwb () =
+  Pstats.set_all_enabled true;
+  Forensics.start ();
+  Fun.protect ~finally:Forensics.stop (fun () ->
+      let cell = Pmem.alloc ~name:"cell:7" (Pmem.heap ~name:"pairing" ()) 0 in
+      Pmem.pwb_f pairing_pwb cell;
+      Pmem.reset_pending ();
+      let op (_ : int) =
+        Events.op_begin ~kind:"insert" ~key:7;
+        Pmem.write cell 1;
+        Pmem.pwb_f pairing_pwb cell;
+        Pmem.psync pairing_sync;
+        Events.op_end ~ok:true
+      in
+      ignore (Sim.run [| op |] : Sim.outcome);
+      let pm =
+        Forensics.build ~algo:"pairing" ~seed:0 ~error:"oracle: key 7: lost"
+      in
+      check_contains "the op's pwb drained"
+        "pwb cell:7 (site test.pairing.pwb) -> drained"
+        (Forensics.render_text pm))
+
 let suite =
   [
     Alcotest.test_case "tracking-broken postmortem names site and line"
@@ -208,4 +238,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_healthy_no_postmortem;
     Alcotest.test_case "explain output is byte-identical" `Quick
       test_explain_byte_identical;
+    Alcotest.test_case "each write-back fate pairs with its own pwb" `Quick
+      test_fate_pairs_with_own_pwb;
   ]

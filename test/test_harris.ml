@@ -1,6 +1,6 @@
 (* The volatile Harris list's own mechanics: marking, physical snipping
-   by traversals, and the instrumentation hooks the Capsules baselines
-   build on. *)
+   by traversals, and the traversal hook the Capsules baselines build
+   on. *)
 
 let fresh () =
   Pmem.reset_pending ();
@@ -23,46 +23,17 @@ let test_mark_then_snip () =
 let test_on_visit_hook_sees_marks () =
   let l = fresh () in
   List.iter (fun k -> ignore (Harris.insert l k)) [ 1; 2; 3 ];
-  (* mark 2 without unlinking by driving delete_with and crashing the
-     physical unlink via a stalled fiber is overkill here; instead verify
-     the hook observes every traversed node and its link *)
+  (* verify the hook observes every traversed node and its link *)
   let visited = ref [] in
-  let found =
-    Harris.find_with
+  let _, curr =
+    Harris.search_with
       ~on_visit:(fun nd link -> visited := (nd.Harris.key, link.Harris.marked) :: !visited)
       l 3
   in
-  Alcotest.(check bool) "found" true found;
+  Alcotest.(check int) "found" 3 curr.Harris.key;
   let keys = List.rev_map fst !visited in
   Alcotest.(check bool) "visited the prefix" true
     (List.mem 1 keys && List.mem 2 keys && List.mem 3 keys)
-
-let test_mk_link_identity_plumbed () =
-  let l = fresh () in
-  let made = ref [] in
-  let mk_link ~succ ~marked =
-    let link = Harris.make_link ~writer:7 ~wseq:42 ~succ ~marked () in
-    made := link :: !made;
-    link
-  in
-  assert (Harris.insert_with ~mk_link l 5);
-  Alcotest.(check bool) "custom links used" true (List.length !made > 0);
-  List.iter
-    (fun (lk : Harris.link) ->
-      Alcotest.(check int) "writer" 7 lk.Harris.writer;
-      Alcotest.(check int) "wseq" 42 lk.Harris.wseq)
-    !made
-
-let test_after_cas_hook_fires () =
-  let l = fresh () in
-  let fired = ref 0 in
-  let after_cas _ = incr fired in
-  assert (Harris.insert_with ~after_cas l 9);
-  Alcotest.(check bool) "insert cas hooked" true (!fired >= 1);
-  let before = !fired in
-  assert (Harris.delete_with ~after_cas l 9);
-  (* delete fires for the mark and usually for the unlink *)
-  Alcotest.(check bool) "delete cas hooked" true (!fired > before)
 
 let test_concurrent_harris () =
   for seed = 0 to 9 do
@@ -93,9 +64,6 @@ let suite =
   [
     Alcotest.test_case "mark then snip" `Quick test_mark_then_snip;
     Alcotest.test_case "on_visit hook" `Quick test_on_visit_hook_sees_marks;
-    Alcotest.test_case "mk_link identity plumbing" `Quick
-      test_mk_link_identity_plumbed;
-    Alcotest.test_case "after_cas hook" `Quick test_after_cas_hook_fires;
     Alcotest.test_case "concurrent inserts/deletes" `Quick
       test_concurrent_harris;
   ]

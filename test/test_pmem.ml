@@ -385,26 +385,40 @@ let golden_state ha a hb b =
   done;
   Buffer.contents buf
 
-let golden_reports () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun (r : Pmem.crash_report) ->
-      Printf.bprintf buf "[%s %s %s +%d -%d" r.cr_heap
+(* A bus subscriber that renders each crash's report into [buf], with
+   every write-back it resolved as tid:line:site:persisted.  The site is
+   that of the pwb the fate pairs with: a thread's write-backs of one
+   line meet their fates in issue order. *)
+let golden_reports buf =
+  let sites = Hashtbl.create 16 and fates = Buffer.create 256 in
+  function
+  | Pmem.Mem (Pmem.Pwb { tid; site; line; _ }) ->
+      (match Hashtbl.find_opt sites (tid, line) with
+      | Some q -> Queue.push site q
+      | None -> Hashtbl.add sites (tid, line) (Queue.of_seq (Seq.return site)))
+  | Pmem.Rings_cleared -> Hashtbl.reset sites
+  | Pmem.Writeback { tid; line; fate } ->
+      let site = Queue.pop (Hashtbl.find sites (tid, line)) in
+      if fate <> Pmem.Drained then
+        Printf.bprintf fates " %d:%s:%s:%b" tid line site
+          (fate = Pmem.Crash_persisted)
+  | Pmem.Crashed r ->
+      Printf.bprintf buf "[%s %s %s +%d -%d%s poisoned %d:%s reverted %d:%s]"
+        r.cr_heap
         (match r.cr_scope with `Machine -> "machine" | `Heap -> "heap")
-        r.cr_resolution r.cr_persisted r.cr_dropped;
-      List.iter
-        (fun (f : Pmem.crash_fate) ->
-          Printf.bprintf buf " %d:%s:%s:%b" f.cf_tid f.cf_line f.cf_site
-            f.cf_persisted)
-        r.cr_fates;
-      Printf.bprintf buf " poisoned %d:%s reverted %d:%s]" r.cr_poisoned_total
+        (Repro.wb_to_string r.cr_resolution) r.cr_persisted r.cr_dropped
+        (Buffer.contents fates) r.cr_poisoned_total
         (String.concat "," r.cr_poisoned) r.cr_reverted_total
-        (String.concat "," r.cr_reverted))
-    (Pmem.crash_reports ());
-  Buffer.contents buf
+        (String.concat "," r.cr_reverted);
+      Buffer.clear fates
+  | _ -> ()
 
 let golden_crash ?rng ?resolution scope =
   let _ = fresh () in
+  let reports = Buffer.create 1024 in
+  let on_event = golden_reports reports in
+  Sim.subscribe on_event;
+  Fun.protect ~finally:(fun () -> Sim.unsubscribe on_event) @@ fun () ->
   let ha, a = golden_heap "a" and hb, b = golden_heap "b" in
   (* durable values for some fields, so a crash reverts them *)
   Pmem.write a.cells.(0) 10;
@@ -460,10 +474,13 @@ let golden_crash ?rng ?resolution scope =
   let persisted = golden_state ha a hb b in
   Pmem.crash ~resolution:`Drop ha;
   let next = match rng with Some r -> Random.State.bits r | None -> -1 in
-  Printf.sprintf "%s ||%s ||%s ||%s || next %d" (golden_reports ()) first
+  Printf.sprintf "%s ||%s ||%s ||%s || next %d" (Buffer.contents reports) first
     persisted (golden_state ha a hb b) next
 
 let test_golden_crash_resolutions () =
+  Alcotest.check_raises "`Rng without an rng"
+    (Invalid_argument "Pmem.crash: `Rng resolution without ~rng") (fun () ->
+      Pmem.crash ~resolution:`Rng (fresh ()));
   let runs =
     List.concat_map
       (fun (sname, scope) ->
@@ -591,8 +608,8 @@ let test_snapshot_restore () =
     (fun () -> ignore (Pmem.snapshot (Pmem.heap ~track_for_crash:false ()) : Pmem.snapshot))
 
 (* A snapshot carries the machine too: a write-back pending when it was
-   taken is pending again after a restore, however the rings and the
-   crash log changed in between, and it completes at a later crash. *)
+   taken is pending again after a restore, however the rings changed in
+   between, and it completes at a later crash. *)
 let test_snapshot_restores_machine () =
   let h = fresh () in
   let p = Pmem.alloc ~name:"p" h 5 in
@@ -601,10 +618,8 @@ let test_snapshot_restores_machine () =
   Pmem.psync site_sync;
   Pmem.crash h;
   Alcotest.(check int) "rings drained" 0 (Pmem.max_outstanding_writebacks ());
-  Alcotest.(check int) "one crash logged" 1 (List.length (Pmem.crash_reports ()));
   Pmem.restore s;
   Alcotest.(check int) "pending write-back" 1 (Pmem.max_outstanding_writebacks ());
-  Alcotest.(check int) "crash log" 0 (List.length (Pmem.crash_reports ()));
   Alcotest.(check bool) "not yet durable" true (Pmem.peek_persisted p = None);
   Pmem.crash ~resolution:`All h;
   Alcotest.(check bool) "the restored write-back persists" false

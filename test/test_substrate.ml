@@ -23,19 +23,6 @@ let test_pstats_masks () =
   Alcotest.(check bool) "kind re-enable" true (Pstats.enabled s);
   Pstats.set_all_enabled true
 
-let test_pstats_classify_majority () =
-  Pstats.reset ();
-  let s = Pstats.make Pwb "subst.classify" in
-  Pstats.record s Pstats.Low;
-  Pstats.record s Pstats.High;
-  Pstats.record s Pstats.High;
-  Alcotest.(check bool) "majority high" true
-    (Pstats.classify s = Some Pstats.High);
-  let l, m, h = Pstats.site_counts s in
-  Alcotest.(check (list int)) "counts" [ 1; 0; 2 ] [ l; m; h ];
-  Pstats.reset ();
-  Alcotest.(check bool) "silent after reset" true (Pstats.classify s = None)
-
 let test_pvar_private_lines () =
   Pmem.reset_pending ();
   let heap = Pmem.heap () in
@@ -125,8 +112,6 @@ let suite =
   [
     Alcotest.test_case "pstats registry" `Quick test_pstats_registry;
     Alcotest.test_case "pstats enable masks" `Quick test_pstats_masks;
-    Alcotest.test_case "pstats majority classification" `Quick
-      test_pstats_classify_majority;
     Alcotest.test_case "pvar private lines, durable init" `Quick
       test_pvar_private_lines;
     Alcotest.test_case "pvar bounds" `Quick test_pvar_bounds;
