@@ -188,9 +188,10 @@ sched-golden:
 # replay transcripts and postmortems must match the committed ones —
 # both shipped repros explained (text and JSON), stats, space, causal
 # and three serve reports, a Perfetto export, campaign replay/shrink,
-# and the failure path of explore, crash, stats, soak and a serve
+# and the failure path of explore, crash, stats, soak, a serve
 # sweep (stdout plus the repro it saves, then that serve repro replayed
-# and explained); the explore report of every crash-capable set-model
+# and explained) and a plain serve run (stdout and the repro it
+# records by re-running the failing config); the explore report of every crash-capable set-model
 # variant on the crash-explore tree (the two negative controls fail,
 # with a postmortem); the refusal of a queue backend by crash and space;
 # the refusal of the volatile harris list by crash and explore; the
@@ -252,6 +253,10 @@ output-golden:
 	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
 	  --explore --dispatch-budget 200 -j 2 --repro $(OG)/serve.repro \
 	  > $(OG)/serve-explore.txt
+	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
+	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
+	  --crash-both 0,2 --crash-dispatch 64 --wb drop \
+	  --repro $(OG)/serve-plain.repro > $(OG)/serve-plain.txt
 	dune exec bin/repro.exe -- replay $(OG)/serve.repro > $(OG)/serve-replay.txt
 	dune exec bin/repro.exe -- explain $(OG)/serve.repro > $(OG)/explain-serve.txt
 	dune exec bin/repro.exe -- explain --json $(OG)/serve.repro > $(OG)/explain-serve.json
@@ -287,7 +292,7 @@ output-golden:
 	  explore2-tracking.txt explore2-romulus.txt explore-p1-tracking.txt \
 	  explore-p1-tracking-broken.txt explore-p1-tracking-broken.repro \
 	  explore-p1-memento-broken.txt explore-p1-memento-broken.repro \
-	  crash-mb.txt crash-mb.repro \
+	  crash-mb.txt crash-mb.repro serve-plain.txt serve-plain.repro \
 	  | diff ../../test/output-golden.txt -
 
 clean:

@@ -1178,10 +1178,15 @@ let serve_cmd =
             st.Store.ex_first_failure
     end
     else begin
-      let sched = ref [] in
-      let record c = sched := c :: !sched in
-      match traced trace (fun () -> Store.run ~record cfg) with
+      match traced trace (fun () -> Store.run cfg) with
       | Error msg ->
+          (* Only a failing run needs its schedule: the seed pins the
+             interleaving, so a recorded re-run, outside the trace,
+             reproduces it for the repro. *)
+          let sched = ref [] in
+          ignore
+            (Store.run ~record:(fun c -> sched := c :: !sched) cfg
+              : (Slo.report, string) result);
           violation ?repro_file ~msg
             (Serve
                {

@@ -28,6 +28,7 @@ type fate =
   | Crash_dropped of int
 
 type pwb_rec = {
+  pw_seq : int;  (* issue order over the whole recording *)
   pw_line : string;
   pw_site : string;
   pw_round : int;
@@ -69,6 +70,7 @@ type state = {
       (* per line, newest first; consecutive writes by the same op in
          the same round collapse to one record *)
   mutable s_orphans : pwb_rec list;  (* pwbs issued outside any op *)
+  mutable s_pwbs : int;  (* pwbs recorded so far *)
   mutable s_crash_rounds : int list;  (* newest first; round per crash *)
   mutable s_dropped : pm_wb list;
       (* the crash in progress's dropped write-backs, newest first *)
@@ -85,6 +87,7 @@ let fresh_state () =
     s_pending = Hashtbl.create 64;
     s_writers = Hashtbl.create 64;
     s_orphans = [];
+    s_pwbs = 0;
     s_crash_rounds = [];
     s_dropped = [];
     s_reports = [];
@@ -136,9 +139,10 @@ let on_pmem_event st : Pmem.trace_event -> unit = function
       if success then note_write st tid line
   | Pmem.Pwb { tid; site; line; _ } ->
       let pw =
-        { pw_line = line; pw_site = site; pw_round = st.s_round;
-          pw_fate = Outstanding }
+        { pw_seq = st.s_pwbs; pw_line = line; pw_site = site;
+          pw_round = st.s_round; pw_fate = Outstanding }
       in
+      st.s_pwbs <- st.s_pwbs + 1;
       (match st.s_cur.(tid) with
       | Some op ->
           touch_round st op;
@@ -350,16 +354,16 @@ let describe_writer st ?round line =
              or structure recovery)"
             w.w_tid w.w_round)
 
-(* All write-back records ever issued for [line], oldest first. *)
+(* All write-back records ever issued for [line], in issue order: an
+   op's pwb can follow one issued outside any op, and the other way
+   round. *)
 let pwbs_of_line st line =
-  let of_op op = List.rev op.o_pwbs in
-  let all =
-    List.concat_map of_op (List.rev st.s_ops)
-    @ List.concat_map of_op
-        (Array.to_list st.s_cur |> List.filter_map (fun o -> o))
-    @ List.rev st.s_orphans
-  in
-  List.filter (fun pw -> pw.pw_line = line) all
+  List.concat_map (fun op -> op.o_pwbs) st.s_ops
+  @ List.concat_map (fun op -> op.o_pwbs)
+      (Array.to_list st.s_cur |> List.filter_map (fun o -> o))
+  @ st.s_orphans
+  |> List.filter (fun pw -> pw.pw_line = line)
+  |> List.sort (fun a b -> Int.compare a.pw_seq b.pw_seq)
 
 let describe_flush_history st line =
   match pwbs_of_line st line with

@@ -25,6 +25,13 @@ type fiber =
     }
       (* suspended in [poll_while]: the scheduler re-checks [cond] at
          each dispatch and resumes [k] only once it fails *)
+  | Woken of {
+      k : (unit, status) Effect.Deep.continuation;
+      exn : exn option;
+    }
+      (* a [Poll] fiber whose last dispatch ran in the ready heap
+         ([retick]) and ended its wait: when next dequeued it is resumed,
+         or discontinued with [exn], without being dispatched again *)
 
 (* A fiber value for unoccupied slots, so the slot table can be a plain
    (non-option) array: reading it is a bug caught by slot_tid = -1. *)
@@ -126,10 +133,12 @@ type engine = {
   ready_flag : bool array;
   tid_bufs : int array array;
   (* The decision a switching step took before suspending (see
-     [switch_point]): [handoff] is the picked ready index, for the
-     [Yield] handler, which requeues the yielder, removes the pick and
-     leaves its slot in [next_slot] for the loop (-1 = none). *)
+     [switch_point]): [handoff] is the picked ready index and
+     [handoff_seq] the insertion seq the step took for the yielder, for
+     the [Yield] handler, which requeues the yielder, removes the pick
+     and leaves its slot in [next_slot] for the loop (-1 = none). *)
   mutable handoff : int;
+  mutable handoff_seq : int;
   mutable next_slot : int;
   (* Per-fiber fault injection: an exception delivered to one fiber at
      its next resumption, leaving every other fiber running — the
@@ -198,8 +207,10 @@ let[@inline] before (c1 : float) (s1 : int) c2 s2 = c1 < c2 || (c1 = c2 && s1 < 
 (* The sifts move a hole instead of swapping: the entry [(clock, seq,
    slot)] being placed is held aside and written once, at its final
    index.  Every index they touch is below [ready_len], within the
-   arrays, hence the unchecked accesses. *)
-let sift_up e i clock seq slot =
+   arrays, hence the unchecked accesses.  They and [heap_push] are
+   inlined: a float argument of a call is boxed, and the sifts run at
+   every requeue. *)
+let[@inline] sift_up e i clock seq slot =
   let rc = e.ready_clock and rs = e.ready_seq and rt = e.ready_slot in
   let i = ref i in
   while
@@ -218,7 +229,7 @@ let sift_up e i clock seq slot =
   Array.unsafe_set rs !i seq;
   Array.unsafe_set rt !i slot
 
-let sift_down e i clock seq slot =
+let[@inline] sift_down e i clock seq slot =
   let n = e.ready_len in
   let rc = e.ready_clock and rs = e.ready_seq and rt = e.ready_slot in
   let i = ref i and sifting = ref true in
@@ -249,7 +260,7 @@ let sift_down e i clock seq slot =
   Array.unsafe_set rs !i seq;
   Array.unsafe_set rt !i slot
 
-let heap_push e clock seq slot =
+let[@inline] heap_push e clock seq slot =
   let n = e.ready_len in
   if n = Array.length e.ready_clock then begin
     let cap = max 8 (2 * n) in
@@ -425,35 +436,41 @@ let take_slot e tid fiber =
   e.slot_fiber.(slot) <- fiber;
   slot
 
-let enqueue e tid fiber =
-  let slot = take_slot e tid fiber in
+(* The next insertion seq. *)
+let take_seq e =
   e.seq <- e.seq + 1;
-  heap_push e e.clocks.(tid) e.seq slot
+  e.seq
 
-(* Requeue yielder [i] as [fiber] and take the ready entry [r] that its
-   switching step picked before suspending; returns the pick's slot.
-   Under [`Random] the requeue comes first: [enqueue] appends without
-   sifting, so [r] still names the pick, and the yielder fills its hole
-   exactly as [enqueue] then [dequeue] would leave it — the uniform draws
-   index this layout.  Under [`Perf] every decision is by clock order or
-   by tid, so the layout is unobservable.  A root pick, the usual case,
-   hands the root to the yielder, which sifts down once; any other pick
-   must leave before the push can move it.  Either way the yielder gets
-   the seq and slot [enqueue] would give it. *)
-let requeue_and_take e i fiber r =
+(* Queue [tid]'s [fiber] under insertion seq [seq]. *)
+let push e tid fiber seq =
+  heap_push e e.clocks.(tid) seq (take_slot e tid fiber)
+
+let enqueue e tid fiber = push e tid fiber (take_seq e)
+
+(* Requeue yielder [i] as [fiber] under the seq [seq] its switching step
+   took, and take the ready entry [r] that the step picked before
+   suspending; returns the pick's slot.  Under [`Random] the requeue
+   comes first: [push] appends without sifting, so [r] still names the
+   pick, and the yielder fills its hole exactly as [enqueue] then
+   [dequeue] would leave it — the uniform draws index this layout.
+   Under [`Perf] every decision is by clock order or by tid, so the
+   layout is unobservable.  A root pick, the usual case, hands the root
+   to the yielder, which sifts down once; any other pick must leave
+   before the push can move it.  Either way the yielder gets the slot
+   [enqueue] would give it. *)
+let requeue_and_take e i fiber r seq =
   match e.policy with
   | `Random ->
-      enqueue e i fiber;
+      push e i fiber seq;
       remove_at e r
   | `Perf when r = 0 ->
       let slot = take_slot e i fiber in
-      e.seq <- e.seq + 1;
       let picked = e.ready_slot.(0) in
-      sift_down e 0 e.clocks.(i) e.seq slot;
+      sift_down e 0 e.clocks.(i) seq slot;
       picked
   | `Perf ->
       let slot = remove_at e r in
-      enqueue e i fiber;
+      push e i fiber seq;
       slot
 
 (* Pick the next fiber to dispatch — the one a switching step already
@@ -530,16 +547,83 @@ let settle e i =
     if e.crashing then stop_crashed else None
   end
 
-(* The dispatch of fiber [i] that a switching step decided in place:
-   the same tracing, counting and interrupt delivery as the loop's
-   dispatch of a suspended fiber. *)
-let redispatch e i =
+(* What every dispatch of fiber [i] does first: trace it and count it. *)
+let count_dispatch e i =
   let v = e.view in
   if v.subs != [] then
     publish v
       (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
-  e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
+  e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1
+
+(* The dispatch of fiber [i] that a switching step decided in place:
+   the same tracing, counting and interrupt delivery as the loop's
+   dispatch of a suspended fiber. *)
+let redispatch e i =
+  count_dispatch e i;
   match due_interrupt e i with None -> () | Some exn -> raise exn
+
+(* A dispatch of poller [i], past [count_dispatch]: what resuming it
+   would do — take a due interrupt, or re-check [cond] and, while it
+   holds, step [period] again — without resuming it.  Returns [fiber]
+   itself while the poller keeps waiting (its step settled with no
+   bound firing), else the [Woken] fiber that ends the wait. *)
+let poll_tick e i fiber =
+  match fiber with
+  | Poll { k; period; cond } -> (
+      match due_interrupt e i with
+      | Some _ as exn -> Woken { k; exn }
+      | None -> (
+          match cond () with
+          | false -> Woken { k; exn = None }
+          | true -> (
+              e.pending.(i) <- e.pending.(i) +. period;
+              match settle e i with None -> fiber | exn -> Woken { k; exn })
+          | exception exn -> Woken { k; exn = Some exn }))
+  | Thunk _ | Cont _ | Woken _ -> assert false
+
+let resume k = function
+  | None -> ignore (Effect.Deep.continue k () : status)
+  | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
+
+let[@inline] poll_at_root e =
+  match e.slot_fiber.(e.ready_slot.(0)) with Poll _ -> true | _ -> false
+
+(* The dispatch of the root poller, run in the ready heap: traced and
+   counted as the loop's, on the poller's view.  While the poller keeps
+   waiting it is re-keyed in place — the seq [enqueue] would give it and
+   one sift-down, with no dequeue, slot release or push; a woken poller
+   stays at the root as [Woken] with its outcome.  Returns whether it
+   keeps waiting. *)
+let retick e =
+  let slot = e.ready_slot.(0) in
+  let i = e.slot_tid.(slot) and fiber = e.slot_fiber.(slot) in
+  enter e.view i;
+  count_dispatch e i;
+  let f = poll_tick e i fiber in
+  if f == fiber then begin
+    sift_down e 0 e.clocks.(i) (take_seq e) slot;
+    true
+  end
+  else begin
+    e.slot_fiber.(slot) <- f;
+    false
+  end
+
+(* A quiet engine's switching step of fiber [i], requeued at
+   [(clocks.(i), seq)], after which the loop would dispatch the root
+   while it precedes [i]: each such dispatch of a poller is a [retick]
+   run here, in heap order.  Returns whether [i] is then first; if not,
+   the root is the fiber to hand off to. *)
+let rec first_after_pollers e i seq =
+  (not (before e.ready_clock.(0) e.ready_seq.(0) e.clocks.(i) seq))
+  || (poll_at_root e && retick e && first_after_pollers e i seq)
+
+(* Suspend the running fiber, handing the [Yield] handler the ready index
+   [r] its step picked and the seq [seq] it requeues with. *)
+let hand_off e r seq =
+  e.handoff <- r;
+  e.handoff_seq <- seq;
+  Effect.perform Yield
 
 (* A switching step of the running fiber [i].  It settles the step, then
    takes the decision [dequeue] would take after requeueing the fiber.
@@ -553,17 +637,21 @@ let redispatch e i =
    view says no fiber is running while they do — and an exception they
    raise surfaces in the loop too.  A [quiet] engine with no tape left
    runs no hook, so the fiber stays current while it decides; a pick
-   other than the fiber is then the heap's root. *)
+   other than the fiber is then the heap's root, and the step runs the
+   idle dispatches of the pollers that precede its requeue itself
+   ([first_after_pollers]): when that leaves the fiber first, it
+   continues in place. *)
 let switch_point e i =
   (match settle e i with None -> () | Some exn -> raise exn);
   let n = e.ready_len in
   let past_tape = e.replay_pos >= Array.length e.replay in
   if e.quiet && past_tape then begin
-    let r = decide e i in
-    if r = n then redispatch e i
+    if decide e i = n then redispatch e i
     else begin
-      e.handoff <- r;
-      Effect.perform Yield
+      let seq = take_seq e in
+      let first = first_after_pollers e i seq in
+      enter e.view i;
+      if first then redispatch e i else hand_off e 0 seq
     end
   end
   else begin
@@ -580,11 +668,7 @@ let switch_point e i =
     with
     | r ->
         enter v i;
-        if r = n then redispatch e i
-        else begin
-          e.handoff <- r;
-          Effect.perform Yield
-        end
+        if r = n then redispatch e i else hand_off e r (take_seq e)
     | exception exn ->
         enter v i;
         Effect.perform (Yield_raise exn)
@@ -601,7 +685,7 @@ let handler e i : (unit, status) Effect.Deep.handler =
   let on_yield =
     Some
       (fun (k : (unit, status) Effect.Deep.continuation) ->
-        e.next_slot <- requeue_and_take e i (Cont k) e.handoff;
+        e.next_slot <- requeue_and_take e i (Cont k) e.handoff e.handoff_seq;
         Suspended)
   in
   {
@@ -666,6 +750,7 @@ let build view n =
       ready_flag = Array.make m false;
       tid_bufs = Array.make (n + 1) [||];
       handoff = -1;
+      handoff_seq = -1;
       next_slot = -1;
       pending_intr = Array.make m None;
       intr_sched = Array.make m [];
@@ -719,6 +804,7 @@ let reset e ~policy ~seed ~crash_at ~step_limit ~schedule ~record ~divergence
   e.crashing <- false;
   e.aborting <- false;
   e.handoff <- -1;
+  e.handoff_seq <- -1;
   e.next_slot <- -1;
   e.view.stride <- (match policy with `Perf -> yield_stride | `Random -> 1)
 
@@ -885,52 +971,47 @@ let request_crash () =
 let rec loop (e : engine) =
   if e.ready_len > 0 then begin
     let v = e.view in
-    let slot = dequeue e in
-    let i = e.slot_tid.(slot) in
-    let fiber = e.slot_fiber.(slot) in
-    release e slot;
-    if e.crashing then begin
-      match fiber with
-      | Thunk _ -> () (* never started: nothing volatile to unwind *)
-      | Cont k | Poll { k; _ } ->
-          enter v i;
-          ignore (Effect.Deep.discontinue k Crashed : status);
-          leave v
-    end
+    (* a quiet engine past the tape dispatches the root: a waiting poller
+       there is dispatched in place *)
+    if
+      e.quiet && e.next_slot < 0 && (not e.crashing)
+      && e.replay_pos >= Array.length e.replay
+      && poll_at_root e
+    then ignore (retick e : bool)
     else begin
+      let slot = dequeue e in
+      let i = e.slot_tid.(slot) in
+      let fiber = e.slot_fiber.(slot) in
+      release e slot;
       enter v i;
-      if v.subs != [] then
-        publish v
-          (Engine (Sched { step = e.steps; tid = i; clock = e.clocks.(i) }));
-      e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1;
-      (* Fault injection is delivered at a resumption only: a Thunk has
-         not installed its handlers yet, so an exception raised into it
-         would escape the whole run instead of reaching the fiber's own
-         recovery path.  A due interrupt stays armed until the fiber
-         next suspends. *)
-      (match fiber with
-      | Thunk f -> ignore (f () : status)
+      match fiber with
+      | Woken { k; exn } ->
+          (* dispatched already; nothing runs between its [retick] and
+             here, so a crash since then is its own *)
+          resume k exn
+      | Thunk _ when e.crashing -> () (* never started: nothing volatile to unwind *)
+      | (Cont k | Poll { k; _ }) when e.crashing ->
+          ignore (Effect.Deep.discontinue k Crashed : status)
+      | Thunk f ->
+          count_dispatch e i;
+          ignore (f () : status)
       | Cont k -> (
+          count_dispatch e i;
+          (* Fault injection is delivered at a resumption only: a Thunk
+             has not installed its handlers yet, so an exception raised
+             into it would escape the whole run instead of reaching the
+             fiber's own recovery path.  A due interrupt stays armed
+             until the fiber next suspends. *)
           match due_interrupt e i with
           | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
           | None -> ignore (Effect.Deep.continue k () : status))
-      | Poll { k; period; cond } -> (
-          match due_interrupt e i with
-          | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
-          | None -> (
-              (* What resuming [k] would do — re-check [cond] and, while
-                 it holds, step [period] again — without resuming it. *)
-              match cond () with
-              | false -> ignore (Effect.Deep.continue k () : status)
-              | true -> (
-                  e.pending.(i) <- e.pending.(i) +. period;
-                  match settle e i with
-                  | None -> enqueue e i fiber
-                  | Some exn -> ignore (Effect.Deep.discontinue k exn : status))
-              | exception exn ->
-                  ignore (Effect.Deep.discontinue k exn : status))));
-      leave v
+      | Poll _ -> (
+          count_dispatch e i;
+          match poll_tick e i fiber with
+          | Woken { k; exn } -> resume k exn
+          | _ -> enqueue e i fiber)
     end;
+    leave v;
     loop e
   end
 
@@ -950,7 +1031,7 @@ let teardown (e : engine) =
     release e slot;
     match fiber with
     | Thunk _ -> () (* never started: nothing to unwind *)
-    | Cont k | Poll { k; _ } ->
+    | Cont k | Poll { k; _ } | Woken { k; _ } ->
         enter v i;
         (try ignore (Effect.Deep.discontinue k Step_limit : status)
          with _ -> ());

@@ -262,7 +262,15 @@ val step : float -> unit
     When the decision picks the calling fiber, the step returns without
     suspending, but it is still a dispatch: traced ([Sched]), recorded,
     counted by {!dispatches}, and the place where a due {!interrupt} is
-    raised, exactly as if the fiber had been suspended and resumed. *)
+    raised, exactly as if the fiber had been suspended and resumed.
+
+    In a {e quiet} run ([`Perf] with no [record] and no [keep], once the
+    replay tape is used up) a step whose pick is a fiber waiting in
+    {!poll_while} first runs the idle re-checks of every waiting fiber
+    ahead of the caller itself, in the order the scheduler would
+    dispatch them; each is that fiber's dispatch, traced and counted as
+    such.  When the caller is then first, it continues in place as
+    above; otherwise it suspends. *)
 
 val step_as : switch:float -> float -> unit
 (** [step_as ~switch cost] charges [cost] but takes the scheduling/
@@ -281,8 +289,12 @@ val poll_while : period:float -> (unit -> bool) -> unit
     above the perf policy's batching threshold), the fiber suspends once
     and the scheduler itself re-evaluates [cond] at each later dispatch
     of the fiber: while it holds, the scheduler charges [period] and
-    requeues the fiber without resuming it.  Otherwise (a cheap [period]
-    under [`Perf], which batches steps) it runs the plain loop.
+    re-keys the fiber by its new clock without resuming it.  Otherwise
+    (a cheap [period] under [`Perf], which batches steps) it runs the
+    plain loop.  In a quiet run (see {!step}) the waiting fiber keeps its
+    ready-queue entry, which takes the insertion order a requeue would
+    give it, and a switching step whose pick would be the waiting fiber
+    runs the re-check itself.
 
     Every idle re-check is still a dispatch: it is traced ([Sched]),
     recorded, counted by {!dispatches} and by the step counters, and may
@@ -292,8 +304,11 @@ val poll_while : period:float -> (unit -> bool) -> unit
     [cond] must be pure with respect to the engine: it may read shared
     state and call {!now} or {!tid}, but must not {!step}, {!advance},
     {!interrupt} or otherwise change what the simulation observes,
-    because the scheduler may run it outside the fiber's stack.  An
-    exception it raises is re-raised inside the waiting fiber. *)
+    because the scheduler may run it outside the fiber's stack — on
+    another fiber's, inside that fiber's switching step.  It is called
+    once per idle re-check, with the waiting fiber as the running one
+    ({!tid}, {!now}).  An exception it raises is re-raised inside the
+    waiting fiber. *)
 
 val advance : float -> unit
 (** Charge [cost] virtual nanoseconds without offering a switch point.

@@ -227,6 +227,37 @@ let test_fate_pairs_with_own_pwb () =
         "pwb cell:7 (site test.pairing.pwb) -> drained"
         (Forensics.render_text pm))
 
+(* A line's write-back history is in issue order: the pwb issued
+   outside any op (a prefill's) and discarded by [Pmem.reset_pending]
+   comes before the op's later pwb of the same line, which is the one
+   the history names last. *)
+let order_prefill_pwb = Pstats.make Pstats.Pwb "test.order.prefill.pwb"
+let order_op_pwb = Pstats.make Pstats.Pwb "test.order.op.pwb"
+
+let test_history_in_issue_order () =
+  Pstats.set_all_enabled true;
+  Forensics.start ();
+  Fun.protect ~finally:Forensics.stop (fun () ->
+      let cell = Pmem.alloc ~name:"cell:9" (Pmem.heap ~name:"order" ()) 0 in
+      Pmem.pwb_f order_prefill_pwb cell;
+      Pmem.reset_pending ();
+      let op (_ : int) =
+        Events.op_begin ~kind:"insert" ~key:9;
+        Pmem.write cell 1;
+        Pmem.pwb_f order_op_pwb cell;
+        Pmem.psync pairing_sync;
+        Events.op_end ~ok:true
+      in
+      ignore (Sim.run [| op |] : Sim.outcome);
+      let pm =
+        Forensics.build ~algo:"order" ~seed:0
+          ~error:"touched never-persisted data: cell:9"
+      in
+      check_contains "the op's pwb is the last"
+        "2 write-back(s) issued; last from site test.order.op.pwb in round 0 \
+         — drained"
+        (Forensics.render_text pm))
+
 let suite =
   [
     Alcotest.test_case "tracking-broken postmortem names site and line"
@@ -240,4 +271,6 @@ let suite =
       test_explain_byte_identical;
     Alcotest.test_case "each write-back fate pairs with its own pwb" `Quick
       test_fate_pairs_with_own_pwb;
+    Alcotest.test_case "write-back history in issue order" `Quick
+      test_history_in_issue_order;
   ]

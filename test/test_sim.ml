@@ -485,12 +485,16 @@ let gen_scenario =
 
 exception Poke
 
-(* Everything a run exposes: its outcome, the [record] tape, the tracer's
-   events, and a log of where each waiter finished a wait or caught an
-   interrupt and where each fiber exited (normally or unwound): clock,
-   own dispatch count and global step count.  Paired with the step
-   indices of the loop's idle [step] calls (empty under [~poll:true]). *)
-let observe ~poll ?crash_at ?step_limit ?(interrupts = [||]) sc =
+(* Everything a run exposes: its outcome, the [record] tape (empty
+   without [~record]), the tracer's events, and a log of where each
+   waiter finished a wait or caught an interrupt and where each fiber
+   exited (normally or unwound): clock, own dispatch count and global
+   step count.  Paired with the step indices of the loop's idle [step]
+   calls (empty under [~poll:true]).  Without [~record] a [`Perf] run is
+   quiet (sim.mli): its pollers' idle dispatches run in the ready heap,
+   and a switching step runs those ahead of it itself. *)
+let observe ~poll ?(record = true) ?crash_at ?step_limit ?(interrupts = [||])
+    sc =
   let idle = ref [] in
   let wait ~period cond =
     if poll then Sim.poll_while ~period cond
@@ -541,7 +545,7 @@ let observe ~poll ?crash_at ?step_limit ?(interrupts = [||]) sc =
           Sim.run
             ~policy:(if sc.random then `Random else `Perf)
             ~seed:sc.seed ?crash_at ?step_limit ~interrupts
-            ~record:(fun t -> tape := t :: !tape)
+            ?record:(if record then Some (fun t -> tape := t :: !tape) else None)
             bodies
         with
         | Sim.All_done -> "done"
@@ -551,9 +555,13 @@ let observe ~poll ?crash_at ?step_limit ?(interrupts = [||]) sc =
   in
   ((outcome, List.rev !tape, List.rev !events, List.rev !log), List.rev !idle)
 
+(* The same observation with and without [record]. *)
 let same_as_loop ?crash_at ?step_limit ?interrupts sc =
-  fst (observe ~poll:true ?crash_at ?step_limit ?interrupts sc)
-  = fst (observe ~poll:false ?crash_at ?step_limit ?interrupts sc)
+  List.for_all
+    (fun record ->
+      fst (observe ~poll:true ~record ?crash_at ?step_limit ?interrupts sc)
+      = fst (observe ~poll:false ~record ?crash_at ?step_limit ?interrupts sc))
+    [ true; false ]
 
 let prop_poll_matches_loop =
   QCheck2.Test.make ~name:"poll_while replays the Sim.step loop exactly"
@@ -649,12 +657,13 @@ let test_step_allocation () =
 
 exception Zap
 
-(* One run rendered as a string: outcome | tape | tracer events and
-   divergences | fiber log.  Each body gets a [note] that logs an event
-   with the fiber's clock, own dispatch count and the global step
-   count. *)
+(* One run rendered as a string: outcome | tape (empty with
+   [~record:false]) | tracer events and divergences | fiber log.  Each
+   body gets a [note] that logs an event with the fiber's clock, own
+   dispatch count and the global step count. *)
 let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
-    ?(schedule = [||]) ?choose ?keep ?(interrupts = [||]) bodies =
+    ?(schedule = [||]) ?(record = true) ?choose ?keep ?(interrupts = [||])
+    bodies =
   let outside what =
     if Sim.in_sim () then Alcotest.failf "%s ran inside a fiber" what
   in
@@ -665,7 +674,7 @@ let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
     Printf.bprintf log " %d:%s@%g/%d/%d" tid what (Sim.now ())
       (Sim.dispatches ~tid) (Sim.steps_executed ())
   in
-  let record t =
+  let on_pick t =
     outside "record";
     Printf.bprintf tape "%d" t
   in
@@ -700,7 +709,8 @@ let sched_run ?(policy = `Random) ?(seed = 0) ?crash_at ?step_limit
       ~finally:(fun () -> Sim.set_tracer None)
       (fun () ->
         match
-          Sim.run ~policy ~seed ?crash_at ?step_limit ~schedule ~record
+          Sim.run ~policy ~seed ?crash_at ?step_limit ~schedule
+            ?record:(if record then Some on_pick else None)
             ~divergence ?choose ?keep ~interrupts
             (Array.map (fun body tid -> body note tid) bodies)
         with
@@ -897,6 +907,46 @@ let test_in_place_allocation () =
   if per >= 1.0 then
     Alcotest.failf "%.2f minor words per in-place dispatch (bound 1.0)" per
 
+(* The host work of idle polling, measured deterministically: minor
+   words per dispatch of a [`Perf] run in which five pollers re-check
+   every 20–60 ns while a worker steps 45 ns at a time, against a budget
+   that only moves down.  Re-queueing each idle poll through the
+   dispatch loop, with the heap's float argument boxed, cost 4.2669
+   words per dispatch here (150,508 dispatches); re-keying polls in the
+   heap, running those ahead of a step from the step and inlining the
+   sifts cut that to the budget, the run's fixed set-up alone.  A rise
+   of more than 2% fails; a change that lowers it commits the new
+   figure. *)
+let test_poll_words_per_dispatch () =
+  let bodies () =
+    let finished = ref false in
+    Array.init 6 (fun t _ ->
+        if t = 0 then begin
+          for _ = 1 to 20_000 do
+            Sim.step 45.
+          done;
+          finished := true
+        end
+        else
+          Sim.poll_while ~period:(float_of_int (10 * (t + 1))) (fun () ->
+              not !finished))
+  in
+  let run b = ignore (Sim.run b : Sim.outcome) in
+  run (bodies ());
+  let b = bodies () in
+  let w0 = Gc.minor_words () in
+  run b;
+  let words = Gc.minor_words () -. w0 in
+  let n = ref 0 in
+  let count = function Sim.Engine (Sim.Sched _) -> incr n | _ -> () in
+  Sim.subscribe count;
+  Fun.protect ~finally:(fun () -> Sim.unsubscribe count) (fun () -> run (bodies ()));
+  let per = words /. float_of_int !n in
+  Printf.printf "%.6f minor words per dispatch (%d dispatches)\n%!" per !n;
+  let budget = 0.001223 in
+  if per > 1.02 *. budget then
+    Alcotest.failf "%.6f minor words per dispatch (budget %.6f)" per budget
+
 (* Sixteen [`Perf] fibers of mixed costs: batched cheap steps, expensive
    steps, [step_as] with a cheap charge on an expensive basis, clock-only
    [advance]s, a [poll_while] waiter on fiber 0's counter and an
@@ -956,6 +1006,95 @@ let test_golden_perf_many () =
     (sched_run ~policy:`Perf
        ~schedule:(record_tape ~policy:`Random ~seed:4 (perf_bodies ()))
        (perf_bodies ()))
+
+(* -- pollers dispatched by a step ------------------------------------------
+
+   On a quiet engine ([`Perf] with no [record], no [keep] and no tape
+   left) a poller's idle dispatch re-keys it in place, and a switching
+   step whose pick would be a poller runs the idle dispatches of every
+   poller ahead of its own requeue (sim.mli).  Fiber 0 steps 25 ns at a
+   time, so each step switches, while pollers 1 and 2 re-check every
+   10 ns: each step of fiber 0 runs two or three of their dispatches,
+   and every 50 ns fiber 0's clock ties a poller it just re-ticked,
+   which fiber 0 wins by the seq it took before those re-ticks.  Poller
+   1's first wait ends when its [cond] turns false, its second at an
+   interrupt fiber 0 arms; poller 2's first [cond] raises.  Every run
+   must match the same run written with the [Sim.step] loop each wait
+   stands for, at every crash point, step limit and static interrupt
+   dispatch of either poller. *)
+let ahead_bodies ~poll =
+  let counter = ref 0 in
+  let wait ~period cond =
+    if poll then Sim.poll_while ~period cond
+    else
+      while cond () do
+        Sim.step period
+      done
+  in
+  let waiter first second note _ =
+    let caught f = try f () with Zap -> note "zap" | Boom -> note "boom" in
+    caught (fun () -> wait ~period:10. first);
+    note "woke";
+    caught (fun () -> Sim.step 3.);
+    caught (fun () -> wait ~period:10. second);
+    note "end"
+  in
+  [|
+    (fun note _ ->
+      for j = 1 to 7 do
+        Sim.step 25.;
+        incr counter;
+        if j = 4 then Sim.interrupt ~tid:1 Zap
+      done;
+      note "end");
+    waiter (fun () -> !counter < 2) (fun () -> !counter < 7);
+    waiter
+      (fun () -> if !counter >= 3 then raise Boom else true)
+      (fun () -> !counter < 6);
+  |]
+
+let test_pollers_ahead_of_step () =
+  let run ~poll ~record ?crash_at ?step_limit ?interrupts () =
+    sched_run ~policy:`Perf ~record ?crash_at ?step_limit ?interrupts
+      (ahead_bodies ~poll)
+  in
+  let clean = run ~poll:false ~record:true () in
+  let contains sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length clean && (String.sub clean i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun what ->
+      if not (contains what) then Alcotest.failf "no %S in %s" what clean)
+    [ "1:woke"; "1:zap"; "2:boom"; "0:end" ];
+  let dispatches =
+    match String.split_on_char '|' clean with
+    | _ :: tape :: _ -> String.length (String.trim tape)
+    | _ -> 0
+  in
+  List.iter
+    (fun record ->
+      let same name ?crash_at ?step_limit ?interrupts () =
+        Alcotest.(check string)
+          (Printf.sprintf "%s, record %b" name record)
+          (run ~poll:false ~record ?crash_at ?step_limit ?interrupts ())
+          (run ~poll:true ~record ?crash_at ?step_limit ?interrupts ())
+      in
+      same "clean" ();
+      for k = 1 to dispatches + 1 do
+        same (Printf.sprintf "crash_at %d" k) ~crash_at:k ();
+        same (Printf.sprintf "step_limit %d" k) ~step_limit:k ();
+        for t = 1 to 2 do
+          same
+            (Printf.sprintf "interrupt of %d at dispatch %d" t k)
+            ~interrupts:[| (t, k, Zap) |]
+            ()
+        done
+      done)
+    [ false; true ]
 
 (* A [keep] that always keeps: every switching step continues its
    runner, so [choose] (or the rng) decides only in the dispatch loop —
@@ -1200,6 +1339,10 @@ let suite =
       test_bounds_on_in_place;
     Alcotest.test_case "in-place dispatch allocation bound" `Quick
       test_in_place_allocation;
+    Alcotest.test_case "idle polling: minor words per dispatch within budget"
+      `Quick test_poll_words_per_dispatch;
+    Alcotest.test_case "pollers ahead of a step: same as the loop" `Quick
+      test_pollers_ahead_of_step;
     Alcotest.test_case "keep: runner continues, hooks outside fibers" `Quick
       test_keep_contract;
     Alcotest.test_case "engine reuse: runs isolated, nothing kept alive"

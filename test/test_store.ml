@@ -172,6 +172,64 @@ let test_validate_rejects_bad_configs () =
     };
   expect_err { (cfg ()) with Store.clients = 40; shards = 30 }
 
+(* A serve with a split, a failover and open-loop arrivals: its idle
+   polling is most of its dispatches. *)
+let elastic_cfg ~ops =
+  {
+    (cfg ~shards:4 ~clients:4 ~ops ~keys:1024 ()) with
+    Store.open_loop_ns = Some 2700.;
+    replicate = true;
+    migrate = Some { Store.msrc = 0; m_after = ops; m_broken = false };
+    crash = Some (Store.After_requests { victim = 1; requests = 2 * ops });
+  }
+
+(* Without [record] the engine is quiet and runs idle polls in the ready
+   heap (sim.mli); with it, through the dispatch loop.  Both must give
+   the same report and the same trace, every [Sched] event included. *)
+let test_record_unobservable () =
+  let c = elastic_cfg ~ops:40 in
+  let serve ?record () =
+    let path = Filename.temp_file "tracking-nvm-serve" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+      (fun () ->
+        let json =
+          match Trace.with_file path (fun () -> Store.run ?record c) with
+          | Ok r -> Slo.to_json r
+          | Error e -> Alcotest.fail e
+        in
+        (json, In_channel.with_open_bin path In_channel.input_all))
+  in
+  let json, trace = serve () in
+  let n = ref 0 in
+  let json', trace' = serve ~record:(fun _ -> incr n) () in
+  Alcotest.(check bool) "dispatches recorded" true (!n > 1000);
+  Alcotest.(check string) "same report" json' json;
+  Alcotest.(check bool) "same trace" true (String.equal trace' trace)
+
+(* The host work of a request, measured deterministically: minor words
+   per request of a small elastic serve, against a budget that only
+   moves down.  Re-queueing each idle poll through the dispatch loop,
+   with the heap's float argument boxed, cost 1,554.5 words per request
+   here (set-up included); re-keying polls in the heap, running those
+   ahead of a step from the step and inlining the sifts cut that to the
+   budget.  A rise of more than 2% fails; a change that lowers it
+   commits the new figure. *)
+let test_words_per_request () =
+  let c = elastic_cfg ~ops:250 in
+  let serve () = ignore (Result.get_ok (Store.run c) : Slo.report) in
+  serve ();
+  let w0 = Gc.minor_words () in
+  serve ();
+  let words =
+    (Gc.minor_words () -. w0)
+    /. float_of_int (c.Store.clients * c.Store.ops_per_client)
+  in
+  Printf.printf "%.1f minor words per request\n%!" words;
+  let budget = 1259.4 in
+  if words > 1.02 *. budget then
+    Alcotest.failf "%.1f minor words per request (budget %.1f)" words budget
+
 (* -- serve repro files ---------------------------------------------------- *)
 
 let with_temp_file f =
@@ -388,6 +446,10 @@ let suite =
       test_run_deterministic_and_replayable;
     Alcotest.test_case "config validation" `Quick
       test_validate_rejects_bad_configs;
+    Alcotest.test_case "record changes neither report nor trace" `Quick
+      test_record_unobservable;
+    Alcotest.test_case "minor words per request within budget" `Quick
+      test_words_per_request;
     Alcotest.test_case "serve repro round-trips and replays" `Quick
       test_store_repro_roundtrip;
     Alcotest.test_case "serve repro rejects garbage" `Quick
