@@ -46,12 +46,18 @@ causal-smoke:
 # Store service smoke: crash one shard of a live 4-shard serve; --check
 # asserts zero lost requests (oracle-verified per shard) and that the
 # surviving shards completed requests inside the recovery window.  The
-# second run sweeps every crash point of a tiny 2-shard store.
+# second run sweeps every crash point of a tiny 2-shard store.  A config
+# the store refuses (a crash shard it lacks, a split of a queue shard)
+# is a usage error: exit 2, not a violation.
 serve-smoke:
 	dune exec bin/repro.exe -- serve --shards 4 --clients 4 --ops 100 \
 	  --crash-shard 2 --check
 	dune exec bin/repro.exe -- serve --shards 2 --clients 2 --ops 12 \
 	  --keys 16 --explore --dispatch-budget 48
+	dune exec bin/repro.exe -- serve --shards 2 --crash-shard 7; \
+	  test $$? -eq 2
+	dune exec bin/repro.exe -- serve --shards 2 \
+	  --backend tracking-topic,tracking --migrate 0; test $$? -eq 2
 
 # Parallel-driver smoke: the same small campaign suite at -j 1 and -j 2
 # must produce byte-identical reports — the determinism contract of the
@@ -94,12 +100,15 @@ memento-smoke:
 	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0
 
 # Crash-forensics smoke: `repro explain` on the shipped negative-control
-# repros must name the elided persist site in the postmortem, and two
-# runs of the same explain must print byte-identical output (the
+# repros must name the elided persist site in the postmortem, must not
+# explain the round-0 crash with a write-back from a later round, and
+# two runs of the same explain must print byte-identical output (the
 # determinism contract of forensic replay).
 forensics-smoke:
 	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
 	  | grep -q 'rlist-broken.new.pwb'
+	! dune exec bin/repro.exe -- explain repros/tracking-broken.repro \
+	  | grep -q 'at crash #0: .* in round [1-9]'
 	dune exec bin/repro.exe -- explain repros/memento-broken.repro \
 	  | grep -q 'mmt-broken.cp.pwb'
 	dune exec bin/repro.exe -- explain repros/tracking-broken.repro \

@@ -1149,6 +1149,12 @@ let serve_cmd =
         seed;
       }
     in
+    (* a config the store refuses is a usage error, not a violation *)
+    (match Store.validate cfg with
+    | Ok () -> ()
+    | Error msg ->
+        Format.printf "%s@." msg;
+        exit 2);
     if explore then begin
       match
         traced trace (fun () ->

@@ -1,26 +1,35 @@
 (** Crash forensics: operation lineage, durable-vs-volatile state diffs
-    at crash points, and automatic postmortems for failing campaigns.
+    at crash points, and automatic postmortems for failing campaigns and
+    serves.
 
-    The recorder is a subscriber on the [Sim] observer bus: while active
-    it attributes every CAS, write and issued write-back to the
-    operation open on the issuing thread ([Events.Op_begin]/[Op_end]),
-    follows each write-back to its fate (drained, persisted-at-crash or
-    dropped-at-crash, with the crash resolution that decided it:
-    [Pmem.Writeback]), and pairs each [Pmem.Crashed] report with its
-    campaign round ([Events.Round], [Events.Crash_resolved]).  A fate
-    pairs with the oldest unresolved pwb of its (tid, line), whose site
-    it takes; a [Pmem.Rings_cleared] leaves every unresolved pwb
-    outstanding, so no later fate can land on one.  {!build}
-    turns the recording plus the failure message into an immutable
-    postmortem whose text/JSON renderings are deterministic:
-    byte-identical across replays of the same repro and across [-j]
-    settings, because a postmortem is always produced by a dedicated
-    forensic replay on one domain.
+    The recorder is a subscriber on the [Sim] observer bus.  It records
+    each fact when it becomes true, so no part of a postmortem cites an
+    event after the crash it explains:
+    - Every CAS, write and issued write-back goes to the operation open
+      on the issuing thread ([Events.Op_begin]/[Op_end]).  Each
+      write-back also joins one issue-ordered log and meets its fate
+      (drained, persisted-at-crash or dropped-at-crash) through
+      [Pmem.Writeback]: a fate pairs with the oldest unresolved pwb of
+      its (tid, line), whose site it takes; a [Pmem.Rings_cleared]
+      leaves every unresolved pwb outstanding, so no later fate can
+      land on one.
+    - A crash is described when its [Pmem.Crashed] report arrives: for
+      each line it left never-persisted or reverted, the line's last
+      writer, its write-back history and whether a write-back of the
+      line followed the last write (from the writing operation, when an
+      operation wrote it), all as they stand at that moment.
+      [Events.Crash_resolved] then stamps the crash's campaign round
+      ([-1] in a serve).
+    - An operation's end is recorded when it happens: it returns, or its
+      thread begins another operation, which only a crash causes.
+
+    {!build} puts these facts together with the failure message into an
+    immutable postmortem whose text/JSON renderings are deterministic:
+    the same repro explains byte-identically, because a postmortem is
+    always produced by a dedicated forensic replay on one domain.
 
     The recorder is inactive by default and then not subscribed:
-    campaigns run with zero forensics cost.  An operation that begins on
-    a thread whose previous operation never ended is recorded as
-    interrupted (it never returned). *)
+    campaigns run with zero forensics cost. *)
 
 val start : unit -> unit
 (** Subscribe a fresh recorder on the calling domain. *)
@@ -33,9 +42,9 @@ val stop : unit -> unit
 type postmortem
 
 val build : algo:string -> seed:int -> error:string -> postmortem
-(** Reconstruct the postmortem from the active recording (crash reports
-    included) and the failure message: per-crash persisted/dropped
-    write-back fates and the never-persisted-line diff, a culprit
+(** Assemble the postmortem from the active recording and the failure
+    message: per-crash persisted/dropped write-back fates and the
+    never-persisted/reverted-line diffs as of each crash, a culprit
     analysis (parsing the poisoned line or violated key out of [error],
     naming registered-but-disabled persist sites), and the lineage of
     the operations touching the failure.  Call before {!stop}.

@@ -116,12 +116,11 @@ let backend_of cfg sid =
 
 let validate cfg =
   let nshards = shard_total cfg in
-  let threads = 1 + cfg.clients + nshards in
   if cfg.shards < 1 then Error "store: shards must be >= 1"
   else if cfg.clients < 1 then Error "store: clients must be >= 1"
   else if cfg.ops_per_client < 1 then Error "store: ops-per-client must be >= 1"
   else if cfg.batch < 1 then Error "store: batch must be >= 1"
-  else if threads > Pmem.max_threads then
+  else if 1 + cfg.clients + nshards > Pmem.max_threads then
     Error
       (Printf.sprintf "store: 1 + %d clients + %d shards exceeds %d threads"
          cfg.clients nshards Pmem.max_threads)
@@ -136,6 +135,12 @@ let validate cfg =
         | Some { msrc; m_after; _ }
           when msrc < 0 || msrc >= cfg.shards || m_after < 0 ->
             Error (Printf.sprintf "store: migration source %d out of range" msrc)
+        | Some { msrc; _ }
+          when (backend_of cfg msrc).Set_intf.model <> Set_intf.Set_model ->
+            Error
+              (Printf.sprintf
+                 "store: migration source shard %d is not a set-model backend"
+                 msrc)
         | _ -> (
             let bad =
               List.find_opt (fun v -> v < 0 || v >= nshards)
@@ -148,15 +153,16 @@ let validate cfg =
                 Error "store: correlated crash needs two distinct shards"
             | None, Some (Cascade { first; second; _ }) when first = second ->
                 Error "store: cascade needs two distinct shards"
-            | None, _ -> Ok threads))
+            | None, _ -> Ok ()))
 
 let run ?record ?(schedule = [||]) cfg =
   match validate cfg with
   | Error _ as e -> e
-  | Ok threads -> (
+  | Ok () -> (
       Pmem.reset_pending ();
       Pstats.set_all_enabled true;
       let nshards = shard_total cfg in
+      let threads = 1 + cfg.clients + nshards in
       let server_tid sid = 1 + cfg.clients + sid in
       let shards =
         Array.init nshards (fun sid ->
@@ -173,18 +179,6 @@ let run ?record ?(schedule = [||]) cfg =
                  ~dst:shards.(cfg.shards) ~key_range:cfg.workload.Workload.key_range
                  ~poll_ns ~broken:m_broken ())
       in
-      match
-        match cfg.migrate with
-        | Some { msrc; _ }
-          when shards.(msrc).Shard.model <> Set_intf.Set_model ->
-            Error
-              (Printf.sprintf
-                 "store: migration source shard %d is not a set-model backend"
-                 msrc)
-        | _ -> Ok ()
-      with
-      | Error _ as e -> e
-      | Ok () -> (
       (* Prefill outside the simulated run (like Crashes): route each key
          to its owning shard so per-shard contents match live routing; a
          replica is prefilled identically so it starts in sync. *)
@@ -483,7 +477,7 @@ let run ?record ?(schedule = [||]) cfg =
                       ~completions:w.Slo.w_completions ~mops:w.Slo.w_mops
                       ~lat_mean_ns:w.Slo.w_lat_mean_ns)
                   report.Slo.windows;
-              Ok report)))
+              Ok report))
 
 (* ---- bounded exhaustive exploration ----------------------------------- *)
 

@@ -70,6 +70,14 @@ val default_config : Set_intf.factory -> config
     uniform workload, closed loop, no crash, rng write-backs, 5000 ns
     restart, 500 ns failover, no replication, no migration, seed 1. *)
 
+val validate : config -> (unit, string) result
+(** [Error] names why no serve could run [config]: a shard, client,
+    request or batch count below 1, more fibers than [Pmem.max_threads],
+    a backend list of the wrong length, a migration source out of range
+    or not a set-model backend, or a crash plan naming a shard out of
+    range (or the same shard twice).  {!run} refuses such a config with
+    the same error before it builds anything. *)
+
 val run :
   ?record:(int -> unit) ->
   ?schedule:int array ->

@@ -174,10 +174,6 @@ let load path =
     Repro.check
       [
         (algo <> "", "missing algo field");
-        (shards > 0, "missing/invalid shards field");
-        (clients > 0, "missing/invalid clients field");
-        (ops_per_client > 0, "missing/invalid ops-per-client field");
-        (batch > 0, "missing/invalid batch field");
         (find_pct >= 0 && find_pct <= 100, "missing/invalid find-pct field");
         (key_range > 0, "missing/invalid key-range field");
         (prefill_n >= 0, "missing/invalid prefill field");
@@ -187,30 +183,31 @@ let load path =
   in
   let* factory = factory algo in
   let mix = Workload.mix_of_find_pct find_pct in
-  Ok
+  let config =
     {
-      config =
-        {
-          Store.factory;
-          backends;
-          shards;
-          clients;
-          ops_per_client;
-          batch;
-          workload = { Workload.mix; key_range; prefill_n; dist };
-          open_loop_ns;
-          crash;
-          wb;
-          wb2;
-          restart_ns;
-          failover_ns;
-          replicate;
-          migrate;
-          seed;
-        };
-      error;
-      schedule;
+      Store.factory;
+      backends;
+      shards;
+      clients;
+      ops_per_client;
+      batch;
+      workload = { Workload.mix; key_range; prefill_n; dist };
+      open_loop_ns;
+      crash;
+      wb;
+      wb2;
+      restart_ns;
+      failover_ns;
+      replicate;
+      migrate;
+      seed;
     }
+  in
+  (* A config no serve could run replays to its refusal: a vacuous
+     repro, rejected like Repro.load rejects a campaign no run could
+     have. *)
+  let* () = Store.validate config in
+  Ok { config; error; schedule }
 
 (* ---- replay ------------------------------------------------------------ *)
 

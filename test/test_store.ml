@@ -291,7 +291,9 @@ let test_store_repro_rejects_garbage () =
 
 (* Malformed serve files must be rejected at load, never half-parsed:
    the serve-kind counterpart of test_repro.ml's campaign corpus.  The
-   base file loads, and every case changes exactly one thing about it. *)
+   base file loads, and every case changes one thing about it.
+   A config the store refuses is malformed too: no serve could have
+   recorded it, and its replay would reproduce only the refusal. *)
 let test_store_repro_malformed_corpus () =
   let base =
     [
@@ -344,6 +346,12 @@ let test_store_repro_malformed_corpus () =
       ("negative failover-ns", set "failover-ns" "-1");
       ("unknown algorithm", set "algo" "nope");
       ("unknown backend", set "backends" "tracking,nope");
+      ("crash shard out of range", set "crash" "after 7 5");
+      ( "split of a queue shard",
+        render
+          (base
+          @ [ ("backends", "tracking-topic,tracking"); ("migrate", "0 1 0") ])
+      );
     ]
     @ List.map
         (fun key -> ("missing " ^ key, without key))
