@@ -46,14 +46,18 @@ causal-smoke:
 # Store service smoke: crash one shard of a live 4-shard serve; --check
 # asserts zero lost requests (oracle-verified per shard) and that the
 # surviving shards completed requests inside the recovery window.  The
-# second run sweeps every crash point of a tiny 2-shard store.  A config
-# the store refuses (a crash shard it lacks, a split of a queue shard)
-# is a usage error: exit 2, not a violation.
+# second run explores every crash point of a tiny 2-shard store.  A
+# config the store refuses (a crash shard it lacks, a split of a queue
+# shard) is a usage error: exit 2, not a violation; so is a flag
+# --explore would ignore (it picks every crash itself).
 serve-smoke:
 	dune exec bin/repro.exe -- serve --shards 4 --clients 4 --ops 100 \
 	  --crash-shard 2 --check
 	dune exec bin/repro.exe -- serve --shards 2 --clients 2 --ops 12 \
 	  --keys 16 --explore --dispatch-budget 48
+	dune exec bin/repro.exe -- serve --shards 2 --clients 2 --ops 12 \
+	  --keys 16 --explore --dispatch-budget 4 --crash-shard 1 --wb all \
+	  --check; test $$? -eq 2
 	dune exec bin/repro.exe -- serve --shards 2 --crash-shard 7; \
 	  test $$? -eq 2
 	dune exec bin/repro.exe -- serve --shards 2 \
@@ -62,8 +66,11 @@ serve-smoke:
 # Parallel-driver smoke: the same small campaign suite at -j 1 and -j 2
 # must produce byte-identical reports — the determinism contract of the
 # domain fan-out driver (lib/harness/parallel.mli).  Progress lines are
-# pacing, not results, so they are filtered before comparison; repro
-# files and JSON exports are compared raw.
+# pacing, not results, and a "saved to" line names its own file, so
+# both are filtered before comparison; repro files and JSON exports are
+# compared raw.  The failing store exploration (elastic-smoke's
+# --broken-handoff split) counts every failure, so its report and its
+# first failure's serve repro must match too.
 parbench-smoke:
 	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
 	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0 \
@@ -80,6 +87,15 @@ parbench-smoke:
 	dune exec bin/repro.exe -- serve --shards 2 --clients 2 --ops 12 \
 	  --keys 16 --explore --dispatch-budget 48 -j 2 > _build/parbench-serve-j2.txt
 	cmp _build/parbench-serve-j1.txt _build/parbench-serve-j2.txt
+	for j in 1 2; do dune exec bin/repro.exe -- serve -a tracking --shards 2 \
+	  --clients 2 --ops 16 --keys 16 --migrate 0 --migrate-after 3 \
+	  --broken-handoff --explore --dispatch-budget 200 -j $$j \
+	  --repro _build/parbench-handoff-j$$j.repro \
+	  > _build/parbench-handoff-j$$j.out; test $$? -eq 1 || exit 1; \
+	  grep -v '^serve repro saved to ' _build/parbench-handoff-j$$j.out \
+	  > _build/parbench-handoff-j$$j.txt; done
+	cmp _build/parbench-handoff-j1.txt _build/parbench-handoff-j2.txt
+	cmp _build/parbench-handoff-j1.repro _build/parbench-handoff-j2.repro
 
 # Memento framework smoke: both derived structures must survive crash
 # campaigns with oracle verification and exhaust a single-threaded
@@ -142,10 +158,10 @@ space-smoke:
 # and passes the balance gate; (2) a crashed primary fails over to its
 # replica with zero lost requests; (3) correlated power loss of BOTH
 # migration endpoints — source write-backs dropped, destination's all
-# applied — still converges; (4) the crash-point sweep over a migrating
-# store proves every key lands in exactly one shard at every crash
-# point, and the negative control with the handoff-commit pwb elided is
-# caught by the same sweep (nonzero exit).
+# applied — still converges; (4) exploring the crash points of a
+# migrating store proves every key lands in exactly one shard at every
+# crash point, and the negative control with the handoff-commit pwb
+# elided is caught by the same exploration (nonzero exit).
 elastic-smoke:
 	dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
 	  --ops 40 --keys 32 --migrate 0 --migrate-after 10 --check --check-balance 64
@@ -198,7 +214,7 @@ sched-golden:
 # both shipped repros explained (text and JSON), stats, space, causal
 # and three serve reports, a Perfetto export, campaign replay/shrink,
 # and the failure path of explore, crash, stats, soak, a serve
-# sweep (stdout plus the repro it saves, then that serve repro replayed
+# exploration (stdout plus the repro it saves, then that serve repro replayed
 # and explained) and a plain serve run (stdout and the repro it
 # records by re-running the failing config); the explore report of every crash-capable set-model
 # variant on the crash-explore tree (the two negative controls fail,

@@ -299,8 +299,9 @@ let run_extras ~quick =
 
 (* ---- wall-clock campaign suite (-j scaling) ---------------------------- *)
 
-(* A fixed trio of campaigns — bounded-exhaustive explore, quick causal
-   profile, store crash-point sweep — timed in real (host) seconds at
+(* A fixed set of campaigns — bounded-exhaustive explore, quick causal
+   profile, and the store's crash-point exploration with and without a
+   migration — timed in real (host) seconds at
    each requested -j and appended to BENCH_wallclock.json.  Every
    campaign's *output* is byte-identical across -j values (the
    test_parallel suite locks this), so the records measure pure driver
@@ -357,12 +358,11 @@ let wallclock_store ~jobs () =
       seed = 1;
     }
   in
-  match Store.explore ~dispatch_budget:40 ~jobs cfg with
-  | Ok st -> Printf.sprintf "%d execs" st.Store.ex_executions
-  | Error msg -> failwith ("wallclock store: " ^ msg)
+  let o = Store.explore ~dispatch_budget:40 ~jobs cfg in
+  Printf.sprintf "%d execs" o.Explore.stats.Explore.executions
 
-(* Serve-with-migration sweep: the elastic store's crash-point
-   exploration over a live 2-shard split — source, destination and the
+(* Serve-with-migration exploration: the elastic store's crash points
+   over a live 2-shard split — source, destination and the
    correlated both-endpoints campaign, every point re-proving the
    every-key-in-exactly-one-shard invariant. *)
 let wallclock_migrate ~jobs () =
@@ -382,12 +382,10 @@ let wallclock_migrate ~jobs () =
       seed = 1;
     }
   in
-  match Store.explore ~dispatch_budget:100 ~jobs cfg with
-  | Ok st ->
-      if st.Store.ex_failures > 0 then
-        failwith "wallclock migrate: sweep found failures"
-      else Printf.sprintf "%d execs" st.Store.ex_executions
-  | Error msg -> failwith ("wallclock migrate: " ^ msg)
+  let st = (Store.explore ~dispatch_budget:100 ~jobs cfg).Explore.stats in
+  if st.Explore.failures > 0 then
+    failwith "wallclock migrate: exploration found failures"
+  else Printf.sprintf "%d execs" st.Explore.executions
 
 let timed f =
   let t0 = Unix.gettimeofday () in

@@ -950,11 +950,12 @@ let serve_cmd =
   in
   let wb =
     Arg.(
-      value & opt wb_conv `Rng
+      value
+      & opt (some wb_conv) None
       & info [ "wb" ] ~docv:"RES"
           ~doc:
             "Write-back resolution at the crash: rng | drop | all | \
-             prefix:<k>.")
+             prefix:<k> (default rng).")
   in
   let wb2 =
     Arg.(
@@ -1045,21 +1046,39 @@ let serve_cmd =
       value & flag
       & info [ "explore" ]
           ~doc:
-            "Bounded exhaustive crash-point sweep instead of one run: every \
-             victim shard x server dispatch index x deterministic \
-             write-back resolution (keep the config small).")
+            "Bounded exhaustive exploration instead of one run: every \
+             victim shard (and both migration endpoints) x server dispatch \
+             x write-back resolution of each crashed heap (keep the config \
+             small).  Takes no crash, write-back, report or check flag.")
   in
   let dispatch_budget =
     Arg.(
       value & opt int 64
       & info [ "dispatch-budget" ]
-          ~doc:"Crash-point depth per victim explored by --explore.")
+          ~doc:"Server dispatches per victim that --explore crashes at.")
   in
   let run algo mix shards clients ops batch key_range skew open_loop
       crash_shard crash_after crash_both crash_cascade crash_dispatch wb wb2
       backend replicate failover_ns migrate migrate_after broken_handoff
       check_balance restart_ns seed json csv check repro_file trace explore
       dispatch_budget jobs =
+    (* --explore picks every crash itself and prints the search's report,
+       not an SLO report: a flag it would ignore is a usage error *)
+    let ignored =
+      List.filter_map
+        (fun (flag, given) -> if explore && given then Some flag else None)
+        [ ("--crash-shard", crash_shard <> None);
+          ("--crash-both", crash_both <> None);
+          ("--crash-cascade", crash_cascade <> None);
+          ("--crash-after", crash_after <> None); ("--wb", wb <> None);
+          ("--wb2", wb2 <> None); ("--json", json <> None);
+          ("--csv", csv <> None); ("--check", check);
+          ("--check-balance", check_balance <> None) ]
+    in
+    if ignored <> [] then begin
+      Format.printf "--explore does not take %s@." (String.concat ", " ignored);
+      exit 2
+    end;
     require_recoverable
       ~crashing:
         (crash_shard <> None || crash_both <> None || crash_cascade <> None
@@ -1140,7 +1159,7 @@ let serve_cmd =
           };
         open_loop_ns = open_loop;
         crash;
-        wb;
+        wb = Option.value wb ~default:`Rng;
         wb2;
         restart_ns;
         failover_ns;
@@ -1156,50 +1175,21 @@ let serve_cmd =
         Format.printf "%s@." msg;
         exit 2);
     if explore then begin
-      match
+      let o =
         traced trace (fun () ->
-            Store.explore ~dispatch_budget ~jobs:(resolve_jobs jobs) cfg)
-      with
-      | Error msg ->
-          Format.printf "explore failed: %s@." msg;
-          exit 2
-      | Ok st ->
-          Format.printf
-            "store explore: %d executions, %d crashes fired, %d failures@."
-            st.Store.ex_executions st.Store.ex_fired st.Store.ex_failures;
-          Array.iter
-            (fun (label, d) ->
-              Format.printf
-                "  %s: crash points explored through dispatch %d@." label
-                d)
-            st.Store.ex_max_dispatch;
-          (* the counterexample is recorded with the first failure; its
-             error is the bare one a replay observes, not the display
-             string naming the crash point *)
-          Option.iter
-            (fun msg ->
-              let config, schedule, error = Option.get st.Store.ex_first_cex in
-              violation ?repro_file ~msg
-                (Serve { Store_repro.config; error; schedule }))
-            st.Store.ex_first_failure
+            Store.explore ~jobs:(resolve_jobs jobs) ~dispatch_budget cfg)
+      in
+      Format.printf "%a" Report.pp_explore o.Explore.stats;
+      Option.iter
+        (fun r -> violation ?repro_file ~msg:r.Store.error (Serve r))
+        o.Explore.failure
     end
     else begin
       match traced trace (fun () -> Store.run cfg) with
       | Error msg ->
-          (* Only a failing run needs its schedule: the seed pins the
-             interleaving, so a recorded re-run, outside the trace,
-             reproduces it for the repro. *)
-          let sched = ref [] in
-          ignore
-            (Store.run ~record:(fun c -> sched := c :: !sched) cfg
-              : (Slo.report, string) result);
-          violation ?repro_file ~msg
-            (Serve
-               {
-                 Store_repro.config = cfg;
-                 error = msg;
-                 schedule = Array.of_list (List.rev !sched);
-               })
+          (* Only a failing run needs its schedule, recorded by a re-run
+             outside the trace. *)
+          violation ?repro_file ~msg (Serve (Store.failure_of cfg msg))
       | Ok report ->
           (* --json - owns stdout for pipelines *)
           if json <> Some "-" then Format.printf "%a" Slo.pp report;

@@ -99,8 +99,9 @@ type ctl = {
   ctl_keep : int -> bool;
       (* a switching step's runner continues undecided, passed to
          Sim.run ~keep *)
-  ctl_wb : round:int -> [ `Drop | `All | `Prefix of int ];
-      (* write-back resolution for the crash that ended [round] *)
+  ctl_wb : round:int -> depth:int -> [ `Drop | `All | `Prefix of int ];
+      (* write-back resolution for the crash that ended [round], whose
+         deepest per-thread queue holds [depth] write-backs *)
   ctl_checkpoint : checkpoint -> unit;
       (* each round boundary another round follows, as a checkpoint *)
 }
@@ -289,7 +290,9 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
      controller first, then the script, else the harness rng. *)
   let crash_wb round =
     match ctl with
-    | Some c -> (c.ctl_wb ~round :> Repro.wb)
+    | Some c ->
+        (c.ctl_wb ~round ~depth:(Pmem.max_outstanding_writebacks ())
+          :> Repro.wb)
     | None -> (
         if round < Array.length script then script.(round).Repro.wb else `Rng)
   in

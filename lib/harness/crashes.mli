@@ -81,8 +81,11 @@ type ctl = {
       (** whether the runner of a switching step continues without a
           decision (its argument counts the ready threads, runner
           included), passed to [Sim.run ~keep] *)
-  ctl_wb : round:int -> [ `Drop | `All | `Prefix of int ];
-      (** write-back resolution for the crash that ended [round] *)
+  ctl_wb : round:int -> depth:int -> [ `Drop | `All | `Prefix of int ];
+      (** write-back resolution for the crash that ended [round]; [depth]
+          is the deepest per-thread queue of write-backs the crash
+          resolves ({!Pmem.max_outstanding_writebacks}), so a [`Prefix]
+          at least that deep is [`All] *)
   ctl_checkpoint : checkpoint -> unit;
       (** the checkpoint of each round boundary another round follows,
           taken before the boundary's outcome is handled — a crash's

@@ -1,10 +1,11 @@
 (* Bounded exhaustive exploration (stateless model checking) of small
-   crash campaigns.
+   crash campaigns, and of anything else that runs under a [Crashes.ctl].
 
-   The explorer runs one campaign configuration over and over through
+   A search runs a {e target} over and over — a campaign through
    [Crashes.run_prepared ~ctl], from one [Crashes.prepare]d state per
-   search and the checkpoints its executions hand out, doing
-   depth-first search over every decision the campaign makes:
+   search and the checkpoints its executions hand out, or a store through
+   [Store.explore] — doing depth-first search over every decision the
+   target asks for:
 
    - {e scheduling}: which ready thread runs at each simulator step,
      with CHESS-style preemption bounding — the default schedule is
@@ -14,16 +15,16 @@
      execution may deviate from it while the previous thread was still
      runnable;
    - {e crash points}: for every round, either no crash or a crash at
-     each step [1..n] of that round's crash-free execution (discovered
-     when the no-crash branch runs), while the per-execution crash
-     budget lasts;
+     each of the round's crash points [1..n], which the target reports
+     from the round's crash-free execution (a campaign's are the round's
+     steps), while the per-execution crash budget lasts;
    - {e write-back resolution}: at each crash, a bounded sweep of
      deterministic adversarial subsets — drop everything, complete
      everything, and each thread's [k]-oldest prefix for
-     [k = 1..wb_width] (capped by the actual queue depth, since a prefix
-     at least as deep as the fullest queue is [`All]).
+     [k = 1..wb_width] (capped by the queue depth the crash resolves,
+     since a prefix at least as deep as the fullest queue is [`All]).
 
-   Everything is deterministic given the campaign seed and the decision
+   Everything is deterministic given the target and the decision
    path: an execution is (re)produced by forcing a prefix of recorded
    decisions and letting defaults extend it; backtracking flips the
    deepest decision with untried alternatives.  The path holds only the
@@ -63,9 +64,18 @@ type stats = {
   complete : bool;  (* the bounded tree was exhausted *)
 }
 
-type outcome = {
+type 'r outcome = {
   stats : stats;
-  failure : Repro.t option;  (* first failure, as a replayable repro *)
+  failure : 'r option;  (* first failure, as a replayable repro *)
+}
+
+(* [prepare ()] builds a search's state on its domain and returns the
+   function that runs one execution from the start or a checkpoint. *)
+type ('x, 'r) target = {
+  prepare : unit -> Crashes.ctl -> Crashes.checkpoint option -> 'x;
+  error : 'x -> string option;
+  crash_points : 'x -> int -> int;
+  repro : 'x -> string -> 'r;
 }
 
 (* ---- the decision tree ------------------------------------------------- *)
@@ -125,11 +135,9 @@ type saved = {
    [grant] asks for permission to run one more execution — the local
    budget check at [jobs = 1], one shared atomic decrement per execution
    across the pool at [jobs > 1]. *)
-let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
-    cfg =
-  (* Every execution starts from the same post-prefill state: build it
-     once, on this domain, as the round-0 checkpoint. *)
-  let prepared = Crashes.prepare cfg.campaign ~seed:cfg.seed in
+let dfs ?(stop_on_failure = true) ?progress ?on_execution ~preemptions ~crashes
+    ~wb_width ~grant ~resume path target =
+  let exec = target.prepare () in
   let executions = ref 0 in
   let failures = ref 0 in
   let decision_points = ref 0 in
@@ -206,7 +214,7 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
      kept without a [ctl_choose] call unless the decision branches. *)
   let ctl_keep n =
     if n <= 1 then true
-    else if !preemptions_used >= cfg.preemptions then begin
+    else if !preemptions_used >= preemptions then begin
       count_pruned n;
       true
     end
@@ -219,7 +227,7 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
       if crashing || n <= 1 then ready.(0)
       else begin
         let p_ready = mem_tid p ready 0 in
-        if p_ready && !preemptions_used >= cfg.preemptions then begin
+        if p_ready && !preemptions_used >= preemptions then begin
           count_pruned n;
           p
         end
@@ -250,16 +258,15 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
     prev := t;
     t
   in
-  let ctl_wb ~round =
+  let ctl_wb ~round ~depth =
     let f =
       if forced () then current ()
       else begin
-        let m = Pmem.max_outstanding_writebacks () in
         let alts =
-          if m = 0 then [] (* nothing pending: every choice is `Drop *)
+          if depth = 0 then [] (* nothing pending: every choice is `Drop *)
           else
             List.init
-              (min cfg.wb_width (m - 1))
+              (min wb_width (depth - 1))
               (fun i -> Wb (`Prefix (i + 1)))
             @ [ Wb `All ]
         in
@@ -298,29 +305,22 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
           preemptions_used := 0;
           None
     in
-    let result, rounds = Crashes.run_prepared ~ctl ?from prepared in
-    (result, rounds, fresh_from)
+    (exec ctl from, fresh_from)
   in
   (* After an execution, frames created fresh on this path learn their
      alternatives that depend on how the execution went: a round's crash
-     points are the steps [1..n] of its crash-free run, known only once
-     the no-crash default branch has executed. *)
-  let backfill_crash_frames rounds fresh_from =
-    let rounds = Array.of_list rounds in
+     points are known only once the no-crash default branch has
+     executed. *)
+  let backfill_crash_frames x fresh_from =
     let crashes_before = ref 0 in
     for i = 0 to path.len - 1 do
       let f = path.frames.(i) in
       match f.chosen with
       | Crash s ->
-          if i >= fresh_from && s = 0 && !crashes_before < cfg.crashes
-             && f.fround < Array.length rounds
-          then begin
-            (* steps of the round = recorded decisions minus the initial
-               dispatch of each of the campaign's threads *)
-            let sched = rounds.(f.fround).Repro.schedule in
-            let n = Array.length sched - cfg.campaign.Crashes.threads in
-            f.untried <- List.init (max 0 n) (fun i -> Crash (i + 1));
-            crash_points := !crash_points + max 0 n
+          if i >= fresh_from && s = 0 && !crashes_before < crashes then begin
+            let n = max 0 (target.crash_points x f.fround) in
+            f.untried <- List.init n (fun i -> Crash (i + 1));
+            crash_points := !crash_points + n
           end;
           if s > 0 then incr crashes_before
       | _ -> ()
@@ -355,18 +355,16 @@ let search ?(stop_on_failure = true) ?progress ?on_execution ~grant ~resume path
   end;
   while !continue do
     incr executions;
-    let result, rounds, fresh_from = exec_once () in
-    (match on_execution with None -> () | Some f -> f result rounds);
-    backfill_crash_frames rounds fresh_from;
-    (match result with
-    | Error error ->
+    let x, fresh_from = exec_once () in
+    (match on_execution with None -> () | Some f -> f x);
+    backfill_crash_frames x fresh_from;
+    (match target.error x with
+    | Some error ->
         incr failures;
-        if !first_failure = None then
-          first_failure :=
-            Some (Crashes.repro_of cfg.campaign ~seed:cfg.seed ~error ~rounds);
+        if Option.is_none !first_failure then first_failure := Some (x, error);
         Trace.note (Printf.sprintf "EXPLORE FAILURE (exec %d): %s" !executions error);
         if stop_on_failure then continue := false
-    | Ok _ -> ());
+    | None -> ());
     if !continue then begin
       if not (grant !executions) then
         continue := false (* budget exhausted: tree incomplete *)
@@ -419,11 +417,10 @@ let sum_stats a b =
     complete = a.complete && b.complete;
   }
 
-let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
+let fan_out ~stop_on_failure ?progress ~jobs ~max_execs ~search target =
   if jobs <= 1 then begin
-    let grant e = not (cfg.max_execs > 0 && e >= cfg.max_execs) in
-    search ~stop_on_failure ?progress ?on_execution ~grant ~resume:false
-      (path_create ()) cfg
+    let grant e = not (max_execs > 0 && e >= max_execs) in
+    search ?progress ~grant ~resume:false (path_create ()) target
   end
   else begin
     (* Discovery: one all-defaults execution on the calling domain, as a
@@ -431,11 +428,10 @@ let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
        code path. *)
     let discovery_path = path_create () in
     let discovery =
-      search ~stop_on_failure ?progress:None ?on_execution
-        ~grant:(fun _ -> false)
-        ~resume:false discovery_path cfg
+      search ?progress:None ~grant:(fun _ -> false) ~resume:false
+        discovery_path target
     in
-    let over_budget = cfg.max_execs > 0 && cfg.max_execs <= 1 in
+    let over_budget = max_execs > 0 && max_execs <= 1 in
     (* shallowest frame with alternatives = the partition point *)
     let split = ref (-1) in
     (try
@@ -465,9 +461,9 @@ let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
       let alts = pivot.untried in
       pivot.untried <- [];
       (* Shared execution budget: discovery consumed one. *)
-      let remaining = Atomic.make (cfg.max_execs - 1) in
+      let remaining = Atomic.make (max_execs - 1) in
       let grant _ =
-        cfg.max_execs = 0 || Atomic.fetch_and_add remaining (-1) > 0
+        max_execs = 0 || Atomic.fetch_and_add remaining (-1) > 0
       in
       let prefix =
         Array.init j (fun i -> copy_frame discovery_path.frames.(i))
@@ -482,8 +478,8 @@ let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
           (fun _ item ->
             match item with
             | `Continue ->
-                search ~stop_on_failure ?progress:None ?on_execution ~grant
-                  ~resume:true discovery_path cfg
+                search ?progress:None ~grant ~resume:true discovery_path
+                  target
             | `Pinned alt ->
                 (* a pinned item's first execution is not the free
                    discovery one — it must claim budget like any other *)
@@ -493,8 +489,7 @@ let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
                   Array.iter (fun f -> path_push path (copy_frame f)) prefix;
                   path_push path
                     { chosen = alt; untried = []; fround = pivot.fround };
-                  search ~stop_on_failure ?progress:None ?on_execution ~grant
-                    ~resume:false path cfg
+                  search ?progress:None ~grant ~resume:false path target
                 end)
           items
       in
@@ -525,3 +520,35 @@ let run ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1) cfg =
       { stats; failure }
     end
   end
+
+let search ?(stop_on_failure = true) ?progress ?on_execution ?(jobs = 1)
+    ~preemptions ~crashes ~wb_width ~max_execs target =
+  let o =
+    fan_out ~stop_on_failure ?progress ~jobs ~max_execs target
+      ~search:
+        (dfs ~stop_on_failure ?on_execution ~preemptions ~crashes ~wb_width)
+  in
+  { o with failure = Option.map (fun (x, e) -> target.repro x e) o.failure }
+
+(* A campaign, prepared once per search.  A round's crash points are its
+   steps: the recorded decisions minus each thread's first dispatch. *)
+let run ?stop_on_failure ?progress ?on_execution ?jobs cfg =
+  let { campaign; seed; _ } = cfg in
+  search ?stop_on_failure ?progress
+    ?on_execution:(Option.map (fun f (res, log) -> f res log) on_execution)
+    ?jobs ~preemptions:cfg.preemptions ~crashes:cfg.crashes
+    ~wb_width:cfg.wb_width ~max_execs:cfg.max_execs
+    {
+      prepare =
+        (fun () ->
+          let p = Crashes.prepare campaign ~seed in
+          fun ctl from -> Crashes.run_prepared ~ctl ?from p);
+      error = (function Error e, _ -> Some e | Ok _, _ -> None);
+      crash_points =
+        (fun (_, rounds) r ->
+          match List.nth_opt rounds r with
+          | Some rd -> Array.length rd.Repro.schedule - campaign.Crashes.threads
+          | None -> 0);
+      repro =
+        (fun (_, rounds) error -> Crashes.repro_of campaign ~seed ~error ~rounds);
+    }

@@ -8,7 +8,7 @@
      on the issuing thread (the harness's Op_begin/Op_end events), and
      every write-back also to one issue-ordered log; Pmem's Writeback
      events give each its fate (drained, persisted or dropped at a
-     crash);
+     crash), and Rings_cleared discards the rest;
    - a crash is described in its Crashed handler: for each line it left
      never-persisted or reverted, the line's writer, its write-back
      history and whether a write-back followed the last write, all as
@@ -29,6 +29,7 @@
 
 type fate =
   | Outstanding  (* still in the write-pending queue at the end *)
+  | Discarded  (* emptied from the queue by [Pmem.reset_pending] *)
   | Drained  (* completed by psync / draining CAS / queue capacity *)
   | Crash_persisted of int  (* crash index that resolved it *)
   | Crash_dropped of int
@@ -59,14 +60,16 @@ and op_rec = {
   mutable o_end : ending;
 }
 
-(* A line's newest write: by the open operation if any, else ambient
-   harness work (prefill, recover_structure).  It counts as flushed once
-   a later write-back of the line is issued — by the same operation,
-   when an operation wrote it. *)
+(* A line's newest write: by the open operation if any, else harness
+   work between runs (prefill, recover_structure) or a fiber's own work
+   inside one (a store's migration).  It counts as flushed once a later
+   write-back of the line is issued — by the same operation, when an
+   operation wrote it. *)
 type writer = {
   w_tid : int;
   w_op : op_rec option;
   w_round : int;
+  w_in_run : bool;  (* written inside a [Sim.run] *)
   mutable w_flushed : bool;
 }
 
@@ -106,7 +109,7 @@ type state = {
       (* (tid, line) -> issued-but-unresolved write-back records, in
          issue order.  A thread's write-backs of one line meet their
          fates in issue order, so each fate pops the oldest; a
-         [Rings_cleared] drops them all unresolved. *)
+         [Rings_cleared] discards them all. *)
   s_writers : (string, writer) Hashtbl.t;  (* per line, its newest write *)
   mutable s_dropped : pm_wb list;
       (* the crash in progress's dropped write-backs, newest first *)
@@ -134,7 +137,8 @@ let slot () = Domain.DLS.get state_key
 let note_write st tid line =
   let op = st.s_cur.(tid) in
   Hashtbl.replace st.s_writers line
-    { w_tid = tid; w_op = op; w_round = st.s_round; w_flushed = false };
+    { w_tid = tid; w_op = op; w_round = st.s_round; w_in_run = Sim.in_sim ();
+      w_flushed = false };
   match op with
   | Some op when not (List.mem line op.o_writes) ->
       op.o_writes <- line :: op.o_writes
@@ -201,6 +205,7 @@ let on_wb st tid line (f : Pmem.wb_fate) =
 
 let fate_label = function
   | Outstanding -> "outstanding"
+  | Discarded -> "discarded"
   | Drained -> "drained"
   | Crash_persisted k -> Printf.sprintf "persisted@crash#%d" k
   | Crash_dropped k -> Printf.sprintf "dropped@crash#%d" k
@@ -213,10 +218,10 @@ let describe_writer = function
   | None -> "writer unknown (written before recording started)"
   | Some { w_op = Some op; _ } -> "last written by " ^ describe_op op
   | Some w ->
-      Printf.sprintf
-        "last written outside any operation (tid %d, round %d: prefill or \
-         structure recovery)"
+      Printf.sprintf "last written outside any operation (tid %d, round %d: %s)"
         w.w_tid w.w_round
+        (if w.w_in_run then "during the run"
+         else "prefill or structure recovery")
 
 let describe_flush_history st line =
   match List.filter (fun pw -> pw.pw_line = line) st.s_log with
@@ -291,7 +296,10 @@ let on_event ev =
       | Pmem.Mem e -> on_pmem_event st e
       | Pmem.Writeback { tid; line; fate } -> on_wb st tid line fate
       | Pmem.Crashed r -> on_crash st r
-      | Pmem.Rings_cleared -> Hashtbl.reset st.s_pending
+      | Pmem.Rings_cleared ->
+          let discard _ = Queue.iter (fun pw -> pw.pw_fate <- Discarded) in
+          Hashtbl.iter discard st.s_pending;
+          Hashtbl.reset st.s_pending
       | Events.Op_begin { tid; kind; key; _ } -> op_begin st ~tid ~kind ~key
       | Events.Op_end { tid; ok; _ } -> op_end st ~tid ~ok
       | Events.Round { n; _ } -> st.s_round <- n

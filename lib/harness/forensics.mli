@@ -11,8 +11,10 @@
       (drained, persisted-at-crash or dropped-at-crash) through
       [Pmem.Writeback]: a fate pairs with the oldest unresolved pwb of
       its (tid, line), whose site it takes; a [Pmem.Rings_cleared]
-      leaves every unresolved pwb outstanding, so no later fate can
-      land on one.
+      gives every unresolved pwb the fate "discarded", so no later fate
+      can land on one.  A write outside any operation is "prefill or
+      structure recovery" if it happened between runs, "during the run"
+      if a fiber made it inside one.
     - A crash is described when its [Pmem.Crashed] report arrives: for
       each line it left never-persisted or reverted, the line's last
       writer, its write-back history and whether a write-back of the

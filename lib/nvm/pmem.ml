@@ -890,11 +890,15 @@ let peek_persisted fld =
 
 let is_poisoned fld = fld.flags land poisoned <> 0
 
-(* Pending write-backs (fences excluded) in one ring. *)
-let ring_writebacks r =
+(* Pending write-backs (fences excluded) in one ring, of [heap]'s lines
+   only when given. *)
+let ring_writebacks ?heap r =
   let n = ref 0 in
   for k = 0 to r.len - 1 do
-    if r.lines.((r.head + k) land (Array.length r.lines - 1)) != fence_line then incr n
+    let l = r.lines.((r.head + k) land (Array.length r.lines - 1)) in
+    if l != fence_line
+       && match heap with None -> true | Some h -> l.lheap == h
+    then incr n
   done;
   !n
 
@@ -902,10 +906,10 @@ let outstanding_writebacks tid =
   check_tid tid;
   ring_writebacks (hot ()).rings.(tid)
 
-let max_outstanding_writebacks () =
+let max_outstanding_writebacks ?heap () =
   let ht = hot () in
   let m = ref 0 in
   for tid = 0 to ht.live - 1 do
-    m := Int.max !m (ring_writebacks ht.rings.(tid))
+    m := Int.max !m (ring_writebacks ?heap ht.rings.(tid))
   done;
   !m

@@ -274,10 +274,12 @@ val system_persist : 'a t -> 'a -> unit
 val outstanding_writebacks : int -> int
 (** Number of pending (unsynced) write-back entries of a thread. *)
 
-val max_outstanding_writebacks : unit -> int
-(** Largest per-thread outstanding write-back count, over all threads —
-    the exploration harness uses it to bound its [`Prefix] sweep: with
-    [m] outstanding, [`Prefix k] for [k >= m] is equivalent to [`All].
+val max_outstanding_writebacks : ?heap:heap -> unit -> int
+(** Largest per-thread outstanding write-back count, over all threads,
+    counting only [heap]'s lines when it is given — the exploration
+    harness uses it to bound its [`Prefix] sweep: with [m] outstanding,
+    [`Prefix k] for [k >= m] is equivalent to [`All] (for a crash of
+    [heap] alone, [m] counts its write-backs).
     Like {!crash} and {!reset_pending}, it visits only the threads that
     have pushed a write-back or fence since the machine was last idle,
     not all {!max_threads}. *)

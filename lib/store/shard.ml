@@ -218,7 +218,8 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
     | _ -> ()
   in
   let failover rep crash_ns =
-    Pmem.crash ~rng:(Sim.random_state ()) ~resolution:wb ~scope:`Heap t.heap;
+    Pmem.crash ~rng:(Sim.random_state ()) ~resolution:(wb ()) ~scope:`Heap
+      t.heap;
     Events.crash_resolved ~round:(-1);
     Sim.step failover_ns;
     (* promote: the replica heap never crashed, so no restart latency
@@ -260,7 +261,8 @@ let serve t ~batch ~activation_ns ~poll_ns ~restart_ns ~failover_ns ~wb ~live
   in
   let restart crash_ns =
     ignore crash_ns;
-    Pmem.crash ~rng:(Sim.random_state ()) ~resolution:wb ~scope:`Heap t.heap;
+    Pmem.crash ~rng:(Sim.random_state ()) ~resolution:(wb ()) ~scope:`Heap
+      t.heap;
     (* there are no campaign rounds in a serve: attribute the crash to no
        round (the heap name carries the shard identity) *)
     Events.crash_resolved ~round:(-1);

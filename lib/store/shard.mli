@@ -93,7 +93,7 @@ val serve :
   poll_ns:float ->
   restart_ns:float ->
   failover_ns:float ->
-  wb:Pmem.resolution ->
+  wb:(unit -> Pmem.resolution) ->
   live:(unit -> bool) ->
   on_complete:(unit -> unit) ->
   ?guard:(request -> [ `Execute | `Defer | `Forward of t ]) ->
@@ -104,10 +104,11 @@ val serve :
 (** Server-fiber body: drain up to [batch] requests per activation
     (amortizing the [activation_ns] wakeup cost), idle-polling every
     [poll_ns] while the mailbox is empty and [live ()] holds.  Catches
-    {!Crash} and runs the shard recovery protocol with write-back
-    resolution [wb], restart latency [restart_ns] and promotion latency
-    [failover_ns].  [on_complete] fires for every resolved non-internal
-    request, including recovered ones.
+    {!Crash} and runs the shard recovery protocol with the write-back
+    resolution [wb ()] returns at the moment of the crash, restart
+    latency [restart_ns] and promotion latency [failover_ns].
+    [on_complete] fires for every resolved non-internal request,
+    including recovered ones.
 
     [guard] (client requests only) may [`Defer] a request (requeued —
     its key is mid-handoff) or [`Forward] it to its current owner.

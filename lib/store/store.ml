@@ -100,12 +100,6 @@ let victims_of = function
 let victim_of cfg =
   match victims_of cfg.crash with [] -> None | v :: _ -> Some v
 
-(* The victim whose heap resolves under [wb2] instead of [wb]. *)
-let second_victim_of = function
-  | Some (Both_at_dispatch { b; _ }) -> Some b
-  | Some (Cascade { second; _ }) -> Some second
-  | _ -> None
-
 let backend_of cfg sid =
   match cfg.migrate with
   | Some { msrc; _ } when sid = cfg.shards -> (
@@ -155,7 +149,9 @@ let validate cfg =
                 Error "store: cascade needs two distinct shards"
             | None, _ -> Ok ()))
 
-let run ?record ?(schedule = [||]) cfg =
+(* One serve; [wb sid heap] is the write-back resolution of shard
+   [sid]'s crash of [heap], asked at the moment of the crash. *)
+let run_with ~wb ?record ?(schedule = [||]) cfg =
   match validate cfg with
   | Error _ as e -> e
   | Ok () -> (
@@ -298,11 +294,6 @@ let run ?record ?(schedule = [||]) cfg =
             end
         | Some (At_dispatch _ | Both_at_dispatch _) | None -> ()
       in
-      let second_victim = second_victim_of cfg.crash in
-      let wb_for sid =
-        if second_victim = Some sid then Option.value cfg.wb2 ~default:cfg.wb
-        else cfg.wb
-      in
       let bodies =
         Array.init threads (fun tid ->
             if tid = 0 then fun (_ : int) -> controller ()
@@ -318,7 +309,8 @@ let run ?record ?(schedule = [||]) cfg =
                 in
                 Shard.serve s ~batch:cfg.batch ~activation_ns ~poll_ns
                   ~restart_ns:cfg.restart_ns ~failover_ns:cfg.failover_ns
-                  ~wb:(wb_for sid) ~live ~on_complete ~guard:(guard s)
+                  ~wb:(fun () -> wb sid s.Shard.heap)
+                  ~live ~on_complete ~guard:(guard s)
                   ?side_work:
                     (Option.map
                        (fun m ->
@@ -479,173 +471,98 @@ let run ?record ?(schedule = [||]) cfg =
                   report.Slo.windows;
               Ok report))
 
+let run ?record ?schedule cfg =
+  let wb2 = Option.value cfg.wb2 ~default:cfg.wb in
+  run_with ?record ?schedule cfg ~wb:(fun sid _ ->
+      match cfg.crash with
+      | Some (Both_at_dispatch { b; _ } | Cascade { second = b; _ })
+        when sid = b ->
+          wb2
+      | _ -> cfg.wb)
+
+type failure = { config : config; error : string; schedule : int array }
+
+(* A failing config, re-run recording its schedule: the seed pins the
+   interleaving, so the re-run is the same execution. *)
+let failure_of config error =
+  let sched = ref [] in
+  ignore
+    (run ~record:(fun c -> sched := c :: !sched) config
+      : (Slo.report, string) result);
+  { config; error; schedule = Array.of_list (List.rev !sched) }
+
 (* ---- bounded exhaustive exploration ----------------------------------- *)
 
-(* Sweep shard-local crash points of a small store: for each victim spec
-   — a single shard, or (for migration campaigns) both endpoints at
-   once — interrupt the victim server(s) at dispatch 1, 2, ... up to
-   [dispatch_budget] (or until the interrupt stops firing — the server
-   finished earlier), crossed with the deterministic write-back
-   resolutions; a both-endpoints spec crosses PAIRS of resolutions, so
-   the two heaps resolve adversarially and independently.  Every
-   execution must yield definite request outcomes — zero lost, per-shard
-   oracle agreement, migration completion, exactly-one ownership, and
-   store-level conservation — or the sweep reports the first
-   counterexample.  With a fixed seed and the `Perf policy the schedule
-   is pinned, so a failing (spec, dispatch, wb) triple replays as is. *)
+(* The store as an exploration target.  Its only decisions are crash
+   points and write-back resolutions: the seed and the [`Perf] policy
+   pin the schedule.  A crash point is a (victims, server dispatch) pair
+   of the crash-free run — each shard alone or, for a migrating config,
+   the source, the destination and both at once — capped per victim
+   spec by [dispatch_budget].  Each execution runs the store from the
+   seed with that plan, and each victim's crash asks the controller for
+   its heap's resolution when it happens, so a correlated crash crosses
+   the two heaps' resolutions.  A lost request fails the execution like
+   any other violation. *)
+let target ~dispatch_budget cfg =
+  (* victim specs: [(a, Some b)] crashes both servers at once *)
+  let specs =
+    match cfg.migrate with
+    | Some { msrc; _ } ->
+        [ (msrc, None); (cfg.shards, None); (msrc, Some cfg.shards) ]
+    | None -> List.init cfg.shards (fun v -> (v, None))
+  in
+  let verdict = function
+    | Error e -> Some e
+    | Ok r when r.Slo.lost > 0 ->
+        Some (Printf.sprintf "%d lost requests" r.Slo.lost)
+    | Ok _ -> None
+  in
+  (* The crash-free run, recorded once: each server's dispatches in it
+     bound its specs' crash points, and it is crash point 0. *)
+  let crash_free = { cfg with crash = None } in
+  let dispatches = Array.make (1 + cfg.clients + shard_total cfg) 0 in
+  let baseline =
+    verdict
+      (run ~record:(fun t -> dispatches.(t) <- dispatches.(t) + 1) crash_free)
+  in
+  let reached v = dispatches.(1 + cfg.clients + v) in
+  let points (a, b) =
+    min dispatch_budget (max (reached a) (Option.fold ~none:0 ~some:reached b))
+  in
+  let rec spec_at i = function
+    | s :: rest -> if i <= points s then (s, i) else spec_at (i - points s) rest
+    | [] -> invalid_arg "Store.target: crash point out of range"
+  in
+  let run_point (ctl : Crashes.ctl) i =
+    let (a, b), dispatch = spec_at i specs in
+    let crash =
+      match b with
+      | None -> At_dispatch { victim = a; dispatch }
+      | Some b -> Both_at_dispatch { a; b; dispatch }
+    in
+    let chosen = Array.make (shard_total cfg) `Drop in
+    let wb sid heap =
+      let depth = Pmem.max_outstanding_writebacks ~heap () in
+      chosen.(sid) <- (ctl.ctl_wb ~round:0 ~depth :> Pmem.resolution);
+      chosen.(sid)
+    in
+    let result = run_with ~wb { cfg with crash = Some crash } in
+    let wb2 = Option.map (Array.get chosen) b in
+    ({ cfg with crash = Some crash; wb = chosen.(a); wb2 }, verdict result)
+  in
+  let total = List.fold_left (fun n s -> n + points s) 0 specs in
+  {
+    Explore.prepare =
+      (fun () ctl _ ->
+        match ctl.Crashes.ctl_crash_at ~kind:`Work ~round:0 with
+        | i when i <= 0 -> (crash_free, baseline)
+        | i -> run_point ctl i);
+    error = snd;
+    crash_points = (fun _ _ -> total);
+    repro = (fun (config, _) error -> failure_of config error);
+  }
 
-type victim_spec = Single of int | Both of int * int
-
-let spec_label = function
-  | Single v -> Printf.sprintf "shard%d" v
-  | Both (a, b) -> Printf.sprintf "shard%d+shard%d" a b
-
-type explore_stats = {
-  ex_executions : int;
-  ex_fired : int;  (* runs whose interrupt actually delivered *)
-  ex_max_dispatch : (string * int) array;
-      (* per victim spec: label, highest firing dispatch index *)
-  ex_failures : int;
-  ex_first_failure : string option;
-  ex_first_cex : (config * int array * string) option;
-}
-
-(* The write-back resolutions swept per crash point: a single victim's,
-   and the pairs of a both-endpoints power loss. *)
-let wbs = [ `Drop; `All; `Prefix 1; `Prefix 2 ]
-
-let wb_pairs =
-  [ (`Drop, `Drop); (`All, `All); (`Drop, `All); (`All, `Drop);
-    (`Prefix 1, `Prefix 1) ]
-
-let explore ?(dispatch_budget = 64) ?(jobs = 1) cfg =
-  match run { cfg with crash = None } with
-  | Error msg -> Error ("explore: crash-free baseline failed: " ^ msg)
-  | Ok _ ->
-      (* Victim specs: every single shard — or, for a migration config,
-         the source, the destination, and the correlated both-endpoints
-         power loss (the only double-crash whose interaction is novel:
-         the journal and the data it reconciles fail together). *)
-      let specs =
-        match cfg.migrate with
-        | Some { msrc; _ } ->
-            [| Single msrc; Single cfg.shards; Both (msrc, cfg.shards) |]
-        | None -> Array.init cfg.shards (fun v -> Single v)
-      in
-      (* One spec's sweep is independent of every other's (each execution
-         rebuilds the store from the seed), so specs are the parallel
-         work items: results merge per spec index and the reported first
-         counterexample is the lowest spec's first, which is exactly the
-         sequential visit order — output is byte-identical at every
-         [jobs] value. *)
-      let sweep_spec spec =
-        let executions = ref 0 in
-        let fired = ref 0 in
-        let failures = ref 0 in
-        let first_failure = ref None in
-        let first_cex = ref None in
-        let fail cfg' msg =
-          incr failures;
-          if !first_failure = None then begin
-            first_failure := Some msg;
-            (* Re-run the counterexample recording its schedule so the
-               caller can save a replayable repro; the seed pins the
-               interleaving, so this reproduces the same failure.  The
-               stored error is the bare one a replay will observe, not
-               the "victim/dispatch/wb"-prefixed display string. *)
-            let sched = ref [] in
-            let bare =
-              match run ~record:(fun c -> sched := c :: !sched) cfg' with
-              | Error e -> e
-              | Ok r when r.Slo.lost > 0 ->
-                  Printf.sprintf "%d lost requests" r.Slo.lost
-              | Ok _ -> msg
-            in
-            first_cex := Some (cfg', Array.of_list (List.rev !sched), bare)
-          end
-        in
-        let arms =
-          match spec with
-          | Single _ -> List.map (fun wb -> (wb, None)) wbs
-          | Both _ -> List.map (fun (w1, w2) -> (w1, Some w2)) wb_pairs
-        in
-        let arm_label (wb, wb2) =
-          match wb2 with
-          | None -> Repro.wb_to_string wb
-          | Some w2 -> Repro.wb_to_string wb ^ "+" ^ Repro.wb_to_string w2
-        in
-        let max_dispatch = ref 0 in
-        let k = ref 1 in
-        let continue = ref true in
-        while !continue && !k <= dispatch_budget do
-          let fired_here = ref false in
-          List.iter
-            (fun ((wb, wb2) as arm) ->
-              let crash =
-                match spec with
-                | Single v -> At_dispatch { victim = v; dispatch = !k }
-                | Both (a, b) -> Both_at_dispatch { a; b; dispatch = !k }
-              in
-              let cfg' = { cfg with crash = Some crash; wb; wb2 } in
-              incr executions;
-              match run cfg' with
-              | Error msg ->
-                  fired_here := true;
-                  fail cfg'
-                    (Printf.sprintf "victim %s dispatch %d wb %s: %s"
-                       (spec_label spec) !k (arm_label arm) msg)
-              | Ok report ->
-                  let crashed sid =
-                    (List.nth report.Slo.shards sid).Slo.ss_crashes > 0
-                  in
-                  let delivered =
-                    match spec with
-                    | Single v -> crashed v
-                    | Both (a, b) -> crashed a || crashed b
-                  in
-                  if delivered then begin
-                    incr fired;
-                    fired_here := true
-                  end;
-                  if report.Slo.lost > 0 then
-                    fail cfg'
-                      (Printf.sprintf
-                         "victim %s dispatch %d wb %s: %d lost requests"
-                         (spec_label spec) !k (arm_label arm) report.Slo.lost))
-            arms;
-          if !fired_here then begin
-            max_dispatch := !k;
-            incr k
-          end
-          else continue := false
-        done;
-        (!executions, !fired, !failures, !first_failure, !first_cex,
-         !max_dispatch)
-      in
-      let per_spec = Parallel.run ~jobs (fun _ s -> sweep_spec s) specs in
-      let executions = ref 0 in
-      let fired = ref 0 in
-      let failures = ref 0 in
-      let first_failure = ref None in
-      let first_cex = ref None in
-      let max_dispatch = Array.make (Array.length specs) ("", 0) in
-      Array.iteri
-        (fun i (ex, fi, fa, ff, cex, md) ->
-          executions := !executions + ex;
-          fired := !fired + fi;
-          failures := !failures + fa;
-          if !first_failure = None then begin
-            first_failure := ff;
-            first_cex := cex
-          end;
-          max_dispatch.(i) <- (spec_label specs.(i), md))
-        per_spec;
-      Ok
-        {
-          ex_executions = !executions;
-          ex_fired = !fired;
-          ex_max_dispatch = max_dispatch;
-          ex_failures = !failures;
-          ex_first_failure = !first_failure;
-          ex_first_cex = !first_cex;
-        }
+let explore ?jobs ?on_execution ~dispatch_budget cfg =
+  Explore.search ~stop_on_failure:false ?jobs ?on_execution ~preemptions:0
+    ~crashes:1 ~wb_width:2 ~max_execs:0
+    (target ~dispatch_budget cfg)

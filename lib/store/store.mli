@@ -12,7 +12,8 @@
     (sid = [shards]).  The whole serve is ONE [Sim.run]: a shard crash
     is a per-fiber interrupt recovered inside the victim's server fiber,
     so survivors keep serving throughout — the degraded window {!Slo}
-    measures. *)
+    measures.  {!explore} crashes the servers at each of their
+    dispatches, on {!Explore}'s search. *)
 
 type crash_plan =
   | After_requests of { victim : int; requests : int }
@@ -95,44 +96,41 @@ val run :
     expose [Sim.run]'s schedule recording/replay for serve repro files
     ({!Store_repro}); replay divergences are counted in the report. *)
 
-type victim_spec = Single of int | Both of int * int
-
-type explore_stats = {
-  ex_executions : int;
-  ex_fired : int;  (** runs whose crash interrupt actually delivered *)
-  ex_max_dispatch : (string * int) array;
-      (** per victim spec (["shardN"] or ["shardA+shardB"]), the highest
-          dispatch index at which its interrupt still fired *)
-  ex_failures : int;
-  ex_first_failure : string option;
-  ex_first_cex : (config * int array * string) option;
-      (** the first counterexample's exact config (crash plan and
-          write-back resolutions), recorded schedule and bare error — as
-          a replay observes it — ready to save as a repro *)
+type failure = {
+  config : config;
+      (** the failing serve: seed, crash plan and resolutions included *)
+  error : string;  (** the failure, as a replay observes it *)
+  schedule : int array;  (** the scheduler's choice at every decision *)
 }
+(** A failing serve as replayable data; {!Store_repro} saves and loads
+    it. *)
+
+val failure_of : config -> string -> failure
+(** [failure_of config error]: the failure [config] produced, with its
+    schedule recorded by running [config] once more — the seed pins the
+    interleaving, so that run is the failing one. *)
 
 val explore :
-  ?dispatch_budget:int ->
   ?jobs:int ->
+  ?on_execution:(config * string option -> unit) ->
+  dispatch_budget:int ->
   config ->
-  (explore_stats, string) result
-(** Bounded exhaustive sweep of shard-local crash points: every victim
-    spec x dispatch index (1 up to [dispatch_budget], default 64, or
-    until the victim finishes before the interrupt fires) x write-back
-    resolution.  Without a migration the specs are each single shard
-    under [`Drop], [`All], [`Prefix 1] and [`Prefix 2]; with a migration
-    they are the source, the destination, and the correlated
-    both-endpoints power loss under five pairs (drop/all crossed both
-    ways plus [`Prefix 1] on both) — each heap of the pair resolves
-    independently and adversarially.  Each execution must
-    resolve every request to a definite outcome AND leave every key in
-    exactly one shard (the full check set of {!run}); failures are
-    counted and the first counterexample is reported.  [cfg.crash] is
-    ignored; the seed pins the schedule so counterexamples replay.  The
-    crash-free baseline runs first — for a migration config that is also
-    the clean-completion proof.
-
-    [jobs] (default 1) fans the per-spec sweeps across domains
-    ([Harness.Parallel]); stats merge per spec index and the first
-    counterexample is the lowest spec's, so the result is byte-identical
-    at every [jobs] value. *)
+  failure Explore.outcome
+(** Bounded exhaustive exploration of shard crashes, on {!Explore}'s
+    search.  A crash point is a (victims, server dispatch) pair of the
+    crash-free run: each shard alone or, for a migrating config, the
+    source, the destination and both at once ([Both_at_dispatch]), at
+    each dispatch of the victims' servers up to [dispatch_budget] per
+    victim spec.  The crash-free run is crash point 0; each other runs
+    the store from the seed under that plan ([cfg.crash], [cfg.wb] and
+    [cfg.wb2] are ignored), and each victim's crash takes the
+    controller's write-back resolution for its heap when it happens:
+    drop, all, and each prefix depth below that heap's queue depth, at
+    most 2, so a both-endpoint crash crosses the two heaps'
+    resolutions.  Every execution must pass the full check set of
+    {!run} and lose no request; the search counts every failure and
+    returns the first as a {!failure}.  The seed and the [`Perf] policy
+    pin the schedule, so there are no scheduling decisions, and the
+    stats, the failure count and the first failure are the same at
+    every [jobs] value.  [on_execution] sees each execution's config —
+    crash plan and chosen resolutions — and violation. *)

@@ -9,7 +9,11 @@
 let ( let* ) = Result.bind
 let magic = "tracking-nvm-serve v1"
 
-type t = { config : Store.config; error : string; schedule : int array }
+type t = Store.failure = {
+  config : Store.config;
+  error : string;
+  schedule : int array;
+}
 
 (* ---- serve-only tokens ------------------------------------------------- *)
 

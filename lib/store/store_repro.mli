@@ -11,7 +11,7 @@
 
 val magic : string
 
-type t = {
+type t = Store.failure = {
   config : Store.config;  (** the serve that failed, seed included *)
   error : string;  (** the failure the file reproduces *)
   schedule : int array;  (** scheduler choice at every decision *)

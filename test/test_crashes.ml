@@ -191,7 +191,7 @@ let test_prepared_equals_fresh () =
                 (fun ~kind:_ ~round -> if round = 0 then c else 0);
               ctl_choose = (fun ~crashing:_ ready -> ready.(0));
               ctl_keep = (fun n -> n = 1);
-              ctl_wb = (fun ~round:_ -> `Drop);
+              ctl_wb = (fun ~round:_ ~depth:_ -> `Drop);
               ctl_checkpoint = ignore;
             }
           in

@@ -237,47 +237,88 @@ let explore_cfg ~m_broken =
   }
 
 let test_explore_migration_clean () =
-  match Store.explore ~dispatch_budget:200 ~jobs:4 (explore_cfg ~m_broken:false) with
-  | Error e -> Alcotest.fail e
-  | Ok st ->
-      Alcotest.(check int) "no failures across all crash points" 0
-        st.Store.ex_failures;
-      Alcotest.(check bool) "crash points fired" true (st.Store.ex_fired > 0);
-      (* the sweep must cover the source, the destination AND the
-         correlated both-endpoints campaign *)
-      Alcotest.(check (array string)) "victim specs"
-        [| "shard0"; "shard2"; "shard0+shard2" |]
-        (Array.map fst st.Store.ex_max_dispatch);
-      Array.iter
-        (fun (label, d) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s explored" label)
-            true (d > 0))
-        st.Store.ex_max_dispatch
+  let o =
+    Store.explore ~dispatch_budget:200 ~jobs:4 (explore_cfg ~m_broken:false)
+  in
+  let st = o.Explore.stats in
+  Alcotest.(check int) "no failures across all crash points" 0
+    st.Explore.failures;
+  Alcotest.(check bool) "tree exhausted" true st.Explore.complete;
+  (* the source, the destination and both at once, 200 points each *)
+  Alcotest.(check int) "crash points" 600 st.Explore.crash_points
+
+(* The crash points are every (victim spec, server dispatch) pair of
+   the crash-free run below the budget: the source alone, the
+   destination alone and both endpoints at once, the last reaching as
+   far as the busier of the two.  At budget 250 the source (254 server
+   dispatches) and the correlated spec are capped, and the destination
+   (247) is not.  Each spec's first and last point must run. *)
+let test_explore_covers_each_spec () =
+  let c = explore_cfg ~m_broken:false in
+  let budget = 250 in
+  let dispatches = Array.make (1 + c.Store.clients + 3) 0 in
+  ignore
+    (Store.run ~record:(fun t -> dispatches.(t) <- dispatches.(t) + 1) c
+      : (Slo.report, string) result);
+  let server sid = dispatches.(1 + c.Store.clients + sid) in
+  let points victims =
+    min budget (List.fold_left (fun m v -> max m (server v)) 0 victims)
+  in
+  let specs = [ [ 0 ]; [ 2 ]; [ 0; 2 ] ] in
+  Alcotest.(check (list int)) "capped and uncapped specs" [ 250; 247; 250 ]
+    (List.map points specs);
+  let seen = Hashtbl.create 1024 in
+  let on_execution ((run : Store.config), _) =
+    match run.Store.crash with
+    | Some (Store.At_dispatch { victim; dispatch }) ->
+        Hashtbl.replace seen ([ victim ], dispatch) ()
+    | Some (Store.Both_at_dispatch { a; b; dispatch }) ->
+        Hashtbl.replace seen ([ a; b ], dispatch) ()
+    | _ -> ()
+  in
+  let o = Store.explore ~on_execution ~dispatch_budget:budget c in
+  let st = o.Explore.stats in
+  Alcotest.(check int) "no failures" 0 st.Explore.failures;
+  Alcotest.(check int) "crash points"
+    (List.fold_left (fun acc v -> acc + points v) 0 specs)
+    st.Explore.crash_points;
+  List.iter
+    (fun victims ->
+      List.iter
+        (fun d ->
+          if not (Hashtbl.mem seen (victims, d)) then
+            Alcotest.failf "victims %s dispatch %d never executed"
+              (String.concat "+" (List.map string_of_int victims))
+              d)
+        [ 1; points victims ])
+    specs
 
 (* The negative control: eliding the handoff-commit pwb loses keys from
-   BOTH shards under a destination crash.  The sweep must catch it, and
-   the counterexample must round-trip through a serve repro file and
-   replay to the identical bare error. *)
+   BOTH shards under a destination crash.  The search must catch it,
+   first at the destination's 64th dispatch with its write-backs
+   dropped, and the counterexample, a serve repro, must replay to the
+   identical error. *)
 let test_explore_catches_broken_handoff () =
-  match Store.explore ~dispatch_budget:200 ~jobs:4 (explore_cfg ~m_broken:true) with
-  | Error e -> Alcotest.fail e
-  | Ok st -> (
-      Alcotest.(check bool) "failures found" true (st.Store.ex_failures > 0);
-      match st.Store.ex_first_cex with
-      | None -> Alcotest.fail "failures counted but no counterexample captured"
-      | Some (cex, sched, bare) -> (
-          Alcotest.(check bool) "counterexample kept the broken plan" true
-            (match cex.Store.migrate with
-            | Some m -> m.Store.m_broken
-            | None -> false);
-          let r =
-            { Store_repro.config = cex; error = bare; schedule = sched }
-          in
-          match Store_repro.replay r with
-          | Error e ->
-              Alcotest.(check string) "replay reproduces the bare error" bare e
-          | Ok () -> Alcotest.fail "counterexample replayed clean"))
+  let o =
+    Store.explore ~dispatch_budget:200 ~jobs:4 (explore_cfg ~m_broken:true)
+  in
+  Alcotest.(check bool) "failures found" true
+    (o.Explore.stats.Explore.failures > 0);
+  match o.Explore.failure with
+  | None -> Alcotest.fail "failures counted but no counterexample captured"
+  | Some r -> (
+      Alcotest.(check bool) "counterexample kept the broken plan" true
+        (match r.Store.config.Store.migrate with
+        | Some m -> m.Store.m_broken
+        | None -> false);
+      Alcotest.(check bool) "first failure: destination, dispatch 64, drop"
+        true
+        (r.config.crash = Some (Store.At_dispatch { victim = 2; dispatch = 64 })
+        && r.config.wb = `Drop);
+      match Store_repro.replay r with
+      | Error e ->
+          Alcotest.(check string) "replay reproduces the error" r.error e
+      | Ok () -> Alcotest.fail "counterexample replayed clean")
 
 (* -- serve repro files: elastic fields ------------------------------------- *)
 
@@ -386,6 +427,8 @@ let suite =
       `Quick test_explore_migration_clean;
     Alcotest.test_case "explore: broken handoff caught and repro'd" `Quick
       test_explore_catches_broken_handoff;
+    Alcotest.test_case "explore: every victim spec's first and last point"
+      `Quick test_explore_covers_each_spec;
     Alcotest.test_case "serve repro: elastic fields round-trip" `Quick
       test_repro_elastic_fields_roundtrip;
     Alcotest.test_case "serve repro: pre-elastic files parse" `Quick

@@ -159,7 +159,7 @@ let test_checkpointed_equal_fresh () =
               in
               ignore
                 (Explore.run ~stop_on_failure:false ~on_execution cfg
-                  : Explore.outcome);
+                  : Repro.t Explore.outcome);
               if !differ > 0 then
                 Alcotest.failf
                   "%s seed %d, %s tree: %d of %d executions differ from a \

@@ -325,6 +325,50 @@ let test_flush_then_rewrite_lost () =
   check_contains "the rewrite is lost" "lost at crash #0: line cell:6 reverted"
     (Forensics.render_text pm)
 
+(* A write-back [Pmem.reset_pending] emptied from the queue is
+   discarded, not still outstanding: a machine crash resolves every
+   write-back still queued. *)
+let test_discarded_writeback () =
+  let pm =
+    recorded (fun () ->
+        let heap = Pmem.heap ~name:"discard" () in
+        let cell = Pmem.alloc ~name:"cell:8" heap 0 in
+        Pmem.write cell 1;
+        Pmem.pwb_f rule_pwb cell;
+        Pmem.reset_pending ();
+        Pmem.crash ~resolution:`Drop heap;
+        Events.crash_resolved ~round:0)
+  in
+  check_contains "the prefill write-back's fate"
+    "1 write-back(s) issued; last from site test.rule.pwb in round 0 — \
+     discarded"
+    (Forensics.render_text pm)
+
+(* A write outside any operation is prefill or structure recovery only
+   between runs; inside a run a fiber wrote it (in a serve, the
+   migration's journal or a shard's in-run recovery). *)
+let test_writer_inside_a_run () =
+  let pm =
+    recorded (fun () ->
+        let heap = Pmem.heap ~name:"writers" () in
+        let before = Pmem.alloc ~name:"cell:1" heap 0 in
+        let inside = Pmem.alloc ~name:"cell:2" heap 0 in
+        Pmem.write before 1;
+        ignore
+          (Sim.run [| (fun (_ : int) -> Pmem.write inside 1) |] : Sim.outcome);
+        Pmem.crash ~resolution:`Drop heap;
+        Events.crash_resolved ~round:0)
+  in
+  let text = Forensics.render_text pm in
+  check_contains "a write between runs"
+    "cell:1 — last written outside any operation (tid 0, round 0: prefill \
+     or structure recovery)"
+    text;
+  check_contains "a write inside a run"
+    "cell:2 — last written outside any operation (tid 0, round 0: during \
+     the run)"
+    text
+
 (* -- lineage verdicts ------------------------------------------------------ *)
 
 let lineage_decisions pm =
@@ -478,6 +522,10 @@ let suite =
       test_heap_crash_described_at_crash;
     Alcotest.test_case "a flush before the last write does not cover it"
       `Quick test_flush_then_rewrite_lost;
+    Alcotest.test_case "a discarded write-back is not outstanding" `Quick
+      test_discarded_writeback;
+    Alcotest.test_case "a write inside a run is not prefill" `Quick
+      test_writer_inside_a_run;
     Alcotest.test_case "lineage verdicts" `Quick test_lineage_verdicts;
     Alcotest.test_case "no postmortem cites an event after its crash" `Quick
       test_no_postmortem_cites_a_later_event;

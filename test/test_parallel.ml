@@ -124,19 +124,13 @@ let store_cfg () =
   }
 
 let test_store_explore_jobs_identical () =
-  let go jobs =
-    match Store.explore ~dispatch_budget:6 ~jobs (store_cfg ()) with
-    | Ok s -> s
-    | Error e -> Alcotest.fail ("store explore failed: " ^ e)
-  in
-  let s1 = go 1 and s2 = go 2 in
-  Alcotest.(check int) "executions" s1.Store.ex_executions s2.Store.ex_executions;
-  Alcotest.(check int) "fired" s1.Store.ex_fired s2.Store.ex_fired;
-  Alcotest.(check int) "failures" s1.Store.ex_failures s2.Store.ex_failures;
-  Alcotest.(check (array (pair string int)))
-    "max dispatch per victim" s1.Store.ex_max_dispatch s2.Store.ex_max_dispatch;
+  let go jobs = Store.explore ~dispatch_budget:6 ~jobs (store_cfg ()) in
+  let o1 = go 1 and o2 = go 2 in
+  Alcotest.(check bool) "stats" true (o1.Explore.stats = o2.Explore.stats);
   Alcotest.(check (option string))
-    "first failure" s1.Store.ex_first_failure s2.Store.ex_first_failure
+    "first failure"
+    (Option.map (fun r -> r.Store.error) o1.Explore.failure)
+    (Option.map (fun r -> r.Store.error) o2.Explore.failure)
 
 (* Two simulations interleaved on separate domains: each domain's Pmem
    machine owns its own write-pending queues, so neither run may

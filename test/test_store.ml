@@ -371,42 +371,32 @@ let test_store_repro_malformed_corpus () =
 
 let test_explore_clean_on_tracking () =
   let c = cfg ~ops:12 ~keys:16 () in
-  match Store.explore ~dispatch_budget:40 c with
-  | Error e -> Alcotest.fail e
-  | Ok st ->
-      Alcotest.(check int) "no failures" 0 st.Store.ex_failures;
-      Alcotest.(check bool) "crash points actually fired" true
-        (st.Store.ex_fired > 0);
-      Array.iter
-        (fun (label, d) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s explored" label)
-            true (d > 0))
-        st.Store.ex_max_dispatch
+  let o = Store.explore ~dispatch_budget:40 c in
+  let st = o.Explore.stats in
+  Alcotest.(check int) "no failures" 0 st.Explore.failures;
+  Alcotest.(check bool) "tree exhausted" true st.Explore.complete;
+  (* each of the two shards has more than 40 server dispatches *)
+  Alcotest.(check int) "crash points" 80 st.Explore.crash_points;
+  Alcotest.(check bool) "one execution per crash point at least" true
+    (st.Explore.executions > st.Explore.crash_points)
 
 let test_explore_catches_broken_variant () =
   let c = cfg ~algo:"tracking-broken" ~ops:12 ~keys:16 () in
-  match Store.explore ~dispatch_budget:200 c with
-  | Error e -> Alcotest.fail e
-  | Ok st -> (
-      Alcotest.(check bool) "failures found" true (st.Store.ex_failures > 0);
-      (match st.Store.ex_first_failure with
-      | None -> Alcotest.fail "failures counted but none reported"
-      | Some msg ->
-          Alcotest.(check bool) "counterexample names its crash point" true
-            (String.length msg > 0));
-      (* the captured counterexample converts to a repro that replays
-         to the same bare error *)
-      match st.Store.ex_first_cex with
-      | None -> Alcotest.fail "failure reported but no counterexample captured"
-      | Some (cex, sched, bare) -> (
-          let r =
-            { Store_repro.config = cex; error = bare; schedule = sched }
-          in
-          match Store_repro.replay r with
-          | Error e ->
-              Alcotest.(check string) "replay reproduces the bare error" bare e
-          | Ok () -> Alcotest.fail "counterexample replayed clean"))
+  let o = Store.explore ~dispatch_budget:200 c in
+  Alcotest.(check bool) "failures found" true
+    (o.Explore.stats.Explore.failures > 0);
+  (* the first failure is a serve repro that replays to its error *)
+  match o.Explore.failure with
+  | None -> Alcotest.fail "failures counted but none reported"
+  | Some r -> (
+      Alcotest.(check bool) "the repro names its crash point" true
+        (match r.Store.config.Store.crash with
+        | Some (Store.At_dispatch _) -> true
+        | _ -> false);
+      match Store_repro.replay r with
+      | Error e ->
+          Alcotest.(check string) "replay reproduces the error" r.error e
+      | Ok () -> Alcotest.fail "counterexample replayed clean")
 
 (* An empty run has no latency distribution — the quantiles must be
    absent, not a fabricated 0 ns — and --check must refuse it loudly
