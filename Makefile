@@ -49,7 +49,8 @@ causal-smoke:
 # second run explores every crash point of a tiny 2-shard store.  A
 # config the store refuses (a crash shard it lacks, a split of a queue
 # shard) is a usage error: exit 2, not a violation; so is a flag
-# --explore would ignore (it picks every crash itself).
+# --explore would ignore (it picks every crash itself), and a flag that
+# only qualifies one not given.
 serve-smoke:
 	dune exec bin/repro.exe -- serve --shards 4 --clients 4 --ops 100 \
 	  --crash-shard 2 --check
@@ -62,6 +63,9 @@ serve-smoke:
 	  test $$? -eq 2
 	dune exec bin/repro.exe -- serve --shards 2 \
 	  --backend tracking-topic,tracking --migrate 0; test $$? -eq 2
+	for f in "--crash-dispatch 5" "--crash-after 3" "--migrate-after 3" \
+	  "--dispatch-budget 5"; do dune exec bin/repro.exe -- serve --shards 2 \
+	  --clients 2 --ops 12 --keys 16 $$f; test $$? -eq 2 || exit 1; done
 
 # Parallel-driver smoke: the same small campaign suite at -j 1 and -j 2
 # must produce byte-identical reports — the determinism contract of the

@@ -942,11 +942,12 @@ let serve_cmd =
   in
   let crash_dispatch =
     Arg.(
-      value & opt int 8
+      value
+      & opt (some int) None
       & info [ "crash-dispatch" ] ~docv:"N"
           ~doc:
             "Server dispatch index at which --crash-both/--crash-cascade \
-             interrupts fire.")
+             interrupts fire (default 8).")
   in
   let wb =
     Arg.(
@@ -1053,9 +1054,12 @@ let serve_cmd =
   in
   let dispatch_budget =
     Arg.(
-      value & opt int 64
+      value
+      & opt (some int) None
       & info [ "dispatch-budget" ]
-          ~doc:"Server dispatches per victim that --explore crashes at.")
+          ~doc:
+            "Server dispatches per victim that --explore crashes at \
+             (default 64).")
   in
   let run algo mix shards clients ops batch key_range skew open_loop
       crash_shard crash_after crash_both crash_cascade crash_dispatch wb wb2
@@ -1079,6 +1083,27 @@ let serve_cmd =
       Format.printf "--explore does not take %s@." (String.concat ", " ignored);
       exit 2
     end;
+    (* a flag that only qualifies another one changes nothing alone *)
+    let unmet =
+      List.filter_map
+        (fun (flag, given, needs, met) ->
+          if given && not met then Some (flag ^ " needs " ^ needs) else None)
+        [ ("--crash-dispatch", crash_dispatch <> None,
+           "--crash-both or --crash-cascade",
+           crash_both <> None || crash_cascade <> None);
+          ("--crash-after", crash_after <> None, "--crash-shard",
+           crash_shard <> None);
+          ("--migrate-after", migrate_after <> None, "--migrate",
+           migrate <> None);
+          ("--broken-handoff", broken_handoff, "--migrate", migrate <> None);
+          ("--dispatch-budget", dispatch_budget <> None, "--explore", explore) ]
+    in
+    if unmet <> [] then begin
+      Format.printf "%s@." (String.concat "; " unmet);
+      exit 2
+    end;
+    let crash_dispatch = Option.value crash_dispatch ~default:8 in
+    let dispatch_budget = Option.value dispatch_budget ~default:64 in
     require_recoverable
       ~crashing:
         (crash_shard <> None || crash_both <> None || crash_cascade <> None
@@ -1128,12 +1153,7 @@ let serve_cmd =
     in
     let migrate =
       match migrate with
-      | None ->
-          if broken_handoff then begin
-            Format.printf "--broken-handoff needs --migrate@.";
-            exit 2
-          end;
-          None
+      | None -> None
       | Some msrc ->
           let m_after =
             match migrate_after with

@@ -55,12 +55,14 @@ let config_of (r : Repro.t) =
 (* The harness's side of a run, all plain data between rounds: the
    system's durable invocation bookkeeping (each thread's pending
    operation with the framework's own token for it, from [note_begin],
-   and its remaining script), the responses so far, the counters and the
-   round log, newest first. *)
+   and its remaining script), the oracle's tally of the responses so far
+   (persistent, so a copy shares it), the counters and the round log,
+   newest first. *)
 type run = {
   pending : (Set_intf.op * Set_intf.pending) option array;
   remaining : Set_intf.op list array;
-  mutable events : Oracle.event list;
+  mutable tally : Oracle.tally;
+  mutable responses : int;
   mutable recovered : int;
   mutable crashes : int;
   mutable divergences : int;
@@ -106,18 +108,77 @@ type ctl = {
       (* each round boundary another round follows, as a checkpoint *)
 }
 
+(* The thread bodies of a run's rounds, made once per prepared state:
+   each works on the run state in [cur] when its fiber starts. *)
+let record st op ok =
+  st.tally <- Oracle.add st.tally op ok;
+  st.responses <- st.responses + 1
+
+let worker algo cur tid (_ : int) =
+  let ({ pending; remaining; _ } as st) = !cur in
+  let rec go () =
+    match remaining.(tid) with
+    | [] -> ()
+    | op :: rest ->
+        pending.(tid) <- Some (op, algo.Set_intf.note_begin op);
+        Events.op_begin ~kind:(Events.kind_of_op op) ~key:(Set_intf.op_key op);
+        let ok = Set_intf.apply algo op in
+        Events.op_end ~ok;
+        record st op ok;
+        pending.(tid) <- None;
+        remaining.(tid) <- rest;
+        go ()
+  in
+  go ()
+
+let recoverer algo cur tid (_ : int) =
+  let ({ pending; remaining; _ } as st) = !cur in
+  (match pending.(tid) with
+  | None -> ()
+  | Some (op, token) ->
+      Events.op_begin ~kind:"recover" ~key:(Set_intf.op_key op);
+      let ok = algo.Set_intf.recover token in
+      Events.op_end ~ok;
+      record st op ok;
+      st.recovered <- st.recovered + 1;
+      pending.(tid) <- None;
+      (match remaining.(tid) with
+      | _ :: rest -> remaining.(tid) <- rest
+      | [] -> ()));
+  Metrics.recovery_thread_done ()
+
 (* Everything a run does before round 0, done once: the heap, the
    structure, the prefill, the initial contents and the op scripts,
    captured as the round-0 checkpoint every run resumes from unless it
-   is given a later one, and the harness rng as the prefill left it. *)
+   is given a later one, and the harness rng as the prefill left it.
+   So is every part of a run that does not depend on the run: the thread
+   bodies, the buffer a round's dispatches are recorded into and the
+   [Sim.run] callbacks.  The rest is the current run's: its state in
+   [cur], a fresh copy of its checkpoint's each run (a record that
+   outlived the runs would put every write of the run through the major
+   heap's write barrier), and its inputs. *)
 type prepared = {
   cfg : config;
   seed : int;
   rng : Random.State.t;
   heap : Pmem.heap;
   algo : Set_intf.t;
-  initial : int list;
+  initial : int list;  (* ascending *)
   start : checkpoint;
+  cur : run ref;
+  workers : (int -> unit) array;
+  recoverers : (int -> unit) array;
+  mutable picks : int array;
+  mutable n_picks : int;
+  pick : int -> unit;
+  divergence : step:int -> want:int -> unit;
+  mutable round : int;  (* of the round running *)
+  mutable ctl : ctl option;
+  mutable choose : (crashing:bool -> int array -> int) option;
+  mutable keep : (int -> bool) option;
+  mutable script : Repro.round array;
+  mutable on_divergence : (round:int -> step:int -> want:int -> unit) option;
+  mutable run_rng : Random.State.t;
 }
 
 let prepare cfg ~seed =
@@ -129,7 +190,7 @@ let prepare cfg ~seed =
   let algo = cfg.factory.make heap ~threads:cfg.threads in
   Workload.prefill rng cfg.workload algo;
   Pmem.reset_pending ();
-  let initial = algo.Set_intf.contents () in
+  let initial = List.sort_uniq Int.compare (algo.Set_intf.contents ()) in
   let scripts =
     Array.init cfg.threads (fun t ->
         let trng = Random.State.make [| seed; t; 0x0F5 |] in
@@ -139,28 +200,181 @@ let prepare cfg ~seed =
     {
       pending = Array.make cfg.threads None;
       remaining = scripts;
-      events = [];
+      tally = Oracle.empty_tally;
+      responses = 0;
       recovered = 0;
       crashes = 0;
       divergences = 0;
       log = [];
     }
   in
-  {
-    cfg;
-    seed;
-    rng;
-    heap;
-    algo;
-    initial;
-    start =
-      {
-        mem = Pmem.snapshot heap;
-        restore_volatile = algo.Set_intf.save_volatile ();
-        state;
-        resume = Start;
-      };
-  }
+  let cur = ref state in
+  let rec p =
+    {
+      cfg;
+      seed;
+      rng;
+      heap;
+      algo;
+      initial;
+      start =
+        {
+          mem = Pmem.snapshot heap;
+          restore_volatile = algo.Set_intf.save_volatile ();
+          state;
+          resume = Start;
+        };
+      cur;
+      workers = Array.init cfg.threads (worker algo cur);
+      recoverers = Array.init cfg.threads (recoverer algo cur);
+      picks = Array.make 64 0;
+      n_picks = 0;
+      pick =
+        (fun tid ->
+          if p.n_picks = Array.length p.picks then begin
+            let bigger = Array.make (2 * p.n_picks) 0 in
+            Array.blit p.picks 0 bigger 0 p.n_picks;
+            p.picks <- bigger
+          end;
+          p.picks.(p.n_picks) <- tid;
+          p.n_picks <- p.n_picks + 1);
+      divergence =
+        (fun ~step ~want ->
+          let st = !cur in
+          st.divergences <- st.divergences + 1;
+          Trace.note
+            (Printf.sprintf "DIVERGENCE: round %d step %d wanted tid %d"
+               p.round step want);
+          match p.on_divergence with
+          | None -> ()
+          | Some f -> f ~round:p.round ~step ~want);
+      round = 0;
+      ctl = None;
+      choose = None;
+      keep = None;
+      script = [||];
+      on_divergence = None;
+      run_rng = rng;
+    }
+  in
+  p
+
+let crash_budget_steps cfg = cfg.threads * cfg.ops_per_thread * 300
+
+(* A round's log entry, pushed however its [Sim.run] ended. *)
+let push_round p ~kind ~crash_at =
+  let st = !(p.cur) in
+  st.log <-
+    {
+      Repro.kind;
+      crash_at;
+      schedule = Array.sub p.picks 0 p.n_picks;
+      wb = `Rng;
+    }
+    :: st.log
+
+let run_round p ~kind round =
+  let st = !(p.cur) in
+  let crash_at, schedule =
+    match p.ctl with
+    | Some c -> (c.ctl_crash_at ~kind ~round, [||]) (* nothing to replay *)
+    | None -> (
+        (* The rng draw happens even when the script overrides the
+           crash point, so a full-script replay consumes the harness
+           rng in exactly the recorded pattern (Pmem.crash draws stay
+           aligned). *)
+        let picked =
+          if st.crashes >= p.cfg.max_crashes then -1
+          else
+            let bound = max 2 (crash_budget_steps p.cfg / (round + 1)) in
+            1 + Random.State.int p.run_rng bound
+        in
+        if round < Array.length p.script then
+          (p.script.(round).Repro.crash_at, p.script.(round).Repro.schedule)
+        else (picked, [||]))
+  in
+  p.n_picks <- 0;
+  p.round <- round;
+  Events.round ~kind round;
+  (* watchdog: a livelocked structure must fail the campaign, not hang it *)
+  let step_limit = max 2_000_000 (crash_budget_steps p.cfg * 100) in
+  match
+    Sim.run ~policy:`Random
+      ~seed:((p.seed * 31) + round)
+      ~crash_at ~step_limit ~schedule ~record:p.pick ~divergence:p.divergence
+      ?choose:p.choose ?keep:p.keep
+      (match kind with `Work -> p.workers | `Recover -> p.recoverers)
+  with
+  | outcome ->
+      push_round p ~kind ~crash_at;
+      outcome
+  | exception e ->
+      push_round p ~kind ~crash_at;
+      raise e
+
+(* The write-back resolution of the crash that just ended [round]:
+   controller first, then the script, else the harness rng. *)
+let crash_wb p round =
+  match p.ctl with
+  | Some c ->
+      (c.ctl_wb ~round ~depth:(Pmem.max_outstanding_writebacks ()) :> Repro.wb)
+  | None ->
+      if round < Array.length p.script then p.script.(round).Repro.wb
+      else `Rng
+
+let recovery_pending p = Array.exists Option.is_some !(p.cur).pending
+
+let work_remaining p =
+  Array.exists (function [] -> false | _ :: _ -> true) !(p.cur).remaining
+
+let rec rounds p ~kind round =
+  if round > (50 * p.cfg.max_crashes) + 50 then
+    Error "campaign did not converge"
+  else begin
+    let outcome = run_round p ~kind round in
+    (match p.ctl with
+    | Some c
+      when (match outcome with
+           | Sim.Crashed_at _ -> true
+           | Sim.All_done -> recovery_pending p || work_remaining p) ->
+        c.ctl_checkpoint
+          {
+            mem = Pmem.snapshot p.heap;
+            restore_volatile = p.algo.Set_intf.save_volatile ();
+            state = copy_run !(p.cur);
+            resume = After { kind; round; outcome };
+          }
+    | _ -> ());
+    after p ~kind round outcome
+  end
+
+and after p ~kind round = function
+  | Sim.All_done ->
+      if kind = `Recover then Metrics.recovery_round_done round;
+      if recovery_pending p then
+        (* recovery itself crashed: recover again *)
+        rounds p ~kind:`Recover (round + 1)
+      else if work_remaining p then rounds p ~kind:`Work (round + 1)
+      else Ok ()
+  | Sim.Crashed_at _ ->
+      let st = !(p.cur) in
+      st.crashes <- st.crashes + 1;
+      let wb = crash_wb p round in
+      Pmem.crash ~rng:p.run_rng ~resolution:wb p.heap;
+      Events.crash_resolved ~round;
+      (* patch the resolution into the round entry the finalizer just
+         pushed, so the log replays with the same NVM state *)
+      (match st.log with
+      | rd :: rest -> st.log <- { rd with Repro.wb } :: rest
+      | [] ->
+          failwith
+            (Printf.sprintf
+               "Crashes.run_prepared: crash ended round %d (seed %d) but the \
+                round log is empty — every round's finalizer must push its \
+                entry before the crash resolution is patched in"
+               round p.seed));
+      p.algo.Set_intf.recover_structure ();
+      rounds p ~kind:`Recover (round + 1)
 
 (* One seeded run from a checkpoint of a prepared state: round 0's by
    default, or [from], one a [ctl] run handed out.  [script] forces the
@@ -172,7 +386,6 @@ let prepare cfg ~seed =
    honored.  The returned round log always reflects what actually
    happened, so a failure can be replayed — or shrunk — from it. *)
 let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
-  let { cfg; seed; heap; algo; initial; _ } = p in
   let cp =
     match (from, ctl) with
     | None, _ -> p.start
@@ -182,173 +395,25 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
   Pmem.restore cp.mem;
   cp.restore_volatile ();
   let st = copy_run cp.state in
+  p.cur := st;
   (* Only a run without a controller draws — its crash points and [`Rng]
      resolutions — and from its own copy of the prepared rng.  A
      controller decides both, so its runs and their checkpoints leave
      the prepared rng as the prefill left it. *)
-  let rng = if ctl = None then Random.State.copy p.rng else p.rng in
+  p.run_rng <-
+    (match ctl with None -> Random.State.copy p.rng | Some _ -> p.rng);
+  p.ctl <- ctl;
+  p.choose <- Option.map (fun c -> c.ctl_choose) ctl;
+  p.keep <- Option.map (fun c -> c.ctl_keep) ctl;
+  p.script <- Array.of_list script;
+  p.on_divergence <- on_divergence;
   if Metrics.active () then Metrics.reset ();
-  let { pending; remaining; _ } = st in
-  let record op ok = st.events <- { Oracle.eop = op; ok } :: st.events in
-  let worker tid (_ : int) =
-    let rec go () =
-      match remaining.(tid) with
-      | [] -> ()
-      | op :: rest ->
-          pending.(tid) <- Some (op, algo.Set_intf.note_begin op);
-          Events.op_begin ~kind:(Events.kind_of_op op)
-            ~key:(Set_intf.op_key op);
-          let ok = Set_intf.apply algo op in
-          Events.op_end ~ok;
-          record op ok;
-          pending.(tid) <- None;
-          remaining.(tid) <- rest;
-          go ()
-    in
-    go ()
-  in
-  let recoverer tid (_ : int) =
-    (match pending.(tid) with
-    | None -> ()
-    | Some (op, token) ->
-        Events.op_begin ~kind:"recover" ~key:(Set_intf.op_key op);
-        let ok = algo.Set_intf.recover token in
-        Events.op_end ~ok;
-        record op ok;
-        st.recovered <- st.recovered + 1;
-        pending.(tid) <- None;
-        (match remaining.(tid) with
-        | _ :: rest -> remaining.(tid) <- rest
-        | [] -> ()));
-    Metrics.recovery_thread_done ()
-  in
-  let workers = Array.init cfg.threads worker in
-  let recoverers = Array.init cfg.threads recoverer in
-  let crash_budget_steps = cfg.threads * cfg.ops_per_thread * 300 in
-  (* watchdog: a livelocked structure must fail the campaign, not hang it *)
-  let step_limit = max 2_000_000 (crash_budget_steps * 100) in
-  let crash_bound round = max 2 (crash_budget_steps / (round + 1)) in
-  let next_crash_at round =
-    if st.crashes >= cfg.max_crashes then -1
-    else 1 + Random.State.int rng (crash_bound round)
-  in
-  let script = Array.of_list script in
-  (* The round's dispatches, recorded into one buffer per run. *)
-  let picks = ref (Array.make 64 0) and n_picks = ref 0 in
-  let pick tid =
-    if !n_picks = Array.length !picks then begin
-      let bigger = Array.make (2 * !n_picks) 0 in
-      Array.blit !picks 0 bigger 0 !n_picks;
-      picks := bigger
-    end;
-    !picks.(!n_picks) <- tid;
-    incr n_picks
-  in
-  let run_round ~kind round =
-    let crash_at, schedule =
-      match ctl with
-      | Some c -> (c.ctl_crash_at ~kind ~round, [||]) (* nothing to replay *)
-      | None -> (
-          (* The rng draw happens even when the script overrides the
-             crash point, so a full-script replay consumes the harness
-             rng in exactly the recorded pattern (Pmem.crash draws stay
-             aligned). *)
-          let picked = next_crash_at round in
-          if round < Array.length script then
-            (script.(round).Repro.crash_at, script.(round).Repro.schedule)
-          else (picked, [||]))
-    in
-    n_picks := 0;
-    Events.round ~kind round;
-    Fun.protect
-      ~finally:(fun () ->
-        st.log <-
-          {
-            Repro.kind;
-            crash_at;
-            schedule = Array.sub !picks 0 !n_picks;
-            wb = `Rng;
-          }
-          :: st.log)
-      (fun () ->
-        Sim.run ~policy:`Random
-          ~seed:(seed * 31 + round)
-          ~crash_at ~step_limit ~schedule ~record:pick
-          ~divergence:(fun ~step ~want ->
-            st.divergences <- st.divergences + 1;
-            Trace.note
-              (Printf.sprintf "DIVERGENCE: round %d step %d wanted tid %d"
-                 round step want);
-            match on_divergence with
-            | None -> ()
-            | Some f -> f ~round ~step ~want)
-          ?choose:(match ctl with Some c -> Some c.ctl_choose | None -> None)
-          ?keep:(match ctl with Some c -> Some c.ctl_keep | None -> None)
-          (match kind with `Work -> workers | `Recover -> recoverers))
-  in
-  (* The write-back resolution of the crash that just ended [round]:
-     controller first, then the script, else the harness rng. *)
-  let crash_wb round =
-    match ctl with
-    | Some c ->
-        (c.ctl_wb ~round ~depth:(Pmem.max_outstanding_writebacks ())
-          :> Repro.wb)
-    | None -> (
-        if round < Array.length script then script.(round).Repro.wb else `Rng)
-  in
-  let recovery_pending () = Array.exists Option.is_some pending in
-  let work_remaining () = Array.exists (fun r -> r <> []) remaining in
-  let rec rounds ~kind round =
-    if round > 50 * cfg.max_crashes + 50 then Error "campaign did not converge"
-    else begin
-      let outcome = run_round ~kind round in
-      (match ctl with
-      | Some c
-        when (match outcome with
-             | Sim.Crashed_at _ -> true
-             | Sim.All_done -> recovery_pending () || work_remaining ()) ->
-          c.ctl_checkpoint
-            {
-              mem = Pmem.snapshot heap;
-              restore_volatile = algo.Set_intf.save_volatile ();
-              state = copy_run st;
-              resume = After { kind; round; outcome };
-            }
-      | _ -> ());
-      after ~kind round outcome
-    end
-  and after ~kind round = function
-    | Sim.All_done ->
-        if kind = `Recover then Metrics.recovery_round_done round;
-        if recovery_pending () then
-          (* recovery itself crashed: recover again *)
-          rounds ~kind:`Recover (round + 1)
-        else if work_remaining () then rounds ~kind:`Work (round + 1)
-        else Ok ()
-    | Sim.Crashed_at _ ->
-        st.crashes <- st.crashes + 1;
-        let wb = crash_wb round in
-        Pmem.crash ~rng ~resolution:wb heap;
-        Events.crash_resolved ~round;
-        (* patch the resolution into the round entry the finalizer just
-           pushed, so the log replays with the same NVM state *)
-        (match st.log with
-        | rd :: rest -> st.log <- { rd with Repro.wb } :: rest
-        | [] ->
-            failwith
-              (Printf.sprintf
-                 "Crashes.run_prepared: crash ended round %d (seed %d) but \
-                  the round log is empty — every round's finalizer must \
-                  push its entry before the crash resolution is patched in"
-                 round seed));
-        algo.Set_intf.recover_structure ();
-        rounds ~kind:`Recover (round + 1)
-  in
+  let { seed; heap; algo; initial; _ } = p in
   let result =
     match
       match cp.resume with
-      | Start -> rounds ~kind:`Work 0
-      | After { kind; round; outcome } -> after ~kind round outcome
+      | Start -> rounds p ~kind:`Work 0
+      | After { kind; round; outcome } -> after p ~kind round outcome
     with
     | Error _ as e -> e
     | exception Pmem.Poisoned what ->
@@ -372,13 +437,13 @@ let run_prepared ?(script = []) ?on_divergence ?ctl ?observe ?from p =
               (Printf.sprintf "structure invariant: %s: %s" (context ()) msg)
         | Ok () -> (
             let final = algo.Set_intf.contents () in
-            match Oracle.check ~initial ~final (List.rev st.events) with
+            match Oracle.verdict ~initial ~final st.tally with
             | Error msg ->
                 Error (Printf.sprintf "oracle: %s: %s" (context ()) msg)
             | Ok () ->
                 Ok
                   {
-                    completed_ops = List.length st.events;
+                    completed_ops = st.responses;
                     recovered_ops = st.recovered;
                     crashes = st.crashes;
                     divergences = st.divergences;

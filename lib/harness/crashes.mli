@@ -39,7 +39,9 @@ type prepared
     heap and structure after the prefill, the initial contents, each
     thread's op script and the harness rng as the prefill left it, held
     as the round-0 {!checkpoint}, so that a run puts that state back
-    instead of rebuilding it.
+    instead of rebuilding it; and every part of a run that does not
+    depend on the run (its thread bodies, dispatch buffer and
+    [Sim.run] callbacks), made once.
 
     A prepared state belongs to the domain that made it: {!Pmem}
     instances and {!Pstats} are domain-local, so it must never be run
@@ -51,16 +53,21 @@ type checkpoint
 (** A round boundary of one run: the moment a round's {!Sim.run} has
     returned and its round-log entry is in, before its outcome (a crash
     to resolve, or the next round to start) is handled.  No simulated
-    thread is alive there, so the boundary is plain data: the tracked
-    heap and the machine's write-back rings, deadlines and crash log
-    ({!Pmem.snapshot}), the structure's [save_volatile] capture, and the
-    run state — each thread's pending token and remaining script, the
-    responses and counters so far, the round log — plus the outcome
-    still to handle.  Only a [ctl] run takes checkpoints, and it draws
-    nothing from the harness rng, so no checkpoint holds one.  A run
-    resumed from it takes exactly the steps the original run took after
-    that point, given the same decisions.  The post-prefill state of a {!prepared} is the round-0
-    checkpoint. *)
+    thread is alive there, so the boundary is plain data: a mark in the
+    tracked heap's undo journal with the machine's write-back rings and
+    deadlines ({!Pmem.snapshot}), the structure's [save_volatile]
+    capture, and the run state — each thread's pending token and
+    remaining script, the oracle's per-key tally of the responses so far
+    (persistent, so checkpoints share it), the counters, the round log —
+    plus the outcome still to handle.  Only a [ctl] run takes
+    checkpoints, and it draws nothing from the harness rng, so no
+    checkpoint holds one.  A run resumed from it takes exactly the steps
+    the original run took after that point, given the same decisions.
+    The post-prefill state of a {!prepared} is the round-0 checkpoint.
+
+    Checkpoints nest like a stack: resuming from one drops every
+    checkpoint taken after it ({!Pmem.restore}), as {!Explore} drops
+    them anyway when it backtracks past them. *)
 
 (** External control of every campaign decision, for the exploration
     harness ({!Explore}): the crash point of each round, every scheduling
@@ -112,9 +119,12 @@ val run_prepared :
   (outcome, string) result * Repro.round list
 (** Restore a checkpoint — [from], or the prepared state's round-0 one —
     then handle its outcome and run the remaining rounds and every
-    oracle, invariant and poison check over the run's whole history.
-    [from] must come from a [ctl] run of this prepared state, and the
-    resumed run needs a [ctl] too ([Invalid_argument] otherwise); it
+    oracle, invariant and poison check over the run's whole history (the
+    oracle reads the tally the run and its checkpoint accumulated, so
+    no response is tallied twice).
+    [from] must come from a [ctl] run of this prepared state and not be
+    dropped (see {!checkpoint}), and the resumed run needs a [ctl] too
+    ([Invalid_argument] otherwise); it
     continues that run from the checkpoint, so its result and round log
     equal those of a {!run_logged} given the earlier run's decisions up
     to the checkpoint and this run's after it, however many runs came

@@ -17,8 +17,32 @@
 
 type event = { eop : Set_intf.op; ok : bool }
 
+(** {1 Tally and verdict}
+
+    The oracle is order-insensitive, so a history is as good as its
+    per-key tally: each key's successful inserts and deletes, and whether
+    it saw a failed insert, a failed delete and a find returning each
+    answer.  A tally is persistent — adding an event leaves the old one
+    intact — so runs that share a history prefix share its tally. *)
+
+type tally
+
+val empty_tally : tally
+
+val add : tally -> Set_intf.op -> bool -> tally
+(** [add t op ok]: [t] with the response [ok] of [op] added. *)
+
+val verdict :
+  initial:int list -> final:int list -> tally -> (unit, string) result
+(** The rules above, applied to every key of [initial], [final] and the
+    tally in ascending order; the first key that breaks one names the
+    violation.  [initial] and [final] are sets: a list that is already
+    ascending without duplicates is used as it is, any other is sorted
+    first. *)
+
 val check :
   initial:int list -> final:int list -> event list -> (unit, string) result
+(** [verdict] of the events' tally. *)
 
 val check_queue :
   initial:int list -> final:int list -> event list -> (unit, string) result

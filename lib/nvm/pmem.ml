@@ -78,6 +78,13 @@ type heap = {
   mutable hfields : field list;
   mutable hlines : line list;
   mutable n_lines : int;
+  (* Snapshots (tracked heaps only).  [epoch] grows by 2 at each
+     snapshot taken or restored; a line or field whose stamp is older is
+     journaled before its first change in this epoch.  A heap that never
+     took a snapshot stays at epoch 0, and never journals. *)
+  mutable epoch : int;
+  mutable journal : journal;
+  mutable snaps : snapshot list;  (* the restorable snapshots, newest first *)
 }
 
 and line = {
@@ -93,11 +100,17 @@ and line = {
          current value: write-backs materialize the line's coherent
          content at completion time (like CLWB), never an issue-time
          snapshot — per-location durable state can only move forward. *)
+  mutable logged : int;
+      (* [e] once this line's metadata was journaled in epoch [e], [e + 1]
+         once every field on it was too (or it was allocated then).  A
+         field journaled in an epoch implies its line's metadata was, so
+         an instruction that changes both needs one compare. *)
 }
 
 (* [durable] is meaningful only when [flags] has [has_durable]: until the
    first persist it holds the initial value, as a placeholder of the
-   right type. *)
+   right type.  Above the two flag bits, [flags] holds the heap epoch
+   the field was last journaled (or allocated) in. *)
 and 'a t = {
   line : line;
   mutable v : 'a;
@@ -106,6 +119,48 @@ and 'a t = {
 }
 
 and field = F : 'a t -> field [@@unboxed]
+
+(* The undo journal, newest entry first: the state of each line and
+   field before its first change in an epoch — a line's cache metadata
+   and field list, a field's value, durable value and flags.  A list of
+   fresh cells, not arrays that outlive them: pushing an entry writes
+   only the heap's head field, whose old value is usually as young, so
+   the write barrier takes its fast path. *)
+and journal =
+  | Bottom
+  | Meta of {
+      l : line;
+      sharers : int;
+      owner : int;
+      wb_owner : int;
+      until : deadline;
+      lfields : field list;
+      next : journal;
+    }
+  | Field : {
+      f : 'a t;
+      v : 'a;
+      durable : 'a;
+      flags : int;
+      next : journal;
+    }
+      -> journal
+
+(* A heap's journal, lists and line count at one instant, and the
+   machine's rings and deadlines. *)
+and snapshot = {
+  sheap : heap;
+  mutable valid : bool;
+  mark : journal;
+  shfields : field list;
+  shlines : line list;
+  sn_lines : int;
+  slive : int;
+  srings : saved_ring list;
+}
+
+(* A thread's ring, oldest entry first, and its deadline. *)
+and saved_ring = { rtid : int; rdeadline : float; rlines : line list }
 
 let has_durable = 1
 let poisoned = 2
@@ -123,9 +178,21 @@ type ring = {
   mutable len : int;
 }
 
+let new_heap ~track name =
+  {
+    hname = name;
+    track;
+    hfields = [];
+    hlines = [];
+    n_lines = 0;
+    epoch = 0;
+    journal = Bottom;
+    snaps = [];
+  }
+
 let fence_line =
   {
-    lheap = { hname = ""; track = false; hfields = []; hlines = []; n_lines = 0 };
+    lheap = new_heap ~track:false "";
     lname = "fence";
     lid = 0;
     sharers = 0;
@@ -133,7 +200,81 @@ let fence_line =
     wb_owner = -1;
     wb_until = { until = neg_infinity };
     fields = [];
+    logged = 1;
   }
+
+(* ---- the journal -------------------------------------------------------- *)
+
+(* The deadline of most journaled lines: none in flight.  Never written. *)
+let no_deadline = { until = neg_infinity }
+
+let stamp_shift = 2
+
+let journal_meta h l =
+  l.logged <- h.epoch;
+  let until = l.wb_until.until in
+  h.journal <-
+    Meta
+      {
+        l;
+        sharers = l.sharers;
+        owner = l.owner;
+        wb_owner = l.wb_owner;
+        until = (if until = neg_infinity then no_deadline else { until });
+        lfields = l.fields;
+        next = h.journal;
+      }
+
+let journal_field h f =
+  let l = f.line in
+  if l.logged < h.epoch then journal_meta h l;
+  h.journal <-
+    Field
+      { f; v = f.v; durable = f.durable; flags = f.flags; next = h.journal };
+  f.flags <-
+    (h.epoch lsl stamp_shift) lor (f.flags land (has_durable lor poisoned))
+
+let journal_all h l =
+  if l.logged < h.epoch then journal_meta h l;
+  l.logged <- h.epoch + 1;
+  List.iter
+    (fun (F f) -> if f.flags lsr stamp_shift < h.epoch then journal_field h f)
+    l.fields
+
+(* Before the first change in its heap's epoch to a line's metadata, to a
+   field (and so its line's metadata), or to a line's fields through a
+   write-back (and so its metadata): one compare, and nothing else
+   unless a snapshot is open. *)
+let[@inline] touch_meta l =
+  let h = l.lheap in
+  if l.logged < h.epoch then journal_meta h l
+
+let[@inline] touch_field f =
+  let h = f.line.lheap in
+  if f.flags lsr stamp_shift < h.epoch then journal_field h f
+
+let[@inline] touch_all l =
+  let h = l.lheap in
+  if l.logged <= h.epoch then journal_all h l
+
+(* Put back every line and field journaled since [mark], newest entry
+   first, so the oldest state of each wins. *)
+let rec undo mark j =
+  if j != mark then
+    match j with
+    | Bottom -> invalid_arg "Pmem.restore: the journal lost a snapshot's mark"
+    | Meta { l; sharers; owner; wb_owner; until; lfields; next } ->
+        l.sharers <- sharers;
+        l.owner <- owner;
+        l.wb_owner <- wb_owner;
+        l.wb_until.until <- until.until;
+        if l.fields != lfields then l.fields <- lfields;
+        undo mark next
+    | Field { f; v; durable; flags; next } ->
+        if f.v != v then f.v <- v;
+        if f.durable != durable then f.durable <- durable;
+        f.flags <- flags;
+        undo mark next
 
 let poisoned_cap = 64
 
@@ -304,9 +445,9 @@ let[@inline] push ht tid line =
 (* Empty every ring and deadline below [live]: the machine is idle. *)
 let clear_machine ht =
   for tid = 0 to ht.live - 1 do
-    clear_ring ht.rings.(tid)
+    clear_ring ht.rings.(tid);
+    ht.wb_deadline.(tid) <- neg_infinity
   done;
-  Array.fill ht.wb_deadline 0 ht.live neg_infinity;
   ht.live <- 0
 
 (* Apart from [restore], which puts a snapshot's rings back, the one
@@ -319,7 +460,7 @@ let reset_pending () =
   if v.subs != [] then Sim.publish v Rings_cleared
 
 let heap ?(track_for_crash = true) ?(name = "heap") () =
-  { hname = name; track = track_for_crash; hfields = []; hlines = []; n_lines = 0 }
+  new_heap ~track:track_for_crash name
 
 let lines_allocated h = h.n_lines
 let heap_name h = h.hname
@@ -336,6 +477,7 @@ let new_line ?(name = "line") h =
       wb_owner = -1;
       wb_until = { until = neg_infinity };
       fields = [];
+      logged = h.epoch + 1;
     }
   in
   if h.track then h.hlines <- line :: h.hlines;
@@ -359,7 +501,10 @@ let new_line ?(name = "line") h =
 let line_id l = l.lid
 
 let on_line line v =
-  let fld = { line; v; durable = v; flags = 0 } in
+  let fld =
+    { line; v; durable = v; flags = line.lheap.epoch lsl stamp_shift }
+  in
+  touch_meta line;
   line.fields <- F fld :: line.fields;
   let h = line.lheap in
   if h.track then h.hfields <- F fld :: h.hfields;
@@ -383,7 +528,10 @@ let read fld =
   let line = fld.line in
   let c = ht.hcost in
   let hit = line.sharers land bit tid <> 0 in
-  line.sharers <- line.sharers lor bit tid;
+  if not hit then begin
+    touch_meta line;
+    line.sharers <- line.sharers lor bit tid
+  end;
   let v = ht.hview in
   if v.subs != [] then notify v (Read { tid; line = line.lname; hit });
   let cost = if hit then c.cache_hit else c.cache_miss in
@@ -403,6 +551,7 @@ let write fld v =
   let c = ht.hcost in
   let exclusive = line.owner = tid && line.sharers = bit tid in
   let others = line.sharers land lnot (bit tid) in
+  touch_field fld;
   take_ownership line tid;
   let view = ht.hview in
   if view.subs != [] then
@@ -418,6 +567,7 @@ let cas fld expected desired =
   let tid = ht.hview.tid in
   check_tid tid;
   let line = fld.line in
+  touch_field fld;
   let c = ht.hcost in
   let now = now_of ht.hview in
   let base = if line.owner = tid then c.cas_base else c.cas_contended in
@@ -534,6 +684,7 @@ let pwb (site : Pstats.site) line =
     in
     let r = ht.rings.(tid) in
     if r.len > 64 then complete_oldest ht tid r;
+    touch_all line;
     push ht tid line;
     (* the line's media write-back completes late (contention stalls),
        but the persistence point — acceptance — is much earlier.  Both
@@ -739,28 +890,41 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
      value come up poisoned, fields whose volatile value was newer lose
      it, and both kinds of line are what a postmortem's durable-vs-
      volatile diff names.  A field's poison bit clears only when it has a
-     durable value to come back with. *)
+     durable value to come back with.  Only what changes is touched, so
+     a snapshot's journal grows by what the crash changed. *)
   let pois = ref [] and rev = ref [] in
   List.iter
     (fun (F f) ->
       if f.flags land has_durable <> 0 then begin
         (* [durable] aliases the value persisted, so physical inequality
            is an exact staleness test for both immediates and boxes. *)
-        if observed && f.v != f.durable then rev := f.line.lname :: !rev;
-        f.v <- f.durable;
-        f.flags <- f.flags land lnot poisoned
+        let stale = f.v != f.durable in
+        if observed && stale then rev := f.line.lname :: !rev;
+        if stale || f.flags land poisoned <> 0 then begin
+          touch_field f;
+          f.v <- f.durable;
+          f.flags <- f.flags land lnot poisoned
+        end
       end
       else begin
-        f.flags <- f.flags lor poisoned;
+        if f.flags land poisoned = 0 then begin
+          touch_field f;
+          f.flags <- f.flags lor poisoned
+        end;
         if observed then pois := f.line.lname :: !pois
       end)
     h.hfields;
   List.iter
     (fun l ->
-      l.sharers <- 0;
-      l.owner <- -1;
-      l.wb_owner <- -1;
-      l.wb_until.until <- neg_infinity)
+      if l.sharers <> 0 || l.owner <> -1 || l.wb_owner <> -1
+         || l.wb_until.until <> neg_infinity
+      then begin
+        touch_meta l;
+        l.sharers <- 0;
+        l.owner <- -1;
+        l.wb_owner <- -1;
+        l.wb_until.until <- neg_infinity
+      end)
     h.hlines;
   if observed then begin
     let cr_poisoned, cr_poisoned_total = dedup_capped !pois in
@@ -782,102 +946,98 @@ let crash ?rng ?resolution ?(scope = `Machine) h =
 
 (* ---- snapshots ---------------------------------------------------------- *)
 
-(* Everything a run can change on a tracked heap's fields and lines, and
-   on the domain's machine, as of one instant.  The field and line lists
-   themselves are immutable (allocation prepends), so keeping the heads
-   is enough to forget what was allocated later. *)
-type fsnap = FS : { f : 'a t; sv : 'a; sd : 'a; sflags : int } -> fsnap
+(* A snapshot is a journal mark: the journal's head and the heap's list
+   heads and line count when it was taken (the lists are prepend-only,
+   so the heads forget what was allocated later), plus the machine's
+   rings and deadlines, which are small.  Restoring undoes the journal
+   down to the mark.  Snapshots nest: a restore drops every snapshot
+   taken after the one it restores, whose marks are no longer on the
+   journal. *)
 
-type lsnap = {
-  l : line;
-  ssharers : int;
-  sowner : int;
-  swb_owner : int;
-  suntil : float;
-  sfields : field list;
-}
-
-type snapshot = {
-  sheap : heap;
-  shfields : field list;
-  shlines : line list;
-  sn_lines : int;
-  sfs : fsnap array;
-  sls : lsnap array;
-  (* The machine: rings [0, slive) compacted to their lines in issue
-     order, and their deadlines. *)
-  slive : int;
-  srings : line array array;
-  sdeadline : float array;
-}
-
-let copy_ring r =
+(* [r]'s lines, oldest first. *)
+let ring_lines r =
   let mask = Array.length r.lines - 1 in
-  Array.init r.len (fun k -> r.lines.((r.head + k) land mask))
+  let rec from k acc =
+    if k < 0 then acc
+    else from (k - 1) (r.lines.((r.head + k) land mask) :: acc)
+  in
+  from (r.len - 1) []
+
+let save_rings ht =
+  let rec from tid acc =
+    if tid < 0 then acc
+    else
+      let r = ht.rings.(tid) and d = ht.wb_deadline.(tid) in
+      from (tid - 1)
+        (if r.len = 0 && d = neg_infinity then acc
+         else { rtid = tid; rdeadline = d; rlines = ring_lines r } :: acc)
+  in
+  from (ht.live - 1) []
+
+(* Open a new epoch of [h].  A write-back pending in a ring persists its
+   line's fields whenever it drains, with no instruction on that line
+   to journal it first: journal those lines now. *)
+let new_epoch ht h =
+  h.epoch <- h.epoch + 2;
+  for tid = 0 to ht.live - 1 do
+    let r = ht.rings.(tid) in
+    let mask = Array.length r.lines - 1 in
+    for k = 0 to r.len - 1 do
+      let l = r.lines.((r.head + k) land mask) in
+      if l.lheap == h && l.logged <= h.epoch then journal_all h l
+    done
+  done
 
 let snapshot h =
   if not h.track then invalid_arg "Pmem.snapshot: heap is not tracked for crash";
   let ht = hot () in
-  {
-    sheap = h;
-    shfields = h.hfields;
-    shlines = h.hlines;
-    sn_lines = h.n_lines;
-    sfs =
-      Array.of_list
-        (List.map
-           (fun (F f) -> FS { f; sv = f.v; sd = f.durable; sflags = f.flags })
-           h.hfields);
-    sls =
-      Array.of_list
-        (List.map
-           (fun l ->
-             {
-               l;
-               ssharers = l.sharers;
-               sowner = l.owner;
-               swb_owner = l.wb_owner;
-               suntil = l.wb_until.until;
-               sfields = l.fields;
-             })
-           h.hlines);
-    slive = ht.live;
-    srings = Array.init ht.live (fun tid -> copy_ring ht.rings.(tid));
-    sdeadline = Array.sub ht.wb_deadline 0 ht.live;
-  }
+  let s =
+    {
+      sheap = h;
+      valid = true;
+      mark = h.journal;
+      shfields = h.hfields;
+      shlines = h.hlines;
+      sn_lines = h.n_lines;
+      slive = ht.live;
+      srings = save_rings ht;
+    }
+  in
+  h.snaps <- s :: h.snaps;
+  new_epoch ht h;
+  s
 
 let restore s =
+  if not s.valid then
+    invalid_arg "Pmem.restore: an older snapshot was restored since this one";
   let h = s.sheap in
+  let rec drop_newer = function
+    | s' :: rest when s' != s ->
+        s'.valid <- false;
+        drop_newer rest
+    | l -> l
+  in
+  h.snaps <- drop_newer h.snaps;
+  undo s.mark h.journal;
+  h.journal <- s.mark;
   h.hfields <- s.shfields;
   h.hlines <- s.shlines;
   h.n_lines <- s.sn_lines;
-  Array.iter
-    (fun (FS { f; sv; sd; sflags }) ->
-      f.v <- sv;
-      f.durable <- sd;
-      f.flags <- sflags)
-    s.sfs;
-  Array.iter
-    (fun s ->
-      let l = s.l in
-      l.sharers <- s.ssharers;
-      l.owner <- s.sowner;
-      l.wb_owner <- s.swb_owner;
-      l.wb_until.until <- s.suntil;
-      l.fields <- s.sfields)
-    s.sls;
   let ht = hot () in
   clear_machine ht;
-  Array.iteri
-    (fun tid lines -> Array.iter (ring_push ht.rings.(tid)) lines)
+  List.iter
+    (fun { rtid; rdeadline; rlines } ->
+      List.iter (ring_push ht.rings.(rtid)) rlines;
+      ht.wb_deadline.(rtid) <- rdeadline)
     s.srings;
-  Array.blit s.sdeadline 0 ht.wb_deadline 0 s.slive;
-  ht.live <- s.slive
+  ht.live <- s.slive;
+  new_epoch ht h
 
 (* ---- introspection ----------------------------------------------------- *)
 
 let system_persist fld v =
   check fld;
+  touch_field fld;
   fld.v <- v;
   fld.durable <- v;
   fld.flags <- fld.flags lor has_durable;
@@ -913,3 +1073,40 @@ let max_outstanding_writebacks ?heap () =
     m := Int.max !m (ring_writebacks ?heap ht.rings.(tid))
   done;
   !m
+
+(* A tracked heap's fields are numbered by allocation, oldest first, so
+   a line's field list prints the same whatever was allocated later. *)
+let dump h =
+  let b = Buffer.create 256 in
+  let n_fields = List.length h.hfields in
+  let field_no (F f) =
+    let rec find i = function
+      | [] -> "?"
+      | F g :: rest -> if F g == F f then string_of_int i else find (i - 1) rest
+    in
+    find (n_fields - 1) h.hfields
+  in
+  Printf.bprintf b "heap %s: %d lines allocated, %d fields\n" h.hname h.n_lines
+    n_fields;
+  List.iter
+    (fun l ->
+      Printf.bprintf b
+        "line %d %s: sharers %d owner %d wb %d until %h fields [%s]\n" l.lid
+        l.lname l.sharers l.owner l.wb_owner l.wb_until.until
+        (String.concat " " (List.map field_no l.fields)))
+    h.hlines;
+  let ht = hot () in
+  for tid = 0 to max_threads - 1 do
+    let r = ht.rings.(tid) and d = ht.wb_deadline.(tid) in
+    if r.len > 0 || d <> neg_infinity then
+      Printf.bprintf b "%sthread %d: deadline %h ring [%s]\n"
+        (if tid >= ht.live then "(past live) " else "")
+        tid d
+        (String.concat " "
+           (List.map
+              (fun l ->
+                if l == fence_line then "fence"
+                else Printf.sprintf "%s#%d" l.lheap.hname l.lid)
+              (ring_lines r)))
+  done;
+  Buffer.contents b

@@ -182,15 +182,22 @@ val heap_name : heap -> string
     prefixes: the post-prefill state, and every round boundary two
     executions reach by the same decisions.  A snapshot lets it build
     such a state once and put it back instead of re-running the work
-    that led there. *)
+    that led there.
+
+    A heap with a snapshot keeps an undo journal: before the first
+    change in an epoch (the span between two snapshots or restores) to
+    a line's cache metadata or field list, or to a field's value,
+    durable value or flags, the old state is logged.  Taking a snapshot
+    marks the journal; restoring one undoes the journal back to its
+    mark.  Both cost what the heap changed since, not its size.  A heap
+    that never took a snapshot journals nothing: each instruction pays
+    at most one compare, and a read hit none. *)
 
 type snapshot
 (** The state of a tracked heap and of the calling domain's machine at
-    one instant: each field's volatile value, durable value and
-    poison/durable flags; each line's cache metadata (sharers, owner,
-    in-flight write-back and its deadline) and field list; the heap's
-    field list, line list and line count; every thread's write-pending
-    ring and acceptance deadline. *)
+    one instant: a mark in the heap's journal, the heap's field list,
+    line list and line count, and every thread's write-pending ring and
+    acceptance deadline. *)
 
 val snapshot : heap -> snapshot
 (** Take one at any instant no simulated thread is running (between
@@ -205,10 +212,21 @@ val restore : snapshot -> unit
     Lines allocated after the snapshot drop out of the heap (a later
     {!crash} no longer resets them), and the next {!new_line} gets the
     id it got right after the snapshot, so a run from a restored heap
-    allocates the same ids as a run from a fresh build.  A snapshot may
-    be restored any number of times.  Values are restored by reference
-    — state a structure keeps in mutable OCaml memory outside its
-    fields is the structure's to put back. *)
+    allocates the same ids as a run from a fresh build.  Values are
+    restored by reference — state a structure keeps in mutable OCaml
+    memory outside its fields is the structure's to put back.
+
+    Snapshots of a heap nest like a stack: a snapshot may be restored
+    any number of times until a snapshot taken before it is restored,
+    which drops it.
+    @raise Invalid_argument on a dropped snapshot. *)
+
+val dump : heap -> string
+(** The state a snapshot restores, as text for tests to compare: the
+    heap's line count and field count, each line's cache metadata and
+    field list (fields numbered by allocation), and every thread's ring
+    and deadline on the calling domain's machine.  Field values are the
+    caller's to read ({!peek}, {!peek_persisted}, {!is_poisoned}). *)
 
 (** {1 Lines and fields} *)
 

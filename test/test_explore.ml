@@ -178,9 +178,14 @@ let test_checkpointed_equal_fresh () =
    every execution restarted from the post-prefill state it cost
    tracking 9,520.1 words and 176.97 dispatches, memento-list 6,366.7
    and 112.20; resuming from checkpoints cut that to 2,314.5 and 108.73,
-   1,725.1 and 63.73.  The budgets are the figures measured once forced
-   scheduling decisions stopped taking a path frame and a [choose] call
-   and [Sim.run] kept one engine per domain.  A rise of more than 2%
+   1,725.1 and 63.73.  Once forced scheduling decisions stopped taking
+   a path frame and a [choose] call and [Sim.run] kept one engine per
+   domain, the words fell to 1,940.7 and 1,361.6 (1,873.7 and 1,294.0
+   once the crash-point backfill stopped copying the round log).  The
+   budgets are the figures measured once checkpoints became marks in an
+   undo journal, the run state carried the oracle's tally instead of
+   its events, and a run's thread bodies and dispatch buffer were made
+   once per tree; the dispatches did not move.  A rise of more than 2%
    fails; a change that lowers them commits the new figures. *)
 let test_work_per_execution () =
   List.iter
@@ -210,7 +215,7 @@ let test_work_per_execution () =
       if dispatches > 1.02 *. budget_dispatches then
         Alcotest.failf "%s: %.2f dispatches per execution (budget %.2f)" name
           dispatches budget_dispatches)
-    [ ("tracking", 1940.7, 108.73); ("memento-list", 1361.6, 63.73) ]
+    [ ("tracking", 1235.0, 108.73); ("memento-list", 844.1, 63.73) ]
 
 let suite =
   [

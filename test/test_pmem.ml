@@ -625,6 +625,121 @@ let test_snapshot_restores_machine () =
   Alcotest.(check bool) "the restored write-back persists" false
     (Pmem.is_poisoned p)
 
+(* The state a snapshot must bring back, over the fields [fs]. *)
+let copy_of_fields fs h =
+  ( Pmem.dump h,
+    Pmem.lines_allocated h,
+    List.map
+      (fun f -> (Pmem.peek f, Pmem.peek_persisted f, Pmem.is_poisoned f))
+      fs )
+
+(* The journal against a full copy: seeded random programs on a tracked
+   heap mix every instruction (on four threads, so reads miss and rings
+   fill), crashes under every resolution and both scopes, allocation,
+   fields added to old lines and [system_persist], with snapshots taken
+   and restored in stack order.  At each snapshot the test copies all
+   the state a restore must bring back: every line's metadata and field
+   list, the rings and deadlines ([Pmem.dump]), the line count and each
+   field's value, durable value and poison flag.  Each restore must
+   reproduce that copy exactly and hand out the next line id; a snapshot
+   dropped by the restore of an older one must refuse. *)
+let test_journal_against_copy () =
+  for seed = 1 to 250 do
+    let rng = Random.State.make [| seed; 0x10C |] in
+    let h = fresh () in
+    let fields = ref [] and lines = ref [] in
+    let value () = Random.State.int rng 1000 in
+    let new_line () =
+      let f = Pmem.alloc ~name:"l" h (value ()) in
+      let l = Pmem.line_of f in
+      lines := l :: !lines;
+      fields := f :: !fields;
+      for _ = 1 to Random.State.int rng 3 do
+        fields := Pmem.on_line l (value ()) :: !fields
+      done
+    in
+    for _ = 1 to 3 do
+      new_line ()
+    done;
+    let pick l = List.nth l (Random.State.int rng (List.length l)) in
+    (* one instruction of thread [tid], the others idle *)
+    let as_thread tid op =
+      ignore
+        (Sim.run
+           (Array.init (tid + 1) (fun i _ ->
+                if i = tid then try op () with Pmem.Poisoned _ -> ()))
+          : Sim.outcome)
+    in
+    let copy () = copy_of_fields !fields h in
+    let stack = ref [] and dropped = ref [] in
+    let check_refuses s =
+      match Pmem.restore s with
+      | () -> Alcotest.failf "seed %d: a dropped snapshot was restored" seed
+      | exception Invalid_argument _ -> ()
+    in
+    for step = 1 to 80 do
+      let tid = Random.State.int rng 4 in
+      match Random.State.int rng 14 with
+      | 0 | 1 -> as_thread tid (fun () -> Pmem.write (pick !fields) (value ()))
+      | 2 ->
+          as_thread tid (fun () ->
+              let f = pick !fields in
+              let expected =
+                if Random.State.bool rng then Pmem.peek f else -1
+              in
+              ignore (Pmem.cas f expected (value ()) : bool))
+      | 3 -> as_thread tid (fun () -> ignore (Pmem.read (pick !fields) : int))
+      | 4 | 5 -> as_thread tid (fun () -> Pmem.pwb site_pwb (pick !lines))
+      | 6 -> as_thread tid (fun () -> Pmem.pfence site_fence)
+      | 7 -> as_thread tid (fun () -> Pmem.psync site_sync)
+      | 8 ->
+          let resolution =
+            match Random.State.int rng 4 with
+            | 0 -> `Drop
+            | 1 -> `All
+            | 2 -> `Prefix (1 + Random.State.int rng 3)
+            | _ -> `Rng
+          in
+          let scope = if Random.State.bool rng then `Machine else `Heap in
+          Pmem.crash ~rng:(Random.State.make [| seed; step |]) ~resolution
+            ~scope h
+      | 9 -> new_line ()
+      | 10 -> fields := Pmem.on_line (pick !lines) (value ()) :: !fields
+      | 11 ->
+          as_thread tid (fun () ->
+              Pmem.system_persist (pick !fields) (value ()))
+      | 12 ->
+          stack := (Pmem.snapshot h, copy (), !fields, !lines) :: !stack
+      | _ -> (
+          match !stack with
+          | [] -> ()
+          | _ ->
+              let depth = Random.State.int rng (List.length !stack) in
+              let newer = List.filteri (fun i _ -> i < depth) !stack in
+              let s, saved, fs, ls = List.nth !stack depth in
+              Pmem.restore s;
+              let dump, n_lines, values = copy_of_fields fs h in
+              let dump0, n_lines0, values0 = saved in
+              Alcotest.(check string)
+                (Printf.sprintf "seed %d step %d: lines, rings" seed step)
+                dump0 dump;
+              Alcotest.(check int) "lines allocated" n_lines0 n_lines;
+              if values <> values0 then
+                Alcotest.failf "seed %d step %d: field values differ" seed
+                  step;
+              stack := List.filteri (fun i _ -> i >= depth) !stack;
+              dropped :=
+                List.map (fun (s, _, _, _) -> s) newer @ !dropped;
+              fields := fs;
+              lines := ls;
+              (match !dropped with s :: _ -> check_refuses s | [] -> ());
+              let probe = Pmem.alloc h 0 in
+              Alcotest.(check int) "next line id" (n_lines0 + 1)
+                (Pmem.line_id (Pmem.line_of probe)))
+    done;
+    List.iter check_refuses !dropped
+  done
+
 let suite =
   [
     Alcotest.test_case "read-write-cas" `Quick test_read_write;
@@ -673,4 +788,6 @@ let suite =
     Alcotest.test_case "snapshot and restore" `Quick test_snapshot_restore;
     Alcotest.test_case "snapshot restores the machine" `Quick
       test_snapshot_restores_machine;
+    Alcotest.test_case "journaled restores equal full copies" `Quick
+      test_journal_against_copy;
   ]
