@@ -1,7 +1,7 @@
 # Tier-1 verification: everything CI runs.
-.PHONY: check build test unused-exports explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden output-golden clean figures
+.PHONY: check build test unused-exports explore-smoke metrics-smoke causal-smoke serve-smoke refusal-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden output-golden clean figures
 
-check: build test unused-exports explore-smoke metrics-smoke causal-smoke serve-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden output-golden
+check: build test unused-exports explore-smoke metrics-smoke causal-smoke serve-smoke refusal-smoke parbench-smoke memento-smoke forensics-smoke space-smoke elastic-smoke perfbench-det sched-golden output-golden
 
 build:
 	dune build
@@ -16,22 +16,23 @@ unused-exports:
 	bash test/unused-exports.sh
 
 # Bounded exhaustive exploration smoke: a 2-thread x 1-op campaign with
-# preemption bound 2 must exhaust its tree with no violation.
+# preemption bound 2 must exhaust its tree with no violation.  Its
+# report is the one sched-golden digests.
 explore-smoke:
 	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
-	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0
+	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0 \
+	  > _build/sched-golden-explore.txt
 
 # Metrics + Perfetto smoke: a small campaign with tracing on;
 # --validate re-parses the emitted trace_event JSON and requires at least
-# one complete span per thread track.  repro stats must report in-memory
-# latency/contention/recovery profiles for a crashing seed.  A contended
-# crash campaign traced without metrics must report failed CASes in its
-# op_end lines: the tracer counts them from the event bus itself.
+# one complete span per thread track.  (repro stats reporting the
+# in-memory latency/contention/recovery profiles of a crashing seed is
+# output-golden's stats.txt.)  A contended crash campaign traced without
+# metrics must report failed CASes in its op_end lines: the tracer counts
+# them from the event bus itself.
 metrics-smoke:
 	dune exec bin/repro.exe -- trace -a tracking -t 3 --ops 12 --crashes 2 \
 	  --keys 32 --seed 7 --perfetto _build/perfetto-smoke.json --validate
-	dune exec bin/repro.exe -- stats -a tracking -t 4 --ops 40 --crashes 2 \
-	  --keys 64 --seed 1
 	dune exec bin/repro.exe -- crash -a tracking -t 6 --ops 20 --keys 8 \
 	  --seeds 1 --crashes 1 --trace _build/ms-crash.jsonl
 	grep -q '"cas_fail":[1-9]' _build/ms-crash.jsonl
@@ -67,12 +68,49 @@ serve-smoke:
 	  "--dispatch-budget 5"; do dune exec bin/repro.exe -- serve --shards 2 \
 	  --clients 2 --ops 12 --keys 16 $$f; test $$? -eq 2 || exit 1; done
 
+# Refusals: a config no run could use is a usage error, refused before
+# anything runs as one line with exit 2 and no OCaml exception — from
+# each command's flags, and from a repro file of either kind with one
+# field edited (the shipped campaign repro; a minimal serve repro, which
+# loads and replays as a passing serve unedited).
+REFUSED_FLAGS = "crash -t 0" "crash -t 70" "crash --keys 0" \
+  "crash --ops 0 --seeds 1" "explore -t 2 --ops 0" "explore --prefill=-2" \
+  "space --find-pct 150" "serve --keys 0 --ops 5" \
+  "serve --crash-both 0,1 --crash-dispatch 0 --ops 10" \
+  "serve --restart-ns=-5" "serve --failover-ns=-5" "serve --open-loop 0" \
+  "serve --migrate 0 --migrate-after=-1"
+REFUSED_CAMPAIGN = "threads 70" "threads 0" "ops-per-thread 0" \
+  "key-range 0" "prefill -2" "find-pct 150" "max-crashes 0" \
+  "algo tracking-topic" "algo nope"
+REFUSED_SERVE = "key-range 0" "prefill -1" "find-pct 150" "restart-ns -5" \
+  "failover-ns -5" "open-loop-ns 0" "crash dispatch 1 0" "crash after 1 -1" \
+  "migrate 0 -1 0" "algo nope"
+SERVE_REPRO = "tracking-nvm-serve v1" "algo tracking" "shards 2" \
+  "clients 2" "ops-per-client 4" "batch 1" "find-pct 30" "key-range 16" \
+  "prefill 8" "open-loop-ns -" "crash none" "failover-ns 500" \
+  "migrate none" "restart-ns 5000" "seed 1" "error x" "schedule -"
+REFUSED = > _build/refusal.txt 2>&1; test $$? -eq 2 || exit 1; \
+  test $$(wc -l < _build/refusal.txt) -eq 1 || exit 1; \
+  ! grep -q Invalid_argument _build/refusal.txt || exit 1
+refusal-smoke:
+	for a in $(REFUSED_FLAGS); do dune exec bin/repro.exe -- $$a \
+	  $(REFUSED); done
+	for f in $(REFUSED_CAMPAIGN); do sed "s/^$${f%% *} .*/$$f/" \
+	  repros/tracking-broken.repro > _build/refusal.repro; \
+	  dune exec bin/repro.exe -- replay _build/refusal.repro $(REFUSED); done
+	printf '%s\n' $(SERVE_REPRO) > _build/refusal-serve.repro
+	dune exec bin/repro.exe -- replay _build/refusal-serve.repro \
+	  > /dev/null; test $$? -eq 1
+	for f in $(REFUSED_SERVE); do sed "s/^$${f%% *} .*/$$f/" \
+	  _build/refusal-serve.repro > _build/refusal.repro; \
+	  dune exec bin/repro.exe -- replay _build/refusal.repro $(REFUSED); done
+
 # Parallel-driver smoke: the same small campaign suite at -j 1 and -j 2
 # must produce byte-identical reports — the determinism contract of the
 # domain fan-out driver (lib/harness/parallel.mli).  Progress lines are
 # pacing, not results, and a "saved to" line names its own file, so
 # both are filtered before comparison; repro files and JSON exports are
-# compared raw.  The failing store exploration (elastic-smoke's
+# compared raw.  The failing store exploration (output-golden's
 # --broken-handoff split) counts every failure, so its report and its
 # first failure's serve repro must match too.
 parbench-smoke:
@@ -105,8 +143,9 @@ parbench-smoke:
 # campaigns with oracle verification and exhaust a single-threaded
 # exploration tree (no scheduling choices, so every crash point x
 # write-back resolution is covered, including the deep confirm-side
-# ones); the negative control with the checkpoint persist elided must
-# be caught by the same exploration (nonzero exit).
+# ones).  The negative control with the checkpoint persist elided must
+# be caught by the same exploration (nonzero exit): output-golden's
+# explore.txt.
 memento-smoke:
 	dune exec bin/repro.exe -- crash -a memento-list --seeds 30 -t 4 \
 	  --ops 10 --keys 24 --crashes 3
@@ -115,8 +154,6 @@ memento-smoke:
 	dune exec bin/repro.exe -- explore -a memento-list -t 1 --ops 3 \
 	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0
 	dune exec bin/repro.exe -- explore -a memento-comb -t 1 --ops 3 \
-	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0
-	! dune exec bin/repro.exe -- explore -a memento-broken -t 1 --ops 3 \
 	  --keys 3 --prefill 0 --preemptions 0 --crashes 1 --wb 2 --max-execs 0
 
 # Crash-forensics smoke: `repro explain` on the shipped negative-control
@@ -164,8 +201,9 @@ space-smoke:
 # migration endpoints — source write-backs dropped, destination's all
 # applied — still converges; (4) exploring the crash points of a
 # migrating store proves every key lands in exactly one shard at every
-# crash point, and the negative control with the handoff-commit pwb
-# elided is caught by the same exploration (nonzero exit).
+# crash point.  The negative control with the handoff-commit pwb elided
+# must be caught by the same exploration (nonzero exit): output-golden's
+# serve-explore.txt.
 elastic-smoke:
 	dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
 	  --ops 40 --keys 32 --migrate 0 --migrate-after 10 --check --check-balance 64
@@ -177,9 +215,6 @@ elastic-smoke:
 	dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
 	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --explore \
 	  --dispatch-budget 200 -j 2
-	! dune exec bin/repro.exe -- serve -a tracking --shards 2 --clients 2 \
-	  --ops 16 --keys 16 --migrate 0 --migrate-after 3 --broken-handoff \
-	  --explore --dispatch-budget 200 -j 2 > /dev/null 2>&1
 
 # Simulated-results golden: the "det" lines of the benchmark smoke at
 # seed 3 (simulated results and per-layer counts, fixed by the seed)
@@ -195,19 +230,16 @@ perfbench-det:
 # Scheduling golden: the digests of three outputs that every scheduling
 # decision shapes must match the committed ones — the JSONL trace of a
 # seeded crash campaign (`Random` decisions, one Sched event each), the
-# report of the explore-smoke tree (`choose` decisions) and the JSONL
+# report explore-smoke writes (`choose` decisions) and the JSONL
 # trace of a serve run with a replica failover and a shard split
 # (`Perf` decisions over 10 fibers with poll waiters, a crash and a
 # migration).  explore-smoke and parbench-smoke only compare -j 1
 # against -j 2, which a scheduler change that alters every tree the same
 # way passes.  A change that means to move them regenerates the golden
 # with the same commands and says so.
-sched-golden:
+sched-golden: explore-smoke
 	dune exec bin/repro.exe -- crash -a tracking --seeds 20 \
 	  --trace _build/sched-golden-crash.jsonl > /dev/null
-	dune exec bin/repro.exe -- explore -a tracking -t 2 --ops 1 \
-	  --keys 4 --prefill 1 --preemptions 2 --crashes 1 --wb 2 --max-execs 0 \
-	  > _build/sched-golden-explore.txt
 	dune exec bin/repro.exe -- serve --replicate --migrate 0 --crash-shard 1 \
 	  --crash-after 400 --trace _build/sched-golden-serve.jsonl > /dev/null
 	cd _build && md5sum sched-golden-crash.jsonl sched-golden-explore.txt \

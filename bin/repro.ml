@@ -85,37 +85,38 @@ let repro_out what =
 let traced trace go =
   match trace with Some p -> Trace.with_file p go | None -> go ()
 
-(* Campaigns (crash, explore, stats, soak, trace, space) judge every run
-   with the per-key set oracle.  A FIFO backend's oracle is sound only
-   where one fiber serializes its operations, as a store shard's server
-   does, so a queue backend runs under serve only. *)
-let require_set_model algo =
-  if algo.Set_intf.model <> Set_intf.Set_model then begin
-    Format.printf
-      "%s is a FIFO queue backend: campaigns check set semantics; run it \
-       as a serve backend@."
-      algo.Set_intf.fname;
-    exit 2
-  end
+let refuse msg =
+  Format.printf "%s@." msg;
+  exit 2
 
-let require_recoverable ?(crashing = true) algo =
-  require_set_model algo;
-  if crashing && not algo.Set_intf.supports_crash then begin
+let valid = function Ok () -> () | Error msg -> refuse msg
+
+(* The one way a campaign command (crash, explore, stats, soak, trace,
+   space) builds its run: the record Crashes runs, refused through its
+   validator before anything runs. *)
+let campaign factory mix ~threads ~ops ~crashes ~keys ~prefill =
+  let cfg =
+    {
+      Crashes.factory;
+      threads;
+      ops_per_thread = ops;
+      workload =
+        { Workload.mix; key_range = keys; prefill_n = prefill; dist = Uniform };
+      max_crashes = crashes;
+    }
+  in
+  valid (Crashes.validate cfg);
+  cfg
+
+(* A command that crashes its structure has nothing to check on one
+   that cannot recover.  [repro space] accounts such a structure through
+   crash campaigns all the same. *)
+let require_recoverable algo =
+  if not algo.Set_intf.supports_crash then begin
     Format.printf "%s is volatile: it cannot recover from crashes@."
       algo.Set_intf.fname;
     exit 1
   end
-
-let campaign_cfg algo mix threads ops crashes key_range =
-  Crashes.
-    {
-      factory = algo;
-      threads;
-      ops_per_thread = ops;
-      workload =
-        { (Workload.default mix) with key_range; prefill_n = key_range / 2 };
-      max_crashes = crashes;
-    }
 
 (* -- repro files of either kind ------------------------------------------- *)
 
@@ -134,9 +135,7 @@ let load_repro file =
     else Result.map (fun r -> Campaign r) (Repro.load file)
   with
   | Ok r -> r
-  | Error msg ->
-      Format.printf "cannot load %s: %s@." file msg;
-      exit 2
+  | Error msg -> refuse (Printf.sprintf "cannot load %s: %s" file msg)
 
 let repro_file_arg =
   Arg.(
@@ -184,21 +183,25 @@ let figure_ids =
   Arg.(
     value & pos_all string []
     & info [] ~docv:"FIG"
-        ~doc:"Figure ids (3a..4f, 5r, 5u, 6r, 6u, 7r, 7u); all if none.")
+        ~doc:"Figure ids (3a..4f, 5r, 6r, 5u, 6u, 7r, 7u, 8r, 8u); all if \
+              none.")
 
 let figures_cmd =
   let run quick ids csv =
     let cfg = cfg_of_quick quick in
-    (if ids = [] then Report.print_all cfg
-     else
-       List.iter
-         (fun f ->
-           if List.mem f.Figures.id ids then
-             Format.printf "%a" Report.pp_figure f)
-         (Figures.all cfg));
-    match csv with
-    | Some dir -> Report.write_csv_dir ~dir cfg
-    | None -> ()
+    (match List.filter (fun id -> not (List.mem_assoc id Figures.all)) ids with
+    | [] -> ()
+    | bad ->
+        refuse
+          (Printf.sprintf "unknown figure %s (valid: %s)"
+             (String.concat ", " bad)
+             (String.concat " " (List.map fst Figures.all))));
+    let figs =
+      Report.print_figures cfg
+        (List.filter (fun (id, _) -> ids = [] || List.mem id ids) Figures.all)
+    in
+    if ids = [] then Report.print_classifications cfg;
+    Option.iter (fun dir -> Report.write_csv_dir ~dir figs) csv
   in
   Cmd.v
     (Cmd.info "figures" ~doc:"Regenerate the paper's figures (§5).")
@@ -240,9 +243,11 @@ let crash_cmd =
   let seeds =
     Arg.(value & opt int 100 & info [ "seeds" ] ~doc:"Number of seeded runs.")
   in
-  let run algo mix seeds threads ops crashes key_range trace repro_file =
+  let run algo mix seeds threads ops crashes keys trace repro_file =
+    let cfg =
+      campaign algo mix ~threads ~ops ~crashes ~keys ~prefill:(keys / 2)
+    in
     require_recoverable algo;
-    let cfg = campaign_cfg algo mix threads ops crashes key_range in
     match
       traced trace (fun () ->
           Crashes.run_campaign cfg ~seeds:(List.init seeds Fun.id))
@@ -269,24 +274,32 @@ let crash_cmd =
 (* -- explore -------------------------------------------------------------- *)
 
 let explore_cmd =
-  let preemptions =
-    Arg.(
-      value & opt int 2
-      & info [ "preemptions" ]
-          ~doc:"CHESS preemption bound: max preemptive context switches \
-                explored per execution.")
+  (* the search's own bounds: counts, so a negative one is a usage error *)
+  let count =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 0 -> Ok n
+      | _ -> Error (`Msg "expected a non-negative integer")
+    in
+    Arg.conv (parse, Format.pp_print_int)
   in
+  let bound name ~doc default =
+    Arg.(value & opt count default & info [ name ] ~doc)
+  in
+  let preemptions =
+    bound "preemptions" 2
+      ~doc:"CHESS preemption bound: max preemptive context switches \
+            explored per execution."
+  in
+  let crashes = bound "crashes" 1 ~doc:"Max crashes injected per execution." in
   let wb =
-    Arg.(
-      value & opt int 2
-      & info [ "wb" ]
-          ~doc:"Write-back sweep width: prefix depths tried per crash, \
-                besides drop-all and complete-all.")
+    bound "wb" 2
+      ~doc:"Write-back sweep width: prefix depths tried per crash, \
+            besides drop-all and complete-all."
   in
   let max_execs =
-    Arg.(
-      value & opt int 100_000
-      & info [ "max-execs" ] ~doc:"Execution budget; 0 = run until exhausted.")
+    bound "max-execs" 100_000
+      ~doc:"Execution budget; 0 = run until exhausted."
   in
   let keep_going =
     Arg.(
@@ -294,8 +307,11 @@ let explore_cmd =
       & info [ "keep-going" ]
           ~doc:"Keep exploring after the first failure (count them all).")
   in
-  let run algo mix threads ops key_range prefill preemptions crashes wb
-      max_execs seed keep_going trace repro_file jobs =
+  let run algo mix threads ops keys prefill preemptions crashes wb max_execs
+      seed keep_going trace repro_file jobs =
+    let campaign =
+      campaign algo mix ~threads ~ops ~crashes:(max crashes 1) ~keys ~prefill
+    in
     require_recoverable algo;
     let jobs = resolve_jobs jobs in
     if jobs > 1 && trace <> None then
@@ -304,28 +320,7 @@ let explore_cmd =
          worker-domain executions are not traced@."
         jobs;
     let cfg =
-      Explore.
-        {
-          campaign =
-            Crashes.
-              {
-                factory = algo;
-                threads;
-                ops_per_thread = ops;
-                workload =
-                  {
-                    (Workload.default mix) with
-                    key_range;
-                    prefill_n = prefill;
-                  };
-                max_crashes = max crashes 1;
-              };
-          seed;
-          preemptions;
-          crashes;
-          wb_width = wb;
-          max_execs;
-        }
+      { Explore.campaign; seed; preemptions; crashes; wb_width = wb; max_execs }
     in
     let go () =
       Explore.run ~stop_on_failure:(not keep_going)
@@ -345,9 +340,8 @@ let explore_cmd =
           campaign, checking detectability on each execution.")
     Term.(
       const run $ algo $ mix $ threads 2 $ ops 1 $ keys 8 $ prefill 4
-      $ preemptions
-      $ crashes ~doc:"Max crashes injected per execution." 1
-      $ wb $ max_execs $ seed 0 $ keep_going $ trace "the exploration"
+      $ preemptions $ crashes $ wb $ max_execs $ seed 0 $ keep_going
+      $ trace "the exploration"
       $ repro_out "repro" $ jobs_arg)
 
 (* -- replay --------------------------------------------------------------- *)
@@ -356,10 +350,9 @@ let replay_run file do_shrink any_error out trace =
   let r = load_repro file in
   (match r with
   | Serve _ when do_shrink || any_error ->
-      Format.printf
-        "cannot shrink %s: --shrink and --any-error take a campaign repro@."
-        file;
-      exit 2
+      refuse
+        ("cannot shrink " ^ file
+       ^ ": --shrink and --any-error take a campaign repro")
   | _ -> ());
   (* transcripts are pinned byte for byte (make output-golden): the
      campaign one follows the file with a blank line, the serve one not *)
@@ -371,7 +364,7 @@ let replay_run file do_shrink any_error out trace =
     | Campaign c when do_shrink ->
         let c = Crashes.shrink ~match_error:(not any_error) c in
         Format.printf "shrunk to: threads=%d ops/thread=%d rounds=%d@."
-          c.Repro.threads c.Repro.ops_per_thread
+          c.Repro.config.threads c.Repro.config.ops_per_thread
           (List.length c.Repro.rounds);
         Campaign c
     | r -> r
@@ -465,8 +458,10 @@ let soak_cmd =
       & info [ "rounds" ] ~doc:"Campaign rounds; 0 = run until interrupted.")
   in
   let run algo mix rounds threads =
+    let cfg =
+      campaign algo mix ~threads ~ops:20 ~crashes:4 ~keys:64 ~prefill:32
+    in
     require_recoverable algo;
-    let cfg = campaign_cfg algo mix threads 20 4 64 in
     let round = ref 0 in
     let continue () = rounds = 0 || !round < rounds in
     while continue () do
@@ -499,9 +494,11 @@ let stats_cmd =
       value & opt int 10
       & info [ "top" ] ~doc:"Contended cache lines to report.")
   in
-  let run algo mix threads ops crashes key_range seed top json =
-    require_recoverable ~crashing:(crashes > 0) algo;
-    let cfg = campaign_cfg algo mix threads ops crashes key_range in
+  let run algo mix threads ops crashes keys seed top json =
+    let cfg =
+      campaign algo mix ~threads ~ops ~crashes ~keys ~prefill:(keys / 2)
+    in
+    if crashes > 0 then require_recoverable algo;
     Metrics.enable ();
     let result =
       Fun.protect
@@ -567,33 +564,19 @@ let space_cmd =
             "Exit nonzero if any run failed or any detectable variant fell \
              below the metadata space lower bound.")
   in
-  let run variants threads ops find_pct crashes key_range prefill seed jobs
-      json csv strict =
-    List.iter require_set_model variants;
-    let variants =
-      if variants <> [] then variants
-      else
-        List.map
-          (fun n ->
-            match Set_intf.by_name n with
-            | Ok f -> f
-            | Error msg -> failwith msg)
-          [ "tracking"; "tracking-hash"; "capsules-opt"; "memento-list";
-            "memento-comb" ]
+  let run variants threads ops find_pct crashes keys prefill seed jobs json
+      csv strict =
+    let mix = Workload.mix_of_find_pct find_pct in
+    let cfgs =
+      List.map
+        (fun f -> campaign f mix ~threads ~ops ~crashes ~keys ~prefill)
+        (if variants <> [] then variants
+         else
+           Set_intf.[ tracking; tracking_hash; capsules_opt; memento_list;
+                      memento_comb ])
     in
-    let cfg =
-      Space.
-        {
-          threads;
-          ops_per_thread = ops;
-          find_pct;
-          key_range;
-          prefill;
-          max_crashes = crashes;
-          seed;
-        }
-    in
-    let rs = Space.campaign ~jobs:(resolve_jobs jobs) cfg variants in
+    let cfg = List.hd cfgs in
+    let rs = Space.campaign ~jobs:(resolve_jobs jobs) ~seed cfgs in
     let emit dst text =
       match dst with
       | "-" -> print_string text
@@ -604,9 +587,9 @@ let space_cmd =
     in
     (* --json - / --csv - own stdout: suppress the human report there. *)
     if json <> Some "-" && csv <> Some "-" then
-      print_string (Space.render_text cfg rs);
+      print_string (Space.render_text cfg ~seed rs);
     (match json with
-    | Some dst -> emit dst (Space.render_json cfg rs)
+    | Some dst -> emit dst (Space.render_json cfg ~seed rs)
     | None -> ());
     (match csv with
     | Some dst -> emit dst (Space.render_csv rs)
@@ -802,13 +785,14 @@ let trace_cmd =
             "Re-parse the emitted JSON and check every thread track has at \
              least one complete span; exit nonzero otherwise.")
   in
-  let run algo mix threads ops crashes key_range seed from jsonl perfetto
-      validate =
+  let run algo mix threads ops crashes keys seed from jsonl perfetto validate =
     let src, cleanup =
       match from with
       | Some f -> (f, fun () -> ())
       | None ->
-          require_set_model algo;
+          let cfg =
+            campaign algo mix ~threads ~ops ~crashes ~keys ~prefill:(keys / 2)
+          in
           let path, cleanup =
             match jsonl with
             | Some p -> (p, fun () -> ())
@@ -816,7 +800,6 @@ let trace_cmd =
                 let t = Filename.temp_file "repro-trace" ".jsonl" in
                 (t, fun () -> try Sys.remove t with Sys_error _ -> ())
           in
-          let cfg = campaign_cfg algo mix threads ops crashes key_range in
           let result, _ =
             Trace.with_file path (fun () -> Crashes.run_logged cfg ~seed)
           in
@@ -1079,10 +1062,8 @@ let serve_cmd =
           ("--csv", csv <> None); ("--check", check);
           ("--check-balance", check_balance <> None) ]
     in
-    if ignored <> [] then begin
-      Format.printf "--explore does not take %s@." (String.concat ", " ignored);
-      exit 2
-    end;
+    if ignored <> [] then
+      refuse ("--explore does not take " ^ String.concat ", " ignored);
     (* a flag that only qualifies another one changes nothing alone *)
     let unmet =
       List.filter_map
@@ -1098,17 +1079,13 @@ let serve_cmd =
           ("--broken-handoff", broken_handoff, "--migrate", migrate <> None);
           ("--dispatch-budget", dispatch_budget <> None, "--explore", explore) ]
     in
-    if unmet <> [] then begin
-      Format.printf "%s@." (String.concat "; " unmet);
-      exit 2
-    end;
+    if unmet <> [] then refuse (String.concat "; " unmet);
     let crash_dispatch = Option.value crash_dispatch ~default:8 in
     let dispatch_budget = Option.value dispatch_budget ~default:64 in
-    require_recoverable
-      ~crashing:
-        (crash_shard <> None || crash_both <> None || crash_cascade <> None
-        || explore || migrate <> None || replicate)
-      algo;
+    if
+      crash_shard <> None || crash_both <> None || crash_cascade <> None
+      || explore || migrate <> None || replicate
+    then require_recoverable algo;
     let backends =
       match backend with
       | None -> None
@@ -1117,9 +1094,7 @@ let serve_cmd =
           let resolve name =
             match Set_intf.by_name (String.trim name) with
             | Ok f -> f
-            | Error msg ->
-                Format.printf "bad --backend: %s@." msg;
-                exit 2
+            | Error msg -> refuse ("bad --backend: " ^ msg)
           in
           Some (Array.of_list (List.map resolve names))
     in
@@ -1128,18 +1103,15 @@ let serve_cmd =
       | None -> Workload.Uniform
       | Some s -> (
           try Workload.skewed s
-          with Invalid_argument msg ->
-            Format.printf "bad --skew: %s@." msg;
-            exit 2)
+          with Invalid_argument msg -> refuse ("bad --skew: " ^ msg))
     in
     let total = clients * ops in
     let crash =
       match (crash_shard, crash_both, crash_cascade) with
       | Some _, Some _, _ | Some _, _, Some _ | _, Some _, Some _ ->
-          Format.printf
-            "--crash-shard, --crash-both and --crash-cascade are \
-             mutually exclusive@.";
-          exit 2
+          refuse
+            "--crash-shard, --crash-both and --crash-cascade are mutually \
+             exclusive"
       | Some victim, None, None ->
           let requests =
             match crash_after with Some n -> n | None -> max 1 (total / 3)
@@ -1189,11 +1161,7 @@ let serve_cmd =
       }
     in
     (* a config the store refuses is a usage error, not a violation *)
-    (match Store.validate cfg with
-    | Ok () -> ()
-    | Error msg ->
-        Format.printf "%s@." msg;
-        exit 2);
+    valid (Store.validate cfg);
     if explore then begin
       let o =
         traced trace (fun () ->

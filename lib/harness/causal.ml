@@ -117,12 +117,8 @@ let run_fixed ?schedule cfg =
     finish.(tid) <- Sim.now ()
   in
   let divergences = ref 0 in
-  let decisions = ref 0 in
   let recorded = ref [] in
-  let record tid =
-    incr decisions;
-    if schedule = None then recorded := tid :: !recorded
-  in
+  let record tid = if schedule = None then recorded := tid :: !recorded in
   let divergence ~step:_ ~want:_ = incr divergences in
   (match
      Sim.run ~policy:`Perf ~seed:cfg.seed ?schedule ~record ~divergence
@@ -136,14 +132,6 @@ let run_fixed ?schedule cfg =
             causal profiles replay crash-free executions, so no workload \
             body may call Sim.request_crash"
            step cfg.seed));
-  (* A rerun that takes a different number of scheduling decisions than
-     the tape holds is not the recorded execution either, even when no
-     individual replay pick failed (extra or missing switch points shift
-     the whole suffix): count the mismatch as divergence too. *)
-  (match schedule with
-  | Some tape ->
-      divergences := !divergences + abs (!decisions - Array.length tape)
-  | None -> ());
   {
     makespan_ns = Array.fold_left Float.max 0. finish;
     divergences = !divergences;

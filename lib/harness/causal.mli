@@ -96,10 +96,11 @@ type row = {
           ≈ 0 means scaling it does not move throughput (the paper's
           psyncs) *)
   divergences : int;
-      (** schedule divergences summed over this row's reruns: replay
-          decisions whose recorded thread was not ready, plus any
-          decision-count mismatch vs. the tape.  0 = every rerun was
-          bit-identically the recorded interleaving *)
+      (** schedule divergences summed over this row's reruns, as
+          [Sim.run] reports them: replay decisions whose recorded thread
+          was not ready, decisions past the tape's end and tape entries
+          left unused.  0 = every rerun was bit-identically the recorded
+          interleaving *)
 }
 
 type profile = {

@@ -1,4 +1,4 @@
-type config = {
+type config = Repro.config = {
   factory : Set_intf.factory;
   threads : int;
   ops_per_thread : int;
@@ -6,51 +6,16 @@ type config = {
   max_crashes : int;
 }
 
+let validate = Repro.validate
+
 type outcome = {
   completed_ops : int;
   recovered_ops : int;
   crashes : int;
   divergences : int;
-      (* replay-schedule entries that could not be honored; any nonzero
-         value means the run was NOT the recorded execution *)
+      (* replay-schedule divergences; any nonzero value means the run
+         was NOT the recorded execution *)
 }
-
-let repro_of cfg ~seed ~error ~rounds =
-  {
-    Repro.algo = cfg.factory.Set_intf.fname;
-    threads = cfg.threads;
-    ops_per_thread = cfg.ops_per_thread;
-    find_pct = cfg.workload.Workload.mix.Workload.find_pct;
-    key_range = cfg.workload.Workload.key_range;
-    prefill = cfg.workload.Workload.prefill_n;
-    max_crashes = cfg.max_crashes;
-    seed;
-    error;
-    rounds;
-  }
-
-let config_of (r : Repro.t) =
-  match Set_intf.by_name r.algo with
-  | Error msg -> Error (Printf.sprintf "repro references %s" msg)
-  | Ok factory -> (
-      match Workload.mix_of_find_pct r.find_pct with
-      | exception Invalid_argument _ ->
-          Error (Printf.sprintf "repro has invalid find-pct %d" r.find_pct)
-      | mix ->
-          Ok
-            {
-              factory;
-              threads = r.threads;
-              ops_per_thread = r.ops_per_thread;
-              workload =
-                {
-                  Workload.mix;
-                  key_range = r.key_range;
-                  prefill_n = r.prefill;
-                  dist = Workload.Uniform;
-                };
-              max_crashes = r.max_crashes;
-            })
 
 (* The harness's side of a run, all plain data between rounds: the
    system's durable invocation bookkeeping (each thread's pending
@@ -467,29 +432,36 @@ let run_logged ?script ?on_divergence ?ctl ?observe cfg ~seed =
    the recorded execution: even a "reproduced" failure message could
    belong to a different interleaving, so it outranks the result. *)
 let replayed (r : Repro.t) : Repro.replayed =
-  match config_of r with
-  | Error msg -> Diverged msg (* no factory has the recorded name *)
-  | Ok cfg -> (
-      let first_div = ref None in
-      let on_divergence ~round ~step ~want =
-        if !first_div = None then first_div := Some (round, step, want)
-      in
-      let result, _ = run_logged ~script:r.rounds ~on_divergence cfg ~seed:r.seed in
-      match (!first_div, result) with
-      | Some (round, step, want), _ ->
-          Diverged
-            (Printf.sprintf
-               "schedule divergence at round %d step %d (recorded tid %d not \
-                ready): the replay executed a different interleaving"
-               round step want)
-      | None, Ok _ -> Passed
-      | None, Error e -> Failed e)
+  let first_div = ref None in
+  let on_divergence ~round ~step ~want =
+    if !first_div = None then first_div := Some (round, step, want)
+  in
+  let result, _ =
+    run_logged ~script:r.rounds ~on_divergence r.config ~seed:r.seed
+  in
+  match (!first_div, result) with
+  | Some (round, step, want), _ ->
+      Diverged
+        (Printf.sprintf
+           "schedule divergence at round %d %s: the replay executed a \
+            different interleaving"
+           round
+           (if want < 0 then
+              Printf.sprintf "step %d (the recorded schedule has no entry \
+                              for it)" step
+            else if step < 0 then
+              Printf.sprintf "(the round ended with recorded tid %d \
+                              unused)" want
+            else
+              Printf.sprintf "step %d (recorded tid %d not ready)" step want))
+  | None, Ok _ -> Passed
+  | None, Error e -> Failed e
 
 let replay r = Repro.replay_result (replayed r)
 
 let explain (r : Repro.t) =
-  Forensics.explain ~algo:r.algo ~seed:r.seed ~error:r.error (fun () ->
-      replayed r)
+  Forensics.explain ~algo:r.config.factory.Set_intf.fname ~seed:r.seed
+    ~error:r.error (fun () -> replayed r)
 
 (* ---- greedy shrinking -------------------------------------------------- *)
 
@@ -518,38 +490,35 @@ let shrink ?(match_error = true) (r : Repro.t) =
   let budget = 500 in
   let runs = ref 0 in
   let attempt (cand : Repro.t) ~scripts =
-    match config_of cand with
-    | Error _ -> None
-    | Ok cfg ->
-        let seeds = cand.seed :: List.init 7 (fun i -> cand.seed + i + 1) in
+    let seeds = cand.seed :: List.init 7 (fun i -> cand.seed + i + 1) in
+    List.find_map
+      (fun seed ->
         List.find_map
-          (fun seed ->
-            List.find_map
-              (fun script ->
-                if !runs >= budget then None
-                else begin
-                  incr runs;
-                  match run_logged ~script cfg ~seed with
-                  | Ok _, _ -> None
-                  | Error error, rounds ->
-                      if
-                        (not match_error)
-                        || errors_match ~original:r.Repro.error error
-                      then Some (repro_of cfg ~seed ~error ~rounds)
-                      else None
-                end)
-              scripts)
-          seeds
+          (fun script ->
+            if !runs >= budget then None
+            else begin
+              incr runs;
+              match run_logged ~script cand.config ~seed with
+              | Ok _, _ -> None
+              | Error error, rounds ->
+                  if
+                    (not match_error)
+                    || errors_match ~original:r.Repro.error error
+                  then Some { Repro.config = cand.config; seed; error; rounds }
+                  else None
+            end)
+          scripts)
+      seeds
+  in
+  let forced c =
+    [ { Repro.kind = `Work; crash_at = c; schedule = [||]; wb = `Rng } ]
   in
   (* Candidates get a free run plus forced early crash points scaled to
      their size: a small config finishes in few steps, so the harness's
      unconstrained crash draw usually lands after the run already ended
      and the probe passes vacuously. *)
   let free_and_forced (cand : Repro.t) =
-    let b = cand.Repro.threads * cand.Repro.ops_per_thread * 300 in
-    let forced c =
-      [ { Repro.kind = `Work; crash_at = c; schedule = [||]; wb = `Rng } ]
-    in
+    let b = crash_budget_steps cand.Repro.config in
     [ []; forced (max 2 (b / 40)); forced (max 2 (b / 10)) ]
   in
   let cur = ref r in
@@ -563,48 +532,30 @@ let shrink ?(match_error = true) (r : Repro.t) =
           true
       | None -> false
     in
-    (* fewer threads (config change invalidates the recorded schedule) *)
-    let t = !cur.Repro.threads in
-    if t > 1 then
-      ignore
-        (List.exists
-           (fun t' ->
-             let cand = { !cur with Repro.threads = t' } in
-             adopt (attempt cand ~scripts:(free_and_forced cand)))
-           (if t > 3 then [ max 1 (t / 2); t - 1 ] else [ t - 1 ])
-          : bool);
-    (* fewer operations per thread *)
-    let ops = !cur.Repro.ops_per_thread in
-    if ops > 1 then
-      ignore
-        (List.exists
-           (fun ops' ->
-             let cand = { !cur with Repro.ops_per_thread = ops' } in
-             adopt (attempt cand ~scripts:(free_and_forced cand)))
-           (if ops > 3 then [ max 1 (ops / 2); ops - 1 ] else [ ops - 1 ])
-          : bool);
+    (* fewer threads, then fewer operations per thread (a config change
+       invalidates the recorded schedule) *)
+    let smaller n config =
+      if n > 1 then
+        ignore
+          (List.exists
+             (fun n ->
+               let cand = { !cur with Repro.config = config n } in
+               adopt (attempt cand ~scripts:(free_and_forced cand)))
+             (if n > 3 then [ max 1 (n / 2); n - 1 ] else [ n - 1 ])
+            : bool)
+    in
+    smaller !cur.config.threads (fun threads -> { !cur.config with threads });
+    smaller !cur.config.ops_per_thread (fun ops_per_thread ->
+        { !cur.config with ops_per_thread });
     (* earlier first crash point, forced through the script *)
-    (match !cur.Repro.rounds with
+    match !cur.Repro.rounds with
     | { Repro.kind = `Work; crash_at; _ } :: _ when crash_at > 2 ->
         ignore
           (List.exists
-             (fun c ->
-               adopt
-                 (attempt !cur
-                    ~scripts:
-                      [
-                        [
-                          {
-                            Repro.kind = `Work;
-                            crash_at = c;
-                            schedule = [||];
-                            wb = `Rng;
-                          };
-                        ];
-                      ]))
+             (fun c -> adopt (attempt !cur ~scripts:[ forced c ]))
              [ crash_at / 2; crash_at - 1 ]
             : bool)
-    | _ -> ())
+    | _ -> ()
   done;
   !cur
 
@@ -613,7 +564,8 @@ let run_campaign cfg ~seeds =
     | [] -> Ok (n, acc)
     | seed :: rest -> (
         match run_logged cfg ~seed with
-        | Error error, rounds -> Error (repro_of cfg ~seed ~error ~rounds)
+        | Error error, rounds ->
+            Error { Repro.config = cfg; seed; error; rounds }
         | Ok o, _ ->
             go
               {

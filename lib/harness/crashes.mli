@@ -16,7 +16,7 @@
     can be saved as a {!Repro.t}, replayed bit-for-bit, and greedily
     {!shrink}-minimized. *)
 
-type config = {
+type config = Repro.config = {
   factory : Set_intf.factory;
   threads : int;
   ops_per_thread : int;
@@ -24,12 +24,15 @@ type config = {
   max_crashes : int;  (** how many crashes a single run may suffer *)
 }
 
+val validate : config -> (unit, string) result
+(** {!Repro.validate}; the functions below assume a config it accepts. *)
+
 type outcome = {
   completed_ops : int;
   recovered_ops : int;  (** ops whose response came from recovery *)
   crashes : int;
   divergences : int;
-      (** replay-schedule entries that could not be honored.  Nonzero
+      (** replay-schedule divergences ([Sim.run ?divergence]).  Nonzero
           means the run was {e not} the recorded execution: treat any
           "replayed" result as meaningless. *)
 }
@@ -147,9 +150,10 @@ val run_logged :
     round log (crash point, schedule and write-back resolution per
     simulator round) — the raw material of a repro.  [script] forces the
     crash point, schedule and write-back resolution of its rounds (later
-    rounds run free); [on_divergence] fires for every scripted schedule
-    entry that could not be honored; [ctl] delegates all campaign
-    decisions to an external controller instead of the script/rng.
+    rounds run free); [on_divergence] fires for every divergence from a
+    scripted schedule, as [Sim.run ?divergence] reports it; [ctl]
+    delegates all campaign decisions to an external controller instead
+    of the script/rng.
     [observe] fires once after the verdict, while the run's heap and
     structure are still in scope — the space sweep's entry point. *)
 
@@ -159,17 +163,15 @@ val run_campaign :
     the first failing seed — that run's repro, ready to save, replay or
     explain. *)
 
-val repro_of :
-  config -> seed:int -> error:string -> rounds:Repro.round list -> Repro.t
-
 val replay : Repro.t -> (unit, string) result
 (** Re-run a repro with its recorded crash points, schedules and
     write-back resolutions forced.  [Error] is the reproduced failure —
     for a faithful repro it equals [r.error]; [Ok ()] means the failure
-    did {e not} reproduce.  If any recorded schedule entry cannot be
-    honored the result is an [Error] naming the divergence point (round,
-    step, wanted tid), {e regardless} of how the diverged run ended: a
-    diverged "replay" proves nothing about the recorded failure. *)
+    did {e not} reproduce.  If a scripted round does not follow its
+    recorded schedule exactly (an entry not ready, a decision past its
+    end, an entry left unused) the result is an [Error] naming the first
+    divergence, {e regardless} of how the diverged run ended: a diverged
+    "replay" proves nothing about the recorded failure. *)
 
 val explain : Repro.t -> (Forensics.postmortem, string) result
 (** Replay a repro under the forensic recorder and return the

@@ -550,5 +550,6 @@ let run ?stop_on_failure ?progress ?on_execution ?jobs cfg =
           | Some rd -> Array.length rd.Repro.schedule - campaign.Crashes.threads
           | None -> 0);
       repro =
-        (fun (_, rounds) error -> Crashes.repro_of campaign ~seed ~error ~rounds);
+        (fun (_, rounds) error ->
+          { Repro.config = campaign; seed; error; rounds });
     }

@@ -169,10 +169,9 @@ let throughput_factories =
 
 let detectable_pair = Set_intf.[ tracking; capsules_opt ]
 
-let fig_id mix suffix =
-  (if mix.Workload.name = Workload.read_intensive.Workload.name then "3"
-   else "4")
-  ^ suffix
+let read mix = mix.Workload.name = Workload.read_intensive.Workload.name
+let fig_id mix suffix = (if read mix then "3" else "4") ^ suffix
+let mix_id no mix = no ^ if read mix then "r" else "u"
 
 let fig_throughput cfg mix =
   {
@@ -380,6 +379,8 @@ let fig_category_removal cfg mix =
 (* Figures 5 / 6: persistence-free plus each category alone.  One line
    per curve: everything at 0x cost, the kept category back at 1x (later
    [with_scaled] entries override earlier ones for the same site). *)
+let impact_no factory = if factory.Set_intf.fname = "tracking" then "5" else "6"
+
 let fig_category_impact cfg mix factory =
   let keep cats =
     zero_all_sites ()
@@ -403,11 +404,8 @@ let fig_category_impact cfg mix factory =
           cfg.sweep;
     }
   in
-  let fig_no =
-    if factory.Set_intf.fname = "tracking" then "5" else "6"
-  in
   {
-    id = fig_no ^ (if mix.Workload.name = Workload.read_intensive.Workload.name then "r" else "u");
+    id = mix_id (impact_no factory) mix;
     title =
       Printf.sprintf "Impact of pwb categories on %s, %s"
         factory.Set_intf.fname mix.Workload.name;
@@ -457,10 +455,7 @@ let fig_latency cfg mix =
       detectable_pair
   in
   {
-    id =
-      "7"
-      ^ (if mix.Workload.name = Workload.read_intensive.Workload.name then "r"
-         else "u");
+    id = mix_id "7" mix;
     title = "Operation latency (virtual ns), " ^ mix.Workload.name;
     ylabel = "latency ns";
     threads = cfg.sweep;
@@ -477,10 +472,7 @@ let framework_factories = Set_intf.[ tracking; memento_list; memento_comb ]
 
 let fig_frameworks cfg mix =
   {
-    id =
-      "8"
-      ^ (if mix.Workload.name = Workload.read_intensive.Workload.name then "r"
-         else "u");
+    id = mix_id "8" mix;
     title = "Detectability frameworks compared, " ^ mix.Workload.name;
     ylabel = "Mops/s";
     threads = cfg.sweep;
@@ -506,25 +498,27 @@ let fig_frameworks cfg mix =
         framework_factories;
   }
 
-let all cfg =
+let all =
   let mixes = [ Workload.read_intensive; Workload.update_intensive ] in
   List.concat_map
     (fun mix ->
-      [
-        fig_throughput cfg mix;
-        fig_psyncs_per_op cfg mix;
-        fig_no_psync cfg mix;
-        fig_pwbs_per_op cfg mix;
-        fig_pwb_categories cfg mix;
-        fig_category_removal cfg mix;
-      ])
+      List.map
+        (fun (suffix, fig) -> (fig_id mix suffix, fun cfg -> fig cfg mix))
+        [
+          ("a", fig_throughput);
+          ("b", fig_psyncs_per_op);
+          ("c", fig_no_psync);
+          ("d", fig_pwbs_per_op);
+          ("e", fig_pwb_categories);
+          ("f", fig_category_removal);
+        ])
     mixes
   @ List.concat_map
       (fun mix ->
-        [
-          fig_category_impact cfg mix Set_intf.tracking;
-          fig_category_impact cfg mix Set_intf.capsules_opt;
-        ])
+        List.map
+          (fun f ->
+            (mix_id (impact_no f) mix, fun c -> fig_category_impact c mix f))
+          detectable_pair)
       mixes
-  @ List.map (fun mix -> fig_latency cfg mix) mixes
-  @ List.map (fun mix -> fig_frameworks cfg mix) mixes
+  @ List.map (fun mix -> (mix_id "7" mix, fun c -> fig_latency c mix)) mixes
+  @ List.map (fun mix -> (mix_id "8" mix, fun c -> fig_frameworks c mix)) mixes

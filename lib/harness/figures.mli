@@ -59,6 +59,8 @@ val classification :
 (** The measured per-site impacts behind 3e/4e: site name, assigned
     category, relative throughput loss. *)
 
-val all : config -> figure list
-(** Every figure of the paper, in order: 3a–3f, 4a–4f, 5, 6, plus the
-    beyond-paper latency figures 7r/7u and framework comparison 8r/8u. *)
+val all : (string * (config -> figure)) list
+(** Every figure of the paper, in order, by id with its builder: 3a–3f,
+    4a–4f, 5r, 6r, 5u, 6u, plus the beyond-paper latency figures 7r/7u
+    and framework comparison 8r/8u.  A builder computes only its own
+    figure, and builds the same figure alone as after the others. *)

@@ -26,13 +26,16 @@ let pp_classification ppf rows =
       Format.fprintf ppf "%-28s %-8s %5.1f%%@." name cat_s (100. *. impact))
     rows
 
-let print_all cfg =
-  let figs = Figures.all cfg in
-  List.iter
-    (fun f ->
-      Format.eprintf "[figures] rendering %s...@." f.Figures.id;
-      Format.printf "%a" pp_figure f)
-    figs;
+let print_figures cfg builders =
+  List.map
+    (fun (id, build) ->
+      Format.eprintf "[figures] rendering %s...@." id;
+      let f = build cfg in
+      Format.printf "%a" pp_figure f;
+      f)
+    builders
+
+let print_classifications cfg =
   List.iter
     (fun (factory, mix) ->
       Format.printf "@.--- pwb code-line classification: %s, %s ---@."
@@ -261,7 +264,7 @@ let figure_to_csv (f : Figures.figure) =
     f.Figures.threads;
   Buffer.contents buf
 
-let write_csv_dir ~dir cfg =
+let write_csv_dir ~dir figs =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun f ->
@@ -269,4 +272,4 @@ let write_csv_dir ~dir cfg =
       Out_channel.with_open_text path (fun oc ->
           Out_channel.output_string oc (figure_to_csv f));
       Format.eprintf "[figures] wrote %s@." path)
-    (Figures.all cfg)
+    figs

@@ -2,14 +2,19 @@
     thread counts, columns = series), in the same terms the paper's plots
     use. *)
 
-val pp_figure : Format.formatter -> Figures.figure -> unit
-
 val pp_classification :
   Format.formatter -> (string * Pstats.category * float) list -> unit
 (** The measured per-code-line impacts behind the categorization. *)
 
-val print_all : Figures.config -> unit
-(** Regenerate and print every figure, with progress on stderr. *)
+val print_figures :
+  Figures.config -> (string * (Figures.config -> Figures.figure)) list ->
+  Figures.figure list
+(** Build and print each figure of a sublist of {!Figures.all}, in
+    order, with progress on stderr; returns them. *)
+
+val print_classifications : Figures.config -> unit
+(** The pwb code-line classification of Tracking and Capsules-Opt under
+    both mixes, printed after the figures by [repro figures]. *)
 
 val pp_explore : Format.formatter -> Explore.stats -> unit
 (** Coverage summary of a bounded exploration run. *)
@@ -41,6 +46,6 @@ val figure_to_csv : Figures.figure -> string
 (** One CSV: a [threads] column followed by one column per series.
     Values use fixed [%.3f] formatting so output is byte-stable. *)
 
-val write_csv_dir : dir:string -> Figures.config -> unit
-(** Regenerate every figure and write [fig-<id>.csv] files into [dir]
-    (created if missing), ready for gnuplot/python plotting. *)
+val write_csv_dir : dir:string -> Figures.figure list -> unit
+(** Write one [fig-<id>.csv] file per figure into [dir] (created if
+    missing), ready for gnuplot/python plotting. *)

@@ -1,12 +1,13 @@
 (* Replay files for failing runs: the keyed-line codec both repro kinds
    share (campaign files here, serve files in Store_repro), its shared
-   tokens, and the campaign kind.
+   tokens, and the campaign kind: its run configuration, the validator
+   every campaign command and this loader check it with, and its file.
 
    A campaign repro captures everything a campaign run depends on: the
-   workload configuration, the campaign seed, and — per simulator round
-   — the crash point used and the recorded scheduling decisions.
-   Feeding the rounds back through [Crashes.run_logged ~script] replays
-   the failure bit-for-bit; the format is documented in DESIGN.md
+   run's configuration, the campaign seed, and — per simulator round —
+   the crash point used and the recorded scheduling decisions.  Feeding
+   the rounds back through [Crashes.run_logged ~script] replays the
+   failure bit-for-bit; the format is documented in DESIGN.md
    ("Replay-file format"). *)
 
 let ( let* ) = Result.bind
@@ -61,6 +62,11 @@ let read ~what ~magic ~keys path =
 let field fields key ~default decode =
   match List.assoc_opt key fields with None -> Ok default | Some v -> decode v
 
+let required fields key decode =
+  match List.assoc_opt key fields with
+  | None -> Error (Printf.sprintf "missing %s field" key)
+  | Some v -> decode v
+
 let int v =
   match int_of_string_opt v with
   | Some n -> Ok n
@@ -70,11 +76,6 @@ let float v =
   match float_of_string_opt v with
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "bad number %S" v)
-
-let check conditions =
-  match List.find_opt (fun (ok, _) -> not ok) conditions with
-  | Some (_, msg) -> Error msg
-  | None -> Ok ()
 
 (* ---- shared tokens ----------------------------------------------------- *)
 
@@ -121,6 +122,38 @@ let replay_result = function
   | Passed -> Ok ()
   | Failed e | Diverged e -> Error e
 
+(* ---- campaign runs ----------------------------------------------------- *)
+
+type config = {
+  factory : Set_intf.factory;
+  threads : int;
+  ops_per_thread : int;
+  workload : Workload.config;
+  max_crashes : int;
+}
+
+(* Every rule a campaign's configuration must meet, in one place: the
+   campaign commands refuse a config through it before anything runs,
+   and [load] refuses a file whose config it rejects. *)
+let validate cfg =
+  let campaign msg = Error ("campaign: " ^ msg) in
+  if cfg.factory.Set_intf.model <> Set_intf.Set_model then
+    (* the per-key set oracle judges every campaign run; a FIFO
+       backend's is sound only under a store shard's one server *)
+    Error
+      (Printf.sprintf
+         "%s is a FIFO queue backend: campaigns check set semantics; run it \
+          as a serve backend"
+         cfg.factory.Set_intf.fname)
+  else if cfg.threads < 1 || cfg.threads > Pmem.max_threads then
+    campaign (Printf.sprintf "threads must be in 1..%d" Pmem.max_threads)
+  else if cfg.ops_per_thread < 1 then campaign "ops-per-thread must be >= 1"
+  else if cfg.max_crashes < 0 then campaign "max-crashes must be >= 0"
+  else if cfg.workload.dist <> Workload.Uniform then
+    (* the file has no field for it: the repro would replay uniform keys *)
+    campaign "dist must be uniform"
+  else Result.map_error (( ^ ) "campaign: ") (Workload.validate cfg.workload)
+
 (* ---- campaign repros --------------------------------------------------- *)
 
 type round = {
@@ -130,18 +163,7 @@ type round = {
   wb : wb;  (* write-back resolution of the crash ending this round *)
 }
 
-type t = {
-  algo : string;
-  threads : int;
-  ops_per_thread : int;
-  find_pct : int;
-  key_range : int;
-  prefill : int;
-  max_crashes : int;
-  seed : int;
-  error : string;
-  rounds : round list;
-}
+type t = { config : config; seed : int; error : string; rounds : round list }
 
 let magic = "tracking-nvm-repro v1"
 
@@ -173,19 +195,20 @@ let round_of_string line =
       Ok { kind; crash_at; schedule; wb }
   | _ -> Error (Printf.sprintf "bad round line %S" line)
 
-let fields r =
+let fields { config = c; seed; error; rounds } =
+  let w = c.workload in
   [
-    ("algo", r.algo);
-    ("threads", string_of_int r.threads);
-    ("ops-per-thread", string_of_int r.ops_per_thread);
-    ("find-pct", string_of_int r.find_pct);
-    ("key-range", string_of_int r.key_range);
-    ("prefill", string_of_int r.prefill);
-    ("max-crashes", string_of_int r.max_crashes);
-    ("seed", string_of_int r.seed);
-    ("error", one_line r.error);
+    ("algo", c.factory.Set_intf.fname);
+    ("threads", string_of_int c.threads);
+    ("ops-per-thread", string_of_int c.ops_per_thread);
+    ("find-pct", string_of_int w.Workload.mix.Workload.find_pct);
+    ("key-range", string_of_int w.key_range);
+    ("prefill", string_of_int w.prefill_n);
+    ("max-crashes", string_of_int c.max_crashes);
+    ("seed", string_of_int seed);
+    ("error", one_line error);
   ]
-  @ List.map (fun rd -> ("round", round_to_string rd)) r.rounds
+  @ List.map (fun rd -> ("round", round_to_string rd)) rounds
 
 let pp ppf r = pp_fields ~magic ppf (fields r)
 let save path r = save_fields ~magic path (fields r)
@@ -196,15 +219,19 @@ let keys =
 
 let load path =
   let* fs = read ~what:"repro" ~magic ~keys path in
-  let int_field key = field fs key ~default:0 int in
-  let* algo = field fs "algo" ~default:"" Result.ok in
-  let* threads = int_field "threads" in
-  let* ops_per_thread = int_field "ops-per-thread" in
-  let* find_pct = int_field "find-pct" in
-  let* key_range = int_field "key-range" in
-  let* prefill = int_field "prefill" in
-  let* max_crashes = int_field "max-crashes" in
-  let* seed = int_field "seed" in
+  let* factory =
+    required fs "algo" (fun name ->
+        Result.map_error
+          (Printf.sprintf "repro references %s")
+          (Set_intf.by_name name))
+  in
+  let* threads = required fs "threads" int in
+  let* ops_per_thread = required fs "ops-per-thread" int in
+  let* find_pct = field fs "find-pct" ~default:0 int in
+  let* key_range = required fs "key-range" int in
+  let* prefill_n = field fs "prefill" ~default:0 int in
+  let* max_crashes = required fs "max-crashes" int in
+  let* seed = field fs "seed" ~default:0 int in
   let* error = field fs "error" ~default:"" Result.ok in
   let rec rounds = function
     | [] -> Ok []
@@ -215,23 +242,15 @@ let load path =
     | _ :: rest -> rounds rest
   in
   let* rounds = rounds fs in
-  (* A config a campaign could never have run is a vacuous repro:
-     replaying it "passes" while reproducing nothing.  Reject it here so
-     a replay fails loudly on corrupt or truncated files. *)
-  let* () =
-    check
-      [
-        (algo <> "", "missing algo field");
-        (threads > 0, "missing/invalid threads field");
-        (ops_per_thread > 0, "missing/invalid ops-per-thread field");
-        (key_range > 0, "missing/invalid key-range field");
-        (max_crashes > 0, "missing/invalid max-crashes field");
-        (prefill >= 0, "invalid prefill field");
-        (find_pct >= 0 && find_pct <= 100, "invalid find-pct field");
-      ]
+  let workload =
+    { (Workload.default (Workload.mix_of_find_pct find_pct)) with
+      key_range; prefill_n }
   in
-  Ok
-    {
-      algo; threads; ops_per_thread; find_pct; key_range; prefill;
-      max_crashes; seed; error; rounds;
-    }
+  let config = { factory; threads; ops_per_thread; workload; max_crashes } in
+  (* A config no campaign could run is a vacuous repro: replaying it
+     "passes" while reproducing nothing, so a corrupt or truncated file
+     fails here, loudly.  A campaign that may not crash at all is a
+     legitimate run but no crash repro. *)
+  let* () = validate config in
+  if max_crashes < 1 then Error "repro: max-crashes must be >= 1"
+  else Ok { config; seed; error; rounds }

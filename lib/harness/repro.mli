@@ -3,14 +3,14 @@
 
     A repro file is a magic line naming its kind and version, then one
     [key value] line per field.  Campaign repros
-    (["tracking-nvm-repro v1"], below) capture the workload
-    configuration, the campaign seed, the failure message and — per
-    simulator round — the crash point used and the recorded schedule
-    (the tid picked at every scheduling decision); [Crashes.replay]
-    feeds the rounds back through the simulator's schedule-replay
-    support, reproducing the failure bit-for-bit.  Serve repros
-    (["tracking-nvm-serve v1"], [Store_repro]) use the same codec.  The
-    format is documented in DESIGN.md ("Replay-file format"). *)
+    (["tracking-nvm-repro v1"], below) capture the run's {!config}, the
+    campaign seed, the failure message and — per simulator round — the
+    crash point used and the recorded schedule (the tid picked at every
+    scheduling decision); [Crashes.replay] feeds the rounds back through
+    the simulator's schedule-replay support, reproducing the failure
+    bit-for-bit.  Serve repros (["tracking-nvm-serve v1"],
+    [Store_repro]) use the same codec.  The format is documented in
+    DESIGN.md ("Replay-file format"). *)
 
 (** {1 The keyed-line codec} *)
 
@@ -36,11 +36,12 @@ val field :
   ('a, string) result
 (** Decode a key's value, or [default] when the file has no such line. *)
 
+val required :
+  fields -> string -> (string -> ('a, string) result) -> ('a, string) result
+(** Decode a key's value; a file without the line is an error. *)
+
 val int : string -> (int, string) result
 val float : string -> (float, string) result
-
-val check : (bool * string) list -> (unit, string) result
-(** The message of the first condition that does not hold. *)
 
 (** {2 Tokens shared by both kinds} *)
 
@@ -78,6 +79,25 @@ type replayed =
 val replay_result : replayed -> (unit, string) result
 (** [Ok ()] for [Passed]; the error (or divergence report) otherwise. *)
 
+(** {1 Campaign runs} *)
+
+type config = {
+  factory : Set_intf.factory;
+  threads : int;
+  ops_per_thread : int;
+  workload : Workload.config;
+  max_crashes : int;  (** how many crashes a single run may suffer *)
+}
+(** A crash campaign's run, re-exported as [Crashes.config]. *)
+
+val validate : config -> (unit, string) result
+(** [Error] names, on one line, the field no campaign could run: a
+    factory not judged by the per-key set oracle, threads outside
+    [1..Pmem.max_threads], no op per thread, a negative crash budget, a
+    skewed key distribution (the file records none) or a workload
+    {!Workload.validate} refuses.  Every campaign command and
+    {!load} check their config through it. *)
+
 (** {1 Campaign repros} *)
 
 type round = {
@@ -89,13 +109,7 @@ type round = {
 }
 
 type t = {
-  algo : string;  (** factory name, resolved via {!Set_intf.by_name} *)
-  threads : int;
-  ops_per_thread : int;
-  find_pct : int;
-  key_range : int;
-  prefill : int;
-  max_crashes : int;
+  config : config;  (** the failing run *)
   seed : int;
   error : string;  (** the failure the file reproduces *)
   rounds : round list;
@@ -104,10 +118,10 @@ type t = {
 val save : string -> t -> unit
 
 val load : string -> (t, string) result
-(** Parse and {e validate}: files with unknown or duplicate fields, bad
-    round lines, or a configuration no campaign could have run
-    (non-positive [threads]/[ops-per-thread]/[key-range]/[max-crashes],
-    negative [prefill], out-of-range [find-pct]) are rejected — a vacuous
-    config would "replay" successfully while reproducing nothing. *)
+(** Parse, resolve and {e validate}: files with unknown or duplicate
+    fields, a missing required field, bad round lines, an algorithm no
+    factory has, a configuration {!validate} refuses, or a crash budget
+    below 1 are rejected — a vacuous config would "replay" successfully
+    while reproducing nothing. *)
 
 val pp : Format.formatter -> t -> unit

@@ -183,35 +183,10 @@ let sweep ~threads ~ops ~crashes ~supports_crash heap (inst : Set_intf.t) =
 
 (* ---- campaign driver ---------------------------------------------------- *)
 
-type cfg = {
-  threads : int;
-  ops_per_thread : int;
-  find_pct : int;
-  key_range : int;
-  prefill : int;
-  max_crashes : int;
-  seed : int;
-}
-
-(* One crash-campaign run of [factory] with the allocation registry
+(* One crash-campaign run of [cfg] with the allocation registry
    attached, swept at the final state.  Self-contained per call so
    [Parallel.run] fan-out keeps every domain's observers local. *)
-let run_variant cfg (factory : Set_intf.factory) =
-  let ccfg =
-    {
-      Crashes.factory;
-      threads = cfg.threads;
-      ops_per_thread = cfg.ops_per_thread;
-      workload =
-        {
-          Workload.mix = Workload.mix_of_find_pct cfg.find_pct;
-          key_range = cfg.key_range;
-          prefill_n = cfg.prefill;
-          dist = Workload.Uniform;
-        };
-      max_crashes = cfg.max_crashes;
-    }
-  in
+let run_variant ~seed (cfg : Crashes.config) =
   reset ();
   enable ();
   Fun.protect
@@ -224,9 +199,9 @@ let run_variant cfg (factory : Set_intf.factory) =
         swept :=
           Some
             (sweep ~threads:cfg.threads ~ops:0 ~crashes:0
-               ~supports_crash:factory.Set_intf.supports_crash heap inst)
+               ~supports_crash:cfg.factory.Set_intf.supports_crash heap inst)
       in
-      match Crashes.run_logged ~observe ccfg ~seed:cfg.seed with
+      match Crashes.run_logged ~observe cfg ~seed with
       | Ok o, _ -> (
           match !swept with
           | Some s ->
@@ -239,11 +214,11 @@ let run_variant cfg (factory : Set_intf.factory) =
           | None -> Error "space: observe hook never fired")
       | Error e, _ -> Error e)
 
-let campaign ?jobs cfg (variants : Set_intf.factory list) =
-  let arr = Array.of_list variants in
+let campaign ?jobs ~seed (cfgs : Crashes.config list) =
   Parallel.run ?jobs
-    (fun _ f -> (f.Set_intf.fname, run_variant cfg f))
-    arr
+    (fun _ (cfg : Crashes.config) ->
+      (cfg.factory.Set_intf.fname, run_variant ~seed cfg))
+    (Array.of_list cfgs)
   |> Array.to_list
 
 (* ---- rendering ---------------------------------------------------------- *)
@@ -264,14 +239,15 @@ let meta_ratio s =
 let garbage_rate s =
   if s.sv_ops <= 0 then 0. else float s.sv_garbage_lines /. float s.sv_ops
 
-let render_text cfg (rs : results) =
+let render_text (cfg : Crashes.config) ~seed (rs : results) =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let w = cfg.workload in
   pf
     "persistent-space accounting (threads=%d ops/thread=%d find%%=%d \
      key-range=%d prefill=%d max-crashes=%d seed=%d)\n"
-    cfg.threads cfg.ops_per_thread cfg.find_pct cfg.key_range cfg.prefill
-    cfg.max_crashes cfg.seed;
+    cfg.threads cfg.ops_per_thread w.mix.find_pct w.key_range w.prefill_n
+    cfg.max_crashes seed;
   pf "%-16s %6s %8s %6s %8s %5s %9s %8s %6s %9s %6s\n" "variant" "lines"
     "payload" "meta" "garbage" "ops" "lines/op" "bytes/op" "meta/" "garbage/"
     "lb";
@@ -328,7 +304,7 @@ let render_text cfg (rs : results) =
     rs;
   Buffer.contents buf
 
-let render_json cfg (rs : results) =
+let render_json (cfg : Crashes.config) ~seed (rs : results) =
   let buf = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let kv_list l =
@@ -340,8 +316,9 @@ let render_json cfg (rs : results) =
   in
   pf
     {|{"schema":"space-v1","config":{"threads":%d,"ops_per_thread":%d,"find_pct":%d,"key_range":%d,"prefill":%d,"max_crashes":%d,"seed":%d},"bytes_per_line":%d,"lower_bound_lines":%d,"variants":[|}
-    cfg.threads cfg.ops_per_thread cfg.find_pct cfg.key_range cfg.prefill
-    cfg.max_crashes cfg.seed bytes_per_line cfg.threads;
+    cfg.threads cfg.ops_per_thread cfg.workload.mix.find_pct
+    cfg.workload.key_range cfg.workload.prefill_n cfg.max_crashes seed
+    bytes_per_line cfg.threads;
   List.iteri
     (fun i (name, r) ->
       if i > 0 then pf ",";

@@ -74,30 +74,19 @@ val sweep :
     heap's occupancy counter minus the live set; garbage {e attribution}
     (sites, ops, growth) covers the allocations the registry observed. *)
 
-(** Campaign parameters for [repro space]. *)
-type cfg = {
-  threads : int;
-  ops_per_thread : int;
-  find_pct : int;
-  key_range : int;
-  prefill : int;
-  max_crashes : int;
-  seed : int;
-}
-
-val campaign :
-  ?jobs:int ->
-  cfg ->
-  Set_intf.factory list ->
-  (string * (sweep, string) result) list
-(** One crash-campaign run per factory, with the registry and metrics
-    attached and swept at the final recovered state, fanned with
-    {!Parallel.run}; results in input order regardless of [jobs]. *)
-
 type results = (string * (sweep, string) result) list
 
-val render_text : cfg -> results -> string
-val render_json : cfg -> results -> string
+val campaign : ?jobs:int -> seed:int -> Crashes.config list -> results
+(** One crash-campaign run of each config with seed [seed], with the
+    registry and metrics attached and swept at the final recovered
+    state, fanned with {!Parallel.run}; results named by factory, in
+    input order regardless of [jobs]. *)
+
+val render_text : Crashes.config -> seed:int -> results -> string
+(** The report; its header names the config's workload, which every
+    run of the campaign shares. *)
+
+val render_json : Crashes.config -> seed:int -> results -> string
 val render_csv : results -> string
 
 val check : results -> (unit, string) result

@@ -3,9 +3,7 @@ type mix = { name : string; find_pct : int }
 let read_intensive = { name = "read-intensive"; find_pct = 70 }
 let update_intensive = { name = "update-intensive"; find_pct = 30 }
 
-let mix_of_find_pct p =
-  if p < 0 || p > 100 then invalid_arg "mix_of_find_pct";
-  { name = Printf.sprintf "%d%%-finds" p; find_pct = p }
+let mix_of_find_pct p = { name = Printf.sprintf "%d%%-finds" p; find_pct = p }
 
 (* Key-popularity distribution.  [Skewed] is a power-law (Zipfian-like)
    hot set parameterized by the mass [s] landing on the hottest 20% of
@@ -32,6 +30,13 @@ type config = {
 
 let default mix =
   { mix; key_range = 500; prefill_n = 250; dist = Uniform }
+
+let validate cfg =
+  if cfg.mix.find_pct < 0 || cfg.mix.find_pct > 100 then
+    Error "find-pct must be in 0..100"
+  else if cfg.key_range < 1 then Error "key-range must be >= 1"
+  else if cfg.prefill_n < 0 then Error "prefill must be >= 0"
+  else Ok ()
 
 (* The Uniform path must draw exactly what the historical generator drew
    (one [Random.State.int]): recorded campaign repros replay the rng

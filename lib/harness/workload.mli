@@ -10,6 +10,7 @@ type mix = { name : string; find_pct : int }
 val read_intensive : mix
 val update_intensive : mix
 val mix_of_find_pct : int -> mix
+(** Named ["<p>%-finds"]; {!validate} refuses [p] outside 0..100. *)
 
 type dist =
   | Uniform
@@ -37,6 +38,11 @@ type config = {
 val default : mix -> config
 (** key_range 500, prefill 250, uniform keys, as in the paper's main
     figures. *)
+
+val validate : config -> (unit, string) result
+(** [Error] names the field no run could draw from: find-pct outside
+    0..100, key-range below 1 or a negative prefill.  The campaign and
+    store validators check their workload through it. *)
 
 val gen_key : Random.State.t -> config -> int
 (** Draw one key from [config.dist].  The [Uniform] path consumes exactly

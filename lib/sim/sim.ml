@@ -106,9 +106,11 @@ type engine = {
   (* Replay: tids to pick at each random-policy scheduling decision,
      recorded by [record] in an earlier run.  A replay entry whose tid is
      not ready is a divergence: it is reported through [divergence] and
-     the decision falls back to [choose]/the seeded rng.  Divergences
-     desynchronize every later decision, so callers must treat any
-     divergence as "this is not the recorded execution". *)
+     the decision falls back to [choose]/the seeded rng.  So is a
+     decision past the end of a non-empty tape, and each entry a run
+     left unused.  Divergences desynchronize every
+     later decision, so callers must treat any divergence as "this is
+     not the recorded execution". *)
   mutable replay : int array;
   mutable replay_pos : int;
   mutable record : (int -> unit) option;
@@ -122,9 +124,8 @@ type engine = {
      ready fibers counting the runner: [true] keeps the runner without a
      decision. *)
   mutable keep : (int -> bool) option;
-  (* [`Perf] with no [record] and no [keep]: past the tape no hook can
-     run at a switching step, so the fiber decides while it stays
-     current. *)
+  (* [`Perf] with no [record], no [keep] and no tape: no hook can run at
+     a switching step, so the fiber decides while it stays current. *)
   mutable quiet : bool;
   mutable bodies : (int -> unit) array;
   (* [choose]'s argument, built without allocating: per-tid flags
@@ -357,13 +358,21 @@ let ready_tids e self =
   done;
   buf
 
+let diverge e ~step ~want =
+  match e.divergence with None -> () | Some f -> f ~step ~want
+
 (* Consume the next replay-tape entry, if any: the ready index of the
    recorded tid, or -1.  A recorded tid that is not ready is a
    divergence: it is reported and the decision falls back to the active
    policy — silently substituting a policy pick used to "replay" a
-   different execution while claiming success. *)
+   different execution while claiming success.  So is a decision past
+   the end of a non-empty tape, reported with no recorded tid. *)
 let take_replay e self =
-  if e.replay_pos >= Array.length e.replay then -1
+  let len = Array.length e.replay in
+  if e.replay_pos >= len then begin
+    if len > 0 then diverge e ~step:e.steps ~want:(-1);
+    -1
+  end
   else begin
     let want = e.replay.(e.replay_pos) in
     e.replay_pos <- e.replay_pos + 1;
@@ -371,11 +380,7 @@ let take_replay e self =
       if self >= 0 && want = self then e.ready_len
       else ready_index_of_tid e want
     in
-    if i < 0 then begin
-      match e.divergence with
-      | None -> ()
-      | Some f -> f ~step:e.steps ~want
-    end;
+    if i < 0 then diverge e ~step:e.steps ~want;
     i
   end
 
@@ -635,8 +640,8 @@ let hand_off e r seq =
    with no decision taken.  The hooks ([keep], [record], [choose],
    [divergence]) run outside the fiber, as they do in the loop — the
    view says no fiber is running while they do — and an exception they
-   raise surfaces in the loop too.  A [quiet] engine with no tape left
-   runs no hook, so the fiber stays current while it decides; a pick
+   raise surfaces in the loop too.  A [quiet] engine (no tape) runs no
+   hook, so the fiber stays current while it decides; a pick
    other than the fiber is then the heap's root, and the step runs the
    idle dispatches of the pollers that precede its requeue itself
    ([first_after_pollers]): when that leaves the fiber first, it
@@ -644,8 +649,7 @@ let hand_off e r seq =
 let switch_point e i =
   (match settle e i with None -> () | Some exn -> raise exn);
   let n = e.ready_len in
-  let past_tape = e.replay_pos >= Array.length e.replay in
-  if e.quiet && past_tape then begin
+  if e.quiet then begin
     if decide e i = n then redispatch e i
     else begin
       let seq = take_seq e in
@@ -660,7 +664,7 @@ let switch_point e i =
     match
       let r =
         match e.keep with
-        | Some k when past_tape && k (n + 1) -> n
+        | Some k when e.replay_pos >= Array.length e.replay && k (n + 1) -> n
         | _ -> decide e i
       in
       if r = n then (match e.record with None -> () | Some f -> f i);
@@ -785,7 +789,9 @@ let reset e ~policy ~seed ~crash_at ~step_limit ~schedule ~record ~divergence
   e.divergence <- divergence;
   e.choose <- choose;
   e.keep <- keep;
-  e.quiet <- policy = `Perf && record == None && keep == None;
+  e.quiet <-
+    policy = `Perf && record == None && keep == None
+    && Array.length schedule = 0;
   e.bodies <- bodies;
   for i = 0 to Array.length e.clocks - 1 do
     e.clocks.(i) <- 0.;
@@ -971,12 +977,10 @@ let request_crash () =
 let rec loop (e : engine) =
   if e.ready_len > 0 then begin
     let v = e.view in
-    (* a quiet engine past the tape dispatches the root: a waiting poller
-       there is dispatched in place *)
+    (* a quiet engine dispatches the root: a waiting poller there is
+       dispatched in place *)
     if
-      e.quiet && e.next_slot < 0 && (not e.crashing)
-      && e.replay_pos >= Array.length e.replay
-      && poll_at_root e
+      e.quiet && e.next_slot < 0 && (not e.crashing) && poll_at_root e
     then ignore (retick e : bool)
     else begin
       let slot = dequeue e in
@@ -1036,6 +1040,14 @@ let teardown (e : engine) =
         (try ignore (Effect.Deep.discontinue k Step_limit : status)
          with _ -> ());
         leave v
+  done
+
+(* A replay uses its whole tape: once the run is over, each entry it
+   left is a divergence. *)
+let unused_tape (e : engine) =
+  leave e.view;
+  for j = e.replay_pos to Array.length e.replay - 1 do
+    diverge e ~step:(-1) ~want:e.replay.(j)
   done
 
 (* End a run: no fiber is running, and the engine keeps nothing of the
@@ -1098,9 +1110,15 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
   match loop e with
   | () ->
       let outcome = if e.crashing then Crashed_at e.steps else All_done in
-      finish st e;
+      if e.replay_pos < Array.length e.replay then
+        Fun.protect ~finally:(fun () -> finish st e) (fun () -> unused_tape e)
+      else finish st e;
       outcome
   | exception exn ->
       let bt = Printexc.get_raw_backtrace () in
-      Fun.protect ~finally:(fun () -> finish st e) (fun () -> teardown e);
+      Fun.protect
+        ~finally:(fun () -> finish st e)
+        (fun () ->
+          teardown e;
+          unused_tape e);
       Printexc.raise_with_backtrace exn bt

@@ -118,9 +118,13 @@ val run :
     scaled).  A replay entry whose tid is not ready at that decision is a
     {e divergence}: it is reported through [divergence] (with the current
     step and the wanted tid) and the decision falls back to [choose], the
-    seeded rng, or the perf heap.  Any divergence means the execution is
-    no longer the recorded one — callers replaying a failure must surface
-    it rather than trust the outcome.
+    seeded rng, or the perf heap.  A non-empty tape must be consumed
+    exactly: each decision taken past its end is reported with
+    [~want:(-1)], and once the run is over (whether it returns or
+    raises) each entry left unused is reported with [~step:(-1)] and its
+    tid.  Any divergence means the execution is no longer the
+    recorded one — callers replaying a failure must surface it rather
+    than trust the outcome.
 
     [choose] delegates every decision past the replay tape to an external
     scheduling policy: it receives the ready tids in ascending order and
@@ -264,8 +268,8 @@ val step : float -> unit
     counted by {!dispatches}, and the place where a due {!interrupt} is
     raised, exactly as if the fiber had been suspended and resumed.
 
-    In a {e quiet} run ([`Perf] with no [record] and no [keep], once the
-    replay tape is used up) a step whose pick is a fiber waiting in
+    In a {e quiet} run ([`Perf] with no [record], no [keep] and no
+    replay tape) a step whose pick is a fiber waiting in
     {!poll_while} first runs the idle re-checks of every waiting fiber
     ahead of the caller itself, in the order the scheduler would
     dispatch them; each is that fiber's dispatch, traced and counted as

@@ -110,48 +110,57 @@ let backend_of cfg sid =
 
 let validate cfg =
   let nshards = shard_total cfg in
-  if cfg.shards < 1 then Error "store: shards must be >= 1"
-  else if cfg.clients < 1 then Error "store: clients must be >= 1"
-  else if cfg.ops_per_client < 1 then Error "store: ops-per-client must be >= 1"
-  else if cfg.batch < 1 then Error "store: batch must be >= 1"
+  let refuse fmt = Printf.ksprintf (fun msg -> Error ("store: " ^ msg)) fmt in
+  if cfg.shards < 1 then refuse "shards must be >= 1"
+  else if cfg.clients < 1 then refuse "clients must be >= 1"
+  else if cfg.ops_per_client < 1 then refuse "ops-per-client must be >= 1"
+  else if cfg.batch < 1 then refuse "batch must be >= 1"
   else if 1 + cfg.clients + nshards > Pmem.max_threads then
-    Error
-      (Printf.sprintf "store: 1 + %d clients + %d shards exceeds %d threads"
-         cfg.clients nshards Pmem.max_threads)
+    refuse "1 + %d clients + %d shards exceeds %d threads" cfg.clients nshards
+      Pmem.max_threads
+  else if not (cfg.restart_ns >= 0.) then refuse "restart-ns must be >= 0"
+  else if not (cfg.failover_ns >= 0.) then refuse "failover-ns must be >= 0"
+  else if Option.fold ~none:false ~some:(fun m -> not (m > 0.)) cfg.open_loop_ns
+  then refuse "open-loop-ns must be > 0"
   else
-    match cfg.backends with
-    | Some arr when Array.length arr <> cfg.shards ->
-        Error
-          (Printf.sprintf "store: %d backends for %d shards" (Array.length arr)
-             cfg.shards)
-    | _ -> (
+    match (Workload.validate cfg.workload, cfg.backends) with
+    | Error msg, _ -> refuse "%s" msg
+    | Ok (), Some arr when Array.length arr <> cfg.shards ->
+        refuse "%d backends for %d shards" (Array.length arr) cfg.shards
+    | Ok (), _ -> (
         match cfg.migrate with
-        | Some { msrc; m_after; _ }
-          when msrc < 0 || msrc >= cfg.shards || m_after < 0 ->
-            Error (Printf.sprintf "store: migration source %d out of range" msrc)
+        | Some { msrc; _ } when msrc < 0 || msrc >= cfg.shards ->
+            refuse "migration source %d out of range" msrc
+        | Some { m_after; _ } when m_after < 0 ->
+            refuse "migrate-after must be >= 0"
         | Some { msrc; _ }
           when (backend_of cfg msrc).Set_intf.model <> Set_intf.Set_model ->
-            Error
-              (Printf.sprintf
-                 "store: migration source shard %d is not a set-model backend"
-                 msrc)
+            refuse "migration source shard %d is not a set-model backend" msrc
         | _ -> (
             let bad =
               List.find_opt (fun v -> v < 0 || v >= nshards)
                 (victims_of cfg.crash)
             in
             match (bad, cfg.crash) with
-            | Some v, _ ->
-                Error (Printf.sprintf "store: crash shard %d out of range" v)
+            | Some v, _ -> refuse "crash shard %d out of range" v
             | None, Some (Both_at_dispatch { a; b; _ }) when a = b ->
-                Error "store: correlated crash needs two distinct shards"
+                refuse "correlated crash needs two distinct shards"
             | None, Some (Cascade { first; second; _ }) when first = second ->
-                Error "store: cascade needs two distinct shards"
+                refuse "cascade needs two distinct shards"
+            | None, Some (After_requests { requests; _ }) when requests < 0 ->
+                refuse "crash-after must be >= 0"
+            | ( None,
+                Some
+                  ( At_dispatch { dispatch; _ }
+                  | Both_at_dispatch { dispatch; _ }
+                  | Cascade { dispatch; _ } ) )
+              when dispatch < 1 ->
+                refuse "crash-dispatch must be >= 1"
             | None, _ -> Ok ()))
 
 (* One serve; [wb sid heap] is the write-back resolution of shard
    [sid]'s crash of [heap], asked at the moment of the crash. *)
-let run_with ~wb ?record ?(schedule = [||]) cfg =
+let run_with ~wb ~divergences ?record ?(schedule = [||]) cfg =
   match validate cfg with
   | Error _ as e -> e
   | Ok () -> (
@@ -339,7 +348,6 @@ let run_with ~wb ?record ?(schedule = [||]) cfg =
         | Some _ -> (base * 2) + (cfg.workload.Workload.key_range * 10_000)
         | None -> base
       in
-      let divergences = ref 0 in
       match
         Sim.run ~policy:`Perf ~seed:cfg.seed ~step_limit ~schedule ?record
           ~divergence:(fun ~step:_ ~want:_ -> incr divergences)
@@ -471,14 +479,19 @@ let run_with ~wb ?record ?(schedule = [||]) cfg =
                   report.Slo.windows;
               Ok report))
 
-let run ?record ?schedule cfg =
+(* The configured resolutions: [wb2] for a correlated or cascading
+   crash's second victim, [wb] otherwise. *)
+let config_wb cfg =
   let wb2 = Option.value cfg.wb2 ~default:cfg.wb in
-  run_with ?record ?schedule cfg ~wb:(fun sid _ ->
-      match cfg.crash with
-      | Some (Both_at_dispatch { b; _ } | Cascade { second = b; _ })
-        when sid = b ->
-          wb2
-      | _ -> cfg.wb)
+  fun sid _ ->
+    match cfg.crash with
+    | Some (Both_at_dispatch { b; _ } | Cascade { second = b; _ }) when sid = b
+      ->
+        wb2
+    | _ -> cfg.wb
+
+let run ?record ?schedule cfg =
+  run_with ~wb:(config_wb cfg) ~divergences:(ref 0) ?record ?schedule cfg
 
 type failure = { config : config; error : string; schedule : int array }
 
@@ -490,6 +503,22 @@ let failure_of config error =
     (run ~record:(fun c -> sched := c :: !sched) config
       : (Slo.report, string) result);
   { config; error; schedule = Array.of_list (List.rev !sched) }
+
+(* A divergence means the run is not the recorded one: it outranks
+   whatever the run returned. *)
+let replayed { config; schedule; _ } : Repro.replayed =
+  let divergences = ref 0 in
+  match run_with ~wb:(config_wb config) ~divergences ~schedule config with
+  | _ when !divergences > 0 ->
+      Diverged
+        (Printf.sprintf
+           "schedule divergence (%d entries not honored): the replay \
+            executed a different interleaving"
+           !divergences)
+  | Ok report when report.Slo.lost > 0 ->
+      Failed (Printf.sprintf "%d lost requests" report.Slo.lost)
+  | Ok _ -> Passed
+  | Error e -> Failed e
 
 (* ---- bounded exhaustive exploration ----------------------------------- *)
 
@@ -546,7 +575,9 @@ let target ~dispatch_budget cfg =
       chosen.(sid) <- (ctl.ctl_wb ~round:0 ~depth :> Pmem.resolution);
       chosen.(sid)
     in
-    let result = run_with ~wb { cfg with crash = Some crash } in
+    let result =
+      run_with ~wb ~divergences:(ref 0) { cfg with crash = Some crash }
+    in
     let wb2 = Option.map (Array.get chosen) b in
     ({ cfg with crash = Some crash; wb = chosen.(a); wb2 }, verdict result)
   in

@@ -72,12 +72,15 @@ val default_config : Set_intf.factory -> config
     restart, 500 ns failover, no replication, no migration, seed 1. *)
 
 val validate : config -> (unit, string) result
-(** [Error] names why no serve could run [config]: a shard, client,
-    request or batch count below 1, more fibers than [Pmem.max_threads],
-    a backend list of the wrong length, a migration source out of range
-    or not a set-model backend, or a crash plan naming a shard out of
-    range (or the same shard twice).  {!run} refuses such a config with
-    the same error before it builds anything. *)
+(** [Error] names, on one line, the field no serve could run [config]
+    with: a count below 1, more fibers than [Pmem.max_threads], a
+    negative latency or release point, an open-loop interarrival not
+    above 0, a workload [Workload.validate] refuses, a backend list of
+    the wrong length, a migration source out of range or not a set-model
+    backend, a crash plan naming a shard out of range (or one shard
+    twice) or a dispatch below 1.  [repro serve] and {!Store_repro.load}
+    check their config through it, and {!run} refuses it with the same
+    error before it builds anything. *)
 
 val run :
   ?record:(int -> unit) ->
@@ -109,6 +112,12 @@ val failure_of : config -> string -> failure
 (** [failure_of config error]: the failure [config] produced, with its
     schedule recorded by running [config] once more — the seed pins the
     interleaving, so that run is the failing one. *)
+
+val replayed : failure -> Repro.replayed
+(** Re-run a failure's config under its recorded schedule: [Diverged]
+    if the run did not follow it exactly, whatever the run returned;
+    else [Failed] with the reproduced error (lost requests count as
+    one) or [Passed]. *)
 
 val explore :
   ?jobs:int ->

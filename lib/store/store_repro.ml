@@ -78,7 +78,7 @@ let dist_of_string s =
           try Ok (Workload.skewed v) with Invalid_argument m -> Error m))
   | _ -> bad
 
-let factory name =
+let factory_of name =
   Result.map_error
     (Printf.sprintf "serve repro references %s")
     (Set_intf.by_name name)
@@ -130,21 +130,18 @@ let keys =
 let load path =
   let* fs = Repro.read ~what:"serve repro" ~magic ~keys path in
   let get key ~default decode = Repro.field fs key ~default decode in
-  let* algo = get "algo" ~default:"" Result.ok in
-  let* shards = get "shards" ~default:0 Repro.int in
-  let* clients = get "clients" ~default:0 Repro.int in
-  let* ops_per_client = get "ops-per-client" ~default:0 Repro.int in
-  let* batch = get "batch" ~default:0 Repro.int in
-  let* find_pct = get "find-pct" ~default:(-1) Repro.int in
-  let* key_range = get "key-range" ~default:0 Repro.int in
-  let* prefill_n = get "prefill" ~default:(-1) Repro.int in
+  let need key decode = Repro.required fs key decode in
+  let* factory = need "algo" factory_of in
+  let* shards = need "shards" Repro.int in
+  let* clients = need "clients" Repro.int in
+  let* ops_per_client = need "ops-per-client" Repro.int in
+  let* batch = need "batch" Repro.int in
+  let* find_pct = need "find-pct" Repro.int in
+  let* key_range = need "key-range" Repro.int in
+  let* prefill_n = need "prefill" Repro.int in
   let* dist = get "dist" ~default:Workload.Uniform dist_of_string in
   let* open_loop_ns =
-    get "open-loop-ns" ~default:None
-      (optional_of_string (fun v ->
-           match float_of_string_opt v with
-           | Some m when m > 0. -> Ok m
-           | _ -> Error (Printf.sprintf "bad open-loop-ns %S" v)))
+    get "open-loop-ns" ~default:None (optional_of_string Repro.float)
   in
   let* crash = get "crash" ~default:None crash_of_string in
   let* wb = get "wb" ~default:`Rng Repro.wb_of_string in
@@ -155,7 +152,7 @@ let load path =
       (optional_of_string (fun v ->
            List.fold_right
              (fun name acc ->
-               let* f = factory name in
+               let* f = factory_of name in
                let* rest = acc in
                Ok (f :: rest))
              (String.split_on_char ',' v)
@@ -170,23 +167,10 @@ let load path =
   in
   let* failover_ns = get "failover-ns" ~default:500. Repro.float in
   let* migrate = get "migrate" ~default:None migrate_of_string in
-  let* restart_ns = get "restart-ns" ~default:(-1.) Repro.float in
+  let* restart_ns = need "restart-ns" Repro.float in
   let* seed = get "seed" ~default:0 Repro.int in
   let* error = get "error" ~default:"" Result.ok in
   let* schedule = get "schedule" ~default:[||] Repro.schedule_of_string in
-  let* () =
-    Repro.check
-      [
-        (algo <> "", "missing algo field");
-        (find_pct >= 0 && find_pct <= 100, "missing/invalid find-pct field");
-        (key_range > 0, "missing/invalid key-range field");
-        (prefill_n >= 0, "missing/invalid prefill field");
-        (restart_ns >= 0., "missing/invalid restart-ns field");
-        (failover_ns >= 0., "invalid failover-ns field");
-      ]
-  in
-  let* factory = factory algo in
-  let mix = Workload.mix_of_find_pct find_pct in
   let config =
     {
       Store.factory;
@@ -195,7 +179,9 @@ let load path =
       clients;
       ops_per_client;
       batch;
-      workload = { Workload.mix; key_range; prefill_n; dist };
+      workload =
+        { (Workload.default (Workload.mix_of_find_pct find_pct)) with
+          key_range; prefill_n; dist };
       open_loop_ns;
       crash;
       wb;
@@ -215,21 +201,8 @@ let load path =
 
 (* ---- replay ------------------------------------------------------------ *)
 
-let replayed r : Repro.replayed =
-  match Store.run ~schedule:r.schedule r.config with
-  | Ok report when report.Slo.divergences > 0 ->
-      Diverged
-        (Printf.sprintf
-           "schedule divergence (%d entries not honored): the replay \
-            executed a different interleaving"
-           report.Slo.divergences)
-  | Ok report when report.Slo.lost > 0 ->
-      Failed (Printf.sprintf "%d lost requests" report.Slo.lost)
-  | Ok _ -> Passed
-  | Error e -> Failed e
-
-let replay r = Repro.replay_result (replayed r)
+let replay r = Repro.replay_result (Store.replayed r)
 
 let explain r =
   Forensics.explain ~algo:r.config.Store.factory.Set_intf.fname
-    ~seed:r.config.Store.seed ~error:r.error (fun () -> replayed r)
+    ~seed:r.config.Store.seed ~error:r.error (fun () -> Store.replayed r)

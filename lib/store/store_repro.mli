@@ -21,11 +21,11 @@ val pp : Format.formatter -> t -> unit
 val save : string -> t -> unit
 
 val load : string -> (t, string) result
-(** Parse, validate and resolve: rejects wrong magic, duplicate fields,
-    unknown fields, missing/out-of-range values, an invalid skew, an
-    algorithm or backend name no factory has, and any config
-    {!Store.validate} refuses — no serve could have recorded it, so its
-    replay would reproduce only the refusal.  The elastic fields
+(** Parse, resolve and validate: rejects wrong magic, duplicate fields,
+    unknown fields, a missing required field, an unparsable value, an
+    invalid skew, an algorithm or backend name no factory has, and any
+    config {!Store.validate} refuses — no serve could have recorded it,
+    so its replay would reproduce only the refusal.  The elastic fields
     ([wb2], [backends], [replicate], [failover-ns], [migrate]) are
     optional, so pre-elastic files load with their defaults. *)
 

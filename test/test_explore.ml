@@ -67,7 +67,7 @@ let test_broken_found_and_replays () =
     | None -> Alcotest.fail "no repro emitted"
   in
   Alcotest.(check string) "repro names the algo" "tracking-broken"
-    r.Repro.algo;
+    r.Repro.config.factory.Set_intf.fname;
   (* an explorer-found failure needs a deliberate write-back choice: the
      poisoned node is reachable only if its predecessor's post-CAS pwb
      survives the crash, which `Rng-free exploration expresses as an

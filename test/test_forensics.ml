@@ -487,7 +487,7 @@ let test_no_postmortem_cites_a_later_event () =
               Printf.sprintf "%s seed %d (max %d crashes)"
                 cfg.Crashes.factory.Set_intf.fname seed cfg.Crashes.max_crashes
             in
-            let r = Crashes.repro_of cfg ~seed ~error ~rounds in
+            let r = { Repro.config = cfg; seed; error; rounds } in
             match Crashes.explain r with
             | Error e -> Alcotest.failf "%s: explain failed: %s" what e
             | Ok pm ->

@@ -290,6 +290,30 @@ let test_csv_rendering () =
   let csv = Report.figure_to_csv fig in
   Alcotest.(check string) "csv" "threads,a,b\n1,1.500,0.250\n2,2.500,\n" csv
 
+(* A figure built alone equals the same figure built with all the
+   others: no builder depends on what an earlier one left behind.  Each
+   is built alone first, the last one first, then the whole list in
+   order. *)
+let test_figure_alone_equals_full_list () =
+  let cfg =
+    {
+      Figures.sweep = [ 1; 2 ];
+      duration_ns = 10_000.;
+      classify_at = 2;
+      seeds = 1;
+    }
+  in
+  let alone =
+    List.rev_map (fun (id, build) -> (id, build cfg)) (List.rev Figures.all)
+  in
+  List.iter2
+    (fun (id, fig) (id', build) ->
+      Alcotest.(check string) "order" id' id;
+      Alcotest.(check string) "the builder's id" id fig.Figures.id;
+      Alcotest.(check bool) (id ^ " alone = in the list") true
+        (compare fig (build cfg) = 0))
+    alone Figures.all
+
 let suite =
   [
     Alcotest.test_case "workload mix distribution" `Quick test_workload_mix;
@@ -308,6 +332,8 @@ let suite =
     Alcotest.test_case "psync removal minor under CAS drain" `Quick
       test_cas_drain_ablation_shifts_cost;
     Alcotest.test_case "figures quick smoke" `Quick test_figures_quick_smoke;
+    Alcotest.test_case "a figure built alone equals it in the full list"
+      `Quick test_figure_alone_equals_full_list;
     Alcotest.test_case "figure points are cached per configuration" `Quick
       test_figures_cache_per_config;
     Alcotest.test_case "csv rendering" `Quick test_csv_rendering;

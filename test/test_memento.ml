@@ -275,7 +275,8 @@ let test_broken_memento_found_and_replays () =
     | Some r -> r
     | None -> Alcotest.fail "no repro emitted"
   in
-  Alcotest.(check string) "repro names the algo" "memento-broken" r.Repro.algo;
+  Alcotest.(check string) "repro names the algo" "memento-broken"
+    r.Repro.config.factory.Set_intf.fname;
   Alcotest.(check bool) "violation blames the oracle" true
     (String.length r.Repro.error >= 7
     && String.sub r.Repro.error 0 7 = "oracle:");

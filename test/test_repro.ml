@@ -32,7 +32,7 @@ let find_failure () =
 
 let test_broken_variant_replays () =
   let cfg, seed, error, rounds = find_failure () in
-  let r = Crashes.repro_of cfg ~seed ~error ~rounds in
+  let r = { Repro.config = cfg; seed; error; rounds } in
   (match Crashes.replay r with
   | Error e -> Alcotest.(check string) "identical failure" error e
   | Ok () -> Alcotest.fail "replay did not reproduce the failure");
@@ -45,6 +45,13 @@ let starts_with ~prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 let with_temp_file f =
   let path = Filename.temp_file "tracking-nvm" ".tmp" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -52,19 +59,21 @@ let with_temp_file f =
 
 let test_save_load_roundtrip () =
   let cfg, seed, error, rounds = find_failure () in
-  let r = Crashes.repro_of cfg ~seed ~error ~rounds in
+  let r = { Repro.config = cfg; seed; error; rounds } in
   with_temp_file (fun path ->
       Repro.save path r;
       match Repro.load path with
       | Error e -> Alcotest.fail e
       | Ok r' ->
-          Alcotest.(check string) "algo" r.Repro.algo r'.Repro.algo;
-          Alcotest.(check int) "threads" r.Repro.threads r'.Repro.threads;
-          Alcotest.(check int) "ops" r.Repro.ops_per_thread r'.Repro.ops_per_thread;
-          Alcotest.(check int) "find-pct" r.Repro.find_pct r'.Repro.find_pct;
-          Alcotest.(check int) "key-range" r.Repro.key_range r'.Repro.key_range;
-          Alcotest.(check int) "prefill" r.Repro.prefill r'.Repro.prefill;
-          Alcotest.(check int) "max-crashes" r.Repro.max_crashes r'.Repro.max_crashes;
+          let c = r.Repro.config and c' = r'.Repro.config in
+          Alcotest.(check bool) "factory" true (c.factory == c'.factory);
+          Alcotest.(check int) "threads" c.threads c'.threads;
+          Alcotest.(check int) "ops" c.ops_per_thread c'.ops_per_thread;
+          let w = c.workload and w' = c'.workload in
+          Alcotest.(check int) "find-pct" w.mix.find_pct w'.mix.find_pct;
+          Alcotest.(check int) "key-range" w.key_range w'.key_range;
+          Alcotest.(check int) "prefill" w.prefill_n w'.prefill_n;
+          Alcotest.(check int) "max-crashes" c.max_crashes c'.max_crashes;
           Alcotest.(check int) "seed" r.Repro.seed r'.Repro.seed;
           Alcotest.(check string) "error" r.Repro.error r'.Repro.error;
           List.iter2
@@ -101,7 +110,7 @@ let gen_repro =
   let* ops_per_thread = int_range 1 30 in
   let* find_pct = int_range 0 100 in
   let* key_range = int_range 1 128 in
-  let* prefill = int_range 0 64 in
+  let* prefill_n = int_range 0 64 in
   let* max_crashes = int_range 1 6 in
   let* seed = int_range 0 10_000 in
   let* error =
@@ -115,8 +124,23 @@ let gen_repro =
   let* rounds = list_size (int_range 0 6) gen_round in
   return
     {
-      Repro.algo; threads; ops_per_thread; find_pct; key_range; prefill;
-      max_crashes; seed; error; rounds;
+      Repro.config =
+        {
+          factory = Result.get_ok (Set_intf.by_name algo);
+          threads;
+          ops_per_thread;
+          workload =
+            {
+              Workload.mix = Workload.mix_of_find_pct find_pct;
+              key_range;
+              prefill_n;
+              dist = Workload.Uniform;
+            };
+          max_crashes;
+        };
+      seed;
+      error;
+      rounds;
     }
 
 let test_qcheck_pp_load_roundtrip () =
@@ -125,7 +149,13 @@ let test_qcheck_pp_load_roundtrip () =
         Repro.save path r;
         match Repro.load path with
         | Error e -> QCheck.Test.fail_reportf "load failed: %s" e
-        | Ok r' -> r = r')
+        | Ok r' ->
+            (* the factory holds closures: compare it physically *)
+            let plain { Repro.config = c; seed; error; rounds } =
+              (c.threads, c.ops_per_thread, c.workload, c.max_crashes, seed,
+               error, rounds)
+            in
+            r'.config.factory == r.config.factory && plain r' = plain r)
   in
   let cell =
     QCheck.Test.make ~count:200 ~name:"repro pp/load round-trip"
@@ -173,6 +203,18 @@ let test_malformed_corpus () =
          [ "tracking-nvm-repro v1"; "algo tracking"; "threads 2";
            "ops-per-thread 3"; "find-pct 140"; "key-range 8"; "prefill 4";
            "max-crashes 2"; "seed 7"; "error x"; "" ]);
+      ("threads above the thread limit", String.concat "\n"
+         [ "tracking-nvm-repro v1"; "algo tracking"; "threads 63";
+           "ops-per-thread 3"; "find-pct 30"; "key-range 8"; "prefill 4";
+           "max-crashes 2"; "seed 7"; "error x"; "" ]);
+      ("queue-model algorithm", String.concat "\n"
+         [ "tracking-nvm-repro v1"; "algo tracking-topic"; "threads 2";
+           "ops-per-thread 3"; "find-pct 30"; "key-range 8"; "prefill 4";
+           "max-crashes 2"; "seed 7"; "error x"; "" ]);
+      ("unknown algorithm", String.concat "\n"
+         [ "tracking-nvm-repro v1"; "algo nope"; "threads 2";
+           "ops-per-thread 3"; "find-pct 30"; "key-range 8"; "prefill 4";
+           "max-crashes 2"; "seed 7"; "error x"; "" ]);
       ("unknown field", header ^ "wibble 3\n");
       ("duplicate key", header ^ "threads 4\n");
       ("bad integer", "tracking-nvm-repro v1\nalgo tracking\nthreads two\n");
@@ -198,7 +240,7 @@ let test_malformed_corpus () =
    report — never silently re-randomize into a "successful" replay. *)
 let test_corrupted_schedule_diverges () =
   let cfg, seed, error, rounds = find_failure () in
-  let r = Crashes.repro_of cfg ~seed ~error ~rounds in
+  let r = { Repro.config = cfg; seed; error; rounds } in
   let corrupt (rd : Repro.round) =
     (* tid 61 exists in no campaign here: the entry can never be honored *)
     let s = Array.copy rd.Repro.schedule in
@@ -214,16 +256,95 @@ let test_corrupted_schedule_diverges () =
         true
         (starts_with ~prefix:"schedule divergence" e)
 
+(* A replay uses its whole tape: a round whose recorded schedule holds
+   more or fewer decisions than the round takes is not the recorded
+   execution, even when the recorded failure message comes out again. *)
+let test_tape_length_diverges () =
+  let cfg, seed, error, rounds = find_failure () in
+  let r = { Repro.config = cfg; seed; error; rounds } in
+  let edit_round0 f =
+    {
+      r with
+      Repro.rounds =
+        List.mapi
+          (fun i (rd : Repro.round) ->
+            if i = 0 then { rd with Repro.schedule = f rd.Repro.schedule }
+            else rd)
+          r.Repro.rounds;
+    }
+  in
+  List.iter
+    (fun (name, r, says) ->
+      match Crashes.replay r with
+      | Ok () -> Alcotest.failf "%s: replay passed" name
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: a divergence that %s (%s)" name says e)
+            true
+            (starts_with ~prefix:"schedule divergence" e
+            && contains ~sub:says e))
+    [
+      ("long tape", edit_round0 (fun s -> Array.append s [| 0; 1; 0; 1 |]),
+       "unused");
+      ( "short tape",
+        edit_round0 (fun s -> Array.sub s 0 (Array.length s - 1)),
+        "no entry" );
+    ]
+
+(* Every campaign rule, through the one validator: each refusal is one
+   line naming the field; the boundary values pass, and so does a
+   crash-free campaign ([repro stats --crashes 0]). *)
+let test_validate_names_each_field () =
+  let base = broken_cfg ~threads:2 ~ops:3 in
+  let workload f = { base with Crashes.workload = f base.Crashes.workload } in
+  let find_pct p = workload (fun w -> { w with mix = Workload.mix_of_find_pct p }) in
+  List.iter
+    (fun (what, cfg) ->
+      match Crashes.validate cfg with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s refused: %s" what e)
+    [
+      ("base", base);
+      ("crash-free", { base with max_crashes = 0 });
+      ("thread limit", { base with threads = Pmem.max_threads });
+      ("empty prefill", workload (fun w -> { w with prefill_n = 0 }));
+      ("all finds", find_pct 100);
+    ];
+  List.iter
+    (fun (field, cfg) ->
+      match Crashes.validate cfg with
+      | Ok () -> Alcotest.failf "%s accepted" field
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s on one line" e field)
+            true
+            (contains ~sub:field e && not (String.contains e '\n')))
+    [
+      ("threads", { base with threads = 0 });
+      ("threads", { base with threads = Pmem.max_threads + 1 });
+      ("ops-per-thread", { base with ops_per_thread = 0 });
+      ("max-crashes", { base with max_crashes = -1 });
+      ("key-range", workload (fun w -> { w with key_range = 0 }));
+      ("prefill", workload (fun w -> { w with prefill_n = -1 }));
+      ("find-pct", find_pct 101);
+      ("dist", workload (fun w -> { w with dist = Workload.skewed 0.8 }));
+      ("find-pct", find_pct (-1));
+      ( "FIFO queue backend",
+        { base with factory = Result.get_ok (Set_intf.by_name "tracking-topic") }
+      );
+    ]
+
 let test_shrink_minimizes () =
   let cfg, seed, error, rounds = find_failure () in
-  let r = Crashes.repro_of cfg ~seed ~error ~rounds in
+  let r = { Repro.config = cfg; seed; error; rounds } in
   let s = Crashes.shrink r in
+  let c = s.Repro.config in
   Alcotest.(check bool)
-    (Printf.sprintf "threads shrunk to %d" s.Repro.threads)
-    true (s.Repro.threads <= 2);
+    (Printf.sprintf "threads shrunk to %d" c.threads)
+    true (c.threads <= 2);
   Alcotest.(check bool)
-    (Printf.sprintf "ops/thread shrunk to %d" s.Repro.ops_per_thread)
-    true (s.Repro.ops_per_thread <= 4);
+    (Printf.sprintf "ops/thread shrunk to %d" c.ops_per_thread)
+    true (c.ops_per_thread <= 4);
   (* the shrinker may only adopt probes failing with the original bug *)
   let error_class e =
     match String.index_opt e ':' with Some i -> String.sub e 0 i | None -> e
@@ -298,6 +419,10 @@ let suite =
       test_malformed_corpus;
     Alcotest.test_case "corrupted schedule fails loudly" `Quick
       test_corrupted_schedule_diverges;
+    Alcotest.test_case "a tape longer or shorter than its round diverges"
+      `Quick test_tape_length_diverges;
+    Alcotest.test_case "campaign validator names each refused field" `Quick
+      test_validate_names_each_field;
     Alcotest.test_case "shrinker minimizes the counterexample" `Quick
       test_shrink_minimizes;
     Alcotest.test_case "trace is well-formed JSONL" `Quick

@@ -1001,8 +1001,9 @@ let test_golden_perf_many () =
        ~schedule:(record_tape (perf_bodies ()))
        (perf_bodies ()));
   (* A [`Random] tape replayed under [`Perf]: most picks are not the
-     root. *)
-  check_digest "perf replay, non-root picks" "c3e1902ae85c22af3073791ed598ef43"
+     root, and the run takes fewer decisions than the tape holds, so it
+     ends with each unused entry reported as a divergence ([div-1:tid]). *)
+  check_digest "perf replay, non-root picks" "499bce3cbd4885fe566bd64e1b282802"
     (sched_run ~policy:`Perf
        ~schedule:(record_tape ~policy:`Random ~seed:4 (perf_bodies ()))
        (perf_bodies ()))

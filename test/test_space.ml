@@ -91,19 +91,24 @@ let test_lower_bound_metadata () =
 
 (* ---- sweep conservation and campaign determinism ---------------------- *)
 
-let small_cfg =
-  Space.
-    {
-      threads = 3;
-      ops_per_thread = 25;
-      find_pct = 20;
-      key_range = 32;
-      prefill = 8;
-      max_crashes = 2;
-      seed = 7;
-    }
+let small_cfg factory =
+  {
+    Crashes.factory;
+    threads = 3;
+    ops_per_thread = 25;
+    workload =
+      {
+        Workload.mix = Workload.mix_of_find_pct 20;
+        key_range = 32;
+        prefill_n = 8;
+        dist = Workload.Uniform;
+      };
+    max_crashes = 2;
+  }
 
-let variants = Set_intf.[ tracking; memento_list ]
+let seed = 7
+
+let variants = List.map small_cfg Set_intf.[ tracking; memento_list ]
 
 let test_sweep_conservation () =
   List.iter
@@ -123,17 +128,17 @@ let test_sweep_conservation () =
             Alcotest.failf "%s: lower-bound check failed" name;
           if s.Space.sv_ops <= 0 then
             Alcotest.failf "%s: no completed ops recorded" name)
-    (Space.campaign small_cfg variants)
+    (Space.campaign ~seed variants)
 
 let test_campaign_byte_identity () =
   let render rs =
-    ( Space.render_text small_cfg rs,
-      Space.render_json small_cfg rs,
+    ( Space.render_text (List.hd variants) ~seed rs,
+      Space.render_json (List.hd variants) ~seed rs,
       Space.render_csv rs )
   in
-  let t1, j1, c1 = render (Space.campaign ~jobs:1 small_cfg variants) in
-  let t1', j1', c1' = render (Space.campaign ~jobs:1 small_cfg variants) in
-  let t4, j4, c4 = render (Space.campaign ~jobs:4 small_cfg variants) in
+  let t1, j1, c1 = render (Space.campaign ~jobs:1 ~seed variants) in
+  let t1', j1', c1' = render (Space.campaign ~jobs:1 ~seed variants) in
+  let t4, j4, c4 = render (Space.campaign ~jobs:4 ~seed variants) in
   Alcotest.(check string) "text replay-stable" t1 t1';
   Alcotest.(check string) "json replay-stable" j1 j1';
   Alcotest.(check string) "csv replay-stable" c1 c1';

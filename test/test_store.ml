@@ -232,6 +232,13 @@ let test_words_per_request () =
 
 (* -- serve repro files ---------------------------------------------------- *)
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 let with_temp_file f =
   let path = Filename.temp_file "tracking-nvm-serve" ".tmp" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -344,6 +351,10 @@ let test_store_repro_malformed_corpus () =
       ("bad migrate plan", set "migrate" "0 3 2");
       ("bad schedule", set "schedule" "0,one,2");
       ("negative failover-ns", set "failover-ns" "-1");
+      ("negative restart-ns", set "restart-ns" "-1");
+      ("zero open-loop-ns", set "open-loop-ns" "0");
+      ("crash dispatch 0", set "crash" "both 0 1 0");
+      ("negative crash request count", set "crash" "after 1 -1");
       ("unknown algorithm", set "algo" "nope");
       ("unknown backend", set "backends" "tracking,nope");
       ("crash shard out of range", set "crash" "after 7 5");
@@ -365,7 +376,98 @@ let test_store_repro_malformed_corpus () =
       match load contents with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s: accepted" name)
-    cases
+    cases;
+  (* a negative release point is refused as such, not as a source *)
+  match load (set "migrate" "0 -1 0") with
+  | Error e ->
+      Alcotest.(check string) "negative migrate-after"
+        "store: migrate-after must be >= 0" e
+  | Ok _ -> Alcotest.fail "negative migrate-after: accepted"
+
+(* Every serve rule, through the one validator: each refusal is one line
+   naming the field, and the boundary values pass. *)
+let test_validate_names_each_field () =
+  let base = cfg () in
+  let workload f = { base with Store.workload = f base.Store.workload } in
+  let crash plan = { base with crash = Some plan } in
+  let migrate m_after =
+    { base with migrate = Some { Store.msrc = 0; m_after; m_broken = false } }
+  in
+  List.iter
+    (fun (what, c) ->
+      match Store.validate c with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s refused: %s" what e)
+    [
+      ("base", base);
+      ("instant restart", { base with restart_ns = 0.; failover_ns = 0. });
+      ("empty prefill", workload (fun w -> { w with prefill_n = 0 }));
+      ("crash at once", crash (After_requests { victim = 0; requests = 0 }));
+      ("first dispatch", crash (At_dispatch { victim = 0; dispatch = 1 }));
+      ("migrate at once", migrate 0);
+    ];
+  List.iter
+    (fun (field, c) ->
+      match Store.validate c with
+      | Ok () -> Alcotest.failf "%s accepted" field
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s on one line" e field)
+            true
+            (contains ~sub:field e && not (String.contains e '\n')))
+    [
+      ("key-range", workload (fun w -> { w with key_range = 0 }));
+      ("prefill", workload (fun w -> { w with prefill_n = -1 }));
+      ( "find-pct",
+        workload (fun w -> { w with mix = Workload.mix_of_find_pct 101 }) );
+      ("restart-ns", { base with restart_ns = -1. });
+      ("restart-ns", { base with restart_ns = Float.nan });
+      ("failover-ns", { base with failover_ns = -1. });
+      ("open-loop-ns", { base with open_loop_ns = Some 0. });
+      ("crash-after", crash (After_requests { victim = 0; requests = -1 }));
+      ("crash-dispatch", crash (At_dispatch { victim = 0; dispatch = 0 }));
+      ("crash-dispatch", crash (Both_at_dispatch { a = 0; b = 1; dispatch = 0 }));
+      ( "crash-dispatch",
+        crash (Cascade { first = 0; second = 1; dispatch = -2 }) );
+      ("migrate-after", migrate (-1));
+    ]
+
+(* A serve replay uses its whole tape: a schedule with entries the run
+   never reaches, or one that ends before the run does, diverges, both
+   for a run that ends and for one that raises (a poisoned read). *)
+let test_tape_length_diverges () =
+  let passing =
+    Store.failure_of
+      {
+        (cfg ()) with
+        Store.crash = Some (Store.After_requests { victim = 1; requests = 20 });
+      }
+      "none"
+  in
+  List.iter
+    (fun (what, (r : Store.failure)) ->
+      (match Store.replayed r with
+      | Repro.Diverged e ->
+          Alcotest.failf "%s: faithful replay diverged: %s" what e
+      | Repro.Passed | Repro.Failed _ -> ());
+      List.iter
+        (fun (edit, schedule) ->
+          match Store.replayed { r with schedule } with
+          | Repro.Diverged e ->
+              Alcotest.(check bool) (what ^ ", " ^ edit ^ ": " ^ e) true
+                (contains ~sub:"schedule divergence" e)
+          | Repro.Passed | Repro.Failed _ ->
+              Alcotest.failf "%s, %s: not reported as a divergence" what edit)
+        [
+          ("long tape", Array.append r.schedule [| 0; 1; 0 |]);
+          ("short tape", Array.sub r.schedule 0 (Array.length r.schedule - 5));
+        ])
+    [
+      ("passing", passing);
+      ( "poisoned",
+        let config, error, schedule = broken_failure () in
+        { Store.config; error; schedule } );
+    ]
 
 (* -- bounded crash-point exploration --------------------------------------- *)
 
@@ -454,6 +556,10 @@ let suite =
       test_store_repro_rejects_garbage;
     Alcotest.test_case "serve repro rejects a malformed corpus" `Quick
       test_store_repro_malformed_corpus;
+    Alcotest.test_case "store validator names each refused field" `Quick
+      test_validate_names_each_field;
+    Alcotest.test_case "a serve tape longer or shorter than its run diverges"
+      `Quick test_tape_length_diverges;
     Alcotest.test_case "explore clean on tracking" `Quick
       test_explore_clean_on_tracking;
     Alcotest.test_case "explore catches the broken variant" `Quick
