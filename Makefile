@@ -71,17 +71,21 @@ serve-smoke:
 # Refusals: a config no run could use is a usage error, refused before
 # anything runs as one line with exit 2 and no OCaml exception — from
 # each command's flags, and from a repro file of either kind with one
-# field edited (the shipped campaign repro; a minimal serve repro, which
-# loads and replays as a passing serve unedited).
+# line edited: in the shipped campaign repro, the line that starts like
+# the edit up to its last word ("round recover 0 -" empties the
+# recovery round's schedule); in a minimal serve repro, which loads and
+# replays as a passing serve unedited, the line that starts with the
+# edit's first word.
 REFUSED_FLAGS = "crash -t 0" "crash -t 70" "crash --keys 0" \
   "crash --ops 0 --seeds 1" "explore -t 2 --ops 0" "explore --prefill=-2" \
   "space --find-pct 150" "serve --keys 0 --ops 5" \
   "serve --crash-both 0,1 --crash-dispatch 0 --ops 10" \
   "serve --restart-ns=-5" "serve --failover-ns=-5" "serve --open-loop 0" \
-  "serve --migrate 0 --migrate-after=-1"
+  "serve --migrate 0 --migrate-after=-1" "causal -t 0 --ops 5" \
+  "causal -t 70 --ops 5" "causal --ops 0 -t 2" "sweep -t 0" "sweep -t 70"
 REFUSED_CAMPAIGN = "threads 70" "threads 0" "ops-per-thread 0" \
   "key-range 0" "prefill -2" "find-pct 150" "max-crashes 0" \
-  "algo tracking-topic" "algo nope"
+  "algo tracking-topic" "algo nope" "round recover 0 -"
 REFUSED_SERVE = "key-range 0" "prefill -1" "find-pct 150" "restart-ns -5" \
   "failover-ns -5" "open-loop-ns 0" "crash dispatch 1 0" "crash after 1 -1" \
   "migrate 0 -1 0" "algo nope"
@@ -95,7 +99,7 @@ REFUSED = > _build/refusal.txt 2>&1; test $$? -eq 2 || exit 1; \
 refusal-smoke:
 	for a in $(REFUSED_FLAGS); do dune exec bin/repro.exe -- $$a \
 	  $(REFUSED); done
-	for f in $(REFUSED_CAMPAIGN); do sed "s/^$${f%% *} .*/$$f/" \
+	for f in $(REFUSED_CAMPAIGN); do sed "s/^$${f% *} .*/$$f/" \
 	  repros/tracking-broken.repro > _build/refusal.repro; \
 	  dune exec bin/repro.exe -- replay _build/refusal.repro $(REFUSED); done
 	printf '%s\n' $(SERVE_REPRO) > _build/refusal-serve.repro

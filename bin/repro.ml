@@ -225,6 +225,9 @@ let sweep_cmd =
   in
   let run algo mix threads duration =
     List.iter
+      (fun n -> valid (Runner.validate ~threads:n ~duration_ns:duration))
+      threads;
+    List.iter
       (fun n ->
         let p =
           Runner.measure ~duration_ns:duration algo ~threads:n
@@ -676,6 +679,7 @@ let causal_cmd =
           | None -> base.Causal.mechanisms);
       }
     in
+    valid (Causal.validate cfg);
     let p = Causal.profile ~jobs:(resolve_jobs jobs) cfg in
     (* --json - owns stdout; the table and "wrote" notices move aside. *)
     let notice = if json = Some "-" then Format.eprintf else Format.printf in

@@ -66,6 +66,13 @@ let default_mechanisms =
     "cas_drains_wb";
   ]
 
+let validate cfg =
+  Result.map_error (( ^ ) "causal: ")
+    (Result.bind
+       (Workload.validate_counts ~threads:cfg.threads
+          ~ops_per_thread:cfg.ops_per_thread)
+       (fun () -> Workload.validate cfg.workload))
+
 let default_config factory mix =
   {
     factory;

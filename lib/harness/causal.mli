@@ -64,6 +64,12 @@ type config = {
   mechanisms : string list;  (** {!Nvm.Cost} knob names to sweep *)
 }
 
+val validate : config -> (unit, string) result
+(** [Error] names, on one line, the field no profile could run: threads
+    outside [1..Pmem.max_threads], no op per thread, or a workload
+    {!Workload.validate} refuses.  [repro causal] refuses a config
+    through it; {!profile} assumes a config it accepts. *)
+
 val default_config : Set_intf.factory -> Workload.mix -> config
 (** 16 threads × 250 ops, update-style key range 500, factors
     [0×/0.5×/2×], all sites and categories, and the persistence- and

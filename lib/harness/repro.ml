@@ -145,14 +145,20 @@ let validate cfg =
          "%s is a FIFO queue backend: campaigns check set semantics; run it \
           as a serve backend"
          cfg.factory.Set_intf.fname)
-  else if cfg.threads < 1 || cfg.threads > Pmem.max_threads then
-    campaign (Printf.sprintf "threads must be in 1..%d" Pmem.max_threads)
-  else if cfg.ops_per_thread < 1 then campaign "ops-per-thread must be >= 1"
-  else if cfg.max_crashes < 0 then campaign "max-crashes must be >= 0"
-  else if cfg.workload.dist <> Workload.Uniform then
-    (* the file has no field for it: the repro would replay uniform keys *)
-    campaign "dist must be uniform"
-  else Result.map_error (( ^ ) "campaign: ") (Workload.validate cfg.workload)
+  else
+    match
+      Workload.validate_counts ~threads:cfg.threads
+        ~ops_per_thread:cfg.ops_per_thread
+    with
+    | Error msg -> campaign msg
+    | Ok () ->
+        if cfg.max_crashes < 0 then campaign "max-crashes must be >= 0"
+        else if cfg.workload.dist <> Workload.Uniform then
+          (* the file has no field for it: the repro would replay uniform
+             keys *)
+          campaign "dist must be uniform"
+        else
+          Result.map_error (( ^ ) "campaign: ") (Workload.validate cfg.workload)
 
 (* ---- campaign repros --------------------------------------------------- *)
 
@@ -233,15 +239,21 @@ let load path =
   let* max_crashes = required fs "max-crashes" int in
   let* seed = field fs "seed" ~default:0 int in
   let* error = field fs "error" ~default:"" Result.ok in
-  let rec rounds = function
+  (* Every recorded round dispatches each thread at least once, so its
+     schedule is never empty; a round without one would replay on free
+     rng decisions, not the recorded ones. *)
+  let rec rounds i = function
     | [] -> Ok []
     | ("round", v) :: rest ->
         let* rd = round_of_string v in
-        let* rds = rounds rest in
-        Ok (rd :: rds)
-    | _ :: rest -> rounds rest
+        if rd.schedule = [||] then
+          Error (Printf.sprintf "repro: round %d has an empty schedule" i)
+        else
+          let* rds = rounds (i + 1) rest in
+          Ok (rd :: rds)
+    | _ :: rest -> rounds i rest
   in
-  let* rounds = rounds fs in
+  let* rounds = rounds 0 fs in
   let workload =
     { (Workload.default (Workload.mix_of_find_pct find_pct)) with
       key_range; prefill_n }

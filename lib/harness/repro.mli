@@ -119,9 +119,12 @@ val save : string -> t -> unit
 
 val load : string -> (t, string) result
 (** Parse, resolve and {e validate}: files with unknown or duplicate
-    fields, a missing required field, bad round lines, an algorithm no
-    factory has, a configuration {!validate} refuses, or a crash budget
-    below 1 are rejected — a vacuous config would "replay" successfully
-    while reproducing nothing. *)
+    fields, a missing required field, bad round lines, a round with an
+    empty schedule (every recorded round picks each thread at least
+    once; only an in-memory script leaves a round unscripted, as the
+    shrinker's forced-crash probes do), an algorithm no factory has, a
+    configuration {!validate} refuses, or a crash budget below 1 are
+    rejected — a vacuous config would "replay" successfully while
+    reproducing nothing. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,6 +16,13 @@ type point = {
   lat_max_ns : float;
 }
 
+let validate ~threads ~duration_ns =
+  match Pmem.validate_threads threads with
+  | Error msg -> Error ("throughput: " ^ msg)
+  | Ok () when not (duration_ns > 0.) ->
+      Error "throughput: duration-ns must be > 0"
+  | Ok () -> Ok ()
+
 let measure ?(duration_ns = 400_000.) ?(seed = 1) ?(prepare = fun () -> ())
     factory ~threads workload =
   Pmem.reset_pending ();

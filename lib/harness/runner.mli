@@ -24,6 +24,12 @@ type point = {
   lat_max_ns : float;
 }
 
+val validate : threads:int -> duration_ns:float -> (unit, string) result
+(** [Error] names, on one line, the argument no measurement could use:
+    threads outside [1..Pmem.max_threads] or a duration that is not
+    positive.  [repro sweep] checks every point through it before
+    measuring any; {!measure} assumes arguments it accepts. *)
+
 val measure :
   ?duration_ns:float ->
   ?seed:int ->

@@ -38,6 +38,12 @@ let validate cfg =
   else if cfg.prefill_n < 0 then Error "prefill must be >= 0"
   else Ok ()
 
+let validate_counts ~threads ~ops_per_thread =
+  match Pmem.validate_threads threads with
+  | Error _ as e -> e
+  | Ok () ->
+      if ops_per_thread < 1 then Error "ops-per-thread must be >= 1" else Ok ()
+
 (* The Uniform path must draw exactly what the historical generator drew
    (one [Random.State.int]): recorded campaign repros replay the rng
    stream, and a changed draw sequence would silently diverge them. *)

@@ -44,6 +44,12 @@ val validate : config -> (unit, string) result
     0..100, key-range below 1 or a negative prefill.  The campaign and
     store validators check their workload through it. *)
 
+val validate_counts : threads:int -> ops_per_thread:int -> (unit, string) result
+(** [Error] names the count no closed-loop run of [ops_per_thread] ops
+    on each of [threads] threads could use: threads refused by
+    {!Pmem.validate_threads}, or no op per thread.  The campaign and
+    causal-profile validators check their counts through it. *)
+
 val gen_key : Random.State.t -> config -> int
 (** Draw one key from [config.dist].  The [Uniform] path consumes exactly
     one [Random.State.int] — the historical draw sequence — so existing

@@ -2,6 +2,11 @@ exception Poisoned of string
 
 let max_threads = 62
 
+let validate_threads n =
+  if n < 1 || n > max_threads then
+    Error (Printf.sprintf "threads must be in 1..%d" max_threads)
+  else Ok ()
+
 type trace_event =
   | Read of { tid : int; line : string; hit : bool }
   | Write of { tid : int; line : string; hit : bool; invalidated : int }

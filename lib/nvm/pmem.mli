@@ -26,6 +26,11 @@ exception Poisoned of string
 val max_threads : int
 (** Maximum logical threads supported by the sharer bitmaps (62). *)
 
+val validate_threads : int -> (unit, string) result
+(** [Error "threads must be in 1..62"] for a thread count outside
+    [1..max_threads].  The one home of that rule: {!Pvar.make} and every
+    validator of a run's thread count check through it. *)
+
 (** {1 Observability}
 
     Pmem publishes on the {!Sim} observer bus: every memory access,

@@ -4,8 +4,9 @@ let init_site = Pstats.make Pwb "pvar.init"
 let init_sync = Pstats.make Psync "pvar.init.psync"
 
 let make ?(name = "pvar") h ~threads v =
-  if threads < 1 || threads > Pmem.max_threads then
-    invalid_arg "Pvar.make: thread count out of range";
+  (match Pmem.validate_threads threads with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Pvar.make: " ^ msg));
   let cells =
     Array.init threads (fun i ->
         Pmem.alloc ~name:(Printf.sprintf "%s[%d]" name i) h v)

@@ -13,20 +13,21 @@ type trace_event =
 type event = ..
 type event += Engine of trace_event
 
-type status = Done | Suspended
-
+(* Each arm of a fiber's handler dispatches the next fiber itself (see
+   [dispatch]) and returns only once no fiber is ready: a fiber's
+   computation and its arms return [unit]. *)
 type fiber =
-  | Thunk of (unit -> status)
-  | Cont of (unit, status) Effect.Deep.continuation
+  | Thunk of (unit -> unit)
+  | Cont of (unit, unit) Effect.Deep.continuation
   | Poll of {
-      k : (unit, status) Effect.Deep.continuation;
+      k : (unit, unit) Effect.Deep.continuation;
       period : float;
       cond : unit -> bool;
     }
       (* suspended in [poll_while]: the scheduler re-checks [cond] at
          each dispatch and resumes [k] only once it fails *)
   | Woken of {
-      k : (unit, status) Effect.Deep.continuation;
+      k : (unit, unit) Effect.Deep.continuation;
       exn : exn option;
     }
       (* a [Poll] fiber whose last dispatch ran in the ready heap
@@ -35,14 +36,14 @@ type fiber =
 
 (* A fiber value for unoccupied slots, so the slot table can be a plain
    (non-option) array: reading it is a bug caught by slot_tid = -1. *)
-let dummy_fiber = Thunk (fun () -> Done)
+let dummy_fiber = Thunk ignore
 
 (* The running-fiber view (sim.mli): what the memory model reads on every
    simulated instruction, as plain fields.  [running] and [tid] say which
-   fiber is executing: the dispatch loop sets them around each dispatch,
-   and a switching step clears them while its hooks run.  Both are
-   immediates, so neither costs a write barrier.  The arrays are the
-   domain's engine's. *)
+   fiber is executing: [dispatch] clears them while it decides and sets
+   them for the fiber it resumes, and a switching step clears them while
+   its hooks run.  Both are immediates, so neither costs a write barrier.
+   The arrays are the domain's engine's. *)
 type view = {
   mutable running : bool;
   mutable tid : int;
@@ -103,6 +104,9 @@ type engine = {
   mutable step_limit : int; (* -1 = unlimited *)
   mutable crashing : bool;
   mutable aborting : bool; (* step limit hit: tear every fiber down *)
+  (* [teardown] is unwinding the queued fibers: one that ends now
+     returns to it instead of dispatching the next *)
+  mutable tearing : bool;
   (* Replay: tids to pick at each random-policy scheduling decision,
      recorded by [record] in an earlier run.  A replay entry whose tid is
      not ready is a divergence: it is reported through [divergence] and
@@ -136,11 +140,10 @@ type engine = {
   (* The decision a switching step took before suspending (see
      [switch_point]): [handoff] is the picked ready index and
      [handoff_seq] the insertion seq the step took for the yielder, for
-     the [Yield] handler, which requeues the yielder, removes the pick
-     and leaves its slot in [next_slot] for the loop (-1 = none). *)
+     the [Yield] handler, which requeues the yielder and switches to
+     the pick ([requeue_and_switch]). *)
   mutable handoff : int;
   mutable handoff_seq : int;
-  mutable next_slot : int;
   (* Per-fiber fault injection: an exception delivered to one fiber at
      its next resumption, leaving every other fiber running — the
      primitive behind shard-local crashes (Harness.Store).  [pending_intr]
@@ -162,7 +165,7 @@ let yield_stride = 16
 let expensive_threshold = 10.0
 
 (* ---- the observer bus ----------------------------------------------------
-   The subscriber list lives on the view, which the dispatch loop and every
+   The subscriber list lives on the view, which [dispatch] and every
    Pmem instruction already hold: with nobody subscribed, an emitter pays
    one field load and constructs nothing. *)
 
@@ -452,46 +455,16 @@ let push e tid fiber seq =
 
 let enqueue e tid fiber = push e tid fiber (take_seq e)
 
-(* Requeue yielder [i] as [fiber] under the seq [seq] its switching step
-   took, and take the ready entry [r] that the step picked before
-   suspending; returns the pick's slot.  Under [`Random] the requeue
-   comes first: [push] appends without sifting, so [r] still names the
-   pick, and the yielder fills its hole exactly as [enqueue] then
-   [dequeue] would leave it — the uniform draws index this layout.
-   Under [`Perf] every decision is by clock order or by tid, so the
-   layout is unobservable.  A root pick, the usual case, hands the root
-   to the yielder, which sifts down once; any other pick must leave
-   before the push can move it.  Either way the yielder gets the slot
-   [enqueue] would give it. *)
-let requeue_and_take e i fiber r seq =
-  match e.policy with
-  | `Random ->
-      push e i fiber seq;
-      remove_at e r
-  | `Perf when r = 0 ->
-      let slot = take_slot e i fiber in
-      let picked = e.ready_slot.(0) in
-      sift_down e 0 e.clocks.(i) seq slot;
-      picked
-  | `Perf ->
-      let slot = remove_at e r in
-      push e i fiber seq;
-      slot
+(* Tell [record] which tid is dispatched next. *)
+let record_pick e tid = match e.record with None -> () | Some f -> f tid
 
-(* Pick the next fiber to dispatch — the one a switching step already
-   picked, if any; returns its slot — the caller reads
-   [slot_tid]/[slot_fiber] and then frees the slot with [release]. *)
+(* Decide the next fiber to dispatch and take it from the ready heap;
+   returns its slot — the caller reads [slot_tid]/[slot_fiber] and then
+   frees the slot with [release]. *)
 let dequeue e =
-  let slot =
-    if e.next_slot >= 0 then begin
-      let s = e.next_slot in
-      e.next_slot <- -1;
-      s
-    end
-    else remove_at e (decide e (-1))
-  in
+  let slot = remove_at e (decide e (-1)) in
   assert (e.slot_tid.(slot) >= 0);
-  (match e.record with None -> () | Some f -> f e.slot_tid.(slot));
+  record_pick e e.slot_tid.(slot);
   slot
 
 let release e slot =
@@ -537,8 +510,8 @@ let stop_crashed = Some Crashed
    call does not return.  Both bounds use the same comparison so the
    explorer's crash-point enumeration is exact.  On [Step_limit] the
    fiber unwinds where it is raised (its finalizers run); [exnc]
-   re-raises into the dispatch loop, which tears the remaining fibers
-   down before letting Step_limit escape. *)
+   re-raises it out of the dispatch chain into [run], which tears the
+   remaining fibers down before letting Step_limit escape. *)
 let settle e i =
   e.clocks.(i) <- e.clocks.(i) +. e.pending.(i);
   e.pending.(i) <- 0.;
@@ -561,8 +534,8 @@ let count_dispatch e i =
   e.dispatch_counts.(i) <- e.dispatch_counts.(i) + 1
 
 (* The dispatch of fiber [i] that a switching step decided in place:
-   the same tracing, counting and interrupt delivery as the loop's
-   dispatch of a suspended fiber. *)
+   the same tracing, counting and interrupt delivery as [dispatch]'s
+   resumption of a suspended fiber. *)
 let redispatch e i =
   count_dispatch e i;
   match due_interrupt e i with None -> () | Some exn -> raise exn
@@ -586,15 +559,11 @@ let poll_tick e i fiber =
           | exception exn -> Woken { k; exn = Some exn }))
   | Thunk _ | Cont _ | Woken _ -> assert false
 
-let resume k = function
-  | None -> ignore (Effect.Deep.continue k () : status)
-  | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
-
 let[@inline] poll_at_root e =
   match e.slot_fiber.(e.ready_slot.(0)) with Poll _ -> true | _ -> false
 
 (* The dispatch of the root poller, run in the ready heap: traced and
-   counted as the loop's, on the poller's view.  While the poller keeps
+   counted as [dispatch]'s, on the poller's view.  While the poller keeps
    waiting it is re-keyed in place — the seq [enqueue] would give it and
    one sift-down, with no dequeue, slot release or push; a woken poller
    stays at the root as [Woken] with its outcome.  Returns whether it
@@ -615,7 +584,7 @@ let retick e =
   end
 
 (* A quiet engine's switching step of fiber [i], requeued at
-   [(clocks.(i), seq)], after which the loop would dispatch the root
+   [(clocks.(i), seq)], after which [dispatch] would dispatch the root
    while it precedes [i]: each such dispatch of a poller is a [retick]
    run here, in heap order.  Returns whether [i] is then first; if not,
    the root is the fiber to hand off to. *)
@@ -638,13 +607,13 @@ let hand_off e r seq =
    entry, [choose] call or rng draw is consumed twice.  Past the tape,
    [keep] is asked first, and a [true] is a pick of the fiber itself
    with no decision taken.  The hooks ([keep], [record], [choose],
-   [divergence]) run outside the fiber, as they do in the loop — the
+   [divergence]) run outside the fiber, as they do in [dispatch] — the
    view says no fiber is running while they do — and an exception they
-   raise surfaces in the loop too.  A [quiet] engine (no tape) runs no
-   hook, so the fiber stays current while it decides; a pick
-   other than the fiber is then the heap's root, and the step runs the
-   idle dispatches of the pollers that precede its requeue itself
-   ([first_after_pollers]): when that leaves the fiber first, it
+   raise escapes [run] as one raised in [dispatch] does.  A [quiet]
+   engine (no tape) runs no hook, so the fiber stays current while it
+   decides; a pick other than the fiber is then the heap's root, and the
+   step runs the idle dispatches of the pollers that precede its requeue
+   itself ([first_after_pollers]): when that leaves the fiber first, it
    continues in place. *)
 let switch_point e i =
   (match settle e i with None -> () | Some exn -> raise exn);
@@ -680,37 +649,136 @@ let switch_point e i =
 
 (* ---- the engine ----------------------------------------------------- *)
 
+(* Dispatch is handler-driven.  Every turn of a fiber ends in an arm of
+   its [handler] — a hand-off, the start of a wait, a return or a crash —
+   and that arm dispatches the next fiber itself, in tail position, as
+   [dispatch] and [switch_to] do: a [continue] or [discontinue] of a
+   continuation, or the start of a thunk.  [run] calls [dispatch] once,
+   and the call returns only when no fiber is ready, so the stack the
+   arms run on stays at the depth [run] left it however many turns the
+   fibers take. *)
+
+(* Switch to tid [i]'s [fiber], just taken from the ready heap: resume,
+   discontinue or start it. *)
+let rec switch_to e i fiber =
+  enter e.view i;
+  match fiber with
+  (* dispatched already; nothing runs between its [retick] and here, so
+     a crash since then is its own *)
+  | Woken { k; exn = None } -> Effect.Deep.continue k ()
+  | Woken { k; exn = Some exn } -> Effect.Deep.discontinue k exn
+  (* never started: nothing volatile to unwind *)
+  | Thunk _ when e.crashing -> dispatch e
+  | (Cont k | Poll { k; _ }) when e.crashing ->
+      Effect.Deep.discontinue k Crashed
+  | Thunk f ->
+      count_dispatch e i;
+      f ()
+  | Cont k -> (
+      count_dispatch e i;
+      (* Fault injection is delivered at a resumption only: a Thunk has
+         not installed its handlers yet, so an exception raised into it
+         would escape the whole run instead of reaching the fiber's own
+         recovery path.  A due interrupt stays armed until the fiber
+         next suspends. *)
+      match due_interrupt e i with
+      | Some exn -> Effect.Deep.discontinue k exn
+      | None -> Effect.Deep.continue k ())
+  | Poll _ -> (
+      count_dispatch e i;
+      match poll_tick e i fiber with
+      | Woken _ as woken -> switch_to e i woken
+      | _ ->
+          enqueue e i fiber;
+          dispatch e)
+
+(* Dispatch the next ready fiber; return once none is left.  A quiet
+   engine dispatches the root: a waiting poller there is dispatched in
+   place. *)
+and dispatch e =
+  leave e.view;
+  if e.ready_len > 0 then
+    if e.quiet && (not e.crashing) && poll_at_root e then begin
+      ignore (retick e : bool);
+      dispatch e
+    end
+    else switch_to_slot e (dequeue e)
+
+(* Free [slot], just taken from the ready heap, and switch to its fiber. *)
+and switch_to_slot e slot =
+  let i = e.slot_tid.(slot) and fiber = e.slot_fiber.(slot) in
+  release e slot;
+  switch_to e i fiber
+
+(* Requeue yielder [i] as [fiber] under the seq [seq] its switching step
+   took, and switch to the ready entry [r] that the step picked before
+   suspending, once [record] has heard of it outside any fiber.  Under
+   [`Random] the requeue comes first: [push] appends without sifting, so
+   [r] still names the pick, and the yielder fills its hole exactly as
+   [enqueue] then [dequeue] would leave it — the uniform draws index this
+   layout.  Under [`Perf] every decision is by clock order or by tid, so
+   the layout is unobservable.  A root pick, the usual case and the only
+   one a quiet step makes, gives the yielder its slot: the yielder sifts
+   down from the root once, and no slot is taken or freed (slot
+   numbering is unobservable, see [before]).  Any other pick must leave
+   before the push can move it. *)
+let requeue_and_switch e i fiber r seq =
+  leave e.view;
+  match e.policy with
+  | `Perf when r = 0 ->
+      let slot = e.ready_slot.(0) in
+      let j = e.slot_tid.(slot) and picked = e.slot_fiber.(slot) in
+      e.slot_tid.(slot) <- i;
+      e.slot_fiber.(slot) <- fiber;
+      sift_down e 0 e.clocks.(i) seq slot;
+      record_pick e j;
+      switch_to e j picked
+  | `Random ->
+      push e i fiber seq;
+      let slot = remove_at e r in
+      record_pick e e.slot_tid.(slot);
+      switch_to_slot e slot
+  | `Perf ->
+      let slot = remove_at e r in
+      push e i fiber seq;
+      record_pick e e.slot_tid.(slot);
+      switch_to_slot e slot
+
 (* Fiber [i]'s effect handler: built once per engine, like everything it
-   closes over. *)
-let handler e i : (unit, status) Effect.Deep.handler =
+   closes over.  Once [teardown] has begun, a fiber that ends returns to
+   it instead. *)
+let handler e i : (unit, unit) Effect.Deep.handler =
   (* The [Yield] response is allocated once per fiber, not per effect:
      matching [Yield] refines [a = unit], so this one value fits.  The
      yielding step has already settled (see [switch_point]). *)
   let on_yield =
     Some
-      (fun (k : (unit, status) Effect.Deep.continuation) ->
-        e.next_slot <- requeue_and_take e i (Cont k) e.handoff e.handoff_seq;
-        Suspended)
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        requeue_and_switch e i (Cont k) e.handoff e.handoff_seq)
   in
   {
-    retc = (fun () -> Done);
-    exnc = (fun exn -> match exn with Crashed -> Done | exn -> raise exn);
+    retc = (fun () -> if not e.tearing then dispatch e);
+    exnc =
+      (fun exn ->
+        match exn with
+        | Crashed -> if not e.tearing then dispatch e
+        | exn -> raise exn);
     effc =
       (fun (type a) (eff : a Effect.t) :
-           ((a, status) Effect.Deep.continuation -> status) option ->
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
         match eff with
         | Yield -> on_yield
         | Poll_yield (period, cond) ->
             Some
-              (fun (k : (a, status) Effect.Deep.continuation) ->
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
                 match settle e i with
                 | None ->
                     enqueue e i (Poll { k; period; cond });
-                    Suspended
+                    dispatch e
                 | Some exn -> Effect.Deep.discontinue k exn)
         | Yield_raise exn ->
             Some
-              (fun (k : (a, status) Effect.Deep.continuation) ->
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
                 enqueue e i (Cont k);
                 raise exn)
         | _ -> None);
@@ -743,6 +811,7 @@ let build view n =
       step_limit = -1;
       crashing = false;
       aborting = false;
+      tearing = false;
       replay = [||];
       replay_pos = 0;
       record = None;
@@ -755,7 +824,6 @@ let build view n =
       tid_bufs = Array.make (n + 1) [||];
       handoff = -1;
       handoff_seq = -1;
-      next_slot = -1;
       pending_intr = Array.make m None;
       intr_sched = Array.make m [];
       dispatch_counts = Array.make m 0;
@@ -809,9 +877,9 @@ let reset e ~policy ~seed ~crash_at ~step_limit ~schedule ~record ~divergence
   e.steps <- 0;
   e.crashing <- false;
   e.aborting <- false;
+  e.tearing <- false;
   e.handoff <- -1;
   e.handoff_seq <- -1;
-  e.next_slot <- -1;
   e.view.stride <- (match policy with `Perf -> yield_stride | `Random -> 1)
 
 (* All ambient engine state is domain-local: each OCaml 5 domain may host
@@ -928,7 +996,7 @@ let step cost = step_as ~switch:cost cost
 
 (* [poll_while ~period cond] = [while cond () do step period done].  When
    that step would always switch, the fiber suspends once as a [Poll]
-   fiber and the scheduler runs the idle re-checks itself (see [loop]):
+   fiber and the scheduler runs the idle re-checks itself (see [switch_to]):
    an idle tick then costs a [cond] call instead of an effect-handler
    round trip.  Otherwise (a cheap period under [`Perf], which batches)
    the plain loop is the only exact rendering. *)
@@ -974,56 +1042,13 @@ let request_crash () =
 
 (* ---- the driver ------------------------------------------------------ *)
 
-let rec loop (e : engine) =
-  if e.ready_len > 0 then begin
-    let v = e.view in
-    (* a quiet engine dispatches the root: a waiting poller there is
-       dispatched in place *)
-    if
-      e.quiet && e.next_slot < 0 && (not e.crashing) && poll_at_root e
-    then ignore (retick e : bool)
-    else begin
-      let slot = dequeue e in
-      let i = e.slot_tid.(slot) in
-      let fiber = e.slot_fiber.(slot) in
-      release e slot;
-      enter v i;
-      match fiber with
-      | Woken { k; exn } ->
-          (* dispatched already; nothing runs between its [retick] and
-             here, so a crash since then is its own *)
-          resume k exn
-      | Thunk _ when e.crashing -> () (* never started: nothing volatile to unwind *)
-      | (Cont k | Poll { k; _ }) when e.crashing ->
-          ignore (Effect.Deep.discontinue k Crashed : status)
-      | Thunk f ->
-          count_dispatch e i;
-          ignore (f () : status)
-      | Cont k -> (
-          count_dispatch e i;
-          (* Fault injection is delivered at a resumption only: a Thunk
-             has not installed its handlers yet, so an exception raised
-             into it would escape the whole run instead of reaching the
-             fiber's own recovery path.  A due interrupt stays armed
-             until the fiber next suspends. *)
-          match due_interrupt e i with
-          | Some exn -> ignore (Effect.Deep.discontinue k exn : status)
-          | None -> ignore (Effect.Deep.continue k () : status))
-      | Poll _ -> (
-          count_dispatch e i;
-          match poll_tick e i fiber with
-          | Woken { k; exn } -> resume k exn
-          | _ -> enqueue e i fiber)
-    end;
-    leave v;
-    loop e
-  end
-
 (* An exception escaping a fiber (Step_limit, a test failure, ...) must
    not abandon the other suspended fibers undiscontinued: unwind each so
-   their finalizers run. *)
+   their finalizers run.  A fiber that ends here returns to the loop
+   below ([tearing]). *)
 let teardown (e : engine) =
   e.aborting <- true;
+  e.tearing <- true;
   let v = e.view in
   (* the escaping fiber may have left itself current: the hooks
      [dequeue] calls run outside any fiber *)
@@ -1037,8 +1062,7 @@ let teardown (e : engine) =
     | Thunk _ -> () (* never started: nothing to unwind *)
     | Cont k | Poll { k; _ } | Woken { k; _ } ->
         enter v i;
-        (try ignore (Effect.Deep.discontinue k Step_limit : status)
-         with _ -> ());
+        (try Effect.Deep.discontinue k Step_limit with _ -> ());
         leave v
   done
 
@@ -1107,7 +1131,7 @@ let run ?(policy = `Perf) ?(seed = 0) ?(crash_at = -1) ?(step_limit = -1)
   for i = 0 to n - 1 do
     enqueue e i e.thunks.(i)
   done;
-  match loop e with
+  match dispatch e with
   | () ->
       let outcome = if e.crashing then Crashed_at e.steps else All_done in
       if e.replay_pos < Array.length e.replay then

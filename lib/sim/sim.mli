@@ -142,7 +142,7 @@ val run :
     but the step is still a dispatch of the runner — [record] sees it,
     it is traced ([Sched]), counted by {!dispatches}, and a due
     {!interrupt} lands there.  When it returns [false] the step decides
-    as it would without [keep].  The dispatch loop never asks it: a
+    as it would without [keep].  Only a switching step asks it: a
     thread's first dispatch, the dispatch after a thread finishes or
     waits in {!poll_while}, and the crash drain always decide.  The
     explorer answers it with the decisions that do not branch.
@@ -154,6 +154,16 @@ val run :
     hook raises escapes {!run} after the remaining fibers are unwound.
     Marking the hooks' extent costs two stores of immediates into the
     {!type-view}, no write barrier.
+
+    {b Dispatch from the handlers}: every fiber runs under its own
+    effect handler, and each arm that ends a fiber's turn — a hand-off
+    at a switching {!step}, the start of a wait in {!poll_while}, the
+    body's return, or its unwinding from {!Crashed} — resumes the next
+    ready fiber itself, in tail position.  So however many turns the
+    fibers take, the stack those arms run on stays at the depth [run]
+    was called at; only each body's own stack grows with its calls.
+    While the fibers left after an escaping exception are unwound, a
+    fiber that ends resumes nothing.
 
     {b One engine per domain}: the engine's arrays, each fiber's effect
     handler and initial thunk are kept on the calling domain and reset

@@ -199,8 +199,53 @@ let test_export_shapes () =
   Alcotest.(check bool) "json has no NaN literal" true
     (not (contains json "nan"))
 
+(* The profile's and the throughput runner's validators: each refusal
+   is one line naming the field, and the boundary values pass. *)
+let test_validators_name_each_field () =
+  let base = small_config () in
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s refused: %s" what e)
+    [
+      ("causal base", Causal.validate base);
+      ("causal one thread, one op",
+       Causal.validate { base with threads = 1; ops_per_thread = 1 });
+      ("causal thread limit",
+       Causal.validate { base with threads = Pmem.max_threads });
+      ("runner one thread", Runner.validate ~threads:1 ~duration_ns:1.);
+      ("runner thread limit",
+       Runner.validate ~threads:Pmem.max_threads ~duration_ns:200_000.);
+    ];
+  List.iter
+    (fun (field, r) ->
+      match r with
+      | Ok () -> Alcotest.failf "%s accepted" field
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names %s on one line" e field)
+            true
+            (Test_repro.contains ~sub:field e
+            && not (String.contains e '\n')))
+    [
+      ("threads", Causal.validate { base with threads = 0 });
+      ("threads", Causal.validate { base with threads = Pmem.max_threads + 1 });
+      ("ops-per-thread", Causal.validate { base with ops_per_thread = 0 });
+      ("key-range",
+       Causal.validate
+         { base with workload = { base.workload with key_range = 0 } });
+      ("threads", Runner.validate ~threads:0 ~duration_ns:1.);
+      ( "threads",
+        Runner.validate ~threads:(Pmem.max_threads + 1) ~duration_ns:1. );
+      ("duration-ns", Runner.validate ~threads:1 ~duration_ns:0.);
+      ("duration-ns", Runner.validate ~threads:1 ~duration_ns:Float.nan);
+    ]
+
 let suite =
   [
+    Alcotest.test_case "validators name each refused field" `Quick
+      test_validators_name_each_field;
     Alcotest.test_case "site/category replay is divergence-free" `Quick
       test_replay_exact;
     Alcotest.test_case "ns/op monotone in cost factor" `Quick

@@ -289,8 +289,15 @@ let test_broken_memento_found_and_replays () =
   | Error e -> Alcotest.(check string) "bit-for-bit" r.Repro.error e
   | Ok () -> Alcotest.fail "explorer repro did not reproduce"
 
+(* One List-mmt op's minor words, measured as Tracking's
+   ([Test_tracking.check_op_words]). *)
+let test_op_words () =
+  Test_tracking.check_op_words Set_intf.memento_list ~budget:42.56
+
 let suite =
   [
+    Alcotest.test_case "one op: minor words within budget" `Quick
+      test_op_words;
     Alcotest.test_case "checkpoint is single-assignment per invocation" `Quick
       test_checkpoint_single_assignment;
     Alcotest.test_case "dcas success detectable before confirm" `Quick

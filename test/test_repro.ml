@@ -95,7 +95,8 @@ let gen_repro =
   let gen_round =
     let* kind = oneofl [ `Work; `Recover ] in
     let* crash_at = frequency [ (1, return (-1)); (3, int_range 1 200) ] in
-    let* schedule = array_size (int_range 0 12) (int_range 0 7) in
+    (* a recorded round is never empty: [load] refuses one that is *)
+    let* schedule = array_size (int_range 1 12) (int_range 0 7) in
     let* wb =
       oneof
         [
@@ -224,6 +225,7 @@ let test_malformed_corpus () =
       ("bad round wb", header ^ "round work 5 0,1 sometimes\n");
       ("bad round wb prefix", header ^ "round work 5 0,1 prefix:0\n");
       ("truncated round line", header ^ "round work\n");
+      ("empty round schedule", header ^ "round work 5 0,1\nround recover 0 -\n");
     ]
   in
   List.iter

@@ -947,6 +947,85 @@ let test_poll_words_per_dispatch () =
   if per > 1.02 *. budget then
     Alcotest.failf "%.6f minor words per dispatch (budget %.6f)" per budget
 
+(* Two [`Perf] fibers whose every step is expensive: each step hands off
+   to the other fiber, [steps] per fiber. *)
+let ping_pong steps =
+  let body _ =
+    for _ = 1 to steps do
+      Sim.step 100.
+    done
+  in
+  ignore (Sim.run [| body; body |] : Sim.outcome)
+
+(* The host work of a hand-off, measured deterministically: minor words
+   per switching step that suspends the yielder and resumes the other
+   fiber.  The yielder's continuation and its [Cont] fiber are the whole
+   of it; the budget only moves down, and a rise of more than 2%
+   fails. *)
+let test_handoff_words () =
+  let steps = 100_000 in
+  ping_pong steps;
+  let w0 = Gc.minor_words () in
+  ping_pong steps;
+  let per = (Gc.minor_words () -. w0) /. float_of_int (2 * steps) in
+  Printf.printf "%.4f minor words per hand-off\n%!" per;
+  let budget = 4.0 in
+  if per > 1.02 *. budget then
+    Alcotest.failf "%.4f minor words per hand-off (budget %.1f)" per budget
+
+(* Each hand-off resumes the next fiber from the handler arm that ended
+   the yielder's turn, in tail position, so the stack those arms run on
+   stays at the depth [Sim.run] left it.  Under a 64k-word stack limit a
+   million hand-offs must finish three ways: quiet [`Perf] hand-offs
+   ([Yield] handing the root's slot over), [`Random] ones under [keep]
+   and [record] (a pick that leaves the heap and frees its slot), and
+   waits in [poll_while] ([Poll_yield]).  A
+   resume that is not a tail call keeps a frame per hand-off and
+   overflows. *)
+let test_constant_stack () =
+  let handoffs = 1_000_000 in
+  let random () =
+    let last = ref (-1) and switches = ref 0 in
+    let record t =
+      if t <> !last then incr switches;
+      last := t
+    in
+    let body _ =
+      while !switches < handoffs do
+        Sim.step 1.
+      done
+    in
+    ignore
+      (Sim.run ~policy:`Random ~seed:3 ~keep:(fun _ -> false) ~record
+         [| body; body |]
+        : Sim.outcome)
+  in
+  let polls () =
+    let turn = ref 0 in
+    let body t _ =
+      for _ = 1 to handoffs / 2 do
+        Sim.poll_while ~period:100. (fun () -> !turn <> t);
+        turn := 1 - t
+      done
+    in
+    ignore (Sim.run [| body 0; body 1 |] : Sim.outcome)
+  in
+  let old = Gc.get () in
+  Gc.set { old with Gc.stack_limit = 65_536 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set old)
+    (fun () ->
+      List.iter
+        (fun (name, run) ->
+          match run () with
+          | () -> ()
+          | exception Stack_overflow -> Alcotest.failf "%s: stack overflow" name)
+        [
+          ("perf", fun () -> ping_pong (handoffs / 2));
+          ("random, keep and record", random);
+          ("poll_while", polls);
+        ])
+
 (* Sixteen [`Perf] fibers of mixed costs: batched cheap steps, expensive
    steps, [step_as] with a cheap charge on an expensive basis, clock-only
    [advance]s, a [poll_while] waiter on fiber 0's counter and an
@@ -1098,7 +1177,7 @@ let test_pollers_ahead_of_step () =
     [ false; true ]
 
 (* A [keep] that always keeps: every switching step continues its
-   runner, so [choose] (or the rng) decides only in the dispatch loop —
+   runner, so [choose] (or the rng) decides only when no step does —
    at a thread's start, after the previous thread finished — while
    [record] and the tracer still see every dispatch.  Inside [keep] no fiber is
    running: [Sim.tid] raises, and a [Sim.step] or [Sim.advance] there
@@ -1342,6 +1421,10 @@ let suite =
       test_in_place_allocation;
     Alcotest.test_case "idle polling: minor words per dispatch within budget"
       `Quick test_poll_words_per_dispatch;
+    Alcotest.test_case "hand-off: minor words within budget" `Quick
+      test_handoff_words;
+    Alcotest.test_case "a million hand-offs in constant stack" `Quick
+      test_constant_stack;
     Alcotest.test_case "pollers ahead of a step: same as the loop" `Quick
       test_pollers_ahead_of_step;
     Alcotest.test_case "keep: runner continues, hooks outside fibers" `Quick

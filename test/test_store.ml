@@ -184,7 +184,7 @@ let elastic_cfg ~ops =
   }
 
 (* Without [record] the engine is quiet and runs idle polls in the ready
-   heap (sim.mli); with it, through the dispatch loop.  Both must give
+   heap (sim.mli); with it, through [dequeue].  Both must give
    the same report and the same trace, every [Sched] event included. *)
 let test_record_unobservable () =
   let c = elastic_cfg ~ops:40 in

@@ -203,8 +203,45 @@ let test_recover_fresh_thread_reinvokes () =
   Alcotest.(check bool) "reinvoked" true !reinvoked;
   Alcotest.(check bool) "response passed through" false r
 
+(* Minor words per operation of [f]'s structure on one fiber: the
+   paper's read-intensive mix (70% finds, keys [1,500]) over a 250-key
+   prefill, seeded as perfbench's [core.op_ns] and [memento.op_ns] time
+   it.  Deterministic on a fixed toolchain, so each framework's figure
+   is a budget with a 2% margin that only moves down. *)
+let check_op_words (f : Set_intf.factory) ~budget =
+  let wl = Workload.default Workload.read_intensive in
+  let heap = Pmem.heap ~track_for_crash:false ~name:f.Set_intf.fname () in
+  let t = f.Set_intf.make heap ~threads:1 in
+  let rng = Random.State.make [| 11 |] in
+  Workload.prefill rng wl t;
+  let ops n =
+    ignore
+      (Sim.run
+         [|
+           (fun _ ->
+             for _ = 1 to n do
+               ignore (Set_intf.apply t (Workload.gen_op rng wl) : bool)
+             done);
+         |]
+        : Sim.outcome);
+    Pmem.reset_pending ()
+  in
+  let n = 4_000 in
+  ops n;
+  let w0 = Gc.minor_words () in
+  ops n;
+  let per = (Gc.minor_words () -. w0) /. float_of_int n in
+  Printf.printf "%s: %.2f minor words per op\n%!" f.Set_intf.fname per;
+  if per > 1.02 *. budget then
+    Alcotest.failf "%s: %.2f minor words per op (budget %.2f)"
+      f.Set_intf.fname per budget
+
+let test_op_words () = check_op_words Set_intf.tracking ~budget:118.30
+
 let suite =
   [
+    Alcotest.test_case "one op: minor words within budget" `Quick
+      test_op_words;
     Alcotest.test_case "help applies updates exactly once" `Quick
       test_help_applies_once;
     Alcotest.test_case "cleanup untags" `Quick test_help_untags_in_cleanup;
